@@ -26,7 +26,15 @@ import numpy as np
 from repro.quant.qrelu import QReLU
 from repro.approx.neuron import ApproximateNeuron
 
-__all__ = ["ApproximateLayer", "worst_case_shift", "expand_activation_bits"]
+__all__ = [
+    "ApproximateLayer",
+    "worst_case_shift",
+    "expand_activation_bits",
+    "plane_width",
+    "build_bit_planes",
+    "accumulator_bounds",
+    "exact_matmul_dtype",
+]
 
 
 def expand_activation_bits(x: np.ndarray, width: int) -> np.ndarray:
@@ -45,6 +53,54 @@ def expand_activation_bits(x: np.ndarray, width: int) -> np.ndarray:
         return flat.reshape(*x.shape[:-1], x.shape[-1] * 8)
     bits = np.arange(width, dtype=np.int64)
     return ((x[..., None] >> bits) & 1).reshape(*x.shape[:-1], x.shape[-1] * width)
+
+
+def plane_width(input_bits: int) -> int:
+    """Bits-per-feature stride of the bit planes (byte-padded for narrow inputs)."""
+    return 8 if input_bits <= 8 else input_bits
+
+
+def build_bit_planes(
+    masks: np.ndarray, signs: np.ndarray, exponents: np.ndarray, width: int
+) -> np.ndarray:
+    """Bit-plane weight matrices of one layer or a stack of layers.
+
+    Maps ``(..., fan_in, fan_out)`` parameters to ``(..., fan_in * width,
+    fan_out)`` planes whose row ``i * width + b`` holds ``((masks[i, j] >>
+    b) & 1) * signs[i, j] << (b + exponents[i, j])`` (see
+    :attr:`ApproximateLayer.bit_planes`).
+    """
+    bits = np.arange(width, dtype=np.int64)[:, None]
+    retained = (masks[..., None, :] >> bits) & 1  # (..., fan_in, width, fan_out)
+    planes = (retained * signs[..., None, :]) << (bits + exponents[..., None, :])
+    *lead, fan_in, fan_out = masks.shape
+    return planes.reshape(*lead, fan_in * width, fan_out)
+
+
+def accumulator_bounds(
+    masks: np.ndarray, signs: np.ndarray, exponents: np.ndarray, biases: np.ndarray
+) -> tuple:
+    """Per-neuron ``(min, max)`` reachable accumulators, ``(..., fan_out)`` each."""
+    magnitudes = masks << exponents
+    positive = (magnitudes * (signs > 0)).sum(axis=-2)
+    negative = (magnitudes * (signs < 0)).sum(axis=-2)
+    return -negative + np.minimum(biases, 0), positive + np.maximum(biases, 0)
+
+
+def exact_matmul_dtype(low: np.ndarray, high: np.ndarray) -> Optional[type]:
+    """Weakest float dtype whose matmul stays exact for these accumulators.
+
+    A BLAS matmul is exact as long as every partial sum stays an exactly
+    representable integer (2**24 for float32, 2**53 for float64); the
+    accumulator bounds give a hard cap.  ``None`` means neither float
+    type is safe and the matmul must run in int64.
+    """
+    bound = max(abs(int(low.min(initial=0))), abs(int(high.max(initial=0))))
+    if bound < 2**22:
+        return np.float32
+    if bound < 2**52:
+        return np.float64
+    return None
 
 
 def worst_case_shift(
@@ -115,9 +171,10 @@ class ApproximateLayer:
                 raise ValueError("signs must be -1 or +1")
             if np.any(self.exponents < 0):
                 raise ValueError("exponents must be non-negative")
-        # Lazily built caches; the GA decodes a fresh layer per candidate
-        # and never mutates parameters in place, so plain memoization is
-        # safe.  Call invalidate_caches() after any in-place edit.
+        # Lazily built caches; layers are decoded on demand (front
+        # members, reports) and never mutated in place by the library, so
+        # plain memoization is safe.  Call invalidate_caches() after any
+        # in-place edit.
         self._bit_planes: Optional[np.ndarray] = None
         self._float_planes: Optional[np.ndarray] = None
         self._acc_bounds: Optional[tuple] = None
@@ -155,7 +212,7 @@ class ApproximateLayer:
     @property
     def plane_bits(self) -> int:
         """Bits-per-feature stride of :attr:`bit_planes` (byte-padded for narrow inputs)."""
-        return 8 if self.input_bits <= 8 else self.input_bits
+        return plane_width(self.input_bits)
 
     @property
     def bit_planes(self) -> np.ndarray:
@@ -170,26 +227,13 @@ class ApproximateLayer:
         layer and reused by every forward pass.
         """
         if self._bit_planes is None:
-            width = self.plane_bits
-            bits = np.arange(width, dtype=np.int64)[None, :, None]
-            retained = (self.masks[:, None, :] >> bits) & 1
-            planes = (retained * self.signs[:, None, :]) << (
-                bits + self.exponents[:, None, :]
+            planes = build_bit_planes(
+                self.masks, self.signs, self.exponents, self.plane_bits
             )
-            planes = planes.reshape(self.fan_in * width, self.fan_out)
             planes.setflags(write=False)
             self._bit_planes = planes
-            # A BLAS matmul is exact as long as every partial sum stays
-            # an exactly representable integer (2**24 for float32, 2**53
-            # for float64); the accumulator bounds give a hard cap.
-            low, high = self._accumulator_bounds()
-            bound = max(abs(int(low.min(initial=0))), abs(int(high.max(initial=0))))
-            if bound < 2**22:
-                self._float_planes = planes.astype(np.float32)
-            elif bound < 2**52:
-                self._float_planes = planes.astype(np.float64)
-            else:
-                self._float_planes = None
+            dtype = exact_matmul_dtype(*self._accumulator_bounds())
+            self._float_planes = planes.astype(dtype) if dtype is not None else None
         return self._bit_planes
 
     def accumulate(self, x: np.ndarray, slow: bool = False) -> np.ndarray:
@@ -260,11 +304,9 @@ class ApproximateLayer:
     def _accumulator_bounds(self) -> tuple:
         """Cached per-neuron (min, max) reachable accumulator values."""
         if self._acc_bounds is None:
-            magnitudes = self.masks << self.exponents
-            positive = (magnitudes * (self.signs > 0)).sum(axis=0)
-            negative = (magnitudes * (self.signs < 0)).sum(axis=0)
-            low = -negative + np.minimum(self.biases, 0)
-            high = positive + np.maximum(self.biases, 0)
+            low, high = accumulator_bounds(
+                self.masks, self.signs, self.exponents, self.biases
+            )
             low.setflags(write=False)
             high.setflags(write=False)
             self._acc_bounds = (low, high)

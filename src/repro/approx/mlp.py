@@ -11,18 +11,29 @@ accumulators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.approx.config import ApproxConfig
-from repro.approx.layer import ApproximateLayer, expand_activation_bits, worst_case_shift
+from repro.approx.layer import (
+    ApproximateLayer,
+    accumulator_bounds,
+    build_bit_planes,
+    exact_matmul_dtype,
+    expand_activation_bits,
+    plane_width,
+    worst_case_shift,
+)
 from repro.approx.topology import Topology
 from repro.quant.qrelu import QReLU
 
 __all__ = [
     "ApproximateMLP",
+    "PopulationParameters",
     "default_shifts",
+    "stack_parameters",
+    "forward_stacked",
     "forward_population",
     "accuracy_population",
 ]
@@ -264,23 +275,6 @@ class ApproximateMLP:
             shifts=payload.get("shifts"),
         )
 
-    @staticmethod
-    def _population_planes(layers: List[ApproximateLayer]) -> np.ndarray:
-        """Stacked bit-plane matrices of one layer position, ``(P, K, fan_out)``.
-
-        The stack dtype is the weakest type that keeps every candidate's
-        matmul exact: float32 when every layer qualifies, float64 when
-        all at least allow a float path, int64 otherwise.
-        """
-        for layer in layers:
-            layer.bit_planes  # materialize caches
-        float_planes = [layer._float_planes for layer in layers]
-        if any(planes is None for planes in float_planes):
-            return np.stack([layer.bit_planes for layer in layers])
-        if all(planes.dtype == np.float32 for planes in float_planes):
-            return np.stack(float_planes)
-        return np.stack([planes.astype(np.float64, copy=False) for planes in float_planes])
-
     def copy(self) -> "ApproximateMLP":
         """Deep copy of the model (copies the weight arrays directly)."""
         layers = [
@@ -300,59 +294,110 @@ class ApproximateMLP:
         return self.forward(x)
 
 
-def forward_population(models: Sequence[ApproximateMLP], x: np.ndarray) -> np.ndarray:
-    """Forward a shared input batch through a whole population at once.
+class PopulationParameters(NamedTuple):
+    """Stacked parameters of ``P`` candidates sharing one topology.
 
-    All models must share one topology/config (the GA case: one decoded
-    candidate per chromosome of a population).  Each layer position
-    becomes a single batched matmul of the stacked bit-plane matrices —
-    ``(P, n, K) @ (P, K, fan_out)`` — instead of ``P`` separate passes,
-    and is bitwise identical to calling :meth:`ApproximateMLP.forward`
-    per model.
+    ``masks``, ``signs`` (±1) and ``exponents`` hold one ``(P, fan_in,
+    fan_out)`` tensor per layer, ``biases`` one ``(P, fan_out)`` matrix
+    per layer, and ``shifts`` is the ``(P, hidden)`` matrix of QReLU
+    shifts.  ``input_bits`` is the per-layer input width and
+    ``activation_bits`` the QReLU output width of the hidden layers.
+    """
+
+    masks: List[np.ndarray]
+    signs: List[np.ndarray]
+    exponents: List[np.ndarray]
+    biases: List[np.ndarray]
+    shifts: np.ndarray
+    input_bits: Tuple[int, ...]
+    activation_bits: int
+
+
+Population = Union[Sequence[ApproximateMLP], PopulationParameters]
+
+
+def stack_parameters(models: Sequence[ApproximateMLP]) -> PopulationParameters:
+    """Stack a homogeneous model population into :class:`PopulationParameters`."""
+    if not models:
+        raise ValueError("a population needs at least one model")
+    sizes = models[0].topology.sizes
+    config = models[0].config
+    if any(m.topology.sizes != sizes or m.config != config for m in models):
+        raise ValueError("a stacked population must be homogeneous")
+    activations = {
+        None if layer.activation is None else layer.activation.out_bits
+        for m in models
+        for layer in m.layers[:-1]
+    }
+    if None in activations or len(activations) > 1 or any(
+        m.layers[-1].activation is not None for m in models
+    ):
+        raise ValueError("stacked populations need one QReLU width and a raw output layer")
+    positions = [[m.layers[i] for m in models] for i in range(len(sizes) - 1)]
+
+    def stacked(name: str) -> List[np.ndarray]:
+        return [np.stack([getattr(layer, name) for layer in p]) for p in positions]
+
+    return PopulationParameters(
+        masks=stacked("masks"),
+        signs=stacked("signs"),
+        exponents=stacked("exponents"),
+        biases=stacked("biases"),
+        shifts=np.array([m.shifts[:-1] for m in models], dtype=np.int64).reshape(
+            len(models), len(sizes) - 2
+        ),
+        input_bits=tuple(layer.input_bits for layer in models[0].layers),
+        activation_bits=activations.pop() if activations else config.activation_bits,
+    )
+
+
+def forward_stacked(params: PopulationParameters, x: np.ndarray) -> np.ndarray:
+    """Forward a shared input batch through every stacked candidate at once.
+
+    Each layer position builds all candidates' bit planes in one
+    broadcast and runs one batched matmul ``(P, n, K) @ (P, K, fan_out)``.
+    The matmul dtype is the weakest one that keeps every candidate of the
+    batch exact (float32 below 2**22, float64 below 2**52, int64
+    otherwise), so the result is bitwise identical to
+    :meth:`ApproximateMLP.forward` per candidate.
 
     Returns
     -------
     Output accumulators of shape ``(P, n_samples, num_outputs)``.
     """
-    if not models:
-        raise ValueError("forward_population needs at least one model")
-    sizes = models[0].topology.sizes
-    config = models[0].config
-    if any(m.topology.sizes != sizes or m.config != config for m in models):
-        raise ValueError("forward_population requires a homogeneous population")
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1:
-        x = x[None, :]
-
-    activations: np.ndarray = x  # (n, fan_in), promoted to (P, n, ·) below
-    num_layers = len(models[0].layers)
-    for layer_index in range(num_layers):
-        layers = [m.layers[layer_index] for m in models]
-        first = layers[0]
-        planes = ApproximateMLP._population_planes(layers)  # (P, K, fan_out)
-        x_bits = expand_activation_bits(activations, first.plane_bits)
-        if planes.dtype != np.int64:
-            acc = np.matmul(x_bits.astype(planes.dtype), planes).astype(np.int64)
+    activations = np.asarray(x, dtype=np.int64)  # (n, ·), then (P, n, ·)
+    if activations.ndim == 1:
+        activations = activations[None, :]
+    max_value = (1 << params.activation_bits) - 1
+    for index, masks in enumerate(params.masks):
+        signs, exponents = params.signs[index], params.exponents[index]
+        biases = params.biases[index]
+        width = plane_width(params.input_bits[index])
+        planes = build_bit_planes(masks, signs, exponents, width)  # (P, K, fan_out)
+        dtype = exact_matmul_dtype(*accumulator_bounds(masks, signs, exponents, biases))
+        x_bits = expand_activation_bits(activations, width)
+        if dtype is not None:
+            acc = np.matmul(x_bits.astype(dtype), planes.astype(dtype)).astype(np.int64)
         else:
             acc = np.matmul(x_bits.astype(np.int64), planes)
-        biases = np.stack([layer.biases for layer in layers])  # (P, fan_out)
         acc += biases[:, None, :]
-        if first.activation is None:
-            activations = acc
-        else:
-            shifts = np.array(
-                [layer.activation.shift for layer in layers], dtype=np.int64
-            )
-            shifted = acc >> shifts[:, None, None]
-            activations = np.clip(shifted, 0, first.activation.max_value)
-    return activations
+        if index == len(params.masks) - 1:
+            return acc
+        shifted = acc >> params.shifts[:, index, None, None]
+        activations = np.clip(shifted, 0, max_value)
+    raise ValueError("a population needs at least one layer")  # pragma: no cover
 
 
-def accuracy_population(
-    models: Sequence[ApproximateMLP], x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Classification accuracy of every model of a population at once."""
+def forward_population(population: Population, x: np.ndarray) -> np.ndarray:
+    """:func:`forward_stacked` over models (stacked first) or stacked parameters."""
+    if not isinstance(population, PopulationParameters):
+        population = stack_parameters(population)
+    return forward_stacked(population, x)
+
+
+def accuracy_population(population: Population, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Classification accuracy of every candidate of a population at once."""
     y = np.asarray(y)
-    scores = forward_population(models, x)  # (P, n, num_outputs)
+    scores = forward_population(population, x)  # (P, n, num_outputs)
     predictions = np.argmax(scores, axis=2)
     return (predictions == y[None, :]).mean(axis=1)

@@ -105,9 +105,9 @@ class TrainingResult:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -161,10 +161,16 @@ class GradientTrainer:
         features: np.ndarray,
         labels: np.ndarray,
         topology: Topology | Sequence[int],
+        slow: bool = False,
     ) -> TrainingResult:
         """Train a :class:`FloatMLP` on ``(features, labels)``.
 
-        Runs ``restarts`` independent trainings and keeps the best.
+        Runs ``restarts`` independent trainings and keeps the best.  All
+        restarts train at once on a leading restart axis; restart ``r``
+        draws from its own ``default_rng(seed + r)`` stream in the serial
+        order (initialization, then one permutation per epoch), so the
+        result is bitwise identical to ``slow=True``, which trains the
+        restarts one after another.
         """
         start = time.perf_counter()
         if not isinstance(topology, Topology):
@@ -180,18 +186,16 @@ class GradientTrainer:
                 f"labels contain class {labels.max()} but topology has {topology.num_outputs} outputs"
             )
         base_seed = self.seed if self.seed is not None else 0
+        rngs = [np.random.default_rng(base_seed + r) for r in range(self.restarts)]
+        if slow:
+            runs = [self._train_single(features, labels, topology, rng) for rng in rngs]
+        else:
+            runs = self._train_stacked(features, labels, topology, rngs)
         best: Optional[TrainingResult] = None
-        total_epochs = 0
-        for restart in range(self.restarts):
-            rng = np.random.default_rng(base_seed + restart)
-            model, losses = self._train_single(features, labels, topology, rng)
+        for model, losses in runs:
             accuracy = model.accuracy(features, labels)
-            total_epochs += self.epochs
-            candidate = TrainingResult(
-                model=model, train_accuracy=accuracy, losses=losses
-            )
-            if best is None or candidate.train_accuracy > best.train_accuracy:
-                best = candidate
+            if best is None or accuracy > best.train_accuracy:
+                best = TrainingResult(model=model, train_accuracy=accuracy, losses=losses)
         elapsed = time.perf_counter() - start
         assert best is not None
         return TrainingResult(
@@ -199,8 +203,105 @@ class GradientTrainer:
             train_accuracy=best.train_accuracy,
             losses=best.losses,
             wall_clock_seconds=elapsed,
-            epochs_run=total_epochs,
+            epochs_run=self.restarts * self.epochs,
         )
+
+    def _train_stacked(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        topology: Topology,
+        rngs: List[np.random.Generator],
+    ) -> List[tuple[FloatMLP, List[float]]]:
+        """:meth:`_train_single` for every restart at once.
+
+        Weights are ``(R, fan_in, fan_out)`` and biases ``(R, 1, fan_out)``
+        views into one flat parameter vector, so each minibatch step is
+        one batched matmul per layer and one optimizer update over all
+        parameters.  Every element sees the serial operations in the
+        serial order (all gradients of a step use the pre-step weights
+        there too), so each restart's arithmetic is unchanged.
+        """
+        models = [FloatMLP.random(topology, rng) for rng in rngs]
+        restarts, num_layers = len(rngs), topology.num_layers
+        initial = [np.stack(w) for w in zip(*(m.weights for m in models))]
+        initial += [np.stack(b)[:, None, :] for b in zip(*(m.biases for m in models))]
+        params = np.concatenate([array.ravel() for array in initial])
+        grads = np.empty_like(params)
+        bounds = np.cumsum([0] + [array.size for array in initial])
+
+        def views(flat: np.ndarray) -> List[np.ndarray]:
+            return [
+                flat[start:stop].reshape(array.shape)
+                for start, stop, array in zip(bounds[:-1], bounds[1:], initial)
+            ]
+
+        weights, biases = views(params)[:num_layers], views(params)[num_layers:]
+        grad_w, grad_b = views(grads)[:num_layers], views(grads)[num_layers:]
+        velocity = np.zeros_like(params)
+        second = np.zeros_like(params)
+        one_hot = np.eye(topology.num_outputs)[labels]
+        n = features.shape[0]
+        losses = np.zeros((self.epochs, restarts))
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        step = 0
+
+        for epoch in range(self.epochs):
+            orders = np.stack([rng.permutation(n) for rng in rngs])  # (R, n)
+            shuffled_x, shuffled_t = features[orders], one_hot[orders]
+            for start_idx in range(0, n, self.batch_size):
+                x = shuffled_x[:, start_idx : start_idx + self.batch_size]
+                t = shuffled_t[:, start_idx : start_idx + self.batch_size]
+                batch = x.shape[1]
+
+                activations = [x]
+                for index in range(num_layers):
+                    z = activations[-1] @ weights[index] + biases[index]
+                    if index < num_layers - 1:
+                        z = np.maximum(z, 0.0)
+                    activations.append(z)
+                probs = _softmax(activations[-1])
+                # The serial batch mean, rescaled below exactly as there,
+                # so the recorded losses stay bit-identical.
+                batch_loss = -((t * np.log(probs + 1e-12)).sum(axis=-1).sum(axis=-1) / batch)
+                losses[epoch] += batch_loss * batch
+
+                grad = (probs - t) / batch
+                step += 1
+                for index in range(num_layers - 1, -1, -1):
+                    np.add(
+                        activations[index].transpose(0, 2, 1) @ grad,
+                        self.weight_decay * weights[index],
+                        out=grad_w[index],
+                    )
+                    grad_b[index][...] = grad.sum(axis=1, keepdims=True)
+                    if index > 0:
+                        grad = grad @ weights[index].transpose(0, 2, 1)
+                        grad = grad * (activations[index] > 0)
+                if self.optimizer == "adam":
+                    velocity = beta1 * velocity + (1 - beta1) * grads
+                    second = beta2 * second + (1 - beta2) * grads**2
+                    correction1 = 1 - beta1**step
+                    correction2 = 1 - beta2**step
+                    update = (velocity / correction1) / (np.sqrt(second / correction2) + eps)
+                    params -= self.learning_rate * update
+                else:
+                    velocity = self.momentum * velocity - self.learning_rate * grads
+                    params += velocity
+            losses[epoch] /= n
+            if self.verbose and (epoch % max(self.epochs // 10, 1) == 0):  # pragma: no cover
+                print(f"epoch {epoch}: loss=" + ", ".join(f"{v:.4f}" for v in losses[epoch]))
+        return [
+            (
+                FloatMLP(
+                    topology=topology,
+                    weights=[w[r].copy() for w in weights],
+                    biases=[b[r, 0].copy() for b in biases],
+                ),
+                list(losses[:, r]),
+            )
+            for r in range(restarts)
+        ]
 
     def _train_single(
         self,

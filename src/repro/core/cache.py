@@ -14,12 +14,11 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
     values embed both;
 ``models``
     genome → decoded :class:`~repro.approx.mlp.ApproximateMLP` (with its
-    lazily built bit-plane caches), so the front synthesis never decodes
-    a genome the GA has already seen.  Populated by in-process
-    evaluation (``n_workers <= 1``, the default); the process-pool and
-    island paths keep decoded models inside the workers, so the trainer
-    decodes-and-caches the final front's members once in the parent
-    before returning (``GATrainer._populate_model_cache``);
+    lazily built bit-plane caches), so the front stages never decode a
+    front member twice.  The GA scores fitness without building models,
+    so every trainer (serial, pooled or island) decodes-and-caches the
+    final front's members once before returning
+    (``GATrainer._populate_model_cache``);
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``

@@ -21,7 +21,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP, default_shifts
+from repro.approx.mlp import ApproximateMLP, PopulationParameters, default_shifts
 from repro.approx.topology import Topology
 
 __all__ = ["ChromosomeLayout"]
@@ -51,57 +51,42 @@ class ChromosomeLayout:
     learn_shifts: bool = True
 
     def __post_init__(self) -> None:
-        lower: List[np.ndarray] = []
-        upper: List[np.ndarray] = []
-        is_mask: List[np.ndarray] = []
+        # Per-layer gather indices: ``_weight_genes[l][i, j]`` is the mask
+        # gene of connection (i, j) (sign and exponent follow it) and
+        # ``_bias_genes[l][j]`` the bias gene of neuron j, so a whole
+        # ``(n, genes)`` population slices into stacked parameters with
+        # one fancy index per tensor.
+        self._weight_genes: List[np.ndarray] = []
+        self._bias_genes: List[np.ndarray] = []
         self._layer_slices: List[slice] = []
         offset = 0
-
-        for layer_index, (fan_in, fan_out) in enumerate(self.topology.layer_shapes()):
-            in_bits = self.config.layer_input_bits(layer_index)
-            max_mask = (1 << in_bits) - 1
+        for fan_in, fan_out in self.topology.layer_shapes():
             genes_per_neuron = fan_in * GENES_PER_CONNECTION + 1
-            layer_genes = fan_out * genes_per_neuron
-
-            layer_lower = np.zeros(layer_genes, dtype=np.int64)
-            layer_upper = np.zeros(layer_genes, dtype=np.int64)
-            layer_is_mask = np.zeros(layer_genes, dtype=bool)
-            for j in range(fan_out):
-                base = j * genes_per_neuron
-                for i in range(fan_in):
-                    g = base + i * GENES_PER_CONNECTION
-                    layer_lower[g] = 0
-                    layer_upper[g] = max_mask
-                    layer_is_mask[g] = True
-                    layer_lower[g + 1] = 0
-                    layer_upper[g + 1] = 1
-                    layer_lower[g + 2] = 0
-                    layer_upper[g + 2] = self.config.max_exponent
-                bias_gene = base + fan_in * GENES_PER_CONNECTION
-                layer_lower[bias_gene] = self.config.bias_min
-                layer_upper[bias_gene] = self.config.bias_max
-            lower.append(layer_lower)
-            upper.append(layer_upper)
-            is_mask.append(layer_is_mask)
-            self._layer_slices.append(slice(offset, offset + layer_genes))
-            offset += layer_genes
+            neurons = offset + genes_per_neuron * np.arange(fan_out, dtype=np.int64)
+            inputs = GENES_PER_CONNECTION * np.arange(fan_in, dtype=np.int64)
+            self._weight_genes.append(inputs[:, None] + neurons[None, :])
+            self._bias_genes.append(neurons + fan_in * GENES_PER_CONNECTION)
+            self._layer_slices.append(slice(offset, offset + fan_out * genes_per_neuron))
+            offset += fan_out * genes_per_neuron
 
         self._max_shifts = default_shifts(self.topology, self.config)
-        self._shift_slice = slice(offset, offset)
-        if self.learn_shifts:
-            num_hidden = self.topology.num_layers - 1
-            shift_lower = np.zeros(num_hidden, dtype=np.int64)
-            shift_upper = np.array(self._max_shifts[:num_hidden], dtype=np.int64)
-            lower.append(shift_lower)
-            upper.append(shift_upper)
-            is_mask.append(np.zeros(num_hidden, dtype=bool))
-            self._shift_slice = slice(offset, offset + num_hidden)
-            offset += num_hidden
+        num_hidden = self.topology.num_layers - 1 if self.learn_shifts else 0
+        self._shift_slice = slice(offset, offset + num_hidden)
+        self.num_genes = offset + num_hidden
 
-        self.lower_bounds = np.concatenate(lower) if lower else np.zeros(0, dtype=np.int64)
-        self.upper_bounds = np.concatenate(upper) if upper else np.zeros(0, dtype=np.int64)
-        self.mask_gene_flags = np.concatenate(is_mask) if is_mask else np.zeros(0, dtype=bool)
-        self.num_genes = offset
+        self.lower_bounds = np.zeros(self.num_genes, dtype=np.int64)
+        self.upper_bounds = np.zeros(self.num_genes, dtype=np.int64)
+        self.mask_gene_flags = np.zeros(self.num_genes, dtype=bool)
+        for layer_index, (weights, bias) in enumerate(
+            zip(self._weight_genes, self._bias_genes)
+        ):
+            self.upper_bounds[weights] = (1 << self.config.layer_input_bits(layer_index)) - 1
+            self.mask_gene_flags[weights] = True
+            self.upper_bounds[weights + 1] = 1
+            self.upper_bounds[weights + 2] = self.config.max_exponent
+            self.lower_bounds[bias] = self.config.bias_min
+            self.upper_bounds[bias] = self.config.bias_max
+        self.upper_bounds[self._shift_slice] = self._max_shifts[:num_hidden]
 
     # ------------------------------------------------------------------
     # Gene bookkeeping
@@ -110,11 +95,8 @@ class ChromosomeLayout:
     def mask_bits_per_gene(self) -> np.ndarray:
         """Bit-width of each mask gene (0 for non-mask genes)."""
         widths = np.zeros(self.num_genes, dtype=np.int64)
-        for layer_index, sl in enumerate(self._layer_slices):
-            in_bits = self.config.layer_input_bits(layer_index)
-            flags = np.zeros(self.num_genes, dtype=bool)
-            flags[sl] = self.mask_gene_flags[sl]
-            widths[flags] = in_bits
+        for layer_index, weights in enumerate(self._weight_genes):
+            widths[weights] = self.config.layer_input_bits(layer_index)
         return widths
 
     def layer_slice(self, layer_index: int) -> slice:
@@ -128,16 +110,24 @@ class ChromosomeLayout:
 
     def validate(self, chromosome: np.ndarray) -> None:
         """Raise ``ValueError`` if a chromosome violates its gene bounds."""
+        self._check_bounds(self._one_row(chromosome))
+
+    def _one_row(self, chromosome: np.ndarray) -> np.ndarray:
+        """A gene vector as a ``(1, genes)`` population (shape-checked)."""
         chromosome = np.asarray(chromosome, dtype=np.int64)
         if chromosome.shape != (self.num_genes,):
             raise ValueError(
                 f"chromosome must have shape ({self.num_genes},), got {chromosome.shape}"
             )
-        if np.any(chromosome < self.lower_bounds) or np.any(chromosome > self.upper_bounds):
-            bad = np.flatnonzero(
-                (chromosome < self.lower_bounds) | (chromosome > self.upper_bounds)
-            )
-            raise ValueError(f"genes {bad[:10].tolist()} out of bounds")
+        return chromosome[None, :]
+
+    def _check_bounds(self, population: np.ndarray) -> None:
+        """One vectorized bounds check over an ``(n, genes)`` batch; the
+        error names the out-of-bounds genes of the first offending row."""
+        bad = (population < self.lower_bounds) | (population > self.upper_bounds)
+        if bad.any():
+            row = bad[np.flatnonzero(bad.any(axis=1))[0]]
+            raise ValueError(f"genes {np.flatnonzero(row)[:10].tolist()} out of bounds")
 
     def clip(self, chromosome: np.ndarray) -> np.ndarray:
         """Project a gene vector back into its bounds."""
@@ -152,60 +142,58 @@ class ChromosomeLayout:
     # ------------------------------------------------------------------
     # Decode / encode
     # ------------------------------------------------------------------
-    def decode(
-        self, chromosome: np.ndarray, precompute_bit_planes: bool = True
-    ) -> ApproximateMLP:
-        """Build the :class:`ApproximateMLP` described by a chromosome.
+    def population_parameters(self, population: np.ndarray) -> PopulationParameters:
+        """Stacked model parameters of an ``(n, genes)`` population matrix.
 
-        By default the decoded layers' bit-plane weight matrices are
-        built eagerly, so the fitness evaluator's forward passes start
-        from fully prepared layers (the planes are built exactly once
-        per decode either way; see :attr:`ApproximateLayer.bit_planes`).
+        This is the one place genes map to parameters: masks, ±1 signs
+        and exponents come back as one ``(n, fan_in, fan_out)`` tensor per
+        layer, biases as ``(n, fan_out)`` and the QReLU shifts as
+        ``(n, hidden)`` (the worst-case shifts when they are not learned).
+        Out-of-bounds genes raise the same ``ValueError`` as
+        :meth:`validate`.
         """
-        chromosome = np.asarray(chromosome, dtype=np.int64)
-        # One vectorized shape+bounds check here replaces the per-layer
-        # value validation (skipped below), so out-of-bounds gene
-        # vectors still raise instead of decoding into corrupt models.
-        self.validate(chromosome)
-        masks: List[np.ndarray] = []
-        signs: List[np.ndarray] = []
-        exponents: List[np.ndarray] = []
-        biases: List[np.ndarray] = []
-        for layer_index, (fan_in, fan_out) in enumerate(self.topology.layer_shapes()):
-            block = chromosome[self._layer_slices[layer_index]]
-            per_neuron = block.reshape(fan_out, fan_in * GENES_PER_CONNECTION + 1)
-            weight_genes = per_neuron[:, : fan_in * GENES_PER_CONNECTION].reshape(
-                fan_out, fan_in, GENES_PER_CONNECTION
+        population = np.asarray(population, dtype=np.int64)
+        if population.ndim != 2 or population.shape[1] != self.num_genes:
+            raise ValueError(
+                f"population must have shape (n, {self.num_genes}), got {population.shape}"
             )
-            # Stored neuron-major; the model wants (fan_in, fan_out).
-            masks.append(weight_genes[:, :, 0].T.copy())
-            signs.append(np.where(weight_genes[:, :, 1].T == 0, -1, 1).astype(np.int64))
-            exponents.append(weight_genes[:, :, 2].T.copy())
-            biases.append(per_neuron[:, -1].copy())
-
-        shifts = list(self._max_shifts)
+        self._check_bounds(population)
+        num_hidden = self.topology.num_layers - 1
         if self.learn_shifts:
-            learned = chromosome[self._shift_slice]
-            for idx, value in enumerate(learned.tolist()):
-                shifts[idx] = int(value)
+            shifts = population[:, self._shift_slice]
+        else:
+            shifts = np.tile(
+                np.array(self._max_shifts[:num_hidden], dtype=np.int64),
+                (population.shape[0], 1),
+            )
+        return PopulationParameters(
+            masks=[population[:, weights] for weights in self._weight_genes],
+            signs=[2 * population[:, weights + 1] - 1 for weights in self._weight_genes],
+            exponents=[population[:, weights + 2] for weights in self._weight_genes],
+            biases=[population[:, bias] for bias in self._bias_genes],
+            shifts=shifts,
+            input_bits=tuple(
+                self.config.layer_input_bits(index) for index in range(self.topology.num_layers)
+            ),
+            activation_bits=self.config.activation_bits,
+        )
 
-        # Genes are clipped to their bounds by every producer (random
-        # init, operators, encode), so the decoded parameter ranges are
-        # valid by construction.
-        mlp = ApproximateMLP.from_parameters(
+    def decode(self, chromosome: np.ndarray) -> ApproximateMLP:
+        """Build the :class:`ApproximateMLP` described by a chromosome
+        (:meth:`population_parameters` of a one-row population)."""
+        params = self.population_parameters(self._one_row(chromosome))
+        # The bounds check above makes every parameter range valid, so
+        # the per-layer value validation is skipped.
+        return ApproximateMLP.from_parameters(
             topology=self.topology,
             config=self.config,
-            masks=masks,
-            signs=signs,
-            exponents=exponents,
-            biases=biases,
-            shifts=shifts,
+            masks=[masks[0] for masks in params.masks],
+            signs=[signs[0] for signs in params.signs],
+            exponents=[exponents[0] for exponents in params.exponents],
+            biases=[biases[0] for biases in params.biases],
+            shifts=params.shifts[0].tolist(),
             validate=False,
         )
-        if precompute_bit_planes:
-            for layer in mlp.layers:
-                layer.bit_planes
-        return mlp
 
     def encode(self, mlp: ApproximateMLP) -> np.ndarray:
         """Flatten an :class:`ApproximateMLP` into a gene vector."""

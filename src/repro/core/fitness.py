@@ -1,6 +1,6 @@
 """Fitness evaluation: the two objectives of equation (3) plus feasibility.
 
-For every chromosome the evaluator decodes the approximate MLP, computes
+For every chromosome the evaluator computes
 
 * ``error = 1 - Accuracy(theta, D_train)`` using the integer forward
   model of equation (4), and
@@ -12,12 +12,20 @@ to how far the candidate's accuracy loss exceeds the admissible bound
 (10 % during training, per Section IV-A).  The violation is used for
 constrained dominance in the NSGA-II selection.
 
-The evaluator is population-batched: :meth:`evaluate_population`
-deduplicates the batch and serves repeated genomes (elites, clones
-produced by crossover) from a ``chromosome.tobytes()``-keyed memo
-cache, so no chromosome is ever decoded and forwarded twice.  For large
-populations an opt-in process pool (``n_workers``) fans the unique
-evaluations out across cores.
+The evaluator is population-batched and genome-native: the unique,
+never-seen rows of an ``(n, genes)`` population matrix are sliced into
+stacked parameter tensors
+(:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`),
+forwarded through one stacked integer forward pass and FA-counted from
+the same tensors — no per-candidate model object is built.
+:meth:`evaluate_population` deduplicates the batch and serves repeated
+genomes (elites, clones produced by crossover) from a
+``chromosome.tobytes()``-keyed memo cache, so no chromosome is ever
+scored twice.  For large populations an opt-in process pool
+(``n_workers``) fans the unique rows out across cores.  The
+per-chromosome decode + :meth:`~repro.approx.mlp.ApproximateMLP.accuracy`
++ :func:`~repro.hardware.fast_area.fast_mlp_fa_count` path is kept as
+the ``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
 """
 
 from __future__ import annotations
@@ -64,9 +72,9 @@ def _init_worker(payload: dict) -> None:
     _WORKER_EVALUATOR = FitnessEvaluator(**payload)
 
 
-def _evaluate_chunk(chromosomes: List[np.ndarray]) -> List[FitnessValues]:
+def _evaluate_chunk(population: np.ndarray) -> List[FitnessValues]:
     assert _WORKER_EVALUATOR is not None, "worker pool not initialized"
-    return _WORKER_EVALUATOR._compute_batch(chromosomes)
+    return _WORKER_EVALUATOR.compute_population(population)
 
 
 class FitnessEvaluator:
@@ -98,9 +106,9 @@ class FitnessEvaluator:
         keeps its own section bounds.
     cache:
         Optional shared :class:`~repro.core.cache.EvaluationCache`.  When
-        given, fitness values and decoded models are stored there, so
-        later pipeline stages (front synthesis, reporting) can reuse the
-        GA's work; when omitted, a private cache is created.  Fitness
+        given, fitness values are stored there, so later runs and
+        pipeline stages can reuse the GA's work; when omitted, a private
+        cache is created.  Fitness
         entries are namespaced by the evaluator's context (training
         split, baseline accuracy, loss bound), so one cache can safely
         be shared between evaluators with different constraints.
@@ -115,7 +123,7 @@ class FitnessEvaluator:
     cache_hits:
         How many unique lookups were served from the memo cache.
     fitness_computations:
-        Number of chromosomes actually decoded and forwarded
+        Number of chromosomes actually scored
         (``evaluations - cache_hits``).
     """
 
@@ -162,11 +170,9 @@ class FitnessEvaluator:
         )
         # Cached FitnessValues embed the decode semantics, the training
         # split and the feasibility constraint, so fitness keys are
-        # namespaced by this evaluator's context; decoded models depend
-        # only on the layout, so model keys carry the layout identity.
-        self._layout_key = EvaluationCache.layout_key(layout)
+        # namespaced by this evaluator's context.
         self._context_key = (
-            self._layout_key,
+            EvaluationCache.layout_key(layout),
             baseline_accuracy,
             max_accuracy_loss,
             EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels),
@@ -176,24 +182,42 @@ class FitnessEvaluator:
     def _fitness_key(self, genome: bytes):
         return (self._context_key, genome)
 
-    def _model_key(self, genome: bytes):
-        return (self._layout_key, genome)
-
     @property
     def _cache(self):
         """The fitness section's backing mapping (tests and debugging)."""
         return self.cache.fitness._data
 
     # ------------------------------------------------------------------
-    def _decode_and_score(self, chromosome: np.ndarray):
-        """Decode one chromosome and score it; returns ``(mlp, values)``."""
-        mlp = self.layout.decode(chromosome)
-        accuracy = mlp.accuracy(self.train_inputs, self.train_labels)
-        return mlp, self._make_values(accuracy, float(fast_mlp_fa_count(mlp)))
-
     def compute(self, chromosome: np.ndarray) -> FitnessValues:
-        """Decode and evaluate one chromosome, bypassing the memo cache."""
-        return self._decode_and_score(chromosome)[1]
+        """Evaluate one chromosome, bypassing the memo cache."""
+        return self.compute_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
+
+    def compute_population(
+        self, population: np.ndarray, slow: bool = False
+    ) -> List[FitnessValues]:
+        """Score every row of an ``(n, genes)`` matrix, bypassing the memo.
+
+        The rows are sliced into stacked parameters, forwarded in one
+        stacked pass and FA-counted from the same tensors.  ``slow=True``
+        decodes each row into an :class:`~repro.approx.mlp.ApproximateMLP`
+        and scores it alone — the reference oracle, bitwise identical.
+        """
+        if slow:
+            models = [self.layout.decode(row) for row in population]
+            return [
+                self._make_values(
+                    model.accuracy(self.train_inputs, self.train_labels),
+                    float(fast_mlp_fa_count(model)),
+                )
+                for model in models
+            ]
+        params = self.layout.population_parameters(population)
+        accuracies = accuracy_population(params, self.train_inputs, self.train_labels)
+        areas = fast_population_fa_count(params)
+        return [
+            self._make_values(accuracy, float(area))
+            for accuracy, area in zip(accuracies.tolist(), areas.tolist())
+        ]
 
     def _make_values(self, accuracy: float, area: float) -> FitnessValues:
         violation = 0.0
@@ -209,18 +233,7 @@ class FitnessEvaluator:
 
     def evaluate(self, chromosome: np.ndarray) -> FitnessValues:
         """Evaluate one chromosome (memoized)."""
-        chromosome = np.ascontiguousarray(chromosome, dtype=np.int64)
-        genome = chromosome.tobytes()
-        self.evaluations += 1
-        cached = self.cache.fitness.get(self._fitness_key(genome))
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        mlp, values = self._decode_and_score(chromosome)
-        self.fitness_computations += 1
-        self.cache.fitness.put(self._fitness_key(genome), values)
-        self.cache.models.put(self._model_key(genome), mlp)
-        return values
+        return self.evaluate_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
 
     def evaluate_population(
         self, population: Union[np.ndarray, Sequence[np.ndarray]]
@@ -231,20 +244,14 @@ class FitnessEvaluator:
         trainer's native representation) or a sequence of gene vectors.
         The batch is deduplicated first — in-batch duplicates (elites,
         crossover clones) are folded onto one lookup and never counted
-        twice — then resolved against the memo cache; only unique,
-        never-seen genomes are decoded and forwarded (optionally on the
+        twice — then resolved against the memo cache; only the unique,
+        never-seen rows are scored, as one matrix (optionally on the
         worker pool).
         """
-        if isinstance(population, np.ndarray) and population.ndim == 2:
-            # Matrix-native population (the trainer's representation):
-            # one contiguous cast covers every row, so keying stays
-            # allocation-lean and no per-individual list is rebuilt.
-            chromosomes = list(np.ascontiguousarray(population, dtype=np.int64))
-        else:
-            chromosomes = [
-                np.ascontiguousarray(c, dtype=np.int64) for c in population
-            ]
-        keys = [c.tobytes() for c in chromosomes]
+        if len(population) == 0:
+            return []
+        population = np.ascontiguousarray(np.asarray(population), dtype=np.int64)
+        keys = [row.tobytes() for row in population]
 
         # Resolve against a batch-local map so cache eviction while
         # storing new results can never drop an entry we still need.
@@ -261,55 +268,27 @@ class FitnessEvaluator:
                 pending[key] = index
         self.evaluations += len(resolved) + len(pending)
 
-        unique = [chromosomes[index] for index in pending.values()]
-        if unique:
-            computed = self._compute_batch(unique, keys=list(pending.keys()))
+        if pending:
+            unique = population[list(pending.values())]
+            computed = self._compute_batch(unique)
             self.fitness_computations += len(unique)
-            for key, values in zip(pending.keys(), computed):
+            for key, values in zip(pending, computed):
                 resolved[key] = values
                 self.cache.fitness.put(self._fitness_key(key), values)
         return [resolved[key] for key in keys]
 
     # ------------------------------------------------------------------
-    def _compute_batch(
-        self, chromosomes: List[np.ndarray], keys: Optional[List[bytes]] = None
-    ) -> List[FitnessValues]:
-        if self.n_workers > 1 and len(chromosomes) >= 2 * self.n_workers:
-            # Models stay in the worker processes; only values come back.
-            return self._compute_on_pool(chromosomes)
-        return self._compute_vectorized(chromosomes, keys=keys)
+    def _compute_batch(self, population: np.ndarray) -> List[FitnessValues]:
+        if self.n_workers > 1 and len(population) >= 2 * self.n_workers:
+            return self._compute_on_pool(population)
+        return self.compute_population(population)
 
-    def _compute_vectorized(
-        self, chromosomes: List[np.ndarray], keys: Optional[List[bytes]] = None
-    ) -> List[FitnessValues]:
-        """Population-batched fitness: one batched forward pass and one
-        batched FA count cover the whole chromosome list (bitwise
-        identical to per-chromosome :meth:`compute`)."""
-        models = [self.layout.decode(c) for c in chromosomes]
-        if keys is not None:
-            for key, model in zip(keys, models):
-                self.cache.models.put(self._model_key(key), model)
-        if len(models) == 1:
-            accuracies = [models[0].accuracy(self.train_inputs, self.train_labels)]
-            areas = [float(fast_mlp_fa_count(models[0]))]
-            return [self._make_values(accuracies[0], areas[0])]
-        accuracies = accuracy_population(models, self.train_inputs, self.train_labels)
-        areas = fast_population_fa_count(models)
-        return [
-            self._make_values(accuracy, float(area))
-            for accuracy, area in zip(accuracies.tolist(), areas.tolist())
-        ]
-
-    def _compute_on_pool(self, chromosomes: List[np.ndarray]) -> List[FitnessValues]:
-        # Decoded models stay inside the worker processes (only fitness
-        # tuples travel back), so this path cannot feed ``cache.models``;
-        # the trainer decodes-and-caches the final front's members once
-        # in the parent instead (``GATrainer._populate_model_cache``).
+    def _compute_on_pool(self, population: np.ndarray) -> List[FitnessValues]:
         pool = self._ensure_pool()
-        chunk = max(1, -(-len(chromosomes) // self.n_workers))
+        chunk = max(1, -(-len(population) // self.n_workers))
         chunks = [
-            chromosomes[start : start + chunk]
-            for start in range(0, len(chromosomes), chunk)
+            population[start : start + chunk]
+            for start in range(0, len(population), chunk)
         ]
         results: List[FitnessValues] = []
         for part in pool.map(_evaluate_chunk, chunks):

@@ -557,9 +557,8 @@ class IslandGATrainer:
             migrations=migrations,
         )
         if cache is not None:
-            # Decoded models stayed inside the worker processes; cache
-            # the merged front's models once so downstream stages do not
-            # re-decode member by member.
+            # Cache the merged front's models once so downstream stages
+            # do not re-decode member by member.
             self._base._populate_model_cache(cache, result.pareto_points)
         return result
 

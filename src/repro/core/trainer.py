@@ -109,7 +109,7 @@ class GenerationStats:
     (genomes duplicated within one population batch are folded onto a
     single lookup), ``cache_hits`` how many of those were served from
     the evaluator's memo cache, and ``fitness_computations`` how many
-    chromosomes were actually decoded and forwarded — the three always
+    chromosomes were actually scored — the three always
     satisfy ``evaluations == cache_hits + fitness_computations``.
 
     ``duration_s`` is the wall-clock time of this generation alone
@@ -237,9 +237,9 @@ class GATrainer:
             Table III and is used by the ablation experiments.
         cache:
             Optional shared :class:`~repro.core.cache.EvaluationCache`;
-            the fitness values and decoded models of every evaluated
-            genome are stored there so the front-synthesis and reporting
-            stages can reuse them instead of rebuilding their own caches.
+            the fitness values of every evaluated genome and the decoded
+            models of the final front are stored there so the
+            front-synthesis and reporting stages can reuse them.
         """
         config = self.ga_config
         rng = np.random.default_rng(config.seed)
@@ -270,11 +270,10 @@ class GATrainer:
             )
         finally:
             evaluator.close()
-        if cache is not None and config.n_workers > 1:
-            # The pooled fitness path keeps decoded models inside the
-            # worker processes, so `cache.models` would be empty after a
-            # pooled run and every downstream stage would re-decode the
-            # front members.  Decode-and-cache them once here instead.
+        if cache is not None:
+            # Fitness is scored from the genome matrix without building
+            # models, so the front members are the only genomes decoded:
+            # once here, for the downstream stages.
             self._populate_model_cache(cache, result.pareto_points)
         return result
 

@@ -283,8 +283,8 @@ class DatasetPipeline:
         )
         trainer = make_trainer(spec.mlp_topology, ga_config=ga_config)
         # One evaluation cache spans the GA, front-synthesis and
-        # reporting stages: genomes the GA decoded and forwarded are
-        # never decoded again downstream, and every hardware report is
+        # reporting stages: the front members the GA decoded are never
+        # decoded again downstream, and every hardware report is
         # synthesized at most once per operating point.  With a cache
         # directory it also spans *runs*: the previous invocation's
         # fitness/accuracy/report entries are restored before the GA

@@ -11,8 +11,12 @@ The paper compares, per dataset, the wall-clock training time of
 showing that the hardware-aware variant costs barely more than the
 hardware-unaware GA.  The reproduction measures the same three flows at
 a common evaluation budget; the absolute minutes differ from the paper's
-EPYC server, but the ordering (grad ≪ GA ≈ GA-AxC) is the reproduced
-claim.
+EPYC server.  ``GA ≈ GA-AxC`` is the reproduced claim.  The paper's
+``grad ≪ GA`` ordering is not reproduced at the tiny/smoke/ci scales:
+with population-batched fitness the GA runs in tens of milliseconds
+there, within a factor of two of the gradient baseline, so even
+``grad < GA`` depends on machine load (the ``perf_ratio`` tests check
+the ordering only when ``REPRO_PERF_RATIO=1``).
 
 Under the session API the first and third flows are *timings of stages
 the session already ran*: the ``grad`` column is the shared gradient

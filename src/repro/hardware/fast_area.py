@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.approx.mlp import ApproximateMLP
+from repro.approx.mlp import ApproximateMLP, Population, PopulationParameters, stack_parameters
 
 __all__ = [
     "layer_column_counts",
@@ -239,23 +239,22 @@ def _population_layer_fa_counts(
     return per_neuron.reshape(population, fan_out).sum(axis=1)
 
 
-def fast_population_fa_count(mlps: "list[ApproximateMLP]") -> np.ndarray:
-    """Total FA count of every MLP of a homogeneous population.
+def fast_population_fa_count(population: Population) -> np.ndarray:
+    """Total FA count of every candidate of a homogeneous population.
 
+    ``population`` is a model list or stacked :class:`PopulationParameters`.
     Identical to calling :func:`fast_mlp_fa_count` per model — each
     neuron's column histogram and greedy 3:2 reduction are unchanged —
     but the whole population is counted with one bincount and one
     reduction sweep per layer position.
     """
-    if not mlps:
-        return np.zeros(0, dtype=np.int64)
-    totals = np.zeros(len(mlps), dtype=np.int64)
-    for layer_index in range(len(mlps[0].layers)):
-        layers = [mlp.layers[layer_index] for mlp in mlps]
-        totals += _population_layer_fa_counts(
-            masks=np.stack([layer.masks for layer in layers]),
-            exponents=np.stack([layer.exponents for layer in layers]),
-            biases=np.stack([layer.biases for layer in layers]),
-            input_bits=layers[0].input_bits,
-        )
+    if not isinstance(population, PopulationParameters):
+        if not population:
+            return np.zeros(0, dtype=np.int64)
+        population = stack_parameters(population)
+    totals = np.zeros(len(population.shifts), dtype=np.int64)
+    for masks, exponents, biases, input_bits in zip(
+        population.masks, population.exponents, population.biases, population.input_bits
+    ):
+        totals += _population_layer_fa_counts(masks, exponents, biases, input_bits)
     return totals

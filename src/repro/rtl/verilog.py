@@ -201,11 +201,14 @@ def generate_mlp_verilog(mlp: ApproximateMLP, module_name: str = "approx_mlp") -
                 acc = f"acc_l{layer_index}_n{j}"
                 # A part-select is only legal on an identifier, so the
                 # shifted accumulator gets its own named wire before the
-                # QReLU saturation ternary slices it.
+                # QReLU saturation ternary slices it.  The wire is at
+                # least ``out_bits`` wide (the signed assignment
+                # sign-extends a narrower accumulator), so the slice never
+                # selects past its declared width.
                 sat = f"sat_l{layer_index}_n{j}"
                 shifted = f"{acc} >>> {shift}" if shift else acc
                 lines.append(
-                    f"    wire signed [{acc_width - 1}:0] {sat} = {shifted};"
+                    f"    wire signed [{max(acc_width, out_bits) - 1}:0] {sat} = {shifted};"
                 )
                 lines.append(
                     f"    wire [{out_bits - 1}:0] act_l{layer_index}_n{j} = "

@@ -11,8 +11,11 @@ without tripping the function-scoped-fixture health check.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
@@ -21,6 +24,35 @@ from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.datasets.preprocessing import normalize_01, stratified_split
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classification
+
+
+# Tier-1 must give the same verdict on every run, so the profile loaded
+# by default derandomizes Hypothesis: examples derive from each test's
+# source, and no example database replays earlier failures.  Randomized
+# fuzzing runs with ``HYPOTHESIS_PROFILE=default``; each falsifying
+# example it finds becomes a pinned ``@example``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+#: Environment switch that enables the wall-clock ``perf_ratio`` checks.
+PERF_RATIO_ENV = "REPRO_PERF_RATIO"
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        f"perf_ratio: wall-clock ordering check; skipped unless {PERF_RATIO_ENV}=1",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``perf_ratio`` checks: their verdict depends on machine load."""
+    if os.environ.get(PERF_RATIO_ENV) == "1":
+        return
+    skip = pytest.mark.skip(reason=f"wall-clock ratio check; set {PERF_RATIO_ENV}=1 to run")
+    for item in items:
+        if "perf_ratio" in item.keywords:
+            item.add_marker(skip)
 
 
 def build_neuron(rng, fan_in=4, input_bits=4, max_exponent=4, bias_bound=64):

@@ -1,0 +1,252 @@
+"""Equivalence tests for the batched search kernels and their oracles.
+
+* Genome-native population fitness — ``ChromosomeLayout.population_parameters``
+  + stacked forward + stacked FA count — equals per-chromosome decode +
+  ``ApproximateMLP.accuracy`` + ``fast_mlp_fa_count``
+  (``FitnessEvaluator.compute_population(..., slow=True)``), across
+  learned and fixed shifts, wide inputs, degenerate parameters, every
+  matmul exactness regime and ablation-restricted layouts.
+* Stacked gradient restarts equal the serial restarts
+  (``GradientTrainer.train(..., slow=True)``) bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.approx.config import ApproxConfig
+from repro.approx.layer import accumulator_bounds, exact_matmul_dtype
+from repro.approx.mlp import forward_population, forward_stacked, stack_parameters
+from repro.approx.topology import Topology
+from repro.baselines.gradient import GradientTrainer
+from repro.core.cache import EvaluationCache
+from repro.core.chromosome import ChromosomeLayout
+from repro.core.fitness import FitnessEvaluator
+from repro.core.trainer import GAConfig, GATrainer
+from repro.experiments.ablation import _freeze_exponents_zero, _freeze_masks_open
+
+
+def _evaluator(layout, rng, n_samples=30, baseline_accuracy=0.8):
+    inputs = rng.integers(0, 1 << layout.config.input_bits, size=(n_samples, layout.topology.num_inputs))
+    labels = rng.integers(0, layout.topology.num_outputs, size=n_samples)
+    return FitnessEvaluator(layout, inputs, labels, baseline_accuracy=baseline_accuracy)
+
+
+def _assert_batch_matches_oracle(evaluator, population):
+    fast = evaluator.compute_population(population)
+    slow = evaluator.compute_population(population, slow=True)
+    assert fast == slow
+    # The stacked forward itself is bitwise identical, not only the argmax.
+    layout = evaluator.layout
+    params = layout.population_parameters(population)
+    scores = forward_stacked(params, evaluator.train_inputs)
+    for row, candidate_scores in zip(population, scores):
+        assert np.array_equal(candidate_scores, layout.decode(row).forward(evaluator.train_inputs))
+
+
+def _batch_dtype(layout, population):
+    """The matmul dtype the stacked forward picks for each layer position."""
+    params = layout.population_parameters(population)
+    return [
+        exact_matmul_dtype(*accumulator_bounds(m, s, e, b))
+        for m, s, e, b in zip(params.masks, params.signs, params.exponents, params.biases)
+    ]
+
+
+class TestGenomeNativeFitness:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        hidden=st.lists(st.integers(min_value=1, max_value=5), min_size=0, max_size=2),
+        input_bits=st.integers(min_value=1, max_value=11),
+        activation_bits=st.integers(min_value=1, max_value=10),
+        weight_bits=st.integers(min_value=2, max_value=10),
+        bias_bits=st.integers(min_value=1, max_value=18),
+        learn_shifts=st.booleans(),
+        size=st.integers(min_value=1, max_value=6),
+    )
+    def test_batch_fitness_equals_per_chromosome_oracle(
+        self, seed, hidden, input_bits, activation_bits, weight_bits, bias_bits,
+        learn_shifts, size,
+    ):
+        rng = np.random.default_rng(seed)
+        config = ApproxConfig(
+            input_bits=input_bits,
+            activation_bits=activation_bits,
+            weight_bits=weight_bits,
+            bias_bits=bias_bits,
+        )
+        topology = Topology((int(rng.integers(1, 6)), *hidden, int(rng.integers(2, 5))))
+        layout = ChromosomeLayout(topology, config, learn_shifts=learn_shifts)
+        population = np.stack([layout.random(rng) for _ in range(size)])
+        _assert_batch_matches_oracle(_evaluator(layout, rng), population)
+
+    def test_population_of_one(self):
+        rng = np.random.default_rng(1)
+        layout = ChromosomeLayout(Topology((5, 3, 3)), ApproxConfig())
+        _assert_batch_matches_oracle(_evaluator(layout, rng), layout.random(rng)[None, :])
+
+    @pytest.mark.parametrize("learn_shifts", [True, False])
+    def test_all_zero_masks_and_extreme_biases(self, learn_shifts):
+        rng = np.random.default_rng(2)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig(), learn_shifts=learn_shifts)
+        rows = np.stack([layout.random(rng) for _ in range(4)])
+        rows[0, layout.mask_gene_flags] = 0  # every connection pruned
+        rows[1] = layout.lower_bounds  # all-zero masks, most negative biases
+        rows[2] = layout.upper_bounds  # fully open masks, largest biases
+        rows[3, layout.mask_gene_flags] = 0
+        rows[3, ~layout.mask_gene_flags] = layout.upper_bounds[~layout.mask_gene_flags]
+        _assert_batch_matches_oracle(_evaluator(layout, rng), rows)
+
+    def test_wide_inputs_use_unpadded_planes(self):
+        # input_bits > 8: the plane stride is the input width, not a byte.
+        rng = np.random.default_rng(3)
+        config = ApproxConfig(input_bits=12, activation_bits=10)
+        layout = ChromosomeLayout(Topology((3, 4, 2)), config)
+        population = np.stack([layout.random(rng) for _ in range(5)])
+        _assert_batch_matches_oracle(_evaluator(layout, rng), population)
+
+    def test_batches_straddling_the_exactness_thresholds(self):
+        """Rows whose own bounds would pick float32, float64 and int64 share
+        one batch; the batch uses the weakest dtype exact for all of them."""
+        rng = np.random.default_rng(4)
+        config = ApproxConfig(input_bits=8, activation_bits=8, weight_bits=50)
+        layout = ChromosomeLayout(Topology((3, 2, 2)), config)
+        exponent_genes = np.array(
+            [layout.describe_gene(i)[0] == "exponent" for i in range(layout.num_genes)]
+        )
+
+        def with_exponent(value):
+            row = layout.random(rng)
+            row[exponent_genes] = value
+            return row
+
+        small, medium, huge = with_exponent(0), with_exponent(30), with_exponent(48)
+        assert _batch_dtype(layout, small[None, :])[0] is np.float32
+        assert _batch_dtype(layout, medium[None, :])[0] is np.float64
+        assert _batch_dtype(layout, huge[None, :])[0] is None
+        assert _batch_dtype(layout, np.stack([small, medium]))[0] is np.float64
+        assert _batch_dtype(layout, np.stack([small, medium, huge]))[0] is None
+        evaluator = _evaluator(layout, rng)
+        for batch in ([small, medium], [small, medium, huge], [huge, small]):
+            _assert_batch_matches_oracle(evaluator, np.stack(batch))
+
+    @pytest.mark.parametrize("restrict", [_freeze_masks_open, _freeze_exponents_zero])
+    def test_ablation_restricted_layouts(self, restrict):
+        rng = np.random.default_rng(5)
+        trainer = GATrainer(Topology((4, 3, 2)), ApproxConfig(), GAConfig())
+        restrict(trainer)
+        layout = trainer.layout
+        population = np.stack([layout.random(rng) for _ in range(6)])
+        _assert_batch_matches_oracle(_evaluator(layout, rng), population)
+
+    def test_out_of_bounds_row_raises_like_decode(self):
+        rng = np.random.default_rng(6)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        population = np.stack([layout.random(rng) for _ in range(4)])
+        population[2, [5, 9]] = layout.upper_bounds[[5, 9]] + 1
+        population[3, 1] = -1
+        with pytest.raises(ValueError) as single:
+            layout.decode(population[2])
+        with pytest.raises(ValueError) as batch:
+            layout.population_parameters(population)
+        assert str(batch.value) == str(single.value) == "genes [5, 9] out of bounds"
+        with pytest.raises(ValueError, match=r"genes \[5, 9\] out of bounds"):
+            _evaluator(layout, rng).compute_population(population)
+
+    def test_population_shape_is_checked(self):
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        with pytest.raises(ValueError, match="population must have shape"):
+            layout.population_parameters(np.zeros(layout.num_genes, dtype=np.int64))
+        with pytest.raises(ValueError, match="population must have shape"):
+            layout.population_parameters(np.zeros((2, 3), dtype=np.int64))
+
+    def test_decode_is_one_row_of_population_parameters(self):
+        rng = np.random.default_rng(7)
+        for learn_shifts in (True, False):
+            layout = ChromosomeLayout(Topology((4, 3, 3, 2)), ApproxConfig(), learn_shifts=learn_shifts)
+            population = np.stack([layout.random(rng) for _ in range(3)])
+            params = layout.population_parameters(population)
+            for p, row in enumerate(population):
+                model = layout.decode(row)
+                for index, layer in enumerate(model.layers):
+                    assert np.array_equal(layer.masks, params.masks[index][p])
+                    assert np.array_equal(layer.signs, params.signs[index][p])
+                    assert np.array_equal(layer.exponents, params.exponents[index][p])
+                    assert np.array_equal(layer.biases, params.biases[index][p])
+                assert model.shifts[:-1] == params.shifts[p].tolist()
+                assert np.array_equal(layout.encode(model), row)
+
+    def test_stacked_model_parameters_round_trip(self):
+        rng = np.random.default_rng(8)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        population = np.stack([layout.random(rng) for _ in range(4)])
+        models = [layout.decode(row) for row in population]
+        stacked, native = stack_parameters(models), layout.population_parameters(population)
+        for name in ("masks", "signs", "exponents", "biases"):
+            for a, b in zip(getattr(stacked, name), getattr(native, name)):
+                assert np.array_equal(a, b)
+        assert np.array_equal(stacked.shifts, native.shifts)
+        x = rng.integers(0, 16, size=(12, 4))
+        assert np.array_equal(forward_population(models, x), forward_population(native, x))
+
+    def test_evaluate_and_pool_share_the_batch_path(self):
+        rng = np.random.default_rng(9)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        evaluator = _evaluator(layout, rng)
+        population = np.stack([layout.random(rng) for _ in range(5)])
+        oracle = evaluator.compute_population(population, slow=True)
+        assert [evaluator.evaluate(row) for row in population] == oracle
+        assert evaluator.fitness_computations == 5
+
+
+class TestFrontModelCache:
+    def test_serial_run_caches_every_archive_member(self, tiny_dataset):
+        x_train, y_train, _, _ = tiny_dataset
+        trainer = GATrainer(
+            Topology((4, 3, 2)),
+            ApproxConfig(),
+            GAConfig(population_size=16, generations=4, seed=3),
+        )
+        cache = EvaluationCache()
+        result = trainer.train(x_train, y_train, baseline_accuracy=0.9, cache=cache)
+        layout_key = EvaluationCache.layout_key(trainer.layout)
+        payloads = [p.payload for p in result.pareto_points if p.payload is not None]
+        assert payloads
+        for payload in payloads:
+            assert (layout_key, EvaluationCache.genome_key(payload)) in cache.models
+        # Only the front members are decoded: one model per archive member.
+        assert len(cache.models) == len({EvaluationCache.genome_key(p) for p in payloads})
+
+
+class TestStackedGradientRestarts:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_stacked_restarts_equal_serial_bit_for_bit(self, optimizer, restarts):
+        rng = np.random.default_rng(10)
+        features = rng.random((45, 5))  # 45 samples: batch size 8 leaves a 5-row tail
+        labels = rng.integers(0, 3, size=45)
+        trainer = GradientTrainer(
+            epochs=6, batch_size=8, optimizer=optimizer, restarts=restarts, seed=4
+        )
+        stacked = trainer.train(features, labels, (5, 4, 3))
+        serial = trainer.train(features, labels, (5, 4, 3), slow=True)
+        assert stacked.train_accuracy == serial.train_accuracy
+        assert stacked.losses == serial.losses
+        assert stacked.epochs_run == serial.epochs_run == restarts * 6
+        for a, b in zip(
+            stacked.model.weights + stacked.model.biases,
+            serial.model.weights + serial.model.biases,
+        ):
+            assert np.array_equal(a, b)
+
+    def test_deeper_topology_and_single_row_batches(self):
+        rng = np.random.default_rng(11)
+        features = rng.random((13, 4))
+        labels = rng.integers(0, 2, size=13)
+        trainer = GradientTrainer(epochs=3, batch_size=1, restarts=2, seed=0)
+        stacked = trainer.train(features, labels, (4, 3, 3, 2))
+        serial = trainer.train(features, labels, (4, 3, 3, 2), slow=True)
+        assert stacked.losses == serial.losses
+        for a, b in zip(stacked.model.weights, serial.model.weights):
+            assert np.array_equal(a, b)

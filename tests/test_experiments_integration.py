@@ -3,8 +3,9 @@
 These tests reproduce miniature versions of every table and figure,
 asserting the qualitative claims of the paper (our designs shrink area
 and power versus the baseline, the stochastic baseline loses accuracy,
-voltage scaling moves circuits to smaller power sources, GA training is
-slower than gradient training) rather than absolute numbers.
+voltage scaling moves circuits to smaller power sources) rather than
+absolute numbers.  Wall-clock orderings (Table III) are ``perf_ratio``
+checks, skipped unless ``REPRO_PERF_RATIO=1``.
 """
 
 import numpy as np
@@ -119,11 +120,15 @@ class TestTable3:
     def test_gradient_faster_than_ga(self, pipeline):
         rows = run_table3(pipeline)
         row = rows[0]
-        assert row["grad_seconds"] < row["ga_seconds"]
         # Both GA flows request the same evaluation budget; the unique
         # lookup counts stay within it (in-batch duplicates are folded).
         budget = pipeline.scale.ga_population * (pipeline.scale.ga_generations + 1)
         assert 0 < row["ga_evaluations"] <= budget
         assert 0 < row["ga_axc_evaluations"] <= budget
+
+    @pytest.mark.perf_ratio
+    def test_gradient_faster_than_ga_wall_clock(self, pipeline):
+        row = run_table3(pipeline)[0]
+        assert row["grad_seconds"] < row["ga_seconds"]
         # GA-AxC should not be drastically slower than the plain GA.
         assert row["ga_axc_seconds"] < row["ga_seconds"] * 3 + 1.0

@@ -18,7 +18,9 @@ factories) across topologies, bit widths and mask densities:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import re
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.eda.microverilog import simulate_mlp_module
@@ -108,6 +110,9 @@ class TestFiveOracleClosure:
         input_bits=st.integers(min_value=2, max_value=6),
         mask_density=st.floats(min_value=0.1, max_value=1.0),
     )
+    # An accumulator narrower than the QReLU output once made the emitted
+    # ``sat`` part-select read past its declared width.
+    @example(seed=611723, hidden=2, input_bits=2, mask_density=0.125)
     def test_microverilog_netlist_and_model_agree(
         self, make_mlp, seed, hidden, input_bits, mask_density
     ):
@@ -131,6 +136,25 @@ class TestFiveOracleClosure:
             assert np.array_equal(gate, accumulators[:, j])
         text = generate_mlp_verilog(mlp)
         assert np.array_equal(simulate_mlp_module(text, vectors), mlp.predict(vectors))
+
+
+class TestSaturationWireWidth:
+    def test_sat_wire_covers_output_bits_for_narrow_accumulators(self, make_mlp):
+        mlp, _ = _draw_case(make_mlp, seed=611723, hidden=2, input_bits=2, mask_density=0.125)
+        text = generate_mlp_verilog(mlp)
+        declared = {
+            name: int(msb) + 1
+            for msb, name in re.findall(r"wire signed \[(\d+):0\] (sat_l\d+_n\d+) =", text)
+        }
+        acc_widths = [
+            int(msb) + 1
+            for msb in re.findall(r"wire signed \[(\d+):0\] acc_l0_n\d+ =", text)
+        ]
+        out_bits = mlp.layers[0].activation.out_bits
+        assert min(acc_widths) < out_bits  # the narrow-accumulator case
+        assert declared and all(width >= out_bits for width in declared.values())
+        for name in declared:
+            assert f"{name}[{out_bits - 1}:0]" in text
 
 
 class TestPopulationRoundTrip:

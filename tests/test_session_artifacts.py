@@ -122,6 +122,11 @@ class TestSharedStages:
         result = session.front("breast_cancer")
         assert row["grad_seconds"] == result.baseline.training_seconds
         assert row["ga_axc_seconds"] == result.approximate.training_seconds
+
+    @pytest.mark.perf_ratio
+    def test_table3_reports_shared_stage_timings_wall_clock(self, session_run):
+        _, artifacts, _, _ = session_run
+        row = artifacts["table3"].rows[0]
         assert row["grad_seconds"] < row["ga_seconds"]
 
     def test_run_rejects_unknown_experiment(self, session_run):

@@ -7,7 +7,8 @@ exact agreement over randomized models, batches and populations:
 * bit-plane forward == naive 3-D accumulate (bitwise),
 * broadcast non-dominated sort == Deb's pairwise-loop sort,
 * sweep-based ``pareto_front`` / ``ParetoArchive`` == all-pairs scans,
-* memoized ``evaluate_population`` == per-chromosome ``compute``.
+* memoized ``evaluate_population`` == per-chromosome ``compute``
+  (the genome-native batch kernels are covered in ``test_batched_kernels.py``).
 """
 
 import numpy as np
@@ -98,10 +99,14 @@ class TestBitPlaneForward:
         layer.invalidate_caches()
         assert np.array_equal(layer.accumulate(x), layer.accumulate(x, slow=True))
 
-    def test_decode_precomputes_bit_planes(self):
+    def test_decode_builds_bit_planes_lazily(self):
+        # Decoding happens on demand (front members); planes are built by
+        # the first forward pass, not by the decoder.
         rng = np.random.default_rng(4)
         layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
         mlp = layout.decode(layout.random(rng))
+        assert all(layer._bit_planes is None for layer in mlp.layers)
+        mlp.forward(rng.integers(0, 16, size=(3, 4)))
         assert all(layer._bit_planes is not None for layer in mlp.layers)
 
     def test_decode_rejects_out_of_bounds_genes(self):
