@@ -27,7 +27,7 @@ from typing import Dict, List
 import pytest
 
 from repro.experiments.config import ExperimentScale, get_scale
-from repro.experiments.pipeline import DatasetPipeline
+from repro.experiments.session import ExperimentSession
 
 #: Scale used by the benchmarks (overridable via the environment).
 BENCH_SCALE_NAME = os.environ.get("REPRO_BENCH_SCALE", "smoke")
@@ -42,26 +42,9 @@ def bench_scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def pipeline() -> DatasetPipeline:
-    """One pipeline shared by all benchmarks (baselines/GA runs are cached)."""
-    return DatasetPipeline(bench_scale())
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "perf_ratio: wall-clock ordering check; skipped unless REPRO_PERF_RATIO=1"
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``perf_ratio`` checks unless ``REPRO_PERF_RATIO=1`` (mirrors
-    ``tests/conftest.py`` for runs that collect ``benchmarks/`` alone)."""
-    if os.environ.get("REPRO_PERF_RATIO") == "1":
-        return
-    skip = pytest.mark.skip(reason="wall-clock ratio check; set REPRO_PERF_RATIO=1 to run")
-    for item in items:
-        if "perf_ratio" in item.keywords:
-            item.add_marker(skip)
+def session() -> ExperimentSession:
+    """One session shared by all benchmarks (baselines/GA runs are memoized)."""
+    return ExperimentSession(bench_scale())
 
 
 def _record_bench(group: str, name: str, seconds: float, **extra) -> None:

@@ -9,18 +9,15 @@ training.
 
 from __future__ import annotations
 
-from repro.experiments.ablation import format_ablation, run_approximation_ablation
 
-
-def test_ablation_approximation_modes(benchmark, pipeline):
+def test_ablation_approximation_modes(benchmark, session):
     """Time the approximation-mode ablation and check its shape."""
-    rows = benchmark.pedantic(
-        lambda: run_approximation_ablation(pipeline, dataset=pipeline.scale.datasets[0]),
-        rounds=1,
-        iterations=1,
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("ablation_approx"), rounds=1, iterations=1
     )
-    print("\n" + format_ablation(rows))
+    print("\n" + artifact.format())
 
+    rows = artifact.rows
     by_mode = {row["mode"]: row for row in rows}
     assert set(by_mode) == {"pow2_only", "masks_only", "pow2_and_masks"}
     combined = by_mode["pow2_and_masks"]

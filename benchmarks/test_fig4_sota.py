@@ -7,16 +7,14 @@ stochastic-computing MLPs, all normalized to the exact bespoke baseline.
 
 from __future__ import annotations
 
-from repro.experiments.fig4 import format_fig4, run_fig4
 
-
-def test_fig4_state_of_the_art_comparison(benchmark, pipeline):
+def test_fig4_state_of_the_art_comparison(benchmark, session):
     """Time the Fig. 4 regeneration and check the qualitative ordering."""
-    rows = benchmark.pedantic(lambda: run_fig4(pipeline), rounds=1, iterations=1)
-    print("\n" + format_fig4(rows))
+    artifact = benchmark.pedantic(lambda: session.artifact("fig4"), rounds=1, iterations=1)
+    print("\n" + artifact.format())
 
     by_dataset = {}
-    for row in rows:
+    for row in artifact.rows:
         by_dataset.setdefault(row["dataset"], {})[row["method"]] = row
 
     for dataset, methods in by_dataset.items():

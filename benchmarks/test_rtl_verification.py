@@ -54,8 +54,9 @@ def _sweep(netlists, buses, slow):
     return [simulate_batch(netlist, buses, slow=slow) for netlist in netlists]
 
 
-def test_bench_batched_netlist_sweep(benchmark, verification_sweep, record_bench):
-    """200 vectors × 20 neurons: ≥5× over the scalar per-vector walk."""
+@pytest.fixture(scope="module")
+def sweep_timings(verification_sweep, record_bench):
+    """Scalar vs. batched sweep: ``(scalar_s, batched_s, outputs)``."""
     netlists, buses = verification_sweep
 
     start = time.perf_counter()
@@ -75,10 +76,6 @@ def test_bench_batched_netlist_sweep(benchmark, verification_sweep, record_bench
         batched = _sweep(sweep_netlists, buses, slow=False)
         batched_seconds = min(batched_seconds, time.perf_counter() - start)
 
-    # Bit-identical results: the batched engine is exact, not approximate.
-    for fast, slow in zip(batched, scalar):
-        assert np.array_equal(fast, slow)
-
     record_bench(
         "rtl_verification",
         "netlist_sweep_200x20_scalar",
@@ -94,18 +91,35 @@ def test_bench_batched_netlist_sweep(benchmark, verification_sweep, record_bench
         num_vectors=NUM_VECTORS,
         speedup=scalar_seconds / batched_seconds if batched_seconds else float("inf"),
     )
-    # Acceptance bound of this PR: the compiled batched simulator is ≥5×
-    # faster than the scalar walk on the 200-vector sweep (measured
-    # margin is far larger — the scalar path walks every gate per vector
-    # in Python).
-    assert scalar_seconds >= 5.0 * batched_seconds
+    return scalar_seconds, batched_seconds, (scalar, batched)
+
+
+def test_bench_batched_netlist_sweep(benchmark, verification_sweep, sweep_timings):
+    """200 vectors × 20 neurons: bit-identical to the scalar per-vector walk."""
+    netlists, buses = verification_sweep
+    _, _, (scalar, batched) = sweep_timings
+
+    # Bit-identical results: the batched engine is exact, not approximate.
+    for fast, slow in zip(batched, scalar):
+        assert np.array_equal(fast, slow)
 
     benchmark(lambda: _sweep(netlists, buses, slow=False))
 
 
-def test_bench_verify_front_end_to_end(pipeline, record_bench):
+@pytest.mark.perf_ratio
+def test_bench_batched_netlist_sweep_wall_clock(sweep_timings):
+    """200 vectors × 20 neurons: ≥5× over the scalar per-vector walk."""
+    scalar_seconds, batched_seconds, _ = sweep_timings
+    # Acceptance bound of the batched engine: the compiled simulator is
+    # ≥5× faster than the scalar walk on the 200-vector sweep (measured
+    # margin is far larger — the scalar path walks every gate per vector
+    # in Python).
+    assert scalar_seconds >= 5.0 * batched_seconds
+
+
+def test_bench_verify_front_end_to_end(session, record_bench):
     """Front-wide differential verification: zero mismatches, timed."""
-    result = pipeline.approximate("breast_cancer")
+    result = session.front("breast_cancer")
     approx = result.approximate
     assert approx is not None
 
@@ -114,7 +128,7 @@ def test_bench_verify_front_end_to_end(pipeline, record_bench):
     verification = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=cache,
     )
     seconds = time.perf_counter() - start
@@ -142,7 +156,7 @@ def test_bench_verify_front_end_to_end(pipeline, record_bench):
     cached = verify_front(
         approx.ga_result,
         num_vectors=64,
-        max_designs=pipeline.scale.max_front_designs,
+        max_designs=session.scale.max_front_designs,
         cache=cache,
     )
     cached_seconds = time.perf_counter() - start

@@ -14,26 +14,27 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table3 import format_table3, run_table3
 
 
-def test_table3_training_execution_time(benchmark, pipeline):
+def test_table3_training_execution_time(benchmark, session):
     """Time the Table III regeneration and check the evaluation budgets."""
-    rows = benchmark.pedantic(lambda: run_table3(pipeline), rounds=1, iterations=1)
-    print("\n" + format_table3(rows))
+    artifact = benchmark.pedantic(
+        lambda: session.artifact("table3"), rounds=1, iterations=1
+    )
+    print("\n" + artifact.format())
 
-    for row in rows:
+    for row in artifact.rows:
         # Both GA flows request the same evaluation budget; the unique
         # lookup counts stay within it (in-batch duplicates are folded).
-        budget = pipeline.scale.ga_population * (pipeline.scale.ga_generations + 1)
+        budget = session.scale.ga_population * (session.scale.ga_generations + 1)
         assert 0 < row["ga_evaluations"] <= budget
         assert 0 < row["ga_axc_evaluations"] <= budget
 
 
 @pytest.mark.perf_ratio
-def test_table3_training_execution_time_wall_clock(pipeline):
+def test_table3_training_execution_time_wall_clock(session):
     """The Table III runtime ordering (wall clock)."""
-    for row in run_table3(pipeline):
+    for row in session.artifact("table3").rows:
         # Gradient training is the fastest flow (paper: minutes vs hours).
         assert row["grad_seconds"] < row["ga_seconds"]
         assert row["grad_seconds"] < row["ga_axc_seconds"]

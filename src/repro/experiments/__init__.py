@@ -26,42 +26,26 @@ Each module declares one artifact's rows:
 * :mod:`repro.experiments.ablation` — additional ablations of the design
   choices (approximation modes, doping, accuracy-loss constraint).
 
-All experiments accept an :class:`~repro.experiments.config.ExperimentScale`
-so they can run at CI-friendly budgets or at paper-scale budgets.  The
-legacy ``run_<experiment>`` entry points remain as deprecation shims
-over the session.
+A session runs at an :class:`~repro.experiments.config.ExperimentScale`,
+so the experiments run at CI-friendly budgets or at paper-scale budgets.
 """
 
 from repro.experiments.config import ExperimentScale, SCALES, get_scale
-from repro.experiments.pipeline import DatasetPipeline, PipelineResult
+from repro.experiments.pipeline import PipelineResult
 from repro.experiments.session import (
     EXPERIMENT_DEFINITIONS,
     EXPERIMENT_ORDER,
     ExperimentDefinition,
     ExperimentSession,
 )
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.fig5 import run_fig5
-from repro.experiments.ablation import run_approximation_ablation, run_ga_settings_ablation
 
 __all__ = [
     "ExperimentScale",
     "SCALES",
     "get_scale",
-    "DatasetPipeline",
     "PipelineResult",
     "ExperimentSession",
     "ExperimentDefinition",
     "EXPERIMENT_DEFINITIONS",
     "EXPERIMENT_ORDER",
-    "run_table1",
-    "run_table2",
-    "run_table3",
-    "run_fig4",
-    "run_fig5",
-    "run_approximation_ablation",
-    "run_ga_settings_ablation",
 ]

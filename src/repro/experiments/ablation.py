@@ -22,23 +22,14 @@ genuinely restricted/altered variants train their own (memoized)
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.core.pareto import hypervolume
-from repro.evaluation.report import format_table
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
 
-__all__ = [
-    "build_approximation_ablation",
-    "build_ga_settings_ablation",
-    "run_approximation_ablation",
-    "run_ga_settings_ablation",
-    "format_ablation",
-]
+__all__ = ["build_approximation_ablation", "build_ga_settings_ablation"]
 
 #: Dataset the ablations run on (small enough to train several variants).
 ABLATION_DATASET = "breast_cancer"
@@ -185,40 +176,3 @@ def build_ga_settings_ablation(
             }
         )
     return rows
-
-
-def run_approximation_ablation(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-    dataset: str = ABLATION_DATASET,
-    max_accuracy_loss: float = 0.05,
-) -> List[Dict]:
-    """Approximation-mode ablation (deprecated shim; use the session API)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    if dataset == ABLATION_DATASET and max_accuracy_loss == 0.05:
-        return [dict(row) for row in session.artifact("ablation_approx").rows]
-    return build_approximation_ablation(
-        session, dataset=dataset, max_accuracy_loss=max_accuracy_loss
-    )
-
-
-def run_ga_settings_ablation(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-    dataset: str = ABLATION_DATASET,
-) -> List[Dict]:
-    """GA-settings ablation (deprecated shim; use the session API)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    if dataset == ABLATION_DATASET:
-        return [dict(row) for row in session.artifact("ablation_ga").rows]
-    return build_ga_settings_ablation(session, dataset=dataset)
-
-
-def format_ablation(rows: List[Dict]) -> str:
-    """Render ablation rows as a text table (keys are taken from the first row)."""
-    if not rows:
-        return "(no rows)"
-    headers = list(rows[0].keys())
-    return format_table(headers, [[row[h] for h in headers] for row in rows])

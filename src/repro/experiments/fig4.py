@@ -19,14 +19,11 @@ The builder reads the session's shared ``ga_front``/``tc23`` stages
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
+from typing import Dict, List
 
-from repro.evaluation.report import format_rows
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
 from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
 
-__all__ = ["DISPLAY", "build_fig4", "run_fig4", "format_fig4"]
+__all__ = ["DISPLAY", "build_fig4"]
 
 #: (header, row key) pairs of the printed table.
 DISPLAY = (
@@ -60,21 +57,3 @@ def build_fig4(
         )
         rows.extend(queries.fig4_rows(record, max_accuracy_loss=max_accuracy_loss))
     return rows
-
-
-def run_fig4(
-    pipeline: Union[DatasetPipeline, ExperimentScale, str] = "ci",
-    max_accuracy_loss: float = ACCURACY_LOSS_BUDGET,
-) -> List[Dict]:
-    """Regenerate the Fig. 4 comparison (deprecated shim; use the session API)."""
-    from repro.experiments.session import ExperimentSession
-
-    session = ExperimentSession.coerce(pipeline)
-    if max_accuracy_loss == ACCURACY_LOSS_BUDGET:
-        return [dict(row) for row in session.artifact("fig4").rows]
-    return build_fig4(session, max_accuracy_loss=max_accuracy_loss)
-
-
-def format_fig4(rows: List[Dict]) -> str:
-    """Render the Fig. 4 data as a text table."""
-    return format_rows(DISPLAY, rows)

@@ -2,7 +2,7 @@
 
 This module is the one-way bridge between the two halves of the system:
 it runs on the search side (it may import anything — trainers, synthesis,
-RTL generation) and converts live pipeline objects into the plain-data
+RTL generation) and converts live session stage results into the plain-data
 records of :mod:`repro.serving.store`.  Once published, every query the
 :class:`~repro.serving.service.ParetoService` answers — selection,
 fronts, feasibility, RTL retrieval, plot-ready point sets — is a pure
@@ -107,7 +107,7 @@ def tc23_record(
 ) -> Tc23Record:
     """Plain-data record of the TC'23 comparator for one dataset.
 
-    ``tc23`` is the pipeline stage's ``(model, report, sweep)`` tuple;
+    ``tc23`` is the session stage's ``(model, report, sweep)`` tuple;
     the model's test accuracy is measured here, once, so query time
     never needs the model (or the dataset) again.
     """
@@ -181,7 +181,7 @@ def methods_record(
 def rtl_records(result: PipelineResult) -> List[RTLRecord]:
     """Verilog + self-checking testbench for every evaluated front member.
 
-    Models are resolved through the pipeline's shared evaluation cache
+    Models are resolved through the front's shared evaluation cache
     (no re-decoding of genomes the GA already decoded); testbench
     vectors are drawn with the dataset spec's seed so the emitted text
     is deterministic.

@@ -67,35 +67,12 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments.ablation import (
-    format_ablation,
-    run_approximation_ablation,
-    run_ga_settings_ablation,
-)
 from repro.experiments.config import SCALES
-from repro.experiments.fig4 import format_fig4, run_fig4
-from repro.experiments.fig5 import format_fig5, run_fig5
 from repro.experiments.session import EXPERIMENT_ORDER, ExperimentSession
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table2 import format_table2, run_table2
-from repro.experiments.table3 import format_table3, run_table3
 
-__all__ = ["main", "EXPERIMENTS"]
-
-#: Experiment name -> (runner, formatter).  Retained for backwards
-#: compatibility; the CLI itself drives the session API, which returns
-#: typed :class:`~repro.evaluation.artifacts.Artifact` objects instead.
-EXPERIMENTS: Dict[str, tuple] = {
-    "table1": (run_table1, format_table1),
-    "table2": (run_table2, format_table2),
-    "table3": (run_table3, format_table3),
-    "fig4": (run_fig4, format_fig4),
-    "fig5": (run_fig5, format_fig5),
-    "ablation_approx": (run_approximation_ablation, format_ablation),
-    "ablation_ga": (run_ga_settings_ablation, format_ablation),
-}
+__all__ = ["main"]
 
 
 def _query_mode(store_dir: str, queries: Optional[List[str]], serve: bool) -> int:
@@ -144,7 +121,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--experiment",
         default="all",
-        choices=sorted(EXPERIMENTS) + ["all"],
+        choices=sorted(EXPERIMENT_ORDER) + ["all"],
         help="which artifact to regenerate",
     )
     parser.add_argument(
@@ -327,7 +304,7 @@ def main(argv: List[str] | None = None) -> int:
         published = DesignStore(store_dir).datasets()
         if published:
             print(f"[store] published {len(published)} dataset(s) to {store_dir}: {', '.join(published)}")
-    if session.pipeline.cache_dir is not None:
+    if session.cache_dir is not None:
         for dataset, stats in sorted(session.cache_summary().items()):
             print(
                 f"[cache] {dataset}: fitness {stats['cache_hits']}/"

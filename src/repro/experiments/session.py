@@ -4,11 +4,19 @@ Every paper artifact (Table I/II/III, Fig. 4/5, the two ablations) is
 declared here as a **stage graph** over typed
 :class:`~repro.evaluation.artifacts.Artifact` results: dataset →
 gradient baseline → GA front → synthesis → verification → table/figure.
-The session memoizes every stage per dataset (the pipeline itself is
-already per ``(scale, seed)``), so experiments that share a stage share
-its output — running ``table2``, ``table3``, ``fig4`` and ``fig5`` in
-one session trains the per-dataset gradient baseline and the
-hardware-aware GA front **exactly once**, instead of once per artifact:
+For one dataset the heavy stages follow the flow of Fig. 2:
+
+1. dataset generation, normalization, stratified split, quantization;
+2. exact baseline: gradient training + post-training quantization +
+   hardware analysis (Table I);
+3. genetic hardware-aware training (the framework) + hardware analysis
+   of the estimated Pareto front + Table II operating-point selection.
+
+The session is the one memo of these stages (per ``(scale, seed)``), so
+experiments that share a stage share its output — running ``table2``,
+``table3``, ``fig4`` and ``fig5`` in one session trains the per-dataset
+gradient baseline and the hardware-aware GA front **exactly once**,
+instead of once per artifact:
 
 * ``table2``/``fig4``/``fig5`` read the same trained front;
 * ``table3`` reports the *timings* of the stages the session already
@@ -35,24 +43,36 @@ stages from disk.  Per-dataset stages can run in parallel
 (:meth:`ExperimentSession.prefetch` / ``dataset_workers``): datasets are
 independent, so their baseline + GA stages are warmed concurrently and
 the experiment builders then read memoized results.
-
-The legacy ``run_<experiment>`` / ``format_<experiment>`` entry points
-remain as deprecation shims delegating to this session.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.islands import make_trainer
-from repro.core.trainer import GAConfig, GAResult, GATrainer
+from repro.baselines.approx_tc23 import explore_tc23
+from repro.baselines.exact_bespoke import train_exact_baseline
+from repro.baselines.gradient import GradientTrainer
+from repro.core.cache import EvaluationCache, SnapshotPolicy
+from repro.core.islands import IslandGATrainer, make_trainer
+from repro.core.trainer import GAConfig, GAResult
+from repro.datasets.registry import get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
-from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline, PipelineResult
+from repro.evaluation.pareto_analysis import evaluate_front, select_design
+from repro.evaluation.verification import FrontVerification, verify_front
+from repro.experiments import ablation as _ablation
+from repro.experiments import fig4 as _fig4
+from repro.experiments import fig5 as _fig5
+from repro.experiments import table1 as _table1
+from repro.experiments import table2 as _table2
+from repro.experiments import table3 as _table3
+from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.pipeline import ApproximateResult, BaselineResult, PipelineResult
 
 __all__ = [
     "EXPERIMENT_ORDER",
@@ -94,66 +114,41 @@ class ExperimentDefinition:
 
 
 class ExperimentSession:
-    """Runs experiments as memoized stage graphs over one shared pipeline.
+    """Runs experiments as memoized per-dataset stage graphs.
 
     Parameters
     ----------
     scale:
         Experiment scale (name or :class:`ExperimentScale`).
     cache_dir:
-        Optional directory for disk-backed evaluation-cache snapshots
-        (overrides ``scale.cache_dir``); stage outputs persist across
-        sessions through it.
-    pipeline:
-        Use an existing :class:`DatasetPipeline` instead of building one
-        (the deprecation shims route through this so legacy callers keep
-        their pipeline's memoized stages).
+        Optional directory for disk-backed
+        :class:`~repro.core.cache.EvaluationCache` snapshots (one file
+        per dataset); overrides ``scale.cache_dir``.  When set, the
+        genetic stages start from the previous run's fitness/accuracy/
+        report entries and save the merged cache back afterwards, so a
+        repeated invocation of an identical experiment is served almost
+        entirely from cache.
     """
 
     def __init__(
         self,
         scale: Union[ExperimentScale, str] = "ci",
         cache_dir: Optional[Union[str, Path]] = None,
-        *,
-        pipeline: Optional[DatasetPipeline] = None,
     ) -> None:
-        if pipeline is None:
-            pipeline = DatasetPipeline(scale, cache_dir=cache_dir)
-        self.pipeline = pipeline
-        self.scale = pipeline.scale
+        self.scale = get_scale(scale) if isinstance(scale, str) else scale
+        if cache_dir is None:
+            cache_dir = self.scale.cache_dir
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._artifacts: Dict[str, Artifact] = {}
         self._stages: Dict[tuple, object] = {}
         self._stage_runs: Dict[tuple, int] = {}
+        #: Per-dataset disk-cache traffic (entries loaded/saved), keyed
+        #: by the canonical spec name.
+        self._cache_io: Dict[str, Dict[str, int]] = {}
         self._registry_lock = threading.Lock()
         # Reentrant: stages nest (ga_plain -> front -> baseline all take
         # the same dataset's lock on one thread).
         self._dataset_locks: Dict[str, threading.RLock] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_pipeline(cls, pipeline: DatasetPipeline) -> "ExperimentSession":
-        """The session attached to ``pipeline`` (created on first use).
-
-        Repeated calls with the same pipeline return the same session,
-        so legacy ``run_<experiment>(pipeline)`` callers sharing one
-        pipeline also share every memoized stage and artifact.
-        """
-        session = getattr(pipeline, "_session", None)
-        if session is None:
-            session = cls(pipeline=pipeline)
-            pipeline._session = session
-        return session
-
-    @classmethod
-    def coerce(
-        cls, source: Union["ExperimentSession", DatasetPipeline, ExperimentScale, str]
-    ) -> "ExperimentSession":
-        """Session from whatever the legacy entry points accepted."""
-        if isinstance(source, ExperimentSession):
-            return source
-        if isinstance(source, DatasetPipeline):
-            return cls.from_pipeline(source)
-        return cls(scale=source)
 
     # ------------------------------------------------------------------
     # Stage memoization
@@ -181,46 +176,177 @@ class ExperimentSession:
         with self._registry_lock:
             return dict(self._stage_runs)
 
+    def _ga_config(self) -> GAConfig:
+        """GA budget and engine settings of the scale (both GA stages)."""
+        scale = self.scale
+        return GAConfig(
+            population_size=scale.ga_population,
+            generations=scale.ga_generations,
+            seed=scale.seed,
+            n_workers=scale.ga_workers,
+            n_islands=scale.ga_islands,
+            migration_interval=scale.ga_migration_interval,
+            migration_size=scale.ga_migration_size,
+        )
+
     # ------------------------------------------------------------------
     # Stages
     # ------------------------------------------------------------------
     def baseline(self, name: str) -> PipelineResult:
         """Dataset + gradient-trained exact bespoke baseline (stage 1–2)."""
-        with self._dataset_lock(name):
-            return self._run_stage(
-                ("gradient_baseline", name), lambda: self.pipeline.dataset(name)
+
+        def build():
+            scale = self.scale
+            spec = get_spec(name)
+            dataset = load_dataset(name, seed=scale.seed, num_samples=scale.max_samples)
+            trainer = GradientTrainer(
+                epochs=scale.gradient_epochs,
+                restarts=scale.gradient_restarts,
+                seed=scale.seed,
             )
+            start = time.perf_counter()
+            bespoke, float_model = train_exact_baseline(
+                dataset.train.features,
+                dataset.train.labels,
+                spec.mlp_topology,
+                trainer=trainer,
+            )
+            elapsed = time.perf_counter() - start
+            x_train, y_train = dataset.quantized_train()
+            x_test, y_test = dataset.quantized_test()
+            report = bespoke.synthesize(clock_period_ms=spec.clock_period_ms)
+            baseline = BaselineResult(
+                bespoke=bespoke,
+                float_model=float_model,
+                test_accuracy=bespoke.accuracy(x_test, y_test),
+                train_accuracy=bespoke.accuracy(x_train, y_train),
+                report=report,
+                training_seconds=elapsed,
+            )
+            return PipelineResult(spec=spec, dataset=dataset, baseline=baseline)
+
+        with self._dataset_lock(name):
+            return self._run_stage(("gradient_baseline", name), build)
 
     def front(self, name: str, max_accuracy_loss: float = 0.05) -> PipelineResult:
         """Hardware-aware GA training + front synthesis (stage 3).
 
         This is the expensive shared stage: ``table2``, ``table3``
         (GA-AxC column), ``fig4``, ``fig5`` and the ablations' identity
-        variants all read this one result.  The GA trains once per
-        dataset regardless of ``max_accuracy_loss`` — the loss only
-        parameterizes the *default* operating-point selection baked into
-        the result on first build (mirroring
-        :meth:`DatasetPipeline.approximate`); experiment builders with a
-        non-default budget re-select from the memoized front with
+        variants all read this one result — the baseline stage's result
+        with ``approximate`` filled in.  The GA trains once per dataset
+        regardless of ``max_accuracy_loss``: the loss only parameterizes
+        the *default* operating-point selection baked into the result on
+        first build; experiment builders with a non-default budget
+        re-select from the memoized front with
         :func:`~repro.evaluation.pareto_analysis.select_design`, which
         is cheap and pure.
         """
-        with self._dataset_lock(name):
-            return self._run_stage(
-                ("ga_front", name),
-                lambda: self.pipeline.approximate(
-                    name, max_accuracy_loss=max_accuracy_loss
-                ),
+
+        def build():
+            result = self.baseline(name)
+            spec = result.spec
+            x_train, y_train = result.dataset.quantized_train()
+            x_test, y_test = result.dataset.quantized_test()
+            trainer = make_trainer(spec.mlp_topology, ga_config=self._ga_config())
+            # One evaluation cache spans the GA, front-synthesis and
+            # reporting stages: the front members the GA decoded are
+            # never decoded again downstream, and every hardware report
+            # is synthesized at most once per operating point.  With a
+            # cache directory it also spans *runs*: the previous
+            # invocation's fitness/accuracy/report entries are restored
+            # before the GA starts, and the merged cache is snapshotted
+            # afterwards.
+            cache = EvaluationCache()
+            snapshot = self._snapshot_path(spec.name)
+            loaded = cache.load(snapshot) if snapshot is not None else 0
+            train_kwargs = dict(
+                baseline_accuracy=result.baseline.train_accuracy,
+                seed_model=result.baseline.float_model,
+                cache=cache,
             )
+            if isinstance(trainer, IslandGATrainer) and self.cache_dir is not None:
+                # Island workers pool fitness values through a shared
+                # segment directory next to the snapshot; the coordinator
+                # seeds it from the loaded snapshot and merges it back
+                # into `cache` before the snapshot is saved below.
+                train_kwargs["pool_dir"] = self.cache_dir / f"{spec.name}.pool"
+            start = time.perf_counter()
+            ga_result = trainer.train(x_train, y_train, **train_kwargs)
+            elapsed = time.perf_counter() - start
+
+            designs = evaluate_front(
+                ga_result,
+                x_test,
+                y_test,
+                clock_period_ms=spec.clock_period_ms,
+                max_designs=self.scale.max_front_designs,
+                cache=cache,
+            )
+            selected = select_design(
+                designs,
+                baseline_accuracy=result.baseline.test_accuracy,
+                max_accuracy_loss=max_accuracy_loss,
+            )
+            verification = None
+            if self.scale.verify_rtl or self.scale.verify_eda:
+                # Differential sign-off of the synthesized front: Python
+                # model vs. gate-level netlist vs. RTL testbench golden
+                # vectors (plus, with verify_eda, the module text
+                # executed as Verilog), one batched pass per design.
+                # Shares the same cache, so a second run (or a disk
+                # snapshot) serves the verification results without
+                # re-simulating.
+                verify_seed = (
+                    self.scale.verify_seed
+                    if self.scale.verify_seed is not None
+                    else self.scale.seed
+                )
+                verification = verify_front(
+                    ga_result,
+                    num_vectors=self.scale.verify_vectors,
+                    seed=verify_seed,
+                    max_designs=self.scale.max_front_designs,
+                    cache=cache,
+                    eda=self.scale.verify_eda,
+                )
+            if snapshot is not None:
+                self._cache_io[spec.name] = {"loaded": loaded, "saved": 0}
+                self.persist_cache(spec.name, cache)
+            approximate = ApproximateResult(
+                ga_result=ga_result,
+                designs=designs,
+                selected=selected,
+                training_seconds=elapsed,
+                cache=cache,
+                verification=verification,
+            )
+            return dataclasses.replace(result, approximate=approximate)
+
+        with self._dataset_lock(name):
+            return self._run_stage(("ga_front", name), build)
 
     def tc23(self, name: str, max_accuracy_loss: float = 0.05):
-        """TC'23 post-training sweep (shared by ``fig4`` and ``fig5``)."""
-        with self._dataset_lock(name):
-            return self._run_stage(
-                ("tc23", name, max_accuracy_loss),
-                lambda: self.pipeline.tc23(name, max_accuracy_loss=max_accuracy_loss),
+        """TC'23 post-training sweep (shared by ``fig4`` and ``fig5``).
+
+        Both figures read this one stage, so the sweep's circuits are
+        synthesized exactly once per run.
+        """
+
+        def build():
+            result = self.baseline(name)
+            x_test, y_test = result.dataset.quantized_test()
+            return explore_tc23(
+                result.baseline.bespoke,
+                x_test,
+                y_test,
+                baseline_accuracy=result.baseline.test_accuracy,
+                max_accuracy_loss=max_accuracy_loss,
+                clock_period_ms=result.spec.clock_period_ms,
             )
 
+        with self._dataset_lock(name):
+            return self._run_stage(("tc23", name, max_accuracy_loss), build)
     def vos(self, name: str, max_accuracy_loss: float = 0.05):
         """TCAD'23 cross-approximation + VOS exploration (``fig4``)."""
 
@@ -280,20 +406,11 @@ class ExperimentSession:
             approx = result.approximate
             assert approx is not None
             x_train, y_train = result.dataset.quantized_train()
-            config = GAConfig(
-                population_size=self.scale.ga_population,
-                generations=self.scale.ga_generations,
-                seed=self.scale.seed,
-                n_workers=self.scale.ga_workers,
-                n_islands=self.scale.ga_islands,
-                migration_interval=self.scale.ga_migration_interval,
-                migration_size=self.scale.ga_migration_size,
-            )
-            trainer = make_trainer(result.spec.mlp_topology, ga_config=config)
+            trainer = make_trainer(result.spec.mlp_topology, ga_config=self._ga_config())
             ga_result = trainer.train(
                 x_train, y_train, area_objective=False, cache=approx.cache
             )
-            self.pipeline.persist_cache(result.spec.name, approx.cache)
+            self.persist_cache(result.spec.name, approx.cache)
             return ga_result
 
         with self._dataset_lock(name):
@@ -365,7 +482,7 @@ class ExperimentSession:
     ):
         """Joined :class:`~repro.serving.store.DatasetRecord` view.
 
-        The thin experiment builders read this instead of live pipeline
+        The thin experiment builders read this instead of live stage
         objects, so a figure built in-session and one answered from a
         warm store go through the *same* pure query code.
         """
@@ -575,15 +692,88 @@ class ExperimentSession:
             list(pool.map(lambda task: task[0](task[1]), tasks))
 
     # ------------------------------------------------------------------
-    # Summaries (delegated to the pipeline)
+    # Evaluation-cache snapshots and summaries
     # ------------------------------------------------------------------
-    def cache_summary(self):
-        """Per-dataset fitness-cache hit rates and snapshot traffic."""
-        return self.pipeline.cache_summary()
+    def _snapshot_path(self, name: str) -> Optional[Path]:
+        """Disk location of one dataset's evaluation-cache snapshot."""
+        if self.cache_dir is None:
+            return None
+        return self.cache_dir / f"{name}.cache.pkl"
 
-    def verification_summary(self):
-        """Per-dataset RTL-verification results (``verify_rtl`` runs)."""
-        return self.pipeline.verification_summary()
+    @property
+    def snapshot_policy(self) -> Optional[SnapshotPolicy]:
+        """Compaction policy applied whenever a snapshot is saved."""
+        scale = self.scale
+        if scale.cache_max_age_days is None and scale.cache_max_snapshot_bytes is None:
+            return None
+        return SnapshotPolicy(
+            max_age_seconds=(
+                None
+                if scale.cache_max_age_days is None
+                else scale.cache_max_age_days * 86400.0
+            ),
+            max_total_bytes=scale.cache_max_snapshot_bytes,
+        )
+
+    def persist_cache(self, spec_name: str, cache: Optional[EvaluationCache]) -> int:
+        """Save (compacted) a dataset's evaluation cache to its snapshot.
+
+        The front stage calls this after the genetic stage; later stages
+        that add entries to the same cache (the hardware-unaware Table
+        III GA) call it again to fold their work into the snapshot.
+        Returns the number of entries written (0 without a cache dir).
+        """
+        snapshot = self._snapshot_path(spec_name)
+        if snapshot is None or cache is None:
+            return 0
+        saved = cache.save(snapshot, policy=self.snapshot_policy)
+        io = self._cache_io.setdefault(spec_name, {"loaded": 0, "saved": 0})
+        io["saved"] = saved
+        return saved
+
+    def _fronts(self) -> List[Tuple[str, PipelineResult]]:
+        """``(dataset, result)`` of every front stage built so far."""
+        with self._registry_lock:
+            return [
+                (key[1], result)
+                for key, result in self._stages.items()
+                if key[0] == "ga_front"
+            ]
+
+    def cache_summary(self) -> Dict[str, Dict[str, float]]:
+        """Per-dataset fitness-cache hit rates and disk-snapshot traffic.
+
+        ``hit_rate`` is the GA stage's unique-lookup hit rate (hits /
+        evaluations); on a second identical run against the same
+        ``cache_dir`` it approaches 1.0 because every genome's fitness
+        was restored from disk.  ``loaded``/``saved`` count snapshot
+        entries read before and written after the genetic stages.
+        """
+        summary: Dict[str, Dict[str, float]] = {}
+        for name, result in self._fronts():
+            history = result.approximate.ga_result.history
+            if not history:
+                continue
+            last = history[-1]
+            # _cache_io is keyed by the canonical spec name, which may
+            # differ from the caller-supplied alias keying the stage.
+            io = self._cache_io.get(result.spec.name, {})
+            summary[name] = {
+                "evaluations": last.evaluations,
+                "cache_hits": last.cache_hits,
+                "hit_rate": last.cache_hit_rate,
+                "loaded": io.get("loaded", 0),
+                "saved": io.get("saved", 0),
+            }
+        return summary
+
+    def verification_summary(self) -> Dict[str, FrontVerification]:
+        """Per-dataset front verification results (``verify_rtl`` runs only)."""
+        return {
+            name: result.approximate.verification
+            for name, result in self._fronts()
+            if result.approximate.verification is not None
+        }
 
     def describe(self) -> str:
         """Human-readable summary of the declared stage graphs."""
@@ -596,17 +786,8 @@ class ExperimentSession:
 
 
 # ----------------------------------------------------------------------
-# Registry (populated from the experiment modules' builders; imported
-# late so the modules' deprecation shims can import this module lazily
-# without a cycle at package-import time).
+# Registry (populated from the experiment modules' builders)
 # ----------------------------------------------------------------------
-from repro.experiments import ablation as _ablation  # noqa: E402
-from repro.experiments import fig4 as _fig4  # noqa: E402
-from repro.experiments import fig5 as _fig5  # noqa: E402
-from repro.experiments import table1 as _table1  # noqa: E402
-from repro.experiments import table2 as _table2  # noqa: E402
-from repro.experiments import table3 as _table3  # noqa: E402
-
 EXPERIMENT_DEFINITIONS: Dict[str, ExperimentDefinition] = {
     "table1": ExperimentDefinition(
         name="table1",

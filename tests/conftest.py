@@ -34,27 +34,6 @@ from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classific
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
-#: Environment switch that enables the wall-clock ``perf_ratio`` checks.
-PERF_RATIO_ENV = "REPRO_PERF_RATIO"
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        f"perf_ratio: wall-clock ordering check; skipped unless {PERF_RATIO_ENV}=1",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    """Skip ``perf_ratio`` checks: their verdict depends on machine load."""
-    if os.environ.get(PERF_RATIO_ENV) == "1":
-        return
-    skip = pytest.mark.skip(reason=f"wall-clock ratio check; set {PERF_RATIO_ENV}=1 to run")
-    for item in items:
-        if "perf_ratio" in item.keywords:
-            item.add_marker(skip)
-
-
 def build_neuron(rng, fan_in=4, input_bits=4, max_exponent=4, bias_bound=64):
     """A random :class:`ApproximateNeuron` (signs drawn from {-1, +1})."""
     return ApproximateNeuron(

@@ -22,7 +22,7 @@ from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator
 from repro.evaluation.pareto_analysis import evaluate_front
 from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
+from repro.experiments.session import ExperimentSession
 from repro.hardware.adder_tree import count_adders_from_columns
 from repro.hardware.fast_synthesis import (
     fast_synthesize_exact_mlp,
@@ -375,8 +375,8 @@ def _tiny_scale(datasets):
 
 class TestPipelineCacheSharing:
     def test_front_stage_reuses_ga_work(self):
-        pipeline = DatasetPipeline(_tiny_scale(("breast_cancer",)))
-        result = pipeline.approximate("breast_cancer")
+        session = ExperimentSession(_tiny_scale(("breast_cancer",)))
+        result = session.front("breast_cancer")
         approx = result.approximate
         assert approx is not None and approx.cache is not None
         cache = approx.cache
@@ -397,7 +397,7 @@ class TestPipelineCacheSharing:
             x_test,
             y_test,
             clock_period_ms=result.spec.clock_period_ms,
-            max_designs=pipeline.scale.max_front_designs,
+            max_designs=session.scale.max_front_designs,
             cache=cache,
         )
         assert again == approx.designs
@@ -408,8 +408,8 @@ class TestPipelineCacheSharing:
         from repro.datasets.registry import clock_period_for
 
         assert clock_period_for("pendigits") == pytest.approx(250.0)
-        pipeline = DatasetPipeline(_tiny_scale(("pendigits",)))
-        result = pipeline.approximate("pendigits")
+        session = ExperimentSession(_tiny_scale(("pendigits",)))
+        result = session.front("pendigits")
         assert result.baseline.report.clock_period_ms == pytest.approx(250.0)
         assert result.approximate is not None
         for design in result.approximate.designs:

@@ -513,7 +513,7 @@ class TestVerifyFront:
 class TestPipelineVerifyRtl:
     def test_pipeline_runs_and_stores_verification(self):
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.pipeline import DatasetPipeline
+        from repro.experiments.session import ExperimentSession
 
         scale = ExperimentScale(
             name="tiny-verify",
@@ -527,13 +527,13 @@ class TestPipelineVerifyRtl:
             verify_rtl=True,
             verify_vectors=10,
         )
-        pipeline = DatasetPipeline(scale)
-        result = pipeline.approximate("breast_cancer")
+        session = ExperimentSession(scale)
+        result = session.front("breast_cancer")
         verification = result.approximate.verification
         assert verification is not None
         assert verification.num_vectors == 10
         assert verification.passed
-        summary = pipeline.verification_summary()
+        summary = session.verification_summary()
         assert summary["breast_cancer"] is verification
 
     def test_pipeline_skips_verification_by_default(self):
@@ -631,9 +631,8 @@ class TestSeededVerification:
 
     def test_pipeline_uses_verify_seed_over_scale_seed(self, monkeypatch):
         """verify_seed overrides the experiment seed for stimulus draws."""
-        from repro.experiments import pipeline as pipeline_module
+        from repro.experiments import session as session_module
         from repro.experiments.config import ExperimentScale
-        from repro.experiments.pipeline import DatasetPipeline
 
         seen = {}
 
@@ -641,7 +640,7 @@ class TestSeededVerification:
             seen.update(kwargs)
             return None
 
-        monkeypatch.setattr(pipeline_module, "verify_front", spy_verify_front)
+        monkeypatch.setattr(session_module, "verify_front", spy_verify_front)
         scale = ExperimentScale(
             name="tiny-seeded",
             datasets=("breast_cancer",),
@@ -656,7 +655,7 @@ class TestSeededVerification:
             verify_seed=99,
             verify_eda=True,
         )
-        DatasetPipeline(scale).approximate("breast_cancer")
+        session_module.ExperimentSession(scale).front("breast_cancer")
         assert seen["seed"] == 99
         assert seen["eda"] is True
 

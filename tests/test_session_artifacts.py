@@ -10,9 +10,7 @@ Covers the tentpole guarantees of the session redesign:
 * artifact **schemas are stable**: the golden files under
   ``tests/golden/`` pin each experiment's columns and display layout,
   so accidental schema drift fails loudly (update the goldens together
-  with a conscious ``ARTIFACT_SCHEMA_VERSION`` decision);
-* the legacy ``run_<experiment>`` shims delegate to the session (shared
-  stages, no retraining) and print identical tables.
+  with a conscious ``ARTIFACT_SCHEMA_VERSION`` decision).
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from repro.evaluation.artifacts import (
     ArtifactError,
 )
 from repro.experiments.config import ExperimentScale
-from repro.experiments.pipeline import DatasetPipeline
 from repro.experiments.session import (
     EXPERIMENT_DEFINITIONS,
     EXPERIMENT_ORDER,
@@ -197,15 +194,6 @@ class TestArtifactRoundTrip:
             assert parsed[0] == artifact.columns, name
             assert len(parsed) == len(artifact.rows) + 1, name
 
-    def test_format_matches_legacy_formatter(self, session_run):
-        """The shims' formatters and Artifact.format print one table."""
-        from repro.experiments.runner import EXPERIMENTS
-
-        _, artifacts, _, _ = session_run
-        for name, artifact in artifacts.items():
-            _, formatter = EXPERIMENTS[name]
-            assert artifact.format() == formatter([dict(r) for r in artifact.rows])
-
 
 class TestSchemaGolden:
     @pytest.mark.parametrize("name", EXPERIMENT_ORDER)
@@ -284,34 +272,6 @@ class TestArtifactUnit:
         second = self._artifact([{"a": 1}])
         assert first == second and hash(first) == hash(second)
         assert len({first, second}) == 1
-
-
-class TestLegacyShims:
-    def test_shims_share_one_session_per_pipeline(self):
-        """Repeated legacy calls on one pipeline never retrain."""
-        from repro.experiments.table2 import run_table2
-
-        ga_calls = []
-        ga_orig = GATrainer.train
-
-        def counting(self, *args, **kwargs):
-            ga_calls.append(kwargs)
-            return ga_orig(self, *args, **kwargs)
-
-        GATrainer.train = counting
-        try:
-            pipeline = DatasetPipeline(TINY)
-            first = run_table2(pipeline)
-            trained = len(ga_calls)
-            second = run_table2(pipeline)
-        finally:
-            GATrainer.train = ga_orig
-        assert trained == 1  # one shared hardware-aware front
-        assert len(ga_calls) == trained
-        assert first == second
-        assert ExperimentSession.from_pipeline(pipeline) is ExperimentSession.coerce(
-            pipeline
-        )
 
 
 class TestParallelPrefetch:
