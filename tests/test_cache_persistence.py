@@ -448,6 +448,18 @@ class TestPipelinePersistence:
         ga_stats = second_result.approximate.ga_result.history[-1]
         assert ga_stats.fitness_computations == 0
 
+    def test_ga_plain_folds_its_entries_into_the_snapshot(self, tmp_path):
+        """The hardware-unaware GA shares the front's cache and saves it
+        again, so the snapshot also serves the Table III GA next run."""
+        session = ExperimentSession(TINY, cache_dir=tmp_path)
+        session.front("breast_cancer")
+        after_front = session.cache_summary()["breast_cancer"]["saved"]
+        session.ga_plain("breast_cancer")
+        after_plain = session.cache_summary()["breast_cancer"]["saved"]
+        assert after_plain > after_front
+        restored = EvaluationCache()
+        assert restored.load(tmp_path / "breast_cancer.cache.pkl") == after_plain
+
     def test_scale_cache_dir_is_used(self, tmp_path):
         scale = ExperimentScale(
             name="tiny-cache-scale",

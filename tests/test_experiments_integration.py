@@ -67,6 +67,27 @@ class TestSession:
         assert len(approx.true_front) >= 1
 
 
+    def test_both_ga_stages_train_with_the_scale_budget(self, monkeypatch):
+        from repro.experiments import session as session_module
+
+        configs = []
+        real_make_trainer = session_module.make_trainer
+
+        def recording_make_trainer(topology, ga_config):
+            configs.append(ga_config)
+            return real_make_trainer(topology, ga_config=ga_config)
+
+        monkeypatch.setattr(session_module, "make_trainer", recording_make_trainer)
+        fresh = ExperimentSession(TINY)
+        fresh.front("breast_cancer")
+        fresh.ga_plain("breast_cancer")
+        assert len(configs) == 2
+        assert configs[0] == configs[1]
+        assert configs[0].population_size == TINY.ga_population
+        assert configs[0].generations == TINY.ga_generations
+        assert configs[0].seed == TINY.seed
+
+
 class TestTable1:
     def test_rows_and_formatting(self, session):
         rows = session.artifact("table1").rows

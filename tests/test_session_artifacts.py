@@ -313,6 +313,19 @@ class TestParallelPrefetch:
 
 
 class TestRunnerExport:
+    def test_experiment_choices_follow_experiment_order(self, capsys):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as shown:
+            runner.main(["--help"])
+        assert shown.value.code == 0
+        help_text = capsys.readouterr().out
+        for name in EXPERIMENT_ORDER:
+            assert name in help_text
+        with pytest.raises(SystemExit) as rejected:
+            runner.main(["--experiment", "table9"])
+        assert rejected.value.code == 2
+
     def test_export_dir_writes_json_and_csv(self, tmp_path, monkeypatch, capsys):
         from repro.experiments import runner
         from repro.experiments.config import SCALES
