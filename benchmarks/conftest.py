@@ -7,13 +7,14 @@ The benchmarks run at the "smoke" experiment scale by default so that
 the heavier configurations.
 
 Benchmarks can also record named timings with the ``record_bench``
-fixture; at session end every recorded group is written to a
-``BENCH_<group>.json`` file (in ``REPRO_BENCH_OUT``, default the current
-directory).  The recordings use plain ``time.perf_counter`` measurements
-taken inside the tests, so they are emitted even under
-``--benchmark-disable`` — this is what gives CI a per-commit perf
-trajectory (front-synthesis and GA-generation timings) without running
-the full pytest-benchmark calibration.
+fixture.  When the ``REPRO_BENCH_OUT`` environment variable names a
+directory, every recorded group is written there at session end as a
+``BENCH_<group>.json`` file; without it nothing is written, so a plain
+test run leaves the working tree alone.  The recordings use plain
+``time.perf_counter`` measurements taken inside the tests, so they are
+emitted even under ``--benchmark-disable`` — this is what gives CI a
+per-commit perf trajectory (front-synthesis and GA-generation timings)
+without running the full pytest-benchmark calibration.
 """
 
 from __future__ import annotations
@@ -61,10 +62,11 @@ def record_bench():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Write every recorded group to ``BENCH_<group>.json``."""
-    if not _BENCH_RECORDS:
+    """Write every recorded group to ``$REPRO_BENCH_OUT/BENCH_<group>.json``."""
+    out = os.environ.get("REPRO_BENCH_OUT")
+    if not _BENCH_RECORDS or not out:
         return
-    out_dir = Path(os.environ.get("REPRO_BENCH_OUT", "."))
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for group, records in _BENCH_RECORDS.items():
         payload = {

@@ -22,7 +22,7 @@ The package is organized bottom-up:
 * :mod:`repro.evaluation` — metrics, Pareto/hardware analysis, feasibility,
 * :mod:`repro.experiments`— regeneration of every table and figure,
 * :mod:`repro.serving`    — the query-time half: persistent design store
-  and the async Pareto-front query service (imports **no** search-time
+  and the Pareto-front query service (imports **no** search-time
   module — top-level re-exports here are lazy for exactly that reason).
 
 Quickstart

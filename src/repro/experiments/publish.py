@@ -6,7 +6,8 @@ RTL generation) and converts live session stage results into the plain-data
 records of :mod:`repro.serving.store`.  Once published, every query the
 :class:`~repro.serving.service.ParetoService` answers — selection,
 fronts, feasibility, RTL retrieval, plot-ready point sets — is a pure
-function of these records; nothing search-shaped ever runs again.
+function of these records, which the service reads once each and keeps
+in memory; nothing search-shaped ever runs again.
 
 The RTL text is generated *here*, at publish time, precisely so the
 serving layer can hand out Verilog without importing

@@ -78,40 +78,19 @@ __all__ = ["main"]
 def _query_mode(store_dir: str, queries: Optional[List[str]], serve: bool) -> int:
     """Answer queries from a warm design store (no search stage runs).
 
-    One-shot ``--query`` strings are answered as a concurrent batch;
-    ``--serve`` additionally reads JSONL queries from stdin and streams
-    one JSONL answer per line until EOF.
+    Each one-shot ``--query`` string prints one JSON answer line that
+    echoes the query; ``--serve`` then reads JSONL queries from stdin and
+    streams one JSONL answer per line until EOF.  Exit code 1 if a
+    ``--query`` failed; failed ``--serve`` queries only answer
+    ``{"ok": false, ...}``.
     """
-    import asyncio
-    import json
-
-    from repro.serving.cli import _dispatch, _run_batch
+    from repro.serving.cli import answer_lines
     from repro.serving.service import ParetoService
 
     service = ParetoService(store_dir)
-    code = 0
-    if queries:
-        batch = [json.loads(query) for query in queries]
-        results = asyncio.run(_run_batch(service, batch))
-        for result in results:
-            print(json.dumps(result, allow_nan=False))
-        if any(not result["ok"] for result in results):
-            code = 1
+    code = answer_lines(service, queries or [], echo=True)
     if serve:
-
-        async def loop() -> None:
-            for line in sys.stdin:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    result = await _dispatch(service, json.loads(line))
-                    answer = {"ok": True, "result": result}
-                except Exception as exc:  # served loop must not die per-query
-                    answer = {"ok": False, "error": str(exc)}
-                print(json.dumps(answer, allow_nan=False), flush=True)
-
-        asyncio.run(loop())
+        answer_lines(service, sys.stdin, echo=False)
     return code
 
 

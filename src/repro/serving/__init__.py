@@ -11,10 +11,10 @@ suite enforces that with an import-graph guard.
   BLAKE2b-fingerprinted, one directory per dataset;
 * :mod:`repro.serving.queries` — pure query logic (selection, true
   front, feasibility, plot-ready point sets);
-* :mod:`repro.serving.service` — the asyncio :class:`ParetoService`
-  with single-flight store reads and per-query latency counters;
-* :mod:`repro.serving.cli`     — ``python -m repro.serving`` (also
-  reachable through ``runner.py --serve/--query``).
+* :mod:`repro.serving.service` — the :class:`ParetoService`, a plain
+  memo that reads each stored record at most once;
+* :mod:`repro.serving.cli`     — ``python -m repro.serving`` and the one
+  query router behind it and ``runner.py --serve/--query``.
 """
 
 from repro.serving.queries import (
@@ -26,7 +26,7 @@ from repro.serving.queries import (
     selection_row,
     true_front,
 )
-from repro.serving.service import ParetoService, QueryMetrics
+from repro.serving.service import ParetoService
 from repro.serving.store import (
     STORE_SCHEMA_VERSION,
     DatasetRecord,
@@ -53,7 +53,6 @@ __all__ = [
     "MethodRecord",
     "MethodsRecord",
     "ParetoService",
-    "QueryMetrics",
     "ReportRecord",
     "RTLRecord",
     "StoreError",

@@ -17,24 +17,26 @@ Commands::
     points {fig4,fig5} [--out DIR]        plot-ready point sets
     batch [--queries FILE]                JSONL query battery (stdin default)
 
-All structured output is JSON on stdout, one document (or one line per
-batch query); diagnostics go to stderr.
+Every command is routed through :func:`_dispatch`, the one query router
+shared with ``runner.py --query/--serve``.  All structured output is JSON
+on stdout, one document (or one line per batch query); diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
+import math
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.serving import queries
 from repro.serving.service import ParetoService
-from repro.serving.store import DesignStore, StoreError
+from repro.serving.store import DesignStore
 
-__all__ = ["FORBIDDEN_MODULES", "forbidden_loaded", "main"]
+__all__ = ["FORBIDDEN_MODULES", "answer_lines", "forbidden_loaded", "main"]
 
 #: Module prefixes the serving layer must never import — the search-time
 #: half of the system.  Single source of truth for ``--assert-pure``,
@@ -124,55 +126,102 @@ def _parser() -> argparse.ArgumentParser:
     cmd.add_argument("--out", default=None, help="write <exp>_points.json/.csv here")
     cmd.add_argument("--max-accuracy-loss", type=float, default=None)
 
-    cmd = sub.add_parser("batch", help="run a JSONL query battery concurrently")
+    cmd = sub.add_parser("batch", help="answer a JSONL query battery")
     cmd.add_argument(
         "--queries",
         default=None,
         help="JSONL file of {op, dataset, ...} queries (default: stdin)",
     )
-    cmd.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the service metrics snapshot to stderr afterwards",
-    )
     return parser
 
 
-async def _dispatch(service: ParetoService, query: Dict) -> object:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in query")
+    return value
+
+
+#: Strict JSON (``NaN``/``Infinity``/``1e999`` rejected): every number in
+#: a parsed query line is finite, so an answer echoing it serializes.
+_QUERY_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_finite_float)
+
+
+def _finite(query: Dict, key: str) -> Optional[float]:
+    """``query[key]`` (``None`` if absent), which must be a finite real number."""
+    value = query.get(key)
+    if value is None:
+        return None
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return value
+    except (TypeError, OverflowError):  # not a number; an int too large for a float
+        pass
+    raise ValueError(f"{key} must be a finite number, got {value!r}")
+
+
+def _dispatch(service: ParetoService, query: Dict) -> object:
     """Route one {op, ...} query object to the service."""
+    if not isinstance(query, dict):
+        raise TypeError(f"a query must be a JSON object, got {type(query).__name__}")
     op = query.get("op")
     dataset = query.get("dataset")
-    loss = query.get("max_accuracy_loss")
+    loss = _finite(query, "max_accuracy_loss")
+    voltage = _finite(query, "voltage")
     if op == "datasets":
-        return await service.datasets()
+        return service.datasets()
     if op == "select":
-        return await service.select(dataset, max_accuracy_loss=loss)
+        return service.select(dataset, max_accuracy_loss=loss)
     if op == "front":
-        return await service.front(dataset)
+        return service.front(dataset)
     if op == "feasibility":
-        return await service.feasibility(
-            dataset, voltage=query.get("voltage"), max_accuracy_loss=loss
-        )
+        return service.feasibility(dataset, voltage=voltage, max_accuracy_loss=loss)
     if op == "rtl":
-        return await service.rtl(
-            dataset, design=query.get("design"), max_accuracy_loss=loss
-        )
+        return service.rtl(dataset, design=query.get("design"), max_accuracy_loss=loss)
     if op == "points":
-        return await service.points(query.get("experiment"), max_accuracy_loss=loss)
+        return service.points(query.get("experiment"), max_accuracy_loss=loss)
     raise ValueError(f"unknown query op {op!r}")
 
 
-async def _run_batch(
-    service: ParetoService, batch: List[Dict]
-) -> List[Dict]:
-    async def run_one(query: Dict) -> Dict:
-        try:
-            result = await _dispatch(service, query)
-        except (StoreError, ValueError, KeyError, TypeError) as exc:
-            return {"ok": False, "query": query, "error": str(exc)}
-        return {"ok": True, "query": query, "result": result}
+def _answer(service: ParetoService, line: str, *, echo: bool = False) -> Tuple[bool, str]:
+    """Answer one JSONL query line: ``(ok, answer line)``.
 
-    return list(await asyncio.gather(*(run_one(query) for query in batch)))
+    The answer is ``{"ok": true, "result": ...}`` or ``{"ok": false,
+    "error": ...}``; ``echo`` adds the parsed query under ``"query"``
+    (``null`` if the line does not parse or nests too deeply to echo).
+    Parsing, dispatch and serialization all sit inside the error handling,
+    which catches any ``Exception``: no single line can end a batch or a
+    served stream.
+    """
+    query = None
+
+    def encode(ok: bool, key: str, value: object) -> str:
+        answer = {"ok": ok, "query": query} if echo else {"ok": ok}
+        answer[key] = value
+        return json.dumps(answer, allow_nan=False)
+
+    try:
+        query = _QUERY_DECODER.decode(line)
+        return True, encode(True, "result", _dispatch(service, query))
+    except Exception as exc:
+        error = str(exc)
+    try:
+        return False, encode(False, "error", error)
+    except RecursionError:  # parsed, but nested too deeply to echo back
+        query = None
+    return False, encode(False, "error", error)
+
+
+def answer_lines(service: ParetoService, lines: Iterable[str], *, echo: bool) -> int:
+    """Print one answer line per non-blank query line; 1 if any failed, else 0."""
+    code = 0
+    for line in lines:
+        if line.strip():
+            ok, answer = _answer(service, line, echo=echo)
+            print(answer, flush=True)
+            if not ok:
+                code = 1
+    return code
 
 
 def _emit(payload: object) -> None:
@@ -180,13 +229,7 @@ def _emit(payload: object) -> None:
     sys.stdout.write("\n")
 
 
-def _points(
-    store: DesignStore, experiment: str, loss: Optional[float], out: Optional[str]
-) -> object:
-    service = ParetoService(store)
-    rows = asyncio.run(service.points(experiment, max_accuracy_loss=loss))
-    if out is None:
-        return rows
+def _save_points(store: DesignStore, experiment: str, rows: List[Dict], out: str) -> Dict:
     # Artifact reuse keeps the export format identical to the session's
     # (`<experiment>_points.json` + `.csv`, strict JSON, display pairs).
     from repro.evaluation.artifacts import Artifact
@@ -217,61 +260,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     store = DesignStore(args.store)
     service = ParetoService(store)
     code = 0
-    try:
-        if args.command == "datasets":
-            _emit(asyncio.run(service.datasets()))
-        elif args.command == "select":
-            _emit(
-                asyncio.run(
-                    service.select(args.dataset, max_accuracy_loss=args.max_accuracy_loss)
-                )
-            )
-        elif args.command == "front":
-            _emit(asyncio.run(service.front(args.dataset)))
-        elif args.command == "feasibility":
-            _emit(
-                asyncio.run(
-                    service.feasibility(
-                        args.dataset,
-                        voltage=args.voltage,
-                        max_accuracy_loss=args.max_accuracy_loss,
-                    )
-                )
-            )
-        elif args.command == "rtl":
-            result = asyncio.run(
-                service.rtl(
-                    args.dataset,
-                    design=args.design,
-                    max_accuracy_loss=args.max_accuracy_loss,
-                )
-            )
-            if args.emit is not None:
+    if args.command == "batch":
+        if args.queries is None:
+            lines = sys.stdin.read().splitlines()
+        else:
+            lines = Path(args.queries).read_text(encoding="utf-8").splitlines()
+        code = answer_lines(service, lines, echo=True)
+    else:
+        try:
+            result = _dispatch(service, {"op": args.command, **vars(args)})
+            if args.command == "rtl" and args.emit is not None:
                 sys.stdout.write(result[args.emit])
+            elif args.command == "points" and args.out is not None:
+                _emit(_save_points(store, args.experiment, result, args.out))
             else:
                 _emit(result)
-        elif args.command == "points":
-            _emit(_points(store, args.experiment, args.max_accuracy_loss, args.out))
-        elif args.command == "batch":
-            if args.queries is None:
-                lines = sys.stdin.read().splitlines()
-            else:
-                lines = Path(args.queries).read_text(encoding="utf-8").splitlines()
-            batch = [json.loads(line) for line in lines if line.strip()]
-            results = asyncio.run(_run_batch(service, batch))
-            for result in results:
-                json.dump(result, sys.stdout, sort_keys=False, allow_nan=False)
-                sys.stdout.write("\n")
-            if args.metrics:
-                print(
-                    json.dumps(service.metrics(), indent=2, allow_nan=False),
-                    file=sys.stderr,
-                )
-            if any(not result["ok"] for result in results):
-                code = 1
-    except StoreError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = 1
+        except Exception as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
 
     if args.assert_pure:
         loaded = forbidden_loaded()

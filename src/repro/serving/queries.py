@@ -4,7 +4,7 @@ Everything here is a total function of plain-data records: operating-point
 selection, true-Pareto-front extraction, printed-power-source feasibility
 classification (including the voltage re-scaling of the Fig. 5 study) and
 the plot-ready point sets of Fig. 4/Fig. 5.  The experiment builders
-(:mod:`repro.experiments.table2` …) and the async
+(:mod:`repro.experiments.table2` …) and the
 :class:`~repro.serving.service.ParetoService` both call into this module,
 so a figure regenerated from a warm store is cell-for-cell identical to
 one produced by a full search run.

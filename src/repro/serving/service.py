@@ -1,84 +1,30 @@
-"""The :class:`ParetoService` — async queries over a warm design store.
+"""The :class:`ParetoService` — queries over a warm design store.
 
 The service is the interactive half of the system: it answers
 "which design should I print?" class questions from a
 :class:`~repro.serving.store.DesignStore` alone, without ever running
 (or importing) the GA search, the synthesis engines or the verifier.
 
-Concurrency model
------------------
-Store reads are the only blocking work, so they run in worker threads
-(``asyncio.to_thread``) behind **single-flight** protection: per
-dataset, one lock guards the load, concurrent queries for the same
-dataset await the same read, and once loaded the record is served from
-memory forever (records are immutable — a store republish is a new
-service).  64 identical concurrent queries therefore trigger exactly
-one store read — the stampede test pins this number.
-
-Identical in-flight queries are additionally **coalesced**: a query key
-``(op, dataset, params)`` owns one future; latecomers await it instead
-of recomputing.  Every operation keeps latency/hit counters
-(:meth:`ParetoService.metrics`), which the CI smoke job exports as
-``BENCH_serving.json``.
+It is a plain synchronous memo: each dataset record and each RTL record
+is read from the store at most once, on first use, and served from
+memory afterwards.  Records are immutable — a store republish is a new
+service.  The list of published datasets is re-read on every call, so a
+dataset published after the service started is still found.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.serving import queries
 from repro.serving.store import DatasetRecord, DesignStore, RTLRecord
 
-__all__ = ["ParetoService", "QueryMetrics"]
-
-#: Cap on the per-operation latency reservoir (enough for percentiles,
-#: bounded for a long-lived service).
-_MAX_SAMPLES = 4096
-
-
-class QueryMetrics:
-    """Latency and hit counters of one operation."""
-
-    __slots__ = ("requests", "coalesced", "errors", "total_seconds", "samples")
-
-    def __init__(self) -> None:
-        self.requests = 0
-        self.coalesced = 0
-        self.errors = 0
-        self.total_seconds = 0.0
-        self.samples: List[float] = []
-
-    def record(self, seconds: float) -> None:
-        """Account one completed request."""
-        self.total_seconds += seconds
-        if len(self.samples) < _MAX_SAMPLES:
-            self.samples.append(seconds)
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Latency percentile (nearest-rank) over the reservoir."""
-        if not self.samples:
-            return None
-        ordered = sorted(self.samples)
-        rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def summary(self) -> Dict[str, object]:
-        """Plain-data snapshot for logs and the benchmark export."""
-        return {
-            "requests": self.requests,
-            "coalesced": self.coalesced,
-            "errors": self.errors,
-            "total_seconds": self.total_seconds,
-            "p50_seconds": self.percentile(0.50),
-            "p95_seconds": self.percentile(0.95),
-        }
+__all__ = ["ParetoService"]
 
 
 class ParetoService:
-    """Async Pareto-front query service over one :class:`DesignStore`.
+    """Pareto-front query service over one :class:`DesignStore`.
 
     Parameters
     ----------
@@ -106,118 +52,47 @@ class ParetoService:
 
             approximate_voltage = MIN_VOLTAGE
         self.approximate_voltage = approximate_voltage
-        #: Dataset name -> loaded record (immutable once loaded).
+        #: Dataset name -> loaded record.
         self._records: Dict[str, DatasetRecord] = {}
-        self._record_locks: Dict[str, asyncio.Lock] = {}
         #: (dataset, design) -> loaded RTL record.
         self._rtl: Dict[Tuple[str, str], RTLRecord] = {}
-        self._inflight: Dict[tuple, asyncio.Future] = {}
-        self._metrics: Dict[str, QueryMetrics] = {}
-        #: Store reads actually performed (the stampede test reads this).
-        self.store_loads = 0
-        self.rtl_loads = 0
 
-    # ------------------------------------------------------------------
-    # Single-flight record loading
-    # ------------------------------------------------------------------
-    def _lock_for(self, dataset: str) -> asyncio.Lock:
-        lock = self._record_locks.get(dataset)
-        if lock is None:
-            lock = self._record_locks[dataset] = asyncio.Lock()
-        return lock
-
-    async def _record(self, dataset: str) -> DatasetRecord:
+    def _record(self, dataset: str) -> DatasetRecord:
         record = self._records.get(dataset)
-        if record is not None:
-            return record
-        async with self._lock_for(dataset):
-            record = self._records.get(dataset)
-            if record is None:
-                self.store_loads += 1
-                record = await asyncio.to_thread(self.store.get_dataset, dataset)
-                self._records[dataset] = record
+        if record is None:
+            record = self._records[dataset] = self.store.get_dataset(dataset)
         return record
 
-    async def _rtl_record(self, dataset: str, design: str) -> RTLRecord:
+    def _rtl_record(self, dataset: str, design: str) -> RTLRecord:
         key = (dataset, design)
         record = self._rtl.get(key)
         if record is None:
-            self.rtl_loads += 1
-            record = await asyncio.to_thread(self.store.get_rtl, dataset, design)
-            self._rtl[key] = record
+            record = self._rtl[key] = self.store.get_rtl(dataset, design)
         return record
 
-    # ------------------------------------------------------------------
-    # Query coalescing + metrics
-    # ------------------------------------------------------------------
-    def _metric(self, op: str) -> QueryMetrics:
-        metric = self._metrics.get(op)
-        if metric is None:
-            metric = self._metrics[op] = QueryMetrics()
-        return metric
-
-    async def _run(self, op: str, key: tuple, thunk):
-        metric = self._metric(op)
-        metric.requests += 1
-        existing = self._inflight.get(key)
-        if existing is not None:
-            metric.coalesced += 1
-            return await asyncio.shield(existing)
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        start = time.perf_counter()
-        try:
-            result = await thunk()
-        except BaseException as exc:
-            metric.errors += 1
-            future.set_exception(exc)
-            future.exception()  # consumed: no "never retrieved" warning
-            raise
-        else:
-            future.set_result(result)
-            return result
-        finally:
-            metric.record(time.perf_counter() - start)
-            self._inflight.pop(key, None)
+    def _loss(self, max_accuracy_loss: Optional[float]) -> float:
+        if max_accuracy_loss is None:
+            return self.default_accuracy_loss
+        return max_accuracy_loss
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    async def datasets(self) -> List[str]:
+    def datasets(self) -> List[str]:
         """Datasets with a published front."""
-        return await self._run(
-            "datasets",
-            ("datasets",),
-            lambda: asyncio.to_thread(self.store.datasets),
-        )
+        return self.store.datasets()
 
-    async def select(
-        self, dataset: str, max_accuracy_loss: Optional[float] = None
-    ) -> Dict:
+    def select(self, dataset: str, max_accuracy_loss: Optional[float] = None) -> Dict:
         """Operating point of ``dataset`` at an accuracy-loss budget."""
-        loss = (
-            self.default_accuracy_loss
-            if max_accuracy_loss is None
-            else max_accuracy_loss
+        return queries.selection_row(
+            self._record(dataset), max_accuracy_loss=self._loss(max_accuracy_loss)
         )
 
-        async def compute() -> Dict:
-            record = await self._record(dataset)
-            return queries.selection_row(record, max_accuracy_loss=loss)
-
-        return await self._run("select", ("select", dataset, loss), compute)
-
-    async def front(self, dataset: str) -> List[Dict]:
+    def front(self, dataset: str) -> List[Dict]:
         """True Pareto front of ``dataset`` (one row per design)."""
+        return queries.front_rows(self._record(dataset))
 
-        async def compute() -> List[Dict]:
-            record = await self._record(dataset)
-            return queries.front_rows(record)
-
-        return await self._run("front", ("front", dataset), compute)
-
-    async def feasibility(
+    def feasibility(
         self,
         dataset: str,
         voltage: Optional[float] = None,
@@ -228,24 +103,13 @@ class ParetoService:
         ``voltage`` overrides the low-voltage operating point of the
         ``ours_0v6`` entry (default: the minimum EGFET supply).
         """
-        volt = self.approximate_voltage if voltage is None else voltage
-        loss = (
-            self.default_accuracy_loss
-            if max_accuracy_loss is None
-            else max_accuracy_loss
+        return queries.fig5_rows(
+            self._record(dataset),
+            max_accuracy_loss=self._loss(max_accuracy_loss),
+            approximate_voltage=self.approximate_voltage if voltage is None else voltage,
         )
 
-        async def compute() -> List[Dict]:
-            record = await self._record(dataset)
-            return queries.fig5_rows(
-                record, max_accuracy_loss=loss, approximate_voltage=volt
-            )
-
-        return await self._run(
-            "feasibility", ("feasibility", dataset, volt, loss), compute
-        )
-
-    async def rtl(
+    def rtl(
         self,
         dataset: str,
         design: Optional[str] = None,
@@ -255,85 +119,55 @@ class ParetoService:
 
         ``design=None`` retrieves the selected operating point's RTL.
         """
-        loss = (
-            self.default_accuracy_loss
-            if max_accuracy_loss is None
-            else max_accuracy_loss
+        name = queries.resolve_rtl_design(
+            self._record(dataset),
+            design=design,
+            max_accuracy_loss=self._loss(max_accuracy_loss),
         )
-
-        async def compute() -> Dict:
-            record = await self._record(dataset)
-            name = queries.resolve_rtl_design(
-                record, design=design, max_accuracy_loss=loss
-            )
-            rtl = await self._rtl_record(dataset, name)
-            answer = {
-                "dataset": dataset,
-                "design": name,
-                "module_name": rtl.module_name,
-                "fingerprint": rtl.fingerprint,
-                "verilog": rtl.verilog,
-                "testbench": rtl.testbench,
-                "num_vectors": rtl.num_vectors,
-                "num_inputs": rtl.num_inputs,
+        rtl = self._rtl_record(dataset, name)
+        answer = {
+            "dataset": dataset,
+            "design": name,
+            "module_name": rtl.module_name,
+            "fingerprint": rtl.fingerprint,
+            "verilog": rtl.verilog,
+            "testbench": rtl.testbench,
+            "num_vectors": rtl.num_vectors,
+            "num_inputs": rtl.num_inputs,
+        }
+        if rtl.eda is not None:
+            answer["eda"] = {
+                "oracle": rtl.eda.oracle,
+                "num_vectors": rtl.eda.num_vectors,
+                "mismatches": rtl.eda.mismatches,
+                "passed": rtl.eda.passed,
             }
-            if rtl.eda is not None:
-                answer["eda"] = {
-                    "oracle": rtl.eda.oracle,
-                    "num_vectors": rtl.eda.num_vectors,
-                    "mismatches": rtl.eda.mismatches,
-                    "passed": rtl.eda.passed,
-                }
-            return answer
+        return answer
 
-        return await self._run("rtl", ("rtl", dataset, design, loss), compute)
-
-    async def points(
+    def points(
         self, experiment: str, max_accuracy_loss: Optional[float] = None
     ) -> List[Dict]:
         """Plot-ready fig4/fig5 point sets across every stored dataset."""
-        loss = (
-            self.default_accuracy_loss
-            if max_accuracy_loss is None
-            else max_accuracy_loss
-        )
         if experiment not in ("fig4", "fig5"):
             raise ValueError(f"unknown point set {experiment!r} (fig4 or fig5)")
-
-        async def compute() -> List[Dict]:
-            rows: List[Dict] = []
-            for dataset in await asyncio.to_thread(self.store.datasets):
-                record = await self._record(dataset)
-                if experiment == "fig4":
-                    rows.extend(
-                        queries.fig4_point_rows(
-                            queries.fig4_rows(record, max_accuracy_loss=loss)
+        loss = self._loss(max_accuracy_loss)
+        rows: List[Dict] = []
+        for dataset in self.store.datasets():
+            record = self._record(dataset)
+            if experiment == "fig4":
+                rows.extend(
+                    queries.fig4_point_rows(
+                        queries.fig4_rows(record, max_accuracy_loss=loss)
+                    )
+                )
+            else:
+                rows.extend(
+                    queries.fig5_point_rows(
+                        queries.fig5_rows(
+                            record,
+                            max_accuracy_loss=loss,
+                            approximate_voltage=self.approximate_voltage,
                         )
                     )
-                else:
-                    rows.extend(
-                        queries.fig5_point_rows(
-                            queries.fig5_rows(
-                                record,
-                                max_accuracy_loss=loss,
-                                approximate_voltage=self.approximate_voltage,
-                            )
-                        )
-                    )
-            return rows
-
-        return await self._run("points", ("points", experiment, loss), compute)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def metrics(self) -> Dict[str, object]:
-        """Counter snapshot: per-op latencies/hits plus store-read counts."""
-        return {
-            "store_loads": self.store_loads,
-            "rtl_loads": self.rtl_loads,
-            "datasets_cached": sorted(self._records),
-            "operations": {
-                op: metric.summary() for op, metric in sorted(self._metrics.items())
-            },
-        }
+                )
+        return rows

@@ -12,8 +12,12 @@ Pins the tentpole guarantees of the search-time / query-time split:
 * **deterministic selection** — ``select_design`` breaks area ties by
   accuracy and exact ties by stable design name, independent of input
   order;
-* **stampede protection** — 64 identical concurrent queries trigger
-  exactly one store read;
+* **one read per record** — any mix of queries over one dataset reads
+  its record from the store once;
+* **one query router** — every entry point goes through
+  ``cli._dispatch``; a bad query (non-finite budget, non-object, non-JSON)
+  answers ``ok: false`` without ending a batch or a served stream, and
+  every documented ``python -m repro.serving`` command parses;
 * **warm-store parity** — a session-published store answers
   select/front/feasibility/rtl for every dataset with zero search-stage
   executions, cell-for-cell equal to the session's own artifacts.
@@ -21,7 +25,6 @@ Pins the tentpole guarantees of the search-time / query-time split:
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import json
 import subprocess
@@ -565,70 +568,183 @@ class TestQueries:
 
 
 # ---------------------------------------------------------------------------
-# The async service
+# The service and its one query router
 # ---------------------------------------------------------------------------
 
 
+def _count_dataset_loads(store) -> dict:
+    """Count ``store.get_dataset`` calls (the service's only dataset read)."""
+    loads = {"n": 0}
+    real = store.get_dataset
+
+    def counting(dataset):
+        loads["n"] += 1
+        return real(dataset)
+
+    store.get_dataset = counting
+    return loads
+
+
 class TestParetoService:
-    def test_stampede_one_store_read(self, store):
-        """64 identical concurrent queries => exactly one store read."""
-        loads = {"n": 0}
-        real = store.get_dataset
-
-        def counting(dataset):
-            loads["n"] += 1
-            return real(dataset)
-
-        store.get_dataset = counting
-        service = ParetoService(store)
-
-        async def flood():
-            return await asyncio.gather(*(service.select("demo") for _ in range(64)))
-
-        results = asyncio.run(flood())
-        assert loads["n"] == 1
-        assert service.store_loads == 1
-        assert len(results) == 64 and all(r == results[0] for r in results)
-        metrics = service.metrics()["operations"]["select"]
-        assert metrics["requests"] == 64
-        assert metrics["coalesced"] == 63
-
     def test_mixed_ops_share_one_record_load(self, store):
-        loads = {"n": 0}
-        real = store.get_dataset
-
-        def counting(dataset):
-            loads["n"] += 1
-            return real(dataset)
-
-        store.get_dataset = counting
+        loads = _count_dataset_loads(store)
         service = ParetoService(store)
-
-        async def battery():
-            await asyncio.gather(
-                service.select("demo"),
-                service.front("demo"),
-                service.feasibility("demo"),
-                service.rtl("demo"),
-            )
-
-        asyncio.run(battery())
+        selections = [service.select("demo") for _ in range(64)]
+        assert all(row == selections[0] for row in selections)
+        service.front("demo")
+        service.feasibility("demo")
+        service.rtl("demo")
+        service.points("fig5")
+        service.select("demo", max_accuracy_loss=0.01)
         assert loads["n"] == 1
 
     def test_rtl_and_errors(self, store):
         service = ParetoService(store)
-        rtl = asyncio.run(service.rtl("demo"))
+        rtl = service.rtl("demo")
         assert rtl["verilog"].startswith("module ")
         with pytest.raises(StoreError):
-            asyncio.run(service.select("missing"))
-        assert service.metrics()["operations"]["select"]["errors"] == 1
+            service.select("missing")
+        with pytest.raises(StoreError, match="no design"):
+            service.rtl("demo", design="nope")
+        with pytest.raises(ValueError, match="unknown point set"):
+            service.points("fig9")
 
-    def test_latency_metrics_populated(self, store):
+    def test_datasets_reread_on_every_call(self, store):
         service = ParetoService(store)
-        asyncio.run(service.front("demo"))
-        summary = service.metrics()["operations"]["front"]
-        assert summary["requests"] == 1
-        assert summary["p50_seconds"] is not None and summary["p50_seconds"] >= 0.0
+        assert service.datasets() == ["demo"]
+        store.put_front(_front([_design(0, 0.9, 1.0)], dataset="late"))
+        assert service.datasets() == ["demo", "late"]
+        assert {row["dataset"] for row in service.points("fig5")} == {"demo", "late"}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_accuracy_loss", float("nan")),
+            ("max_accuracy_loss", float("inf")),
+            ("max_accuracy_loss", "0.05"),
+            ("voltage", float("-inf")),
+            ("voltage", True),
+            pytest.param("voltage", 10**400, id="voltage-int-overflows-float"),
+        ],
+    )
+    def test_dispatch_rejects_non_finite_numbers(self, store, field, value):
+        from repro.serving.cli import _dispatch
+
+        query = {"op": "feasibility", "dataset": "demo", field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            _dispatch(ParetoService(store), query)
+
+    def test_dispatch_matches_the_methods(self, store):
+        from repro.serving.cli import _dispatch
+
+        service = ParetoService(store)
+        assert _dispatch(service, {"op": "datasets"}) == service.datasets()
+        assert _dispatch(
+            service, {"op": "select", "dataset": "demo", "max_accuracy_loss": 0.01}
+        ) == service.select("demo", max_accuracy_loss=0.01)
+        assert _dispatch(
+            service, {"op": "feasibility", "dataset": "demo", "voltage": 0.8}
+        ) == service.feasibility("demo", voltage=0.8)
+        with pytest.raises(ValueError, match="unknown query op"):
+            _dispatch(service, {"op": "bogus"})
+        with pytest.raises(TypeError, match="JSON object"):
+            _dispatch(service, [1])
+
+    def test_batch_answers_every_line(self, store, capsys):
+        """A bad line answers ``ok: false`` and the batch goes on."""
+        from repro.serving import cli
+
+        path = store.root.parent / "queries.jsonl"
+        path.write_text(
+            '{"op":"select","dataset":"demo","max_accuracy_loss":NaN}\n'
+            "not json\n"
+            "\n"
+            '{"op":"front","dataset":"demo"}\n'
+        )
+        code = cli.main(["--store", str(store.root), "batch", "--queries", str(path)])
+        answers = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert code == 1
+        assert [a["ok"] for a in answers] == [False, False, True]
+        assert answers[0]["query"] is None and "NaN" in answers[0]["error"]
+        assert answers[2]["query"] == {"op": "front", "dataset": "demo"}
+        assert answers[2]["result"] == ParetoService(store).front("demo")
+
+    def test_answer_survives_any_nesting_depth(self, store):
+        """Lines nested around the recursion limit either parse or not,
+        and either echo back or not; each still gets one ``ok: false``."""
+        from repro.serving.cli import _answer
+
+        service = ParetoService(store)
+        for depth in range(0, sys.getrecursionlimit() + 10):
+            line = '{"op":"select","dataset":' + "[" * depth + "]" * depth + "}"
+            ok, answer = _answer(service, line, echo=True)
+            assert not ok
+            assert json.loads(answer)["ok"] is False
+
+    def test_cli_subcommand_rejects_nan_budget(self, store, capsys):
+        from repro.serving import cli
+
+        code = cli.main(
+            ["--store", str(store.root), "select", "demo", "--max-accuracy-loss", "nan"]
+        )
+        assert code == 1
+        assert "max_accuracy_loss must be a finite number" in capsys.readouterr().err
+
+    def test_serve_survives_bad_queries(self, store):
+        """A non-finite budget, an int budget too large for a float, a
+        non-object, a non-JSON line and a line nested past the recursion
+        limit each get an ``ok: false`` answer; the server keeps answering
+        and exits 0."""
+        lines = [
+            '{"op":"select","dataset":"demo","max_accuracy_loss":NaN}',
+            '{"op":"select","dataset":"demo","max_accuracy_loss":1' + "0" * 400 + "}",
+            "[1]",
+            "not json",
+            "[" * 100_000,
+            '{"op":"select","dataset":"demo"}',
+        ]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.runner", "--serve",
+             "--store-dir", str(store.root)],
+            input="\n".join(lines) + "\n",
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        answers = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [a["ok"] for a in answers] == [False] * 5 + [True]
+        assert all(set(a) == {"ok", "error"} for a in answers[:5])
+        assert "max_accuracy_loss must be a finite number" in answers[1]["error"]
+        assert answers[5] == {"ok": True, "result": ParetoService(store).select("demo")}
+
+
+class TestDocumentedCommands:
+    """Every ``$ ... python -m repro.serving ...`` shell command in the
+    docs' code blocks parses (backslash continuations joined)."""
+
+    @staticmethod
+    def _commands():
+        root = Path(__file__).resolve().parent.parent
+        for doc in (root / "README.md", root / "docs" / "serving.md"):
+            blocks = doc.read_text(encoding="utf-8").split("```")[1::2]
+            for block in blocks:
+                for line in block.replace("\\\n", " ").splitlines():
+                    _, found, rest = line.partition("python -m repro.serving ")
+                    if found and line.lstrip().startswith("$"):
+                        yield doc.name, rest
+
+    def test_documented_commands_parse(self):
+        import shlex
+
+        from repro.serving.cli import _parser
+
+        commands = list(self._commands())
+        assert len(commands) >= 6
+        for doc, command in commands:
+            try:
+                _parser().parse_args(shlex.split(command))
+            except SystemExit:
+                pytest.fail(f"{doc}: 'python -m repro.serving {command}' does not parse")
 
 
 # ---------------------------------------------------------------------------
@@ -682,16 +798,11 @@ class TestWarmStoreParity:
         monkeypatch.setattr(islands.IslandGATrainer, "train", forbidden)
 
         service = ParetoService(DesignStore(out / "store"))
-
-        async def battery():
-            select = await service.select("breast_cancer")
-            front = await service.front("breast_cancer")
-            feas = await service.feasibility("breast_cancer")
-            rtl = await service.rtl("breast_cancer")
-            fig4_points = await service.points("fig4")
-            return select, front, feas, rtl, fig4_points
-
-        select, front, feas, rtl, fig4_points = asyncio.run(battery())
+        select = service.select("breast_cancer")
+        front = service.front("breast_cancer")
+        feas = service.feasibility("breast_cancer")
+        rtl = service.rtl("breast_cancer")
+        fig4_points = service.points("fig4")
         assert [dict(row) for row in artifacts["fig5"].rows] == feas
         table_row = next(
             row for row in artifacts["fig4"].rows if row["method"] == "ours"
