@@ -22,9 +22,6 @@ unavailable and the paper trains with NSGA-II.
 * :mod:`repro.core.pareto` — Pareto-front utilities and hypervolume.
 * :mod:`repro.core.trainer` — the :class:`GATrainer` orchestrating the
   whole flow and producing the estimated area/accuracy Pareto front.
-* :mod:`repro.core.islands` — the island-model parallel engine: sharded
-  sub-populations in worker processes, ring migration, merged-front
-  reduction and cross-process cache pooling.
 """
 
 # Re-exports are lazy (PEP 562): the serving layer imports the light
@@ -34,17 +31,12 @@ unavailable and the paper trains with NSGA-II.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
-    "CachePool": "repro.core.cache",
     "EvaluationCache": "repro.core.cache",
     "LRUCache": "repro.core.cache",
     "SnapshotPolicy": "repro.core.cache",
     "ChromosomeLayout": "repro.core.chromosome",
     "FitnessEvaluator": "repro.core.fitness",
     "FitnessValues": "repro.core.fitness",
-    "IslandConfig": "repro.core.islands",
-    "IslandGAResult": "repro.core.islands",
-    "IslandGATrainer": "repro.core.islands",
-    "make_trainer": "repro.core.islands",
     "crowding_distance": "repro.core.nsga2",
     "fast_non_dominated_sort": "repro.core.nsga2",
     "GeneticOperators": "repro.core.operators",
@@ -61,7 +53,6 @@ _SUBMODULES = (
     "cache",
     "chromosome",
     "fitness",
-    "islands",
     "nsga2",
     "operators",
     "pareto",
@@ -72,17 +63,12 @@ _SUBMODULES = (
 __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS, _SUBMODULES)
 
 __all__ = [
-    "CachePool",
     "EvaluationCache",
     "LRUCache",
     "SnapshotPolicy",
     "ChromosomeLayout",
     "FitnessEvaluator",
     "FitnessValues",
-    "IslandConfig",
-    "IslandGAResult",
-    "IslandGATrainer",
-    "make_trainer",
     "crowding_distance",
     "fast_non_dominated_sort",
     "GeneticOperators",

@@ -16,8 +16,8 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
     genome → decoded :class:`~repro.approx.mlp.ApproximateMLP` (with its
     lazily built bit-plane caches), so the front stages never decode a
     front member twice.  The GA scores fitness without building models,
-    so every trainer (serial, pooled or island) decodes-and-caches the
-    final front's members once before returning
+    so the trainer decodes-and-caches the final front's members once
+    before returning
     (``GATrainer._populate_model_cache``);
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
@@ -52,15 +52,6 @@ entries a policy drops simply fall out of the snapshot (most recently
 used survive first), so a directory accumulated over many runs shrinks
 back to the configured bounds on the next save instead of growing with
 the union of everything ever evaluated.
-
-For **multi-process** runs (the island-model GA engine of
-:mod:`repro.core.islands`), :class:`CachePool` promotes the snapshot
-format into a shared content-addressed pool directory: every writer
-appends its *new* entries as its own segment file (written atomically in
-the ordinary snapshot format, so concurrent writers can never corrupt
-each other), and every reader merges all unseen segments on load.  The
-keys are process-stable (BLAKE2b split digests), so a fleet of workers
-pools fitness/accuracy/report values instead of each recomputing them.
 """
 
 from __future__ import annotations
@@ -82,7 +73,6 @@ __all__ = [
     "LRUCache",
     "EvaluationCache",
     "SnapshotPolicy",
-    "CachePool",
     "CACHE_FORMAT_VERSION",
     "stable_fingerprint",
 ]
@@ -476,143 +466,4 @@ class EvaluationCache:
                     path,
                     error,
                 )
-        return total
-
-
-class CachePool:
-    """A shared, multi-writer pool of evaluation-cache snapshot segments.
-
-    One directory is shared by any number of concurrent processes (the
-    islands of :class:`~repro.core.islands.IslandGATrainer`, or several
-    independent runs pointed at the same ``cache_dir``).  The protocol
-    is deliberately primitive so that no cross-process locking is ever
-    needed:
-
-    * **append-only per-writer segments** — :meth:`flush` writes only
-      the entries added since the last :meth:`refresh`/:meth:`flush`
-      into a *new* file named after this writer
-      (``<owner>-<counter>.seg.pkl``), using the ordinary snapshot
-      format and :meth:`EvaluationCache.save`'s atomic temp-file +
-      rename.  Writers never touch each other's files, so concurrent
-      flushes cannot corrupt or truncate anything;
-    * **merge-on-load** — :meth:`refresh` restores every segment it has
-      not seen yet into the local cache (duplicate keys simply refresh
-      recency).  A torn or foreign file restores nothing, inheriting
-      :meth:`EvaluationCache.load`'s corruption tolerance.
-
-    Keys are process-stable (BLAKE2b split digests), so segments written
-    by one machine's workers hit on another's.  :meth:`compact` folds
-    every segment into one file — call it only from a coordinator that
-    knows no other writer is active (other writers' *future* segments
-    are unaffected either way; compaction can only lose entries written
-    concurrently with it, and those writers will simply flush again).
-    """
-
-    SEGMENT_SUFFIX = ".seg.pkl"
-
-    def __init__(self, directory: Union[str, Path], owner: Optional[str] = None) -> None:
-        self.directory = Path(directory)
-        if owner is None:
-            # Unique per writer: pid alone is not enough (pids are
-            # recycled, and one process may own several pools).
-            owner = f"w{os.getpid():x}-{os.urandom(4).hex()}"
-        self.owner = str(owner)
-        self._counter = 0
-        self._seen: set = set()
-        self._baseline: Dict[str, set] = {
-            name: set() for name in EvaluationCache._PERSISTED_SECTIONS
-        }
-
-    # ------------------------------------------------------------------
-    def segment_paths(self) -> List[Path]:
-        """Every segment file currently in the pool (sorted by name)."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(self.directory.glob(f"*{self.SEGMENT_SUFFIX}"))
-
-    def refresh(self, cache: EvaluationCache) -> int:
-        """Merge every unseen segment into ``cache``; returns entries loaded.
-
-        After a refresh, everything currently in ``cache`` counts as
-        already pooled: a subsequent :meth:`flush` writes only entries
-        added *after* this call, keeping segments append-only deltas.
-        """
-        loaded = 0
-        for path in self.segment_paths():
-            if path.name in self._seen:
-                continue
-            loaded += cache.load(path)
-            self._seen.add(path.name)
-        for name in EvaluationCache._PERSISTED_SECTIONS:
-            self._baseline[name].update(getattr(cache, name)._data.keys())
-        return loaded
-
-    def flush(self, cache: EvaluationCache) -> int:
-        """Write entries added since the last refresh/flush as one new segment.
-
-        Returns the number of entries written (0 writes no file).  On a
-        fresh pool handle (no prior :meth:`refresh`), this seeds the
-        pool with *everything* the cache currently holds — which is how
-        a coordinator publishes its snapshot-loaded entries to workers.
-        """
-        delta = EvaluationCache()
-        total = 0
-        new_keys: Dict[str, List[Hashable]] = {}
-        for name in EvaluationCache._PERSISTED_SECTIONS:
-            section = getattr(cache, name)
-            baseline = self._baseline[name]
-            fresh = [key for key in section._data if key not in baseline]
-            new_keys[name] = fresh
-            target = getattr(delta, name)
-            for key in fresh:
-                target.put(key, section._data[key])
-                stamp = section._stamps.get(key)
-                if stamp is not None:
-                    target._stamps[key] = stamp
-            total += len(fresh)
-        if total == 0:
-            return 0
-        path = self.directory / f"{self.owner}-{self._counter:06d}{self.SEGMENT_SUFFIX}"
-        self._counter += 1
-        delta.save(path)
-        self._seen.add(path.name)
-        for name, fresh in new_keys.items():
-            self._baseline[name].update(fresh)
-        return total
-
-    def compact(self, cache: EvaluationCache) -> int:
-        """Fold every segment (merged through ``cache``) into one file.
-
-        Refreshes ``cache`` first, writes its full contents as a single
-        new segment, then removes the superseded files (best-effort —
-        a file another process deletes concurrently is simply skipped).
-        Returns the number of entries in the compacted segment.
-        """
-        self.refresh(cache)
-        superseded = [path.name for path in self.segment_paths()]
-        merged = EvaluationCache()
-        total = 0
-        for name in EvaluationCache._PERSISTED_SECTIONS:
-            section = getattr(cache, name)
-            target = getattr(merged, name)
-            for key, value in section._data.items():
-                target.put(key, value)
-                stamp = section._stamps.get(key)
-                if stamp is not None:
-                    target._stamps[key] = stamp
-                total += 1
-        path = (
-            self.directory
-            / f"{self.owner}-compact-{self._counter:06d}{self.SEGMENT_SUFFIX}"
-        )
-        self._counter += 1
-        merged.save(path)
-        self._seen.add(path.name)
-        for name in superseded:
-            if name == path.name:
-                continue
-            try:
-                os.unlink(self.directory / name)
-            except OSError:
-                pass
         return total

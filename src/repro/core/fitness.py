@@ -21,11 +21,10 @@ the same tensors — no per-candidate model object is built.
 :meth:`evaluate_population` deduplicates the batch and serves repeated
 genomes (elites, clones produced by crossover) from a
 ``chromosome.tobytes()``-keyed memo cache, so no chromosome is ever
-scored twice.  For large populations an opt-in process pool
-(``n_workers``) fans the unique rows out across cores.  The
-per-chromosome decode + :meth:`~repro.approx.mlp.ApproximateMLP.accuracy`
-+ :func:`~repro.hardware.fast_area.fast_mlp_fa_count` path is kept as
-the ``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
+scored twice.  The per-chromosome decode +
+:meth:`~repro.approx.mlp.ApproximateMLP.accuracy` +
+:func:`~repro.hardware.fast_area.fast_mlp_fa_count` path is kept as the
+``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
 """
 
 from __future__ import annotations
@@ -63,20 +62,6 @@ class FitnessValues:
         return self.constraint_violation <= 0.0
 
 
-#: Per-process evaluator used by the worker pool (set by the initializer).
-_WORKER_EVALUATOR: Optional["FitnessEvaluator"] = None
-
-
-def _init_worker(payload: dict) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = FitnessEvaluator(**payload)
-
-
-def _evaluate_chunk(population: np.ndarray) -> List[FitnessValues]:
-    assert _WORKER_EVALUATOR is not None, "worker pool not initialized"
-    return _WORKER_EVALUATOR.compute_population(population)
-
-
 class FitnessEvaluator:
     """Evaluates chromosomes on accuracy and hardware area.
 
@@ -94,10 +79,6 @@ class FitnessEvaluator:
         marked infeasible (constrained NSGA-II).
     max_accuracy_loss:
         Admissible accuracy loss during training (paper: 10 %).
-    n_workers:
-        When > 1, unique chromosomes of a population batch are evaluated
-        on a process pool of this many workers.  0/1 keeps everything in
-        process (the right choice for the small CI-scale populations).
     max_cache_size:
         Bound on the memo cache.  Eviction is true LRU: a cache hit
         refreshes an entry's recency, so hot genomes (elites reappearing
@@ -134,7 +115,6 @@ class FitnessEvaluator:
         train_labels: np.ndarray,
         baseline_accuracy: Optional[float] = None,
         max_accuracy_loss: float = 0.10,
-        n_workers: int = 0,
         max_cache_size: int = 250_000,
         cache: Optional[EvaluationCache] = None,
     ) -> None:
@@ -152,13 +132,10 @@ class FitnessEvaluator:
             )
         if max_accuracy_loss < 0:
             raise ValueError(f"max_accuracy_loss must be non-negative, got {max_accuracy_loss}")
-        if n_workers < 0:
-            raise ValueError(f"n_workers must be non-negative, got {n_workers}")
         if max_cache_size <= 0:
             raise ValueError(f"max_cache_size must be positive, got {max_cache_size}")
         self.baseline_accuracy = baseline_accuracy
         self.max_accuracy_loss = max_accuracy_loss
-        self.n_workers = n_workers
         self.max_cache_size = max_cache_size
         self.evaluations = 0
         self.cache_hits = 0
@@ -177,7 +154,6 @@ class FitnessEvaluator:
             max_accuracy_loss,
             EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels),
         )
-        self._pool = None
 
     def _fitness_key(self, genome: bytes):
         return (self._context_key, genome)
@@ -245,8 +221,7 @@ class FitnessEvaluator:
         The batch is deduplicated first — in-batch duplicates (elites,
         crossover clones) are folded onto one lookup and never counted
         twice — then resolved against the memo cache; only the unique,
-        never-seen rows are scored, as one matrix (optionally on the
-        worker pool).
+        never-seen rows are scored, as one matrix.
         """
         if len(population) == 0:
             return []
@@ -270,57 +245,9 @@ class FitnessEvaluator:
 
         if pending:
             unique = population[list(pending.values())]
-            computed = self._compute_batch(unique)
+            computed = self.compute_population(unique)
             self.fitness_computations += len(unique)
             for key, values in zip(pending, computed):
                 resolved[key] = values
                 self.cache.fitness.put(self._fitness_key(key), values)
         return [resolved[key] for key in keys]
-
-    # ------------------------------------------------------------------
-    def _compute_batch(self, population: np.ndarray) -> List[FitnessValues]:
-        if self.n_workers > 1 and len(population) >= 2 * self.n_workers:
-            return self._compute_on_pool(population)
-        return self.compute_population(population)
-
-    def _compute_on_pool(self, population: np.ndarray) -> List[FitnessValues]:
-        pool = self._ensure_pool()
-        chunk = max(1, -(-len(population) // self.n_workers))
-        chunks = [
-            population[start : start + chunk]
-            for start in range(0, len(population), chunk)
-        ]
-        results: List[FitnessValues] = []
-        for part in pool.map(_evaluate_chunk, chunks):
-            results.extend(part)
-        return results
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            payload = {
-                "layout": self.layout,
-                "train_inputs": self.train_inputs,
-                "train_labels": self.train_labels,
-                "baseline_accuracy": self.baseline_accuracy,
-                "max_accuracy_loss": self.max_accuracy_loss,
-            }
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_workers,
-                initializer=_init_worker,
-                initargs=(payload,),
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (no-op when running in process)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "FitnessEvaluator":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

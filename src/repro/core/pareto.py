@@ -181,27 +181,6 @@ class ParetoArchive:
     def __len__(self) -> int:
         return len(self._points)
 
-    @classmethod
-    def restore(
-        cls,
-        points: Iterable[ParetoPoint],
-        max_size: int = 256,
-        reference: bool = False,
-    ) -> "ParetoArchive":
-        """Rebuild an archive from a previously exported ``points`` list.
-
-        The points are assumed to be a mutually non-dominated set (what
-        :attr:`points` returns); they are re-sorted and thinned to
-        ``max_size`` but *not* re-checked for dominance.  The island
-        workers use this to resume their archive across epochs without
-        paying a re-insertion sweep per generation chunk.
-        """
-        archive = cls(max_size=max_size, reference=reference)
-        archive._points = sorted(points, key=lambda p: (p.area, p.error))
-        if len(archive._points) > max_size:
-            archive._thin()
-        return archive
-
     @property
     def points(self) -> List[ParetoPoint]:
         """Current archive contents (non-dominated, sorted by area)."""

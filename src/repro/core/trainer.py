@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -58,47 +58,17 @@ class GAConfig:
     learn_shifts: bool = True
     archive_size: int = 256
     seed: int = 0
-    n_workers: int = 0
     #: Run the genetic operators through the scalar per-individual
     #: reference walk instead of the matrix-native engine.  Bit-identical
     #: to the default (both consume the same random draws); retained for
     #: the equivalence tests and for bisecting discrepancies.
     slow_operators: bool = False
-    #: Island-model parameters, consumed by
-    #: :class:`~repro.core.islands.IslandGATrainer`: the population is
-    #: partitioned into ``n_islands`` sub-populations evolving in their
-    #: own worker processes, exchanging ``migration_size`` elites around
-    #: a ring every ``migration_interval`` generations.  ``n_islands=1``
-    #: is the plain single-process :class:`GATrainer` (bit-identical).
-    n_islands: int = 1
-    migration_interval: int = 10
-    migration_size: int = 2
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be non-negative")
-        if self.n_islands < 1:
-            raise ValueError("n_islands must be at least 1")
-        if self.migration_interval < 1:
-            raise ValueError("migration_interval must be at least 1")
-        if self.migration_size < 0:
-            raise ValueError("migration_size must be non-negative")
-        if self.n_islands > 1:
-            smallest = self.population_size // self.n_islands
-            if smallest < 4:
-                raise ValueError(
-                    f"population_size {self.population_size} is too small for "
-                    f"{self.n_islands} islands (each needs at least 4 members)"
-                )
-            if self.migration_size * 2 > smallest:
-                raise ValueError(
-                    f"migration_size {self.migration_size} must not exceed half "
-                    f"of the smallest island ({smallest} members)"
-                )
 
 
 @dataclass(frozen=True)
@@ -113,9 +83,7 @@ class GenerationStats:
     satisfy ``evaluations == cache_hits + fitness_computations``.
 
     ``duration_s`` is the wall-clock time of this generation alone
-    (variation + evaluation + environmental selection + stats), which is
-    what makes island-model vs single-process scaling measurable per
-    generation instead of only end to end.
+    (variation + evaluation + environmental selection + stats).
     """
 
     generation: int
@@ -151,11 +119,6 @@ class GAResult:
     def estimated_front(self) -> List[ParetoPoint]:
         """The estimated area/accuracy Pareto front (sorted by area)."""
         return pareto_front(self.pareto_points)
-
-    @property
-    def generation_seconds(self) -> List[float]:
-        """Per-generation wall-clock durations (``GenerationStats.duration_s``)."""
-        return [stats.duration_s for stats in self.history]
 
     def decode(self, point: ParetoPoint) -> ApproximateMLP:
         """Decode a Pareto point's chromosome into an approximate MLP."""
@@ -251,7 +214,6 @@ class GATrainer:
             train_labels=train_labels,
             baseline_accuracy=baseline_accuracy,
             max_accuracy_loss=config.max_accuracy_loss,
-            n_workers=config.n_workers,
             cache=cache,
         )
         initializer = PopulationInitializer(
@@ -263,33 +225,6 @@ class GATrainer:
         archive = ParetoArchive(max_size=config.archive_size)
         history: List[GenerationStats] = []
 
-        try:
-            result = self._run(
-                config, rng, evaluator, initializer, archive, history,
-                seed_model, area_objective, baseline_accuracy, start,
-            )
-        finally:
-            evaluator.close()
-        if cache is not None:
-            # Fitness is scored from the genome matrix without building
-            # models, so the front members are the only genomes decoded:
-            # once here, for the downstream stages.
-            self._populate_model_cache(cache, result.pareto_points)
-        return result
-
-    def _run(
-        self,
-        config: GAConfig,
-        rng: np.random.Generator,
-        evaluator: FitnessEvaluator,
-        initializer: PopulationInitializer,
-        archive: ParetoArchive,
-        history: List[GenerationStats],
-        seed_model: Optional[FloatMLP],
-        area_objective: bool,
-        baseline_accuracy: Optional[float],
-        start: float,
-    ) -> GAResult:
         # The population lives as one (n, genes) int64 matrix end to end:
         # variation, fitness evaluation and environmental selection all
         # operate on the matrix without per-individual list round-trips.
@@ -318,7 +253,6 @@ class GATrainer:
                 archive=archive,
                 population=population,
                 fitnesses=fitnesses,
-                target_size=config.population_size,
                 area_objective=area_objective,
                 slow_operators=config.slow_operators,
             )
@@ -360,15 +294,20 @@ class GATrainer:
                     )
                 )
 
-        elapsed = time.perf_counter() - start
-        return GAResult(
+        result = GAResult(
             layout=self.layout,
             pareto_points=archive.points,
             history=history,
             evaluations=evaluator.evaluations,
-            wall_clock_seconds=elapsed,
+            wall_clock_seconds=time.perf_counter() - start,
             baseline_accuracy=baseline_accuracy,
         )
+        if cache is not None:
+            # Fitness is scored from the genome matrix without building
+            # models, so the front members are the only genomes decoded:
+            # once here, for the downstream stages.
+            self._populate_model_cache(cache, result.pareto_points)
+        return result
 
     # ------------------------------------------------------------------
     # Internals
@@ -382,18 +321,15 @@ class GATrainer:
         archive: ParetoArchive,
         population: np.ndarray,
         fitnesses: List[FitnessValues],
-        target_size: int,
         area_objective: bool,
         slow_operators: bool = False,
     ) -> tuple[np.ndarray, List[FitnessValues]]:
         """One NSGA-II generation: variation → evaluation → selection.
 
-        Shared by the single-process loop and the island workers of
-        :class:`~repro.core.islands.IslandGATrainer` (each island runs
-        this step on its own sub-population), so the two engines cannot
-        drift apart.  ``target_size`` is the (sub-)population size —
-        islands evolve fewer members than ``config.population_size``.
+        The population size is preserved: ``len(population)`` offspring
+        are bred and the same number survive selection.
         """
+        target_size = len(population)
         objectives, violations = self._objective_matrix(fitnesses, area_objective)
         ranks, crowding = nsga2_sort_key(objectives, violations)
         offspring = operators.make_offspring(
@@ -410,15 +346,14 @@ class GATrainer:
 
     def _populate_model_cache(
         self, cache: EvaluationCache, points: Sequence[ParetoPoint]
-    ) -> int:
+    ) -> None:
         """Decode points' chromosomes into ``cache.models`` (if missing).
 
-        Returns how many models were decoded.  Membership is probed with
-        ``in`` (not ``get``) so the section's hit/miss counters — which
-        the zero-redundant-work tests assert on — are not disturbed.
+        Membership is probed with ``in`` (not ``get``) so the section's
+        hit/miss counters — which the zero-redundant-work tests assert
+        on — are not disturbed.
         """
         layout_key = EvaluationCache.layout_key(self.layout)
-        decoded = 0
         for point in points:
             if point.payload is None:
                 continue
@@ -427,8 +362,6 @@ class GATrainer:
             if key in cache.models:
                 continue
             cache.models.put(key, self.layout.decode(chromosome))
-            decoded += 1
-        return decoded
 
     @staticmethod
     def _objective_matrix(

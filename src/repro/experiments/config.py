@@ -1,14 +1,15 @@
-"""Experiment scales: smoke (seconds), ci (a minute or two), full (hours).
+"""Experiment scales: smoke (seconds), ci (a minute or two), full (~3 min).
 
 The paper's training runs evaluate tens of millions of chromosomes on a
 64-core server; the reproduction exposes the same flow at three budgets
-so that tests and benchmarks stay fast while a user with time to spare
-can launch the full-scale configuration.
+so that tests and benchmarks stay fast.  ``runner --experiment all
+--scale full`` regenerates every artifact in about three minutes on two
+cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 __all__ = ["ExperimentScale", "SCALES", "get_scale"]
@@ -30,17 +31,9 @@ class ExperimentScale:
         Budget of the float (baseline) training.
     ga_population / ga_generations:
         Budget of the genetic training.
-    ga_workers:
-        Process-pool size for the fitness evaluation (0 = in-process).
-    ga_islands:
-        Number of islands for the island-model GA engine
-        (:class:`~repro.core.islands.IslandGATrainer`); 1 keeps the
-        single-process :class:`~repro.core.trainer.GATrainer` path.
-        With ``cache_dir`` set, islands additionally pool fitness values
-        through a shared segment directory (``<dataset>.pool``).
-    ga_migration_interval / ga_migration_size:
-        Ring-migration cadence and elite count exchanged between islands
-        (ignored when ``ga_islands`` is 1).
+    ga_workers / ga_islands:
+        Fixed at 0 / 1 (one in-process GA population); the names remain
+        only because ``perfbench/workloads.py`` passes them.
     max_front_designs:
         How many estimated-front members to synthesize in the hardware
         analysis step.
@@ -95,8 +88,6 @@ class ExperimentScale:
     ga_generations: int = 40
     ga_workers: int = 0
     ga_islands: int = 1
-    ga_migration_interval: int = 10
-    ga_migration_size: int = 2
     max_front_designs: Optional[int] = 40
     seed: int = 0
     cache_dir: Optional[str] = None
@@ -107,6 +98,13 @@ class ExperimentScale:
     verify_vectors: int = 32
     verify_eda: bool = False
     verify_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.ga_workers != 0 or self.ga_islands != 1:
+            raise ValueError(
+                "the GA has one in-process engine: ga_workers must be 0 and "
+                f"ga_islands 1, got {self.ga_workers} and {self.ga_islands}"
+            )
 
 
 SCALES: Dict[str, ExperimentScale] = {

@@ -31,14 +31,6 @@ between scales and experiments.
 ``--dataset-workers N`` warms the per-dataset heavy stages in ``N``
 threads before the experiments read them (datasets are independent).
 
-``--islands N`` runs the genetic stage on the island-model engine
-(:mod:`repro.core.islands`): the population is partitioned into ``N``
-sub-populations evolving in their own worker processes with periodic
-ring migration (``--migration-interval`` / ``--migration-size``).
-Combined with ``--cache-dir``, the islands additionally pool computed
-fitness values through a shared segment directory, so a second
-invocation recomputes nothing (see ``docs/distributed.md``).
-
 ``--store-dir DIR`` publishes a serving design store (fronts, baseline
 and comparator summaries, per-design RTL) after the experiments run —
 ``--export-dir`` does so implicitly under ``<export-dir>/store``.  The
@@ -108,33 +100,6 @@ def main(argv: List[str] | None = None) -> int:
         default="ci",
         choices=sorted(SCALES),
         help="evaluation budget (smoke/ci/full)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="GA fitness-evaluation process-pool size (overrides the scale; 0 = in-process)",
-    )
-    parser.add_argument(
-        "--islands",
-        type=int,
-        default=None,
-        help=(
-            "number of islands for the island-model GA engine (overrides the "
-            "scale; 1 = single-process GATrainer)"
-        ),
-    )
-    parser.add_argument(
-        "--migration-interval",
-        type=int,
-        default=None,
-        help="generations between elite migrations (island model only)",
-    )
-    parser.add_argument(
-        "--migration-size",
-        type=int,
-        default=None,
-        help="elites each island exchanges per migration (island model only)",
     )
     parser.add_argument(
         "--dataset-workers",
@@ -223,22 +188,6 @@ def main(argv: List[str] | None = None) -> int:
         return _query_mode(args.store_dir, args.query, serve=args.serve)
 
     scale = SCALES[args.scale]
-    if args.workers is not None:
-        if args.workers < 0:
-            parser.error("--workers must be non-negative")
-        scale = dataclasses.replace(scale, ga_workers=args.workers)
-    if args.islands is not None:
-        if args.islands < 1:
-            parser.error("--islands must be at least 1")
-        scale = dataclasses.replace(scale, ga_islands=args.islands)
-    if args.migration_interval is not None:
-        if args.migration_interval < 1:
-            parser.error("--migration-interval must be at least 1")
-        scale = dataclasses.replace(scale, ga_migration_interval=args.migration_interval)
-    if args.migration_size is not None:
-        if args.migration_size < 0:
-            parser.error("--migration-size must be non-negative")
-        scale = dataclasses.replace(scale, ga_migration_size=args.migration_size)
     if args.dataset_workers is not None:
         if args.dataset_workers < 0:
             parser.error("--dataset-workers must be non-negative")

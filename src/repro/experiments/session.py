@@ -59,8 +59,7 @@ from repro.baselines.approx_tc23 import explore_tc23
 from repro.baselines.exact_bespoke import train_exact_baseline
 from repro.baselines.gradient import GradientTrainer
 from repro.core.cache import EvaluationCache, SnapshotPolicy
-from repro.core.islands import IslandGATrainer, make_trainer
-from repro.core.trainer import GAConfig, GAResult
+from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.datasets.registry import get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
 from repro.evaluation.pareto_analysis import evaluate_front, select_design
@@ -177,16 +176,12 @@ class ExperimentSession:
             return dict(self._stage_runs)
 
     def _ga_config(self) -> GAConfig:
-        """GA budget and engine settings of the scale (both GA stages)."""
+        """GA budget of the scale (both GA stages)."""
         scale = self.scale
         return GAConfig(
             population_size=scale.ga_population,
             generations=scale.ga_generations,
             seed=scale.seed,
-            n_workers=scale.ga_workers,
-            n_islands=scale.ga_islands,
-            migration_interval=scale.ga_migration_interval,
-            migration_size=scale.ga_migration_size,
         )
 
     # ------------------------------------------------------------------
@@ -248,7 +243,7 @@ class ExperimentSession:
             spec = result.spec
             x_train, y_train = result.dataset.quantized_train()
             x_test, y_test = result.dataset.quantized_test()
-            trainer = make_trainer(spec.mlp_topology, ga_config=self._ga_config())
+            trainer = GATrainer(spec.mlp_topology, ga_config=self._ga_config())
             # One evaluation cache spans the GA, front-synthesis and
             # reporting stages: the front members the GA decoded are
             # never decoded again downstream, and every hardware report
@@ -260,19 +255,14 @@ class ExperimentSession:
             cache = EvaluationCache()
             snapshot = self._snapshot_path(spec.name)
             loaded = cache.load(snapshot) if snapshot is not None else 0
-            train_kwargs = dict(
+            start = time.perf_counter()
+            ga_result = trainer.train(
+                x_train,
+                y_train,
                 baseline_accuracy=result.baseline.train_accuracy,
                 seed_model=result.baseline.float_model,
                 cache=cache,
             )
-            if isinstance(trainer, IslandGATrainer) and self.cache_dir is not None:
-                # Island workers pool fitness values through a shared
-                # segment directory next to the snapshot; the coordinator
-                # seeds it from the loaded snapshot and merges it back
-                # into `cache` before the snapshot is saved below.
-                train_kwargs["pool_dir"] = self.cache_dir / f"{spec.name}.pool"
-            start = time.perf_counter()
-            ga_result = trainer.train(x_train, y_train, **train_kwargs)
             elapsed = time.perf_counter() - start
 
             designs = evaluate_front(
@@ -406,7 +396,7 @@ class ExperimentSession:
             approx = result.approximate
             assert approx is not None
             x_train, y_train = result.dataset.quantized_train()
-            trainer = make_trainer(result.spec.mlp_topology, ga_config=self._ga_config())
+            trainer = GATrainer(result.spec.mlp_topology, ga_config=self._ga_config())
             ga_result = trainer.train(
                 x_train, y_train, area_objective=False, cache=approx.cache
             )

@@ -1,10 +1,9 @@
 """RP03 — nondeterminism: randomness and wall clock must be explicit.
 
-The island-model determinism guarantees (fixed seed + island count ⇒
-bit-identical merged front) and the cache's process-stable keys only
-hold if every random draw flows through a seeded
-:class:`numpy.random.Generator` passed explicitly, and no library code
-reads the wall clock into computed values.  The rule flags, in library
+The GA's determinism guarantee (fixed seed ⇒ bit-identical front) and
+the cache's process-stable keys only hold if every random draw flows
+through a seeded :class:`numpy.random.Generator` passed explicitly, and
+no library code reads the wall clock into computed values.  The rule flags, in library
 code:
 
 * legacy/module-level numpy RNG calls (``np.random.rand``,

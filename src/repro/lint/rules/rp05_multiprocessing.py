@@ -4,9 +4,10 @@ Everything submitted to a :class:`~concurrent.futures.ProcessPoolExecutor`
 is pickled into the worker process.  Lambdas, functions defined inside
 other functions, and bound ``self.<method>`` callables either fail to
 pickle outright or drag the whole enclosing object across the
-boundary; both failure modes surface far from the submit site (often
-only under ``n_workers > 1`` in CI).  The rule flags, in any module
-that constructs a process pool:
+boundary; both failure modes surface far from the submit site, and
+only on the code path that actually starts the pool.  The package has
+no process pool today; the rule guards any future one.  It flags, in
+any module that constructs a process pool:
 
 * ``submit``/``map`` callables that are lambdas, locally-defined
   (nested) functions, names bound to lambdas, ``self.<attr>`` bound

@@ -50,7 +50,6 @@ FORBIDDEN_MODULES = (
     "repro.eda",
     "repro.experiments",
     "repro.core.trainer",
-    "repro.core.islands",
     "repro.core.operators",
     "repro.core.fitness",
     "repro.core.population",
@@ -167,6 +166,8 @@ def _dispatch(service: ParetoService, query: Dict) -> object:
     op = query.get("op")
     dataset = query.get("dataset")
     loss = _finite(query, "max_accuracy_loss")
+    if loss is not None and loss < 0:
+        raise ValueError(f"max_accuracy_loss must be non-negative, got {loss!r}")
     voltage = _finite(query, "voltage")
     if op == "datasets":
         return service.datasets()

@@ -14,7 +14,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.cache import CACHE_FORMAT_VERSION, CachePool, EvaluationCache, SnapshotPolicy
+from repro.core.cache import CACHE_FORMAT_VERSION, EvaluationCache, SnapshotPolicy
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import ExperimentSession
 
@@ -302,103 +302,6 @@ class TestStableKeys:
         )
         assert pickle.loads(pickle.dumps(key)) == key
         assert hash(pickle.loads(pickle.dumps(key))) == hash(key)
-
-
-def _pool_writer(directory, owner, start, count):
-    """Child-process body: flush ``count`` fitness entries into the pool."""
-    from repro.core.cache import CachePool, EvaluationCache
-
-    cache = EvaluationCache()
-    pool = CachePool(directory, owner=owner)
-    pool.refresh(cache)
-    for index in range(start, start + count):
-        cache.fitness.put(("ctx", index), float(index))
-    pool.flush(cache)
-
-
-class TestCachePool:
-    def test_flush_writes_only_new_entries(self, tmp_path):
-        cache = EvaluationCache()
-        cache.fitness.put(("ctx", 1), 1.0)
-        pool = CachePool(tmp_path, owner="writer")
-        # A fresh handle seeds the pool with everything the cache holds.
-        assert pool.flush(cache) == 1
-        # Nothing new since → no segment written.
-        assert pool.flush(cache) == 0
-        cache.fitness.put(("ctx", 2), 2.0)
-        assert pool.flush(cache) == 1
-        assert len(pool.segment_paths()) == 2
-
-    def test_refresh_merges_unseen_segments_once(self, tmp_path):
-        writer_cache = EvaluationCache()
-        writer_cache.fitness.put(("ctx", 1), 1.0)
-        writer_cache.accuracy.put(("ctx", "split"), 0.5)
-        CachePool(tmp_path, owner="writer").flush(writer_cache)
-
-        reader_cache = EvaluationCache()
-        reader = CachePool(tmp_path, owner="reader")
-        assert reader.refresh(reader_cache) == 2
-        assert reader_cache.fitness.get(("ctx", 1)) == 1.0
-        assert reader_cache.accuracy.get(("ctx", "split")) == 0.5
-        # Segments already merged are not loaded again.
-        assert reader.refresh(reader_cache) == 0
-
-    def test_refresh_baseline_prevents_echoing_merged_entries(self, tmp_path):
-        """Entries merged from the pool must not be re-flushed as own work."""
-        writer_cache = EvaluationCache()
-        writer_cache.fitness.put(("ctx", 1), 1.0)
-        CachePool(tmp_path, owner="writer").flush(writer_cache)
-
-        reader_cache = EvaluationCache()
-        reader = CachePool(tmp_path, owner="reader")
-        reader.refresh(reader_cache)
-        assert reader.flush(reader_cache) == 0
-        reader_cache.fitness.put(("ctx", 2), 2.0)
-        assert reader.flush(reader_cache) == 1
-
-    def test_concurrent_writers_never_corrupt_or_drop_entries(self, tmp_path):
-        """Two processes flushing into the same directory concurrently:
-        a merge-on-load afterwards must see every entry of both."""
-        import multiprocessing
-
-        ctx = multiprocessing.get_context()
-        workers = [
-            ctx.Process(target=_pool_writer, args=(tmp_path, f"w{i}", i * 100, 25))
-            for i in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=60)
-            assert worker.exitcode == 0
-
-        merged = EvaluationCache()
-        loaded = CachePool(tmp_path, owner="reader").refresh(merged)
-        assert loaded == 50
-        for index in list(range(0, 25)) + list(range(100, 125)):
-            assert merged.fitness.get(("ctx", index)) == float(index)
-
-    def test_torn_segment_is_tolerated(self, tmp_path):
-        cache = EvaluationCache()
-        cache.fitness.put(("ctx", 1), 1.0)
-        pool = CachePool(tmp_path, owner="writer")
-        pool.flush(cache)
-        (tmp_path / f"torn{CachePool.SEGMENT_SUFFIX}").write_bytes(b"\x80garbage")
-        restored = EvaluationCache()
-        assert CachePool(tmp_path, owner="reader").refresh(restored) == 1
-        assert restored.fitness.get(("ctx", 1)) == 1.0
-
-    def test_compact_folds_segments_into_one(self, tmp_path):
-        cache = EvaluationCache()
-        pool = CachePool(tmp_path, owner="writer")
-        for index in range(3):
-            cache.fitness.put(("ctx", index), float(index))
-            pool.flush(cache)
-        assert len(pool.segment_paths()) == 3
-        assert pool.compact(cache) == 3
-        assert len(pool.segment_paths()) == 1
-        restored = EvaluationCache()
-        assert CachePool(tmp_path, owner="reader").refresh(restored) == 3
 
 
 TINY = ExperimentScale(

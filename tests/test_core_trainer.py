@@ -1,10 +1,20 @@
 """Tests for the NSGA-II trainer (integration of the core package)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.core.cache import EvaluationCache
 from repro.core.trainer import GAConfig, GATrainer
 from repro.hardware.fast_area import fast_mlp_fa_count
+
+
+def _archive_key(result):
+    return [
+        (p.error, p.area, p.accuracy, tuple(np.asarray(p.payload).tolist()))
+        for p in result.pareto_points
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +52,33 @@ class TestGAConfig:
             GAConfig(population_size=2)
         with pytest.raises(ValueError):
             GAConfig(generations=0)
+
+    @pytest.mark.parametrize(
+        "field", ["n_workers", "n_islands", "migration_interval", "migration_size"]
+    )
+    def test_engine_options_are_gone(self, field):
+        """The GA has one in-process engine: no pool or island settings."""
+        with pytest.raises(TypeError, match=field):
+            GAConfig(**{field: 2})
+
+
+class TestOneEngine:
+    @pytest.mark.parametrize(
+        "name",
+        ["CachePool", "IslandConfig", "IslandGAResult", "IslandGATrainer", "make_trainer"],
+    )
+    def test_island_exports_are_gone(self, name):
+        import repro.core
+
+        assert name not in repro.core.__all__
+        with pytest.raises(AttributeError):
+            getattr(repro.core, name)
+
+    def test_island_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.islands")
 
 
 class TestGATrainer:
@@ -128,17 +165,37 @@ class TestGATrainer:
             for s in slow.history
         ]
 
-    def test_deterministic_across_worker_counts(self, tiny_dataset_module):
-        """The process-pool fitness path must not change the evolution:
-        the same seed gives identical fronts with 0 and >1 workers."""
+    def test_same_seed_gives_identical_archive_and_history(self, tiny_dataset_module):
         x_train, y_train, _, _ = tiny_dataset_module
-        serial_config = GAConfig(population_size=12, generations=3, seed=5, n_workers=0)
-        pooled_config = GAConfig(population_size=12, generations=3, seed=5, n_workers=2)
-        serial = GATrainer((4, 3, 2), ga_config=serial_config).train(x_train, y_train)
-        pooled = GATrainer((4, 3, 2), ga_config=pooled_config).train(x_train, y_train)
-        assert [(p.error, p.area) for p in serial.estimated_front] == [
-            (p.error, p.area) for p in pooled.estimated_front
+        config = GAConfig(population_size=16, generations=4, seed=3)
+        first, second = (
+            GATrainer((4, 3, 2), ga_config=config).train(x_train, y_train) for _ in range(2)
+        )
+        assert _archive_key(first) == _archive_key(second)
+        assert len(first.history) == config.generations
+        assert all(stats.duration_s > 0 for stats in first.history)
+        # Everything but the wall-clock duration repeats exactly.
+        assert [dataclasses.replace(s, duration_s=0.0) for s in first.history] == [
+            dataclasses.replace(s, duration_s=0.0) for s in second.history
         ]
+
+    def test_warm_cache_recomputes_nothing(self, tiny_dataset_module):
+        """A second run over the first run's cache scores no genome and,
+        with the same seed, evolves exactly the same archive."""
+        x_train, y_train, _, _ = tiny_dataset_module
+        config = GAConfig(population_size=16, generations=4, seed=3)
+        cache = EvaluationCache()
+        cold, warm = (
+            GATrainer((4, 3, 2), ga_config=config).train(
+                x_train, y_train, baseline_accuracy=0.9, cache=cache
+            )
+            for _ in range(2)
+        )
+        assert cold.history[-1].fitness_computations > 0
+        last = warm.history[-1]
+        assert last.fitness_computations == 0
+        assert last.cache_hits == last.evaluations == cold.history[-1].evaluations
+        assert _archive_key(warm) == _archive_key(cold)
 
     def test_area_objective_disabled(self, tiny_dataset_module):
         x_train, y_train, _, _ = tiny_dataset_module

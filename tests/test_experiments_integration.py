@@ -8,6 +8,8 @@ absolute numbers.  Wall-clock orderings (Table III) are ``perf_ratio``
 checks, skipped unless ``REPRO_PERF_RATIO=1``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ class TestScales:
         with pytest.raises(KeyError):
             get_scale("huge")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ga_workers", 2), ("ga_workers", 1), ("ga_islands", 2), ("ga_islands", 0)],
+    )
+    def test_ga_engine_fields_are_fixed(self, field, value):
+        with pytest.raises(ValueError, match="one in-process engine"):
+            ExperimentScale(name="bad", **{field: value})
+
+    def test_ga_engine_fields_accept_their_fixed_values(self):
+        scale = dataclasses.replace(get_scale("ci"), ga_workers=0, ga_islands=1)
+        assert scale == get_scale("ci")
+
 
 class TestSession:
     def test_baseline_stage(self, session):
@@ -71,13 +85,13 @@ class TestSession:
         from repro.experiments import session as session_module
 
         configs = []
-        real_make_trainer = session_module.make_trainer
+        real_trainer = session_module.GATrainer
 
-        def recording_make_trainer(topology, ga_config):
+        def recording_trainer(topology, ga_config):
             configs.append(ga_config)
-            return real_make_trainer(topology, ga_config=ga_config)
+            return real_trainer(topology, ga_config=ga_config)
 
-        monkeypatch.setattr(session_module, "make_trainer", recording_make_trainer)
+        monkeypatch.setattr(session_module, "GATrainer", recording_trainer)
         fresh = ExperimentSession(TINY)
         fresh.front("breast_cancer")
         fresh.ga_plain("breast_cancer")

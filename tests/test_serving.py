@@ -634,6 +634,37 @@ class TestParetoService:
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             _dispatch(ParetoService(store), query)
 
+    @pytest.mark.parametrize("op", ["select", "feasibility", "rtl", "points"])
+    def test_dispatch_rejects_a_negative_budget(self, store, op):
+        from repro.serving.cli import _answer, _dispatch
+
+        query = {"op": op, "dataset": "demo", "experiment": "fig5"}
+        query["max_accuracy_loss"] = -0.01
+        with pytest.raises(ValueError, match="max_accuracy_loss must be non-negative"):
+            _dispatch(ParetoService(store), query)
+        ok, line = _answer(ParetoService(store), json.dumps(query))
+        assert not ok
+        assert json.loads(line) == {
+            "ok": False,
+            "error": "max_accuracy_loss must be non-negative, got -0.01",
+        }
+
+    def test_zero_budget_is_accepted(self, store):
+        from repro.serving.cli import _dispatch
+
+        service = ParetoService(store)
+        query = {"op": "select", "dataset": "demo", "max_accuracy_loss": 0.0}
+        assert _dispatch(service, query) == service.select("demo", max_accuracy_loss=0.0)
+
+    def test_cli_select_rejects_a_negative_budget(self, store, capsys):
+        from repro.serving import cli
+
+        code = cli.main(
+            ["--store", str(store.root), "select", "demo", "--max-accuracy-loss", "-0.01"]
+        )
+        assert code == 1
+        assert "max_accuracy_loss must be non-negative" in capsys.readouterr().err
+
     def test_dispatch_matches_the_methods(self, store):
         from repro.serving.cli import _dispatch
 
@@ -789,13 +820,12 @@ class TestWarmStoreParity:
 
     def test_warm_queries_match_artifacts_without_search(self, published, monkeypatch):
         session, artifacts, out = published
-        from repro.core import islands, trainer
+        from repro.core import trainer
 
         def forbidden(*args, **kwargs):  # pragma: no cover - must not run
             raise AssertionError("search stage executed during a warm-store query")
 
         monkeypatch.setattr(trainer.GATrainer, "train", forbidden)
-        monkeypatch.setattr(islands.IslandGATrainer, "train", forbidden)
 
         service = ParetoService(DesignStore(out / "store"))
         select = service.select("breast_cancer")

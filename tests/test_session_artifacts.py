@@ -326,6 +326,17 @@ class TestRunnerExport:
             runner.main(["--experiment", "table9"])
         assert rejected.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--islands", "--migration-interval", "--migration-size"]
+    )
+    def test_removed_ga_engine_flags_are_rejected(self, flag, capsys):
+        from repro.experiments import runner
+
+        with pytest.raises(SystemExit) as rejected:
+            runner.main(["--experiment", "table1", flag, "2"])
+        assert rejected.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_export_dir_writes_json_and_csv(self, tmp_path, monkeypatch, capsys):
         from repro.experiments import runner
         from repro.experiments.config import SCALES

@@ -333,19 +333,7 @@ class TestFitnessCache:
         assert results[0] == evaluator.compute(a)
         assert results[1] == evaluator.compute(d)
 
-    def test_worker_pool_matches_serial(self, tiny_fitness_setup):
-        layout, inputs, labels = tiny_fitness_setup
-        rng = np.random.default_rng(4)
-        population = [layout.random(rng) for _ in range(8)]
-        serial = FitnessEvaluator(layout, inputs, labels)
-        with FitnessEvaluator(layout, inputs, labels, n_workers=2) as pooled:
-            assert pooled.evaluate_population(population) == serial.evaluate_population(
-                population
-            )
-
     def test_rejects_bad_parameters(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
-        with pytest.raises(ValueError):
-            FitnessEvaluator(layout, inputs, labels, n_workers=-1)
         with pytest.raises(ValueError):
             FitnessEvaluator(layout, inputs, labels, max_cache_size=0)
