@@ -1,9 +1,10 @@
 """Benchmarks of the GA inner loop: full generations and selection.
 
 These track the vectorized fitness engine's headline claim (≥5× faster
-GA generations at the default benchmark sizes) plus a micro-benchmark
-of the non-dominated sort at a Table-III-like population size, with the
-retained scalar sort as the reference.
+GA generations at the default benchmark sizes) plus micro-benchmarks
+of the non-dominated sort at a Table-III-like population size (with the
+retained scalar sort as the reference) and at the union sizes the GA
+sorts every generation.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def test_bench_full_ga_generation(benchmark, ga_training_data, record_bench):
 
 
 def test_bench_nondominated_sort_n200(benchmark):
-    """Broadcast non-dominated sort of a 200-individual mixed-feasibility pool."""
+    """Sweep non-dominated sort of a 200-individual mixed-feasibility pool."""
     rng = np.random.default_rng(0)
     objectives = rng.random((200, 2))
     violations = np.maximum(0.0, rng.random(200) - 0.7)
@@ -78,3 +79,18 @@ def test_bench_nondominated_sort_n200_reference(benchmark):
     violations = np.maximum(0.0, rng.random(200) - 0.7)
     fronts = benchmark(lambda: fast_non_dominated_sort_reference(objectives, violations))
     assert fronts == fast_non_dominated_sort(objectives, violations)
+
+
+@pytest.mark.parametrize("n", [80, 240])
+def test_bench_nondominated_sort_union(benchmark, n):
+    """The sort of one environmental selection: the parent+offspring union
+    at ci scale (2 × population 40) and at full scale (2 × 120).  GA
+    objectives are tie-heavy (the error moves in 1/n_samples steps, the
+    FA-count area is an integer), so many fronts form."""
+    rng = np.random.default_rng(n)
+    objectives = np.column_stack(
+        [rng.integers(0, 40, n) / 560.0, rng.integers(0, 60, n).astype(np.float64)]
+    )
+    violations = np.maximum(0.0, rng.random(n) - 0.8)
+    fronts = benchmark(lambda: fast_non_dominated_sort(objectives, violations))
+    assert fronts == fast_non_dominated_sort_reference(objectives, violations)

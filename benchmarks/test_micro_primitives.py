@@ -2,8 +2,8 @@
 
 These are not tied to a specific table/figure; they track the cost of
 the operations the GA loop executes millions of times (candidate
-inference, FA counting, chromosome decode) plus the netlist generation
-used by the verification flow.
+inference, stacked population inference, FA counting, chromosome
+decode) plus the netlist generation used by the verification flow.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP
+from repro.approx.mlp import ApproximateMLP, forward_stacked
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
@@ -49,6 +49,21 @@ def test_bench_candidate_inference_reference(benchmark, mlp, batch):
 
     scores = benchmark(slow_forward)
     assert np.array_equal(scores, mlp.forward(batch))
+
+
+def test_bench_stacked_forward_ci_pendigits(benchmark):
+    """One stacked forward at the ci pendigits fitness shape: 40 candidates
+    of a 16-5-10 MLP over 560 training samples, equal to the per-model
+    forward of every candidate."""
+    rng = np.random.default_rng(2)
+    layout = ChromosomeLayout(Topology((16, 5, 10)), ApproxConfig())
+    population = np.stack([layout.random(rng) for _ in range(40)])
+    params = layout.population_parameters(population)
+    x = rng.integers(0, 16, size=(560, 16))
+    scores = benchmark(lambda: forward_stacked(params, x))
+    assert scores.shape == (40, 560, 10)
+    for row, candidate_scores in zip(population, scores):
+        assert np.array_equal(candidate_scores, layout.decode(row).forward(x))
 
 
 def test_bench_fast_fa_count(benchmark, mlp):

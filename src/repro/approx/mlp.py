@@ -21,8 +21,6 @@ from repro.approx.layer import (
     accumulator_bounds,
     build_bit_planes,
     exact_matmul_dtype,
-    expand_activation_bits,
-    plane_width,
     worst_case_shift,
 )
 from repro.approx.topology import Topology
@@ -351,41 +349,116 @@ def stack_parameters(models: Sequence[ApproximateMLP]) -> PopulationParameters:
     )
 
 
+#: Bytes one block of candidates may spend on its largest buffer (the
+#: bias-folded input bits, or the accumulators) in :func:`forward_stacked`.
+#: The blocks reuse one input buffer per layer, so a call allocates no
+#: large temporary: glibc raises its mmap threshold to the size of each
+#: large buffer freed, after which up to twice that size of freed heap
+#: stays resident.
+_BLOCK_BYTES = 1 << 20
+
+
+def _input_rows(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """Write the bias-folded input bits of integer-valued ``(..., F, n)`` values.
+
+    ``out`` has shape ``(..., F * width + 1, n)``: the ``width`` low bits
+    of every feature, feature-major then bit-minor (the row order of
+    :func:`build_bit_planes`), then a constant-one row for the bias.
+    Bits above ``width`` are dropped, which is exact because masks carry
+    none.
+    """
+    *lead, features, n = values.shape
+    rows = features * width
+    # Bytes suffice up to 8 bits (the cast keeps the low bits); wider
+    # inputs shift in int64.
+    itype = np.uint8 if width <= 8 else np.int64
+    shifts = np.arange(width, dtype=itype)[:, None]
+    bits = (values.astype(itype)[..., None, :] >> shifts) & itype(1)
+    out[..., :rows, :] = bits.reshape(*lead, rows, n)
+    out[..., rows, :] = 1
+    return out
+
+
+def _layer_weights(params: PopulationParameters, index: int) -> np.ndarray:
+    """Bias-folded ``(P, fan_out, K + 1)`` planes of one layer position.
+
+    They come in the weakest dtype that keeps every candidate's matmul
+    exact (:func:`exact_matmul_dtype`; int64 when no float is).  The
+    bias rides along as plane column ``K`` against the constant-one
+    input row; every partial sum of the matmul still lies inside the
+    accumulator bounds, so the fold keeps it exact.
+    """
+    masks, signs = params.masks[index], params.signs[index]
+    exponents, biases = params.exponents[index], params.biases[index]
+    dtype = exact_matmul_dtype(*accumulator_bounds(masks, signs, exponents, biases)) or np.int64
+    planes = build_bit_planes(masks, signs, exponents, params.input_bits[index])
+    count, rows, fan_out = planes.shape
+    weights = np.empty((count, fan_out, rows + 1), dtype=dtype)
+    weights[..., :rows] = planes.transpose(0, 2, 1)
+    weights[..., rows] = biases
+    return weights
+
+
+def _qrelu_(acc: np.ndarray, shifts: np.ndarray, max_value: int) -> np.ndarray:
+    """In-place QReLU ``clip(acc >> shift, 0, max_value)`` in ``acc``'s dtype.
+
+    For the exact float dtypes the shift is ``floor(acc * 2**-shift)``:
+    scaling by a power of two is exact and ``floor`` rounds toward minus
+    infinity like the arithmetic right shift.
+    """
+    if acc.dtype.kind == "f":
+        acc *= np.exp2(-shifts).astype(acc.dtype)
+        np.floor(acc, out=acc)
+    else:
+        acc >>= shifts
+    return np.clip(acc, 0, max_value, out=acc)
+
+
 def forward_stacked(params: PopulationParameters, x: np.ndarray) -> np.ndarray:
     """Forward a shared input batch through every stacked candidate at once.
 
-    Each layer position builds all candidates' bit planes in one
-    broadcast and runs one batched matmul ``(P, n, K) @ (P, K, fan_out)``.
-    The matmul dtype is the weakest one that keeps every candidate of the
-    batch exact (float32 below 2**22, float64 below 2**52, int64
-    otherwise), so the result is bitwise identical to
-    :meth:`ApproximateMLP.forward` per candidate.
+    Activations live sample-minor, as ``(P, features, n)``, and each
+    layer is one matmul ``(P, fan_out, K + 1) @ (P, K + 1, n)`` with the
+    bias folded into the planes; layer 0 is a single GEMM of all
+    candidates' planes against the shared input bits.  Each layer stays
+    in the weakest dtype that keeps the whole batch exact (float32 below
+    2**22, float64 below 2**52, int64 otherwise) through bias, QReLU and
+    the output, so the result is bitwise identical to
+    :meth:`ApproximateMLP.forward` per candidate.  Candidates run in
+    blocks whose largest buffer stays under ``_BLOCK_BYTES``.
 
     Returns
     -------
-    Output accumulators of shape ``(P, n_samples, num_outputs)``.
+    Output accumulators as a ``(P, n_samples, num_outputs)`` view, in
+    the last layer's exact dtype.
     """
-    activations = np.asarray(x, dtype=np.int64)  # (n, ·), then (P, n, ·)
-    if activations.ndim == 1:
-        activations = activations[None, :]
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim == 1:
+        x = x[None, :]
+    n = x.shape[0]
     max_value = (1 << params.activation_bits) - 1
-    for index, masks in enumerate(params.masks):
-        signs, exponents = params.signs[index], params.exponents[index]
-        biases = params.biases[index]
-        width = plane_width(params.input_bits[index])
-        planes = build_bit_planes(masks, signs, exponents, width)  # (P, K, fan_out)
-        dtype = exact_matmul_dtype(*accumulator_bounds(masks, signs, exponents, biases))
-        x_bits = expand_activation_bits(activations, width)
-        if dtype is not None:
-            acc = np.matmul(x_bits.astype(dtype), planes.astype(dtype)).astype(np.int64)
-        else:
-            acc = np.matmul(x_bits.astype(np.int64), planes)
-        acc += biases[:, None, :]
-        if index == len(params.masks) - 1:
-            return acc
-        shifted = acc >> params.shifts[:, index, None, None]
-        activations = np.clip(shifted, 0, max_value)
-    raise ValueError("a population needs at least one layer")  # pragma: no cover
+    weights = [_layer_weights(params, index) for index in range(len(params.masks))]
+    first = weights[0]
+    shared = _input_rows(x.T, params.input_bits[0], np.empty((first.shape[2], n), first.dtype))
+    count, num_outputs = weights[-1].shape[:2]
+    # A block's buffers: every layer's accumulators and the input bits of
+    # the layers after the first (layer 0's input bits are shared).
+    per_candidate = n * max(
+        [w.itemsize * w.shape[1] for w in weights] + [w.itemsize * w.shape[2] for w in weights[1:]]
+    )
+    block = min(count, max(1, _BLOCK_BYTES // max(per_candidate, 1)))
+    buffers = [np.empty((block, w.shape[2], n), w.dtype) for w in weights[1:]]
+    scores = np.empty((count, num_outputs, n), dtype=weights[-1].dtype)
+    for start in range(0, count, block):
+        rows = slice(start, start + block)
+        planes = first[rows]
+        acc = (planes.reshape(-1, planes.shape[2]) @ shared).reshape(*planes.shape[:2], n)
+        for index, layer_weights in enumerate(weights[1:]):
+            _qrelu_(acc, params.shifts[rows, index, None, None], max_value)
+            inputs = _input_rows(acc, params.input_bits[index + 1], buffers[index][: len(acc)])
+            acc = np.matmul(layer_weights[rows], inputs)
+        scores[rows] = acc
+    return scores.transpose(0, 2, 1)
 
 
 def forward_population(population: Population, x: np.ndarray) -> np.ndarray:
@@ -399,5 +472,11 @@ def accuracy_population(population: Population, x: np.ndarray, y: np.ndarray) ->
     """Classification accuracy of every candidate of a population at once."""
     y = np.asarray(y)
     scores = forward_population(population, x)  # (P, n, num_outputs)
-    predictions = np.argmax(scores, axis=2)
+    # argmax's first-maximum rule as two reductions over the class axis:
+    # they run along the scores' memory order, where np.argmax would make
+    # one call per (candidate, sample) row.
+    num_outputs = scores.shape[2]
+    best = scores.max(axis=2, keepdims=True)
+    rank_from_last = np.arange(num_outputs - 1, -1, -1, dtype=np.min_scalar_type(num_outputs))
+    predictions = (num_outputs - 1) - ((scores == best) * rank_from_last).max(axis=2)
     return (predictions == y[None, :]).mean(axis=1)

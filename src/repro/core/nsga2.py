@@ -6,10 +6,11 @@ complexity and good convergence on two-objective problems.  This module
 implements the algorithm's selection machinery; the evolutionary loop
 lives in :mod:`repro.core.trainer`.
 
-The production sort (:func:`fast_non_dominated_sort`) builds one
-broadcast boolean domination matrix and peels fronts off it with numpy
-reductions — no Python-level pair loops.  The original scalar
-implementation is retained as
+The production sort (:func:`fast_non_dominated_sort`) exploits the two
+objectives of equation (3): after one lexicographic sort every point
+finds its front by a bisection over the last member of each front, so
+sorting costs O(n log n) instead of the all-pairs O(n²).  The original
+scalar implementation is retained as
 :func:`fast_non_dominated_sort_reference` and serves as the oracle in
 the randomized equivalence tests; both return fronts whose indices are
 in ascending order so the outputs are directly comparable.
@@ -17,6 +18,7 @@ in ascending order so the outputs are directly comparable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Sequence
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 __all__ = [
     "dominates",
     "constrained_dominates",
-    "constrained_domination_matrix",
+    "first_front_mask",
     "fast_non_dominated_sort",
     "fast_non_dominated_sort_reference",
     "crowding_distance",
@@ -60,17 +62,62 @@ def constrained_dominates(
     return dominates(a, b)
 
 
-def constrained_domination_matrix(
-    objectives: np.ndarray, violations: Sequence[float] | None = None
-) -> np.ndarray:
-    """Boolean matrix ``D`` with ``D[i, j]`` iff ``i`` constrained-dominates ``j``.
+def first_front_mask(objectives: np.ndarray) -> np.ndarray:
+    """Boolean mask of the points no other point Pareto-dominates.
 
-    Vectorized broadcast formulation of :func:`constrained_dominates`
-    over a whole population: feasible individuals dominate infeasible
-    ones, infeasible individuals are ordered by violation, and feasible
-    pairs use ordinary Pareto dominance.
+    Two minimization objectives.  After ordering by ``(first, second)``
+    a point is dominated iff some point with a strictly smaller first
+    objective has a second no larger, or a point with an equal first
+    objective has a strictly smaller second — both are prefix minima,
+    so one vectorized sweep decides every point.  Identical points do
+    not dominate each other, so duplicates all stay.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
+    n = objectives.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    first, second = objectives[:, 0], objectives[:, 1]
+    order = np.lexsort((second, first))
+    first_sorted = first[order]
+    second_sorted = second[order]
+
+    # Index of the first element of each equal-first group.
+    positions = np.arange(n)
+    is_start = np.empty(n, dtype=bool)
+    is_start[0] = True
+    is_start[1:] = first_sorted[1:] != first_sorted[:-1]
+    group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
+    group_min_second = second_sorted[group_start]
+
+    # Minimum second objective among all points with a strictly smaller first.
+    prefix_min = np.minimum.accumulate(second_sorted)
+    best_prev = np.full(n, np.inf)
+    nonzero = group_start > 0
+    best_prev[nonzero] = prefix_min[group_start[nonzero] - 1]
+
+    dominated_sorted = (best_prev <= second_sorted) | (second_sorted > group_min_second)
+    keep = np.empty(n, dtype=bool)
+    keep[order] = ~dominated_sorted
+    return keep
+
+
+def _non_domination_ranks(
+    objectives: np.ndarray, violations: Sequence[float] | None = None
+) -> np.ndarray:
+    """Front index of every point under constrained dominance (0 is best).
+
+    Feasible points (violation ≤ 0) are swept in ``(first, second)``
+    order.  Within a front the second objective falls along that order,
+    so a front dominates the next point iff its last member does: the
+    last members' second objectives never decrease from front to front,
+    and one bisection finds the first front that does not dominate the
+    point.  A point equal to its predecessor joins the predecessor's
+    front.  Infeasible points follow the feasible fronts, one front per
+    distinct violation value in ascending order.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    if objectives.ndim != 2 or objectives.shape[1] != 2:
+        raise ValueError(f"objectives must have shape (n, 2), got {objectives.shape}")
     n = objectives.shape[0]
     if violations is None:
         violation = np.zeros(n, dtype=np.float64)
@@ -78,16 +125,28 @@ def constrained_domination_matrix(
         violation = np.asarray(violations, dtype=np.float64)
         if violation.shape != (n,):
             raise ValueError("violations must have one entry per individual")
-    no_worse = (objectives[:, None, :] <= objectives[None, :, :]).all(axis=2)
-    better = (objectives[:, None, :] < objectives[None, :, :]).any(axis=2)
-    pareto = no_worse & better
-    feasible = violation <= 0.0
-    feas_i = feasible[:, None]
-    feas_j = feasible[None, :]
-    less_violated = violation[:, None] < violation[None, :]
-    return (feas_i & ~feas_j) | (feas_i & feas_j & pareto) | (
-        ~feas_i & ~feas_j & less_violated
-    )
+    ranks = np.empty(n, dtype=np.int64)
+    feasible = np.flatnonzero(violation <= 0.0)
+    order = feasible[np.lexsort((objectives[feasible, 1], objectives[feasible, 0]))]
+    last_second: List[float] = []  # second objective of each front's last member
+    swept: List[int] = []
+    previous = None
+    rank = 0
+    for point in objectives[order].tolist():
+        if point != previous:
+            rank = bisect_right(last_second, point[1])
+            if rank == len(last_second):
+                last_second.append(point[1])
+            else:
+                last_second[rank] = point[1]
+            previous = point
+        swept.append(rank)
+    ranks[order] = swept
+    infeasible = np.flatnonzero(violation > 0.0)
+    if infeasible.size:
+        _, level = np.unique(violation[infeasible], return_inverse=True)
+        ranks[infeasible] = len(last_second) + level
+    return ranks
 
 
 def fast_non_dominated_sort(
@@ -95,14 +154,13 @@ def fast_non_dominated_sort(
 ) -> List[List[int]]:
     """Sort a population into non-domination fronts.
 
-    Builds the broadcast domination matrix once and peels fronts off
-    with numpy reductions (no Python pair loops); equivalent to the
-    retained :func:`fast_non_dominated_sort_reference`.
+    Groups the :func:`_non_domination_ranks` sweep by front; equivalent
+    to the retained :func:`fast_non_dominated_sort_reference`.
 
     Parameters
     ----------
     objectives:
-        Array of shape ``(n, n_objectives)`` (minimization).
+        Array of shape ``(n, 2)`` (minimization).
     violations:
         Optional per-individual constraint violations; when given the
         constrained-dominance relation is used.
@@ -112,23 +170,15 @@ def fast_non_dominated_sort(
     List of fronts, each an ascending list of population indices;
     front 0 is the non-dominated (best) front.
     """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    n = objectives.shape[0]
-    if n == 0:
-        return []
-    dominated = constrained_domination_matrix(objectives, violations)
-    domination_count = dominated.sum(axis=0).astype(np.int64)
+    ranks = _non_domination_ranks(objectives, violations)
+    return _fronts_of(ranks)
 
-    fronts: List[List[int]] = []
-    assigned_floor = -(n + 1)
-    current = np.flatnonzero(domination_count == 0)
-    while current.size:
-        fronts.append([int(i) for i in current])
-        # Remove the front: its members stop dominating anyone, and can
-        # never reach a zero count again themselves.
-        domination_count[current] = assigned_floor
-        domination_count -= dominated[current].sum(axis=0)
-        current = np.flatnonzero(domination_count == 0)
+
+def _fronts_of(ranks: np.ndarray) -> List[List[int]]:
+    """Population indices of every front, ascending within each front."""
+    fronts: List[List[int]] = [[] for _ in range(int(ranks.max(initial=-1)) + 1)]
+    for index, rank in enumerate(ranks.tolist()):
+        fronts[rank].append(index)
     return fronts
 
 
@@ -137,7 +187,8 @@ def fast_non_dominated_sort_reference(
 ) -> List[List[int]]:
     """Scalar (pairwise-loop) non-dominated sort, retained as the oracle.
 
-    Semantically identical to :func:`fast_non_dominated_sort`; kept for
+    Semantically identical to :func:`fast_non_dominated_sort` (for any
+    number of objectives); kept for
     the randomized equivalence tests and as executable documentation of
     Deb's original bookkeeping.
     """
@@ -264,10 +315,8 @@ def nsga2_sort_key(
         ``crowding[i]`` its crowding distance within that front.
     """
     objectives = np.asarray(objectives, dtype=np.float64)
-    fronts = fast_non_dominated_sort(objectives, violations)
-    ranks = np.zeros(objectives.shape[0], dtype=np.int64)
+    ranks = _non_domination_ranks(objectives, violations)
     crowding = np.zeros(objectives.shape[0], dtype=np.float64)
-    for rank, front in enumerate(fronts):
-        ranks[front] = rank
+    for front in _fronts_of(ranks):
         crowding[front] = crowding_distance(objectives[front])
     return ranks, crowding

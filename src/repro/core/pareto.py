@@ -24,7 +24,7 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.nsga2 import dominates
+from repro.core.nsga2 import dominates, first_front_mask
 
 __all__ = [
     "ParetoPoint",
@@ -59,40 +59,15 @@ def pareto_front(points: Iterable[ParetoPoint]) -> List[ParetoPoint]:
     """Non-dominated subset of ``points``, sorted by ascending area.
 
     Duplicate objective vectors are collapsed to a single representative
-    (the first in input order).  Sort-and-sweep formulation: after
-    ordering by ``(error, area)``, a point is dominated iff some
-    strictly-smaller-error point has area no larger, or an equal-error
-    point has strictly smaller area — both are prefix minima.
+    (the first in input order).  The non-dominated candidates come from
+    the sort-and-sweep :func:`~repro.core.nsga2.first_front_mask`.
     """
     points = list(points)
     n = len(points)
     if n <= 1:
         return list(points)
-    errors = np.array([p.error for p in points], dtype=np.float64)
-    areas = np.array([p.area for p in points], dtype=np.float64)
-    order = np.lexsort((areas, errors))
-    err_sorted = errors[order]
-    area_sorted = areas[order]
-
-    # Index of the first element of each equal-error group.
-    positions = np.arange(n)
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    is_start[1:] = err_sorted[1:] != err_sorted[:-1]
-    group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
-    group_min_area = area_sorted[group_start]
-
-    # Minimum area among all points with strictly smaller error.
-    prefix_min = np.minimum.accumulate(area_sorted)
-    best_prev = np.full(n, np.inf)
-    nonzero = group_start > 0
-    best_prev[nonzero] = prefix_min[group_start[nonzero] - 1]
-
-    dominated_sorted = (best_prev <= area_sorted) | (area_sorted > group_min_area)
-    dominated = np.empty(n, dtype=bool)
-    dominated[order] = dominated_sorted
-
-    candidates = [points[i] for i in np.flatnonzero(~dominated)]
+    keep = first_front_mask([[p.error, p.area] for p in points])
+    candidates = [points[i] for i in np.flatnonzero(keep)]
     if len(candidates) > 1:
         objs = np.array([[p.error, p.area] for p in candidates])
         close = np.isclose(objs[:, None, :], objs[None, :, :]).all(axis=2)

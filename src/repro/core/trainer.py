@@ -243,16 +243,20 @@ class GATrainer:
             crossover_probability=config.crossover_probability,
             mutation_probability=config.mutation_probability,
         )
+        # Only the initial population is sorted from scratch: environmental
+        # selection hands every later generation its survivors' sort key.
+        sort_key = nsga2_sort_key(*self._objective_matrix(fitnesses, area_objective))
 
         for generation in range(config.generations):
             generation_start = time.perf_counter()
-            population, fitnesses = self._generation_step(
+            population, fitnesses, sort_key = self._generation_step(
                 rng=rng,
                 evaluator=evaluator,
                 operators=operators,
                 archive=archive,
                 population=population,
                 fitnesses=fitnesses,
+                sort_key=sort_key,
                 area_objective=area_objective,
                 slow_operators=config.slow_operators,
             )
@@ -321,17 +325,19 @@ class GATrainer:
         archive: ParetoArchive,
         population: np.ndarray,
         fitnesses: List[FitnessValues],
+        sort_key: tuple[np.ndarray, np.ndarray],
         area_objective: bool,
         slow_operators: bool = False,
-    ) -> tuple[np.ndarray, List[FitnessValues]]:
+    ) -> tuple[np.ndarray, List[FitnessValues], tuple[np.ndarray, np.ndarray]]:
         """One NSGA-II generation: variation → evaluation → selection.
 
+        ``sort_key`` is the population's ``nsga2_sort_key`` (ranks and
+        crowding distances); the survivors' key comes back with them.
         The population size is preserved: ``len(population)`` offspring
         are bred and the same number survive selection.
         """
         target_size = len(population)
-        objectives, violations = self._objective_matrix(fitnesses, area_objective)
-        ranks, crowding = nsga2_sort_key(objectives, violations)
+        ranks, crowding = sort_key
         offspring = operators.make_offspring(
             population, ranks, crowding, target_size, rng, slow=slow_operators
         )
@@ -401,22 +407,35 @@ class GATrainer:
         fitnesses: List[FitnessValues],
         target_size: int,
         area_objective: bool,
-    ) -> tuple[np.ndarray, List[FitnessValues]]:
+    ) -> tuple[np.ndarray, List[FitnessValues], tuple[np.ndarray, np.ndarray]]:
+        """Keep the best ``target_size`` rows: whole fronts, then the least
+        crowded members of the first front that does not fit.
+
+        Also returns the survivors' ``nsga2_sort_key``, in survivor order.
+        Dropping points of the last fronts cannot change an earlier point's
+        rank (all its dominators rank lower), so the survivors keep their
+        ranks; a whole front keeps its members in the same order, so its
+        crowding is unchanged; only the partial front's crowding is
+        recomputed, over its chosen members in the order they were chosen.
+        """
         objectives, violations = self._objective_matrix(fitnesses, area_objective)
-        fronts = fast_non_dominated_sort(objectives, violations)
         survivors: List[int] = []
-        for front in fronts:
-            if len(survivors) + len(front) <= target_size:
-                chosen = front
-            else:
-                remaining = target_size - len(survivors)
+        ranks: List[int] = []
+        crowding: List[np.ndarray] = []
+        for rank, front in enumerate(fast_non_dominated_sort(objectives, violations)):
+            distances = crowding_distance(objectives[front])
+            remaining = target_size - len(survivors)
+            if len(front) > remaining:
+                order = np.argsort(-distances, kind="stable")[:remaining]
+                front = [front[i] for i in order]
                 distances = crowding_distance(objectives[front])
-                order = np.argsort(-distances, kind="stable")
-                chosen = [front[i] for i in order[:remaining]]
-            survivors.extend(chosen)
+            survivors.extend(front)
+            ranks.extend([rank] * len(front))
+            crowding.append(distances)
             if len(survivors) >= target_size:
                 break
-        return population[survivors], [fitnesses[i] for i in survivors]
+        sort_key = (np.array(ranks, dtype=np.int64), np.concatenate(crowding))
+        return population[survivors], [fitnesses[i] for i in survivors], sort_key
 
     @staticmethod
     def _stats(

@@ -30,14 +30,37 @@ A session runs at an :class:`~repro.experiments.config.ExperimentScale`,
 so the experiments run at CI-friendly budgets or at paper-scale budgets.
 """
 
-from repro.experiments.config import ExperimentScale, SCALES, get_scale
-from repro.experiments.pipeline import PipelineResult
-from repro.experiments.session import (
-    EXPERIMENT_DEFINITIONS,
-    EXPERIMENT_ORDER,
-    ExperimentDefinition,
-    ExperimentSession,
+# Re-exports are lazy (PEP 562), as in :mod:`repro.core`: the runner's
+# query mode imports this package without the session (and with it the
+# trainers) loading as a side effect.
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "ExperimentScale": "repro.experiments.config",
+    "SCALES": "repro.experiments.config",
+    "get_scale": "repro.experiments.config",
+    "EXPERIMENT_ORDER": "repro.experiments.config",
+    "PipelineResult": "repro.experiments.pipeline",
+    "ExperimentSession": "repro.experiments.session",
+    "ExperimentDefinition": "repro.experiments.session",
+    "EXPERIMENT_DEFINITIONS": "repro.experiments.session",
+}
+
+_SUBMODULES = (
+    "ablation",
+    "config",
+    "fig4",
+    "fig5",
+    "pipeline",
+    "publish",
+    "runner",
+    "session",
+    "table1",
+    "table2",
+    "table3",
 )
+
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS, _SUBMODULES)
 
 __all__ = [
     "ExperimentScale",

@@ -12,7 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-__all__ = ["ExperimentScale", "SCALES", "get_scale"]
+__all__ = ["EXPERIMENT_ORDER", "ExperimentScale", "SCALES", "get_scale"]
+
+#: Canonical execution/printing order of the experiments.
+EXPERIMENT_ORDER: Tuple[str, ...] = (
+    "table1",
+    "table2",
+    "table3",
+    "fig4",
+    "fig5",
+    "ablation_approx",
+    "ablation_ga",
+)
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.experiments.config import SCALES
-from repro.experiments.session import EXPERIMENT_ORDER, ExperimentSession
+from repro.experiments.config import EXPERIMENT_ORDER, SCALES
 
 __all__ = ["main"]
 
@@ -212,6 +211,9 @@ def main(argv: List[str] | None = None) -> int:
         if not scale.verify_rtl:
             parser.error("--verify-seed requires --verify-rtl or --verify-eda")
         scale = dataclasses.replace(scale, verify_seed=args.verify_seed)
+
+    # Imported here so the query modes above never load the search stack.
+    from repro.experiments.session import ExperimentSession
 
     session = ExperimentSession(scale)
     names = list(EXPERIMENT_ORDER) if args.experiment == "all" else [args.experiment]

@@ -70,7 +70,7 @@ from repro.experiments import fig5 as _fig5
 from repro.experiments import table1 as _table1
 from repro.experiments import table2 as _table2
 from repro.experiments import table3 as _table3
-from repro.experiments.config import ExperimentScale, get_scale
+from repro.experiments.config import EXPERIMENT_ORDER, ExperimentScale, get_scale
 from repro.experiments.pipeline import ApproximateResult, BaselineResult, PipelineResult
 
 __all__ = [
@@ -79,18 +79,6 @@ __all__ = [
     "ExperimentDefinition",
     "ExperimentSession",
 ]
-
-#: Canonical execution/printing order of the experiments.
-EXPERIMENT_ORDER: Tuple[str, ...] = (
-    "table1",
-    "table2",
-    "table3",
-    "fig4",
-    "fig5",
-    "ablation_approx",
-    "ablation_ga",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentDefinition:

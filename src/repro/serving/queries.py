@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.nsga2 import constrained_domination_matrix
+from repro.core.nsga2 import first_front_mask
 from repro.evaluation.report import reduction_factor
 from repro.hardware.egfet import EGFETLibrary, MIN_VOLTAGE, default_egfet_library
 from repro.hardware.power_sources import classify_power_source
@@ -73,7 +73,7 @@ def nondominated_mask(
     A design dominates another when it is no less accurate *and* no
     larger, and strictly better in at least one of the two — i.e. Pareto
     dominance over the minimization objectives ``(-accuracy, area)``,
-    which is exactly what the NSGA-II batched dominance kernel computes.
+    which is exactly what the NSGA-II first-front sweep computes.
     Ties (identical accuracy and area) never dominate each other, so
     duplicated operating points all survive, matching the scalar oracle.
     """
@@ -81,11 +81,7 @@ def nondominated_mask(
     areas = np.asarray(areas, dtype=np.float64)
     if accuracies.shape != areas.shape or accuracies.ndim != 1:
         raise ValueError("accuracies and areas must be equal-length 1-D sequences")
-    if accuracies.size == 0:
-        return np.zeros(0, dtype=bool)
-    objectives = np.column_stack([-accuracies, areas])
-    dominated = constrained_domination_matrix(objectives).any(axis=0)
-    return ~dominated
+    return first_front_mask(np.column_stack([-accuracies, areas]))
 
 
 def true_front(designs: Sequence) -> List:

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.approx.layer import accumulator_bounds, exact_matmul_dtype
+from repro.approx import mlp as mlp_module
 from repro.approx.mlp import forward_population, forward_stacked, stack_parameters
 from repro.approx.topology import Topology
 from repro.baselines.gradient import GradientTrainer
@@ -130,6 +131,47 @@ class TestGenomeNativeFitness:
         evaluator = _evaluator(layout, rng)
         for batch in ([small, medium], [small, medium, huge], [huge, small]):
             _assert_batch_matches_oracle(evaluator, np.stack(batch))
+
+    @pytest.mark.parametrize(
+        "exponent, dtype", [(0, np.float32), (30, np.float64), (48, np.int64)]
+    )
+    def test_each_dtype_regime_runs_the_one_forward_path(self, exponent, dtype):
+        """float32, float64 and int64 batches all go through forward_stacked
+        and stay in their exact dtype through bias and QReLU to the output."""
+        rng = np.random.default_rng(7)
+        config = ApproxConfig(input_bits=8, activation_bits=8, weight_bits=50)
+        layout = ChromosomeLayout(Topology((3, 2, 2)), config)
+        exponent_genes = np.array(
+            [layout.describe_gene(i)[0] == "exponent" for i in range(layout.num_genes)]
+        )
+        population = np.stack([layout.random(rng) for _ in range(3)])
+        population[:, exponent_genes] = exponent
+        evaluator = _evaluator(layout, rng)
+        scores = forward_stacked(layout.population_parameters(population), evaluator.train_inputs)
+        assert scores.dtype == dtype
+        _assert_batch_matches_oracle(evaluator, population)
+
+    @pytest.mark.parametrize("block_bytes", [1, 3000])
+    def test_candidate_blocks_match_one_block(self, monkeypatch, block_bytes):
+        """Splitting the population into candidate blocks (one candidate
+        each, or a few) changes neither the scores nor the batch dtype."""
+        rng = np.random.default_rng(8)
+        config = ApproxConfig(input_bits=8, activation_bits=8, weight_bits=50)
+        layout = ChromosomeLayout(Topology((3, 4, 2, 3)), config)
+        exponent_genes = np.array(
+            [layout.describe_gene(i)[0] == "exponent" for i in range(layout.num_genes)]
+        )
+        population = np.stack([layout.random(rng) for _ in range(7)])
+        population[:, exponent_genes] = 0
+        population[0, exponent_genes] = 30  # the batch runs in float64
+        evaluator = _evaluator(layout, rng)
+        params = layout.population_parameters(population)
+        whole = forward_stacked(params, evaluator.train_inputs)
+        monkeypatch.setattr(mlp_module, "_BLOCK_BYTES", block_bytes)
+        blocked = forward_stacked(params, evaluator.train_inputs)
+        assert blocked.dtype == whole.dtype == np.float64
+        assert np.array_equal(blocked, whole)
+        _assert_batch_matches_oracle(evaluator, population)
 
     @pytest.mark.parametrize("restrict", [_freeze_masks_open, _freeze_exponents_zero])
     def test_ablation_restricted_layouts(self, restrict):

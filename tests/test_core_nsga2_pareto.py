@@ -11,7 +11,9 @@ from repro.core.nsga2 import (
     fast_non_dominated_sort,
     nsga2_sort_key,
 )
+from repro.core.fitness import FitnessValues
 from repro.core.pareto import ParetoArchive, ParetoPoint, hypervolume, pareto_front
+from repro.core.trainer import GATrainer
 
 
 class TestDominance:
@@ -93,6 +95,44 @@ class TestCrowding:
         ranks, crowding = nsga2_sort_key(objectives)
         assert ranks.shape == (12,) and crowding.shape == (12,)
         assert ranks.min() == 0
+
+
+class TestCarriedSortKey:
+    """Environmental selection hands the next generation its survivors'
+    ranks and crowding; they must equal a fresh ``nsga2_sort_key``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        with_violations=st.booleans(),
+        area_objective=st.booleans(),
+    )
+    def test_carried_key_equals_fresh_sort(self, seed, with_violations, area_objective):
+        rng = np.random.default_rng(seed)
+        target = int(rng.integers(4, 41))
+        n = 2 * target
+        # Tie-heavy objectives, as the GA produces (1/n_samples error steps,
+        # integer FA counts).
+        errors = rng.integers(0, 12, n) / 50.0
+        areas = rng.integers(0, 15, n).astype(float)
+        violations = (
+            np.maximum(0.0, rng.integers(0, 6, n) / 10.0 - 0.3) if with_violations else np.zeros(n)
+        )
+        fitnesses = [
+            FitnessValues(error=e, area=a, accuracy=1.0 - e, constraint_violation=v)
+            for e, a, v in zip(errors.tolist(), areas.tolist(), violations.tolist())
+        ]
+        population = np.arange(n)[:, None]
+        trainer = GATrainer((2, 2, 2))
+        survivors, kept, (ranks, crowding) = trainer._environmental_selection(
+            population, fitnesses, target, area_objective
+        )
+        assert len(kept) == target == len(survivors)
+        assert [fitnesses[i] for i in survivors[:, 0]] == kept
+        objectives, kept_violations = trainer._objective_matrix(kept, area_objective)
+        fresh_ranks, fresh_crowding = nsga2_sort_key(objectives, kept_violations)
+        assert np.array_equal(ranks, fresh_ranks)
+        assert np.array_equal(crowding, fresh_crowding)
 
 
 class TestParetoFrontUtilities:

@@ -542,16 +542,17 @@ class TestPipelineVerifyRtl:
         assert ApproximateResult.__dataclass_fields__["verification"].default is None
 
     def test_runner_flag_plumbs_into_scale(self, monkeypatch, capsys):
-        from repro.experiments import runner
+        from repro.experiments import runner, session
 
         seen = {}
 
-        class StubSession(runner.ExperimentSession):
+        class StubSession(session.ExperimentSession):
             def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 
-        monkeypatch.setattr(runner, "ExperimentSession", StubSession)
+        # runner.main imports the session class when an experiment runs.
+        monkeypatch.setattr(session, "ExperimentSession", StubSession)
         assert (
             runner.main(
                 ["--experiment", "table1", "--scale", "smoke",
@@ -660,16 +661,17 @@ class TestSeededVerification:
         assert seen["eda"] is True
 
     def test_runner_verify_eda_flag_plumbs_into_scale(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.experiments import runner, session
 
         seen = {}
 
-        class StubSession(runner.ExperimentSession):
+        class StubSession(session.ExperimentSession):
             def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 
-        monkeypatch.setattr(runner, "ExperimentSession", StubSession)
+        # runner.main imports the session class when an experiment runs.
+        monkeypatch.setattr(session, "ExperimentSession", StubSession)
         assert (
             runner.main(
                 ["--experiment", "table1", "--scale", "smoke",

@@ -344,6 +344,29 @@ class TestImportPurity:
             f"{report['forbidden']} (loaded: {report['repro']})"
         )
 
+    def test_runner_query_mode_loads_no_search_stack(self, store):
+        """``runner --query`` answers from the store without importing the
+        experiment session, the GA trainer or the gradient baseline."""
+        code = (
+            "import json, sys\n"
+            "from repro.experiments import runner\n"
+            "code = runner.main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code,\n"
+            "                  'repro': sorted(m for m in sys.modules\n"
+            "                                  if m.startswith('repro'))}))\n"
+        )
+        query = json.dumps({"op": "select", "dataset": "demo"})
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--query", query, "--store-dir", str(store.root)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        answer, report = (json.loads(line) for line in result.stdout.splitlines())
+        assert answer["ok"] and report["code"] == 0
+        for module in ("repro.core.trainer", "repro.baselines.gradient", "repro.experiments.session"):
+            assert module not in report["repro"]
+
     def test_forbidden_list_covers_the_search_stack(self):
         from repro.serving.cli import FORBIDDEN_MODULES
 
