@@ -24,7 +24,13 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
 ``reports``
     (genome, voltage, clock period, registers flag) → hardware report,
     priced with the default EGFET library (callers with a custom
-    library bypass this section — the key carries no library identity).
+    library bypass this section — the key carries no library identity);
+``baselines``
+    (training split, topology sizes, gradient-trainer settings, numpy
+    version) → the trained float baseline's weights and biases as
+    ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`), so a warm
+    cache directory restores the exact baseline instead of retraining it
+    (see :meth:`EvaluationCache.baseline_key`).
 
 Every section is a true LRU (:class:`LRUCache`): a hit refreshes
 recency, so hot genomes — elites that reappear generation after
@@ -33,7 +39,7 @@ misses, which the tests use to assert that a full pipeline run performs
 zero redundant decode/forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (fitness, accuracy, reports — decoded models are
+data sections (fitness, accuracy, reports, baselines — decoded models are
 deliberately excluded: they are large and cheap to rebuild from cached
 fitness work) into one versioned pickle, and
 :meth:`EvaluationCache.load` restores them.  Keys are fully
@@ -63,9 +69,9 @@ import pickle
 import tempfile
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -74,7 +80,9 @@ __all__ = [
     "EvaluationCache",
     "SnapshotPolicy",
     "CACHE_FORMAT_VERSION",
+    "pack_arrays",
     "stable_fingerprint",
+    "unpack_arrays",
 ]
 
 
@@ -107,8 +115,9 @@ _MISSING = object()
 #: so snapshot compaction can age entries across process restarts.
 #: Version 3 invalidates version-2 snapshots because pickled
 #: ``DesignVerification`` reports gained the EDA-oracle fields.
+#: Version 4 adds the ``baselines`` section (trained float baselines).
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -148,6 +157,43 @@ _SAFE_SNAPSHOT_GLOBALS = {
     # reports section; they must survive the snapshot round trip.
     ("repro.evaluation.verification", "DesignVerification"),
 }
+
+
+def pack_arrays(arrays: Sequence[np.ndarray]) -> Tuple[Tuple[Tuple[int, ...], bytes], ...]:
+    """Plain-builtin form of float arrays: one ``(shape, float64 bytes)`` pair each.
+
+    Builtins only, so the snapshot allowlist needs no numpy globals.
+    """
+    packed = []
+    for array in arrays:
+        array = np.asarray(array, dtype="<f8")
+        packed.append((tuple(int(dim) for dim in array.shape), array.tobytes()))
+    return tuple(packed)
+
+
+def unpack_arrays(
+    value: Any, shapes: Sequence[Tuple[int, ...]]
+) -> Optional[List[np.ndarray]]:
+    """Inverse of :func:`pack_arrays`, checked against the expected ``shapes``.
+
+    Returns ``None`` instead of raising when ``value`` is not one
+    ``(shape, bytes)`` pair per expected shape with matching shapes and
+    byte lengths, so a malformed snapshot entry reads as a miss.
+    """
+    if not isinstance(value, tuple) or len(value) != len(shapes):
+        return None
+    arrays = []
+    for entry, shape in zip(value, shapes):
+        if not isinstance(entry, tuple) or len(entry) != 2:
+            return None
+        stored_shape, data = entry
+        shape = tuple(shape)
+        if stored_shape != shape or not isinstance(data, bytes):
+            return None
+        if len(data) != 8 * int(np.prod(shape, dtype=np.int64)):
+            return None
+        arrays.append(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape))
+    return arrays
 
 
 class _SnapshotUnpickler(pickle.Unpickler):
@@ -242,6 +288,8 @@ class EvaluationCache:
         self.models = LRUCache(max_model_entries)
         self.accuracy = LRUCache(max_accuracy_entries)
         self.reports = LRUCache(max_report_entries)
+        # A few small entries per dataset (one per split and trainer settings).
+        self.baselines = LRUCache(256)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -303,6 +351,23 @@ class EvaluationCache:
         """
         return (genome, float(voltage), float(clock_period_ms), bool(include_registers))
 
+    @staticmethod
+    def baseline_key(split: Hashable, sizes: Sequence[int], trainer: Any) -> Hashable:
+        """Cache key of one trained float baseline.
+
+        ``split`` is the training split's :meth:`split_fingerprint`,
+        ``sizes`` the topology's layer sizes and ``trainer`` the
+        :class:`~repro.baselines.gradient.GradientTrainer` dataclass;
+        every trainer field except ``verbose`` is part of the key.  The
+        numpy version is too, since it can change the trained floats.
+        """
+        settings = tuple(
+            (field.name, getattr(trainer, field.name))
+            for field in fields(trainer)
+            if field.name != "verbose"
+        )
+        return (split, tuple(int(size) for size in sizes), settings, np.__version__)
+
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Hit/miss counters of every section (for logs and tests)."""
@@ -317,6 +382,7 @@ class EvaluationCache:
                 ("models", self.models),
                 ("accuracy", self.accuracy),
                 ("reports", self.reports),
+                ("baselines", self.baselines),
             )
         }
 
@@ -326,6 +392,7 @@ class EvaluationCache:
         self.models.clear()
         self.accuracy.clear()
         self.reports.clear()
+        self.baselines.clear()
 
     # ------------------------------------------------------------------
     # Disk persistence
@@ -334,7 +401,7 @@ class EvaluationCache:
     #: purpose: decoded MLPs (with bit-plane caches) are orders of
     #: magnitude larger than fitness tuples and are rebuilt lazily from
     #: the genomes anyway.
-    _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports")
+    _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "baselines")
 
     def save(
         self,

@@ -52,10 +52,10 @@ class ExperimentScale:
         Global seed (dataset generation, training, GA).
     cache_dir:
         Optional directory for disk-backed evaluation caches.  When set,
-        the session's front stage loads each dataset's
-        :class:`~repro.core.cache.EvaluationCache` snapshot before the
-        genetic stage and saves it afterwards, so repeated runner
-        invocations share fitness and synthesis work across process
+        the session's baseline stage loads each dataset's
+        :class:`~repro.core.cache.EvaluationCache` snapshot once and the
+        later stages save it, so repeated runner invocations share the
+        trained baseline, fitness and synthesis work across process
         restarts (``runner.py --cache-dir``).
     cache_max_age_days:
         Snapshot-compaction age bound: entries whose last use is older

@@ -19,12 +19,13 @@ readable ``<experiment>.json`` + ``<experiment>.csv`` (see
 through ``Artifact.from_json``).
 
 ``--cache-dir DIR`` makes the evaluation cache persistent: each
-dataset's fitness/accuracy/hardware-report entries are loaded from
-``DIR`` before the genetic stage and saved back afterwards (compacted
-by the scale's snapshot policy), so a second invocation of the same
-experiment at the same scale is served almost entirely from cache (a
-per-dataset ``[cache]`` summary line reports the hit rate and the
-snapshot traffic).  Snapshots are versioned and keys are namespaced by
+dataset's trained baseline and fitness/accuracy/hardware-report entries
+are loaded from ``DIR`` before the baseline stage and saved back
+afterwards (compacted by the scale's snapshot policy), so a second
+invocation of the same experiment at the same scale is served almost
+entirely from cache (a per-dataset ``[cache]`` summary line reports the
+hit rate, the snapshot traffic and whether the baseline was
+``restored`` or ``trained``).  Snapshots are versioned and keys are namespaced by
 dataset split and constraints, so one directory can safely be shared
 between scales and experiments.
 
@@ -239,7 +240,8 @@ def main(argv: List[str] | None = None) -> int:
             print(
                 f"[cache] {dataset}: fitness {stats['cache_hits']}/"
                 f"{stats['evaluations']} hits ({100.0 * stats['hit_rate']:.1f}%), "
-                f"snapshot loaded {stats['loaded']} / saved {stats['saved']} entries"
+                f"snapshot loaded {stats['loaded']} / saved {stats['saved']} entries, "
+                f"baseline {stats['baseline']}"
             )
     if scale.verify_rtl or scale.verify_eda:
         for dataset, verification in sorted(session.verification_summary().items()):

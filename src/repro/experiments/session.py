@@ -34,12 +34,18 @@ Programmatic use::
     print(artifacts["table2"].format())           # text table
     artifacts["table2"].save("out/")              # table2.json + table2.csv
 
-Stage outputs that are expensive to recompute (fitness values, test
-accuracies, hardware reports, RTL verification results) persist through
-the session's :class:`~repro.core.cache.EvaluationCache` when a
-``cache_dir`` is set — the same disk snapshots ``runner.py --cache-dir``
-uses — so a second session over the same directory replays the heavy
-stages from disk.  Per-dataset stages can run in parallel
+Stage outputs that are expensive to recompute (the trained float
+baseline, fitness values, test accuracies, hardware reports, RTL
+verification results) persist through the session's
+:class:`~repro.core.cache.EvaluationCache` when a ``cache_dir`` is set —
+the same disk snapshots ``runner.py --cache-dir`` uses.  The session owns
+one cache per dataset: the first stage that needs it (the baseline, or
+the front when there is no cache directory) creates it and loads the
+dataset's snapshot exactly once, and every later stage of that dataset
+shares it.  A second session over the same directory therefore restores
+the gradient baseline (re-quantizing the bit-exact float weights instead
+of retraining them) and replays the GA's fitness work from disk.
+Per-dataset stages can run in parallel
 (:meth:`ExperimentSession.prefetch` / ``dataset_workers``): datasets are
 independent, so their baseline + GA stages are warmed concurrently and
 the experiment builders then read memoized results.
@@ -48,6 +54,7 @@ the experiment builders then read memoized results.
 from __future__ import annotations
 
 import dataclasses
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -56,9 +63,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.baselines.approx_tc23 import explore_tc23
-from repro.baselines.exact_bespoke import train_exact_baseline
-from repro.baselines.gradient import GradientTrainer
-from repro.core.cache import EvaluationCache, SnapshotPolicy
+from repro.baselines.exact_bespoke import quantize_float_mlp, train_exact_baseline
+from repro.baselines.gradient import FloatMLP, GradientTrainer
+from repro.core.cache import EvaluationCache, SnapshotPolicy, pack_arrays, unpack_arrays
 from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.datasets.registry import get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
@@ -79,6 +86,8 @@ __all__ = [
     "ExperimentDefinition",
     "ExperimentSession",
 ]
+
+_LOGGER = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExperimentDefinition:
@@ -111,10 +120,11 @@ class ExperimentSession:
         Optional directory for disk-backed
         :class:`~repro.core.cache.EvaluationCache` snapshots (one file
         per dataset); overrides ``scale.cache_dir``.  When set, the
-        genetic stages start from the previous run's fitness/accuracy/
-        report entries and save the merged cache back afterwards, so a
-        repeated invocation of an identical experiment is served almost
-        entirely from cache.
+        baseline stage restores the previous run's trained float
+        baseline, the genetic stages start from its fitness/accuracy/
+        report entries, and the merged cache is saved back afterwards,
+        so a repeated invocation of an identical experiment is served
+        almost entirely from cache.
     """
 
     def __init__(
@@ -132,6 +142,10 @@ class ExperimentSession:
         #: Per-dataset disk-cache traffic (entries loaded/saved), keyed
         #: by the canonical spec name.
         self._cache_io: Dict[str, Dict[str, int]] = {}
+        #: One evaluation cache per dataset (canonical spec name).
+        self._caches: Dict[str, EvaluationCache] = {}
+        #: Datasets whose baseline was restored from the snapshot.
+        self._restored_baselines: set = set()
         self._registry_lock = threading.Lock()
         # Reentrant: stages nest (ga_plain -> front -> baseline all take
         # the same dataset's lock on one thread).
@@ -187,14 +201,41 @@ class ExperimentSession:
                 restarts=scale.gradient_restarts,
                 seed=scale.seed,
             )
+            topology = spec.mlp_topology
+            cache = key = None
+            if self.cache_dir is not None:
+                cache = self._evaluation_cache(spec.name)
             start = time.perf_counter()
-            bespoke, float_model = train_exact_baseline(
-                dataset.train.features,
-                dataset.train.labels,
-                spec.mlp_topology,
-                trainer=trainer,
-            )
+            float_model = None
+            if cache is not None:
+                key = EvaluationCache.baseline_key(
+                    EvaluationCache.split_fingerprint(
+                        dataset.train.features, dataset.train.labels
+                    ),
+                    topology.sizes,
+                    trainer,
+                )
+                float_model = self._restore_baseline(cache, key, topology, spec.name)
+            restored = float_model is not None
+            if restored:
+                bespoke = quantize_float_mlp(float_model, dataset.train.features)
+            else:
+                bespoke, float_model = train_exact_baseline(
+                    dataset.train.features,
+                    dataset.train.labels,
+                    topology,
+                    trainer=trainer,
+                )
+            # Restore + quantize on a hit: the time this session spent.
             elapsed = time.perf_counter() - start
+            if restored:
+                with self._registry_lock:
+                    self._restored_baselines.add(spec.name)
+            elif cache is not None:
+                cache.baselines.put(
+                    key, pack_arrays(float_model.weights + float_model.biases)
+                )
+                self.persist_cache(spec.name, cache)
             x_train, y_train = dataset.quantized_train()
             x_test, y_test = dataset.quantized_test()
             report = bespoke.synthesize(clock_period_ms=spec.clock_period_ms)
@@ -236,13 +277,11 @@ class ExperimentSession:
             # reporting stages: the front members the GA decoded are
             # never decoded again downstream, and every hardware report
             # is synthesized at most once per operating point.  With a
-            # cache directory it also spans *runs*: the previous
-            # invocation's fitness/accuracy/report entries are restored
-            # before the GA starts, and the merged cache is snapshotted
+            # cache directory it also spans *runs*: the baseline stage
+            # already loaded the previous invocation's snapshot into
+            # this dataset's cache, and the merged cache is snapshotted
             # afterwards.
-            cache = EvaluationCache()
-            snapshot = self._snapshot_path(spec.name)
-            loaded = cache.load(snapshot) if snapshot is not None else 0
+            cache = self._evaluation_cache(spec.name)
             start = time.perf_counter()
             ga_result = trainer.train(
                 x_train,
@@ -288,9 +327,7 @@ class ExperimentSession:
                     cache=cache,
                     eda=self.scale.verify_eda,
                 )
-            if snapshot is not None:
-                self._cache_io[spec.name] = {"loaded": loaded, "saved": 0}
-                self.persist_cache(spec.name, cache)
+            self.persist_cache(spec.name, cache)
             approximate = ApproximateResult(
                 ga_result=ga_result,
                 designs=designs,
@@ -672,6 +709,44 @@ class ExperimentSession:
     # ------------------------------------------------------------------
     # Evaluation-cache snapshots and summaries
     # ------------------------------------------------------------------
+    def _evaluation_cache(self, spec_name: str) -> EvaluationCache:
+        """The dataset's one evaluation cache, its snapshot loaded on first use."""
+        with self._registry_lock:
+            cache = self._caches.get(spec_name)
+        if cache is None:
+            cache = EvaluationCache()
+            snapshot = self._snapshot_path(spec_name)
+            if snapshot is not None:
+                self._cache_io[spec_name] = {"loaded": cache.load(snapshot), "saved": 0}
+            with self._registry_lock:
+                cache = self._caches.setdefault(spec_name, cache)
+        return cache
+
+    @staticmethod
+    def _restore_baseline(
+        cache: EvaluationCache, key, topology, spec_name: str
+    ) -> Optional[FloatMLP]:
+        """The cached float baseline under ``key``, or ``None`` to retrain.
+
+        An entry that does not rebuild into the topology's layer shapes
+        is a miss, not an error (the snapshot's corruption tolerance):
+        it is logged and the retrained baseline overwrites it.
+        """
+        value = cache.baselines.get(key)
+        if value is None:
+            return None
+        weight_shapes = list(topology.layer_shapes())
+        arrays = unpack_arrays(
+            value, weight_shapes + [(fan_out,) for _, fan_out in weight_shapes]
+        )
+        if arrays is None:
+            _LOGGER.warning(
+                "ignoring malformed cached baseline of %s; retraining", spec_name
+            )
+            return None
+        layers = topology.num_layers
+        return FloatMLP(topology=topology, weights=arrays[:layers], biases=arrays[layers:])
+
     def _snapshot_path(self, name: str) -> Optional[Path]:
         """Disk location of one dataset's evaluation-cache snapshot."""
         if self.cache_dir is None:
@@ -718,16 +793,18 @@ class ExperimentSession:
                 if key[0] == "ga_front"
             ]
 
-    def cache_summary(self) -> Dict[str, Dict[str, float]]:
+    def cache_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-dataset fitness-cache hit rates and disk-snapshot traffic.
 
         ``hit_rate`` is the GA stage's unique-lookup hit rate (hits /
         evaluations); on a second identical run against the same
         ``cache_dir`` it approaches 1.0 because every genome's fitness
         was restored from disk.  ``loaded``/``saved`` count snapshot
-        entries read before and written after the genetic stages.
+        entries read before the baseline stage and written after the
+        last stage that saved.  ``baseline`` is ``"restored"`` when the
+        gradient baseline came from the snapshot, else ``"trained"``.
         """
-        summary: Dict[str, Dict[str, float]] = {}
+        summary: Dict[str, Dict[str, object]] = {}
         for name, result in self._fronts():
             history = result.approximate.ga_result.history
             if not history:
@@ -742,6 +819,11 @@ class ExperimentSession:
                 "hit_rate": last.cache_hit_rate,
                 "loaded": io.get("loaded", 0),
                 "saved": io.get("saved", 0),
+                "baseline": (
+                    "restored"
+                    if result.spec.name in self._restored_baselines
+                    else "trained"
+                ),
             }
         return summary
 

@@ -4,6 +4,9 @@ For every dataset the experiment trains the hardware-approximation-aware
 GA, synthesizes the estimated Pareto front, selects the smallest-area
 design within the 5 % accuracy-loss budget and reports its accuracy,
 area, power and the reduction factors against the exact baseline.
+When no design meets the budget the row reports the most accurate
+design instead and its ``within_budget`` (the printed "In Budget"
+column) is ``False``.
 
 The row builder (:func:`build_table2`) reads the session's shared
 ``ga_front`` stage — the same trained front ``fig4``/``fig5``/``table3``
@@ -38,6 +41,7 @@ DISPLAY = (
     ("Area Red.", "area_reduction"),
     ("Power Red.", "power_reduction"),
     ("Base Acc", "baseline_accuracy"),
+    ("In Budget", "within_budget"),
 )
 
 
@@ -74,6 +78,7 @@ def build_table2(
                 "accuracy": selection["accuracy"],
                 "baseline_accuracy": selection["baseline_accuracy"],
                 "accuracy_loss": selection["accuracy_loss"],
+                "within_budget": selection["within_budget"],
                 "area_cm2": selection["area_cm2"],
                 "power_mw": selection["power_mw"],
                 "baseline_area_cm2": selection["baseline_area_cm2"],

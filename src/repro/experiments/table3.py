@@ -25,6 +25,12 @@ hardware-aware front's — so ``--experiment all`` never re-trains them
 for this table.  Only the hardware-unaware plain GA (the ``GA`` column)
 is a genuinely distinct search and runs as its own once-per-dataset
 stage.
+
+On a warm cache directory (a repeated ``--cache-dir`` run) all three
+columns are replay times, not training times: the ``grad`` column is
+the time to restore and re-quantize the cached baseline, and both GA
+columns time searches whose fitness lookups are served from the
+snapshot.
 """
 
 from __future__ import annotations

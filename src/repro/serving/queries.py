@@ -176,12 +176,19 @@ def selection_row(
     record: Union[DatasetRecord, FrontRecord],
     max_accuracy_loss: Optional[float] = None,
 ) -> Dict:
-    """The Table II style summary of one dataset's operating point."""
+    """The Table II style summary of one dataset's operating point.
+
+    ``within_budget`` is ``False`` when no design meets the budget and
+    the row reports :func:`select_design`'s most-accurate fallback; it
+    applies the selection rule's own threshold, so it never disagrees
+    with that choice.
+    """
     front = record.front if isinstance(record, DatasetRecord) else record
     if max_accuracy_loss is None:
         max_accuracy_loss = front.default_accuracy_loss
     selected = select(front, max_accuracy_loss=max_accuracy_loss)
     baseline = front.baseline
+    threshold = front.baseline_test_accuracy - max_accuracy_loss
     return {
         "dataset": front.dataset,
         "design": selected.name,
@@ -189,6 +196,7 @@ def selection_row(
         "accuracy": selected.test_accuracy,
         "baseline_accuracy": front.baseline_test_accuracy,
         "accuracy_loss": front.baseline_test_accuracy - selected.test_accuracy,
+        "within_budget": selected.test_accuracy >= threshold,
         "area_cm2": selected.area_cm2,
         "power_mw": selected.power_mw,
         "baseline_area_cm2": baseline.area_cm2,

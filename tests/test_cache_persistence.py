@@ -9,12 +9,21 @@ served almost entirely (> 90 %) from the fitness cache.
 
 from __future__ import annotations
 
+import dataclasses
+import logging
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.cache import CACHE_FORMAT_VERSION, EvaluationCache, SnapshotPolicy
+from repro.baselines.gradient import GradientTrainer
+from repro.core.cache import (
+    CACHE_FORMAT_VERSION,
+    EvaluationCache,
+    SnapshotPolicy,
+    pack_arrays,
+    unpack_arrays,
+)
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import ExperimentSession
 
@@ -35,6 +44,55 @@ class TestSnapshotRoundTrip:
         assert restored.fitness.get(("ctx", b"genome-2")) == (0.5, 8.0)
         assert restored.accuracy.get((("k", b"g"), "split")) == 0.875
         assert restored.reports.get(("g", 1.0, 200.0, False)) == {"area": 3.5}
+
+    def test_baselines_section_round_trips_bit_exactly(self, tmp_path):
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3,))]
+        key = EvaluationCache.baseline_key(
+            EvaluationCache.split_fingerprint(np.ones((5, 4)), np.zeros(5, dtype=np.int64)),
+            (4, 3),
+            GradientTrainer(epochs=7),
+        )
+        cache = EvaluationCache()
+        cache.baselines.put(key, pack_arrays(arrays))
+        path = tmp_path / "snap.pkl"
+        assert cache.save(path) == 1
+
+        restored = EvaluationCache()
+        assert restored.load(path) == 1
+        unpacked = unpack_arrays(restored.baselines.get(key), [(4, 3), (3,)])
+        assert [a.tobytes() for a in unpacked] == [a.tobytes() for a in arrays]
+
+    def test_baseline_key_covers_trainer_settings_but_not_verbose(self):
+        split = ("split",)
+        key = EvaluationCache.baseline_key(split, (4, 3), GradientTrainer())
+        assert key == EvaluationCache.baseline_key(
+            split, (4, 3), GradientTrainer(verbose=True)
+        )
+        for changed in (
+            GradientTrainer(epochs=201),
+            GradientTrainer(seed=1),
+            GradientTrainer(learning_rate=0.02),
+        ):
+            assert EvaluationCache.baseline_key(split, (4, 3), changed) != key
+        assert EvaluationCache.baseline_key(split, (4, 2), GradientTrainer()) != key
+        assert EvaluationCache.baseline_key(("other",), (4, 3), GradientTrainer()) != key
+        assert np.__version__ in key
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "not a tuple",
+            [((2, 2), bytes(32))],
+            (((2, 2), bytes(31)),),
+            (((4,), bytes(32)),),
+            (((2, 2), bytes(32)), ((2,), bytes(16))),
+            (((2, 2), "not bytes"),),
+        ],
+        ids=["str", "list", "byte-length", "shape", "arity", "payload-type"],
+    )
+    def test_unpack_arrays_rejects_malformed_values(self, value):
+        assert unpack_arrays(value, [(2, 2)]) is None
 
     def test_models_section_is_not_persisted(self, tmp_path):
         cache = EvaluationCache()
@@ -317,6 +375,33 @@ TINY = ExperimentScale(
 )
 
 
+def _count_gradient_training(monkeypatch) -> dict:
+    """Count ``GradientTrainer.train`` calls (the baseline's training)."""
+    calls = {"n": 0}
+    original = GradientTrainer.train
+
+    def counting(self, *args, **kwargs):
+        calls["n"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GradientTrainer, "train", counting)
+    return calls
+
+
+def _baseline_fingerprint(baseline) -> tuple:
+    """Every value the restored baseline must reproduce, as bytes."""
+    bespoke = baseline.bespoke
+    return (
+        [w.tobytes() for w in baseline.float_model.weights],
+        [b.tobytes() for b in baseline.float_model.biases],
+        [w.tobytes() for w in bespoke.weight_codes],
+        [b.tobytes() for b in bespoke.bias_codes],
+        list(bespoke.shifts),
+        baseline.train_accuracy,
+        baseline.test_accuracy,
+    )
+
+
 class TestPipelinePersistence:
     def test_second_run_hits_over_90_percent(self, tmp_path):
         """The acceptance criterion: an identical second run against the
@@ -388,6 +473,72 @@ class TestPipelinePersistence:
         assert list(tmp_path.iterdir()) == []  # nothing written anywhere
         assert session.cache_summary()["breast_cancer"]["loaded"] == 0
 
+    def test_second_session_restores_the_baseline(self, tmp_path, monkeypatch):
+        first = ExperimentSession(TINY, cache_dir=tmp_path)
+        first_artifacts = first.run(["table1", "table2"])
+        assert first.cache_summary()["breast_cancer"]["baseline"] == "trained"
+
+        calls = _count_gradient_training(monkeypatch)
+        second = ExperimentSession(TINY, cache_dir=tmp_path)
+        second_artifacts = second.run(["table1", "table2"])
+        assert calls["n"] == 0
+        assert second.cache_summary()["breast_cancer"]["baseline"] == "restored"
+        assert _baseline_fingerprint(
+            second.baseline("breast_cancer").baseline
+        ) == _baseline_fingerprint(first.baseline("breast_cancer").baseline)
+        for name in ("table1", "table2"):
+            assert second_artifacts[name] == first_artifacts[name], name
+        assert second.stage_counts() == first.stage_counts()
+
+    @pytest.mark.parametrize(
+        "change", [{"gradient_epochs": 31}, {"seed": 1}], ids=["epochs", "seed"]
+    )
+    def test_changed_settings_miss_and_retrain(self, tmp_path, monkeypatch, change):
+        ExperimentSession(TINY, cache_dir=tmp_path).front("breast_cancer")
+        calls = _count_gradient_training(monkeypatch)
+        changed = ExperimentSession(
+            dataclasses.replace(TINY, **change), cache_dir=tmp_path
+        )
+        changed.front("breast_cancer")
+        assert calls["n"] == 1
+        assert changed.cache_summary()["breast_cancer"]["baseline"] == "trained"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda value: "garbage",
+            lambda value: ((value[0][0], value[0][1][:-8]),) + value[1:],
+            lambda value: ((value[0][0][::-1], value[0][1]),) + value[1:],
+        ],
+        ids=["non-tuple", "byte-length", "shape"],
+    )
+    def test_malformed_entry_is_retrained_and_overwritten(
+        self, tmp_path, monkeypatch, caplog, corrupt
+    ):
+        cold = ExperimentSession(TINY).baseline("breast_cancer").baseline
+        ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        payload = pickle.loads(snapshot.read_bytes())
+        assert payload["version"] == CACHE_FORMAT_VERSION == 4
+        (key, value, stamp), = payload["sections"]["baselines"]
+        payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
+        snapshot.write_bytes(pickle.dumps(payload))
+
+        calls = _count_gradient_training(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.session"):
+            retrained = ExperimentSession(TINY, cache_dir=tmp_path)
+            result = retrained.baseline("breast_cancer").baseline
+        assert calls["n"] == 1
+        assert "malformed cached baseline" in caplog.text
+        assert _baseline_fingerprint(result) == _baseline_fingerprint(cold)
+
+        # The retrained baseline overwrote the bad entry on disk.
+        restored = ExperimentSession(TINY, cache_dir=tmp_path)
+        assert _baseline_fingerprint(
+            restored.baseline("breast_cancer").baseline
+        ) == _baseline_fingerprint(cold)
+        assert calls["n"] == 1
+
 
 class TestRunnerFlag:
     def test_runner_cache_dir_reports_hit_rate(self, tmp_path, capsys, monkeypatch):
@@ -408,6 +559,7 @@ class TestRunnerFlag:
         assert runner_module.main(argv) == 0
         first_out = capsys.readouterr().out
         assert "[cache] breast_cancer" in first_out
+        assert "baseline trained" in first_out
         assert (tmp_path / "breast_cancer.cache.pkl").exists()
 
         assert runner_module.main(argv) == 0
@@ -417,3 +569,4 @@ class TestRunnerFlag:
         )
         rate = float(line.split("(")[1].split("%")[0])
         assert rate > 90.0
+        assert line.endswith("baseline restored")

@@ -518,6 +518,35 @@ class TestQueries:
         assert row["accuracy"] == 0.88 and row["area_cm2"] == 0.6
         tight = queries.selection_row(record, max_accuracy_loss=0.01)
         assert tight["accuracy"] == 0.92
+        assert row["within_budget"] and tight["within_budget"]
+
+    def test_selection_row_flags_a_budget_fallback(self, store):
+        """No stored design is within 0.1% of the 0.93 baseline: the row
+        reports the most accurate design and says it is a fallback."""
+        record = store.get_dataset("demo")
+        row = queries.selection_row(record, max_accuracy_loss=0.001)
+        assert row["accuracy"] == 0.92 and row["area_cm2"] == 1.0
+        assert row["accuracy_loss"] > row["max_accuracy_loss"]
+        assert row["within_budget"] is False
+
+    def test_table2_marks_fallback_rows(self, store):
+        """Table II carries the flag and prints it in its own column."""
+        from types import SimpleNamespace
+
+        from repro.evaluation.report import format_rows
+        from repro.experiments.table2 import DISPLAY, build_table2
+
+        record = store.get_dataset("demo")
+        session = SimpleNamespace(
+            scale=SimpleNamespace(datasets=("demo",)), record=lambda name: record
+        )
+        (fallback,) = build_table2(session, max_accuracy_loss=0.001)
+        (admissible,) = build_table2(session)
+        assert fallback["within_budget"] is False
+        assert admissible["within_budget"] is True
+        header, _, line = format_rows(DISPLAY, [fallback]).splitlines()[:3]
+        assert header.split("|")[-1].strip() == "In Budget"
+        assert line.split("|")[-1].strip() == "False"
 
     def test_front_rows_are_nondominated(self, store):
         rows = queries.front_rows(store.get_dataset("demo"))
