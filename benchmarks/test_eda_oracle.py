@@ -1,9 +1,10 @@
 """Benchmarks of the microverilog fifth oracle.
 
 Tracks what the pure-Python Verilog-subset simulator costs on top of the
-existing four-oracle differential harness: parse+simulate throughput on
-a front-sized batch of generated modules, and the end-to-end overhead of
-``verify_front(eda=True)`` versus the eda-off run.  Timings land in
+existing four-oracle differential harness: parse, evaluate-only and
+parse+simulate throughput on a front-sized batch of generated modules,
+and the end-to-end overhead of ``verify_front(eda=True)`` versus the
+eda-off run.  Timings land in
 ``BENCH_eda_oracle.json`` (see ``conftest.record_bench``) so the CI
 smoke pass leaves a per-commit trajectory; the *external* iverilog/yosys
 flow is benchmarked separately by the ``eda-cross-check`` CI job via
@@ -47,7 +48,8 @@ def _random_modules():
 
 
 def test_bench_parse_and_simulate_sweep(record_bench):
-    """12 modules × 256 vectors through parse + vectorized evaluation."""
+    """12 modules × 256 vectors: parse alone, evaluation of the parsed
+    modules alone, and parse + evaluation together."""
     texts, vectors = _random_modules()
 
     start = time.perf_counter()
@@ -55,16 +57,32 @@ def test_bench_parse_and_simulate_sweep(record_bench):
     parse_seconds = time.perf_counter() - start
     assert len(modules) == NUM_MODULES
 
+    stimulus = {f"in{i}": vectors[:, i] for i in range(SIZES[0])}
+    start = time.perf_counter()
+    outputs = [module.evaluate(stimulus)["class_index"] for module in modules]
+    evaluate_seconds = time.perf_counter() - start
+
     start = time.perf_counter()
     predictions = [simulate_mlp_module(text, vectors) for text in texts]
     simulate_seconds = time.perf_counter() - start
     assert all(p.shape == (NUM_VECTORS,) for p in predictions)
+    assert all(np.array_equal(o, p) for o, p in zip(outputs, predictions))
 
     record_bench(
         "eda_oracle",
         "parse_sweep_12_modules",
         seconds=parse_seconds,
         num_modules=NUM_MODULES,
+    )
+    record_bench(
+        "eda_oracle",
+        "evaluate_sweep_12x256",
+        seconds=evaluate_seconds,
+        num_modules=NUM_MODULES,
+        num_vectors=NUM_VECTORS,
+        vectors_per_second=(NUM_MODULES * NUM_VECTORS) / evaluate_seconds
+        if evaluate_seconds
+        else float("inf"),
     )
     record_bench(
         "eda_oracle",

@@ -25,19 +25,30 @@ Python oracles (a mis-sized wire, a dropped ``signed``, an illegal
 expression part-select) changes the *Verilog* meaning of the text and is
 caught here, the same way iverilog would catch it in a real EDA flow.
 
-Evaluation is vectorized over the stimulus batch: every net carries an
-``(n_vectors,)`` int64 array of bit patterns, ``if`` statements merge
-lanes with boolean masks, and continuous assignments are topologically
-ordered, so one :meth:`MicroVerilogModule.evaluate` call simulates all
-testbench vectors at once.  Declared widths are capped at
-:data:`MAX_WIDTH` bits so int64 bit patterns stay exact.
+A module text is handled in four stages, each once:
+
+1. **scan** — one :data:`_TOKEN_RE` ``finditer`` pass; each match folds
+   in the whitespace and comments before its token, and a character no
+   token starts with is rejected where it stands, never skipped;
+2. **parse** — recursive descent for module items and statements,
+   precedence climbing over :data:`_PRECEDENCE` for expressions;
+3. **resolve** — the drivers are ordered topologically and every
+   expression node's context width and signedness is fixed once,
+   compiling it into a closure over the net values;
+4. **evaluate** — the closures run over the whole stimulus batch: every
+   net is an ``(n_vectors,)`` int64 array of bit patterns (literals and
+   localparams are broadcast scalars), and ``if`` statements merge lanes
+   with boolean masks.
+
+Declared widths are capped at :data:`MAX_WIDTH` bits so int64 bit
+patterns stay exact.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,22 +75,31 @@ class MicroVerilogError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+#: One token and the whitespace and comments before it.  The comment
+#: patterns match any text in one way only, and ``bad`` (any other
+#: character) and ``end`` (trailing space) always match where the skip
+#: stops, so ``finditer`` never skips text and never backtracks
+#: super-linearly.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*|/\*.*?\*/)
-  | (?P<based>(?P<size>\d+)?\s*'(?P<signed>[sS])?(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-F_xzXZ?]+))
-  | (?P<dec>\d[\d_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-  | (?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*&|^~!<>?:=;,().\[\]{}@#])
+    \s*(?:(?://[^\n]*(?:\n|\Z)|/\*(?:[^*]|\*(?!/))*\*/)\s*)*
+    (?:
+      (?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*&|^~!<>?:=;,().\[\]{}@#])
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<based>(?P<size>\d+)?\s*'(?P<signed>[sS])?(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-F_xzXZ?]+))
+    | (?P<dec>\d[\d_]*)
+    | (?P<bad>.)
+    | (?P<end>\Z)
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
+_FOUR_STATE_RE = re.compile(r"[xzXZ?]")
 _BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op"
     text: str
     #: For "num": (value, width, signed, sized)
@@ -87,48 +107,41 @@ class _Token:
     position: int = 0
 
 
+def _based_number(match: "re.Match[str]", literal: str) -> Tuple[int, int, bool, bool]:
+    digits = match.group("digits").replace("_", "")
+    if _FOUR_STATE_RE.search(digits):
+        raise MicroVerilogError(f"4-state value {literal!r} is unsupported")
+    base = _BASES[match.group("base").lower()]
+    try:
+        value = int(digits, base)
+    except ValueError:
+        raise MicroVerilogError(f"literal {literal!r} has digits outside base {base}") from None
+    size = match.group("size")
+    width = int(size) if size else 32
+    if width <= 0:
+        raise MicroVerilogError(f"zero-width literal {literal!r}")
+    if value >> width:
+        raise MicroVerilogError(f"literal {literal!r} does not fit in {width} bits")
+    return value, width, match.group("signed") is not None, True
+
+
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            snippet = text[position : position + 20]
-            raise MicroVerilogError(f"unrecognized Verilog at {snippet!r}")
-        position = match.end()
-        if match.group("ws"):
-            continue
-        if match.group("based"):
-            digits = match.group("digits").replace("_", "")
-            if re.search(r"[xzXZ?]", digits):
-                raise MicroVerilogError(
-                    f"4-state value {match.group(0)!r} is unsupported"
-                )
-            base = _BASES[match.group("base").lower()]
-            value = int(digits, base)
-            size = match.group("size")
-            signed = match.group("signed") is not None
-            width = int(size) if size else 32
-            if width <= 0:
-                raise MicroVerilogError(f"zero-width literal {match.group(0)!r}")
-            if value >> width:
-                raise MicroVerilogError(
-                    f"literal {match.group(0)!r} does not fit in {width} bits"
-                )
-            tokens.append(
-                _Token("num", match.group(0), (value, width, signed, True), match.start())
-            )
-        elif match.group("dec"):
-            value = int(match.group("dec").replace("_", ""))
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        literal = match[kind]
+        start = match.end() - len(literal)
+        if kind == "ident" or kind == "op":
+            tokens.append(_Token(kind, literal, None, start))
+        elif kind == "dec":
+            value = int(literal.replace("_", ""))
             # Unsized decimal literals are signed and at least 32 bits wide.
             width = max(32, value.bit_length() + 1)
-            tokens.append(
-                _Token("num", match.group(0), (value, width, True, False), match.start())
-            )
-        elif match.group("ident"):
-            tokens.append(_Token("ident", match.group(0), position=match.start()))
-        else:
-            tokens.append(_Token("op", match.group("op"), position=match.start()))
+            tokens.append(_Token("num", literal, (value, width, True, False), start))
+        elif kind == "based":
+            tokens.append(_Token("num", literal, _based_number(match, literal), start))
+        elif kind == "bad":
+            raise MicroVerilogError(f"unrecognized Verilog at {text[start : start + 20]!r}")
     return tokens
 
 
@@ -137,47 +150,54 @@ def _tokenize(text: str) -> List[_Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Literal:
+    __slots__ = ("value", "width", "signed")
     value: int
     width: int
     signed: bool
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Ident:
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Select:
     """Bit/part-select ``name[msb:lsb]`` (``msb == lsb`` for a bit-select)."""
 
+    __slots__ = ("name", "msb", "lsb")
     name: str
     msb: int
     lsb: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Concat:
+    __slots__ = ("parts",)
     parts: Tuple[object, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Unary:
+    __slots__ = ("op", "operand")
     op: str
     operand: object
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Binary:
+    __slots__ = ("op", "left", "right")
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Ternary:
+    __slots__ = ("condition", "if_true", "if_false")
     condition: object
     if_true: object
     if_false: object
@@ -185,7 +205,6 @@ class _Ternary:
 
 _COMPARISONS = {"<", "<=", ">", ">=", "==", "!="}
 _SHIFTS = {"<<", ">>", ">>>"}
-_ARITH = {"+", "-", "*", "&", "|", "^"}
 
 #: Binary operators by descending precedence tier (Verilog-2001 order
 #: restricted to the supported subset).
@@ -201,6 +220,9 @@ _PRECEDENCE: Tuple[Tuple[str, ...], ...] = (
     ("+", "-"),
     ("*",),
 )
+
+#: ``{operator: tier}``; a higher tier binds tighter.
+_TIERS = {op: tier for tier, ops in enumerate(_PRECEDENCE) for op in ops}
 
 
 # ---------------------------------------------------------------------------
@@ -226,29 +248,33 @@ class _Signal:
     kind: str  # "input" | "wire" | "reg" | "localparam"
 
 
-@dataclass(frozen=True)
+@dataclass
 class _AssignNode:
     """A continuous assignment (wire initializer or ``assign``)."""
 
+    __slots__ = ("target", "expression")
     target: str
     expression: object
 
 
-@dataclass(frozen=True)
+@dataclass
 class _IfStatement:
+    __slots__ = ("condition", "then_body", "else_body")
     condition: object
     then_body: Tuple[object, ...]
     else_body: Tuple[object, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class _BlockingAssign:
+    __slots__ = ("target", "expression")
     target: str
     expression: object
 
 
-@dataclass(frozen=True)
+@dataclass
 class _AlwaysNode:
+    __slots__ = ("statements", "writes")
     statements: Tuple[object, ...]
     #: Registers this block assigns (the nets it drives).
     writes: Tuple[str, ...]
@@ -258,19 +284,27 @@ class _AlwaysNode:
 # Parser
 # ---------------------------------------------------------------------------
 
+#: Sentinel after the last token, so hot loops index without a bounds check.
+_EOF = _Token("eof", "")
+
 
 class _Parser:
     def __init__(self, tokens: List[_Token]) -> None:
-        self.tokens = tokens
+        self.tokens = tokens + [_EOF]
         self.index = 0
+        #: Identifiers read, and blocking-assignment targets, since the
+        #: caller last reset these lists.
+        self.reads: List[str] = []
+        self.writes: List[str] = []
 
     # -- token helpers -------------------------------------------------
     def peek(self) -> Optional[_Token]:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+        token = self.tokens[self.index]
+        return None if token is _EOF else token
 
     def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
+        token = self.tokens[self.index]
+        if token is _EOF:
             raise MicroVerilogError("unexpected end of module text")
         self.index += 1
         return token
@@ -282,8 +316,7 @@ class _Parser:
         return token
 
     def accept(self, text: str) -> bool:
-        token = self.peek()
-        if token is not None and token.text == text:
+        if self.tokens[self.index].text == text:
             self.index += 1
             return True
         return False
@@ -327,45 +360,47 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------
     def parse_expression(self) -> object:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> object:
         condition = self._parse_binary(0)
-        if not self.accept("?"):
+        if self.tokens[self.index].text != "?":
             return condition
-        if_true = self._parse_ternary()
+        self.index += 1
+        if_true = self.parse_expression()
         self.expect(":")
-        if_false = self._parse_ternary()
-        return _Ternary(condition, if_true, if_false)
+        return _Ternary(condition, if_true, self.parse_expression())
 
-    def _parse_binary(self, tier: int) -> object:
-        if tier >= len(_PRECEDENCE):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
-        operators = _PRECEDENCE[tier]
+    def _parse_binary(self, min_tier: int) -> object:
+        """Precedence climbing: a unary operand, then every operator of
+        tier ``>= min_tier`` (left-associative within a tier)."""
+        tokens = self.tokens
+        left = self._parse_unary()
         while True:
-            token = self.peek()
-            if token is None or token.kind != "op" or token.text not in operators:
+            op = tokens[self.index].text
+            tier = _TIERS.get(op, -1)
+            if tier < min_tier:
                 return left
             self.index += 1
-            right = self._parse_binary(tier + 1)
-            left = _Binary(token.text, left, right)
+            left = _Binary(op, left, self._parse_binary(tier + 1))
 
     def _parse_unary(self) -> object:
-        token = self.peek()
-        if token is not None and token.kind == "op" and token.text in ("-", "~", "!", "+"):
-            self.index += 1
-            operand = self._parse_unary()
-            if token.text == "+":
-                return operand
-            return _Unary(token.text, operand)
-        return self._parse_primary()
-
-    def _parse_primary(self) -> object:
+        """A primary, after any prefix unary operators."""
         token = self.next()
+        if token.kind == "ident":
+            self.reads.append(token.text)
+            if self.tokens[self.index].text != "[":
+                return _Ident(token.text)
+            self.index += 1
+            msb = self._const(self.parse_expression(), {})
+            lsb = self._const(self.parse_expression(), {}) if self.accept(":") else msb
+            self.expect("]")
+            if lsb < 0 or msb < lsb:
+                raise MicroVerilogError(f"unsupported select {token.text}[{msb}:{lsb}]")
+            return _Select(token.text, msb, lsb)
         if token.kind == "num":
             value, width, signed, _ = token.number  # type: ignore[misc]
             return _Literal(value, width, signed)
+        if token.text in ("-", "~", "!", "+"):
+            operand = self._parse_unary()
+            return operand if token.text == "+" else _Unary(token.text, operand)
         if token.text == "(":
             inner = self.parse_expression()
             self.expect(")")
@@ -376,20 +411,6 @@ class _Parser:
                 parts.append(self.parse_expression())
             self.expect("}")
             return _Concat(tuple(parts))
-        if token.kind == "ident":
-            if self.accept("["):
-                msb = self._const(self.parse_expression(), {})
-                if self.accept(":"):
-                    lsb = self._const(self.parse_expression(), {})
-                else:
-                    lsb = msb
-                self.expect("]")
-                if lsb < 0 or msb < lsb:
-                    raise MicroVerilogError(
-                        f"unsupported select {token.text}[{msb}:{lsb}]"
-                    )
-                return _Select(token.text, msb, lsb)
-            return _Ident(token.text)
         raise MicroVerilogError(f"unexpected token {token.text!r} in expression")
 
     # -- statements ----------------------------------------------------
@@ -409,284 +430,351 @@ class _Parser:
                 else_body = (self.parse_statement(),)
             return _IfStatement(condition, (then_statement,), else_body)
         target = self.expect_ident()
+        self.writes.append(target)
         self.expect("=")
         expression = self.parse_expression()
         self.expect(";")
         return _BlockingAssign(target, expression)
 
+    def parse_assign(self, target: str) -> Tuple[_AssignNode, List[str]]:
+        """The driver ``target = expression`` and the identifiers it reads."""
+        self.reads = []
+        return _AssignNode(target, self.parse_expression()), self.reads
 
-def _statement_writes(statement: object, into: List[str]) -> None:
-    if isinstance(statement, _BlockingAssign):
-        into.append(statement.target)
-    elif isinstance(statement, _IfStatement):
-        for child in statement.then_body + statement.else_body:
-            _statement_writes(child, into)
-
-
-def _expression_reads(expression: object, into: List[str]) -> None:
-    if isinstance(expression, _Ident):
-        into.append(expression.name)
-    elif isinstance(expression, _Select):
-        into.append(expression.name)
-    elif isinstance(expression, _Concat):
-        for part in expression.parts:
-            _expression_reads(part, into)
-    elif isinstance(expression, _Unary):
-        _expression_reads(expression.operand, into)
-    elif isinstance(expression, _Binary):
-        _expression_reads(expression.left, into)
-        _expression_reads(expression.right, into)
-    elif isinstance(expression, _Ternary):
-        _expression_reads(expression.condition, into)
-        _expression_reads(expression.if_true, into)
-        _expression_reads(expression.if_false, into)
-
-
-def _statement_reads(statement: object, into: List[str]) -> None:
-    if isinstance(statement, _BlockingAssign):
-        _expression_reads(statement.expression, into)
-    elif isinstance(statement, _IfStatement):
-        _expression_reads(statement.condition, into)
-        for child in statement.then_body + statement.else_body:
-            _statement_reads(child, into)
+    def parse_always(self) -> Tuple[_AlwaysNode, List[str]]:
+        """An always block's body and the identifiers it reads."""
+        self.reads, self.writes = [], []
+        statement = self.parse_statement()
+        return _AlwaysNode((statement,), tuple(dict.fromkeys(self.writes))), self.reads
 
 
 # ---------------------------------------------------------------------------
-# Width / signedness resolution (simplified Verilog-2001 rules)
+# Resolution: width / signedness (simplified Verilog-2001 rules), compiled once
 # ---------------------------------------------------------------------------
+
+#: Net values (bit patterns by name) -> an expression's bit patterns.
+_Compiled = Callable[[Dict[str, np.ndarray]], np.ndarray]
+#: One driver of the plan: runs on (net values, number of vectors).
+_Step = Callable[[Dict[str, np.ndarray], int], None]
+
+_COMPARE = {
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+    "==": np.equal, "!=": np.not_equal,
+}
+_BITWISE = {"&": np.bitwise_and, "|": np.bitwise_or, "^": np.bitwise_xor}
 
 
 def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
-class _Evaluator:
-    """Evaluates expressions over the module's symbol table.
+def _check_width(width: int) -> int:
+    if width > MAX_WIDTH:
+        raise MicroVerilogError(
+            f"expression width {width} exceeds the supported {MAX_WIDTH} bits"
+        )
+    if width <= 0:
+        raise MicroVerilogError(f"non-positive expression width {width}")
+    return width
 
-    Values are ``(n_vectors,)`` int64 arrays of non-negative *bit
-    patterns*; interpretation (two's complement or unsigned) happens
-    only where the language requires it — comparisons, arithmetic right
-    shifts — so truncation-on-assignment and wraparound arithmetic come
-    out exactly as a Verilog simulator would produce them.
+
+def _literal_value(literal: _Literal, width: int) -> int:
+    """``literal``'s bit pattern in a ``width``-bit context."""
+    _check_width(width)
+    if literal.value >> width:
+        raise MicroVerilogError(f"literal {literal.value} does not fit in {width} bits")
+    return literal.value
+
+
+class _Resolver:
+    """Compiles a module's drivers into closures, once, in evaluation order.
+
+    Each expression node is visited with its context width and signedness
+    fixed and becomes a closure returning non-negative int64 *bit
+    patterns* below ``2**width``.  Interpretation (two's complement or
+    unsigned) happens only where the language requires it — comparisons,
+    arithmetic right shifts — so truncation-on-assignment and wraparound
+    arithmetic come out exactly as a Verilog simulator would produce them.
+    Closures bind their operands as default arguments, not cells, so a
+    node costs the garbage collector two objects.  :attr:`driven` holds
+    the nets that have a value at the current point of evaluation.
     """
 
-    def __init__(self, signals: Dict[str, _Signal], n_vectors: int) -> None:
+    def __init__(self, signals: Dict[str, _Signal]) -> None:
         self.signals = signals
-        self.n = n_vectors
-        self.state: Dict[str, np.ndarray] = {}
+        self.driven = {
+            name for name, signal in signals.items() if signal.kind in ("input", "localparam")
+        }
 
-    # -- self-determined width and signedness --------------------------
-    def self_width(self, expression: object) -> int:
-        if isinstance(expression, _Literal):
-            return expression.width
-        if isinstance(expression, _Ident):
-            return self._signal(expression.name).width
-        if isinstance(expression, _Select):
-            return expression.msb - expression.lsb + 1
-        if isinstance(expression, _Concat):
-            return sum(self.self_width(part) for part in expression.parts)
-        if isinstance(expression, _Unary):
-            if expression.op == "!":
-                return 1
-            return self.self_width(expression.operand)
+    def self_type(self, expression: object) -> Tuple[int, bool]:
+        """Self-determined ``(width, signed)``."""
         if isinstance(expression, _Binary):
             if expression.op in _COMPARISONS or expression.op in ("&&", "||"):
-                return 1
+                return 1, False
+            width, signed = self.self_type(expression.left)
             if expression.op in _SHIFTS:
-                return self.self_width(expression.left)
-            return max(self.self_width(expression.left), self.self_width(expression.right))
+                return width, signed
+            right_width, right_signed = self.self_type(expression.right)
+            return max(width, right_width), signed and right_signed
+        if isinstance(expression, _Literal):
+            return expression.width, expression.signed
+        if isinstance(expression, _Ident):
+            signal = self._signal(expression.name)
+            return signal.width, signal.signed
+        if isinstance(expression, _Select):
+            return expression.msb - expression.lsb + 1, False
+        if isinstance(expression, _Concat):
+            width = 0
+            for part in expression.parts:
+                width += self.self_type(part)[0]
+            return width, False
+        if isinstance(expression, _Unary):
+            return (1, False) if expression.op == "!" else self.self_type(expression.operand)
         if isinstance(expression, _Ternary):
-            return max(self.self_width(expression.if_true), self.self_width(expression.if_false))
+            width, signed = self.self_type(expression.if_true)
+            false_width, false_signed = self.self_type(expression.if_false)
+            return max(width, false_width), signed and false_signed
         raise MicroVerilogError(f"cannot size expression {expression!r}")
 
-    def self_signed(self, expression: object) -> bool:
-        if isinstance(expression, _Literal):
-            return expression.signed
-        if isinstance(expression, _Ident):
-            return self._signal(expression.name).signed
-        if isinstance(expression, (_Select, _Concat)):
-            return False
-        if isinstance(expression, _Unary):
-            if expression.op == "!":
-                return False
-            return self.self_signed(expression.operand)
-        if isinstance(expression, _Binary):
-            if expression.op in _COMPARISONS or expression.op in ("&&", "||"):
-                return False
-            if expression.op in _SHIFTS:
-                return self.self_signed(expression.left)
-            return self.self_signed(expression.left) and self.self_signed(expression.right)
-        if isinstance(expression, _Ternary):
-            return self.self_signed(expression.if_true) and self.self_signed(
-                expression.if_false
-            )
-        raise MicroVerilogError(f"cannot sign expression {expression!r}")
-
-    # -- evaluation ----------------------------------------------------
     def _signal(self, name: str) -> _Signal:
         try:
             return self.signals[name]
         except KeyError:
             raise MicroVerilogError(f"reference to undeclared identifier {name!r}") from None
 
-    def _value(self, name: str) -> np.ndarray:
-        if name not in self.state:
+    def read(self, name: str) -> _Signal:
+        """The signal ``name``, which must hold a value at this point."""
+        signal = self._signal(name)
+        if name not in self.driven:
             raise MicroVerilogError(
                 f"identifier {name!r} read before any driver ran (combinational "
                 "cycle or undriven net)"
             )
-        return self.state[name]
+        return signal
 
-    def _as_signed(self, pattern: np.ndarray, width: int) -> np.ndarray:
-        sign_bit = np.int64(1) << np.int64(width - 1)
-        return np.where(pattern & sign_bit, pattern - (np.int64(1) << np.int64(width)), pattern)
+    # -- expressions ---------------------------------------------------
+    def compile_self(self, expression: object) -> _Compiled:
+        """Compile in the expression's own (self-determined) context."""
+        return self.compile(expression, *self.self_type(expression))
 
-    def _extend(
-        self, pattern: np.ndarray, from_width: int, from_signed: bool, to_width: int, to_signed: bool
-    ) -> np.ndarray:
-        """Convert a ``from_width`` pattern to the context's width/signedness."""
-        if to_width <= from_width:
-            return pattern & np.int64(_mask(to_width))
-        # Sign-extension applies only when the whole expression is signed
-        # (in which case every context-determined operand is signed too).
-        if to_signed and from_signed:
-            sign_bit = np.int64(1) << np.int64(from_width - 1)
-            extension = np.int64(_mask(to_width) ^ _mask(from_width))
-            return np.where(pattern & sign_bit, pattern | extension, pattern)
-        return pattern
-
-    def _check_width(self, width: int) -> int:
-        if width > MAX_WIDTH:
-            raise MicroVerilogError(
-                f"expression width {width} exceeds the supported {MAX_WIDTH} bits"
-            )
-        if width <= 0:
-            raise MicroVerilogError(f"non-positive expression width {width}")
-        return width
-
-    def evaluate_self(self, expression: object) -> np.ndarray:
-        """Evaluate in the expression's own (self-determined) context."""
-        return self.evaluate(
-            expression, self.self_width(expression), self.self_signed(expression)
-        )
-
-    def evaluate(self, expression: object, width: int, signed: bool) -> np.ndarray:
-        """Evaluate to a bit pattern of ``width`` bits (context-determined)."""
-        self._check_width(width)
-        mask = np.int64(_mask(width))
-        if isinstance(expression, _Literal):
-            if expression.value >> width:
-                raise MicroVerilogError(
-                    f"literal {expression.value} does not fit in {width} bits"
-                )
-            return np.full(self.n, np.int64(expression.value))
-        if isinstance(expression, _Ident):
-            signal = self._signal(expression.name)
-            return self._extend(
-                self._value(expression.name), signal.width, signal.signed, width, signed
-            )
-        if isinstance(expression, _Select):
-            signal = self._signal(expression.name)
-            if expression.msb >= signal.width:
-                raise MicroVerilogError(
-                    f"select {expression.name}[{expression.msb}:{expression.lsb}] "
-                    f"exceeds the declared width {signal.width}"
-                )
-            selected = (self._value(expression.name) >> np.int64(expression.lsb)) & np.int64(
-                _mask(expression.msb - expression.lsb + 1)
-            )
-            return self._extend(
-                selected, expression.msb - expression.lsb + 1, False, width, signed
-            )
-        if isinstance(expression, _Concat):
-            result = np.zeros(self.n, dtype=np.int64)
-            for part in expression.parts:
-                part_width = self._check_width(self.self_width(part))
-                result = ((result << np.int64(part_width)) & mask) | self.evaluate_self(part)
-            return result & mask
-        if isinstance(expression, _Unary):
-            if expression.op == "!":
-                operand = self.evaluate_self(expression.operand)
-                return (operand == 0).astype(np.int64)
-            operand = self.evaluate(expression.operand, width, signed)
-            if expression.op == "-":
-                return (-operand) & mask
-            return (~operand) & mask  # "~"
+    def compile(self, expression: object, width: int, signed: bool) -> _Compiled:
+        """Compile to ``width``-bit patterns (context-determined)."""
+        _check_width(width)
+        mask = _mask(width)
         if isinstance(expression, _Binary):
             return self._binary(expression, width, signed, mask)
+        if isinstance(expression, _Literal):
+            value = np.int64(_literal_value(expression, width))
+            return lambda state, value=value: value
+        if isinstance(expression, _Ident):
+            name, signal = expression.name, self.read(expression.name)
+            if width < signal.width:
+                return lambda state, name=name, mask=mask: state[name] & mask
+            # Sign-extension applies only when the whole expression is
+            # signed (in which case every context-determined operand is too).
+            if width > signal.width and signed and signal.signed:
+                sign = 1 << (signal.width - 1)
+                return lambda state, name=name, sign=sign, mask=mask: (
+                    (state[name] ^ sign) - sign
+                ) & mask
+            return lambda state, name=name: state[name]
+        if isinstance(expression, _Select):
+            name, lsb, signal = expression.name, expression.lsb, self._signal(expression.name)
+            if expression.msb >= signal.width:
+                raise MicroVerilogError(
+                    f"select {name}[{expression.msb}:{lsb}] "
+                    f"exceeds the declared width {signal.width}"
+                )
+            self.read(name)
+            keep = _mask(min(expression.msb - lsb + 1, width))
+            return lambda state, name=name, lsb=lsb, keep=keep: (state[name] >> lsb) & keep
+        if isinstance(expression, _Concat):
+            offset, shifted = self.self_type(expression)[0], []
+            for part in expression.parts:
+                offset -= self.self_type(part)[0]
+                shifted.append((self.compile_self(part), offset))
+
+            def concat(state: Dict[str, np.ndarray], shifted=shifted, mask=mask) -> np.ndarray:
+                result = np.int64(0)
+                for part, offset in shifted:
+                    result = result | (part(state) << offset)
+                return result & mask
+
+            return concat
+        if isinstance(expression, _Unary):
+            if expression.op == "!":
+                operand = self.compile_self(expression.operand)
+                return lambda state, operand=operand: (operand(state) == 0).astype(np.int64)
+            operand = self.compile(expression.operand, width, signed)
+            if expression.op == "-":
+                return lambda state, operand=operand, mask=mask: (-operand(state)) & mask
+            # "~" of an in-range pattern
+            return lambda state, operand=operand, mask=mask: operand(state) ^ mask
         if isinstance(expression, _Ternary):
-            condition = self.evaluate_self(expression.condition) != 0
-            if_true = self.evaluate(expression.if_true, width, signed)
-            if_false = self.evaluate(expression.if_false, width, signed)
-            return np.where(condition, if_true, if_false)
+            condition = self.compile_self(expression.condition)
+            if_true = self.compile(expression.if_true, width, signed)
+            if_false = self.compile(expression.if_false, width, signed)
+            return lambda state, condition=condition, if_true=if_true, if_false=if_false: (
+                np.where(condition(state) != 0, if_true(state), if_false(state))
+            )
         raise MicroVerilogError(f"cannot evaluate expression {expression!r}")
 
-    def _binary(
-        self, expression: _Binary, width: int, signed: bool, mask: np.int64
-    ) -> np.ndarray:
+    def _binary(self, expression: _Binary, width: int, signed: bool, mask: int) -> _Compiled:
         op = expression.op
-        if op in ("&&", "||"):
-            left = self.evaluate_self(expression.left) != 0
-            right = self.evaluate_self(expression.right) != 0
-            merged = np.logical_and(left, right) if op == "&&" else np.logical_or(left, right)
-            return merged.astype(np.int64)
+        if op in ("+", "-"):
+            return self._sum(expression, width, signed, mask)
+        if op in _SHIFTS:
+            left = self.compile(expression.left, width, signed)
+            arithmetic = op == ">>>" and signed
+            # Past the width every bit shifts out (or the sign fills in).
+            limit = width - 1 if arithmetic else width
+            sign = 1 << (width - 1)
+            if isinstance(expression.right, _Literal):
+                fixed = min(_literal_value(expression.right, expression.right.width), limit)
+                if op == "<<":
+                    return lambda state, left=left, keep=mask >> fixed, fixed=fixed: (
+                        left(state) & keep
+                    ) << fixed
+                if arithmetic:
+                    return lambda state, left=left, sign=sign, fixed=fixed, mask=mask: (
+                        ((left(state) ^ sign) - sign) >> fixed
+                    ) & mask
+                return lambda state, left=left, fixed=fixed: left(state) >> fixed
+
+            def shift(state, left=left, amount=self.compile_self(expression.right), op=op,
+                      limit=limit, arithmetic=arithmetic, sign=sign, mask=mask):
+                clipped = np.minimum(amount(state), limit)
+                if op == "<<":
+                    return (left(state) & (mask >> clipped)) << clipped
+                if arithmetic:
+                    return (((left(state) ^ sign) - sign) >> clipped) & mask
+                return left(state) >> clipped
+
+            return shift
         if op in _COMPARISONS:
             # Operands are sized to the larger of the two and compared
             # signed only when *both* are signed.
-            operand_width = self._check_width(
-                max(self.self_width(expression.left), self.self_width(expression.right))
+            left_width, left_signed = self.self_type(expression.left)
+            right_width, right_signed = self.self_type(expression.right)
+            operand_width = _check_width(max(left_width, right_width))
+            operand_signed = left_signed and right_signed
+            left = self.compile(expression.left, operand_width, operand_signed)
+            right = self.compile(expression.right, operand_width, operand_signed)
+            # Flipping the sign bit maps two's-complement order onto unsigned
+            # order (and leaves (in)equality alone).
+            flip = 1 << (operand_width - 1) if operand_signed else 0
+            return lambda state, left=left, right=right, compare=_COMPARE[op], flip=flip: (
+                compare(left(state) ^ flip, right(state) ^ flip).astype(np.int64)
             )
-            operand_signed = self.self_signed(expression.left) and self.self_signed(
-                expression.right
-            )
-            left = self.evaluate(expression.left, operand_width, operand_signed)
-            right = self.evaluate(expression.right, operand_width, operand_signed)
-            if operand_signed:
-                left = self._as_signed(left, operand_width)
-                right = self._as_signed(right, operand_width)
-            compare = {
-                "<": np.less,
-                "<=": np.less_equal,
-                ">": np.greater,
-                ">=": np.greater_equal,
-                "==": np.equal,
-                "!=": np.not_equal,
-            }[op]
-            return compare(left, right).astype(np.int64)
-        if op in _SHIFTS:
-            left = self.evaluate(expression.left, width, signed)
-            amount = self.evaluate_self(expression.right)
-            if np.any(amount < 0):
-                raise MicroVerilogError("negative shift amount")
-            clipped = np.minimum(amount, np.int64(width))
-            if op == "<<":
-                kept = left & (mask >> clipped)
-                return np.where(amount >= width, np.int64(0), (kept << clipped) & mask)
-            if op == ">>>" and signed:
-                values = self._as_signed(left, width)
-                shifted = values >> clipped
-                floor = np.where(values < 0, np.int64(-1), np.int64(0))
-                return np.where(amount >= width, floor, shifted) & mask
-            return np.where(amount >= width, np.int64(0), left >> clipped)
-        left = self.evaluate(expression.left, width, signed)
-        right = self.evaluate(expression.right, width, signed)
-        if op == "+":
-            return (left + right) & mask
-        if op == "-":
-            return (left - right) & mask
+        if op in ("&&", "||"):
+            left = self.compile_self(expression.left)
+            right = self.compile_self(expression.right)
+            merge = np.logical_and if op == "&&" else np.logical_or
+            return lambda state, left=left, right=right, merge=merge: merge(
+                left(state) != 0, right(state) != 0
+            ).astype(np.int64)
+        left = self.compile(expression.left, width, signed)
         if op == "*":
+            right = self.compile(expression.right, width, signed)
             if 2 * width > 63:
                 raise MicroVerilogError(
                     f"multiplication at width {width} may overflow the simulator"
                 )
-            return (left * right) & mask
-        if op == "&":
-            return left & right
-        if op == "|":
-            return left | right
-        if op == "^":
-            return left ^ right
-        raise MicroVerilogError(f"unsupported operator {op!r}")
+            return lambda state, left=left, right=right, mask=mask: (
+                left(state) * right(state)
+            ) & mask
+        if op not in _BITWISE:
+            raise MicroVerilogError(f"unsupported operator {op!r}")
+        if isinstance(expression.right, _Literal):  # the common ``x & 4'd9``
+            constant = _literal_value(expression.right, width)
+            return lambda state, left=left, operation=_BITWISE[op], constant=constant: (
+                operation(left(state), constant)
+            )
+        right = self.compile(expression.right, width, signed)
+        return lambda state, left=left, operation=_BITWISE[op], right=right: operation(
+            left(state), right(state)
+        )
+
+    def _sum(self, expression: _Binary, width: int, signed: bool, mask: int) -> _Compiled:
+        """A left-deep ``a + b - c ...`` chain, wrapped to ``width`` once at
+        the end: int64 holds every partial sum of in-range terms exactly."""
+        terms: List[Tuple[bool, object]] = []
+        while (
+            isinstance(expression, _Binary)
+            and expression.op in ("+", "-")
+            and len(terms) + 2 <= 1 << (63 - width)
+        ):
+            terms.append((expression.op == "-", expression.right))
+            expression = expression.left
+        first = self.compile(expression, width, signed)
+        rest = [(subtract, self.compile(term, width, signed)) for subtract, term in terms[::-1]]
+
+        def chain(state: Dict[str, np.ndarray], first=first, rest=rest, mask=mask) -> np.ndarray:
+            total = first(state)
+            for subtract, term in rest:
+                total = total - term(state) if subtract else total + term(state)
+            return total & mask
+
+        return chain
+
+    # -- drivers -------------------------------------------------------
+    def _driver(self, target: str, expression: object) -> _Compiled:
+        """``expression`` in its assignment context, truncated to ``target``."""
+        signal = self._signal(target)
+        width, signed = self.self_type(expression)
+        value = self.compile(expression, max(signal.width, width), signed)
+        if width <= signal.width and not isinstance(expression, _Ident):
+            return value  # already in range, and never a net's own array
+        return lambda state, value=value, mask=_mask(signal.width): value(state) & mask
+
+    def node(self, node: object) -> _Step:
+        if isinstance(node, _AssignNode):
+            target, value = node.target, self._driver(node.target, node.expression)
+            self.driven.add(target)
+
+            def assign(state: Dict[str, np.ndarray], n: int, target=target, value=value) -> None:
+                result = value(state)
+                state[target] = result if result.ndim else np.full(n, result)
+
+            return assign
+        statements = [self._statement(statement) for statement in node.statements]
+
+        def always(state: Dict[str, np.ndarray], n: int, statements=statements) -> None:
+            lanes = np.ones(n, dtype=bool)
+            for statement in statements:
+                statement(state, lanes)
+
+        return always
+
+    def _statement(self, statement: object) -> Callable[[Dict[str, np.ndarray], np.ndarray], None]:
+        if isinstance(statement, _BlockingAssign):
+            target = statement.target
+            if self._signal(target).kind not in ("reg", "integer"):
+                raise MicroVerilogError(f"procedural assignment to non-reg {target!r}")
+            value = self._driver(target, statement.expression)
+            driven = target in self.driven
+            self.driven.add(target)
+
+            def assign(state, lanes, target=target, value=value, driven=driven) -> None:
+                state[target] = np.where(lanes, value(state), state[target] if driven else 0)
+
+            return assign
+        if isinstance(statement, _IfStatement):
+            condition = self.compile_self(statement.condition)
+            then_body = [self._statement(child) for child in statement.then_body]
+            else_body = [self._statement(child) for child in statement.else_body]
+
+            def branch(state, lanes, condition=condition, then_body=then_body, else_body=else_body):
+                taken = condition(state) != 0
+                inner = lanes & taken
+                for child in then_body:
+                    child(state, inner)
+                inner = lanes & ~taken
+                for child in else_body:
+                    child(state, inner)
+
+            return branch
+        raise MicroVerilogError(f"unsupported statement {statement!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +792,19 @@ class MicroVerilogModule:
     localparams: Dict[str, _Literal]
     #: Continuous assignments and always blocks, topologically ordered.
     nodes: Tuple[object, ...] = field(default_factory=tuple)
+    #: ``nodes`` compiled by :class:`_Resolver`, or why they cannot be
+    #: simulated: text that parses is rejected only when it is evaluated.
+    _plan: Tuple[_Step, ...] = field(init=False, repr=False, compare=False)
+    _error: Optional[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        resolver, self._error = _Resolver(self.signals), None
+        try:
+            self._plan = tuple(resolver.node(node) for node in self.nodes)
+            for port in self.outputs:
+                resolver.read(port.name)
+        except MicroVerilogError as error:
+            self._plan, self._error = (), str(error)
 
     @property
     def inputs(self) -> Tuple[Port, ...]:
@@ -740,9 +841,9 @@ class MicroVerilogModule:
             raise MicroVerilogError(f"ragged stimulus shapes {sorted(lengths)}")
         n = next(iter(lengths))[0] if lengths else 0
 
-        evaluator = _Evaluator(self.signals, n)
-        for name, literal in self.localparams.items():
-            evaluator.state[name] = np.full(n, np.int64(literal.value))
+        state: Dict[str, np.ndarray] = {
+            name: np.int64(literal.value) for name, literal in self.localparams.items()
+        }
         for port in self.inputs:
             values = np.asarray(inputs[port.name], dtype=np.int64)
             if values.ndim != 1:
@@ -753,53 +854,13 @@ class MicroVerilogModule:
                 raise MicroVerilogError(
                     f"stimulus for {port.name!r} outside its {port.width}-bit range"
                 )
-            evaluator.state[port.name] = values
+            state[port.name] = values
 
-        for node in self.nodes:
-            if isinstance(node, _AssignNode):
-                signal = evaluator._signal(node.target)
-                context_width = max(signal.width, evaluator.self_width(node.expression))
-                value = evaluator.evaluate(
-                    node.expression,
-                    context_width,
-                    evaluator.self_signed(node.expression),
-                )
-                evaluator.state[node.target] = value & np.int64(_mask(signal.width))
-            else:  # _AlwaysNode
-                lanes = np.ones(n, dtype=bool)
-                for statement in node.statements:
-                    self._execute(evaluator, statement, lanes)
-
-        results: Dict[str, np.ndarray] = {}
-        for port in self.outputs:
-            results[port.name] = evaluator._value(port.name)
-        return results
-
-    def _execute(self, evaluator: _Evaluator, statement: object, lanes: np.ndarray) -> None:
-        if isinstance(statement, _BlockingAssign):
-            signal = evaluator._signal(statement.target)
-            if signal.kind not in ("reg", "integer"):
-                raise MicroVerilogError(
-                    f"procedural assignment to non-reg {statement.target!r}"
-                )
-            context_width = max(signal.width, evaluator.self_width(statement.expression))
-            value = evaluator.evaluate(
-                statement.expression,
-                context_width,
-                evaluator.self_signed(statement.expression),
-            ) & np.int64(_mask(signal.width))
-            previous = evaluator.state.get(statement.target)
-            if previous is None:
-                previous = np.zeros(evaluator.n, dtype=np.int64)
-            evaluator.state[statement.target] = np.where(lanes, value, previous)
-        elif isinstance(statement, _IfStatement):
-            condition = evaluator.evaluate_self(statement.condition) != 0
-            for child in statement.then_body:
-                self._execute(evaluator, child, lanes & condition)
-            for child in statement.else_body:
-                self._execute(evaluator, child, lanes & ~condition)
-        else:
-            raise MicroVerilogError(f"unsupported statement {statement!r}")
+        if self._error is not None:
+            raise MicroVerilogError(self._error)
+        for step in self._plan:
+            step(state, n)
+        return {port.name: state[port.name] for port in self.outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +919,8 @@ def parse_module(text: str) -> MicroVerilogModule:
     parser.expect(";")
 
     # -- body ----------------------------------------------------------
-    assigns: List[_AssignNode] = []
-    always_blocks: List[_AlwaysNode] = []
+    assigns: List[Tuple[_AssignNode, List[str]]] = []
+    always_blocks: List[Tuple[_AlwaysNode, List[str]]] = []
     while True:
         token = parser.peek()
         if token is None:
@@ -872,7 +933,7 @@ def parse_module(text: str) -> MicroVerilogModule:
             name = parser.expect_ident()
             declare(_Signal(name, _width_from_range(range_), signed, "wire"))
             if parser.accept("="):
-                assigns.append(_AssignNode(name, parser.parse_expression()))
+                assigns.append(parser.parse_assign(name))
             parser.expect(";")
         elif parser.accept("reg"):
             signed = parser.accept("signed")
@@ -912,7 +973,7 @@ def parse_module(text: str) -> MicroVerilogModule:
         elif parser.accept("assign"):
             name = parser.expect_ident()
             parser.expect("=")
-            assigns.append(_AssignNode(name, parser.parse_expression()))
+            assigns.append(parser.parse_assign(name))
             parser.expect(";")
         elif parser.accept("always"):
             parser.expect("@")
@@ -920,10 +981,7 @@ def parse_module(text: str) -> MicroVerilogModule:
                 parser.expect("(")
                 parser.expect("*")
                 parser.expect(")")
-            statement = parser.parse_statement()
-            writes: List[str] = []
-            _statement_writes(statement, writes)
-            always_blocks.append(_AlwaysNode((statement,), tuple(dict.fromkeys(writes))))
+            always_blocks.append(parser.parse_always())
         else:
             raise MicroVerilogError(f"unsupported module item at {token.text!r}")
     if parser.peek() is not None:
@@ -931,11 +989,11 @@ def parse_module(text: str) -> MicroVerilogModule:
             f"trailing text after endmodule: {parser.peek().text!r}"
         )
 
-    for assign in assigns:
+    for assign, _ in assigns:
         if assign.target not in signals:
             raise MicroVerilogError(f"assignment to undeclared net {assign.target!r}")
 
-    nodes = _order_nodes(assigns, always_blocks, signals)
+    nodes = _order_nodes(assigns + always_blocks, signals)
     return MicroVerilogModule(
         name=module_name,
         ports=tuple(ports),
@@ -946,17 +1004,16 @@ def parse_module(text: str) -> MicroVerilogModule:
 
 
 def _order_nodes(
-    assigns: Sequence[_AssignNode],
-    always_blocks: Sequence[_AlwaysNode],
-    signals: Dict[str, _Signal],
+    drivers: Sequence[Tuple[object, List[str]]], signals: Dict[str, _Signal]
 ) -> Tuple[object, ...]:
-    """Topologically order the drivers (wires before their readers).
+    """Topologically order the drivers, ``(node, identifiers it reads)``
+    pairs (wires before their readers).
 
     Driver-per-net uniqueness is enforced here too: two continuous
     assignments to one net, or a net driven both by an ``assign`` and an
     ``always`` block, is a (loud) error.
     """
-    nodes: List[object] = list(assigns) + list(always_blocks)
+    nodes = [node for node, _ in drivers]
     driver_of: Dict[str, int] = {}
     for index, node in enumerate(nodes):
         targets = [node.target] if isinstance(node, _AssignNode) else list(node.writes)
@@ -966,15 +1023,8 @@ def _order_nodes(
             driver_of[target] = index
 
     dependencies: List[set] = []
-    for node in nodes:
-        reads: List[str] = []
-        if isinstance(node, _AssignNode):
-            _expression_reads(node.expression, reads)
-            writes = {node.target}
-        else:
-            for statement in node.statements:
-                _statement_reads(statement, reads)
-            writes = set(node.writes)
+    for node, reads in drivers:
+        writes = {node.target} if isinstance(node, _AssignNode) else set(node.writes)
         wanted = set()
         for name in reads:
             if name in writes:

@@ -76,6 +76,29 @@ def random_population():
     return build_population
 
 
+#: Corner designs the GA can reach, which every oracle must agree on:
+#: ``{name: (config, mask density)}``.
+EDGE_DESIGNS = {
+    "one_bit_inputs": (ApproxConfig(input_bits=1), 0.5),
+    "all_pruned": (ApproxConfig(), 0.0),
+    "sparse": (ApproxConfig(), 0.1),
+}
+
+
+@pytest.fixture(params=sorted(EDGE_DESIGNS))
+def edge_design(request):
+    """``(mlp, vectors)`` for one corner design: the all-zero and
+    all-ones input rows, then 62 random ones."""
+    config, mask_density = EDGE_DESIGNS[request.param]
+    rng = np.random.default_rng(19)
+    mlp = build_mlp(rng, sizes=(5, 4, 3), config=config, mask_density=mask_density)
+    top = config.max_input_value
+    vectors = np.vstack(
+        [np.zeros((1, 5)), np.full((1, 5), top), rng.integers(0, top + 1, size=(62, 5))]
+    )
+    return mlp, vectors.astype(np.int64)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic random generator."""

@@ -24,8 +24,10 @@ from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
 from repro.approx.topology import Topology
 from repro.eda.microverilog import (
+    _PRECEDENCE,
     MAX_WIDTH,
     MicroVerilogError,
+    _tokenize,
     parse_module,
     simulate_mlp_module,
 )
@@ -231,10 +233,151 @@ class TestLoudErrors:
         with pytest.raises(MicroVerilogError, match="input ports"):
             module.evaluate({"in0": np.array([1]), "in1": np.array([2])})
 
+    @pytest.mark.parametrize("literal", ["4'b2", "8'd1f", "3'o9"])
+    def test_digit_outside_base_rejected(self, literal):
+        with pytest.raises(MicroVerilogError, match=re.escape(repr(literal))):
+            parse_module(_module(f"    assign out = {literal};"))
+
     def test_non_mlp_port_convention_rejected(self):
         text = "module m (\n    input wire [3:0] data,\n    output wire [1:0] class_index\n);\n    assign class_index = data[1:0];\nendmodule\n"
         with pytest.raises(MicroVerilogError, match="in0"):
             simulate_mlp_module(text, np.zeros((1, 1), dtype=np.int64))
+
+
+# ----------------------------------------------------------------------
+# Operator grouping, checked by evaluation
+# ----------------------------------------------------------------------
+_ABC_PORTS = (
+    "input  wire [3:0] a,\n    input  wire [3:0] b,\n    input  wire [3:0] c,\n"
+    "    input  wire [3:0] d,\n    input  wire [3:0] e,\n    output wire [15:0] out"
+)
+#: Every 4-bit (a, b, c) triple, with d and e derived from a and c.
+_GRID = np.array(np.meshgrid(*[np.arange(16)] * 3, indexing="ij")).reshape(3, -1)
+_STIMULUS = {
+    "a": _GRID[0],
+    "b": _GRID[1],
+    "c": _GRID[2],
+    "d": (_GRID[0] + 5) % 16,
+    "e": _GRID[2] ^ 9,
+}
+
+
+def _outputs(expression: str) -> np.ndarray:
+    module = parse_module(_module(f"    assign out = {expression};", _ABC_PORTS))
+    return module.evaluate(_STIMULUS)["out"]
+
+
+def _assert_groups_as(expression: str, expected: str, other: str) -> None:
+    """``expression`` evaluates like ``expected`` on every vector, and the
+    stimulus tells ``expected`` apart from the ``other`` grouping."""
+    assert np.array_equal(_outputs(expression), _outputs(expected))
+    assert not np.array_equal(_outputs(expected), _outputs(other))
+
+
+#: One operator per tier, picked so that the two groupings of every
+#: cross-tier pair differ somewhere on the stimulus: ``(a * b) << c``
+#: equals ``a * (b << c)``, and ``+`` re-associates with ``-``.
+_TIER_OPERATOR = {tier: ops[0] for tier, ops in enumerate(_PRECEDENCE)}
+_TIER_OPERATOR[7] = ">>"
+_TIER_OPERATOR[8] = "-"
+#: Within a tier, a pair whose two groupings differ.
+_SAME_TIER = {5: ("==", "!="), 6: ("<", "<"), 7: ("<<", ">>"), 8: ("-", "-")}
+
+
+class TestOperatorGrouping:
+    @pytest.mark.parametrize("tier1", range(len(_PRECEDENCE)))
+    @pytest.mark.parametrize("tier2", range(len(_PRECEDENCE)))
+    def test_tier_pair(self, tier1, tier2):
+        """``a op1 b op2 c`` binds the tighter tier first, left to right
+        within a tier."""
+        op1, op2 = _TIER_OPERATOR[tier1], _TIER_OPERATOR[tier2]
+        if tier1 == tier2:
+            if tier1 not in _SAME_TIER:
+                # ||, &&, |, ^, & and * are associative: no stimulus can
+                # tell the groupings apart, so check the tree instead.
+                (node,) = parse_module(
+                    _module(f"    assign out = a {op1} b {op2} c;", _ABC_PORTS)
+                ).nodes
+                assert node.expression.left.op == op1
+                assert node.expression.right.name == "c"
+                return
+            op1, op2 = _SAME_TIER[tier1]
+        left = f"(a {op1} b) {op2} c"
+        right = f"a {op1} (b {op2} c)"
+        expected, other = (left, right) if tier1 >= tier2 else (right, left)
+        _assert_groups_as(f"a {op1} b {op2} c", expected, other)
+
+    @pytest.mark.parametrize(
+        "expression, expected, other",
+        [
+            ("a - b - c", "(a - b) - c", "a - (b - c)"),
+            ("a << b >> c", "(a << b) >> c", "a << (b >> c)"),
+            ("a >> b << c", "(a >> b) << c", "a >> (b << c)"),
+        ],
+    )
+    def test_left_associative_within_a_tier(self, expression, expected, other):
+        _assert_groups_as(expression, expected, other)
+
+    @pytest.mark.parametrize(
+        "expression, expected, other",
+        [
+            ("-a + b", "(-a) + b", "-(a + b)"),
+            ("~a & b", "(~a) & b", "~(a & b)"),
+            ("!a == b", "(!a) == b", "!(a == b)"),
+        ],
+    )
+    def test_unary_binds_tighter_than_binary(self, expression, expected, other):
+        _assert_groups_as(expression, expected, other)
+
+    @pytest.mark.parametrize(
+        "expression, expected, other",
+        [
+            ("a ? b : c ? d : e", "a ? b : (c ? d : e)", "(a ? b : c) ? d : e"),
+            ("a ? b ? c : d : e", "a ? (b ? c : d) : e", "(a ? b : c) ? d : e"),
+            ("a < b ? c : d + e", "(a < b) ? c : (d + e)", "a < (b ? c : d) + e"),
+        ],
+    )
+    def test_ternary_nests_to_the_right(self, expression, expected, other):
+        _assert_groups_as(expression, expected, other)
+
+
+# ----------------------------------------------------------------------
+# Scanner: nothing is skipped, positions point at tokens
+# ----------------------------------------------------------------------
+class TestScanner:
+    @pytest.mark.parametrize("character", ["$", "`", "\\"])
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "    assign out = in0 + {c} in0;",  # mid-expression
+            "    assign out = in0; // note\n{c}",  # after a line comment
+            "    assign out = in0;\n     {c}",  # after whitespace
+        ],
+    )
+    def test_illegal_character_rejected(self, template, character):
+        text = _module(template.format(c=character))
+        at = text.index(character)
+        with pytest.raises(MicroVerilogError) as error:
+            parse_module(text)
+        assert str(error.value) == f"unrecognized Verilog at {text[at : at + 20]!r}"
+
+    @pytest.mark.parametrize("character", ["$", "`", "\\"])
+    def test_illegal_last_character_rejected(self, character):
+        text = _module("    assign out = in0;") + character
+        with pytest.raises(MicroVerilogError) as error:
+            parse_module(text)
+        assert str(error.value) == f"unrecognized Verilog at {character!r}"
+
+    def test_token_positions_skip_leading_space_and_comments(self):
+        text = "  a // note\n  /* block */ 8'd3 +\tb\n"
+        tokens = _tokenize(text)
+        assert [token.text for token in tokens] == ["a", "8'd3", "+", "b"]
+        assert [token.position for token in tokens] == [2, 26, 31, 33]
+        assert all(text.startswith(token.text, token.position) for token in tokens)
+
+    def test_trailing_comment_and_whitespace_accepted(self):
+        module = parse_module(_module("    assign out = in0;") + "  // end\n\n /* c */  ")
+        assert module.name == "t"
 
 
 # ----------------------------------------------------------------------
@@ -262,6 +405,22 @@ class TestGeneratedModules:
         module = parse_module(text)
         assert [port.name for port in module.inputs] == ["in0", "in1", "in2", "in3"]
         assert [port.name for port in module.outputs] == ["class_index"]
+
+
+class TestEdgeCaseDesigns:
+    """Corner designs the GA can reach, through all five oracles."""
+
+    def test_every_oracle_agrees(self, edge_design):
+        mlp, vectors = edge_design
+        verification = verify_design(mlp, vectors, eda=True)
+        assert verification.eda_oracle is True
+        assert verification.netlist_mismatches == 0
+        assert verification.rtl_mismatches == 0
+        assert verification.model_mismatches == 0
+        assert verification.expression_mismatches == 0
+        assert verification.eda_mismatches == 0
+        predictions = simulate_mlp_module(generate_mlp_verilog(mlp), vectors)
+        assert np.array_equal(predictions, mlp.predict(vectors))
 
 
 # ----------------------------------------------------------------------

@@ -349,6 +349,14 @@ class TestRealIverilog:
         assert result.passed is True
         assert result.errors == 0
 
+    def test_edge_case_design_passes(self, edge_design):
+        mlp, vectors = edge_design
+        result = run_iverilog(
+            generate_mlp_verilog(mlp), generate_testbench(mlp, vectors=vectors)
+        )
+        assert result.passed is True
+        assert result.errors == 0
+
     def test_tampered_module_fails(self, tmp_path):
         store = _mini_store(tmp_path)
         rtl = store.get_rtl("demo", store.rtl_designs("demo")[0])
