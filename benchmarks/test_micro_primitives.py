@@ -16,7 +16,7 @@ from repro.approx.mlp import ApproximateMLP, forward_stacked
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
-from repro.hardware.fast_area import fast_mlp_fa_count
+from repro.hardware.fast_area import fast_population_fa_count
 from repro.hardware.netlist import build_neuron_netlist
 
 
@@ -68,7 +68,7 @@ def test_bench_stacked_forward_ci_pendigits(benchmark):
 
 def test_bench_fast_fa_count(benchmark, mlp):
     """Vectorized FA counting (the GA area objective)."""
-    count = benchmark(lambda: fast_mlp_fa_count(mlp))
+    (count,) = benchmark(lambda: fast_population_fa_count([mlp]))
     assert count == mlp_fa_count(mlp)
 
 

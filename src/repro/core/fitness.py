@@ -4,8 +4,10 @@ For every chromosome the evaluator computes
 
 * ``error = 1 - Accuracy(theta, D_train)`` using the integer forward
   model of equation (4), and
-* ``area = FA-count(theta)`` using the fast vectorized Full-Adder
-  counter (the high-level area estimate of equation (2));
+* ``area = FA-count(theta)``, the high-level area estimate of
+  equation (2): the Full Adders of every neuron's 3:2 reduction, with no
+  half adders and no final carry-propagate adder, counted by the shared
+  adder-tree kernel :mod:`repro.hardware.fast_area`;
 
 and, when a baseline accuracy is supplied, a constraint violation equal
 to how far the candidate's accuracy loss exceeds the admissible bound
@@ -22,8 +24,8 @@ the same tensors — no per-candidate model object is built.
 genomes (elites, clones produced by crossover) from a
 ``chromosome.tobytes()``-keyed memo cache, so no chromosome is ever
 scored twice.  The per-chromosome decode +
-:meth:`~repro.approx.mlp.ApproximateMLP.accuracy` +
-:func:`~repro.hardware.fast_area.fast_mlp_fa_count` path is kept as the
+:meth:`~repro.approx.mlp.ApproximateMLP.accuracy` + scalar
+:func:`~repro.hardware.adder_tree.mlp_fa_count` path is kept as the
 ``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
 """
 
@@ -37,7 +39,8 @@ import numpy as np
 from repro.approx.mlp import accuracy_population
 from repro.core.cache import EvaluationCache
 from repro.core.chromosome import ChromosomeLayout
-from repro.hardware.fast_area import fast_mlp_fa_count, fast_population_fa_count
+from repro.hardware.adder_tree import mlp_fa_count
+from repro.hardware.fast_area import fast_population_fa_count
 
 __all__ = ["FitnessValues", "FitnessEvaluator"]
 
@@ -176,14 +179,15 @@ class FitnessEvaluator:
         The rows are sliced into stacked parameters, forwarded in one
         stacked pass and FA-counted from the same tensors.  ``slow=True``
         decodes each row into an :class:`~repro.approx.mlp.ApproximateMLP`
-        and scores it alone — the reference oracle, bitwise identical.
+        and scores it alone with the scalar FA counter — the reference
+        oracle, bitwise identical.
         """
         if slow:
             models = [self.layout.decode(row) for row in population]
             return [
                 self._make_values(
                     model.accuracy(self.train_inputs, self.train_labels),
-                    float(fast_mlp_fa_count(model)),
+                    float(mlp_fa_count(model)),
                 )
                 for model in models
             ]

@@ -2,23 +2,29 @@
 
 This subpackage replaces the commercial EDA flow of the paper (Synopsys
 Design Compiler / PrimeTime mapped to a printed EGFET library) with an
-analytical but structurally faithful model:
+analytical but structurally faithful model.  Every computation has one
+scalar reference and, where it is hot, one vectorized kernel that must
+match it exactly (the kernel's ``slow=True`` path or the oracle the
+equivalence tests call):
 
-* :mod:`repro.hardware.adder_tree` — the paper's high-level Full-Adder
-  counting area estimator for multi-operand adder trees (equation (2)).
-* :mod:`repro.hardware.egfet` — a printed EGFET cell library (area,
-  power, delay per cell) plus a supply-voltage scaling model.
-* :mod:`repro.hardware.area` / :mod:`repro.hardware.power` — bespoke
-  area and power models for exact and approximate printed MLPs.
-* :mod:`repro.hardware.synthesis` — the "hardware analysis" step of the
-  framework: turns an MLP (exact or approximate) into a
-  :class:`~repro.hardware.synthesis.HardwareReport`.
-* :mod:`repro.hardware.gates` / :mod:`repro.hardware.netlist` /
-  :mod:`repro.hardware.simulator` — gate-level netlist generation and
-  logic simulation used to verify that the generated circuits compute
-  exactly what the Python model computes.
-* :mod:`repro.hardware.power_sources` — printed batteries and energy
-  harvesters used for the feasibility study (Fig. 5).
+* Adder trees (the paper's eq. (2) Full-Adder count and the synthesized
+  FA/HA/CPA costs): scalar :mod:`repro.hardware.adder_tree`, kernel
+  :mod:`repro.hardware.fast_area` (one column histogram builder and one
+  shared 3:2 sweep, used by the GA's area objective and by synthesis).
+* Hardware analysis (MLP → :class:`~repro.hardware.synthesis.HardwareReport`):
+  scalar :mod:`repro.hardware.synthesis` (``slow=True``), kernel
+  :mod:`repro.hardware.fast_synthesis` (whole fronts and baseline
+  sweeps in one pass).
+* Netlists: :mod:`repro.hardware.gates` / :mod:`repro.hardware.netlist`
+  build gate-level circuits; :mod:`repro.hardware.simulator` compiles
+  and simulates them in batch to check they compute what the Python
+  model computes.
+
+Technology parameters: :mod:`repro.hardware.egfet` (printed EGFET cell
+library and supply-voltage scaling), :mod:`repro.hardware.area` (exact
+bespoke multipliers in CSD form and per-cell count formulas) and
+:mod:`repro.hardware.power_sources` (printed batteries and harvesters
+for the feasibility study, Fig. 5).
 """
 
 # Re-exports are lazy (PEP 562): the serving layer's feasibility queries
@@ -48,10 +54,7 @@ _EXPORTS = {
     "PowerSource": "repro.hardware.power_sources",
     "PRINTED_POWER_SOURCES": "repro.hardware.power_sources",
     "classify_power_source": "repro.hardware.power_sources",
-    "fast_mlp_fa_count": "repro.hardware.fast_area",
-    "fast_synthesize_approximate_mlp": "repro.hardware.fast_synthesis",
-    "fast_synthesize_exact_mlp": "repro.hardware.fast_synthesis",
-    "reduce_columns_adder_costs": "repro.hardware.fast_synthesis",
+    "reduce_columns_adder_costs": "repro.hardware.fast_area",
     "synthesize_approximate_population": "repro.hardware.fast_synthesis",
     "synthesize_exact_population": "repro.hardware.fast_synthesis",
     "Netlist": "repro.hardware.netlist",
@@ -100,9 +103,6 @@ __all__ = [
     "PowerSource",
     "PRINTED_POWER_SOURCES",
     "classify_power_source",
-    "fast_mlp_fa_count",
-    "fast_synthesize_approximate_mlp",
-    "fast_synthesize_exact_mlp",
     "reduce_columns_adder_costs",
     "synthesize_approximate_population",
     "synthesize_exact_population",

@@ -1,175 +1,35 @@
-"""Vectorized Full-Adder counting for use inside the GA fitness loop.
+"""Vectorized twin of :mod:`repro.hardware.adder_tree`.
 
-The reference implementation in :mod:`repro.hardware.adder_tree` walks
-the bits of every mask in Python, which is convenient for inspection and
-unit testing but too slow when the genetic algorithm evaluates tens of
-thousands of candidate MLPs.  This module provides numerically identical
-results (property-tested against the reference) using vectorized numpy
-operations over whole layers.
+The scalar reference in :mod:`repro.hardware.adder_tree` walks the bits
+of every mask and the columns of every adder tree in Python, which is
+convenient for inspection but too slow when the genetic algorithm counts
+tens of thousands of candidates and synthesis re-costs whole fronts.
+This module holds the one vectorized adder-tree kernel both use:
+
+* :func:`population_layer_column_counts` builds the column histogram of
+  every neuron of a stacked population layer with one bincount, and
+* :func:`reduce_columns_adder_costs` runs one shared 3:2 reduction sweep
+  over many histograms at once, returning the same FA / HA / CPA / stage
+  counts as :func:`~repro.hardware.adder_tree.count_adders_from_columns`
+  (the scalar oracle) run on each column.
+
+:func:`fast_population_fa_count` is the GA's area objective (eq. (2)):
+the FA count of that sweep with half adders and the final CPA off.
 """
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-from repro.approx.mlp import ApproximateMLP, Population, PopulationParameters, stack_parameters
+from repro.approx.mlp import Population, PopulationParameters, stack_parameters
 
 __all__ = [
-    "layer_column_counts",
     "population_layer_column_counts",
-    "reduce_columns_fa_count",
-    "reduce_columns_fa_count_reference",
-    "layer_fa_count",
-    "fast_mlp_fa_count",
+    "reduce_columns_adder_costs",
     "fast_population_fa_count",
 ]
-
-
-def layer_column_counts(
-    masks: np.ndarray,
-    exponents: np.ndarray,
-    biases: np.ndarray,
-    input_bits: int,
-    bias_bits: int = 16,
-) -> np.ndarray:
-    """Column population counts for every neuron of a layer at once.
-
-    Parameters
-    ----------
-    masks, exponents:
-        Integer arrays of shape ``(fan_in, fan_out)``.
-    biases:
-        Integer array of shape ``(fan_out,)``.
-    input_bits:
-        Width of the incoming activations (mask width).
-    bias_bits:
-        Upper bound on the number of bias magnitude bits to scan.
-
-    Returns
-    -------
-    Array of shape ``(width, fan_out)`` where entry ``[c, j]`` is the
-    number of bits feeding column ``c`` of neuron ``j``.
-    """
-    masks = np.asarray(masks, dtype=np.int64)
-    exponents = np.asarray(exponents, dtype=np.int64)
-    biases = np.asarray(biases, dtype=np.int64)
-    if masks.shape != exponents.shape:
-        raise ValueError("masks and exponents must have the same shape")
-    fan_in, fan_out = masks.shape
-    if biases.shape != (fan_out,):
-        raise ValueError(f"biases must have shape ({fan_out},), got {biases.shape}")
-
-    max_exp = int(exponents.max(initial=0))
-    width = input_bits + max_exp + max(bias_bits, 1) + 1
-
-    # One flat bincount over (bit, input, neuron) replaces the Python
-    # bit loop: summand bit b of weight (i, j) lands in column
-    # ``b + exponents[i, j]`` of neuron ``j``.
-    bits = np.arange(input_bits, dtype=np.int64)[:, None, None]
-    bit_set = (masks[None, :, :] >> bits) & 1  # (input_bits, fan_in, fan_out)
-    columns = bits + exponents[None, :, :]
-    flat = columns * fan_out + np.arange(fan_out, dtype=np.int64)[None, None, :]
-    counts = np.bincount(
-        flat.ravel(), weights=bit_set.ravel(), minlength=width * fan_out
-    ).astype(np.int64).reshape(width, fan_out)
-
-    bias_bit_range = np.arange(bias_bits, dtype=np.int64)[:, None]
-    counts[:bias_bits, :] += (np.abs(biases)[None, :] >> bias_bit_range) & 1
-    return counts
-
-
-def reduce_columns_fa_count(counts: np.ndarray) -> np.ndarray:
-    """Full-Adder count of the 3:2 reduction, vectorized per neuron.
-
-    Parameters
-    ----------
-    counts:
-        Column population counts of shape ``(width, fan_out)``.
-
-    Returns
-    -------
-    Array of shape ``(fan_out,)`` with the FA count of each neuron's
-    adder tree (no half adders, no final carry-propagate adder — the same
-    convention as :func:`repro.hardware.adder_tree.mlp_fa_count`).
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError("counts must be a (width, fan_out) matrix")
-    width, fan_out = counts.shape
-    total_fa = np.zeros(fan_out, dtype=np.int64)
-    if width == 0 or fan_out == 0:
-        return total_fa
-
-    # Each 3:2 round turns `c // 3` triples per column into one sum bit
-    # (same column) and one carry (next column).  A column of height c
-    # shrinks to `c - 2*(c//3)` plus an incoming carry of at most
-    # `peak // 3`, so the peak drops by at least a third per round and
-    # the top nonzero row rises by at most one row per round — one
-    # buffer row of headroom per possible round is enough.
-    peak = int(counts.max())
-    rounds_bound = 1
-    while peak > 2:
-        peak -= peak // 3
-        rounds_bound += 1
-    buffer = np.zeros((width + rounds_bound, fan_out), dtype=np.int64)
-    buffer[:width] = counts
-
-    while buffer.max() > 2:
-        if buffer[-1].any():
-            # Safety net: keep an all-zero top row so no carry can
-            # ever fall off the buffer.
-            buffer = np.concatenate(
-                [buffer, np.zeros((4, fan_out), dtype=np.int64)], axis=0
-            )
-        fas = buffer // 3
-        total_fa += fas.sum(axis=0)
-        buffer -= 2 * fas  # remainder plus the sum bits
-        buffer[1:] += fas[:-1]  # carries
-    return total_fa
-
-
-def reduce_columns_fa_count_reference(counts: np.ndarray) -> np.ndarray:
-    """Grow-the-array 3:2 reduction, retained as the oracle for
-    :func:`reduce_columns_fa_count`."""
-    counts = np.array(counts, dtype=np.int64, copy=True)
-    if counts.ndim != 2:
-        raise ValueError("counts must be a (width, fan_out) matrix")
-    width, fan_out = counts.shape
-    total_fa = np.zeros(fan_out, dtype=np.int64)
-
-    while np.any(counts > 2):
-        fas = counts // 3
-        total_fa += fas.sum(axis=0)
-        remainder = counts - 3 * fas
-        next_counts = np.zeros((counts.shape[0] + 1, fan_out), dtype=np.int64)
-        next_counts[:-1, :] = remainder + fas
-        next_counts[1:, :] += fas
-        counts = next_counts
-    return total_fa
-
-
-def layer_fa_count(
-    masks: np.ndarray,
-    exponents: np.ndarray,
-    biases: np.ndarray,
-    input_bits: int,
-) -> int:
-    """Total FA count of a layer (sum over its neurons)."""
-    counts = layer_column_counts(masks, exponents, biases, input_bits)
-    return int(reduce_columns_fa_count(counts).sum())
-
-
-def fast_mlp_fa_count(mlp: ApproximateMLP) -> int:
-    """Total FA count of the MLP; fast equivalent of ``mlp_fa_count``."""
-    total = 0
-    for layer in mlp.layers:
-        total += layer_fa_count(
-            masks=layer.masks,
-            exponents=layer.exponents,
-            biases=layer.biases,
-            input_bits=layer.input_bits,
-        )
-    return total
 
 
 def population_layer_column_counts(
@@ -177,7 +37,6 @@ def population_layer_column_counts(
     exponents: np.ndarray,
     biases: np.ndarray,
     input_bits: int,
-    bias_bits: int = 16,
 ) -> np.ndarray:
     """Column histograms of every neuron of a stacked population layer.
 
@@ -185,19 +44,18 @@ def population_layer_column_counts(
     ``biases`` ``(P, fan_out)``; the column histogram of the whole stack
     is built with one flat bincount.  Returns an array of shape
     ``(width, P * fan_out)`` where column ``p * fan_out + j`` is the
-    histogram of neuron ``j`` of candidate ``p``.
-
-    ``bias_bits`` bounds the bias magnitude bits that are scanned; pass
-    ``int(np.abs(biases).max()).bit_length()`` for exact coverage of
-    arbitrary biases.
+    histogram of neuron ``j`` of candidate ``p``.  Every bias magnitude
+    bit is scanned: the bias width is taken from the data.
     """
     masks = np.asarray(masks, dtype=np.int64)
     exponents = np.asarray(exponents, dtype=np.int64)
     biases = np.asarray(biases, dtype=np.int64)
     population, fan_in, fan_out = masks.shape
     columns_per_slice = population * fan_out
+    bias_magnitudes = np.abs(biases).reshape(columns_per_slice)
+    bias_bits = max(int(bias_magnitudes.max(initial=0)).bit_length(), 1)
     max_exp = int(exponents.max(initial=0))
-    width = input_bits + max_exp + max(bias_bits, 1) + 1
+    width = input_bits + max_exp + bias_bits + 1
 
     bits = np.arange(input_bits, dtype=np.int64)[:, None, None, None]
     bit_set = (masks[None, :, :, :] >> bits) & 1  # (B, P, fan_in, fan_out)
@@ -212,41 +70,98 @@ def population_layer_column_counts(
     ).astype(np.int64).reshape(width, columns_per_slice)
 
     bias_bit_range = np.arange(bias_bits, dtype=np.int64)[:, None]
-    counts[:bias_bits, :] += (
-        np.abs(biases).reshape(columns_per_slice)[None, :] >> bias_bit_range
-    ) & 1
+    counts[:bias_bits, :] += (bias_magnitudes[None, :] >> bias_bit_range) & 1
     return counts
 
 
-def _population_layer_fa_counts(
-    masks: np.ndarray,
-    exponents: np.ndarray,
-    biases: np.ndarray,
-    input_bits: int,
-    bias_bits: int = 16,
-) -> np.ndarray:
-    """Per-candidate FA counts of one layer position, stacked.
+def reduce_columns_adder_costs(
+    counts: np.ndarray,
+    use_half_adders: bool = True,
+    include_final_cpa: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Adder costs of many independent adder trees in one shared sweep.
 
-    The column histogram of the whole stack is built with one flat
-    bincount and reduced with one shared 3:2 sweep, so the cost per
-    candidate is a few vectorized operations.
+    The input is a ``(width, n)`` matrix whose column ``j`` is the column
+    histogram of tree ``j``.  Returns four ``(n,)`` int64 arrays
+    ``(full_adders, half_adders, cpa_full_adders, reduction_stages)``,
+    each exactly equal to the fields of
+    :func:`repro.hardware.adder_tree.count_adders_from_columns` run on
+    that column alone with the same flags.
+
+    Trees that are already reduced (every column holds at most two bits)
+    are a fixed point of the update — ``fas`` and ``has`` are zero for
+    them — so a single loop over the global worst case cannot disturb
+    finished trees, and each tree's stage counter only advances while
+    that tree is still active.
     """
-    population, fan_in, fan_out = masks.shape
-    counts = population_layer_column_counts(
-        masks, exponents, biases, input_bits, bias_bits=bias_bits
-    )
-    per_neuron = reduce_columns_fa_count(counts)
-    return per_neuron.reshape(population, fan_out).sum(axis=1)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2:
+        raise ValueError("counts must be a (width, n) matrix")
+    if np.any(counts < 0):
+        raise ValueError("column counts must be non-negative")
+    width, n = counts.shape
+    full_adders = np.zeros(n, dtype=np.int64)
+    half_adders = np.zeros(n, dtype=np.int64)
+    stages = np.zeros(n, dtype=np.int64)
+    if width == 0 or n == 0:
+        return full_adders, half_adders, np.zeros(n, dtype=np.int64), stages
+
+    # Each 3:2 round turns `c // 3` triples per column into one sum bit
+    # (same column) and one carry (next column).  A column of height c
+    # shrinks to `c - 2*(c//3)` plus an incoming carry of at most
+    # `peak // 3`, so the peak drops by at least a third per round and
+    # the top nonzero row rises by at most one row per round — one
+    # buffer row of headroom per possible round is enough.
+    peak = int(counts.max())
+    rounds_bound = 1
+    while peak > 2:
+        peak -= peak // 3
+        rounds_bound += 1
+    buffer = np.zeros((width + rounds_bound, n), dtype=np.int64)
+    buffer[:width] = counts
+
+    while True:
+        if buffer[-1].any():
+            # Safety net: keep an all-zero top row so no carry can fall off.
+            buffer = np.concatenate(
+                [buffer, np.zeros((4, n), dtype=np.int64)], axis=0
+            )
+        fas = buffer // 3
+        round_fas = fas.sum(axis=0)
+        # A tree is still active while some column holds three bits,
+        # i.e. while it places at least one FA this round.
+        active = round_fas > 0
+        if not active.any():
+            break
+        stages += active
+        full_adders += round_fas
+        carries = fas
+        if use_half_adders:
+            # A leftover pair next to FA-reduced bits is squeezed with a
+            # half adder (same rule as the scalar reducer).
+            has = ((buffer - 3 * fas == 2) & (fas > 0)).astype(np.int64)
+            half_adders += has.sum(axis=0)
+            carries = fas + has
+        # A column of height 3f+r keeps f sum bits plus its leftovers —
+        # the HA swap is count-neutral in place — and sends one carry per
+        # FA and per HA into the next column.
+        buffer -= 2 * fas
+        buffer[1:] += carries[:-1]
+
+    if include_final_cpa:
+        cpa = (buffer == 2).sum(axis=0).astype(np.int64)
+    else:
+        cpa = np.zeros(n, dtype=np.int64)
+    return full_adders, half_adders, cpa, stages
 
 
 def fast_population_fa_count(population: Population) -> np.ndarray:
     """Total FA count of every candidate of a homogeneous population.
 
     ``population`` is a model list or stacked :class:`PopulationParameters`.
-    Identical to calling :func:`fast_mlp_fa_count` per model — each
-    neuron's column histogram and greedy 3:2 reduction are unchanged —
-    but the whole population is counted with one bincount and one
-    reduction sweep per layer position.
+    Equal to :func:`repro.hardware.adder_tree.mlp_fa_count` per model —
+    no half adders, no final CPA — but the whole population is counted
+    with one bincount and one reduction sweep per layer position.
     """
     if not isinstance(population, PopulationParameters):
         if not population:
@@ -256,5 +171,9 @@ def fast_population_fa_count(population: Population) -> np.ndarray:
     for masks, exponents, biases, input_bits in zip(
         population.masks, population.exponents, population.biases, population.input_bits
     ):
-        totals += _population_layer_fa_counts(masks, exponents, biases, input_bits)
+        counts = population_layer_column_counts(masks, exponents, biases, input_bits)
+        per_neuron = reduce_columns_adder_costs(
+            counts, use_half_adders=False, include_final_cpa=False
+        )[0]
+        totals += per_neuron.reshape(len(totals), masks.shape[2]).sum(axis=1)
     return totals

@@ -11,8 +11,9 @@ whole population in one pass:
 * every neuron of every candidate (and, for the approximate path, every
   layer position) contributes one column of a single histogram matrix,
 * one shared Half-Adder-aware 3:2 reduction sweep
-  (:func:`reduce_columns_adder_costs`) yields per-neuron FA / HA / CPA /
-  stage counts, and
+  (:func:`~repro.hardware.fast_area.reduce_columns_adder_costs`, the
+  same kernel that counts the GA's FAs) yields per-neuron FA / HA /
+  CPA / stage counts, and
 * cell counting, EGFET pricing and critical-path accumulation are numpy
   reductions that replicate the scalar code's float operation order, so
   the reports are **bit-identical** to the scalar oracle
@@ -28,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.approx.layer import accumulator_bounds
 from repro.approx.masks import mask_popcount
 from repro.approx.mlp import ApproximateMLP
 from repro.hardware.area import (
@@ -38,7 +40,10 @@ from repro.hardware.area import (
     register_cell_counts,
 )
 from repro.hardware.egfet import EGFETLibrary, default_egfet_library
-from repro.hardware.fast_area import population_layer_column_counts
+from repro.hardware.fast_area import (
+    population_layer_column_counts,
+    reduce_columns_adder_costs,
+)
 from repro.hardware.synthesis import (
     DEFAULT_CLOCK_PERIOD_MS,
     HardwareReport,
@@ -47,91 +52,9 @@ from repro.hardware.synthesis import (
 )
 
 __all__ = [
-    "reduce_columns_adder_costs",
     "synthesize_approximate_population",
-    "fast_synthesize_approximate_mlp",
     "synthesize_exact_population",
-    "fast_synthesize_exact_mlp",
 ]
-
-
-# ----------------------------------------------------------------------
-# Shared Half-Adder-aware 3:2 reduction
-# ----------------------------------------------------------------------
-def reduce_columns_adder_costs(
-    counts: np.ndarray,
-    use_half_adders: bool = True,
-    include_final_cpa: bool = True,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Adder costs of many independent adder trees in one shared sweep.
-
-    The input is a ``(width, n)`` matrix whose column ``j`` is the column
-    histogram of tree ``j``.  Returns four ``(n,)`` int64 arrays
-    ``(full_adders, half_adders, cpa_full_adders, reduction_stages)``,
-    each exactly equal to the fields of
-    :func:`repro.hardware.adder_tree.count_adders_from_columns` run on
-    that column alone.
-
-    Trees that are already reduced (every column holds at most two bits)
-    are a fixed point of the update — ``fas`` and ``has`` are zero for
-    them — so a single loop over the global worst case cannot disturb
-    finished trees, and each tree's stage counter only advances while
-    that tree is still active.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError("counts must be a (width, n) matrix")
-    if np.any(counts < 0):
-        raise ValueError("column counts must be non-negative")
-    width, n = counts.shape
-    full_adders = np.zeros(n, dtype=np.int64)
-    half_adders = np.zeros(n, dtype=np.int64)
-    stages = np.zeros(n, dtype=np.int64)
-    if width == 0 or n == 0:
-        return full_adders, half_adders, np.zeros(n, dtype=np.int64), stages
-
-    # Same headroom argument as reduce_columns_fa_count: the peak shrinks
-    # by at least a third per round while the top nonzero row climbs at
-    # most one row per round.
-    peak = int(counts.max())
-    rounds_bound = 1
-    while peak > 2:
-        peak -= peak // 3
-        rounds_bound += 1
-    buffer = np.zeros((width + rounds_bound, n), dtype=np.int64)
-    buffer[:width] = counts
-
-    while True:
-        active = buffer.max(axis=0) > 2
-        if not active.any():
-            break
-        if buffer[-1].any():
-            # Safety net: keep an all-zero top row so no carry can fall off.
-            buffer = np.concatenate(
-                [buffer, np.zeros((4, n), dtype=np.int64)], axis=0
-            )
-        stages += active
-        fas = buffer // 3
-        remainder = buffer - 3 * fas
-        if use_half_adders:
-            # A leftover pair next to FA-reduced bits is squeezed with a
-            # half adder (same rule as the scalar reducer).
-            has = ((remainder == 2) & (fas > 0)).astype(np.int64)
-        else:
-            has = np.zeros_like(fas)
-        full_adders += fas.sum(axis=0)
-        half_adders += has.sum(axis=0)
-        # A column of height 3f+r keeps f sum bits plus its leftovers —
-        # the HA swap is count-neutral in place — and sends one carry per
-        # FA and per HA into the next column.
-        buffer -= 2 * fas
-        buffer[1:] += (fas + has)[:-1]
-
-    if include_final_cpa:
-        cpa = (buffer == 2).sum(axis=0).astype(np.int64)
-    else:
-        cpa = np.zeros(n, dtype=np.int64)
-    return full_adders, half_adders, cpa, stages
 
 
 def _pad_and_concat(blocks: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[int]]:
@@ -223,10 +146,9 @@ def synthesize_approximate_population(
         exponents = np.stack([layer.exponents for layer in layers])
         biases = np.stack([layer.biases for layer in layers])
         signs = np.stack([layer.signs for layer in layers])
-        bias_bits = max(int(np.abs(biases).max(initial=0)).bit_length(), 1)
         blocks.append(
             population_layer_column_counts(
-                masks, exponents, biases, layers[0].input_bits, bias_bits=bias_bits
+                masks, exponents, biases, layers[0].input_bits
             )
         )
         stacked.append((layers, masks, exponents, biases, signs))
@@ -264,11 +186,7 @@ def synthesize_approximate_population(
 
         # Per-candidate accumulator width (same formula as the scalar
         # path via the layer's accumulator bounds).
-        magnitudes = masks << exponents
-        positive = (magnitudes * (signs > 0)).sum(axis=1)
-        negative = (magnitudes * (signs < 0)).sum(axis=1)
-        low = -negative + np.minimum(biases, 0)
-        high = positive + np.maximum(biases, 0)
+        low, high = accumulator_bounds(masks, signs, exponents, biases)
         span = np.maximum(
             np.maximum(np.abs(low), np.abs(high)).max(axis=1), 1
         )
@@ -367,23 +285,6 @@ def synthesize_approximate_population(
             )
         )
     return reports
-
-
-def fast_synthesize_approximate_mlp(
-    mlp: ApproximateMLP,
-    library: Optional[EGFETLibrary] = None,
-    voltage: float = 1.0,
-    clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
-) -> HardwareReport:
-    """Single-model convenience wrapper over the population path."""
-    return synthesize_approximate_population(
-        [mlp],
-        library=library,
-        voltage=voltage,
-        clock_period_ms=clock_period_ms,
-        include_registers=include_registers,
-    )[0]
 
 
 # ----------------------------------------------------------------------
@@ -603,31 +504,3 @@ def synthesize_exact_population(
             )
         )
     return reports
-
-
-def fast_synthesize_exact_mlp(
-    weight_codes: Sequence[np.ndarray],
-    bias_codes: Sequence[np.ndarray],
-    input_bits_per_layer: Sequence[int],
-    activation_bits: int = 8,
-    activation_shifts: Optional[Sequence[int]] = None,
-    library: Optional[EGFETLibrary] = None,
-    voltage: float = 1.0,
-    clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
-) -> HardwareReport:
-    """Single-model convenience wrapper over the exact population path."""
-    job = {
-        "weight_codes": weight_codes,
-        "bias_codes": bias_codes,
-        "input_bits_per_layer": input_bits_per_layer,
-        "activation_bits": activation_bits,
-        "activation_shifts": activation_shifts,
-    }
-    return synthesize_exact_population(
-        [job],
-        library=library,
-        voltage=voltage,
-        clock_period_ms=clock_period_ms,
-        include_registers=include_registers,
-    )[0]

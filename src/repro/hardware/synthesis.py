@@ -277,19 +277,22 @@ def synthesize_exact_mlp(
     if clock_period_ms is None:
         clock_period_ms = DEFAULT_CLOCK_PERIOD_MS
     if not slow:
-        from repro.hardware.fast_synthesis import fast_synthesize_exact_mlp
+        from repro.hardware.fast_synthesis import synthesize_exact_population
 
-        return fast_synthesize_exact_mlp(
-            weight_codes=weight_codes,
-            bias_codes=bias_codes,
-            input_bits_per_layer=input_bits_per_layer,
-            activation_bits=activation_bits,
-            activation_shifts=activation_shifts,
+        job = {
+            "weight_codes": weight_codes,
+            "bias_codes": bias_codes,
+            "input_bits_per_layer": input_bits_per_layer,
+            "activation_bits": activation_bits,
+            "activation_shifts": activation_shifts,
+        }
+        return synthesize_exact_population(
+            [job],
             library=library,
             voltage=voltage,
             clock_period_ms=clock_period_ms,
             include_registers=include_registers,
-        )
+        )[0]
     library = library or default_egfet_library()
     num_layers = len(weight_codes)
     if not (len(bias_codes) == len(input_bits_per_layer) == num_layers):

@@ -2,7 +2,7 @@
 
 * Genome-native population fitness — ``ChromosomeLayout.population_parameters``
   + stacked forward + stacked FA count — equals per-chromosome decode +
-  ``ApproximateMLP.accuracy`` + ``fast_mlp_fa_count``
+  ``ApproximateMLP.accuracy`` + scalar ``mlp_fa_count``
   (``FitnessEvaluator.compute_population(..., slow=True)``), across
   learned and fixed shifts, wide inputs, degenerate parameters, every
   matmul exactness regime and ablation-restricted layouts.

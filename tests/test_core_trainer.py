@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.cache import EvaluationCache
 from repro.core.trainer import GAConfig, GATrainer
-from repro.hardware.fast_area import fast_mlp_fa_count
+from repro.hardware.adder_tree import mlp_fa_count
+from repro.hardware.fast_area import fast_population_fa_count
 
 
 def _archive_key(result):
@@ -99,7 +100,7 @@ class TestGATrainer:
         trainer, result = trained
         for point in result.estimated_front:
             mlp = result.decode(point)
-            assert fast_mlp_fa_count(mlp) == int(point.area)
+            assert fast_population_fa_count([mlp])[0] == mlp_fa_count(mlp) == int(point.area)
 
     def test_front_is_non_dominated(self, trained):
         _, result = trained

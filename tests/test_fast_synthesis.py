@@ -24,9 +24,8 @@ from repro.evaluation.pareto_analysis import evaluate_front
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import ExperimentSession
 from repro.hardware.adder_tree import count_adders_from_columns
+from repro.hardware.fast_area import reduce_columns_adder_costs
 from repro.hardware.fast_synthesis import (
-    fast_synthesize_exact_mlp,
-    reduce_columns_adder_costs,
     synthesize_approximate_population,
     synthesize_exact_population,
 )
@@ -39,15 +38,28 @@ from repro.hardware.synthesis import (
 # ----------------------------------------------------------------------
 # Shared 3:2 reduction
 # ----------------------------------------------------------------------
+def _reducer_inputs():
+    """Random histograms, then tall ones that exercise the carry headroom
+    (fan_in >= 1024 layers produce columns in the thousands)."""
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        width = int(rng.integers(1, 24))
+        n = int(rng.integers(1, 30))
+        yield rng.integers(0, 40, size=(width, n))
+    for peak in (1025, 5000):
+        for _ in range(3):
+            width = int(rng.integers(1, 30))
+            n = int(rng.integers(1, 8))
+            yield rng.integers(0, peak + 1, size=(width, n))
+    yield np.full((10, 3), 1025, dtype=np.int64)
+
+
 class TestReduceColumnsAdderCosts:
     @pytest.mark.parametrize("use_half_adders", [False, True])
     @pytest.mark.parametrize("include_final_cpa", [False, True])
     def test_matches_scalar_reducer(self, use_half_adders, include_final_cpa):
-        rng = np.random.default_rng(0)
-        for trial in range(20):
-            width = int(rng.integers(1, 24))
-            n = int(rng.integers(1, 30))
-            counts = rng.integers(0, 40, size=(width, n))
+        for trial, counts in enumerate(_reducer_inputs()):
+            n = counts.shape[1]
             fa, ha, cpa, stages = reduce_columns_adder_costs(
                 counts,
                 use_half_adders=use_half_adders,
@@ -125,6 +137,11 @@ class TestApproximateEquivalence:
                 slow=True,
             )
 
+    def test_edge_designs_match_scalar_oracle(self, edge_design):
+        mlp, _ = edge_design
+        (report,) = synthesize_approximate_population([mlp])
+        assert report == synthesize_approximate_mlp(mlp, slow=True)
+
     def test_default_path_delegates_to_fast_engine(self, random_population):
         rng = np.random.default_rng(6)
         (mlp,) = random_population(rng, (4, 3, 2), 1)
@@ -179,7 +196,7 @@ class TestExactEquivalence:
             job = _random_exact_job(rng)
             voltage = float(rng.choice([1.0, 0.9, 0.7]))
             include_registers = bool(rng.integers(0, 2))
-            fast = fast_synthesize_exact_mlp(
+            fast = synthesize_exact_mlp(
                 voltage=voltage, include_registers=include_registers, **job
             )
             slow = synthesize_exact_mlp(

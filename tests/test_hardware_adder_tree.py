@@ -18,9 +18,9 @@ from repro.hardware.adder_tree import (
     neuron_adder_cost,
 )
 from repro.hardware.fast_area import (
-    fast_mlp_fa_count,
-    layer_column_counts,
-    reduce_columns_fa_count,
+    fast_population_fa_count,
+    population_layer_column_counts,
+    reduce_columns_adder_costs,
 )
 
 
@@ -90,8 +90,18 @@ class TestCountAdders:
     def test_half_adders_only_when_enabled(self):
         plain = count_adders_from_columns([5, 5])
         with_ha = count_adders_from_columns([5, 5], use_half_adders=True)
-        assert plain.half_adders == 0
-        assert with_ha.half_adders >= 0
+        assert (plain.full_adders, plain.half_adders, plain.reduction_stages) == (6, 0, 4)
+        assert (with_ha.full_adders, with_ha.half_adders, with_ha.reduction_stages) == (7, 3, 4)
+        # The vectorized sweep gives the same costs under both flags.
+        for use_half_adders, cost in ((False, plain), (True, with_ha)):
+            fa, ha, _, stages = reduce_columns_adder_costs(
+                np.array([[5], [5]]), use_half_adders=use_half_adders
+            )
+            assert (fa[0], ha[0], stages[0]) == (
+                cost.full_adders,
+                cost.half_adders,
+                cost.reduction_stages,
+            )
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValueError):
@@ -138,23 +148,49 @@ class TestNeuronAndMlpCost:
         assert total.full_adders > 0
 
 
+def fast_fa_count(mlp):
+    """FA count of one model through the population kernel."""
+    (count,) = fast_population_fa_count([mlp])
+    return int(count)
+
+
 class TestFastArea:
     def test_fast_matches_reference_random_mlps(self):
         for seed in range(10):
             rng = np.random.default_rng(seed)
             topology = Topology((int(rng.integers(2, 12)), int(rng.integers(2, 6)), int(rng.integers(2, 8))))
             mlp = ApproximateMLP.random(topology, ApproxConfig(), rng, mask_density=float(rng.random()))
-            assert fast_mlp_fa_count(mlp) == mlp_fa_count(mlp)
+            assert fast_fa_count(mlp) == mlp_fa_count(mlp)
 
     def test_layer_column_counts_shape(self, random_mlp):
         layer = random_mlp.layers[0]
-        counts = layer_column_counts(layer.masks, layer.exponents, layer.biases, layer.input_bits)
+        counts = population_layer_column_counts(
+            layer.masks[None], layer.exponents[None], layer.biases[None], layer.input_bits
+        )
         assert counts.shape[1] == layer.fan_out
         assert counts.sum() > 0
 
     def test_reduce_rejects_1d(self):
         with pytest.raises(ValueError):
-            reduce_columns_fa_count(np.array([1, 2, 3]))
+            reduce_columns_adder_costs(np.array([1, 2, 3]))
+
+    def test_bias_bits_above_sixteen_are_counted(self):
+        # The histogram once scanned a fixed 16 bias bits, so wide biases
+        # lost their top bits (232 FAs here instead of 233).
+        config = ApproxConfig(weight_bits=10, bias_bits=18)
+        mlp = ApproximateMLP.random(
+            Topology((16, 4, 3)), config, rng=np.random.default_rng(8), mask_density=0.9
+        )
+        rng = np.random.default_rng(1008)
+        for layer in mlp.layers:
+            layer.biases[:] = rng.integers(config.bias_min, config.bias_max, size=layer.biases.shape)
+            layer.invalidate_caches()
+        assert mlp_fa_count(mlp) == 233
+        assert fast_fa_count(mlp) == 233
+
+    def test_edge_designs_match_reference(self, edge_design):
+        mlp, _ = edge_design
+        assert fast_fa_count(mlp) == mlp_fa_count(mlp)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -162,4 +198,4 @@ class TestFastArea:
         rng = np.random.default_rng(seed)
         topology = Topology((int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(2, 5))))
         mlp = ApproximateMLP.random(topology, ApproxConfig(), rng, mask_density=float(rng.random()))
-        assert fast_mlp_fa_count(mlp) == mlp_fa_count(mlp)
+        assert fast_fa_count(mlp) == mlp_fa_count(mlp)

@@ -27,12 +27,8 @@ from repro.core.pareto import (
     pareto_front,
     pareto_front_reference,
 )
-from repro.hardware.fast_area import (
-    fast_mlp_fa_count,
-    fast_population_fa_count,
-    reduce_columns_fa_count,
-    reduce_columns_fa_count_reference,
-)
+from repro.hardware.adder_tree import mlp_fa_count
+from repro.hardware.fast_area import fast_population_fa_count
 
 
 def slow_forward(mlp: ApproximateMLP, x: np.ndarray) -> np.ndarray:
@@ -131,28 +127,6 @@ class TestBitPlaneForward:
 
 
 class TestFaCountReduction:
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_bounded_buffer_matches_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        width = int(rng.integers(1, 30))
-        fan_out = int(rng.integers(1, 8))
-        # Tall columns exercise the carry headroom (fan_in >= 1024 layers
-        # produce histograms in the thousands).
-        peak = int(rng.choice([3, 50, 1025, 5000]))
-        counts = rng.integers(0, peak + 1, size=(width, fan_out))
-        assert np.array_equal(
-            reduce_columns_fa_count(counts),
-            reduce_columns_fa_count_reference(counts),
-        )
-
-    def test_flat_tall_histogram(self):
-        counts = np.full((10, 3), 1025, dtype=np.int64)
-        assert np.array_equal(
-            reduce_columns_fa_count(counts),
-            reduce_columns_fa_count_reference(counts),
-        )
-
     @settings(max_examples=15, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_population_fa_matches_per_model(self, seed):
@@ -165,7 +139,7 @@ class TestFaCountReduction:
             for _ in range(int(rng.integers(1, 7)))
         ]
         areas = fast_population_fa_count(models)
-        assert [int(a) for a in areas] == [fast_mlp_fa_count(m) for m in models]
+        assert [int(a) for a in areas] == [mlp_fa_count(m) for m in models]
 
 
 def random_objectives(rng, n):
