@@ -4,18 +4,24 @@ These track the vectorized fitness engine's headline claim (≥5× faster
 GA generations at the default benchmark sizes) plus micro-benchmarks
 of the non-dominated sort at a Table-III-like population size (with the
 retained scalar sort as the reference) and at the union sizes the GA
-sorts every generation.
+sorts every generation, and of the per-generation bookkeeping a warm
+cache leaves: selection, the archive update and the generation stats.
 """
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+from repro.core.cache import EvaluationCache
+from repro.core.fitness import FitnessEvaluator
 from repro.core.nsga2 import (
     fast_non_dominated_sort,
     fast_non_dominated_sort_reference,
 )
+from repro.core.pareto import ParetoArchive
 from repro.core.trainer import GAConfig, GATrainer
 from repro.datasets.preprocessing import normalize_01, stratified_split
 from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classification
@@ -94,3 +100,53 @@ def test_bench_nondominated_sort_union(benchmark, n):
     violations = np.maximum(0.0, rng.random(n) - 0.8)
     fronts = benchmark(lambda: fast_non_dominated_sort(objectives, violations))
     assert fronts == fast_non_dominated_sort_reference(objectives, violations)
+
+
+#: The ``ci`` experiment scale's GA population (its union is twice that).
+CI_POPULATION = 40
+
+
+def test_bench_selection_and_archive(benchmark, ga_training_data, record_bench):
+    """One generation's bookkeeping on a ci-sized 80-row parent+offspring
+    union whose fitness comes from a warm cache: the fitness lookups,
+    the archive update, environmental selection and the generation stats."""
+    x_train, y_train = ga_training_data
+    config = GAConfig(population_size=CI_POPULATION, seed=0)
+    trainer = GATrainer(TOPOLOGY, ga_config=config)
+    rng = np.random.default_rng(0)
+    union = np.stack([trainer.layout.random(rng) for _ in range(2 * CI_POPULATION)])
+    # A baseline at the median accuracy plus the loss bound leaves about
+    # half of the union infeasible, as early generations see it.
+    accuracies = [fit.accuracy for fit in FitnessEvaluator(trainer.layout, x_train, y_train).evaluate_population(union)]
+    evaluator = FitnessEvaluator(
+        trainer.layout,
+        x_train,
+        y_train,
+        baseline_accuracy=float(np.median(accuracies)) + config.max_accuracy_loss,
+        cache=EvaluationCache(),
+    )
+    fitnesses = evaluator.evaluate_population(union)
+    reference = (1.0, 1.1 * max(fit.area for fit in fitnesses) + 1.0)
+
+    def bookkeeping():
+        archive = ParetoArchive(max_size=config.archive_size)
+        fitnesses = evaluator.evaluate_population(union)
+        trainer._update_archive(archive, union, fitnesses)
+        survivors, kept, _ = trainer._environmental_selection(union, fitnesses, CI_POPULATION, True)
+        return survivors, trainer._stats(0, kept, archive, evaluator, reference)
+
+    computed = evaluator.fitness_computations
+    survivors, stats = benchmark(bookkeeping)
+    start = time.perf_counter()
+    bookkeeping()
+    seconds = time.perf_counter() - start
+    assert evaluator.fitness_computations == computed  # every lookup hit
+    assert len(survivors) == CI_POPULATION
+    assert stats.archive_size >= 1 and stats.hypervolume > 0.0
+    record_bench(
+        "ga_generation",
+        "selection_and_archive_union80",
+        seconds=seconds,
+        union=2 * CI_POPULATION,
+        archive_size=stats.archive_size,
+    )

@@ -8,17 +8,16 @@ same hardware reports.  :class:`EvaluationCache` is one bounded memo
 shared by all of them, keyed by the chromosome's raw genome bytes:
 
 ``fitness``
-    (evaluator context, genome) → fitness values (training accuracy +
-    FA-count area), the GA's inner-loop memo.  The context part carries
-    the training split and feasibility constraint, because the cached
-    values embed both;
+    (evaluator context digest, genome) → fitness values (training
+    accuracy + FA-count area), the GA's inner-loop memo.  The digest
+    covers the layout, training split and feasibility constraint,
+    because the cached values embed all three;
 ``models``
-    genome → decoded :class:`~repro.approx.mlp.ApproximateMLP` (with its
-    lazily built bit-plane caches), so the front stages never decode a
-    front member twice.  The GA scores fitness without building models,
-    so the trainer decodes-and-caches the final front's members once
-    before returning
-    (``GATrainer._populate_model_cache``);
+    (layout key, genome) → decoded :class:`~repro.approx.mlp.ApproximateMLP`
+    (with its lazily built bit-plane caches), so the front stages never
+    decode a front member twice.  The GA scores fitness without building
+    models, so the trainer decodes-and-caches the final front's members
+    once before returning (``GATrainer._populate_model_cache``);
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``
@@ -46,7 +45,9 @@ fitness work) into one versioned pickle, and
 self-namespacing — they embed the layout identity, the training split
 digest and the feasibility constraint — so snapshots taken from
 different datasets, scales or constraints can share a directory without
-colliding.  Loading is corruption-tolerant: a missing, truncated,
+colliding.  Keys are flat tuples of strings, bytes and numbers (the
+layout and the evaluator context are each one :func:`stable_fingerprint`
+string), whose hashes CPython caches.  Loading is corruption-tolerant: a missing, truncated,
 garbage or version-mismatched file restores nothing instead of raising,
 so a crashed writer can never take down the next run.
 
@@ -116,8 +117,10 @@ _MISSING = object()
 #: Version 3 invalidates version-2 snapshots because pickled
 #: ``DesignVerification`` reports gained the EDA-oracle fields.
 #: Version 4 adds the ``baselines`` section (trained float baselines).
+#: Version 5 flattens the keys: layout and fitness context are each one
+#: fingerprint string, no longer tuples holding ``ApproxConfig``.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,7 @@ class SnapshotPolicy:
 #: payloads during load, *before* any magic/version check could reject
 #: them).
 _SAFE_SNAPSHOT_GLOBALS = {
+    # Only in version-4 keys: lets those snapshots fail the version check.
     ("repro.approx.config", "ApproxConfig"),
     ("repro.core.fitness", "FitnessValues"),
     ("repro.hardware.synthesis", "HardwareReport"),
@@ -298,7 +302,7 @@ class EvaluationCache:
         return np.ascontiguousarray(chromosome, dtype=np.int64).tobytes()
 
     @staticmethod
-    def layout_key(layout: Any) -> Hashable:
+    def layout_key(layout: Any) -> str:
         """Decode-semantics identity of a chromosome layout.
 
         Two layouts with the same topology, number formats and shift
@@ -306,12 +310,13 @@ class EvaluationCache:
         only in gene *bounds* (the ablation experiments restrict those)
         share a key on purpose.  Namespacing model/fitness entries with
         this prevents collisions between layouts whose chromosomes
-        merely have equal byte length.
+        merely have equal byte length.  One :func:`stable_fingerprint`
+        string, so keys built on it stay flat.
         """
-        return (
-            tuple(layout.topology.sizes),
-            layout.config,
-            bool(getattr(layout, "learn_shifts", True)),
+        return stable_fingerprint(
+            repr(tuple(int(size) for size in layout.topology.sizes)),
+            repr(layout.config),  # the dataclass repr: every field, by name
+            repr(bool(getattr(layout, "learn_shifts", True))),
         )
 
     @staticmethod

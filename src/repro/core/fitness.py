@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.approx.mlp import accuracy_population
-from repro.core.cache import EvaluationCache
+from repro.core.cache import EvaluationCache, stable_fingerprint
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
@@ -150,15 +150,15 @@ class FitnessEvaluator:
         )
         # Cached FitnessValues embed the decode semantics, the training
         # split and the feasibility constraint, so fitness keys are
-        # namespaced by this evaluator's context.
-        self._context_key = (
+        # namespaced by this evaluator's context: one digest string.
+        self._context_key = stable_fingerprint(
             EvaluationCache.layout_key(layout),
-            baseline_accuracy,
-            max_accuracy_loss,
-            EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels),
+            repr(None if baseline_accuracy is None else float(baseline_accuracy)),
+            repr(float(max_accuracy_loss)),
+            repr(EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels)),
         )
 
-    def _fitness_key(self, genome: bytes):
+    def _fitness_key(self, genome: bytes) -> tuple:
         return (self._context_key, genome)
 
     @property

@@ -30,6 +30,7 @@ __all__ = [
     "fast_non_dominated_sort",
     "fast_non_dominated_sort_reference",
     "crowding_distance",
+    "front_crowding_distances",
     "nsga2_sort_key",
     "binary_tournament_winners",
 ]
@@ -171,11 +172,6 @@ def fast_non_dominated_sort(
     front 0 is the non-dominated (best) front.
     """
     ranks = _non_domination_ranks(objectives, violations)
-    return _fronts_of(ranks)
-
-
-def _fronts_of(ranks: np.ndarray) -> List[List[int]]:
-    """Population indices of every front, ascending within each front."""
     fronts: List[List[int]] = [[] for _ in range(int(ranks.max(initial=-1)) + 1)]
     for index, rank in enumerate(ranks.tolist()):
         fronts[rank].append(index)
@@ -257,6 +253,37 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return distance
 
 
+def front_crowding_distances(
+    objectives: np.ndarray, ranks: np.ndarray
+) -> np.ndarray:  # lint: oracle-pair(crowding_distance)
+    """Crowding distance of every individual within its front (``ranks``, ≥ 0).
+
+    Bitwise equal to :func:`crowding_distance` on each front in turn (its
+    members in ascending index order), for all fronts at once: one stable
+    ``lexsort`` by ``(rank, objective)`` per objective lines every front up
+    in the per-front sort order, so gaps, spreads and extremes are read
+    off neighbouring sorted positions.
+    """
+    objectives = np.asarray(objectives, dtype=np.float64)
+    ranks = np.asarray(ranks, dtype=np.int64)
+    counts = np.bincount(ranks)
+    sorted_ranks = np.repeat(np.arange(counts.size), counts)
+    last = np.cumsum(counts)[sorted_ranks] - 1
+    first = last - counts[sorted_ranks] + 1
+    positions = np.arange(ranks.size)
+    extreme = (positions == first) | (positions == last)
+    distance = np.zeros(ranks.size, dtype=np.float64)
+    for obj in range(objectives.shape[1]):
+        order = np.lexsort((objectives[:, obj], ranks))
+        values = objectives[order, obj]
+        spread = values[last] - values[first]
+        # Not `spread > 0`: a NaN spread adds its gaps, as in crowding_distance.
+        inner = np.flatnonzero(~extreme & ~(spread <= 0))
+        distance[order[inner]] += (values[inner + 1] - values[inner - 1]) / spread[inner]
+        distance[order[extreme]] = np.inf
+    return distance
+
+
 def binary_tournament_winners(
     ranks: np.ndarray,
     crowding: np.ndarray,
@@ -316,7 +343,4 @@ def nsga2_sort_key(
     """
     objectives = np.asarray(objectives, dtype=np.float64)
     ranks = _non_domination_ranks(objectives, violations)
-    crowding = np.zeros(objectives.shape[0], dtype=np.float64)
-    for front in _fronts_of(ranks):
-        crowding[front] = crowding_distance(objectives[front])
-    return ranks, crowding
+    return ranks, front_crowding_distances(objectives, ranks)

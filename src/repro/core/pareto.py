@@ -19,6 +19,7 @@ tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -113,21 +114,28 @@ def hypervolume(
     Both objectives are minimized; points outside the reference box are
     clipped out.  Larger is better.
     """
+    return _swept_volume(sorted(pareto_front(points), key=lambda p: p.error), reference)
+
+
+def _swept_volume(front: Iterable[ParetoPoint], reference: tuple[float, float]) -> float:
+    """Hypervolume of a clean front given in ascending-error order."""
     ref_error, ref_area = float(reference[0]), float(reference[1])
-    front = pareto_front(points)
-    usable = [p for p in front if p.error < ref_error and p.area < ref_area]
-    if not usable:
-        return 0.0
-    usable.sort(key=lambda p: p.error)
     volume = 0.0
     previous_area = ref_area
-    for point in usable:
+    for point in front:
+        if not (point.error < ref_error and point.area < ref_area):
+            continue
         width = ref_error - point.error
         height = previous_area - point.area
         if height > 0:
             volume += width * height
             previous_area = point.area
     return volume
+
+
+def _isclose(a: float, b: float) -> bool:
+    """``np.isclose(a, b)`` on two floats, with numpy's formula and order."""
+    return a == b or (abs(a - b) <= 1e-08 + 1e-05 * abs(b) and math.isfinite(b))
 
 
 class ParetoArchive:
@@ -190,16 +198,15 @@ class ParetoArchive:
         # Near-duplicate rejection, mirroring the reference's
         # ``np.allclose(existing, point)``: only points whose area is
         # within tolerance can match, and those are contiguous around pos.
-        objectives = point.objectives
         for k in range(pos - 1, -1, -1):
-            if not np.isclose(points[k].area, area):
+            if not _isclose(points[k].area, area):
                 break
-            if np.allclose(points[k].objectives, objectives):
+            if _isclose(points[k].error, error):
                 return False
         for k in range(pos, len(points)):
-            if not np.isclose(points[k].area, area):
+            if not _isclose(points[k].area, area):
                 break
-            if np.allclose(points[k].objectives, objectives):
+            if _isclose(points[k].error, error):
                 return False
 
         # Points we dominate sit in one contiguous run: area >= ours
@@ -229,6 +236,12 @@ class ParetoArchive:
         if len(self._points) > self.max_size:
             self._thin()
         return True
+
+    def hypervolume(self, reference: tuple[float, float]) -> float:
+        """``hypervolume(self.points, reference)`` without re-deriving the
+        front: the points already are one, and reversed they are in
+        ascending-error order."""
+        return _swept_volume(reversed(self._points), reference)
 
     def extend(self, points: Iterable[ParetoPoint]) -> int:
         """Add many points; returns how many were kept."""

@@ -27,9 +27,9 @@ from repro.baselines.gradient import FloatMLP
 from repro.core.cache import EvaluationCache
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator, FitnessValues
-from repro.core.nsga2 import crowding_distance, fast_non_dominated_sort, nsga2_sort_key
+from repro.core.nsga2 import crowding_distance, nsga2_sort_key
 from repro.core.operators import GeneticOperators
-from repro.core.pareto import ParetoArchive, ParetoPoint, hypervolume, pareto_front
+from repro.core.pareto import ParetoArchive, ParetoPoint, pareto_front
 from repro.core.population import PopulationInitializer
 
 __all__ = ["GAConfig", "GenerationStats", "GAResult", "GATrainer"]
@@ -372,16 +372,14 @@ class GATrainer:
     @staticmethod
     def _objective_matrix(
         fitnesses: Sequence[FitnessValues], area_objective: bool
-    ) -> tuple[np.ndarray, List[float]]:
-        objectives = np.array(
-            [
-                [fit.error, fit.area if area_objective else 0.0]
-                for fit in fitnesses
-            ],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        table = np.array(
+            [(fit.error, fit.area, fit.constraint_violation) for fit in fitnesses],
             dtype=np.float64,
-        )
-        violations = [fit.constraint_violation for fit in fitnesses]
-        return objectives, violations
+        ).reshape(-1, 3)
+        if not area_objective:
+            table[:, 1] = 0.0
+        return table[:, :2], table[:, 2]
 
     def _update_archive(
         self,
@@ -389,15 +387,15 @@ class GATrainer:
         population: Sequence[np.ndarray],
         fitnesses: Sequence[FitnessValues],
     ) -> None:
-        for chromosome, fit in zip(population, fitnesses):
-            if not fit.feasible:
-                continue
+        violations = np.array([fit.constraint_violation for fit in fitnesses], dtype=np.float64)
+        for index in np.flatnonzero(violations <= 0.0).tolist():
+            fit = fitnesses[index]
             archive.add(
                 ParetoPoint(
                     error=fit.error,
                     area=fit.area,
                     accuracy=fit.accuracy,
-                    payload=np.array(chromosome, dtype=np.int64),
+                    payload=np.array(population[index], dtype=np.int64),
                 )
             )
 
@@ -419,23 +417,23 @@ class GATrainer:
         recomputed, over its chosen members in the order they were chosen.
         """
         objectives, violations = self._objective_matrix(fitnesses, area_objective)
-        survivors: List[int] = []
-        ranks: List[int] = []
-        crowding: List[np.ndarray] = []
-        for rank, front in enumerate(fast_non_dominated_sort(objectives, violations)):
-            distances = crowding_distance(objectives[front])
-            remaining = target_size - len(survivors)
-            if len(front) > remaining:
-                order = np.argsort(-distances, kind="stable")[:remaining]
-                front = [front[i] for i in order]
-                distances = crowding_distance(objectives[front])
-            survivors.extend(front)
-            ranks.extend([rank] * len(front))
-            crowding.append(distances)
-            if len(survivors) >= target_size:
-                break
-        sort_key = (np.array(ranks, dtype=np.int64), np.concatenate(crowding))
-        return population[survivors], [fitnesses[i] for i in survivors], sort_key
+        ranks, crowding = nsga2_sort_key(objectives, violations)
+        # Fronts in rank order, members ascending within each front.
+        by_front = np.argsort(ranks, kind="stable")
+        filled = np.cumsum(np.bincount(ranks))
+        whole = int(np.searchsorted(filled, target_size, side="right"))
+        survivors = by_front[: filled[whole - 1] if whole else 0]
+        sort_key = (ranks[survivors], crowding[survivors])
+        remaining = target_size - len(survivors)
+        if remaining > 0 and whole < len(filled):
+            front = by_front[len(survivors) : filled[whole]]
+            chosen = front[np.argsort(-crowding[front], kind="stable")[:remaining]]
+            survivors = np.concatenate([survivors, chosen])
+            sort_key = (
+                np.concatenate([sort_key[0], np.full(remaining, whole, dtype=np.int64)]),
+                np.concatenate([sort_key[1], crowding_distance(objectives[chosen])]),
+            )
+        return population[survivors], [fitnesses[i] for i in survivors.tolist()], sort_key
 
     @staticmethod
     def _stats(
@@ -446,15 +444,14 @@ class GATrainer:
         reference: tuple[float, float],
         duration_s: float = 0.0,
     ) -> GenerationStats:
-        errors = np.array([fit.error for fit in fitnesses])
-        areas = np.array([fit.area for fit in fitnesses])
+        errors, areas = np.array([(fit.error, fit.area) for fit in fitnesses]).T
         return GenerationStats(
             generation=generation,
             best_error=float(errors.min()),
             best_area=float(areas.min()),
             mean_error=float(errors.mean()),
             mean_area=float(areas.mean()),
-            hypervolume=hypervolume(archive.points, reference),
+            hypervolume=archive.hypervolume(reference),
             archive_size=len(archive),
             evaluations=evaluator.evaluations,
             cache_hits=evaluator.cache_hits,

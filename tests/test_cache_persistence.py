@@ -286,6 +286,32 @@ class TestCorruptionTolerance:
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 0
 
+    def test_version_4_snapshot_is_ignored(self, tmp_path, caplog, small_topology, approx_config):
+        """A version-4 snapshot (nested tuple context keys holding the
+        ApproxConfig dataclass) is refused by its version, not mis-read."""
+        from repro.core.fitness import FitnessValues
+
+        split = ((3, 4), (3,), "int64", "int64", "0" * 32)
+        context = ((tuple(small_topology.sizes), approx_config, True), 0.75, 0.1, split)
+        value = FitnessValues(error=0.25, area=12.0, accuracy=0.75)
+        payload = {
+            "magic": "repro-evaluation-cache",
+            "version": 4,
+            "sections": {
+                "fitness": [((context, b"genome"), value, 1.0)],
+                "accuracy": [],
+                "reports": [],
+                "baselines": [],
+            },
+        }
+        path = tmp_path / "v4.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert "format version 4 (expected 5)" in caplog.text
+        assert len(cache.fitness) == 0
+
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
         """Snapshots deserialize through a restricted unpickler: a
         pickle carrying an os.system payload must be rejected before
@@ -349,17 +375,50 @@ class TestStableKeys:
         ) != EvaluationCache.split_fingerprint(same_bytes_b, labels)
 
     def test_fitness_keys_round_trip_through_pickle(self, small_topology, approx_config):
-        """Snapshot keys embed the layout identity; pickling must not
-        change their equality/hash (frozen dataclasses of plain ints)."""
+        """Snapshot keys embed the layout identity and the evaluator
+        context as flat strings; pickling must not change their
+        equality/hash."""
         from repro.core.chromosome import ChromosomeLayout
+        from repro.core.fitness import FitnessEvaluator
 
         layout = ChromosomeLayout(small_topology, approx_config)
-        key = (
-            EvaluationCache.layout_key(layout),
-            EvaluationCache.genome_key(np.zeros(layout.num_genes, dtype=np.int64)),
-        )
+        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
+        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]), baseline_accuracy=0.75)
+        genome = EvaluationCache.genome_key(np.zeros(layout.num_genes, dtype=np.int64))
+        key = evaluator._fitness_key(genome)
+        assert [type(part) for part in key] == [str, bytes]
+        assert isinstance(EvaluationCache.layout_key(layout), str)
         assert pickle.loads(pickle.dumps(key)) == key
         assert hash(pickle.loads(pickle.dumps(key))) == hash(key)
+
+    def test_fitness_context_separates_constraints(self, small_topology, approx_config):
+        """The folded context digest still tells evaluators apart by
+        layout, baseline accuracy, loss bound and training split."""
+        from repro.core.chromosome import ChromosomeLayout
+        from repro.core.fitness import FitnessEvaluator
+
+        layout = ChromosomeLayout(small_topology, approx_config)
+        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
+        labels = np.array([0, 1, 0])
+
+        def context(**kwargs):
+            arguments = dict(
+                layout=layout, train_inputs=inputs, train_labels=labels, baseline_accuracy=0.75
+            )
+            arguments.update(kwargs)
+            return FitnessEvaluator(**arguments)._context_key
+
+        variants = [
+            context(),
+            context(baseline_accuracy=None),
+            context(baseline_accuracy=0.5),
+            context(max_accuracy_loss=0.05),
+            context(train_labels=np.array([1, 1, 0])),
+            context(layout=ChromosomeLayout(small_topology, approx_config, learn_shifts=False)),
+            context(layout=ChromosomeLayout(small_topology, dataclasses.replace(approx_config, weight_bits=6))),
+        ]
+        assert len(set(variants)) == len(variants)
+        assert context(baseline_accuracy=np.float64(0.75)) == context()
 
 
 TINY = ExperimentScale(
@@ -519,7 +578,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 4
+        assert payload["version"] == CACHE_FORMAT_VERSION == 5
         (key, value, stamp), = payload["sections"]["baselines"]
         payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))

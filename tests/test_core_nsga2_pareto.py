@@ -9,6 +9,7 @@ from repro.core.nsga2 import (
     crowding_distance,
     dominates,
     fast_non_dominated_sort,
+    front_crowding_distances,
     nsga2_sort_key,
 )
 from repro.core.fitness import FitnessValues
@@ -95,6 +96,72 @@ class TestCrowding:
         ranks, crowding = nsga2_sort_key(objectives)
         assert ranks.shape == (12,) and crowding.shape == (12,)
         assert ranks.min() == 0
+
+
+def per_front_crowding(objectives, ranks):
+    """The oracle: :func:`crowding_distance` on each front in turn."""
+    distance = np.zeros(len(ranks))
+    for rank in np.unique(ranks):
+        front = np.flatnonzero(ranks == rank)
+        distance[front] = crowding_distance(objectives[front])
+    return distance
+
+
+def assert_crowding_matches_oracle(objectives, ranks):
+    fast = front_crowding_distances(objectives, ranks)
+    # Bit for bit: the byte images also pin -0.0 and the infinities.
+    assert fast.tobytes() == per_front_crowding(objectives, ranks).tobytes()
+
+
+class TestAllFrontsCrowding:
+    """``front_crowding_distances`` equals per-front ``crowding_distance``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        n=st.integers(min_value=0, max_value=250),
+        constrained=st.booleans(),
+        levels=st.sampled_from([2, 5, 40, None]),
+    )
+    def test_matches_per_front_oracle(self, seed, n, constrained, levels):
+        rng = np.random.default_rng(seed)
+        if levels is None:
+            objectives = rng.random((n, 2))
+        else:
+            # Few distinct values: tied objectives and zero-spread fronts.
+            objectives = rng.integers(0, levels, (n, 2)) / float(levels)
+        violations = (
+            np.maximum(0.0, rng.integers(0, 6, n) / 10.0 - 0.3) if constrained else None
+        )
+        ranks, crowding = nsga2_sort_key(objectives, violations)  # the kernel's caller
+        assert crowding.tobytes() == per_front_crowding(objectives, ranks).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_arbitrary_front_labels(self, seed):
+        """Any grouping, not only dominance fronts: many fronts of size 1
+        and 2 next to larger ones, in shuffled index order."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 60))
+        objectives = np.round(rng.normal(size=(n, 2)), 1)
+        ranks = rng.integers(0, max(1, n // 2), n)
+        assert_crowding_matches_oracle(objectives, ranks)
+
+    @pytest.mark.parametrize(
+        "objectives, ranks",
+        [
+            (np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+            (np.array([[0.3, 4.0]]), np.array([0])),
+            (np.array([[0.3, 4.0], [0.1, 9.0]]), np.array([0, 0])),
+            (np.array([[0.3, 4.0], [0.1, 9.0], [0.2, 5.0]]), np.array([1, 0, 1])),
+            (np.full((5, 2), 0.25), np.zeros(5, dtype=np.int64)),
+            (np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 2.0], [-0.0, 0.0]]), np.zeros(4, dtype=np.int64)),
+            (np.array([[0.5, 1.0], [0.5, 2.0], [0.5, 3.0], [0.5, 3.0]]), np.zeros(4, dtype=np.int64)),
+        ],
+        ids=["empty", "size-1", "size-2", "size-1-and-2", "zero-spread", "signed-zeros", "one-tied-objective"],
+    )
+    def test_edge_fronts(self, objectives, ranks):
+        assert_crowding_matches_oracle(objectives, ranks)
 
 
 class TestCarriedSortKey:
@@ -195,3 +262,32 @@ class TestParetoFrontUtilities:
     def test_archive_rejects_bad_size(self):
         with pytest.raises(ValueError):
             ParetoArchive(max_size=0)
+
+
+class TestArchiveHypervolume:
+    """``ParetoArchive.hypervolume`` sweeps the archive's own sorted points;
+    it must equal the module-level ``hypervolume`` of those points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        max_size=st.sampled_from([2, 3, 8, 256]),
+    )
+    def test_matches_module_hypervolume(self, seed, max_size):
+        rng = np.random.default_rng(seed)
+        magnitude = 10.0 ** float(rng.integers(-9, 10))
+        archive = ParetoArchive(max_size=max_size)
+        for _ in range(int(rng.integers(0, 120))):
+            error, area = float(rng.random()), float(rng.random()) * magnitude
+            if len(archive) and rng.random() < 0.2:
+                # Near-duplicates of a kept point.
+                kept = archive.points[int(rng.integers(0, len(archive)))]
+                error = kept.error * (1.0 + float(rng.normal()) * 1e-6)
+                area = kept.area * (1.0 + float(rng.normal()) * 1e-6)
+            archive.add(ParetoPoint(error, area, 1.0 - error))
+        assert pareto_front(archive.points) == archive.points
+        for reference in [(1.0, 1.1 * magnitude), (0.5, 0.5 * magnitude), (0.0, 0.0)]:
+            assert archive.hypervolume(reference) == hypervolume(archive.points, reference)
+
+    def test_empty_archive(self):
+        assert ParetoArchive().hypervolume((1.0, 1.0)) == 0.0

@@ -231,6 +231,78 @@ class TestParetoSweepEquivalence:
                 (q.error, q.area) for q in reference.points
             ]
 
+    @staticmethod
+    def tolerance_edge(b, direction):
+        """``(last, past)``: the float farthest from ``b`` towards
+        ``direction`` with ``np.isclose(last, b)``, and the next one on."""
+        a = b + direction * (1e-08 + 1e-05 * abs(b))
+        while not np.isclose(a, b):
+            a = np.nextafter(a, b)
+        while np.isclose(np.nextafter(a, direction * np.inf), b):
+            a = np.nextafter(a, direction * np.inf)
+        return float(a), float(np.nextafter(a, direction * np.inf))
+
+    @staticmethod
+    def assert_inserts_match(points):
+        """Insert ``points`` in order into a sweep and a reference archive."""
+        sweep = ParetoArchive()
+        reference = ParetoArchive(reference=True)
+        for point in points:
+            assert sweep.add(point) == reference.add(point)
+        assert [(p.error, p.area) for p in sweep.points] == [
+            (p.error, p.area) for p in reference.points
+        ]
+
+    def edge_pairs(self, objective, base):
+        """Trade-off pairs whose ``objective`` sits at the tolerance edge of
+        ``base`` (inside and one ulp past it) while the other objective is
+        well within tolerance."""
+        other = 0.5 if objective == 1 else 1000.0
+        for direction in (1.0, -1.0):
+            for value in self.tolerance_edge(base, direction):
+                # Moving one objective up must move the other down, or one
+                # point would dominate the other instead of nearly matching it.
+                nudged = other - direction * 1e-09 * max(1.0, other)
+                pair = [[base, other], [value, nudged]]
+                if objective == 1:
+                    pair = [pair[0][::-1], pair[1][::-1]]
+                yield [ParetoPoint(e, a, 1.0 - e) for e, a in pair]
+
+    @pytest.mark.parametrize("objective", [0, 1], ids=["error", "area"])
+    @pytest.mark.parametrize("base", [0.0, 1e-09, 0.5, 1e06])
+    def test_tolerance_edge_matches_reference(self, objective, base):
+        last, past = self.tolerance_edge(base, 1.0)
+        assert np.isclose(last, base) and not np.isclose(past, base)
+        if base == 0.0:
+            assert abs(last - base) == 1e-08 + 1e-05 * abs(base)
+        for pair in self.edge_pairs(objective, base):
+            # Both insertion orders: isclose(existing, new) is asymmetric.
+            self.assert_inserts_match(pair)
+            self.assert_inserts_match(pair[::-1])
+
+    def test_asymmetric_isclose_pair_matches_reference(self):
+        base = 1e06
+        _, past = self.tolerance_edge(base, 1.0)
+        assert not np.isclose(past, base) and np.isclose(base, past)
+        for area_first in (True, False):
+            pair = [ParetoPoint(0.5, base, 0.5), ParetoPoint(0.5 - 1e-09, past, 0.5)]
+            if not area_first:
+                pair = [ParetoPoint(base, 0.5, 0.5), ParetoPoint(past, 0.5 - 1e-09, 0.5)]
+            self.assert_inserts_match(pair)
+            self.assert_inserts_match(pair[::-1])
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [((0.0, 7.0), (-0.0, 7.0)), ((0.25, 0.0), (0.25, -0.0)), ((-0.0, -0.0), (0.0, 0.0))],
+        ids=["error", "area", "both"],
+    )
+    def test_signed_zero_is_a_duplicate(self, first, second):
+        pair = [ParetoPoint(e, a, 1.0 - e) for e, a in (first, second)]
+        self.assert_inserts_match(pair)
+        self.assert_inserts_match(pair[::-1])
+        archive = ParetoArchive()
+        assert archive.add(pair[0]) and not archive.add(pair[1])
+
     def test_near_duplicates_collapse(self):
         base = ParetoPoint(0.5, 100.0, 0.5, payload="first")
         close = ParetoPoint(0.5 + 1e-12, 100.0 - 1e-9, 0.5, payload="second")
