@@ -1,10 +1,9 @@
-"""Benchmarks of the microverilog fifth oracle.
+"""Benchmarks of the microverilog module-text oracle.
 
-Tracks what the pure-Python Verilog-subset simulator costs on top of the
-existing four-oracle differential harness: parse, evaluate-only and
-parse+simulate throughput on a front-sized batch of generated modules,
-and the end-to-end overhead of ``verify_front(eda=True)`` versus the
-eda-off run.  Timings land in
+Tracks what the pure-Python Verilog-subset simulator costs: parse,
+evaluate-only and parse+simulate throughput on a front-sized batch of
+generated modules, and one ``verify_front`` run, of which the simulator
+is one oracle.  Timings land in
 ``BENCH_eda_oracle.json`` (see ``conftest.record_bench``) so the CI
 smoke pass leaves a per-commit trajectory; the *external* iverilog/yosys
 flow is benchmarked separately by the ``eda-cross-check`` CI job via
@@ -63,7 +62,7 @@ def test_bench_parse_and_simulate_sweep(record_bench):
     evaluate_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    predictions = [simulate_mlp_module(text, vectors) for text in texts]
+    predictions = [simulate_mlp_module(text, vectors)[0] for text in texts]
     simulate_seconds = time.perf_counter() - start
     assert all(p.shape == (NUM_VECTORS,) for p in predictions)
     assert all(np.array_equal(o, p) for o, p in zip(outputs, predictions))
@@ -96,46 +95,30 @@ def test_bench_parse_and_simulate_sweep(record_bench):
     )
 
 
-def test_bench_fifth_oracle_overhead(session, record_bench):
-    """verify_front(eda=True) vs eda=False on a synthesized front."""
+def test_bench_verify_front(session, record_bench):
+    """One verify_front run on a synthesized front: every oracle,
+    including the module text executed as Verilog."""
     result = session.front("breast_cancer")
     approx = result.approximate
     assert approx is not None
 
     start = time.perf_counter()
-    plain = verify_front(
+    verification = verify_front(
         approx.ga_result,
         num_vectors=64,
         max_designs=session.scale.max_front_designs,
         cache=EvaluationCache(),
     )
-    plain_seconds = time.perf_counter() - start
+    seconds = time.perf_counter() - start
 
-    start = time.perf_counter()
-    eda = verify_front(
-        approx.ga_result,
-        num_vectors=64,
-        max_designs=session.scale.max_front_designs,
-        cache=EvaluationCache(),
-        eda=True,
-    )
-    eda_seconds = time.perf_counter() - start
-
-    # The fifth oracle agrees everywhere the other four do.
-    assert eda.num_designs == plain.num_designs
-    assert eda.eda_mismatches == 0
-    assert eda.passed and plain.passed
+    assert verification.num_designs > 0
+    assert verification.expression_mismatches == 0
+    assert verification.eda_mismatches == 0
+    assert verification.passed
 
     record_bench(
         "eda_oracle",
-        "verify_front_breast_cancer_four_oracles",
-        seconds=plain_seconds,
-        num_designs=plain.num_designs,
-    )
-    record_bench(
-        "eda_oracle",
-        "verify_front_breast_cancer_five_oracles",
-        seconds=eda_seconds,
-        num_designs=eda.num_designs,
-        overhead_seconds=eda_seconds - plain_seconds,
+        "verify_front_breast_cancer",
+        seconds=seconds,
+        num_designs=verification.num_designs,
     )

@@ -140,6 +140,7 @@ def test_bench_verify_front_end_to_end(session, record_bench):
     assert verification.rtl_mismatches == 0
     assert verification.model_mismatches == 0
     assert verification.expression_mismatches == 0
+    assert verification.eda_mismatches == 0
     assert verification.passed
 
     record_bench(

@@ -119,8 +119,10 @@ _MISSING = object()
 #: Version 4 adds the ``baselines`` section (trained float baselines).
 #: Version 5 flattens the keys: layout and fitness context are each one
 #: fingerprint string, no longer tuples holding ``ApproxConfig``.
+#: Version 6 drops ``DesignVerification.eda_oracle`` and the oracle
+#: selection from the ``rtl-verify`` report keys.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ EDA truth:
 * :mod:`repro.eda.microverilog` — always available, pure Python.  Parses
   the emitted module text as Verilog (the supported structural subset)
   and executes it with the language's width/signedness semantics; the
-  fifth oracle of the differential verification harness.
+  module-text oracle of the differential verification harness.
 * :mod:`repro.eda.tools` / :mod:`repro.eda.report` — feature-detected
   via ``shutil.which``.  When ``iverilog``/``yosys`` are installed, the
   emitted module + testbench run through a real simulator and the front

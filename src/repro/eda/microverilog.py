@@ -65,6 +65,9 @@ __all__ = [
 #: every bit pattern exactly representable in a non-negative int64.
 MAX_WIDTH = 62
 
+#: Name of one neuron's accumulator net in a generated MLP module.
+_ACCUMULATOR_NET_RE = re.compile(r"acc_l(\d+)_n(\d+)")
+
 
 class MicroVerilogError(ValueError):
     """The text is outside the supported subset, malformed, or uses a
@@ -827,7 +830,9 @@ class MicroVerilogModule:
 
         Returns
         -------
-        ``{port name: (n_vectors,) int64 array}`` for every output port.
+        ``{net name: (n_vectors,) int64 array}`` for every input, wire,
+        reg and integer the module drives, each as its unsigned bit
+        pattern.
         """
         declared = {port.name for port in self.inputs}
         provided = set(inputs)
@@ -860,7 +865,7 @@ class MicroVerilogModule:
             raise MicroVerilogError(self._error)
         for step in self._plan:
             step(state, n)
-        return {port.name: state[port.name] for port in self.outputs}
+        return {name: value for name, value in state.items() if name not in self.localparams}
 
 
 # ---------------------------------------------------------------------------
@@ -1067,14 +1072,17 @@ def _order_nodes(
 # ---------------------------------------------------------------------------
 
 
-def simulate_mlp_module(text: str, vectors: np.ndarray) -> np.ndarray:
+def simulate_mlp_module(
+    text: str, vectors: np.ndarray
+) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Execute a generated MLP module on integer input vectors.
 
     Parses ``text`` (the output of
     :func:`repro.rtl.verilog.generate_mlp_verilog`), applies each row of
-    ``vectors`` to the ``in0..inK`` ports and returns the
-    ``class_index`` output per vector — the fifth, Verilog-semantics
-    oracle of the differential verification harness.
+    ``vectors`` to the ``in0..inK`` ports and reads back the
+    ``class_index`` output and every ``acc_lL_nJ`` accumulator net —
+    the Verilog-semantics oracle of the differential verification
+    harness.
 
     Parameters
     ----------
@@ -1085,7 +1093,12 @@ def simulate_mlp_module(text: str, vectors: np.ndarray) -> np.ndarray:
 
     Returns
     -------
-    ``(n_vectors,)`` int64 predicted class indices.
+    ``(class_index, accumulators)``: the ``(n_vectors,)`` int64
+    predicted class indices, and per layer ``L`` an
+    ``(n_vectors, fan_out)`` int64 array whose column ``J`` is net
+    ``acc_lL_nJ`` read with its declared width and signedness.  Raises
+    :class:`MicroVerilogError` when the driven accumulator nets skip a
+    layer index or a neuron index below the largest one.
     """
     module = parse_module(text)
     vectors = np.asarray(vectors, dtype=np.int64)
@@ -1103,9 +1116,25 @@ def simulate_mlp_module(text: str, vectors: np.ndarray) -> np.ndarray:
             f"module {module.name!r} has {len(input_ports)} inputs, "
             f"stimulus provides {vectors.shape[1]}"
         )
-    outputs = module.evaluate(
+    if "class_index" not in {port.name for port in module.outputs}:
+        raise MicroVerilogError(f"module {module.name!r} has no class_index output")
+    nets = module.evaluate(
         {port.name: vectors[:, i] for i, port in enumerate(input_ports)}
     )
-    if "class_index" not in outputs:
-        raise MicroVerilogError(f"module {module.name!r} has no class_index output")
-    return outputs["class_index"]
+    columns: Dict[int, Dict[int, np.ndarray]] = {}
+    for name, bits in nets.items():
+        match = _ACCUMULATOR_NET_RE.fullmatch(name)
+        if match:
+            signal = module.signals[name]
+            sign = np.int64(1 << (signal.width - 1) if signal.signed else 0)
+            columns.setdefault(int(match[1]), {})[int(match[2])] = (bits ^ sign) - sign
+    accumulators: List[np.ndarray] = []
+    for layer in range(max(columns, default=-1) + 1):
+        neurons = columns.get(layer, {})
+        missing = [j for j in range(max(neurons, default=0) + 1) if j not in neurons]
+        if missing:
+            raise MicroVerilogError(
+                f"module {module.name!r} lacks net 'acc_l{layer}_n{missing[0]}'"
+            )
+        accumulators.append(np.stack([neurons[j] for j in range(len(neurons))], axis=1))
+    return nets["class_index"], accumulators

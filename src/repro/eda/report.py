@@ -136,7 +136,7 @@ def cross_check_store(
         for design in designs:
             rtl = store.get_rtl(dataset, design)
             parsed = extract_testbench_vectors(rtl.testbench)
-            predictions = simulate_mlp_module(rtl.verilog, parsed.vectors)
+            predictions, _ = simulate_mlp_module(rtl.verilog, parsed.vectors)
             micro_mismatches = int(np.count_nonzero(predictions != parsed.golden))
             if micro_mismatches:
                 micro_failures += 1

@@ -18,19 +18,16 @@ run front-wide in one pass:
   through the Python QReLU/argmax stages);
 * **model vs. RTL testbench** — the same parsed golden responses are
   checked against :meth:`ApproximateMLP.predict`, closing the triangle;
-* **model vs. RTL module text** — the accumulator expressions of the
-  emitted Verilog module are parsed back out and independently executed
-  (:func:`~repro.rtl.verilog.evaluate_neuron_expression`), so a wrong
-  mask/shift/bias literal produced by the Verilog *generator* is caught
-  even though the testbench golden responses originate from the model;
-* **Verilog semantics vs. RTL testbench** (opt-in, ``eda=True``) — the
-  *whole module text* is parsed and executed as Verilog by the
-  :mod:`repro.eda.microverilog` simulator, with the language's
-  width/signedness rules rather than Python's.  The expression oracle
-  above checks only the accumulator arithmetic; this fifth oracle
-  additionally covers the QReLU saturation ternaries, the behavioural
-  argmax block and the declared wire widths, and rejects module text
-  that is not legal within the emitted subset.
+* **model vs. RTL module text** — the *whole emitted module text* is
+  parsed and executed as Verilog by the :mod:`repro.eda.microverilog`
+  simulator, with the language's width/signedness rules rather than
+  Python's.  Every ``acc_lL_nJ`` accumulator net must equal the model's
+  accumulator, so a wrong mask/shift/bias literal produced by the
+  Verilog *generator* is caught even though the testbench golden
+  responses originate from the model; the ``class_index`` output must
+  match those golden responses, which also covers the QReLU saturation
+  ternaries, the behavioural argmax block and the declared wire widths.
+  Module text that is not legal within the emitted subset raises.
 
 :func:`verify_front` applies this to every member of an estimated
 Pareto front, reusing decoded models from the shared
@@ -64,11 +61,7 @@ from repro.evaluation.pareto_analysis import resolve_decoded_model
 from repro.hardware.netlist import build_neuron_netlist
 from repro.hardware.simulator import simulate_batch
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
-from repro.rtl.verilog import (
-    evaluate_neuron_expression,
-    extract_accumulator_expressions,
-    generate_mlp_verilog,
-)
+from repro.rtl.verilog import generate_mlp_verilog
 
 __all__ = [
     "DesignVerification",
@@ -138,17 +131,14 @@ class DesignVerification:
     #: Per-vector class disagreements: Python model vs. testbench golden.
     model_mismatches: int
     #: (neuron, vector) accumulator disagreements between the emitted
-    #: Verilog module text (its accumulator expressions parsed back out
-    #: and independently executed) and the Python model — this is the
-    #: leg that catches bugs in the Verilog *generator* itself.
+    #: Verilog module text (its ``acc_lL_nJ`` nets, executed as Verilog
+    #: by :func:`repro.eda.microverilog.simulate_mlp_module`) and the
+    #: Python model — this is the leg that catches bugs in the Verilog
+    #: *generator* itself.
     expression_mismatches: int = 0
-    #: Per-vector class disagreements between the full module text
-    #: executed as Verilog (:func:`repro.eda.microverilog.simulate_mlp_module`)
-    #: and the testbench golden responses.  Only populated when the
-    #: microverilog oracle ran (``eda_oracle``).
+    #: Per-vector class disagreements between the same module text's
+    #: ``class_index`` output and the testbench golden responses.
     eda_mismatches: int = 0
-    #: True when the microverilog fifth oracle executed for this design.
-    eda_oracle: bool = False
 
     @property
     def total_mismatches(self) -> int:
@@ -223,8 +213,11 @@ class FrontVerification:
 
     @property
     def eda_checked(self) -> int:
-        """Designs the microverilog fifth oracle actually executed on."""
-        return sum(1 for result in self.results if result.eda_oracle)
+        """Designs whose module text was executed as Verilog: all of them.
+
+        Read by perfbench until the next benchmark change.
+        """
+        return self.num_designs
 
     @property
     def total_mismatches(self) -> int:
@@ -258,7 +251,6 @@ def verify_design(
     testbench_text: Optional[str] = None,
     verilog_text: Optional[str] = None,
     plan_cache: Optional[NetlistPlanCache] = None,
-    eda: bool = False,
 ) -> DesignVerification:
     """Differentially verify one design on a batch of input vectors.
 
@@ -271,23 +263,19 @@ def verify_design(
         ``vectors`` when omitted.  Passing tampered text is how the
         tests prove the harness actually detects disagreements.
     verilog_text:
-        Pre-generated module Verilog whose accumulator expressions are
-        parsed back out and independently executed; generated from
-        ``mlp`` when omitted.  Tampering with a mask/shift/bias literal
-        in this text is likewise detected.
+        Pre-generated module Verilog, executed as Verilog with
+        :mod:`repro.eda.microverilog`; generated from ``mlp`` when
+        omitted.  Tampering with a mask/shift/bias literal in this text
+        is likewise detected.  Module text outside the emitted subset
+        (or outright illegal Verilog) raises
+        :class:`~repro.eda.microverilog.MicroVerilogError`, and text
+        whose accumulator nets do not match the model's layers raises
+        ``ValueError`` — a generator that emits such text must fail
+        loudly, not count as zero mismatches.
     plan_cache:
         Optional shared :class:`NetlistPlanCache`;
         :func:`verify_front` passes one cache for the whole front so
         parameter-identical neurons are built and compiled once.
-    eda:
-        When true, additionally parse and execute the *whole module
-        text* as Verilog with :mod:`repro.eda.microverilog` and compare
-        its ``class_index`` output against the testbench golden
-        responses.  Module text outside the emitted subset (or outright
-        illegal Verilog) raises
-        :class:`~repro.eda.microverilog.MicroVerilogError` — a
-        generator that emits unparsable text must fail loudly, not
-        count as zero mismatches.
     """
     vectors = np.asarray(vectors, dtype=np.int64)
     if vectors.ndim != 2 or vectors.shape[1] != mlp.topology.num_inputs:
@@ -297,14 +285,19 @@ def verify_design(
         )
     n = vectors.shape[0]
 
+    # Imported on first use: sessions that never verify (every GA search)
+    # would otherwise pay its import time and memory.
+    from repro.eda.microverilog import simulate_mlp_module
+
     if verilog_text is None:
         verilog_text = generate_mlp_verilog(mlp)
-    expressions = extract_accumulator_expressions(verilog_text)
-    expected_wires = sum(layer.fan_out for layer in mlp.layers)
-    if len(expressions) != expected_wires:
+    text_classes, text_accumulators = simulate_mlp_module(verilog_text, vectors)
+    text_fan_outs = [acc.shape[1] for acc in text_accumulators]
+    fan_outs = [layer.fan_out for layer in mlp.layers]
+    if text_fan_outs != fan_outs:
         raise ValueError(
-            f"module text carries {len(expressions)} accumulator wires, "
-            f"expected {expected_wires}"
+            f"module text carries accumulator nets for fan-outs {text_fan_outs}, "
+            f"expected {fan_outs}"
         )
 
     # ---- model vs. gate-level netlist, layer by layer ----
@@ -332,14 +325,9 @@ def verify_design(
                 netlist = build_neuron_netlist(neuron)
             acc_gate[:, j] = simulate_batch(netlist, buses)
             num_neurons += 1
-            # The emitted RTL expression, executed independently on the
-            # model's (golden) layer inputs.
-            acc_rtl = evaluate_neuron_expression(
-                expressions[(layer_index, j)], activations
-            )
-            expression_mismatches += int(
-                np.count_nonzero(acc_rtl != acc_model[:, j])
-            )
+        expression_mismatches += int(
+            np.count_nonzero(text_accumulators[layer_index] != acc_model)
+        )
         layer_mismatches = int(np.count_nonzero(acc_gate != expected_gate))
         netlist_mismatches += layer_mismatches
         diverged = diverged or layer_mismatches > 0
@@ -362,14 +350,6 @@ def verify_design(
     gate_predictions = np.argmax(gate_scores, axis=1)
     model_predictions = mlp.predict(vectors)
 
-    # ---- fifth oracle: the module text, executed as Verilog ----
-    eda_mismatches = 0
-    if eda:
-        from repro.eda.microverilog import simulate_mlp_module
-
-        eda_predictions = simulate_mlp_module(verilog_text, vectors)
-        eda_mismatches = int(np.count_nonzero(eda_predictions != golden))
-
     return DesignVerification(
         num_vectors=n,
         num_neurons=num_neurons,
@@ -377,8 +357,7 @@ def verify_design(
         rtl_mismatches=int(np.count_nonzero(gate_predictions != golden)),
         model_mismatches=int(np.count_nonzero(model_predictions != golden)),
         expression_mismatches=expression_mismatches,
-        eda_mismatches=eda_mismatches,
-        eda_oracle=eda,
+        eda_mismatches=int(np.count_nonzero(text_classes != golden)),
     )
 
 
@@ -389,7 +368,7 @@ def verify_front(
     seed: int = 0,
     max_designs: Optional[int] = None,
     cache: Optional[EvaluationCache] = None,
-    eda: bool = False,
+    eda: bool = True,
 ) -> FrontVerification:
     """Differentially verify every member of an estimated Pareto front.
 
@@ -407,13 +386,14 @@ def verify_front(
     cache:
         Optional shared evaluation cache: decoded models are reused from
         its ``models`` section and per-design verification results are
-        memoized in its ``reports`` section, keyed by genome, stimulus
-        fingerprint and oracle selection.
+        memoized in its ``reports`` section, keyed by genome and
+        stimulus fingerprint.
     eda:
-        When true, every design additionally runs through the
-        :mod:`repro.eda.microverilog` fifth oracle (see
-        :func:`verify_design`).
+        Must be true: the module text of every design is always executed
+        as Verilog.  Read by perfbench until the next benchmark change.
     """
+    if not eda:
+        raise ValueError("verify_front always executes the module text; eda must be True")
     start = time.perf_counter()
     front = result.estimated_front
     if max_designs is not None:
@@ -446,7 +426,7 @@ def verify_front(
     for point in front:
         key = (
             ("rtl-verify", layout_key,
-             EvaluationCache.genome_key(np.asarray(point.payload)), stimulus, eda)
+             EvaluationCache.genome_key(np.asarray(point.payload)), stimulus)
             if cache is not None and point.payload is not None
             else None
         )
@@ -456,7 +436,7 @@ def verify_front(
             results.append(verification)
             continue
         _, model = resolve_decoded_model(result, point, cache, layout_key)
-        verification = verify_design(model, vectors, plan_cache=plan_cache, eda=eda)
+        verification = verify_design(model, vectors, plan_cache=plan_cache)
         if key is not None:
             cache.reports.put(key, verification)
         results.append(verification)

@@ -75,10 +75,6 @@ class ExperimentScale:
         after the hardware-analysis stage (``runner.py --verify-rtl``).
     verify_vectors:
         Stimulus vectors per design for the RTL verification sweep.
-    verify_eda:
-        Additionally execute every front member's emitted module text as
-        Verilog with the :mod:`repro.eda.microverilog` fifth oracle
-        (``runner.py --verify-eda``; implies the verification sweep).
     verify_seed:
         Explicit seed for the verification stimulus draw; ``None`` falls
         back to the global ``seed`` (``runner.py --verify-seed``).
@@ -107,7 +103,6 @@ class ExperimentScale:
     dataset_workers: int = 0
     verify_rtl: bool = False
     verify_vectors: int = 32
-    verify_eda: bool = False
     verify_seed: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -226,7 +226,7 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
             seed=0,
         )
         parsed = extract_testbench_vectors(testbench)
-        predictions = simulate_mlp_module(verilog, parsed.vectors)
+        predictions, _ = simulate_mlp_module(verilog, parsed.vectors)
         mismatches = int(np.count_nonzero(predictions != parsed.golden))
         if mismatches:
             raise ValueError(

@@ -43,15 +43,13 @@ from stdin and streams JSONL answers — both thin wrappers over
 
 ``--verify-rtl`` differentially verifies every synthesized front member
 after the hardware-analysis stage — Python model vs. gate-level netlist
-vs. RTL testbench golden vectors, batched over ``--verify-vectors``
-stimulus vectors, sharing one compiled netlist schedule between
-parameter-identical neurons across the front — and prints a per-dataset
-``[verify]`` summary line (see ``docs/verification.md``).
-
-``--verify-eda`` additionally executes every front member's emitted
-module text *as Verilog* through the :mod:`repro.eda.microverilog`
-fifth oracle (implies the verification sweep); ``--verify-seed`` pins
-the stimulus draw independently of the experiment seed.
+vs. RTL testbench golden vectors vs. the emitted module text executed
+*as Verilog* by :mod:`repro.eda.microverilog`, batched over
+``--verify-vectors`` stimulus vectors, sharing one compiled netlist
+schedule between parameter-identical neurons across the front — and
+prints a per-dataset ``[verify]`` summary line (see
+``docs/verification.md``).  ``--verify-seed`` pins the stimulus draw
+independently of the experiment seed.
 """
 
 from __future__ import annotations
@@ -151,8 +149,9 @@ def main(argv: List[str] | None = None) -> int:
         action="store_true",
         help=(
             "differentially verify every synthesized front member (Python "
-            "model vs gate-level netlist vs RTL testbench golden vectors) "
-            "and print a per-dataset [verify] summary"
+            "model vs gate-level netlist vs RTL testbench golden vectors vs "
+            "the module text executed as Verilog) and print a per-dataset "
+            "[verify] summary"
         ),
     )
     parser.add_argument(
@@ -160,15 +159,6 @@ def main(argv: List[str] | None = None) -> int:
         type=int,
         default=None,
         help="stimulus vectors per design for --verify-rtl (default: scale setting)",
-    )
-    parser.add_argument(
-        "--verify-eda",
-        action="store_true",
-        help=(
-            "additionally execute every front member's emitted module text "
-            "as Verilog through the repro.eda.microverilog fifth oracle "
-            "(implies --verify-rtl)"
-        ),
     )
     parser.add_argument(
         "--verify-seed",
@@ -196,10 +186,6 @@ def main(argv: List[str] | None = None) -> int:
         scale = dataclasses.replace(scale, cache_dir=args.cache_dir)
     if args.verify_rtl:
         scale = dataclasses.replace(scale, verify_rtl=True)
-    if args.verify_eda:
-        # The fifth oracle rides on the verification sweep, so enabling
-        # it enables the sweep too.
-        scale = dataclasses.replace(scale, verify_rtl=True, verify_eda=True)
     if args.verify_vectors is not None:
         # The scale itself may enable verification (ExperimentScale.verify_rtl);
         # only reject the flag when no verification will actually run.
@@ -210,7 +196,7 @@ def main(argv: List[str] | None = None) -> int:
         scale = dataclasses.replace(scale, verify_vectors=args.verify_vectors)
     if args.verify_seed is not None:
         if not scale.verify_rtl:
-            parser.error("--verify-seed requires --verify-rtl or --verify-eda")
+            parser.error("--verify-seed requires --verify-rtl")
         scale = dataclasses.replace(scale, verify_seed=args.verify_seed)
 
     # Imported here so the query modes above never load the search stack.
@@ -243,12 +229,9 @@ def main(argv: List[str] | None = None) -> int:
                 f"snapshot loaded {stats['loaded']} / saved {stats['saved']} entries, "
                 f"baseline {stats['baseline']}"
             )
-    if scale.verify_rtl or scale.verify_eda:
+    if scale.verify_rtl:
         for dataset, verification in sorted(session.verification_summary().items()):
             status = "OK" if verification.passed else "FAILED"
-            eda_part = (
-                f"eda {verification.eda_mismatches} / " if scale.verify_eda else ""
-            )
             print(
                 f"[verify] {dataset}: {verification.num_designs} designs x "
                 f"{verification.num_vectors} vectors "
@@ -259,7 +242,7 @@ def main(argv: List[str] | None = None) -> int:
                 f"RTL {verification.rtl_mismatches} / "
                 f"model {verification.model_mismatches} / "
                 f"expr {verification.expression_mismatches} / "
-                f"{eda_part}"
+                f"eda {verification.eda_mismatches} / "
                 f"total {verification.total_mismatches} mismatches "
                 f"[{status}] ({verification.seconds:.2f}s)"
             )

@@ -306,11 +306,11 @@ class ExperimentSession:
                 max_accuracy_loss=max_accuracy_loss,
             )
             verification = None
-            if self.scale.verify_rtl or self.scale.verify_eda:
+            if self.scale.verify_rtl:
                 # Differential sign-off of the synthesized front: Python
                 # model vs. gate-level netlist vs. RTL testbench golden
-                # vectors (plus, with verify_eda, the module text
-                # executed as Verilog), one batched pass per design.
+                # vectors vs. the module text executed as Verilog, one
+                # batched pass per design.
                 # Shares the same cache, so a second run (or a disk
                 # snapshot) serves the verification results without
                 # re-simulating.
@@ -325,7 +325,6 @@ class ExperimentSession:
                     seed=verify_seed,
                     max_designs=self.scale.max_front_designs,
                     cache=cache,
-                    eda=self.scale.verify_eda,
                 )
             self.persist_cache(spec.name, cache)
             approximate = ApproximateResult(

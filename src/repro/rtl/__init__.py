@@ -25,8 +25,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "generate_mlp_verilog": "repro.rtl.verilog",
     "generate_neuron_expression": "repro.rtl.verilog",
-    "evaluate_neuron_expression": "repro.rtl.verilog",
-    "extract_accumulator_expressions": "repro.rtl.verilog",
     "generate_testbench": "repro.rtl.testbench",
     "extract_testbench_vectors": "repro.rtl.vectors",
     "TestbenchVectors": "repro.rtl.vectors",

@@ -12,16 +12,16 @@ the structure of Fig. 1/Fig. 3:
 * the output stage is a behavioural argmax producing the class index.
 
 The module is valid Verilog-2001 and is intended to be handed to a real
-EDA flow by users who have one; inside this reproduction its fidelity is
-checked structurally (tests assert the hard-wired constants appear) and
-behaviourally via the gate-level netlist simulator, which shares the
-same construction rules.
+EDA flow by users who have one; inside this reproduction the text itself
+is executed as Verilog by :mod:`repro.eda.microverilog`, and
+:func:`repro.evaluation.verification.verify_design` checks every
+``acc_lL_nJ`` accumulator net and the ``class_index`` output against
+the Python model.
 """
 
 from __future__ import annotations
 
-import re
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -30,24 +30,7 @@ from repro.approx.mlp import ApproximateMLP
 __all__ = [
     "generate_neuron_expression",
     "generate_mlp_verilog",
-    "evaluate_neuron_expression",
-    "extract_accumulator_expressions",
 ]
-
-#: One signed term of a neuron accumulator expression: a masked/shifted
-#: input reference or an integer bias literal.
-_EXPR_TERM_RE = re.compile(
-    r"(?P<sign>[+-]) "
-    r"(?:\(\((?P<prefix2>[A-Za-z_]\w*?)(?P<idx2>\d+) & \d+'d(?P<mask2>\d+)\)"
-    r" << (?P<shift>\d+)\)"
-    r"|\((?P<prefix1>[A-Za-z_]\w*?)(?P<idx1>\d+) & \d+'d(?P<mask1>\d+)\)"
-    r"|(?P<bias>\d+))"
-)
-
-#: One accumulator wire of the generated module text.
-_ACC_WIRE_RE = re.compile(
-    r"^\s*wire signed \[\d+:0\] acc_l(\d+)_n(\d+) = (.+);$", re.MULTILINE
-)
 
 
 def _accumulator_width(mlp: ApproximateMLP, layer_index: int) -> int:
@@ -86,77 +69,6 @@ def generate_neuron_expression(
         return "0"
     expression = " ".join(terms)
     return expression[2:] if expression.startswith("+ ") else expression
-
-
-def evaluate_neuron_expression(expression: str, inputs: np.ndarray) -> np.ndarray:
-    """Execute a generated accumulator expression on integer inputs.
-
-    An independent (parse-and-evaluate) implementation of the Verilog
-    semantics of :func:`generate_neuron_expression` output: each term
-    ``± (inI & B'dM)`` / ``± ((inI & B'dM) << E)`` contributes
-    ``± ((x_I & M) << E)`` and the trailing ``± bias`` literal is added.
-    The differential verification harness uses this to check that the
-    *emitted RTL text* computes the same accumulators as the Python
-    model and the gate-level netlist — a wrong mask/shift/bias literal
-    in the generated Verilog is caught here.
-
-    Parameters
-    ----------
-    expression:
-        One accumulator expression as emitted into the module text
-        (any input prefix; only the trailing index is used).
-    inputs:
-        ``(n_vectors, fan_in)`` integer activations feeding the layer.
-
-    Returns
-    -------
-    ``(n_vectors,)`` int64 accumulator values.  Raises ``ValueError``
-    when the text is not a recognizable generated expression.
-    """
-    inputs = np.asarray(inputs, dtype=np.int64)
-    if inputs.ndim != 2:
-        raise ValueError(f"inputs must be (n, fan_in), got shape {inputs.shape}")
-    accumulator = np.zeros(inputs.shape[0], dtype=np.int64)
-    expr = expression.strip()
-    if expr == "0":
-        return accumulator
-    if not expr.startswith(("+ ", "- ")):
-        expr = "+ " + expr
-    position = 0
-    for match in _EXPR_TERM_RE.finditer(expr):
-        if match.start() != position:  # terms must tile the text exactly
-            raise ValueError(f"unrecognized accumulator expression: {expression!r}")
-        position = match.end() + 1  # one separating space
-        sign = 1 if match.group("sign") == "+" else -1
-        if match.group("bias") is not None:
-            accumulator += sign * int(match.group("bias"))
-            continue
-        shifted = match.group("idx2") is not None
-        index = int(match.group("idx2") if shifted else match.group("idx1"))
-        mask = int(match.group("mask2") if shifted else match.group("mask1"))
-        shift = int(match.group("shift")) if shifted else 0
-        if index >= inputs.shape[1]:
-            raise ValueError(
-                f"expression references input {index} but only "
-                f"{inputs.shape[1]} are provided"
-            )
-        accumulator += sign * ((inputs[:, index] & mask) << shift)
-    if position != len(expr) + 1:
-        raise ValueError(f"unrecognized accumulator expression: {expression!r}")
-    return accumulator
-
-
-def extract_accumulator_expressions(text: str) -> Dict[Tuple[int, int], str]:
-    """Parse the per-neuron accumulator expressions out of a module text.
-
-    Returns ``{(layer_index, neuron_index): expression}`` for every
-    ``wire signed [..:0] acc_lL_nN = ...;`` line emitted by
-    :func:`generate_mlp_verilog`.
-    """
-    return {
-        (int(layer), int(neuron)): expression
-        for layer, neuron, expression in _ACC_WIRE_RE.findall(text)
-    }
 
 
 def generate_mlp_verilog(mlp: ApproximateMLP, module_name: str = "approx_mlp") -> str:

@@ -174,10 +174,11 @@ class VerificationRecord:
     model_mismatches: int
     expression_mismatches: int
     passed: bool
-    #: Class disagreements of the microverilog fifth oracle (0 when it
-    #: did not run; ``eda_checked`` tells the two apart).
+    #: Class disagreements between the module text executed as Verilog
+    #: (:mod:`repro.eda.microverilog`) and the testbench golden responses.
     eda_mismatches: int = 0
-    #: Designs the microverilog oracle actually executed on.
+    #: Designs whose module text was executed as Verilog: every verified
+    #: design (stores written before that was always so may hold fewer).
     eda_checked: int = 0
 
     @classmethod
@@ -191,8 +192,8 @@ class VerificationRecord:
             model_mismatches=int(verification.model_mismatches),
             expression_mismatches=int(verification.expression_mismatches),
             passed=bool(verification.passed),
-            eda_mismatches=int(getattr(verification, "eda_mismatches", 0)),
-            eda_checked=int(getattr(verification, "eda_checked", 0)),
+            eda_mismatches=int(verification.eda_mismatches),
+            eda_checked=int(verification.num_designs),
         )
 
 

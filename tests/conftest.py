@@ -82,6 +82,12 @@ EDGE_DESIGNS = {
     "one_bit_inputs": (ApproxConfig(input_bits=1), 0.5),
     "all_pruned": (ApproxConfig(), 0.0),
     "sparse": (ApproxConfig(), 0.1),
+    # Layer-0 QReLU shift 5 reaches past the 3-bit accumulator.
+    "shift_past_accumulator": (ApproxConfig(bias_bits=1), 0.0),
+    "minimal_widths": (
+        ApproxConfig(input_bits=1, activation_bits=1, weight_bits=2, bias_bits=1),
+        0.5,
+    ),
 }
 
 

@@ -309,7 +309,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 4 (expected 5)" in caplog.text
+        assert "format version 4 (expected 6)" in caplog.text
         assert len(cache.fitness) == 0
 
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
@@ -578,7 +578,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 5
+        assert payload["version"] == CACHE_FORMAT_VERSION == 6
         (key, value, stamp), = payload["sections"]["baselines"]
         payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))

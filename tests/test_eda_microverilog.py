@@ -1,4 +1,4 @@
-"""Tests for the microverilog parser/simulator — the fifth oracle.
+"""Tests for the microverilog parser/simulator — the module-text oracle.
 
 Three layers:
 
@@ -10,9 +10,8 @@ Three layers:
   saturation bound) must produce mismatches or a parse error; mutation
   seeds were chosen so each tamper provably changes behaviour on the
   applied vectors (a vacuously-passing oracle would fail these);
-* **harness integration** — ``verify_design(eda=True)`` populates the
-  new fields, rejects illegal module text loudly, and the seeded
-  stimulus draw is reproducible.
+* **harness integration** — ``verify_design`` counts accumulator-net
+  and class disagreements of the executed module text separately.
 """
 
 import re
@@ -387,17 +386,17 @@ class TestGeneratedModules:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_model_predictions(self, seed):
         mlp, text, vectors = _random_mlp(seed)
-        assert np.array_equal(simulate_mlp_module(text, vectors), mlp.predict(vectors))
+        assert np.array_equal(simulate_mlp_module(text, vectors)[0], mlp.predict(vectors))
 
     def test_three_layer_topology(self):
         mlp, text, vectors = _random_mlp(3, sizes=(5, 4, 3, 2))
-        assert np.array_equal(simulate_mlp_module(text, vectors), mlp.predict(vectors))
+        assert np.array_equal(simulate_mlp_module(text, vectors)[0], mlp.predict(vectors))
 
     def test_boundary_vectors(self):
         mlp, text, _ = _random_mlp(7)
         boundary = np.array([[0, 0, 0, 0], [15, 15, 15, 15]], dtype=np.int64)
         assert np.array_equal(
-            simulate_mlp_module(text, boundary), mlp.predict(boundary)
+            simulate_mlp_module(text, boundary)[0], mlp.predict(boundary)
         )
 
     def test_module_ports_reflect_topology(self):
@@ -406,20 +405,30 @@ class TestGeneratedModules:
         assert [port.name for port in module.inputs] == ["in0", "in1", "in2", "in3"]
         assert [port.name for port in module.outputs] == ["class_index"]
 
+    def test_evaluate_returns_every_driven_net(self):
+        _, text, vectors = _random_mlp(0)
+        nets = parse_module(text).evaluate({f"in{i}": vectors[:, i] for i in range(4)})
+        assert {"in0", "acc_l0_n0", "act_l0_n0", "acc_l1_n1", "class_index"} <= set(nets)
+        assert "ACT_MAX_L0" not in nets
+
+    def test_gap_in_accumulator_nets_rejected(self):
+        _, text, vectors = _random_mlp(0)
+        with pytest.raises(MicroVerilogError, match="lacks net 'acc_l0_n1'"):
+            simulate_mlp_module(text.replace("acc_l0_n1", "acc_l0_n7"), vectors)
+
 
 class TestEdgeCaseDesigns:
-    """Corner designs the GA can reach, through all five oracles."""
+    """Corner designs the GA can reach, through every oracle."""
 
     def test_every_oracle_agrees(self, edge_design):
         mlp, vectors = edge_design
-        verification = verify_design(mlp, vectors, eda=True)
-        assert verification.eda_oracle is True
+        verification = verify_design(mlp, vectors)
         assert verification.netlist_mismatches == 0
         assert verification.rtl_mismatches == 0
         assert verification.model_mismatches == 0
         assert verification.expression_mismatches == 0
         assert verification.eda_mismatches == 0
-        predictions = simulate_mlp_module(generate_mlp_verilog(mlp), vectors)
+        predictions, _ = simulate_mlp_module(generate_mlp_verilog(mlp), vectors)
         assert np.array_equal(predictions, mlp.predict(vectors))
 
 
@@ -434,7 +443,7 @@ class TestMutationDetection:
     def _assert_detected(self, mlp, mutated, vectors):
         golden = mlp.predict(vectors)
         try:
-            got = simulate_mlp_module(mutated, vectors)
+            got, _ = simulate_mlp_module(mutated, vectors)
         except MicroVerilogError:
             return  # rejecting the tampered text is also a loud failure
         assert np.count_nonzero(got != golden) > 0, (
@@ -476,27 +485,23 @@ class TestMutationDetection:
 
 
 # ----------------------------------------------------------------------
-# verify_design(eda=True) integration
+# verify_design integration
 # ----------------------------------------------------------------------
-class TestFifthOracleIntegration:
+class TestModuleTextOracleIntegration:
     def test_clean_design_has_zero_eda_mismatches(self):
         mlp, _, vectors = _random_mlp(2)
-        verification = verify_design(mlp, vectors, eda=True)
-        assert verification.eda_oracle is True
+        verification = verify_design(mlp, vectors)
+        assert verification.expression_mismatches == 0
         assert verification.eda_mismatches == 0
         assert verification.passed
-
-    def test_eda_off_by_default(self):
-        mlp, _, vectors = _random_mlp(2)
-        verification = verify_design(mlp, vectors[:8])
-        assert verification.eda_oracle is False
-        assert verification.eda_mismatches == 0
 
     def test_tampered_module_text_counts_eda_mismatches(self):
         mlp, text, vectors = _random_mlp(0)
         mutated = text.replace("> best_score", "< best_score")
-        verification = verify_design(mlp, vectors, verilog_text=mutated, eda=True)
+        verification = verify_design(mlp, vectors, verilog_text=mutated)
         assert verification.eda_mismatches > 0
+        # The argmax tamper leaves every accumulator net intact.
+        assert verification.expression_mismatches == 0
         assert not verification.passed
         assert verification.total_mismatches >= verification.eda_mismatches
 
@@ -504,4 +509,14 @@ class TestFifthOracleIntegration:
         mlp, text, vectors = _random_mlp(0)
         mutated = text.replace("endmodule", "endmodule garbage garbage")
         with pytest.raises(MicroVerilogError):
-            verify_design(mlp, vectors, verilog_text=mutated, eda=True)
+            verify_design(mlp, vectors, verilog_text=mutated)
+
+    def test_dropped_sign_counts_accumulator_mismatches(self):
+        """An accumulator net read unsigned disagrees with the model on
+        every negative accumulator, whatever the class decision does."""
+        mlp, text, vectors = _random_mlp(0)
+        mutated = re.sub(r"wire signed (\[\d+:0\] acc_l1_)", r"wire \1", text)
+        negative = int(np.count_nonzero(mlp.forward(vectors) < 0))
+        assert negative > 0
+        verification = verify_design(mlp, vectors, verilog_text=mutated)
+        assert verification.expression_mismatches == negative

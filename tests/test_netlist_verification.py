@@ -31,12 +31,7 @@ from repro.hardware.simulator import (
     simulate_neuron_netlist,
 )
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
-from repro.rtl.verilog import (
-    evaluate_neuron_expression,
-    extract_accumulator_expressions,
-    generate_mlp_verilog,
-    generate_neuron_expression,
-)
+from repro.rtl.verilog import generate_mlp_verilog
 
 
 def _neuron_buses(neuron, vectors):
@@ -343,51 +338,49 @@ class TestVerifyDesign:
         with pytest.raises(ValueError):
             extract_testbench_vectors("module empty; endmodule")
 
-    def test_verilog_expression_evaluator_matches_model(self, make_mlp):
-        """The parsed-back RTL expressions execute to the exact model
-        accumulators, layer by layer (including the act_ prefix form)."""
-        rng = np.random.default_rng(11)
-        mlp = make_mlp(rng, sizes=(4, 3, 2), mask_density=0.6)
-        vectors = rng.integers(0, 16, size=(8, 4))
-        expressions = extract_accumulator_expressions(generate_mlp_verilog(mlp))
-        activations = vectors
-        for layer_index, layer in enumerate(mlp.layers):
-            acc = layer.accumulate(activations)
-            for j in range(layer.fan_out):
-                evaluated = evaluate_neuron_expression(
-                    expressions[(layer_index, j)], activations
-                )
-                assert np.array_equal(evaluated, acc[:, j]), (layer_index, j)
-                # ... and against the expression generator directly.
-                expr = generate_neuron_expression(mlp, layer_index, j, "in")
-                assert np.array_equal(
-                    evaluate_neuron_expression(expr, activations), acc[:, j]
-                )
-            if layer.activation is not None:
-                activations = layer.activation(acc)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10**9),
+        field=st.sampled_from(("masks", "exponents", "biases")),
+    )
+    def test_mutated_literal_detected_iff_accumulators_change(
+        self, make_mlp, seed, field
+    ):
+        """Emit the module text of a model with one mask, exponent or bias
+        changed, and verify it against the original model: the text leg
+        counts exactly the (neuron, vector) accumulators the change
+        alters, and the netlist, RTL and model legs stay clean."""
+        rng = np.random.default_rng(seed)
+        mlp = make_mlp(rng, sizes=(5, 4, 3), mask_density=0.5)
+        mutant = mlp.copy()
+        layer_index = int(rng.integers(len(mlp.layers)))
+        layer, config = mutant.layers[layer_index], mlp.config
+        j = int(rng.integers(layer.fan_out))
+        i = int(rng.integers(layer.fan_in))
+        if field == "masks":
+            layer.masks[i, j] ^= 1 << int(rng.integers(layer.input_bits))
+        elif field == "exponents":
+            choices = [e for e in range(config.max_exponent + 1) if e != layer.exponents[i, j]]
+            layer.exponents[i, j] = choices[int(rng.integers(len(choices)))]
+        else:
+            choices = [b for b in (config.bias_min, 0, config.bias_max) if b != layer.biases[j]]
+            layer.biases[j] = choices[int(rng.integers(len(choices)))]
+        layer.invalidate_caches()
+        vectors = rng.integers(0, config.max_input_value + 1, size=(16, 5))
 
-    def test_expression_evaluator_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            evaluate_neuron_expression("(in0 | 4'd3)", np.zeros((2, 1), dtype=int))
-        with pytest.raises(ValueError):
-            evaluate_neuron_expression(
-                "(in5 & 4'd3)", np.zeros((2, 2), dtype=int)
-            )  # references input 5 of 2
+        altered = 0
+        original_inputs = mutant_inputs = vectors
+        for original_layer, mutant_layer in zip(mlp.layers, mutant.layers):
+            original_acc = original_layer.accumulate(original_inputs)
+            mutant_acc = mutant_layer.accumulate(mutant_inputs)
+            altered += int(np.count_nonzero(original_acc != mutant_acc))
+            if original_layer.activation is not None:
+                original_inputs = original_layer.activation(original_acc)
+                mutant_inputs = mutant_layer.activation(mutant_acc)
 
-    def test_tampered_verilog_module_detected(self, make_mlp, rng):
-        """A wrong mask literal in the emitted module text is reported."""
-        mlp = make_mlp(rng, sizes=(4, 3, 2), mask_density=1.0)
-        vectors = rng.integers(1, 16, size=(6, 4))
-        vectors[:, 0] |= 1  # the tampered mask bit is exercised for sure
-        text = generate_mlp_verilog(mlp)
-        mask = int(mlp.layers[0].masks[0, 0])
-        needle = f"in0 & 4'd{mask}"
-        assert needle in text
-        tampered = text.replace(needle, f"in0 & 4'd{mask ^ 0b1}", 1)
-        result = verify_design(mlp, vectors, verilog_text=tampered)
-        assert result.expression_mismatches > 0
-        assert not result.passed
-        # The other legs are unaffected by the module-text tamper.
+        result = verify_design(mlp, vectors, verilog_text=generate_mlp_verilog(mutant))
+        assert result.expression_mismatches == altered
+        assert result.passed == (altered == 0)
         assert result.netlist_mismatches == 0
         assert result.rtl_mismatches == 0
         assert result.model_mismatches == 0
@@ -399,8 +392,12 @@ class TestVerifyDesign:
         first_wire = text.index("wire signed")
         second_wire = text.index("wire signed", first_wire + 1)
         truncated = text[:first_wire] + text[second_wire:]
-        with pytest.raises(ValueError, match="accumulator wires"):
+        with pytest.raises(ValueError, match="acc_l0_n0"):
             verify_design(mlp, vectors, verilog_text=truncated)
+        # An output accumulator renamed out of the acc_lL_nJ scheme leaves
+        # the module's last layer one neuron short of the model's.
+        with pytest.raises(ValueError, match="fan-outs"):
+            verify_design(mlp, vectors, verilog_text=text.replace("acc_l1_n1", "score_1"))
 
 
 class TestVerifyFront:
@@ -609,25 +606,40 @@ class TestSeededVerification:
         second = verify_front(tiny_ga_result, num_vectors=8, seed=21)
         assert second.results == first.results
 
-    def test_eda_flag_is_part_of_the_cache_key(self, tiny_ga_result):
-        """eda=False and eda=True verifications must not share entries —
-        an eda=True report carries the extra oracle's verdict."""
+    def test_every_design_runs_the_module_text_once(self, tiny_ga_result, monkeypatch):
+        """The module text of every design is executed as Verilog once, and
+        the ``eda=True`` form perfbench passes shares the default's entries."""
+        from repro.eda import microverilog
+
+        calls = []
+        simulate = microverilog.simulate_mlp_module
+        monkeypatch.setattr(
+            microverilog,
+            "simulate_mlp_module",
+            lambda text, vectors: calls.append(text) or simulate(text, vectors),
+        )
         cache = EvaluationCache()
-        plain = verify_front(tiny_ga_result, num_vectors=6, cache=cache)
-        assert plain.cache_hits == 0
-        eda = verify_front(tiny_ga_result, num_vectors=6, cache=cache, eda=True)
-        assert eda.cache_hits == 0
-        assert all(result.eda_oracle for result in eda.results)
-        assert not any(result.eda_oracle for result in plain.results)
+        first = verify_front(tiny_ga_result, num_vectors=6, cache=cache)
+        assert first.cache_hits == 0
+        assert len(calls) == first.eda_checked == first.num_designs > 0
+        assert first.expression_mismatches == first.eda_mismatches == 0
         again = verify_front(tiny_ga_result, num_vectors=6, cache=cache, eda=True)
+        assert len(calls) == first.num_designs
         assert again.cache_hits == again.num_designs
-        assert again.results == eda.results
+        assert again.results == first.results
+
+    def test_eda_false_is_rejected(self, tiny_ga_result):
+        with pytest.raises(ValueError, match="eda"):
+            verify_front(tiny_ga_result, num_vectors=4, eda=False)
 
     def test_scale_defaults(self):
         from repro.experiments.config import ExperimentScale
 
         fields = ExperimentScale.__dataclass_fields__
-        assert fields["verify_eda"].default is False
+        assert sorted(name for name in fields if name.startswith("verify")) == [
+            "verify_rtl", "verify_seed", "verify_vectors"
+        ]
+        assert fields["verify_rtl"].default is False
         assert fields["verify_seed"].default is None
 
     def test_pipeline_uses_verify_seed_over_scale_seed(self, monkeypatch):
@@ -654,35 +666,39 @@ class TestSeededVerification:
             verify_rtl=True,
             verify_vectors=6,
             verify_seed=99,
-            verify_eda=True,
         )
         session_module.ExperimentSession(scale).front("breast_cancer")
         assert seen["seed"] == 99
-        assert seen["eda"] is True
+        assert "eda" not in seen
 
-    def test_runner_verify_eda_flag_plumbs_into_scale(self, monkeypatch):
+    def test_runner_verify_rtl_runs_every_oracle(self, monkeypatch, capsys, tiny_ga_result):
+        """``--verify-rtl`` alone runs the whole sweep, and its
+        ``[verify]`` line always reports both module-text legs."""
         from repro.experiments import runner, session
 
         seen = {}
+        checked = verify_front(tiny_ga_result, num_vectors=4, seed=7)
 
         class StubSession(session.ExperimentSession):
             def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 
+            def verification_summary(self):
+                return {"breast_cancer": checked}
+
         # runner.main imports the session class when an experiment runs.
         monkeypatch.setattr(session, "ExperimentSession", StubSession)
         assert (
             runner.main(
                 ["--experiment", "table1", "--scale", "smoke",
-                 "--verify-eda", "--verify-seed", "7"]
+                 "--verify-rtl", "--verify-seed", "7"]
             )
             == 0
         )
-        assert seen["scale"].verify_eda is True
-        # --verify-eda implies the RTL harness it extends.
         assert seen["scale"].verify_rtl is True
         assert seen["scale"].verify_seed == 7
+        assert "expr 0 / eda 0 / total 0 mismatches [OK]" in capsys.readouterr().out
 
     def test_runner_rejects_orphan_verify_seed(self):
         """--verify-seed alone would silently seed nothing."""

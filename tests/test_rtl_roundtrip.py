@@ -3,17 +3,16 @@
 For random MLPs (via the shared ``make_mlp``/``random_population``
 factories) across topologies, bit widths and mask densities:
 
-* the module text's accumulator expressions parse back out
-  (``extract_accumulator_expressions``) and re-execute to the exact
-  model accumulators — generation → extraction → evaluation is
-  lossless;
+* the module text, executed as Verilog by microverilog, drives every
+  ``acc_lL_nJ`` accumulator net to the exact model accumulator —
+  generation → parsing → evaluation is lossless;
 * the testbench text's stimulus and golden responses parse back out
   (``extract_testbench_vectors``) bit-identically to what was applied,
   through the new named :class:`~repro.rtl.testbench.TestbenchVectors`
   result;
 * the microverilog simulator, the compiled gate-level netlists and the
-  Python model agree on every vector (``verify_design(eda=True)`` with
-  zero mismatches) — the full five-oracle closure.
+  Python model agree on every vector (``verify_design`` with zero
+  mismatches) — the full oracle closure.
 """
 
 import numpy as np
@@ -31,11 +30,7 @@ from repro.rtl.testbench import (
     extract_testbench_vectors,
     generate_testbench,
 )
-from repro.rtl.verilog import (
-    evaluate_neuron_expression,
-    extract_accumulator_expressions,
-    generate_mlp_verilog,
-)
+from repro.rtl.verilog import generate_mlp_verilog
 
 
 def _draw_case(make_mlp, seed, hidden, input_bits, mask_density):
@@ -50,7 +45,7 @@ def _draw_case(make_mlp, seed, hidden, input_bits, mask_density):
     return mlp, vectors.astype(np.int64)
 
 
-class TestExpressionRoundTrip:
+class TestAccumulatorNetRoundTrip:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
@@ -58,21 +53,28 @@ class TestExpressionRoundTrip:
         input_bits=st.integers(min_value=2, max_value=6),
         mask_density=st.floats(min_value=0.1, max_value=1.0),
     )
-    def test_accumulators_reexecute_exactly(
+    def test_accumulator_nets_execute_exactly(
         self, make_mlp, seed, hidden, input_bits, mask_density
     ):
         mlp, vectors = _draw_case(make_mlp, seed, hidden, input_bits, mask_density)
-        text = generate_mlp_verilog(mlp)
-        expressions = extract_accumulator_expressions(text)
-        assert len(expressions) == sum(layer.fan_out for layer in mlp.layers)
+        classes, nets = simulate_mlp_module(generate_mlp_verilog(mlp), vectors)
+        assert len(nets) == len(mlp.layers)
         activations = vectors
-        for layer_index, layer in enumerate(mlp.layers):
+        for layer, recovered in zip(mlp.layers, nets):
             accumulators = layer.accumulate(activations)
-            for j in range(layer.fan_out):
-                recovered = evaluate_neuron_expression(
-                    expressions[(layer_index, j)], activations
-                )
-                assert np.array_equal(recovered, accumulators[:, j])
+            assert recovered.dtype == np.int64
+            assert np.array_equal(recovered, accumulators)
+            if layer.activation is not None:
+                activations = layer.activation(accumulators)
+        assert np.array_equal(classes, mlp.predict(vectors))
+
+    def test_edge_design_accumulator_nets(self, edge_design):
+        mlp, vectors = edge_design
+        _, nets = simulate_mlp_module(generate_mlp_verilog(mlp), vectors)
+        activations = vectors
+        for layer, recovered in zip(mlp.layers, nets):
+            accumulators = layer.accumulate(activations)
+            assert np.array_equal(recovered, accumulators)
             if layer.activation is not None:
                 activations = layer.activation(accumulators)
 
@@ -102,7 +104,7 @@ class TestTestbenchRoundTrip:
         assert recovered_golden is parsed.golden
 
 
-class TestFiveOracleClosure:
+class TestOracleClosure:
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
@@ -117,8 +119,7 @@ class TestFiveOracleClosure:
         self, make_mlp, seed, hidden, input_bits, mask_density
     ):
         mlp, vectors = _draw_case(make_mlp, seed, hidden, input_bits, mask_density)
-        verification = verify_design(mlp, vectors, eda=True)
-        assert verification.eda_oracle is True
+        verification = verify_design(mlp, vectors)
         assert verification.total_mismatches == 0
         assert verification.passed
 
@@ -135,7 +136,7 @@ class TestFiveOracleClosure:
             gate = simulate_neuron_netlist(layer.neuron(j), vectors)
             assert np.array_equal(gate, accumulators[:, j])
         text = generate_mlp_verilog(mlp)
-        assert np.array_equal(simulate_mlp_module(text, vectors), mlp.predict(vectors))
+        assert np.array_equal(simulate_mlp_module(text, vectors)[0], mlp.predict(vectors))
 
 
 class TestSaturationWireWidth:
@@ -163,5 +164,5 @@ class TestPopulationRoundTrip:
         rng = np.random.default_rng(5)
         for model in random_population(rng, (4, 3, 2), 6):
             vectors = rng.integers(0, 16, size=(16, 4))
-            verification = verify_design(model, vectors, eda=True)
+            verification = verify_design(model, vectors)
             assert verification.passed
