@@ -2,8 +2,9 @@
 
 Tracks what the pure-Python Verilog-subset simulator costs: parse,
 evaluate-only and parse+simulate throughput on a front-sized batch of
-generated modules, and one ``verify_front`` run, of which the simulator
-is one oracle.  Timings land in
+generated modules, one ``verify_front`` run, of which the simulator
+is one oracle, and one verify + publish sign-off of a front, which
+parses each design's module text once.  Timings land in
 ``BENCH_eda_oracle.json`` (see ``conftest.record_bench``) so the CI
 smoke pass leaves a per-commit trajectory; the *external* iverilog/yosys
 flow is benchmarked separately by the ``eda-cross-check`` CI job via
@@ -12,6 +13,7 @@ flow is benchmarked separately by the ``eda-cross-check`` CI job via
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -121,4 +123,51 @@ def test_bench_verify_front(session, record_bench):
         "verify_front_breast_cancer",
         seconds=seconds,
         num_designs=verification.num_designs,
+    )
+
+
+def test_bench_signoff_one_front(session, record_bench, monkeypatch):
+    """verify_front + rtl_records of one front on a fresh cache, as the
+    sign-off does: one ``parse_module`` per design, shared by both."""
+    from repro.eda import microverilog
+    from repro.evaluation.pareto_analysis import evaluate_front
+    from repro.experiments.publish import rtl_records
+
+    result = session.front("breast_cancer")
+    approx = result.approximate
+    assert approx is not None
+    x_test, y_test = result.dataset.quantized_test()
+    parses = []
+    parse = microverilog.parse_module
+    monkeypatch.setattr(
+        microverilog, "parse_module", lambda text: parses.append(1) or parse(text)
+    )
+
+    start = time.perf_counter()
+    cache = EvaluationCache()
+    designs = evaluate_front(
+        approx.ga_result, x_test, y_test,
+        max_designs=session.scale.max_front_designs, cache=cache,
+    )
+    verification = verify_front(
+        approx.ga_result, num_vectors=64,
+        max_designs=session.scale.max_front_designs, cache=cache,
+    )
+    fresh = dataclasses.replace(
+        result, approximate=dataclasses.replace(approx, designs=designs, cache=cache)
+    )
+    records = rtl_records(fresh)
+    seconds = time.perf_counter() - start
+
+    assert verification.passed
+    assert len(records) == verification.num_designs == len(designs) > 0
+    assert len(parses) == len(designs)
+    assert len(cache.modules) == 0
+
+    record_bench(
+        "eda_oracle",
+        "signoff_breast_cancer",
+        seconds=seconds,
+        num_designs=len(designs),
+        parses=len(parses),
     )

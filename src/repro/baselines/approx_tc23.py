@@ -33,6 +33,7 @@ from repro.quant.qrelu import qrelu
 
 __all__ = [
     "approximate_weight_code",
+    "approximate_weight_codes",
     "Tc23Config",
     "Tc23ApproximateMLP",
     "explore_tc23",
@@ -55,6 +56,21 @@ def approximate_weight_code(code: int, max_csd_digits: int) -> int:
     digits_sorted = sorted(digits, key=lambda item: item[0], reverse=True)
     kept = digits_sorted[:max_csd_digits]
     return int(sum(digit * (1 << position) for position, digit in kept))
+
+
+def approximate_weight_codes(codes: np.ndarray, max_csd_digits: int) -> np.ndarray:
+    """:func:`approximate_weight_code` of every element of ``codes``.
+
+    Each distinct code is approximated once and read back through the
+    ``np.unique`` inverse index: a layer's codes repeat heavily.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = np.array(
+        [approximate_weight_code(int(code), max_csd_digits) for code in distinct.tolist()],
+        dtype=np.int64,
+    )
+    return table[inverse].reshape(codes.shape)
 
 
 @dataclass(frozen=True)
@@ -80,9 +96,7 @@ class Tc23ApproximateMLP:
 
     def __post_init__(self) -> None:
         self.weight_codes = [
-            np.vectorize(lambda c: approximate_weight_code(int(c), self.config.max_csd_digits))(
-                codes
-            ).astype(np.int64)
+            approximate_weight_codes(codes, self.config.max_csd_digits)
             for codes in self.base.weight_codes
         ]
 

@@ -29,7 +29,15 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
     version) → the trained float baseline's weights and biases as
     ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`), so a warm
     cache directory restores the exact baseline instead of retraining it
-    (see :meth:`EvaluationCache.baseline_key`).
+    (see :meth:`EvaluationCache.baseline_key`);
+``modules``
+    (layout key, genome) → ``(text, module)``: a front member's canonical
+    module text (``generate_mlp_verilog(model)``) and its
+    :mod:`repro.eda.microverilog` parse, held from
+    :func:`~repro.evaluation.verification.verify_front` until
+    :func:`~repro.experiments.publish.rtl_records` takes it out, so
+    sign-off parses each design once (see
+    :func:`~repro.evaluation.verification.compiled_module`).
 
 Every section is a true LRU (:class:`LRUCache`): a hit refreshes
 recency, so hot genomes — elites that reappear generation after
@@ -38,9 +46,9 @@ misses, which the tests use to assert that a full pipeline run performs
 zero redundant decode/forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (fitness, accuracy, reports, baselines — decoded models are
-deliberately excluded: they are large and cheap to rebuild from cached
-fitness work) into one versioned pickle, and
+data sections (fitness, accuracy, reports, baselines — decoded models and
+compiled modules are deliberately excluded: they are large and cheap to
+rebuild from cached fitness work) into one versioned pickle, and
 :meth:`EvaluationCache.load` restores them.  Keys are fully
 self-namespacing — they embed the layout identity, the training split
 digest and the feasibility constraint — so snapshots taken from
@@ -254,6 +262,16 @@ class LRUCache:
             evicted, _ = data.popitem(last=False)
             self._stamps.pop(evicted, None)
 
+    def pop(self, key: Hashable, default: Any = None) -> Any:
+        """Remove and return ``key``'s value, counted like a :meth:`get`."""
+        value = self._data.pop(key, _MISSING)
+        if value is _MISSING:
+            self.misses += 1
+            return default
+        self._stamps.pop(key, None)
+        self.hits += 1
+        return value
+
     def last_used(self, key: Hashable) -> Optional[float]:
         """Wall-clock time of the entry's last :meth:`put`/:meth:`get` hit."""
         return self._stamps.get(key)
@@ -283,6 +301,11 @@ class LRUCache:
 class EvaluationCache:
     """One memo shared by the GA, front-synthesis and reporting stages."""
 
+    #: Bound of the ``modules`` section.  Its entries are 60–220 KB each
+    #: and live only between verification and publishing; a front
+    #: longer than this is re-parsed for the members evicted first.
+    MAX_MODULE_ENTRIES = 64
+
     def __init__(
         self,
         max_fitness_entries: int = 250_000,
@@ -296,6 +319,8 @@ class EvaluationCache:
         self.reports = LRUCache(max_report_entries)
         # A few small entries per dataset (one per split and trainer settings).
         self.baselines = LRUCache(256)
+        # In memory only: one capped front's worth of compiled modules.
+        self.modules = LRUCache(self.MAX_MODULE_ENTRIES)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -390,6 +415,7 @@ class EvaluationCache:
                 ("accuracy", self.accuracy),
                 ("reports", self.reports),
                 ("baselines", self.baselines),
+                ("modules", self.modules),
             )
         }
 
@@ -400,14 +426,15 @@ class EvaluationCache:
         self.accuracy.clear()
         self.reports.clear()
         self.baselines.clear()
+        self.modules.clear()
 
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
-    #: Sections included in a disk snapshot.  ``models`` is excluded on
-    #: purpose: decoded MLPs (with bit-plane caches) are orders of
-    #: magnitude larger than fitness tuples and are rebuilt lazily from
-    #: the genomes anyway.
+    #: Sections included in a disk snapshot.  ``models`` and ``modules``
+    #: are excluded on purpose: decoded MLPs (with bit-plane caches) and
+    #: compiled modules are orders of magnitude larger than fitness
+    #: tuples and are rebuilt lazily from the genomes anyway.
     _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "baselines")
 
     def save(

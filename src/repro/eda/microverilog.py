@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -130,19 +130,22 @@ def _based_number(match: "re.Match[str]", literal: str) -> Tuple[int, int, bool,
 
 def _tokenize(text: str) -> List[_Token]:
     tokens: List[_Token] = []
+    # ``tuple.__new__`` builds the same ``_Token`` instances without
+    # running the NamedTuple's Python-level ``__new__``.
+    append, new = tokens.append, tuple.__new__
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
         literal = match[kind]
         start = match.end() - len(literal)
         if kind == "ident" or kind == "op":
-            tokens.append(_Token(kind, literal, None, start))
+            append(new(_Token, (kind, literal, None, start)))
         elif kind == "dec":
             value = int(literal.replace("_", ""))
             # Unsized decimal literals are signed and at least 32 bits wide.
             width = max(32, value.bit_length() + 1)
-            tokens.append(_Token("num", literal, (value, width, True, False), start))
+            append(new(_Token, ("num", literal, (value, width, True, False), start)))
         elif kind == "based":
-            tokens.append(_Token("num", literal, _based_number(match, literal), start))
+            append(new(_Token, ("num", literal, _based_number(match, literal), start)))
         elif kind == "bad":
             raise MicroVerilogError(f"unrecognized Verilog at {text[start : start + 20]!r}")
     return tokens
@@ -1073,12 +1076,13 @@ def _order_nodes(
 
 
 def simulate_mlp_module(
-    text: str, vectors: np.ndarray
+    source: Union[str, MicroVerilogModule], vectors: np.ndarray
 ) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Execute a generated MLP module on integer input vectors.
 
-    Parses ``text`` (the output of
-    :func:`repro.rtl.verilog.generate_mlp_verilog`), applies each row of
+    Parses ``source`` (the output of
+    :func:`repro.rtl.verilog.generate_mlp_verilog`, or that text already
+    parsed by :func:`parse_module`), applies each row of
     ``vectors`` to the ``in0..inK`` ports and reads back the
     ``class_index`` output and every ``acc_lL_nJ`` accumulator net —
     the Verilog-semantics oracle of the differential verification
@@ -1086,8 +1090,11 @@ def simulate_mlp_module(
 
     Parameters
     ----------
-    text:
-        Verilog module text (any module name).
+    source:
+        Verilog module text (any module name), or its parsed
+        :class:`MicroVerilogModule`; both get the same checks and give
+        the same result.  Passing the module lets callers that simulate
+        one text twice parse it once.
     vectors:
         ``(n_vectors, num_inputs)`` integer stimulus.
 
@@ -1100,7 +1107,7 @@ def simulate_mlp_module(
     :class:`MicroVerilogError` when the driven accumulator nets skip a
     layer index or a neuron index below the largest one.
     """
-    module = parse_module(text)
+    module = source if isinstance(source, MicroVerilogModule) else parse_module(source)
     vectors = np.asarray(vectors, dtype=np.int64)
     if vectors.ndim != 2:
         raise MicroVerilogError(f"vectors must be (n, num_inputs), got {vectors.shape}")

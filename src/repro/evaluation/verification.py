@@ -34,7 +34,11 @@ Pareto front, reusing decoded models from the shared
 :class:`~repro.core.cache.EvaluationCache` and memoizing per-design
 verification results in its ``reports`` section, so reporting stages
 and repeated runs never re-simulate a design already verified on the
-same vectors.
+same vectors.  The parsed module text goes into the cache's in-memory
+``modules`` section (:func:`compiled_module`), where
+:func:`~repro.experiments.publish.rtl_records` finds it: parsing is
+nearly all of the module-text oracle's cost, and sign-off pays it once
+per design.
 
 Front verification is additionally **batched across designs**: the
 members of one front are closely related elites, so many of their
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,10 +67,14 @@ from repro.hardware.simulator import simulate_batch
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
 from repro.rtl.verilog import generate_mlp_verilog
 
+if TYPE_CHECKING:
+    from repro.eda.microverilog import MicroVerilogModule
+
 __all__ = [
     "DesignVerification",
     "FrontVerification",
     "NetlistPlanCache",
+    "compiled_module",
     "verify_design",
     "verify_front",
 ]
@@ -245,11 +253,45 @@ def _draw_vectors(
     return vectors.astype(np.int64)
 
 
+def compiled_module(
+    mlp: ApproximateMLP,
+    cache: Optional[EvaluationCache] = None,
+    key: Optional[Hashable] = None,
+    *,
+    release: bool = False,
+) -> Tuple[str, "MicroVerilogModule"]:
+    """``(text, module)``: ``generate_mlp_verilog(mlp)`` and its parse.
+
+    Memoized in ``cache.modules`` under ``key``, the model key
+    :func:`~repro.evaluation.pareto_analysis.resolve_decoded_model`
+    returns, so :func:`verify_front` and
+    :func:`~repro.experiments.publish.rtl_records` parse each design
+    once.  ``release=True`` is for the last user: it takes the entry out
+    of the memo (or builds one without storing it), so compiled modules
+    do not outlive publishing.  Without a cache or key nothing is
+    memoized.
+    """
+    section = cache.modules if cache is not None and key is not None else None
+    entry = None
+    if section is not None:
+        entry = section.pop(key) if release else section.get(key)
+    if entry is None:
+        # Imported on first use: sessions that never verify (every GA
+        # search) would otherwise pay its import time and memory.
+        from repro.eda.microverilog import parse_module
+
+        text = generate_mlp_verilog(mlp)
+        entry = (text, parse_module(text))
+        if section is not None and not release:
+            section.put(key, entry)
+    return entry
+
+
 def verify_design(
     mlp: ApproximateMLP,
     vectors: np.ndarray,
     testbench_text: Optional[str] = None,
-    verilog_text: Optional[str] = None,
+    verilog_text: Union[str, "MicroVerilogModule", None] = None,
     plan_cache: Optional[NetlistPlanCache] = None,
 ) -> DesignVerification:
     """Differentially verify one design on a batch of input vectors.
@@ -263,11 +305,14 @@ def verify_design(
         ``vectors`` when omitted.  Passing tampered text is how the
         tests prove the harness actually detects disagreements.
     verilog_text:
-        Pre-generated module Verilog, executed as Verilog with
-        :mod:`repro.eda.microverilog`; generated from ``mlp`` when
-        omitted.  Tampering with a mask/shift/bias literal in this text
-        is likewise detected.  Module text outside the emitted subset
-        (or outright illegal Verilog) raises
+        Pre-generated module Verilog, or its already parsed
+        :class:`~repro.eda.microverilog.MicroVerilogModule` (what
+        :func:`verify_front` passes, from :func:`compiled_module`),
+        executed as Verilog with :mod:`repro.eda.microverilog`;
+        generated from ``mlp`` when omitted.  Tampering with a
+        mask/shift/bias literal in this text is likewise detected.
+        Module text outside the emitted subset (or outright illegal
+        Verilog) raises
         :class:`~repro.eda.microverilog.MicroVerilogError`, and text
         whose accumulator nets do not match the model's layers raises
         ``ValueError`` — a generator that emits such text must fail
@@ -285,8 +330,7 @@ def verify_design(
         )
     n = vectors.shape[0]
 
-    # Imported on first use: sessions that never verify (every GA search)
-    # would otherwise pay its import time and memory.
+    # Imported on first use, like in compiled_module.
     from repro.eda.microverilog import simulate_mlp_module
 
     if verilog_text is None:
@@ -385,9 +429,12 @@ def verify_front(
         :func:`~repro.evaluation.pareto_analysis.evaluate_front`).
     cache:
         Optional shared evaluation cache: decoded models are reused from
-        its ``models`` section and per-design verification results are
+        its ``models`` section, per-design verification results are
         memoized in its ``reports`` section, keyed by genome and
-        stimulus fingerprint.
+        stimulus fingerprint, and each verified design's parsed module
+        text is left in its ``modules`` section for
+        :func:`~repro.experiments.publish.rtl_records` (a ``reports``
+        hit parses nothing).
     eda:
         Must be true: the module text of every design is always executed
         as Verilog.  Read by perfbench until the next benchmark change.
@@ -435,8 +482,11 @@ def verify_front(
             cache_hits += 1
             results.append(verification)
             continue
-        _, model = resolve_decoded_model(result, point, cache, layout_key)
-        verification = verify_design(model, vectors, plan_cache=plan_cache)
+        model_key, model = resolve_decoded_model(result, point, cache, layout_key)
+        _, module = compiled_module(model, cache, model_key)
+        verification = verify_design(
+            model, vectors, verilog_text=module, plan_cache=plan_cache
+        )
         if key is not None:
             cache.reports.put(key, verification)
         results.append(verification)

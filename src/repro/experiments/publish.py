@@ -189,18 +189,26 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
 
     Every record additionally carries the testbench shape parsed back
     *out of the emitted text* and the microverilog verdict of executing
-    that text as Verilog against its own golden vectors — so a consumer
-    of the store knows the published artifact itself was simulated, not
-    just the model that produced it.  A design whose emitted text cannot
-    be parsed or disagrees with its golden vectors fails publishing
-    loudly (:class:`~repro.eda.microverilog.MicroVerilogError` /
-    ``ValueError``) instead of entering the store unverified.
+    the design's module text as Verilog against those golden vectors —
+    so a consumer of the store knows the published artifact itself was
+    simulated, not just the model that produced it.  The module is the
+    canonical text ``generate_mlp_verilog(model)`` parsed once per
+    design by :func:`~repro.evaluation.verification.compiled_module`,
+    taken out of the cache's ``modules`` section when
+    :func:`~repro.evaluation.verification.verify_front` left it there;
+    the published Verilog is that text with only its module name
+    replaced (:func:`~repro.rtl.verilog.rename_module`), byte-equal to
+    ``generate_mlp_verilog(model, module_name=...)``.  A design whose
+    text cannot be parsed or disagrees with its golden vectors fails
+    publishing loudly (:class:`~repro.eda.microverilog.MicroVerilogError`
+    / ``ValueError``) instead of entering the store unverified.
     """
     import numpy as np
 
     from repro.eda.microverilog import simulate_mlp_module
+    from repro.evaluation.verification import compiled_module
     from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
-    from repro.rtl.verilog import generate_mlp_verilog
+    from repro.rtl.verilog import rename_module
 
     approx = result.approximate
     if approx is None:
@@ -215,10 +223,10 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
     for design in approx.designs:
         name = design_sort_name(design)
         module_name = f"approx_mlp_{result.spec.name}_{name}"
-        _, model = resolve_decoded_model(
+        model_key, model = resolve_decoded_model(
             approx.ga_result, design.point, cache, layout_key
         )
-        verilog = generate_mlp_verilog(model, module_name=module_name)
+        text, module = compiled_module(model, cache, model_key, release=True)
         testbench = generate_testbench(
             model,
             module_name=module_name,
@@ -226,7 +234,7 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
             seed=0,
         )
         parsed = extract_testbench_vectors(testbench)
-        predictions, _ = simulate_mlp_module(verilog, parsed.vectors)
+        predictions, _ = simulate_mlp_module(module, parsed.vectors)
         mismatches = int(np.count_nonzero(predictions != parsed.golden))
         if mismatches:
             raise ValueError(
@@ -239,7 +247,7 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
                 dataset=result.spec.name,
                 design=name,
                 module_name=module_name,
-                verilog=verilog,
+                verilog=rename_module(text, module_name),
                 testbench=testbench,
                 num_vectors=parsed.num_vectors,
                 num_inputs=parsed.num_inputs,

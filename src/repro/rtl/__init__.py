@@ -25,6 +25,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "generate_mlp_verilog": "repro.rtl.verilog",
     "generate_neuron_expression": "repro.rtl.verilog",
+    "rename_module": "repro.rtl.verilog",
     "generate_testbench": "repro.rtl.testbench",
     "extract_testbench_vectors": "repro.rtl.vectors",
     "TestbenchVectors": "repro.rtl.vectors",

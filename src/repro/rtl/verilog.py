@@ -21,6 +21,7 @@ the Python model.
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 import numpy as np
@@ -30,7 +31,11 @@ from repro.approx.mlp import ApproximateMLP
 __all__ = [
     "generate_neuron_expression",
     "generate_mlp_verilog",
+    "rename_module",
 ]
+
+#: The ``module <name> (`` header line of a generated module.
+_MODULE_HEADER_RE = re.compile(r"^module [A-Za-z_][A-Za-z0-9_$]* \($", re.MULTILINE)
 
 
 def _accumulator_width(mlp: ApproximateMLP, layer_index: int) -> int:
@@ -151,3 +156,19 @@ def generate_mlp_verilog(mlp: ApproximateMLP, module_name: str = "approx_mlp") -
     lines.append("")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
+
+
+def rename_module(verilog: str, module_name: str) -> str:
+    """``verilog`` with only the identifier of its ``module <name> (`` header replaced.
+
+    For text of :func:`generate_mlp_verilog` this equals regenerating it
+    with ``module_name`` byte for byte (the name appears nowhere else),
+    so a caller holding the canonical text need not emit it twice.
+    Raises ``ValueError`` when the text has no such header.
+    """
+    renamed, count = _MODULE_HEADER_RE.subn(
+        lambda _: f"module {module_name} (", verilog, count=1
+    )
+    if count != 1:
+        raise ValueError("text has no 'module <name> (' header line")
+    return renamed

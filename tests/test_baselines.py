@@ -8,6 +8,7 @@ from repro.baselines.approx_tc23 import (
     Tc23ApproximateMLP,
     Tc23Config,
     approximate_weight_code,
+    approximate_weight_codes,
     explore_tc23,
 )
 from repro.baselines.exact_bespoke import BespokeMLP, quantize_float_mlp, train_exact_baseline
@@ -150,6 +151,33 @@ class TestTc23Baseline:
         assert approximate_weight_code(8, 2) == 8
         assert approximate_weight_code(0, 2) == 0
         assert approximate_weight_code(5, 0) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_approximation_matches_scalar_map(self, seed):
+        """The unique-code table equals the per-code map element for
+        element, on matrices with zero, negative and repeated codes."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(rng.integers(1, 9, size=2))
+        codes = rng.integers(-300, 301, size=shape)
+        codes[rng.random(shape) < 0.2] = 0
+        codes.flat[0] = -int(rng.integers(1, 128))
+        for digits in (0, 1, 2, 3, 9):
+            got = approximate_weight_codes(codes, digits)
+            expected = np.array(
+                [approximate_weight_code(int(c), digits) for c in codes.ravel()],
+                dtype=np.int64,
+            ).reshape(shape)
+            assert got.dtype == np.int64 and got.shape == shape
+            assert np.array_equal(got, expected)
+
+    def test_table_approximation_of_empty_and_tc23_layers(self, trained_baseline):
+        assert approximate_weight_codes(np.zeros((0, 3), dtype=np.int64), 2).shape == (0, 3)
+        bespoke, _ = trained_baseline
+        model = Tc23ApproximateMLP(bespoke, Tc23Config(max_csd_digits=1))
+        for codes, approx in zip(bespoke.weight_codes, model.weight_codes):
+            expected = [approximate_weight_code(int(c), 1) for c in codes.ravel()]
+            assert approx.dtype == np.int64
+            assert approx.ravel().tolist() == expected
 
     def test_tc23_accuracy_degrades_gracefully(self, toy_data, trained_baseline):
         x_train, y_train, x_test, y_test = toy_data

@@ -24,8 +24,11 @@ from repro.approx.mlp import ApproximateMLP
 from repro.approx.topology import Topology
 from repro.eda.microverilog import (
     _PRECEDENCE,
+    _TOKEN_RE,
     MAX_WIDTH,
     MicroVerilogError,
+    _based_number,
+    _Token,
     _tokenize,
     parse_module,
     simulate_mlp_module,
@@ -374,6 +377,29 @@ class TestScanner:
         assert [token.position for token in tokens] == [2, 26, 31, 33]
         assert all(text.startswith(token.text, token.position) for token in tokens)
 
+    def test_tokens_match_named_tuple_construction(self, edge_design):
+        """The ``tuple.__new__`` fast path builds the very tokens the
+        NamedTuple constructor builds, on every corner design's module."""
+        mlp, _ = edge_design
+        text = generate_mlp_verilog(mlp)
+        expected = []
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            literal = match[kind]
+            start = match.end() - len(literal)
+            if kind in ("ident", "op"):
+                expected.append(_Token(kind, literal, None, start))
+            elif kind == "dec":
+                value = int(literal.replace("_", ""))
+                width = max(32, value.bit_length() + 1)
+                expected.append(_Token("num", literal, (value, width, True, False), start))
+            elif kind == "based":
+                expected.append(_Token("num", literal, _based_number(match, literal), start))
+        tokens = _tokenize(text)
+        assert tokens == expected
+        assert all(type(token) is _Token for token in tokens)
+        assert [token.kind for token in tokens] == [token[0] for token in expected]
+
     def test_trailing_comment_and_whitespace_accepted(self):
         module = parse_module(_module("    assign out = in0;") + "  // end\n\n /* c */  ")
         assert module.name == "t"
@@ -413,8 +439,31 @@ class TestGeneratedModules:
 
     def test_gap_in_accumulator_nets_rejected(self):
         _, text, vectors = _random_mlp(0)
-        with pytest.raises(MicroVerilogError, match="lacks net 'acc_l0_n1'"):
-            simulate_mlp_module(text.replace("acc_l0_n1", "acc_l0_n7"), vectors)
+        gapped = text.replace("acc_l0_n1", "acc_l0_n7")
+        for source in (gapped, parse_module(gapped)):
+            with pytest.raises(MicroVerilogError, match="lacks net 'acc_l0_n1'"):
+                simulate_mlp_module(source, vectors)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parsed_module_simulates_like_its_text(self, seed):
+        """A parsed module gives what its text gives, and can be run again."""
+        _, text, vectors = _random_mlp(seed, sizes=(4, 3, 3, 2))
+        module = parse_module(text)
+        classes, accumulators = simulate_mlp_module(text, vectors)
+        for _ in range(2):
+            got_classes, got_accumulators = simulate_mlp_module(module, vectors)
+            assert np.array_equal(got_classes, classes)
+            assert len(got_accumulators) == len(accumulators)
+            assert all(np.array_equal(a, b) for a, b in zip(got_accumulators, accumulators))
+
+    def test_parsed_module_gets_the_port_checks(self):
+        _, text, vectors = _random_mlp(0)
+        module = parse_module(text)
+        with pytest.raises(MicroVerilogError, match="has 4 inputs, stimulus provides 3"):
+            simulate_mlp_module(module, vectors[:, :3])
+        no_output = parse_module(text.replace("class_index", "class_out"))
+        with pytest.raises(MicroVerilogError, match="has no class_index output"):
+            simulate_mlp_module(no_output, vectors)
 
 
 class TestEdgeCaseDesigns:

@@ -15,6 +15,8 @@ Three layers of guarantees, mirroring the repo's vectorization pattern
   through ``EvaluationCache``, and is reachable from the pipeline/CLI.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -502,6 +504,130 @@ class TestVerifyFront:
         again = verify_front(tiny_ga_result, num_vectors=8, cache=restored)
         assert again.cache_hits == first.num_designs
         assert again.results == first.results
+
+
+# ----------------------------------------------------------------------
+# Sign-off: verify_front and rtl_records share one parse per design
+# ----------------------------------------------------------------------
+def _front_result(ga_result, cache):
+    """A one-dataset pipeline result over ``ga_result``'s whole front."""
+    from repro.evaluation.pareto_analysis import evaluate_front
+
+    rng = np.random.default_rng(5)
+    inputs = rng.integers(0, 16, size=(20, 4))
+    labels = rng.integers(0, 2, size=20)
+    designs = evaluate_front(ga_result, inputs, labels, cache=cache)
+    approximate = SimpleNamespace(ga_result=ga_result, designs=designs, cache=cache)
+    return SimpleNamespace(spec=SimpleNamespace(name="toy"), approximate=approximate)
+
+
+def _count_parses(monkeypatch):
+    """Count every ``parse_module`` call from here on (one-element list)."""
+    from repro.eda import microverilog
+
+    calls = [0]
+    original = microverilog.parse_module
+
+    def counting(text):
+        calls[0] += 1
+        return original(text)
+
+    monkeypatch.setattr(microverilog, "parse_module", counting)
+    return calls
+
+
+class TestSharedModuleParse:
+    def test_verify_then_publish_parses_each_design_once(self, tiny_ga_result, monkeypatch):
+        from repro.experiments.publish import rtl_records
+
+        unshared = rtl_records(_front_result(tiny_ga_result, None))
+        parses = _count_parses(monkeypatch)
+        cache = EvaluationCache()
+        result = _front_result(tiny_ga_result, cache)
+        verification = verify_front(tiny_ga_result, num_vectors=8, cache=cache)
+        designs = verification.num_designs
+        assert designs == len(result.approximate.designs) > 1
+        assert parses[0] == designs
+        assert len(cache.modules) == designs
+
+        records = rtl_records(result)
+        assert parses[0] == designs
+        assert cache.modules.hits == designs
+        # Every entry is dropped once publishing has used it.
+        assert len(cache.modules) == 0
+        assert records == unshared
+
+    def test_publish_alone_parses_each_design_once(self, tiny_ga_result, monkeypatch):
+        from repro.experiments.publish import rtl_records
+
+        parses = _count_parses(monkeypatch)
+        for cache in (EvaluationCache(), None):
+            parses[0] = 0
+            result = _front_result(tiny_ga_result, cache)
+            records = rtl_records(result)
+            assert parses[0] == len(records) == len(result.approximate.designs)
+            if cache is not None:
+                assert len(cache.modules) == 0
+
+    def test_published_text_is_regenerated_text(self, tiny_ga_result):
+        from repro.evaluation.pareto_analysis import resolve_decoded_model
+        from repro.experiments.publish import rtl_records
+
+        cache = EvaluationCache()
+        result = _front_result(tiny_ga_result, cache)
+        verify_front(tiny_ga_result, num_vectors=8, cache=cache)
+        layout_key = EvaluationCache.layout_key(tiny_ga_result.layout)
+        for design, record in zip(result.approximate.designs, rtl_records(result)):
+            _, model = resolve_decoded_model(tiny_ga_result, design.point, cache, layout_key)
+            assert record.module_name != "approx_mlp"
+            assert record.verilog == generate_mlp_verilog(
+                model, module_name=record.module_name
+            )
+
+    def test_snapshot_holds_no_module(self, tiny_ga_result, tmp_path, monkeypatch):
+        import pickle
+
+        from repro.experiments.publish import rtl_records
+
+        cache = EvaluationCache()
+        first = verify_front(tiny_ga_result, num_vectors=8, cache=cache)
+        assert len(cache.modules) == first.num_designs
+        path = tmp_path / "signoff.cache.pkl"
+        saved = cache.save(path)
+        blob = path.read_bytes()
+        assert set(pickle.loads(blob)["sections"]) == set(EvaluationCache._PERSISTED_SECTIONS)
+        assert b"MicroVerilogModule" not in blob
+
+        restored = EvaluationCache()
+        assert restored.load(path) == saved
+        assert len(restored.modules) == 0
+        # Warm: verification is served from reports and parses nothing;
+        # publishing then parses each design once.
+        parses = _count_parses(monkeypatch)
+        again = verify_front(tiny_ga_result, num_vectors=8, cache=restored)
+        assert again.cache_hits == first.num_designs and parses[0] == 0
+        records = rtl_records(_front_result(tiny_ga_result, restored))
+        assert parses[0] == len(records)
+
+    def test_tampered_memo_module_is_refused(self, tiny_ga_result):
+        """A module whose argmax output disagrees with the golden vectors
+        never enters the store, even when it comes from the memo."""
+        from repro.eda.microverilog import parse_module
+        from repro.evaluation.pareto_analysis import resolve_decoded_model
+        from repro.experiments.publish import rtl_records
+
+        cache = EvaluationCache()
+        result = _front_result(tiny_ga_result, cache)
+        point = result.approximate.designs[0].point
+        layout_key = EvaluationCache.layout_key(tiny_ga_result.layout)
+        key, model = resolve_decoded_model(tiny_ga_result, point, cache, layout_key)
+        text = generate_mlp_verilog(model)
+        honest = "    assign class_index = best_index;\n"
+        assert honest in text
+        tampered = text.replace(honest, "    assign class_index = ~best_index;\n")
+        cache.modules.put(key, (text, parse_module(tampered)))
+        with pytest.raises(ValueError, match="refusing to publish"):
+            rtl_records(result)
 
 
 # ----------------------------------------------------------------------

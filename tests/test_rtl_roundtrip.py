@@ -30,7 +30,7 @@ from repro.rtl.testbench import (
     extract_testbench_vectors,
     generate_testbench,
 )
-from repro.rtl.verilog import generate_mlp_verilog
+from repro.rtl.verilog import generate_mlp_verilog, rename_module
 
 
 def _draw_case(make_mlp, seed, hidden, input_bits, mask_density):
@@ -166,3 +166,19 @@ class TestPopulationRoundTrip:
             vectors = rng.integers(0, 16, size=(16, 4))
             verification = verify_design(model, vectors)
             assert verification.passed
+
+
+class TestRenameModule:
+    """Publishing renames the canonical module text instead of
+    regenerating it: the two must agree byte for byte."""
+
+    @pytest.mark.parametrize("name", ["approx_mlp", "approx_mlp_toy_0f3a9c", "m"])
+    def test_equals_regenerating_with_the_name(self, edge_design, name):
+        mlp, _ = edge_design
+        assert rename_module(generate_mlp_verilog(mlp), name) == generate_mlp_verilog(
+            mlp, module_name=name
+        )
+
+    def test_text_without_module_header_rejected(self):
+        with pytest.raises(ValueError, match="header"):
+            rename_module("// no module here\nwire x;\n", "m")
