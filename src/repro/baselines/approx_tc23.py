@@ -19,6 +19,7 @@ comparison Fig. 4 makes.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Sequence
@@ -99,6 +100,13 @@ class Tc23ApproximateMLP:
             approximate_weight_codes(codes, self.config.max_csd_digits)
             for codes in self.base.weight_codes
         ]
+
+    def _at_truncation(self, truncation_bits: int) -> "Tc23ApproximateMLP":
+        """This model at another truncation, sharing its approximated codes
+        (they depend on the digit count only)."""
+        model = copy.copy(self)
+        model.config = Tc23Config(self.config.max_csd_digits, truncation_bits)
+        return model
 
     def _truncate(self, activations: np.ndarray) -> np.ndarray:
         t = self.config.truncation_bits
@@ -184,10 +192,13 @@ def explore_tc23(
     from repro.hardware.fast_synthesis import synthesize_exact_population
 
     configs = list(product(csd_digit_options, truncation_options))
-    models = [
-        Tc23ApproximateMLP(base=base, config=Tc23Config(digits, trunc))
-        for digits, trunc in configs
-    ]
+    # Weight codes are approximated once per digit count and shared by
+    # that count's truncations.
+    approximated = {
+        digits: Tc23ApproximateMLP(base=base, config=Tc23Config(digits))
+        for digits in dict.fromkeys(digits for digits, _ in configs)
+    }
+    models = [approximated[digits]._at_truncation(trunc) for digits, trunc in configs]
     reports = synthesize_exact_population(
         [model.synthesis_job() for model in models],
         library=library,

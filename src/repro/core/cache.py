@@ -12,12 +12,6 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
     accuracy + FA-count area), the GA's inner-loop memo.  The digest
     covers the layout, training split and feasibility constraint,
     because the cached values embed all three;
-``models``
-    (layout key, genome) → decoded :class:`~repro.approx.mlp.ApproximateMLP`
-    (with its lazily built bit-plane caches), so the front stages never
-    decode a front member twice.  The GA scores fitness without building
-    models, so the trainer decodes-and-caches the final front's members
-    once before returning (``GATrainer._populate_model_cache``);
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``
@@ -39,16 +33,21 @@ shared by all of them, keyed by the chromosome's raw genome bytes:
     sign-off parses each design once (see
     :func:`~repro.evaluation.verification.compiled_module`).
 
+No section holds decoded models: the GA and the front stage both score
+straight from genome matrices
+(:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`),
+and sign-off decodes each design it verifies or publishes.
+
 Every section is a true LRU (:class:`LRUCache`): a hit refreshes
 recency, so hot genomes — elites that reappear generation after
 generation — survive eviction pressure.  Sections also count hits and
 misses, which the tests use to assert that a full pipeline run performs
-zero redundant decode/forward/synthesis work.
+zero redundant forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (fitness, accuracy, reports, baselines — decoded models and
-compiled modules are deliberately excluded: they are large and cheap to
-rebuild from cached fitness work) into one versioned pickle, and
+data sections (fitness, accuracy, reports, baselines — compiled modules
+are deliberately excluded: they are large and cheap to rebuild) into one
+versioned pickle, and
 :meth:`EvaluationCache.load` restores them.  Keys are fully
 self-namespacing — they embed the layout identity, the training split
 digest and the feasibility constraint — so snapshots taken from
@@ -309,12 +308,10 @@ class EvaluationCache:
     def __init__(
         self,
         max_fitness_entries: int = 250_000,
-        max_model_entries: int = 16_384,
         max_accuracy_entries: int = 250_000,
         max_report_entries: int = 65_536,
     ) -> None:
         self.fitness = LRUCache(max_fitness_entries)
-        self.models = LRUCache(max_model_entries)
         self.accuracy = LRUCache(max_accuracy_entries)
         self.reports = LRUCache(max_report_entries)
         # A few small entries per dataset (one per split and trainer settings).
@@ -411,7 +408,6 @@ class EvaluationCache:
             }
             for name, section in (
                 ("fitness", self.fitness),
-                ("models", self.models),
                 ("accuracy", self.accuracy),
                 ("reports", self.reports),
                 ("baselines", self.baselines),
@@ -422,7 +418,6 @@ class EvaluationCache:
     def clear(self) -> None:
         """Drop every entry of every section."""
         self.fitness.clear()
-        self.models.clear()
         self.accuracy.clear()
         self.reports.clear()
         self.baselines.clear()
@@ -431,10 +426,9 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
-    #: Sections included in a disk snapshot.  ``models`` and ``modules``
-    #: are excluded on purpose: decoded MLPs (with bit-plane caches) and
-    #: compiled modules are orders of magnitude larger than fitness
-    #: tuples and are rebuilt lazily from the genomes anyway.
+    #: Sections included in a disk snapshot.  ``modules`` is excluded on
+    #: purpose: compiled modules are orders of magnitude larger than
+    #: fitness tuples and are rebuilt lazily from the genomes anyway.
     _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "baselines")
 
     def save(

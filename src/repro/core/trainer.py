@@ -200,9 +200,8 @@ class GATrainer:
             Table III and is used by the ablation experiments.
         cache:
             Optional shared :class:`~repro.core.cache.EvaluationCache`;
-            the fitness values of every evaluated genome and the decoded
-            models of the final front are stored there so the
-            front-synthesis and reporting stages can reuse them.
+            the fitness values of every evaluated genome are stored
+            there, so a warm cache serves a repeated search.
         """
         config = self.ga_config
         rng = np.random.default_rng(config.seed)
@@ -306,11 +305,6 @@ class GATrainer:
             wall_clock_seconds=time.perf_counter() - start,
             baseline_accuracy=baseline_accuracy,
         )
-        if cache is not None:
-            # Fitness is scored from the genome matrix without building
-            # models, so the front members are the only genomes decoded:
-            # once here, for the downstream stages.
-            self._populate_model_cache(cache, result.pareto_points)
         return result
 
     # ------------------------------------------------------------------
@@ -349,25 +343,6 @@ class GATrainer:
             target_size,
             area_objective,
         )
-
-    def _populate_model_cache(
-        self, cache: EvaluationCache, points: Sequence[ParetoPoint]
-    ) -> None:
-        """Decode points' chromosomes into ``cache.models`` (if missing).
-
-        Membership is probed with ``in`` (not ``get``) so the section's
-        hit/miss counters — which the zero-redundant-work tests assert
-        on — are not disturbed.
-        """
-        layout_key = EvaluationCache.layout_key(self.layout)
-        for point in points:
-            if point.payload is None:
-                continue
-            chromosome = np.asarray(point.payload)
-            key = (layout_key, EvaluationCache.genome_key(chromosome))
-            if key in cache.models:
-                continue
-            cache.models.put(key, self.layout.decode(chromosome))
 
     @staticmethod
     def _objective_matrix(

@@ -7,14 +7,17 @@ circuits.  This module performs the equivalent step with the analytical
 synthesis model: it evaluates every front member's test accuracy and
 hardware report, then returns the non-dominated (accuracy vs area) set.
 
-The front is processed population-batched: one batched forward pass
-(:func:`repro.approx.mlp.accuracy_population`) covers every member's
-test accuracy and one :func:`~repro.hardware.fast_synthesis.synthesize_approximate_population`
-call covers every member's hardware report.  When the GA's shared
-:class:`~repro.core.cache.EvaluationCache` is passed along, decoded
-models, test accuracies and reports are reused across pipeline stages —
-genomes the GA already decoded are never decoded again, and a report is
-synthesized at most once per operating point.
+The front is processed population-batched, straight from its genomes:
+the members' ``(n, genes)`` matrix maps to stacked parameters through
+:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`
+(the GA's fitness path), and those parameters feed one batched forward
+pass (:func:`repro.approx.mlp.accuracy_population`) for every member's
+test accuracy and one
+:func:`~repro.hardware.fast_synthesis.synthesize_approximate_population`
+call for every member's hardware report; no model is decoded.  When the
+GA's shared :class:`~repro.core.cache.EvaluationCache` is passed along,
+test accuracies and reports are reused across pipeline stages, so a
+report is synthesized at most once per operating point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.approx.mlp import ApproximateMLP, accuracy_population
+from repro.approx.mlp import accuracy_population
 from repro.core.cache import EvaluationCache
 from repro.core.pareto import ParetoPoint
 from repro.core.trainer import GAResult
@@ -38,36 +41,10 @@ from repro.hardware.synthesis import (
 __all__ = [
     "EvaluatedDesign",
     "evaluate_front",
-    "resolve_decoded_model",
     "true_pareto_front",
     "select_design",
     "design_sort_name",
 ]
-
-
-def resolve_decoded_model(result: GAResult, point, cache, layout_key):
-    """Genome-keyed decoded-model lookup shared by the front stages.
-
-    Returns ``(key, model)``: the ``(layout_key, genome bytes)`` cache
-    key (``None`` without a cache or payload) and the decoded
-    :class:`~repro.approx.mlp.ApproximateMLP`, read from — and on a
-    miss stored back into — ``cache.models``.  Both
-    :func:`evaluate_front` and
-    :func:`~repro.evaluation.verification.verify_front` resolve models
-    through this single helper, so the key scheme cannot silently
-    diverge between stages.
-    """
-    key = (
-        (layout_key, EvaluationCache.genome_key(np.asarray(point.payload)))
-        if cache is not None and point.payload is not None
-        else None
-    )
-    model = cache.models.get(key) if key is not None else None
-    if model is None:
-        model = result.decode(point)
-        if key is not None:
-            cache.models.put(key, model)
-    return key, model
 
 
 @dataclass(frozen=True)
@@ -113,8 +90,8 @@ def evaluate_front(
         members are taken in ascending-area order), useful in CI runs.
     cache:
         Optional shared evaluation cache (typically the one the GA stage
-        populated); decoded models, test accuracies and hardware reports
-        are read from and written back to it.
+        populated); test accuracies and hardware reports are read from
+        and written back to it.
     slow:
         Use the scalar per-model reference path (decode + forward +
         synthesize one member at a time); retained as the oracle for the
@@ -147,58 +124,59 @@ def evaluate_front(
 
     from repro.hardware.fast_synthesis import synthesize_approximate_population
 
-    # Resolve each member's decoded model, reusing the GA stage's work.
-    # Cache keys carry the layout identity (decode semantics) alongside
-    # the genome bytes, matching how the fitness evaluator stored them.
-    layout_key = EvaluationCache.layout_key(result.layout) if cache is not None else None
-    keys: List[Optional[tuple]] = []
-    models: List[ApproximateMLP] = []
-    for point in front:
-        key, model = resolve_decoded_model(result, point, cache, layout_key)
-        keys.append(key)
-        models.append(model)
+    # One (n, genes) genome matrix for the capped front; its rows are the
+    # cache keys (with the layout identity, as the fitness evaluator
+    # stores them) and map to stacked parameters without decoding models.
+    if any(point.payload is None for point in front):
+        raise ValueError("Pareto point carries no chromosome payload")
+    genomes = np.stack([np.asarray(point.payload, dtype=np.int64) for point in front])
+    keys: List[Optional[tuple]] = [None] * len(front)
+    if cache is not None:
+        layout_key = EvaluationCache.layout_key(result.layout)
+        keys = [(layout_key, EvaluationCache.genome_key(row)) for row in genomes]
+    stacked_rows: Optional[List[int]] = None
+    params = None
 
     # Test accuracy: one batched forward pass over the members whose
     # accuracy is not already cached for this split.
     accuracies: List[Optional[float]] = [None] * len(front)
     if cache is not None:
         split = EvaluationCache.split_fingerprint(test_inputs, test_labels)
-        for index, key in enumerate(keys):
-            if key is not None:
-                accuracies[index] = cache.accuracy.get((key, split))
+        accuracies = [cache.accuracy.get((key, split)) for key in keys]
     missing = [index for index, value in enumerate(accuracies) if value is None]
     if missing:
-        fresh = accuracy_population(
-            [models[index] for index in missing], test_inputs, test_labels
-        )
+        stacked_rows, params = missing, result.layout.population_parameters(genomes[missing])
+        fresh = accuracy_population(params, test_inputs, test_labels)
         for index, accuracy in zip(missing, fresh.tolist()):
             accuracies[index] = float(accuracy)
-            if cache is not None and keys[index] is not None:
+            if cache is not None:
                 cache.accuracy.put((keys[index], split), float(accuracy))
 
     # Hardware reports: one batched synthesis pass over the members
-    # without a cached report at this operating point.  The report key
+    # without a cached report at this operating point, from the same
+    # parameter stack when the same members missed.  The report key
     # carries no library identity, so the cache is only consulted for
     # the default EGFET library — a custom library always re-prices.
     reports: List[Optional[HardwareReport]] = [None] * len(front)
     report_cache = cache.reports if cache is not None and library is None else None
     if report_cache is not None:
-        for index, key in enumerate(keys):
-            if key is not None:
-                reports[index] = report_cache.get(
-                    EvaluationCache.report_key(key, voltage, clock_period_ms)
-                )
+        reports = [
+            report_cache.get(EvaluationCache.report_key(key, voltage, clock_period_ms))
+            for key in keys
+        ]
     missing = [index for index, report in enumerate(reports) if report is None]
     if missing:
+        if missing != stacked_rows:
+            params = result.layout.population_parameters(genomes[missing])
         fresh_reports = synthesize_approximate_population(
-            [models[index] for index in missing],
+            params,
             library=library,
             voltage=voltage,
             clock_period_ms=clock_period_ms,
         )
         for index, report in zip(missing, fresh_reports):
             reports[index] = report
-            if report_cache is not None and keys[index] is not None:
+            if report_cache is not None:
                 report_cache.put(
                     EvaluationCache.report_key(keys[index], voltage, clock_period_ms),
                     report,

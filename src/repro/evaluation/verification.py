@@ -30,11 +30,11 @@ run front-wide in one pass:
   Module text that is not legal within the emitted subset raises.
 
 :func:`verify_front` applies this to every member of an estimated
-Pareto front, reusing decoded models from the shared
-:class:`~repro.core.cache.EvaluationCache` and memoizing per-design
-verification results in its ``reports`` section, so reporting stages
-and repeated runs never re-simulate a design already verified on the
-same vectors.  The parsed module text goes into the cache's in-memory
+Pareto front and memoizes per-design verification results in the
+``reports`` section of the shared
+:class:`~repro.core.cache.EvaluationCache`, so reporting stages and
+repeated runs never re-simulate a design already verified on the same
+vectors.  The parsed module text goes into the cache's in-memory
 ``modules`` section (:func:`compiled_module`), where
 :func:`~repro.experiments.publish.rtl_records` finds it: parsing is
 nearly all of the module-text oracle's cost, and sign-off pays it once
@@ -61,7 +61,6 @@ import numpy as np
 from repro.approx.mlp import ApproximateMLP
 from repro.core.cache import EvaluationCache
 from repro.core.trainer import GAResult
-from repro.evaluation.pareto_analysis import resolve_decoded_model
 from repro.hardware.netlist import build_neuron_netlist
 from repro.hardware.simulator import simulate_batch
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
@@ -211,7 +210,8 @@ class FrontVerification:
 
     @property
     def expression_mismatches(self) -> int:
-        """Total Verilog-expression-vs-model accumulator disagreements."""
+        """Total module-text-vs-model accumulator disagreements (the
+        ``acc_lL_nJ`` nets of each design's executed module text)."""
         return sum(result.expression_mismatches for result in self.results)
 
     @property
@@ -262,9 +262,8 @@ def compiled_module(
 ) -> Tuple[str, "MicroVerilogModule"]:
     """``(text, module)``: ``generate_mlp_verilog(mlp)`` and its parse.
 
-    Memoized in ``cache.modules`` under ``key``, the model key
-    :func:`~repro.evaluation.pareto_analysis.resolve_decoded_model`
-    returns, so :func:`verify_front` and
+    Memoized in ``cache.modules`` under ``key``, the design's
+    ``(layout key, genome key)`` pair, so :func:`verify_front` and
     :func:`~repro.experiments.publish.rtl_records` parse each design
     once.  ``release=True`` is for the last user: it takes the entry out
     of the memo (or builds one without storing it), so compiled modules
@@ -428,10 +427,9 @@ def verify_front(
         ascending-area order, like
         :func:`~repro.evaluation.pareto_analysis.evaluate_front`).
     cache:
-        Optional shared evaluation cache: decoded models are reused from
-        its ``models`` section, per-design verification results are
-        memoized in its ``reports`` section, keyed by genome and
-        stimulus fingerprint, and each verified design's parsed module
+        Optional shared evaluation cache: per-design verification
+        results are memoized in its ``reports`` section, keyed by genome
+        and stimulus fingerprint, and each verified design's parsed module
         text is left in its ``modules`` section for
         :func:`~repro.experiments.publish.rtl_records` (a ``reports``
         hit parses nothing).
@@ -471,18 +469,16 @@ def verify_front(
     # schedule instead of being rebuilt and recompiled per design.
     plan_cache = NetlistPlanCache()
     for point in front:
-        key = (
-            ("rtl-verify", layout_key,
-             EvaluationCache.genome_key(np.asarray(point.payload)), stimulus)
-            if cache is not None and point.payload is not None
-            else None
-        )
+        model_key = key = None
+        if cache is not None and point.payload is not None:
+            model_key = (layout_key, EvaluationCache.genome_key(np.asarray(point.payload)))
+            key = ("rtl-verify", *model_key, stimulus)
         verification = cache.reports.get(key) if key is not None else None
         if verification is not None:
             cache_hits += 1
             results.append(verification)
             continue
-        model_key, model = resolve_decoded_model(result, point, cache, layout_key)
+        model = result.decode(point)
         _, module = compiled_module(model, cache, model_key)
         verification = verify_design(
             model, vectors, verilog_text=module, plan_cache=plan_cache

@@ -45,7 +45,7 @@ class ApproximateResult:
     selected: Optional[EvaluatedDesign]
     training_seconds: float
     #: Evaluation cache shared between the GA, front-synthesis and
-    #: reporting stages (decoded models, accuracies, hardware reports).
+    #: reporting stages (fitness values, accuracies, hardware reports).
     cache: Optional[EvaluationCache] = None
     #: Front-wide model/netlist/RTL differential verification; only
     #: populated when the scale (or ``runner.py --verify-rtl``) asks

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.core.cache import EvaluationCache, stable_fingerprint
-from repro.evaluation.pareto_analysis import design_sort_name, resolve_decoded_model
+from repro.evaluation.pareto_analysis import design_sort_name
 from repro.experiments.pipeline import PipelineResult
 from repro.serving.store import (
     DesignRecord,
@@ -182,10 +182,8 @@ def methods_record(
 def rtl_records(result: PipelineResult) -> List[RTLRecord]:
     """Verilog + self-checking testbench for every evaluated front member.
 
-    Models are resolved through the front's shared evaluation cache
-    (no re-decoding of genomes the GA already decoded); testbench
-    vectors are drawn with the dataset spec's seed so the emitted text
-    is deterministic.
+    Each design is decoded from its genome; testbench vectors are drawn
+    with a fixed seed so the emitted text is deterministic.
 
     Every record additionally carries the testbench shape parsed back
     *out of the emitted text* and the microverilog verdict of executing
@@ -223,8 +221,11 @@ def rtl_records(result: PipelineResult) -> List[RTLRecord]:
     for design in approx.designs:
         name = design_sort_name(design)
         module_name = f"approx_mlp_{result.spec.name}_{name}"
-        model_key, model = resolve_decoded_model(
-            approx.ga_result, design.point, cache, layout_key
+        model = approx.ga_result.decode(design.point)
+        model_key = (
+            (layout_key, EvaluationCache.genome_key(np.asarray(design.point.payload)))
+            if cache is not None
+            else None
         )
         text, module = compiled_module(model, cache, model_key, release=True)
         testbench = generate_testbench(

@@ -274,9 +274,9 @@ class ExperimentSession:
             x_test, y_test = result.dataset.quantized_test()
             trainer = GATrainer(spec.mlp_topology, ga_config=self._ga_config())
             # One evaluation cache spans the GA, front-synthesis and
-            # reporting stages: the front members the GA decoded are
-            # never decoded again downstream, and every hardware report
-            # is synthesized at most once per operating point.  With a
+            # reporting stages: no stage decodes a model to score the
+            # front, and every hardware report is synthesized at most
+            # once per operating point.  With a
             # cache directory it also spans *runs*: the baseline stage
             # already loaded the previous invocation's snapshot into
             # this dataset's cache, and the merged cache is snapshotted

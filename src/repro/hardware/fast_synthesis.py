@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.approx.layer import accumulator_bounds
 from repro.approx.masks import mask_popcount
-from repro.approx.mlp import ApproximateMLP
+from repro.approx.mlp import Population, PopulationParameters, stack_parameters
 from repro.hardware.area import (
     argmax_cell_counts,
     csd_encode,
@@ -110,7 +110,7 @@ def _price_vec(
 # Approximate MLPs (population-batched)
 # ----------------------------------------------------------------------
 def synthesize_approximate_population(
-    mlps: Sequence[ApproximateMLP],
+    population: Population,
     library: Optional[EGFETLibrary] = None,
     voltage: float = 1.0,
     clock_period_ms: Optional[float] = None,
@@ -118,41 +118,34 @@ def synthesize_approximate_population(
 ) -> List[HardwareReport]:
     """Hardware analysis of a homogeneous population in one pass.
 
-    Returns one report per model, bit-identical to calling
-    ``synthesize_approximate_mlp(mlp, ..., slow=True)`` on each.
+    ``population`` is a model list or stacked :class:`PopulationParameters`
+    (as :meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`
+    returns).  Returns one report per candidate, bit-identical to calling
+    ``synthesize_approximate_mlp(mlp, ..., slow=True)`` on each model.
     """
     if clock_period_ms is None:
         clock_period_ms = DEFAULT_CLOCK_PERIOD_MS
-    mlps = list(mlps)
-    if not mlps:
-        return []
+    if not isinstance(population, PopulationParameters):
+        if not population:
+            return []
+        population = stack_parameters(population)
     library = library or default_egfet_library()
-    sizes = mlps[0].topology.sizes
-    config = mlps[0].config
-    if any(m.topology.sizes != sizes or m.config != config for m in mlps):
-        raise ValueError(
-            "synthesize_approximate_population requires a homogeneous population"
-        )
-    population = len(mlps)
-    num_layers = len(mlps[0].layers)
+    size = len(population.shifts)
+    num_layers = len(population.masks)
 
     # One column-histogram block per layer position, one shared reduction
     # sweep for every adder tree of every candidate.
-    stacked = []
-    blocks: List[np.ndarray] = []
-    for layer_index in range(num_layers):
-        layers = [m.layers[layer_index] for m in mlps]
-        masks = np.stack([layer.masks for layer in layers])
-        exponents = np.stack([layer.exponents for layer in layers])
-        biases = np.stack([layer.biases for layer in layers])
-        signs = np.stack([layer.signs for layer in layers])
-        blocks.append(
-            population_layer_column_counts(
-                masks, exponents, biases, layers[0].input_bits
+    merged, offsets = _pad_and_concat(
+        [
+            population_layer_column_counts(masks, exponents, biases, input_bits)
+            for masks, exponents, biases, input_bits in zip(
+                population.masks,
+                population.exponents,
+                population.biases,
+                population.input_bits,
             )
-        )
-        stacked.append((layers, masks, exponents, biases, signs))
-    merged, offsets = _pad_and_concat(blocks)
+        ]
+    )
     fa_all, ha_all, cpa_all, stages_all = reduce_columns_adder_costs(
         merged, use_half_adders=True, include_final_cpa=True
     )
@@ -161,17 +154,18 @@ def synthesize_approximate_population(
     delay_or2 = library.delay("OR2", voltage=voltage)
     totals: Dict[str, np.ndarray] = {}
     breakdown: Dict[str, np.ndarray] = {}
-    critical = np.zeros(population, dtype=np.float64)
+    critical = np.zeros(size, dtype=np.float64)
 
-    for layer_index in range(num_layers):
-        layers, masks, exponents, biases, signs = stacked[layer_index]
-        fan_out = layers[0].fan_out
+    for layer_index, (masks, signs, exponents, biases) in enumerate(
+        zip(population.masks, population.signs, population.exponents, population.biases)
+    ):
+        fan_out = masks.shape[2]
         is_output = layer_index == num_layers - 1
         lo, hi = offsets[layer_index], offsets[layer_index + 1]
-        layer_fa = fa_all[lo:hi].reshape(population, fan_out)
-        layer_ha = ha_all[lo:hi].reshape(population, fan_out)
-        layer_cpa = cpa_all[lo:hi].reshape(population, fan_out)
-        layer_stages = stages_all[lo:hi].reshape(population, fan_out)
+        layer_fa = fa_all[lo:hi].reshape(size, fan_out)
+        layer_ha = ha_all[lo:hi].reshape(size, fan_out)
+        layer_cpa = cpa_all[lo:hi].reshape(size, fan_out)
+        layer_stages = stages_all[lo:hi].reshape(size, fan_out)
 
         adder_counts = {
             "FA": (layer_fa + layer_cpa).sum(axis=1).astype(np.float64),
@@ -179,7 +173,7 @@ def synthesize_approximate_population(
         }
         inverted = (
             mask_popcount(np.where(signs < 0, masks, 0))
-            .reshape(population, -1)
+            .reshape(size, -1)
             .sum(axis=1)
         )
         sign_counts = {"INV": inverted.astype(np.float64)}
@@ -194,26 +188,14 @@ def synthesize_approximate_population(
 
         activation_counts: Dict[str, np.ndarray]
         if not is_output:
-            shifts = np.array(
-                [
-                    layer.activation.shift if layer.activation is not None else 0
-                    for layer in layers
-                ],
-                dtype=np.int64,
-            )
-            out_bits = np.array(
-                [
-                    layer.activation.out_bits if layer.activation is not None else 8
-                    for layer in layers
-                ],
-                dtype=np.int64,
-            )
+            shifts = population.shifts[:, layer_index]
+            out_bits = np.full(size, population.activation_bits, dtype=np.int64)
             excess = np.maximum(acc_bits - shifts - out_bits, 0)
             or_tree = np.maximum(excess - 1, 0) + (excess > 0)
             activation_counts = {
                 "OR2": (or_tree + out_bits).astype(np.float64) * fan_out,
                 "AND2": out_bits.astype(np.float64) * fan_out,
-                "INV": np.full(population, float(fan_out)),
+                "INV": np.full(size, float(fan_out)),
             }
         elif fan_out == 1:
             activation_counts = {}
@@ -233,13 +215,13 @@ def synthesize_approximate_population(
         layer_counts = merge_cell_counts(adder_counts, sign_counts, activation_counts)
         totals = merge_cell_counts(totals, layer_counts)
         breakdown[f"layer{layer_index}_adders"] = _breakdown_area_vec(
-            adder_counts, library, population
+            adder_counts, library, size
         )
         breakdown[f"layer{layer_index}_signs"] = _breakdown_area_vec(
-            sign_counts, library, population
+            sign_counts, library, size
         )
         breakdown[f"layer{layer_index}_activation"] = _breakdown_area_vec(
-            activation_counts, library, population
+            activation_counts, library, size
         )
 
         cpa_length = np.maximum(layer_cpa.sum(axis=1) // max(fan_out, 1), 1)
@@ -250,24 +232,24 @@ def synthesize_approximate_population(
         )
 
     if include_registers:
-        input_bits_total = mlps[0].topology.num_inputs * config.input_bits
-        num_outputs = mlps[0].topology.num_outputs
+        input_bits_total = population.masks[0].shape[1] * population.input_bits[0]
+        num_outputs = population.masks[-1].shape[2]
         output_bits = (
             int(np.ceil(np.log2(num_outputs))) if num_outputs > 1 else 1
         )
         reg_counts = {
-            cell: np.full(population, count)
+            cell: np.full(size, count)
             for cell, count in register_cell_counts(
                 input_bits_total, output_bits
             ).items()
         }
         totals = merge_cell_counts(totals, reg_counts)
-        breakdown["registers"] = _breakdown_area_vec(reg_counts, library, population)
+        breakdown["registers"] = _breakdown_area_vec(reg_counts, library, size)
         critical += 2 * library.delay("DFF", voltage=voltage)
 
-    area, power = _price_vec(totals, library, voltage, population)
+    area, power = _price_vec(totals, library, voltage, size)
     reports: List[HardwareReport] = []
-    for index in range(population):
+    for index in range(size):
         reports.append(
             HardwareReport(
                 area_cm2=float(area[index]),

@@ -29,10 +29,37 @@ from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classific
 # Tier-1 must give the same verdict on every run, so the profile loaded
 # by default derandomizes Hypothesis: examples derive from each test's
 # source, and no example database replays earlier failures.  Randomized
-# fuzzing runs with ``HYPOTHESIS_PROFILE=default``; each falsifying
-# example it finds becomes a pinned ``@example``.
+# fuzzing runs with ``HYPOTHESIS_PROFILE=default`` (each test's own
+# budget) or ``HYPOTHESIS_PROFILE=fuzz`` (a larger one, no deadline);
+# each falsifying example it finds becomes a pinned ``@example``.
+HYPOTHESIS_PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "tier1")
 settings.register_profile("tier1", derandomize=True, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+settings.register_profile("fuzz", max_examples=500, deadline=None)
+settings.load_profile(HYPOTHESIS_PROFILE)
+
+
+def pytest_collection_modifyitems(items):
+    """Under the ``fuzz`` profile, lift each property test's own budget.
+
+    A test's ``@settings(max_examples=...)`` wins over the loaded
+    profile, so the profile alone would not enlarge any of them.  The
+    per-test settings live in a Hypothesis-internal attribute; reading
+    it unguarded makes a Hypothesis that renames it fail here loudly
+    instead of fuzzing at the old budgets.
+    """
+    if HYPOTHESIS_PROFILE != "fuzz":
+        return
+    budget = settings.get_profile("fuzz").max_examples
+    for item in items:
+        test = getattr(item, "function", None)
+        if not getattr(test, "is_hypothesis_test", False):
+            continue
+        own = test._hypothesis_internal_use_settings
+        if own.max_examples < budget:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=budget, deadline=None
+            )
+
 
 def build_neuron(rng, fan_in=4, input_bits=4, max_exponent=4, bias_bound=64):
     """A random :class:`ApproximateNeuron` (signs drawn from {-1, +1})."""
@@ -74,6 +101,24 @@ def make_mlp():
 def random_population():
     """Factory fixture: ``random_population(rng, sizes, size)``."""
     return build_population
+
+
+@pytest.fixture
+def decode_calls(monkeypatch):
+    """Count :meth:`ChromosomeLayout.decode` calls from here on.
+
+    A one-element list; tests reset it with ``decode_calls[0] = 0``.
+    ``GAResult.decode`` goes through the same method.
+    """
+    calls = [0]
+    original = ChromosomeLayout.decode
+
+    def counting(self, chromosome):
+        calls[0] += 1
+        return original(self, chromosome)
+
+    monkeypatch.setattr(ChromosomeLayout, "decode", counting)
+    return calls
 
 
 #: Corner designs the GA can reach, which every oracle must agree on:

@@ -208,6 +208,47 @@ class TestTc23Baseline:
             assert model.accuracy(xq, y_test) >= base_acc - 0.05
             assert report.area_cm2 < bespoke.synthesize().area_cm2
 
+    def test_explore_tc23_approximates_codes_once_per_digit_count(
+        self, toy_data, trained_baseline, monkeypatch
+    ):
+        from repro.baselines import approx_tc23
+        from repro.quant.quantizers import quantize_inputs
+
+        _, _, x_test, y_test = toy_data
+        bespoke, _ = trained_baseline
+        xq = quantize_inputs(x_test)
+        base_acc = bespoke.accuracy(xq, y_test)
+        # Reference: every configuration built on its own.
+        expected = []
+        for digits in (1, 2, 3):
+            for trunc in (0, 1, 2, 3):
+                model = Tc23ApproximateMLP(bespoke, Tc23Config(digits, trunc))
+                report = model.synthesize()
+                expected.append(
+                    {
+                        "max_csd_digits": digits,
+                        "truncation_bits": trunc,
+                        "accuracy": model.accuracy(xq, y_test),
+                        "area_cm2": report.area_cm2,
+                        "power_mw": report.power_mw,
+                    }
+                )
+
+        passes = []
+        original = approx_tc23.approximate_weight_codes
+
+        def counting(codes, max_csd_digits):
+            passes.append(max_csd_digits)
+            return original(codes, max_csd_digits)
+
+        monkeypatch.setattr(approx_tc23, "approximate_weight_codes", counting)
+        model, report, sweep = explore_tc23(bespoke, xq, y_test, base_acc)
+        layers = len(bespoke.weight_codes)
+        assert sorted(passes) == [1] * layers + [2] * layers + [3] * layers
+        assert sweep == expected
+        if model is not None:
+            assert report == model.synthesize()
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             Tc23Config(max_csd_digits=0)

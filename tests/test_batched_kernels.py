@@ -242,9 +242,11 @@ class TestGenomeNativeFitness:
         assert evaluator.fitness_computations == 5
 
 
-class TestFrontModelCache:
-    def test_serial_run_caches_every_archive_member(self, tiny_dataset):
-        x_train, y_train, _, _ = tiny_dataset
+class TestFrontDecodes:
+    def test_training_and_front_evaluation_decode_nothing(self, tiny_dataset, decode_calls):
+        from repro.evaluation.pareto_analysis import evaluate_front
+
+        x_train, y_train, x_test, y_test = tiny_dataset
         trainer = GATrainer(
             Topology((4, 3, 2)),
             ApproxConfig(),
@@ -252,13 +254,14 @@ class TestFrontModelCache:
         )
         cache = EvaluationCache()
         result = trainer.train(x_train, y_train, baseline_accuracy=0.9, cache=cache)
-        layout_key = EvaluationCache.layout_key(trainer.layout)
-        payloads = [p.payload for p in result.pareto_points if p.payload is not None]
-        assert payloads
-        for payload in payloads:
-            assert (layout_key, EvaluationCache.genome_key(payload)) in cache.models
-        # Only the front members are decoded: one model per archive member.
-        assert len(cache.models) == len({EvaluationCache.genome_key(p) for p in payloads})
+        assert len(cache.fitness) > 0
+        # Fitness and the front stage both score from the genome matrix.
+        designs = evaluate_front(result, x_test, y_test, cache=cache)
+        assert len(designs) == len(result.estimated_front) > 0
+        assert decode_calls[0] == 0
+        # The scalar oracle decodes each member once and agrees.
+        assert evaluate_front(result, x_test, y_test, slow=True) == designs
+        assert decode_calls[0] == len(designs)
 
 
 class TestStackedGradientRestarts:

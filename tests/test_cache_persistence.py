@@ -94,15 +94,15 @@ class TestSnapshotRoundTrip:
     def test_unpack_arrays_rejects_malformed_values(self, value):
         assert unpack_arrays(value, [(2, 2)]) is None
 
-    def test_models_section_is_not_persisted(self, tmp_path):
+    def test_modules_section_is_not_persisted(self, tmp_path):
         cache = EvaluationCache()
-        cache.models.put(("layout", b"g"), object())
+        cache.modules.put(("layout", b"g"), ("module text", None))
         cache.fitness.put(("ctx", b"g"), 1.0)
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == 1
         restored = EvaluationCache()
         restored.load(path)
-        assert len(restored.models) == 0
+        assert len(restored.modules) == 0
         assert len(restored.fitness) == 1
 
     def test_load_preserves_lru_order(self, tmp_path):

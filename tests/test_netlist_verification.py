@@ -414,14 +414,14 @@ class TestVerifyFront:
         assert verification.total_mismatches == 0
         assert verification.passed
 
-    def test_cache_memoizes_per_design_results(self, tiny_ga_result):
+    def test_cache_memoizes_per_design_results(self, tiny_ga_result, decode_calls):
         cache = EvaluationCache()
         first = verify_front(tiny_ga_result, num_vectors=8, cache=cache)
         assert first.cache_hits == 0
-        # Freshly decoded models are stored back for downstream stages
-        # (mirroring evaluate_front).
-        assert len(cache.models) == first.num_designs
+        # Each simulated design is decoded once; a memoized one is not.
+        assert decode_calls[0] == first.num_designs
         second = verify_front(tiny_ga_result, num_vectors=8, cache=cache)
+        assert decode_calls[0] == first.num_designs
         assert second.cache_hits == second.num_designs == first.num_designs
         assert second.results == first.results
         # Different stimulus is a different key: no stale hits.
@@ -569,16 +569,18 @@ class TestSharedModuleParse:
             if cache is not None:
                 assert len(cache.modules) == 0
 
-    def test_published_text_is_regenerated_text(self, tiny_ga_result):
-        from repro.evaluation.pareto_analysis import resolve_decoded_model
+    def test_published_text_is_regenerated_text(self, tiny_ga_result, decode_calls):
         from repro.experiments.publish import rtl_records
 
         cache = EvaluationCache()
         result = _front_result(tiny_ga_result, cache)
         verify_front(tiny_ga_result, num_vectors=8, cache=cache)
-        layout_key = EvaluationCache.layout_key(tiny_ga_result.layout)
-        for design, record in zip(result.approximate.designs, rtl_records(result)):
-            _, model = resolve_decoded_model(tiny_ga_result, design.point, cache, layout_key)
+        decode_calls[0] = 0
+        records = rtl_records(result)
+        # Publishing decodes each design once, memo hit or not.
+        assert decode_calls[0] == len(records) == len(result.approximate.designs)
+        for design, record in zip(result.approximate.designs, records):
+            model = tiny_ga_result.decode(design.point)
             assert record.module_name != "approx_mlp"
             assert record.verilog == generate_mlp_verilog(
                 model, module_name=record.module_name
@@ -613,15 +615,16 @@ class TestSharedModuleParse:
         """A module whose argmax output disagrees with the golden vectors
         never enters the store, even when it comes from the memo."""
         from repro.eda.microverilog import parse_module
-        from repro.evaluation.pareto_analysis import resolve_decoded_model
         from repro.experiments.publish import rtl_records
 
         cache = EvaluationCache()
         result = _front_result(tiny_ga_result, cache)
         point = result.approximate.designs[0].point
-        layout_key = EvaluationCache.layout_key(tiny_ga_result.layout)
-        key, model = resolve_decoded_model(tiny_ga_result, point, cache, layout_key)
-        text = generate_mlp_verilog(model)
+        key = (
+            EvaluationCache.layout_key(tiny_ga_result.layout),
+            EvaluationCache.genome_key(point.payload),
+        )
+        text = generate_mlp_verilog(tiny_ga_result.decode(point))
         honest = "    assign class_index = best_index;\n"
         assert honest in text
         tampered = text.replace(honest, "    assign class_index = ~best_index;\n")
