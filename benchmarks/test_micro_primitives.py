@@ -1,9 +1,10 @@
 """Micro-benchmarks of the framework's hot primitives.
 
 These are not tied to a specific table/figure; they track the cost of
-the operations the GA loop executes millions of times (candidate
-inference, stacked population inference, FA counting, chromosome
-decode) plus the netlist generation used by the verification flow.
+the operations the GA loop executes millions of times (stacked
+population inference and its scalar per-model oracle, FA counting,
+chromosome decode) plus the netlist generation used by the verification
+flow.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP, forward_stacked
+from repro.approx.mlp import ApproximateMLP, forward_population, forward_stacked
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
@@ -32,23 +33,16 @@ def batch():
 
 
 def test_bench_candidate_inference(benchmark, mlp, batch):
-    """Integer forward pass over 1024 samples (the GA fitness inner loop)."""
-    scores = benchmark(lambda: mlp.forward(batch))
-    assert scores.shape == (1024, 10)
+    """Stacked-kernel forward pass of one candidate over 1024 samples."""
+    scores = benchmark(lambda: forward_population([mlp], batch))
+    assert scores.shape == (1, 1024, 10)
 
 
 def test_bench_candidate_inference_reference(benchmark, mlp, batch):
-    """Naive 3-D accumulate forward pass, kept for speedup tracking."""
-
-    def slow_forward():
-        activations = np.asarray(batch, dtype=np.int64)
-        for layer in mlp.layers:
-            acc = layer.accumulate(activations, slow=True)
-            activations = acc if layer.activation is None else layer.activation(acc)
-        return activations
-
-    scores = benchmark(slow_forward)
-    assert np.array_equal(scores, mlp.forward(batch))
+    """Scalar per-model forward pass (``ApproximateLayer.accumulate`` per
+    layer), the kernel's oracle, kept for speedup tracking."""
+    scores = benchmark(lambda: mlp.forward(batch))
+    assert np.array_equal(scores, forward_population([mlp], batch)[0])
 
 
 def test_bench_stacked_forward_ci_pendigits(benchmark):

@@ -1,19 +1,19 @@
 """A fully connected layer of approximate neurons.
 
-The layer stores its parameters as dense ``(fan_in, fan_out)`` arrays so
-that inference over a whole dataset is a handful of vectorized numpy
-operations — this is what keeps genetic training (hundreds of thousands
-of candidate evaluations) tractable.
+The layer stores its parameters as dense ``(fan_in, fan_out)`` arrays
+and computes the paper's neuron sum (eq. 4), ``sum_i s_i * ((x_i & m_i)
+<< k_i) + b``, as written: one ``(n, fan_in, fan_out)`` broadcast of
+the masked, shifted and signed inputs, summed over the inputs.
 
-The hot path is a *bit-plane decomposition* of the masked multiplier:
-because ``x & m == sum_b ((x >> b) & 1) * ((m >> b) & 1) << b`` for
-masks confined to the low ``input_bits`` bits, the whole layer reduces
-to one integer matmul against a precomputed ``(input_bits * fan_in,
-fan_out)`` weight matrix whose rows carry ``sign * 2**(b + exponent)``
-wherever mask bit ``b`` is retained.  This avoids the 3-D
-``(n, fan_in, fan_out)`` intermediate of the naive formulation; the
-naive path is kept as ``accumulate(x, slow=True)`` and serves as the
-reference oracle in the tests.
+This per-model path is the plain scalar reference of the one vectorized
+inference kernel, :func:`repro.approx.mlp.forward_stacked`, which
+scores whole populations through bit-plane matmuls.  It shares none of
+that kernel's helpers (the bit-plane format and the exact-matmul dtype
+live in :mod:`repro.approx.mlp` only), so the ``slow=True`` oracles
+built on it — per-chromosome fitness, per-member front evaluation and
+the model leg of RTL verification — check the kernel independently.
+The broadcast costs ``n * fan_in * fan_out`` integers, which suits
+sign-off's few vectors per design; populations go through the kernel.
 """
 
 from __future__ import annotations
@@ -29,52 +29,8 @@ from repro.approx.neuron import ApproximateNeuron
 __all__ = [
     "ApproximateLayer",
     "worst_case_shift",
-    "expand_activation_bits",
-    "plane_width",
-    "build_bit_planes",
     "accumulator_bounds",
-    "exact_matmul_dtype",
 ]
-
-
-def expand_activation_bits(x: np.ndarray, width: int) -> np.ndarray:
-    """Expand integer activations into their bit planes.
-
-    Maps ``(..., fan_in)`` integers to ``(..., fan_in * width)`` 0/1
-    values, feature-major then bit-minor (the row order of
-    :attr:`ApproximateLayer.bit_planes`).  For byte-wide planes this is
-    a single flat ``np.unpackbits``; the uint8 truncation is exact
-    because mask bits above ``input_bits`` are always zero.
-    """
-    if width == 8:
-        flat = np.unpackbits(
-            np.ascontiguousarray(x.astype(np.uint8)), axis=None, bitorder="little"
-        )
-        return flat.reshape(*x.shape[:-1], x.shape[-1] * 8)
-    bits = np.arange(width, dtype=np.int64)
-    return ((x[..., None] >> bits) & 1).reshape(*x.shape[:-1], x.shape[-1] * width)
-
-
-def plane_width(input_bits: int) -> int:
-    """Bits-per-feature stride of the bit planes (byte-padded for narrow inputs)."""
-    return 8 if input_bits <= 8 else input_bits
-
-
-def build_bit_planes(
-    masks: np.ndarray, signs: np.ndarray, exponents: np.ndarray, width: int
-) -> np.ndarray:
-    """Bit-plane weight matrices of one layer or a stack of layers.
-
-    Maps ``(..., fan_in, fan_out)`` parameters to ``(..., fan_in * width,
-    fan_out)`` planes whose row ``i * width + b`` holds ``((masks[i, j] >>
-    b) & 1) * signs[i, j] << (b + exponents[i, j])`` (see
-    :attr:`ApproximateLayer.bit_planes`).
-    """
-    bits = np.arange(width, dtype=np.int64)[:, None]
-    retained = (masks[..., None, :] >> bits) & 1  # (..., fan_in, width, fan_out)
-    planes = (retained * signs[..., None, :]) << (bits + exponents[..., None, :])
-    *lead, fan_in, fan_out = masks.shape
-    return planes.reshape(*lead, fan_in * width, fan_out)
 
 
 def accumulator_bounds(
@@ -85,22 +41,6 @@ def accumulator_bounds(
     positive = (magnitudes * (signs > 0)).sum(axis=-2)
     negative = (magnitudes * (signs < 0)).sum(axis=-2)
     return -negative + np.minimum(biases, 0), positive + np.maximum(biases, 0)
-
-
-def exact_matmul_dtype(low: np.ndarray, high: np.ndarray) -> Optional[type]:
-    """Weakest float dtype whose matmul stays exact for these accumulators.
-
-    A BLAS matmul is exact as long as every partial sum stays an exactly
-    representable integer (2**24 for float32, 2**53 for float64); the
-    accumulator bounds give a hard cap.  ``None`` means neither float
-    type is safe and the matmul must run in int64.
-    """
-    bound = max(abs(int(low.min(initial=0))), abs(int(high.max(initial=0))))
-    if bound < 2**22:
-        return np.float32
-    if bound < 2**52:
-        return np.float64
-    return None
 
 
 def worst_case_shift(
@@ -171,21 +111,6 @@ class ApproximateLayer:
                 raise ValueError("signs must be -1 or +1")
             if np.any(self.exponents < 0):
                 raise ValueError("exponents must be non-negative")
-        # Lazily built caches; layers are decoded on demand (front
-        # members, reports) and never mutated in place by the library, so
-        # plain memoization is safe.  Call invalidate_caches() after any
-        # in-place edit.
-        self._bit_planes: Optional[np.ndarray] = None
-        self._float_planes: Optional[np.ndarray] = None
-        self._acc_bounds: Optional[tuple] = None
-        self._output_bits: Optional[int] = None
-
-    def invalidate_caches(self) -> None:
-        """Drop memoized bit-planes/accumulator bounds after in-place edits."""
-        self._bit_planes = None
-        self._float_planes = None
-        self._acc_bounds = None
-        self._output_bits = None
 
     @property
     def fan_in(self) -> int:
@@ -202,52 +127,19 @@ class ApproximateLayer:
         """Bit-width of the layer outputs (activation width, or accumulator width)."""
         if self.activation is not None:
             return self.activation.out_bits
-        if self._output_bits is None:
-            # Raw accumulator: conservative signed width estimate.
-            span = max(abs(self.min_accumulators().min(initial=0)),
-                       abs(self.max_accumulators().max(initial=0)), 1)
-            self._output_bits = int(np.ceil(np.log2(span + 1))) + 1
-        return self._output_bits
+        # Raw accumulator: conservative signed width estimate.
+        low, high = self._accumulator_bounds()
+        span = max(abs(low.min(initial=0)), abs(high.max(initial=0)), 1)
+        return int(np.ceil(np.log2(span + 1))) + 1
 
-    @property
-    def plane_bits(self) -> int:
-        """Bits-per-feature stride of :attr:`bit_planes` (byte-padded for narrow inputs)."""
-        return plane_width(self.input_bits)
-
-    @property
-    def bit_planes(self) -> np.ndarray:
-        """Precomputed bit-plane weight matrix of shape ``(fan_in * plane_bits, fan_out)``.
-
-        Row ``i * plane_bits + b`` holds the contribution of input bit
-        ``b`` of feature ``i``: ``((masks[i, j] >> b) & 1) * signs[i, j]
-        << (b + exponents[i, j])``.  When ``input_bits <= 8`` the planes
-        are padded to one byte per feature (the pad rows are zero because
-        masks carry no bits above ``input_bits``), so the activations can
-        be expanded with one flat ``np.unpackbits`` call.  Built once per
-        layer and reused by every forward pass.
-        """
-        if self._bit_planes is None:
-            planes = build_bit_planes(
-                self.masks, self.signs, self.exponents, self.plane_bits
-            )
-            planes.setflags(write=False)
-            self._bit_planes = planes
-            dtype = exact_matmul_dtype(*self._accumulator_bounds())
-            self._float_planes = planes.astype(dtype) if dtype is not None else None
-        return self._bit_planes
-
-    def accumulate(self, x: np.ndarray, slow: bool = False) -> np.ndarray:
-        """Accumulator values for every neuron.
+    def accumulate(self, x: np.ndarray) -> np.ndarray:
+        """Accumulator values for every neuron (eq. 4 before the activation).
 
         Parameters
         ----------
         x:
-            Integer activations of shape ``(n_samples, fan_in)``.
-        slow:
-            Use the naive 3-D formulation (materializes an
-            ``(n, fan_in, fan_out)`` intermediate).  Kept as the
-            reference oracle; the default bit-plane path is bitwise
-            identical and allocation-lean.
+            Integer activations of shape ``(n_samples, fan_in)``.  Bits
+            above ``input_bits`` are dropped by the masks.
 
         Returns
         -------
@@ -260,21 +152,10 @@ class ApproximateLayer:
             raise ValueError(
                 f"expected inputs with {self.fan_in} features, got shape {x.shape}"
             )
-        if slow:
-            # (n, fan_in, 1) & (1, fan_in, fan_out) -> (n, fan_in, fan_out)
-            masked = x[:, :, None] & self.masks[None, :, :]
-            shifted = masked << self.exponents[None, :, :]
-            signed = shifted * self.signs[None, :, :]
-            return signed.sum(axis=1) + self.biases[None, :]
-        planes = self.bit_planes
-        x_bits = expand_activation_bits(x, self.plane_bits)
-        if self._float_planes is not None:
-            fplanes = self._float_planes
-            acc = (x_bits.astype(fplanes.dtype) @ fplanes).astype(np.int64)
-        else:
-            acc = x_bits.astype(np.int64) @ planes
-        acc += self.biases[None, :]
-        return acc
+        # (n, fan_in, 1) & (fan_in, fan_out) -> (n, fan_in, fan_out)
+        masked = x[:, :, None] & self.masks
+        summands = (masked << self.exponents) * self.signs
+        return summands.sum(axis=1) + self.biases
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Layer output: QReLU of the accumulators, or raw accumulators."""
@@ -302,15 +183,8 @@ class ApproximateLayer:
         )
 
     def _accumulator_bounds(self) -> tuple:
-        """Cached per-neuron (min, max) reachable accumulator values."""
-        if self._acc_bounds is None:
-            low, high = accumulator_bounds(
-                self.masks, self.signs, self.exponents, self.biases
-            )
-            low.setflags(write=False)
-            high.setflags(write=False)
-            self._acc_bounds = (low, high)
-        return self._acc_bounds
+        """Per-neuron ``(min, max)`` reachable accumulator values."""
+        return accumulator_bounds(self.masks, self.signs, self.exponents, self.biases)
 
     def max_accumulators(self) -> np.ndarray:
         """Per-neuron largest reachable accumulator values."""

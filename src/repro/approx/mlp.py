@@ -3,9 +3,15 @@
 An :class:`ApproximateMLP` is a stack of :class:`ApproximateLayer`
 objects whose parameters (masks, signs, power-of-two exponents, biases
 and per-layer QReLU shifts) are exactly the learnable parameters
-``theta`` of the paper.  Inference is integer-only and vectorized over
-the dataset, classification is the argmax over the raw output-layer
-accumulators.
+``theta`` of the paper.  Inference is integer-only and classification
+is the argmax over the raw output-layer accumulators.
+
+:func:`forward_stacked` is the one vectorized inference kernel: it runs
+a whole stacked population (:class:`PopulationParameters`) through
+bit-plane matmuls, and this module alone knows the bit-plane format
+(:func:`build_bit_planes`, :func:`exact_matmul_dtype`).
+:meth:`ApproximateMLP.forward` runs one model through the layers'
+plain eq. (4) sums and is the kernel's scalar oracle.
 """
 
 from __future__ import annotations
@@ -16,13 +22,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.approx.config import ApproxConfig
-from repro.approx.layer import (
-    ApproximateLayer,
-    accumulator_bounds,
-    build_bit_planes,
-    exact_matmul_dtype,
-    worst_case_shift,
-)
+from repro.approx.layer import ApproximateLayer, accumulator_bounds, worst_case_shift
 from repro.approx.topology import Topology
 from repro.quant.qrelu import QReLU
 
@@ -31,6 +31,8 @@ __all__ = [
     "PopulationParameters",
     "default_shifts",
     "stack_parameters",
+    "build_bit_planes",
+    "exact_matmul_dtype",
     "forward_stacked",
     "forward_population",
     "accuracy_population",
@@ -379,6 +381,41 @@ def _input_rows(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def build_bit_planes(
+    masks: np.ndarray, signs: np.ndarray, exponents: np.ndarray, width: int
+) -> np.ndarray:
+    """Bit-plane weight matrices of one layer or a stack of layers.
+
+    Because ``x & m == sum_b ((x >> b) & 1) * ((m >> b) & 1) << b`` for
+    masks confined to the low ``width`` bits, a layer's masked sum is one
+    matmul of the input bits against these planes.  Maps ``(...,
+    fan_in, fan_out)`` parameters to ``(..., fan_in * width, fan_out)``
+    planes whose row ``i * width + b`` holds ``((masks[i, j] >> b) & 1)
+    * signs[i, j] << (b + exponents[i, j])``.
+    """
+    bits = np.arange(width, dtype=np.int64)[:, None]
+    retained = (masks[..., None, :] >> bits) & 1  # (..., fan_in, width, fan_out)
+    planes = (retained * signs[..., None, :]) << (bits + exponents[..., None, :])
+    *lead, fan_in, fan_out = masks.shape
+    return planes.reshape(*lead, fan_in * width, fan_out)
+
+
+def exact_matmul_dtype(low: np.ndarray, high: np.ndarray) -> Optional[type]:
+    """Weakest float dtype whose matmul stays exact for these accumulators.
+
+    A BLAS matmul is exact as long as every partial sum stays an exactly
+    representable integer (2**24 for float32, 2**53 for float64); the
+    accumulator bounds give a hard cap.  ``None`` means neither float
+    type is safe and the matmul must run in int64.
+    """
+    bound = max(abs(int(low.min(initial=0))), abs(int(high.max(initial=0))))
+    if bound < 2**22:
+        return np.float32
+    if bound < 2**52:
+        return np.float64
+    return None
+
+
 def _layer_weights(params: PopulationParameters, index: int) -> np.ndarray:
     """Bias-folded ``(P, fan_out, K + 1)`` planes of one layer position.
 
@@ -414,7 +451,9 @@ def _qrelu_(acc: np.ndarray, shifts: np.ndarray, max_value: int) -> np.ndarray:
     return np.clip(acc, 0, max_value, out=acc)
 
 
-def forward_stacked(params: PopulationParameters, x: np.ndarray) -> np.ndarray:
+def forward_stacked(
+    params: PopulationParameters, x: np.ndarray
+) -> np.ndarray:  # lint: oracle-pair(accumulate)
     """Forward a shared input batch through every stacked candidate at once.
 
     Activations live sample-minor, as ``(P, features, n)``, and each
@@ -424,7 +463,8 @@ def forward_stacked(params: PopulationParameters, x: np.ndarray) -> np.ndarray:
     in the weakest dtype that keeps the whole batch exact (float32 below
     2**22, float64 below 2**52, int64 otherwise) through bias, QReLU and
     the output, so the result is bitwise identical to
-    :meth:`ApproximateMLP.forward` per candidate.  Candidates run in
+    :meth:`ApproximateMLP.forward` per candidate, whose scalar
+    :meth:`ApproximateLayer.accumulate` is this kernel's oracle.  Candidates run in
     blocks whose largest buffer stays under ``_BLOCK_BYTES``.
 
     Returns

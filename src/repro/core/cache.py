@@ -61,11 +61,10 @@ so a crashed writer can never take down the next run.
 Long-lived cache directories are kept bounded by **snapshot
 compaction**: every entry carries a last-used timestamp, and
 :meth:`EvaluationCache.save` accepts a :class:`SnapshotPolicy` whose
-age, per-section-entry and total-byte bounds are applied at write time —
-entries a policy drops simply fall out of the snapshot (most recently
-used survive first), so a directory accumulated over many runs shrinks
-back to the configured bounds on the next save instead of growing with
-the union of everything ever evaluated.
+age bound drops entries unused for too long at write time, so a
+directory accumulated over many runs does not grow with the union of
+everything ever evaluated.  The section bounds of the LRU caches cap
+the entry count.
 """
 
 from __future__ import annotations
@@ -134,26 +133,17 @@ CACHE_FORMAT_VERSION = 6
 
 @dataclass(frozen=True)
 class SnapshotPolicy:
-    """Compaction bounds applied by :meth:`EvaluationCache.save`.
+    """Compaction bound applied by :meth:`EvaluationCache.save`.
 
-    All bounds are optional; ``None`` disables that bound.  Bounds are
-    applied in order: first entries whose last use is older than
-    ``max_age_seconds`` are dropped, then each section is truncated to
-    its ``max_entries_per_section`` most recently used entries, and
-    finally — if the pickled snapshot still exceeds
-    ``max_total_bytes`` — the least recently used half of every section
-    is dropped repeatedly until the snapshot fits (or is empty).
+    Entries whose last use is older than ``max_age_seconds`` are left
+    out of the snapshot; ``None`` keeps entries regardless of age.
     """
 
     max_age_seconds: Optional[float] = None
-    max_entries_per_section: Optional[int] = None
-    max_total_bytes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_age_seconds", "max_entries_per_section", "max_total_bytes"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        if self.max_age_seconds is not None and self.max_age_seconds <= 0:
+            raise ValueError(f"max_age_seconds must be positive, got {self.max_age_seconds}")
 
 #: The only non-builtin globals a snapshot may reference.  Snapshot
 #: payloads are plain data (tuples, bytes, numbers, dicts) plus these
@@ -453,6 +443,7 @@ class EvaluationCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         if now is None:
             now = time.time()  # lint: allow(RP03) -- compaction ages entries against their persisted wall-clock stamps
+        max_age = None if policy is None else policy.max_age_seconds
         sections: Dict[str, List[Tuple[Hashable, Any, float]]] = {}
         for name in self._PERSISTED_SECTIONS:
             section = getattr(self, name)
@@ -460,44 +451,20 @@ class EvaluationCache:
                 (key, value, section._stamps.get(key, now))
                 for key, value in section._data.items()
             ]
-            if policy is not None and policy.max_age_seconds is not None:
-                entries = [
-                    entry for entry in entries if now - entry[2] <= policy.max_age_seconds
-                ]
-            if (
-                policy is not None
-                and policy.max_entries_per_section is not None
-                and len(entries) > policy.max_entries_per_section
-            ):
-                # LRU order: the most recently used entries are at the tail.
-                entries = entries[-policy.max_entries_per_section :]
+            if max_age is not None:
+                entries = [entry for entry in entries if now - entry[2] <= max_age]
             sections[name] = entries
-
-        def _serialize() -> Tuple[bytes, int]:
-            payload = {
-                "magic": _SNAPSHOT_MAGIC,
-                "version": CACHE_FORMAT_VERSION,
-                "sections": sections,
-            }
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            return blob, sum(len(entries) for entries in sections.values())
-
-        blob, total = _serialize()
-        if policy is not None and policy.max_total_bytes is not None:
-            while len(blob) > policy.max_total_bytes and total > 0:
-                # Drop the least recently used half of every section and
-                # re-measure; converges in O(log entries) pickles.
-                sections = {
-                    name: entries[len(entries) // 2 + len(entries) % 2 :]
-                    for name, entries in sections.items()
-                }
-                blob, total = _serialize()
+        payload = {
+            "magic": _SNAPSHOT_MAGIC,
+            "version": CACHE_FORMAT_VERSION,
+            "sections": sections,
+        }
         fd, tmp_name = tempfile.mkstemp(
             dir=str(path.parent), prefix=path.name, suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -505,7 +472,7 @@ class EvaluationCache:
             except OSError:
                 pass
             raise
-        return total
+        return sum(len(entries) for entries in sections.values())
 
     def load(self, path: Union[str, Path]) -> int:
         """Restore a snapshot written by :meth:`save`; returns entries loaded.

@@ -755,17 +755,10 @@ class ExperimentSession:
     @property
     def snapshot_policy(self) -> Optional[SnapshotPolicy]:
         """Compaction policy applied whenever a snapshot is saved."""
-        scale = self.scale
-        if scale.cache_max_age_days is None and scale.cache_max_snapshot_bytes is None:
+        max_age_days = self.scale.cache_max_age_days
+        if max_age_days is None:
             return None
-        return SnapshotPolicy(
-            max_age_seconds=(
-                None
-                if scale.cache_max_age_days is None
-                else scale.cache_max_age_days * 86400.0
-            ),
-            max_total_bytes=scale.cache_max_snapshot_bytes,
-        )
+        return SnapshotPolicy(max_age_seconds=max_age_days * 86400.0)
 
     def persist_cache(self, spec_name: str, cache: Optional[EvaluationCache]) -> int:
         """Save (compacted) a dataset's evaluation cache to its snapshot.

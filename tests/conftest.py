@@ -121,8 +121,18 @@ def decode_calls(monkeypatch):
     return calls
 
 
+def _constant_hidden_layer(mlp):
+    """Prune the hidden layer and give neuron ``j`` the bias ``(j + 1) <<
+    shift`` (capped at ``bias_max``): its QReLU then emits a non-zero
+    constant for every input, while the output layer keeps live masks."""
+    hidden = mlp.layers[0]
+    hidden.masks[:] = 0
+    biases = (np.arange(hidden.fan_out) + 1) << hidden.activation.shift
+    hidden.biases[:] = np.minimum(biases, mlp.config.bias_max)
+
+
 #: Corner designs the GA can reach, which every oracle must agree on:
-#: ``{name: (config, mask density)}``.
+#: ``{name: (config, mask density[, in-place edit of the drawn model])}``.
 EDGE_DESIGNS = {
     "one_bit_inputs": (ApproxConfig(input_bits=1), 0.5),
     "all_pruned": (ApproxConfig(), 0.0),
@@ -133,6 +143,7 @@ EDGE_DESIGNS = {
         ApproxConfig(input_bits=1, activation_bits=1, weight_bits=2, bias_bits=1),
         0.5,
     ),
+    "constant_hidden_layer": (ApproxConfig(), 0.5, _constant_hidden_layer),
 }
 
 
@@ -140,9 +151,11 @@ EDGE_DESIGNS = {
 def edge_design(request):
     """``(mlp, vectors)`` for one corner design: the all-zero and
     all-ones input rows, then 62 random ones."""
-    config, mask_density = EDGE_DESIGNS[request.param]
+    config, mask_density, *edit = EDGE_DESIGNS[request.param]
     rng = np.random.default_rng(19)
     mlp = build_mlp(rng, sizes=(5, 4, 3), config=config, mask_density=mask_density)
+    for step in edit:
+        step(mlp)
     top = config.max_input_value
     vectors = np.vstack(
         [np.zeros((1, 5)), np.full((1, 5), top), rng.integers(0, top + 1, size=(62, 5))]

@@ -6,18 +6,30 @@
   (``FitnessEvaluator.compute_population(..., slow=True)``), across
   learned and fixed shifts, wide inputs, degenerate parameters, every
   matmul exactness regime and ablation-restricted layouts.
+* ``forward_stacked`` equals the per-model scalar forward (its oracle,
+  ``ApproximateLayer.accumulate``) on every corner design, and the
+  ``slow=True`` oracles run without the kernel's bit-plane helpers.
 * Stacked gradient restarts equal the serial restarts
   (``GradientTrainer.train(..., slow=True)``) bit for bit.
 """
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
-from repro.approx.layer import accumulator_bounds, exact_matmul_dtype
+from repro.approx.layer import accumulator_bounds
 from repro.approx import mlp as mlp_module
-from repro.approx.mlp import forward_population, forward_stacked, stack_parameters
+from repro.approx.mlp import (
+    accuracy_population,
+    build_bit_planes,
+    exact_matmul_dtype,
+    forward_population,
+    forward_stacked,
+    stack_parameters,
+)
 from repro.approx.topology import Topology
 from repro.baselines.gradient import GradientTrainer
 from repro.core.cache import EvaluationCache
@@ -262,6 +274,74 @@ class TestFrontDecodes:
         # The scalar oracle decodes each member once and agrees.
         assert evaluate_front(result, x_test, y_test, slow=True) == designs
         assert decode_calls[0] == len(designs)
+
+
+class TestKernelAgainstScalarOracle:
+    # The fixture's model is only read, so sharing it across examples is safe.
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(seed=st.integers(min_value=0, max_value=10**9), extra_bits=st.integers(0, 8))
+    def test_edge_designs_match_accumulate(self, edge_design, seed, extra_bits):
+        """On every corner design the kernel equals the per-model forward,
+        also on inputs with bits above ``input_bits``, which both paths
+        must drop (the masks carry none)."""
+        mlp, vectors = edge_design
+        rng = np.random.default_rng(seed)
+        wide = rng.integers(0, 1 << (mlp.config.input_bits + extra_bits), size=(16, 5))
+        x = np.vstack([vectors, wide])
+        assert np.array_equal(forward_population([mlp], x)[0], mlp.forward(x))
+        labels = rng.integers(0, mlp.topology.num_outputs, size=len(x))
+        assert accuracy_population([mlp], x, labels)[0] == mlp.accuracy(x, labels)
+
+    def test_oracles_run_without_the_kernel_helpers(self, monkeypatch, tiny_dataset):
+        """With ``build_bit_planes`` and ``exact_matmul_dtype`` raising,
+        the kernel fails while ``compute_population(slow=True)``,
+        ``evaluate_front(slow=True)`` and ``verify_design`` still run and
+        agree with it: the oracles share no helper with what they check."""
+        from repro.evaluation.pareto_analysis import evaluate_front
+        from repro.evaluation.verification import verify_design
+
+        x_train, y_train, x_test, y_test = tiny_dataset
+        trainer = GATrainer(
+            Topology((4, 3, 2)),
+            ApproxConfig(),
+            GAConfig(population_size=16, generations=4, seed=3),
+        )
+        result = trainer.train(x_train, y_train, baseline_accuracy=0.9)
+        layout = result.layout
+        population = np.stack([point.payload for point in result.estimated_front])
+        evaluator = FitnessEvaluator(layout, x_train, y_train, baseline_accuracy=0.9)
+        fitness = evaluator.compute_population(population)
+        designs = evaluate_front(result, x_test, y_test)
+        params = layout.population_parameters(population)
+        kernel_predictions = forward_stacked(params, x_test).argmax(axis=2)
+
+        class HelperCalled(Exception):
+            pass
+
+        def unavailable(*args, **kwargs):
+            raise HelperCalled
+
+        # Patch every module that binds the helpers by name, not only
+        # their home module.
+        helpers = {build_bit_planes, exact_matmul_dtype}
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro"):
+                for attr in ("build_bit_planes", "exact_matmul_dtype"):
+                    if getattr(module, attr, None) in helpers:
+                        monkeypatch.setattr(module, attr, unavailable)
+        with pytest.raises(HelperCalled):
+            forward_stacked(params, x_test)
+
+        assert evaluator.compute_population(population, slow=True) == fitness
+        assert evaluate_front(result, x_test, y_test, slow=True) == designs
+        for row, predictions in zip(population, kernel_predictions):
+            mlp = layout.decode(row)
+            assert np.array_equal(mlp.predict(x_test), predictions)
+            assert verify_design(mlp, x_test[:16]).total_mismatches == 0
 
 
 class TestStackedGradientRestarts:

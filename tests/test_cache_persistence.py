@@ -162,21 +162,6 @@ class TestSnapshotCompaction:
         assert small.save(path) == 50
         assert self._entry_count(path) == 50
 
-    def test_policy_entry_bound_compacts_on_save(self, tmp_path):
-        cache = EvaluationCache()
-        for index in range(200):
-            cache.fitness.put(("ctx", index), float(index))
-        cache.fitness.get(("ctx", 0))  # refresh: 0 must survive
-        path = tmp_path / "snap.pkl"
-        policy = SnapshotPolicy(max_entries_per_section=10)
-        assert cache.save(path, policy=policy) == 10
-        restored = EvaluationCache()
-        restored.load(path)
-        # The most recently used entries survive, including the refresh.
-        assert ("ctx", 0) in restored.fitness
-        assert ("ctx", 199) in restored.fitness
-        assert ("ctx", 5) not in restored.fitness
-
     def test_policy_age_bound_drops_stale_entries(self, tmp_path):
         cache = EvaluationCache()
         cache.fitness.put("fresh", 1.0)
@@ -207,44 +192,22 @@ class TestSnapshotCompaction:
         # A second save with an age policy can therefore still drop it.
         assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0)) == 0
 
-    def test_policy_byte_bound_shrinks_the_file(self, tmp_path):
-        cache = EvaluationCache()
-        for index in range(300):
-            cache.fitness.put(("ctx", "x" * 50, index), float(index))
-        path = tmp_path / "snap.pkl"
-        cache.save(path)
-        unbounded_size = path.stat().st_size
-        bound = unbounded_size // 4
-        written = cache.save(path, policy=SnapshotPolicy(max_total_bytes=bound))
-        assert path.stat().st_size <= bound
-        assert 0 < written < 300
-        # The survivors are the most recently used tail.
-        restored = EvaluationCache()
-        restored.load(path)
-        assert ("ctx", "x" * 50, 299) in restored.fitness
-
     def test_policy_rejects_non_positive_bounds(self):
         with pytest.raises(ValueError):
             SnapshotPolicy(max_age_seconds=0)
         with pytest.raises(ValueError):
-            SnapshotPolicy(max_entries_per_section=-1)
-        with pytest.raises(ValueError):
-            SnapshotPolicy(max_total_bytes=0)
+            SnapshotPolicy(max_age_seconds=-1.0)
 
     def test_pipeline_scale_policy_reaches_save(self, tmp_path):
-        """The scale's compaction knobs become the session's policy."""
+        """The scale's age bound becomes the session's policy."""
         scale = ExperimentScale(
             name="tiny-policy",
             datasets=("breast_cancer",),
             cache_dir=str(tmp_path),
             cache_max_age_days=7.0,
-            cache_max_snapshot_bytes=123_456,
         )
         session = ExperimentSession(scale)
-        policy = session.snapshot_policy
-        assert policy == SnapshotPolicy(
-            max_age_seconds=7.0 * 86400.0, max_total_bytes=123_456
-        )
+        assert session.snapshot_policy == SnapshotPolicy(max_age_seconds=7.0 * 86400.0)
         diskless = ExperimentSession(
             ExperimentScale(name="no-policy", cache_max_age_days=None)
         )

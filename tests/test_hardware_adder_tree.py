@@ -184,7 +184,6 @@ class TestFastArea:
         rng = np.random.default_rng(1008)
         for layer in mlp.layers:
             layer.biases[:] = rng.integers(config.bias_min, config.bias_max, size=layer.biases.shape)
-            layer.invalidate_caches()
         assert mlp_fa_count(mlp) == 233
         assert fast_fa_count(mlp) == 233
 

@@ -367,7 +367,6 @@ class TestVerifyDesign:
         else:
             choices = [b for b in (config.bias_min, 0, config.bias_max) if b != layer.biases[j]]
             layer.biases[j] = choices[int(rng.integers(len(choices)))]
-        layer.invalidate_caches()
         vectors = rng.integers(0, config.max_input_value + 1, size=(16, 5))
 
         altered = 0

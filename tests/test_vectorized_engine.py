@@ -4,7 +4,7 @@ Every fast path introduced by the vectorized engine keeps its original
 scalar implementation around as a reference oracle; these tests assert
 exact agreement over randomized models, batches and populations:
 
-* bit-plane forward == naive 3-D accumulate (bitwise),
+* stacked bit-plane kernel == per-model scalar accumulate (bitwise),
 * two-objective sweep non-dominated sort == Deb's pairwise-loop sort,
 * sweep-based ``pareto_front`` / ``ParetoArchive`` == all-pairs scans,
 * memoized ``evaluate_population`` == per-chromosome ``compute``
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP
+from repro.approx.mlp import ApproximateMLP, forward_population
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator
@@ -31,17 +31,6 @@ from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
 
 
-def slow_forward(mlp: ApproximateMLP, x: np.ndarray) -> np.ndarray:
-    """Reference forward pass built on the naive 3-D accumulate."""
-    activations = np.asarray(x, dtype=np.int64)
-    if activations.ndim == 1:
-        activations = activations[None, :]
-    for layer in mlp.layers:
-        acc = layer.accumulate(activations, slow=True)
-        activations = acc if layer.activation is None else layer.activation(acc)
-    return activations
-
-
 class TestBitPlaneForward:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -53,52 +42,20 @@ class TestBitPlaneForward:
             Topology(sizes), ApproxConfig(), rng, mask_density=float(rng.random())
         )
         batch = rng.integers(0, 16, size=(int(rng.integers(1, 64)), sizes[0]))
-        assert np.array_equal(mlp.forward(batch), slow_forward(mlp, batch))
+        assert np.array_equal(forward_population([mlp], batch)[0], mlp.forward(batch))
 
-    def test_layer_accumulate_slow_and_fast_agree(self):
-        rng = np.random.default_rng(0)
-        mlp = ApproximateMLP.random(Topology((7, 6, 3)), ApproxConfig(), rng)
-        x = rng.integers(0, 16, size=(50, 7))
-        layer = mlp.layers[0]
-        assert np.array_equal(layer.accumulate(x), layer.accumulate(x, slow=True))
-
-    def test_out_of_range_inputs_match(self):
-        # Bits above `input_bits` never survive the masks; both paths
-        # must drop them identically.
-        rng = np.random.default_rng(1)
-        mlp = ApproximateMLP.random(Topology((5, 4, 2)), ApproxConfig(), rng)
-        x = rng.integers(0, 1 << 12, size=(20, 5))
-        layer = mlp.layers[0]
-        assert np.array_equal(layer.accumulate(x), layer.accumulate(x, slow=True))
-
-    def test_bit_planes_cached_and_readonly(self):
-        rng = np.random.default_rng(2)
-        mlp = ApproximateMLP.random(Topology((4, 3, 2)), ApproxConfig(), rng)
-        layer = mlp.layers[0]
-        planes = layer.bit_planes
-        assert planes is layer.bit_planes
-        with pytest.raises(ValueError):
-            planes[0, 0] = 1
-
-    def test_invalidate_caches_after_in_place_edit(self):
+    def test_in_place_edits_take_effect(self):
+        # The layer memoizes nothing, so an edited layer needs no refresh.
         rng = np.random.default_rng(3)
         mlp = ApproximateMLP.random(Topology((4, 3, 2)), ApproxConfig(), rng)
-        layer = mlp.layers[0]
         x = rng.integers(0, 16, size=(10, 4))
-        layer.bit_planes
-        layer.masks[:] = 0
-        layer.invalidate_caches()
-        assert np.array_equal(layer.accumulate(x), layer.accumulate(x, slow=True))
-
-    def test_decode_builds_bit_planes_lazily(self):
-        # Decoding happens on demand (front members); planes are built by
-        # the first forward pass, not by the decoder.
-        rng = np.random.default_rng(4)
-        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
-        mlp = layout.decode(layout.random(rng))
-        assert all(layer._bit_planes is None for layer in mlp.layers)
-        mlp.forward(rng.integers(0, 16, size=(3, 4)))
-        assert all(layer._bit_planes is not None for layer in mlp.layers)
+        out_layer = mlp.layers[-1]
+        before = (mlp.forward(x), out_layer.output_bits)
+        out_layer.masks[:] = 0
+        out_layer.biases[:] = 0
+        assert np.array_equal(mlp.forward(x), np.zeros((10, 2), dtype=np.int64))
+        assert out_layer.output_bits == 2 != before[1]
+        assert not np.array_equal(before[0], mlp.forward(x))
 
     def test_decode_rejects_out_of_bounds_genes(self):
         rng = np.random.default_rng(7)
@@ -108,13 +65,6 @@ class TestBitPlaneForward:
         with pytest.raises(ValueError):
             layout.decode(chromosome)
 
-    def test_output_bits_cached(self):
-        rng = np.random.default_rng(5)
-        mlp = ApproximateMLP.random(Topology((4, 3, 2)), ApproxConfig(), rng)
-        out_layer = mlp.layers[-1]
-        assert out_layer.output_bits == out_layer.output_bits
-        assert out_layer._output_bits is not None
-
     def test_copy_is_deep_and_equal(self):
         rng = np.random.default_rng(6)
         mlp = ApproximateMLP.random(Topology((6, 5, 3)), ApproxConfig(), rng)
@@ -122,7 +72,6 @@ class TestBitPlaneForward:
         clone = mlp.copy()
         assert np.array_equal(clone.forward(x), mlp.forward(x))
         clone.layers[0].masks[:] = 0
-        clone.layers[0].invalidate_caches()
         assert not np.array_equal(clone.layers[0].masks, mlp.layers[0].masks)
 
 
