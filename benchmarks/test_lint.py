@@ -2,7 +2,7 @@
 
 The lint battery runs in CI before tier-1 and locally as a pre-commit
 habit, so its wall-clock is a developer-facing latency: one full pass —
-scan, import graph, all six rules — must stay under ten seconds.
+scan, import graph, all five rules — must stay under ten seconds.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 These are not tied to a specific table/figure; they track the cost of
 the operations the GA loop executes millions of times (stacked
 population inference and its scalar per-model oracle, FA counting,
-chromosome decode) plus the netlist generation used by the verification
-flow.
+chromosome decode).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
-from repro.hardware.netlist import build_neuron_netlist
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +77,3 @@ def test_bench_chromosome_decode(benchmark, mlp):
     decoded = benchmark(lambda: layout.decode(chromosome))
     assert decoded.topology.sizes == mlp.topology.sizes
 
-
-def test_bench_neuron_netlist_generation(benchmark, mlp):
-    """Gate-level netlist construction of one neuron (verification flow)."""
-    neuron = mlp.layers[0].neuron(0)
-    netlist = benchmark(lambda: build_neuron_netlist(neuron))
-    assert netlist.num_gates >= 0

@@ -4,10 +4,11 @@
 Shows the hardware-generation tail of the framework:
 
 1. train a small approximate MLP with the GA,
-2. verify the bespoke adder-tree structure at the gate level (the
-   netlist simulator must agree with the Python model on random vectors),
-3. emit the synthesizable Verilog module and a self-checking testbench
+2. emit the synthesizable Verilog module and a self-checking testbench
    into ``./generated_rtl/``, ready for a real EDA flow,
+3. sign the emitted text off against the Python model: the testbench's
+   golden responses and the module text, executed as Verilog, must agree
+   with the model on every vector,
 4. print the gate/cell statistics the analytical synthesis model assigns
    to the design.
 
@@ -23,7 +24,7 @@ from pathlib import Path
 from repro.core import GAConfig, GATrainer
 from repro.datasets import load_dataset
 from repro.datasets.registry import get_spec
-from repro.hardware.simulator import verify_neuron_netlist
+from repro.evaluation.verification import verify_design
 from repro.hardware.synthesis import synthesize_approximate_mlp
 from repro.rtl import generate_mlp_verilog, generate_testbench
 
@@ -40,12 +41,6 @@ def main() -> None:
     result = trainer.train(x_train, y_train)
     mlp = result.decode(result.best_accuracy_point())
 
-    print("Verifying the gate-level adder trees against the Python model ...")
-    for layer_index, layer in enumerate(mlp.layers):
-        for neuron_index in range(layer.fan_out):
-            verify_neuron_netlist(layer.neuron(neuron_index), num_vectors=16)
-    print("  all neuron netlists match the integer model")
-
     output_dir = Path("generated_rtl")
     output_dir.mkdir(exist_ok=True)
     verilog = generate_mlp_verilog(mlp, module_name="bc_approx_mlp")
@@ -56,6 +51,18 @@ def main() -> None:
     (output_dir / "bc_approx_mlp_tb.v").write_text(testbench)
     print(f"Wrote {output_dir / 'bc_approx_mlp.v'} ({len(verilog.splitlines())} lines)")
     print(f"Wrote {output_dir / 'bc_approx_mlp_tb.v'} ({len(testbench.splitlines())} lines)")
+
+    print("Verifying the emitted RTL against the Python model ...")
+    verification = verify_design(
+        mlp, x_train[:12], testbench_text=testbench, verilog_text=verilog
+    )
+    print(
+        f"  {verification.num_vectors} vectors, {verification.num_neurons} accumulator nets: "
+        f"model {verification.model_mismatches} / expr {verification.expression_mismatches} / "
+        f"eda {verification.eda_mismatches} mismatches"
+    )
+    if not verification.passed:
+        raise SystemExit("RTL does not match the model")
 
     report = synthesize_approximate_mlp(mlp, clock_period_ms=spec.clock_period_ms)
     print("\nAnalytical synthesis estimate:")

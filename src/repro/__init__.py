@@ -10,7 +10,7 @@ The package is organized bottom-up:
 * :mod:`repro.quant`      — fixed-point formats, quantizers, QReLU,
 * :mod:`repro.approx`     — the approximate (pow2 weights + bit masks) MLP,
 * :mod:`repro.hardware`   — FA-count area model, printed EGFET library,
-  analytical synthesis, gate-level netlists, printed power sources,
+  analytical synthesis, printed power sources,
 * :mod:`repro.rtl`        — Verilog generation for the bespoke circuits,
 * :mod:`repro.eda`        — Verilog-semantics simulation oracle plus the
   feature-detected iverilog/yosys cross-check flow,

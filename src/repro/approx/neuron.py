@@ -111,15 +111,5 @@ class ApproximateNeuron:
             return acc
         return self.activation(acc)
 
-    def max_accumulator(self) -> int:
-        """Largest accumulator value reachable under the current parameters."""
-        positive = int(((self.masks << self.exponents) * (self.signs > 0)).sum())
-        return positive + max(self.bias, 0)
-
-    def min_accumulator(self) -> int:
-        """Smallest (most negative) accumulator value reachable."""
-        negative = int(((self.masks << self.exponents) * (self.signs < 0)).sum())
-        return -negative + min(self.bias, 0)
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -127,8 +127,10 @@ _MISSING = object()
 #: fingerprint string, no longer tuples holding ``ApproxConfig``.
 #: Version 6 drops ``DesignVerification.eda_oracle`` and the oracle
 #: selection from the ``rtl-verify`` report keys.
+#: Version 7 drops the two gate-level netlist counts from
+#: ``DesignVerification``.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 6
+CACHE_FORMAT_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ _EXPORTS = {
     "reduction_factor": "repro.evaluation.report",
     "DesignVerification": "repro.evaluation.verification",
     "FrontVerification": "repro.evaluation.verification",
-    "NetlistPlanCache": "repro.evaluation.verification",
     "verify_design": "repro.evaluation.verification",
     "verify_front": "repro.evaluation.verification",
 }
@@ -59,7 +58,6 @@ __all__ = [
     "reduction_factor",
     "DesignVerification",
     "FrontVerification",
-    "NetlistPlanCache",
     "verify_design",
     "verify_front",
 ]

@@ -1,33 +1,30 @@
-"""Cross-layer differential verification: model ↔ netlist ↔ RTL.
+"""Cross-layer differential verification: model ↔ RTL testbench ↔ RTL module.
 
 The paper's flow ends in functional simulation of every generated
 circuit (its VCS step).  This module is the reproduction's equivalent,
-run front-wide in one pass:
+run front-wide in one pass over the Verilog the flow actually emits:
 
-* **model vs. gate-level netlist** — every neuron of every layer is
-  lowered to its adder-tree netlist
-  (:func:`~repro.hardware.netlist.build_neuron_netlist`) and evaluated
-  over the whole vector batch with the compiled batched simulator
-  (:func:`~repro.hardware.simulator.simulate_batch`); the accumulators
-  must equal the integer Python model's bit for bit;
-* **netlist vs. RTL testbench** — the self-checking Verilog testbench
-  is generated for the same vectors, its embedded golden responses are
+* **model vs. RTL testbench** — the self-checking Verilog testbench is
+  generated for the stimulus vectors, its embedded golden responses are
   parsed back *out of the emitted text*
   (:func:`~repro.rtl.testbench.extract_testbench_vectors`), and checked
-  against the gate-level predictions (netlist accumulators chained
-  through the Python QReLU/argmax stages);
-* **model vs. RTL testbench** — the same parsed golden responses are
-  checked against :meth:`ApproximateMLP.predict`, closing the triangle;
+  against the model's own class decisions (the argmax of its output
+  accumulators);
 * **model vs. RTL module text** — the *whole emitted module text* is
   parsed and executed as Verilog by the :mod:`repro.eda.microverilog`
   simulator, with the language's width/signedness rules rather than
   Python's.  Every ``acc_lL_nJ`` accumulator net must equal the model's
   accumulator, so a wrong mask/shift/bias literal produced by the
   Verilog *generator* is caught even though the testbench golden
-  responses originate from the model; the ``class_index`` output must
-  match those golden responses, which also covers the QReLU saturation
-  ternaries, the behavioural argmax block and the declared wire widths.
-  Module text that is not legal within the emitted subset raises.
+  responses originate from the model;
+* **RTL module vs. RTL testbench** — the module text's ``class_index``
+  output must match the testbench golden responses, which also covers
+  the QReLU saturation ternaries, the behavioural argmax block and the
+  declared wire widths.  Module text that is not legal within the
+  emitted subset raises.
+
+The same text pair also runs under a real Verilog simulator in the
+``eda-cross-check`` CI job (:mod:`repro.eda`).
 
 :func:`verify_front` applies this to every member of an estimated
 Pareto front and memoizes per-design verification results in the
@@ -39,30 +36,19 @@ vectors.  The parsed module text goes into the cache's in-memory
 :func:`~repro.experiments.publish.rtl_records` finds it: parsing is
 nearly all of the module-text oracle's cost, and sign-off pays it once
 per design.
-
-Front verification is additionally **batched across designs**: the
-members of one front are closely related elites, so many of their
-neurons carry identical (mask, sign, exponent, bias) parameters — and
-two parameter-identical neurons lower to the same netlist.  A
-:class:`NetlistPlanCache` shared across the whole front builds and
-compiles each distinct neuron structure once; every later design that
-contains the same neuron reuses the level-scheduled evaluation plan
-instead of rebuilding and recompiling it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.approx.mlp import ApproximateMLP
 from repro.core.cache import EvaluationCache
 from repro.core.trainer import GAResult
-from repro.hardware.netlist import build_neuron_netlist
-from repro.hardware.simulator import simulate_batch
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
 from repro.rtl.verilog import generate_mlp_verilog
 
@@ -72,55 +58,10 @@ if TYPE_CHECKING:
 __all__ = [
     "DesignVerification",
     "FrontVerification",
-    "NetlistPlanCache",
     "compiled_module",
     "verify_design",
     "verify_front",
 ]
-
-
-class NetlistPlanCache:
-    """Compiled neuron netlists keyed by the neuron's parameters.
-
-    Two neurons with identical ``(input_bits, masks, signs, exponents,
-    bias)`` lower to the same adder-tree netlist, so one built-and-
-    compiled :class:`~repro.hardware.netlist.Netlist` (whose evaluation
-    plan is memoized on it) can serve both — across layers, and across
-    every design of a front.  ``hits`` / ``misses`` count lookups, so
-    callers can report how much compile work the sharing saved.
-    """
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self._plans: Dict[Tuple, object] = {}
-
-    @staticmethod
-    def structure_key(neuron) -> Tuple:
-        """The parameter fingerprint that fully determines the netlist."""
-        return (
-            int(neuron.input_bits),
-            neuron.masks.tobytes(),
-            neuron.signs.tobytes(),
-            neuron.exponents.tobytes(),
-            int(neuron.bias),
-        )
-
-    def netlist(self, neuron):
-        """The (shared) netlist of ``neuron``, built on first request."""
-        key = self.structure_key(neuron)
-        netlist = self._plans.get(key)
-        if netlist is None:
-            self.misses += 1
-            netlist = build_neuron_netlist(neuron)
-            netlist.compiled()  # compile eagerly so reuse skips it too
-            self._plans[key] = netlist
-        else:
-            self.hits += 1
-        return netlist
-
-    def __len__(self) -> int:
-        return len(self._plans)
 
 
 @dataclass(frozen=True)
@@ -128,13 +69,8 @@ class DesignVerification:
     """Differential verification outcome of one design."""
 
     num_vectors: int
-    #: Neuron netlists simulated (every neuron of every layer).
+    #: Accumulator nets compared with the model (every neuron of every layer).
     num_neurons: int
-    #: (neuron, vector) accumulator disagreements: model vs. netlist.
-    netlist_mismatches: int
-    #: Per-vector class disagreements: netlist-level predictions vs. the
-    #: golden responses parsed back out of the generated testbench.
-    rtl_mismatches: int
     #: Per-vector class disagreements: Python model vs. testbench golden.
     model_mismatches: int
     #: (neuron, vector) accumulator disagreements between the emitted
@@ -150,17 +86,11 @@ class DesignVerification:
     @property
     def total_mismatches(self) -> int:
         """All disagreements across the executed comparisons."""
-        return (
-            self.netlist_mismatches
-            + self.rtl_mismatches
-            + self.model_mismatches
-            + self.expression_mismatches
-            + self.eda_mismatches
-        )
+        return self.model_mismatches + self.expression_mismatches + self.eda_mismatches
 
     @property
     def passed(self) -> bool:
-        """True when model, netlist and RTL agree on every vector."""
+        """True when the model and the emitted RTL agree on every vector."""
         return self.total_mismatches == 0
 
 
@@ -172,11 +102,6 @@ class FrontVerification:
     seconds: float
     #: Designs whose verification was served from the evaluation cache.
     cache_hits: int = 0
-    #: Distinct neuron netlists built + compiled across the front.
-    plans_compiled: int = 0
-    #: Neuron simulations that reused an already compiled plan (same
-    #: neuron parameters seen earlier in this front).
-    plan_reuses: int = 0
 
     @property
     def num_designs(self) -> int:
@@ -190,18 +115,8 @@ class FrontVerification:
 
     @property
     def num_neuron_checks(self) -> int:
-        """Total neuron-netlist simulations across the front."""
+        """Accumulator nets compared with the model across the front."""
         return sum(result.num_neurons for result in self.results)
-
-    @property
-    def netlist_mismatches(self) -> int:
-        """Total model-vs-netlist accumulator disagreements."""
-        return sum(result.netlist_mismatches for result in self.results)
-
-    @property
-    def rtl_mismatches(self) -> int:
-        """Total netlist-vs-testbench class disagreements."""
-        return sum(result.rtl_mismatches for result in self.results)
 
     @property
     def model_mismatches(self) -> int:
@@ -226,6 +141,16 @@ class FrontVerification:
         Read by perfbench until the next benchmark change.
         """
         return self.num_designs
+
+    @property
+    def plans_compiled(self) -> int:
+        """Always 0.  Read by perfbench until the next benchmark change."""
+        return 0
+
+    @property
+    def plan_reuses(self) -> int:
+        """Always 0.  Read by perfbench until the next benchmark change."""
+        return 0
 
     @property
     def total_mismatches(self) -> int:
@@ -291,7 +216,6 @@ def verify_design(
     vectors: np.ndarray,
     testbench_text: Optional[str] = None,
     verilog_text: Union[str, "MicroVerilogModule", None] = None,
-    plan_cache: Optional[NetlistPlanCache] = None,
 ) -> DesignVerification:
     """Differentially verify one design on a batch of input vectors.
 
@@ -316,10 +240,6 @@ def verify_design(
         whose accumulator nets do not match the model's layers raises
         ``ValueError`` — a generator that emits such text must fail
         loudly, not count as zero mismatches.
-    plan_cache:
-        Optional shared :class:`NetlistPlanCache`;
-        :func:`verify_front` passes one cache for the whole front so
-        parameter-identical neurons are built and compiled once.
     """
     vectors = np.asarray(vectors, dtype=np.int64)
     if vectors.ndim != 2 or vectors.shape[1] != mlp.topology.num_inputs:
@@ -343,45 +263,16 @@ def verify_design(
             f"expected {fan_outs}"
         )
 
-    # ---- model vs. gate-level netlist, layer by layer ----
-    # Each layer is checked on the *model's* activations (golden per-layer
-    # inputs), so a hypothetical upstream disagreement cannot mask or
-    # amplify downstream ones; the gate-level accumulators still chain
-    # through the Python QReLU into the next layer's netlist stimulus.
-    netlist_mismatches = 0
+    # Each layer is checked on the model's own activations, so one wrong
+    # net upstream does not hide or multiply disagreements downstream.
+    # The last ``acc`` is the output layer's: the model's class scores.
     expression_mismatches = 0
-    num_neurons = 0
-    diverged = False
     activations = vectors
-    gate_activations = vectors
-    gate_scores: Optional[np.ndarray] = None
-    for layer_index, layer in enumerate(mlp.layers):
-        acc_model = layer.accumulate(activations)
-        expected_gate = layer.accumulate(gate_activations) if diverged else acc_model
-        acc_gate = np.empty((n, layer.fan_out), dtype=np.int64)
-        buses = {f"x{i}": gate_activations[:, i] for i in range(layer.fan_in)}
-        for j in range(layer.fan_out):
-            neuron = layer.neuron(j)
-            if plan_cache is not None:
-                netlist = plan_cache.netlist(neuron)
-            else:
-                netlist = build_neuron_netlist(neuron)
-            acc_gate[:, j] = simulate_batch(netlist, buses)
-            num_neurons += 1
-        expression_mismatches += int(
-            np.count_nonzero(text_accumulators[layer_index] != acc_model)
-        )
-        layer_mismatches = int(np.count_nonzero(acc_gate != expected_gate))
-        netlist_mismatches += layer_mismatches
-        diverged = diverged or layer_mismatches > 0
-        if layer.activation is None:
-            gate_scores = acc_gate
-        else:
-            activations = layer.activation(acc_model)
-            gate_activations = (
-                layer.activation(acc_gate) if diverged else activations
-            )
-    assert gate_scores is not None  # the output layer has no activation
+    for layer, text_acc in zip(mlp.layers, text_accumulators):
+        acc = layer.accumulate(activations)
+        expression_mismatches += int(np.count_nonzero(text_acc != acc))
+        if layer.activation is not None:
+            activations = layer.activation(acc)
 
     # ---- RTL testbench golden vectors ----
     if testbench_text is None:
@@ -390,15 +281,10 @@ def verify_design(
     if tb_vectors.shape != vectors.shape or not np.array_equal(tb_vectors, vectors):
         raise ValueError("testbench stimulus does not match the applied vectors")
 
-    gate_predictions = np.argmax(gate_scores, axis=1)
-    model_predictions = mlp.predict(vectors)
-
     return DesignVerification(
         num_vectors=n,
-        num_neurons=num_neurons,
-        netlist_mismatches=netlist_mismatches,
-        rtl_mismatches=int(np.count_nonzero(gate_predictions != golden)),
-        model_mismatches=int(np.count_nonzero(model_predictions != golden)),
+        num_neurons=sum(fan_outs),
+        model_mismatches=int(np.count_nonzero(np.argmax(acc, axis=1) != golden)),
         expression_mismatches=expression_mismatches,
         eda_mismatches=int(np.count_nonzero(text_classes != golden)),
     )
@@ -464,10 +350,6 @@ def verify_front(
 
     results: List[DesignVerification] = []
     cache_hits = 0
-    # One plan cache for the whole front: parameter-identical neurons
-    # (ubiquitous among related elites) share one compiled netlist
-    # schedule instead of being rebuilt and recompiled per design.
-    plan_cache = NetlistPlanCache()
     for point in front:
         model_key = key = None
         if cache is not None and point.payload is not None:
@@ -480,9 +362,7 @@ def verify_front(
             continue
         model = result.decode(point)
         _, module = compiled_module(model, cache, model_key)
-        verification = verify_design(
-            model, vectors, verilog_text=module, plan_cache=plan_cache
-        )
+        verification = verify_design(model, vectors, verilog_text=module)
         if key is not None:
             cache.reports.put(key, verification)
         results.append(verification)
@@ -491,6 +371,4 @@ def verify_front(
         results=results,
         seconds=time.perf_counter() - start,
         cache_hits=cache_hits,
-        plans_compiled=plan_cache.misses,
-        plan_reuses=plan_cache.hits,
     )

@@ -68,8 +68,9 @@ class ExperimentScale:
         (``ExperimentSession.prefetch``); 0/1 keeps execution serial.
     verify_rtl:
         Differentially verify every synthesized front member — Python
-        model vs. gate-level netlist vs. RTL testbench golden vectors —
-        after the hardware-analysis stage (``runner.py --verify-rtl``).
+        model vs. RTL testbench golden vectors vs. the module text
+        executed as Verilog — after the hardware-analysis stage
+        (``runner.py --verify-rtl``).
     verify_vectors:
         Stimulus vectors per design for the RTL verification sweep.
     verify_seed:

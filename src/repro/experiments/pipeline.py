@@ -47,7 +47,7 @@ class ApproximateResult:
     #: Evaluation cache shared between the GA, front-synthesis and
     #: reporting stages (fitness values, accuracies, hardware reports).
     cache: Optional[EvaluationCache] = None
-    #: Front-wide model/netlist/RTL differential verification; only
+    #: Front-wide model/RTL differential verification; only
     #: populated when the scale (or ``runner.py --verify-rtl``) asks
     #: for it.
     verification: Optional[FrontVerification] = None

@@ -42,13 +42,11 @@ from stdin and streams JSONL answers — both thin wrappers over
 ``python -m repro.serving`` (see ``docs/serving.md``).
 
 ``--verify-rtl`` differentially verifies every synthesized front member
-after the hardware-analysis stage — Python model vs. gate-level netlist
-vs. RTL testbench golden vectors vs. the emitted module text executed
-*as Verilog* by :mod:`repro.eda.microverilog`, batched over
-``--verify-vectors`` stimulus vectors, sharing one compiled netlist
-schedule between parameter-identical neurons across the front — and
-prints a per-dataset ``[verify]`` summary line (see
-``docs/verification.md``).  ``--verify-seed`` pins the stimulus draw
+after the hardware-analysis stage — Python model vs. RTL testbench
+golden vectors vs. the emitted module text executed *as Verilog* by
+:mod:`repro.eda.microverilog`, batched over ``--verify-vectors``
+stimulus vectors — and prints a per-dataset ``[verify]`` summary line
+(see ``docs/verification.md``).  ``--verify-seed`` pins the stimulus draw
 independently of the experiment seed.
 """
 
@@ -149,9 +147,8 @@ def main(argv: List[str] | None = None) -> int:
         action="store_true",
         help=(
             "differentially verify every synthesized front member (Python "
-            "model vs gate-level netlist vs RTL testbench golden vectors vs "
-            "the module text executed as Verilog) and print a per-dataset "
-            "[verify] summary"
+            "model vs RTL testbench golden vectors vs the module text "
+            "executed as Verilog) and print a per-dataset [verify] summary"
         ),
     )
     parser.add_argument(
@@ -235,11 +232,7 @@ def main(argv: List[str] | None = None) -> int:
             print(
                 f"[verify] {dataset}: {verification.num_designs} designs x "
                 f"{verification.num_vectors} vectors "
-                f"({verification.num_neuron_checks} neuron netlists, "
-                f"{verification.plans_compiled} compiled / "
-                f"{verification.plan_reuses} plan reuses) -- "
-                f"netlist {verification.netlist_mismatches} / "
-                f"RTL {verification.rtl_mismatches} / "
+                f"({verification.num_neuron_checks} accumulator nets) -- "
                 f"model {verification.model_mismatches} / "
                 f"expr {verification.expression_mismatches} / "
                 f"eda {verification.eda_mismatches} / "

@@ -308,9 +308,8 @@ class ExperimentSession:
             verification = None
             if self.scale.verify_rtl:
                 # Differential sign-off of the synthesized front: Python
-                # model vs. gate-level netlist vs. RTL testbench golden
-                # vectors vs. the module text executed as Verilog, one
-                # batched pass per design.
+                # model vs. RTL testbench golden vectors vs. the module
+                # text executed as Verilog, one batched pass per design.
                 # Shares the same cache, so a second run (or a disk
                 # snapshot) serves the verification results without
                 # re-simulating.

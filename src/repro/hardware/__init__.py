@@ -1,4 +1,4 @@
-"""Hardware substrate: printed-technology cost models, netlists and synthesis.
+"""Hardware substrate: printed-technology cost models and synthesis.
 
 This subpackage replaces the commercial EDA flow of the paper (Synopsys
 Design Compiler / PrimeTime mapped to a printed EGFET library) with an
@@ -15,10 +15,6 @@ equivalence tests call):
   scalar :mod:`repro.hardware.synthesis` (``slow=True``), kernel
   :mod:`repro.hardware.fast_synthesis` (whole fronts and baseline
   sweeps in one pass).
-* Netlists: :mod:`repro.hardware.gates` / :mod:`repro.hardware.netlist`
-  build gate-level circuits; :mod:`repro.hardware.simulator` compiles
-  and simulates them in batch to check they compute what the Python
-  model computes.
 
 Technology parameters: :mod:`repro.hardware.egfet` (printed EGFET cell
 library and supply-voltage scaling), :mod:`repro.hardware.area` (exact
@@ -29,7 +25,7 @@ for the feasibility study, Fig. 5).
 
 # Re-exports are lazy (PEP 562): the serving layer's feasibility queries
 # import the technology-parameter modules (egfet, power_sources) without
-# the synthesis engines or netlist simulator loading as a side effect.
+# the synthesis engines loading as a side effect.
 from repro._lazy import lazy_exports
 
 _EXPORTS = {
@@ -57,13 +53,6 @@ _EXPORTS = {
     "reduce_columns_adder_costs": "repro.hardware.fast_area",
     "synthesize_approximate_population": "repro.hardware.fast_synthesis",
     "synthesize_exact_population": "repro.hardware.fast_synthesis",
-    "Netlist": "repro.hardware.netlist",
-    "build_neuron_netlist": "repro.hardware.netlist",
-    "CompiledNetlist": "repro.hardware.simulator",
-    "compile_netlist": "repro.hardware.simulator",
-    "simulate": "repro.hardware.simulator",
-    "simulate_batch": "repro.hardware.simulator",
-    "verify_neuron_netlist": "repro.hardware.simulator",
 }
 
 _SUBMODULES = (
@@ -72,10 +61,7 @@ _SUBMODULES = (
     "egfet",
     "fast_area",
     "fast_synthesis",
-    "gates",
-    "netlist",
     "power_sources",
-    "simulator",
     "synthesis",
 )
 
@@ -106,11 +92,4 @@ __all__ = [
     "reduce_columns_adder_costs",
     "synthesize_approximate_population",
     "synthesize_exact_population",
-    "Netlist",
-    "build_neuron_netlist",
-    "CompiledNetlist",
-    "compile_netlist",
-    "simulate",
-    "simulate_batch",
-    "verify_neuron_netlist",
 ]

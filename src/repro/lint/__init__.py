@@ -5,8 +5,8 @@ test suites cannot enforce *at rest*: every vectorized kernel keeps a
 bit-identical ``slow=True`` scalar oracle, query-time code never
 imports search-time modules, persisted record shapes never change
 without a schema-version bump, randomness flows through seeded
-generators, and nothing non-picklable crosses a process-pool boundary.
-This package turns each convention into a statically checkable rule:
+generators, and JSON output stays strict.  This package turns each
+convention into a statically checkable rule:
 
 ========  ==========================================================
 Rule id   Invariant
@@ -17,7 +17,6 @@ RP02      Oracle pairing (``slow=`` kernels keep a referenced oracle
           and an equivalence test)
 RP03      Nondeterminism (no unseeded/legacy RNG, no wall clock)
 RP04      Schema-version discipline (record shapes vs. golden files)
-RP05      Multiprocessing hygiene (top-level picklable submits)
 RP06      Strict-JSON safety (``json.dump(s)`` with
           ``allow_nan=False``)
 ========  ==========================================================

@@ -54,7 +54,7 @@ SEVERITY_WARNING = "warning"
 
 #: Rule ids the pragma verbs accept (RP00 itself cannot be suppressed:
 #: an escape hatch must not be able to excuse its own missing reason).
-KNOWN_RULE_IDS = ("RP01", "RP02", "RP03", "RP04", "RP05", "RP06")
+KNOWN_RULE_IDS = ("RP01", "RP02", "RP03", "RP04", "RP06")
 
 _PRAGMA_VERBS = ("allow", "allow-file", "oracle-pair")
 

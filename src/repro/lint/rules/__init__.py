@@ -13,13 +13,11 @@ from repro.lint.rules.rp01_import_purity import ImportPurityRule
 from repro.lint.rules.rp02_oracle_pairing import OraclePairingRule
 from repro.lint.rules.rp03_nondeterminism import NondeterminismRule
 from repro.lint.rules.rp04_schema_version import SchemaVersionRule
-from repro.lint.rules.rp05_multiprocessing import MultiprocessingHygieneRule
 from repro.lint.rules.rp06_strict_json import StrictJsonRule
 
 __all__ = [
     "ALL_RULES",
     "ImportPurityRule",
-    "MultiprocessingHygieneRule",
     "NondeterminismRule",
     "OraclePairingRule",
     "SchemaVersionRule",
@@ -33,7 +31,6 @@ ALL_RULES = (
     OraclePairingRule,
     NondeterminismRule,
     SchemaVersionRule,
-    MultiprocessingHygieneRule,
     StrictJsonRule,
 )
 

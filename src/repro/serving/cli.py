@@ -59,9 +59,6 @@ FORBIDDEN_MODULES = (
     "repro.hardware.fast_area",
     "repro.hardware.area",
     "repro.hardware.adder_tree",
-    "repro.hardware.gates",
-    "repro.hardware.netlist",
-    "repro.hardware.simulator",
     "repro.evaluation.pareto_analysis",
     "repro.evaluation.verification",
     "repro.evaluation.feasibility",

@@ -69,7 +69,8 @@ __all__ = [
 #: file layout or the fingerprint recipe change shape.
 #: Version 2: RTL records carry the parsed testbench shape and an EDA
 #: verification summary; verification records count the EDA oracle.
-STORE_SCHEMA_VERSION = 2
+#: Version 3: verification records drop the two gate-level netlist counts.
+STORE_SCHEMA_VERSION = 3
 
 _MANIFEST = "store.json"
 _KIND_MANIFEST = "design-store"
@@ -169,16 +170,13 @@ class VerificationRecord:
 
     num_designs: int
     num_vectors: int
-    netlist_mismatches: int
-    rtl_mismatches: int
     model_mismatches: int
     expression_mismatches: int
     passed: bool
     #: Class disagreements between the module text executed as Verilog
     #: (:mod:`repro.eda.microverilog`) and the testbench golden responses.
     eda_mismatches: int = 0
-    #: Designs whose module text was executed as Verilog: every verified
-    #: design (stores written before that was always so may hold fewer).
+    #: Designs whose module text was executed as Verilog: every verified design.
     eda_checked: int = 0
 
     @classmethod
@@ -187,8 +185,6 @@ class VerificationRecord:
         return cls(
             num_designs=int(verification.num_designs),
             num_vectors=int(verification.num_vectors),
-            netlist_mismatches=int(verification.netlist_mismatches),
-            rtl_mismatches=int(verification.rtl_mismatches),
             model_mismatches=int(verification.model_mismatches),
             expression_mismatches=int(verification.expression_mismatches),
             passed=bool(verification.passed),

@@ -48,18 +48,6 @@ class TestApproximateNeuron:
     def test_active_connections(self):
         assert simple_neuron().active_connections == 2
 
-    def test_accumulator_bounds(self):
-        neuron = simple_neuron()
-        assert neuron.max_accumulator() == 15 + 5
-        assert neuron.min_accumulator() == -(0b1010 << 2)
-
-    def test_bounds_contain_all_inputs(self, rng):
-        neuron = simple_neuron()
-        xs = rng.integers(0, 16, size=(200, 3))
-        accs = neuron.accumulate(xs)
-        assert accs.max() <= neuron.max_accumulator()
-        assert accs.min() >= neuron.min_accumulator()
-
     def test_validation_errors(self):
         with pytest.raises(ValueError):
             simple_neuron(masks=np.array([16, 0, 0]))  # exceeds 4 bits
@@ -126,6 +114,29 @@ class TestApproximateLayer:
         acc = layer.accumulate(x)
         assert np.all(acc.max(axis=0) <= layer.max_accumulators())
         assert np.all(acc.min(axis=0) >= layer.min_accumulators())
+
+    def test_accumulator_bounds_hand_computed(self):
+        """Column 0 is ``simple_neuron``; column 1 has a negative bias."""
+        layer = ApproximateLayer(
+            masks=np.array([[0b1111, 0b0011], [0b1010, 0b1111], [0b0000, 0b0001]]),
+            signs=np.array([[1, -1], [-1, 1], [1, -1]]),
+            exponents=np.array([[0, 1], [2, 0], [1, 3]]),
+            biases=np.array([5, -7]),
+            input_bits=4,
+        )
+        assert layer.max_accumulators().tolist() == [15 + 5, 15]
+        assert layer.min_accumulators().tolist() == [-(0b1010 << 2), -(3 << 1) - (1 << 3) - 7]
+
+    def test_accumulator_bounds_are_reached(self, rng):
+        """Without biases, the input that is all-max exactly on a neuron's
+        positive (negative) summands reaches its upper (lower) bound."""
+        layer = self.make_layer(rng, fan_in=5, fan_out=1)
+        layer.biases[:] = 0
+        positive = layer.signs[:, 0] > 0
+        upper = np.where(positive, 15, 0)[None, :]
+        lower = np.where(positive, 0, 15)[None, :]
+        assert layer.accumulate(upper)[0, 0] == layer.max_accumulators()[0]
+        assert layer.accumulate(lower)[0, 0] == layer.min_accumulators()[0]
 
     def test_active_connections_and_retained_bits(self, rng):
         layer = ApproximateLayer(

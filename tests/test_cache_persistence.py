@@ -272,8 +272,46 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 4 (expected 6)" in caplog.text
+        assert "format version 4 (expected 7)" in caplog.text
         assert len(cache.fitness) == 0
+
+    def test_version_6_verification_report_is_ignored(self, tmp_path, caplog):
+        """A version-6 snapshot holds ``DesignVerification`` reports that
+        still carry the gate-level netlist counts.  The old shape passes
+        the unpickling allowlist, so its version alone refuses it."""
+        from repro.evaluation.verification import DesignVerification
+
+        old = object.__new__(DesignVerification)
+        old.__dict__.update(
+            num_vectors=8,
+            num_neurons=5,
+            netlist_mismatches=0,
+            rtl_mismatches=0,
+            model_mismatches=0,
+            expression_mismatches=0,
+            eda_mismatches=0,
+        )
+        payload = {
+            "magic": "repro-evaluation-cache",
+            "version": 6,
+            "sections": {
+                "fitness": [],
+                "accuracy": [],
+                "reports": [(("rtl-verify", "layout", "genome", "stimulus"), old, 1.0)],
+                "baselines": [],
+            },
+        }
+        path = tmp_path / "v6.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert "format version 6 (expected 7)" in caplog.text
+        assert len(cache.reports) == 0
+
+        payload["version"] = CACHE_FORMAT_VERSION
+        path.write_bytes(pickle.dumps(payload))
+        assert EvaluationCache().load(path) == 1
 
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
         """Snapshots deserialize through a restricted unpickler: a
@@ -541,7 +579,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 6
+        assert payload["version"] == CACHE_FORMAT_VERSION == 7
         (key, value, stamp), = payload["sections"]["baselines"]
         payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))

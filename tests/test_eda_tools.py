@@ -264,7 +264,7 @@ def _mini_store(tmp_path) -> DesignStore:
             default_accuracy_loss=0.05,
             selected=name,
             training_seconds=1.0,
-            verification=VerificationRecord(1, 12, 0, 0, 0, 0, True),
+            verification=VerificationRecord(1, 12, 0, 0, True),
         )
     )
     store.put_rtl(

@@ -1,0 +1,34 @@
+"""Every script under ``examples/`` runs to completion.
+
+Each example runs in its own interpreter with ``PYTHONPATH=src``, as the
+README tells a reader to run it, from a scratch working directory so the
+files an example writes land outside the repository.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+
+def test_examples_exist():
+    assert EXAMPLES
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)
+def test_example_exits_cleanly(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr

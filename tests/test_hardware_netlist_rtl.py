@@ -1,124 +1,64 @@
-"""Tests for the gate-level netlist, logic simulator and Verilog generation."""
+"""Tests for Verilog module and testbench generation.
+
+Besides the text's structure, the emitted module is executed as Verilog
+(:mod:`repro.eda.microverilog`) on hand-worked neurons, so each
+``acc_lL_nJ`` net is checked against a value computed by hand rather
+than only against the Python model, and on the accumulator extremes its
+declared width must hold.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.approx.neuron import ApproximateNeuron
-from repro.hardware.gates import GATE_FUNCTIONS, Gate, gate_output_count
-from repro.hardware.netlist import build_neuron_netlist
-from repro.hardware.simulator import simulate, simulate_neuron_netlist, verify_neuron_netlist
+from repro.approx.config import ApproxConfig
+from repro.approx.mlp import ApproximateMLP
+from repro.approx.topology import Topology
+from repro.eda.microverilog import MicroVerilogError, parse_module, simulate_mlp_module
 from repro.rtl.testbench import generate_testbench
 from repro.rtl.verilog import generate_mlp_verilog, generate_neuron_expression
 
 
-class TestGates:
-    def test_full_adder_truth_table(self):
-        fa = GATE_FUNCTIONS["FA"]
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    s, carry = fa(a, b, c)
-                    assert s + 2 * carry == a + b + c
-
-    def test_half_adder_truth_table(self):
-        ha = GATE_FUNCTIONS["HA"]
-        for a in (0, 1):
-            for b in (0, 1):
-                s, carry = ha(a, b)
-                assert s + 2 * carry == a + b
-
-    def test_mux(self):
-        mux = GATE_FUNCTIONS["MUX2"]
-        assert mux(0, 1, 0) == (0,)
-        assert mux(0, 1, 1) == (1,)
-
-    def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            Gate(gate_type="FOO", inputs=(0,), outputs=(1,))
-        with pytest.raises(ValueError):
-            Gate(gate_type="AND2", inputs=(0,), outputs=(1,))
-        with pytest.raises(ValueError):
-            Gate(gate_type="FA", inputs=(0, 1, 2), outputs=(3,))
-
-    def test_output_counts(self):
-        assert gate_output_count("FA") == 2
-        assert gate_output_count("AND2") == 1
-        with pytest.raises(KeyError):
-            gate_output_count("BAD")
+def _one_neuron_design(masks, signs, exponents, bias, input_bits=4):
+    """A ``(fan_in, 2, 2)`` model whose neuron ``acc_l0_n0`` has the given
+    parameters; the rest of the model is random."""
+    masks = np.asarray(masks)
+    rng = np.random.default_rng(0)
+    mlp = ApproximateMLP.random(
+        Topology((masks.size, 2, 2)), ApproxConfig(input_bits=input_bits), rng
+    )
+    layer = mlp.layers[0]
+    layer.masks[:, 0] = masks
+    layer.signs[:, 0] = signs
+    layer.exponents[:, 0] = exponents
+    layer.biases[0] = bias
+    return mlp
 
 
-class TestNetlistSimulation:
-    def test_positive_only_neuron(self):
-        neuron = ApproximateNeuron(
-            masks=np.array([0b1111, 0b1111]),
-            signs=np.array([1, 1]),
-            exponents=np.array([0, 1]),
-            bias=3,
-            input_bits=4,
-        )
-        results = simulate_neuron_netlist(neuron, [[5, 7], [0, 0], [15, 15]])
-        assert results == [5 + 14 + 3, 3, 15 + 30 + 3]
+def _first_accumulator_net(mlp, vectors):
+    """Net ``acc_l0_n0`` of the emitted module, executed on ``vectors``."""
+    _, nets = simulate_mlp_module(generate_mlp_verilog(mlp), np.asarray(vectors))
+    return nets[0][:, 0]
 
-    def test_negative_sign_neuron(self):
-        neuron = ApproximateNeuron(
-            masks=np.array([0b1111]),
-            signs=np.array([-1]),
-            exponents=np.array([0]),
-            bias=0,
-            input_bits=4,
-        )
-        assert simulate_neuron_netlist(neuron, [[9]]) == [-9]
 
-    def test_masked_bits_ignored(self):
-        neuron = ApproximateNeuron(
-            masks=np.array([0b1010]),
-            signs=np.array([1]),
-            exponents=np.array([0]),
-            bias=0,
-            input_bits=4,
-        )
-        assert simulate_neuron_netlist(neuron, [[0b1111]]) == [0b1010]
-
-    def test_verify_random_neurons(self, rng, make_neuron):
-        for _ in range(5):
-            assert verify_neuron_netlist(make_neuron(rng), rng=rng, num_vectors=8)
-
-    def test_verify_slow_oracle_equivalence(self, rng, make_neuron):
-        # Oracle pairing (lint RP02): the batched verification path must
-        # agree with the scalar slow=True reference walk on the same
-        # neuron and the same drawn vectors.
-        for _ in range(3):
-            neuron = make_neuron(rng)
-            high = 1 << neuron.input_bits
-            inputs = rng.integers(0, high, size=(8, neuron.fan_in)).tolist()
-            assert verify_neuron_netlist(neuron, inputs=inputs)
-            assert verify_neuron_netlist(neuron, inputs=inputs, slow=True)
-
-    def test_simulate_missing_input_raises(self, rng, make_neuron):
-        neuron = make_neuron(rng)
-        netlist = build_neuron_netlist(neuron)
-        with pytest.raises(KeyError):
-            simulate(netlist, {})
-
-    def test_simulate_rejects_out_of_range_value(self, rng, make_neuron):
-        neuron = make_neuron(rng, fan_in=1)
-        netlist = build_neuron_netlist(neuron)
-        with pytest.raises(ValueError):
-            simulate(netlist, {"x0": 16})
-
-    def test_netlist_cell_counts_nonempty(self, rng, make_neuron):
-        netlist = build_neuron_netlist(make_neuron(rng))
-        counts = netlist.cell_counts()
-        assert netlist.num_gates == sum(counts.values())
-        assert netlist.num_gates > 0
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=0, max_value=10**9))
-    def test_property_netlist_matches_model(self, make_neuron, seed):
-        rng = np.random.default_rng(seed)
-        neuron = make_neuron(rng, fan_in=int(rng.integers(1, 6)))
-        assert verify_neuron_netlist(neuron, rng=rng, num_vectors=6)
+#: Hand-worked neurons: ``(input_bits, masks, signs, exponents, bias,
+#: vectors, accumulators)``.
+HAND_NEURONS = {
+    "positive_only": (4, [15, 15], [1, 1], [0, 1], 3,
+                      [[5, 7], [0, 0], [15, 15]], [5 + 14 + 3, 3, 15 + 30 + 3]),
+    "negative_sign": (4, [15], [-1], [0], 0, [[9], [0], [15]], [-9, 0, -15]),
+    "masked_bits_ignored": (4, [0b1010], [1], [0], 0, [[15], [5], [10]], [10, 0, 10]),
+    "mixed_signs_shifted": (4, [15, 0b1010, 0], [1, -1, 1], [0, 2, 1], 5,
+                            [[7, 15, 9], [0, 0, 0], [15, 15, 15]],
+                            [7 - 40 + 5, 5, 15 - 40 + 5]),
+    "max_exponent_min_bias": (4, [15], [-1], [6], -128, [[15], [0]],
+                              [-(15 << 6) - 128, -128]),
+    "pruned_bias_only": (4, [0, 0], [1, -1], [3, 3], 127,
+                         [[15, 15], [0, 0]], [127, 127]),
+    "one_bit_inputs": (1, [1, 1, 1], [1, -1, 1], [0, 1, 2], -1,
+                       [[1, 1, 1], [0, 1, 0], [1, 0, 0]], [1 - 2 + 4 - 1, -2 - 1, 1 - 1]),
+    "eight_bit_inputs": (8, [0xFF, 0x0F], [1, -1], [6, 0], 0,
+                         [[255, 255], [16, 15], [0, 0]], [(255 << 6) - 15, (16 << 6) - 15, 0]),
+}
 
 
 class TestVerilogGeneration:
@@ -181,3 +121,75 @@ class TestVerilogGeneration:
         assert "%p" not in text
         assert "inputs={3, 0, 7, 2}" in text
         assert "inputs={1, 15, 4, 9}" in text
+
+
+class TestAccumulatorNetValues:
+    @pytest.mark.parametrize("case", sorted(HAND_NEURONS))
+    def test_hand_worked_neuron(self, case):
+        input_bits, masks, signs, exponents, bias, vectors, expected = HAND_NEURONS[case]
+        mlp = _one_neuron_design(masks, signs, exponents, bias, input_bits)
+        assert _first_accumulator_net(mlp, vectors).tolist() == expected
+        assert mlp.layers[0].accumulate(np.asarray(vectors))[:, 0].tolist() == expected
+
+    @pytest.mark.parametrize(
+        "signs", [[1, 1, 1], [-1, -1, -1], [1, -1, 1]],
+        ids=["all_positive", "all_negative", "mixed"],
+    )
+    def test_extreme_inputs_reach_the_bounds(self, signs):
+        """With every mask open and no bias, the input that is all-max on
+        the positive summands reaches the neuron's upper bound and its
+        complement the lower one: the net holds both extremes exactly."""
+        signs = np.array(signs)
+        mlp = _one_neuron_design([15, 15, 15], signs, [0, 3, 6], 0)
+        layer = mlp.layers[0]
+        upper = np.where(signs > 0, 15, 0)
+        lower = np.where(signs < 0, 15, 0)
+        nets = _first_accumulator_net(mlp, [upper, lower])
+        assert nets.tolist() == [layer.max_accumulators()[0], layer.min_accumulators()[0]]
+
+
+class TestAccumulatorNetWidths:
+    def test_declared_width_holds_the_bounds(self, edge_design):
+        mlp, _ = edge_design
+        module = parse_module(generate_mlp_verilog(mlp))
+        for index, layer in enumerate(mlp.layers):
+            lows, highs = layer.min_accumulators(), layer.max_accumulators()
+            for j in range(layer.fan_out):
+                signal = module.signals[f"acc_l{index}_n{j}"]
+                assert signal.signed
+                assert -(1 << (signal.width - 1)) <= lows[j]
+                assert highs[j] <= (1 << (signal.width - 1)) - 1
+
+
+class TestEmittedModuleStimulus:
+    @pytest.fixture
+    def text(self, rng, make_mlp):
+        return generate_mlp_verilog(make_mlp(rng, sizes=(4, 3, 2)))
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (np.full((2, 4), 16), "range"),
+            (np.full((2, 4), -1), "range"),
+            (np.zeros((2, 3), dtype=int), "stimulus provides 3"),
+            (np.zeros(4, dtype=int), "vectors must be"),
+            (np.zeros((2, 4, 1), dtype=int), "vectors must be"),
+        ],
+        ids=["above_range", "negative", "too_few_inputs", "one_dimensional", "three_dimensional"],
+    )
+    def test_bad_vectors_rejected(self, text, vectors, message):
+        with pytest.raises(MicroVerilogError, match=message):
+            simulate_mlp_module(text, vectors)
+
+    @pytest.mark.parametrize(
+        "stimulus, message",
+        [
+            ({f"in{i}": np.zeros(2, dtype=int) for i in range(3)}, "input ports"),
+            ({f"in{i}": np.zeros(2 + (i == 3), dtype=int) for i in range(4)}, "ragged"),
+            ({f"in{i}": np.zeros((2, 1), dtype=int) for i in range(4)}, "one-dimensional"),
+        ],
+        ids=["missing_port", "ragged", "two_dimensional_port"],
+    )
+    def test_bad_port_stimulus_rejected(self, text, stimulus, message):
+        with pytest.raises(MicroVerilogError, match=message):
+            parse_module(text).evaluate(stimulus)

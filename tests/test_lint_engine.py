@@ -184,7 +184,7 @@ class TestRunRules:
 class TestRuleRegistry:
     def test_all_rules_have_unique_ids(self):
         ids = [rule.id for rule in ALL_RULES]
-        assert len(ids) == len(set(ids)) == 6
+        assert len(ids) == len(set(ids)) == 5
 
     def test_rules_by_id_selects(self):
         (rule,) = rules_by_id(["RP03"])

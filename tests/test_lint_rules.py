@@ -20,7 +20,6 @@ from repro.lint.rules.rp04_schema_version import (
     extract_schema,
     write_golden,
 )
-from repro.lint.rules.rp05_multiprocessing import MultiprocessingHygieneRule
 from repro.lint.rules.rp06_strict_json import StrictJsonRule
 from repro.serving.cli import FORBIDDEN_MODULES
 
@@ -185,22 +184,6 @@ class TestRP04SchemaVersion:
         assert golden.exists()
 
 
-class TestRP05MultiprocessingHygiene:
-    def test_unpicklable_submits_flagged(self):
-        findings = list(
-            MultiprocessingHygieneRule().check(make_project("bad_pkg/pools.py"))
-        )
-        by_line = {f.line: f for f in findings}
-        assert set(by_line) == {9, 13, 24, 28}
-        assert "is a lambda" in by_line[9].message
-        assert "bound method" in by_line[13].message
-        assert "nested function" in by_line[24].message
-        assert "initializer" in by_line[28].message
-
-    def test_clean_module_passes(self):
-        assert list(MultiprocessingHygieneRule().check(make_project("clean_pkg"))) == []
-
-
 class TestRP06StrictJson:
     def test_unproven_dumps_flagged(self):
         findings = list(StrictJsonRule().check(make_project("bad_pkg/emit.py")))
@@ -268,7 +251,7 @@ class TestCli:
     def test_list_rules(self):
         result = lint_cli("--list-rules")
         assert result.returncode == 0
-        for rule_id in ("RP01", "RP02", "RP03", "RP04", "RP05", "RP06"):
+        for rule_id in ("RP01", "RP02", "RP03", "RP04", "RP06"):
             assert rule_id in result.stdout
 
     def test_baseline_roundtrip(self, tmp_path):

@@ -1,18 +1,10 @@
-"""Tests for the batched netlist simulator and the differential harness.
+"""Tests for the differential sign-off harness.
 
-Three layers of guarantees, mirroring the repo's vectorization pattern
-(`tests/test_core_operators_population.py`):
-
-* the compiled batched engine is **bit-identical** to the retained
-  scalar ``slow=True`` oracle across 100+ random netlists/vector sets;
-* randomized **property-based differential tests** (seeded hypothesis
-  sweeps over gate types, input widths, negative weights and pow2-mask
-  configs, including two's-complement boundary values) assert
-  netlist-sim == Python model == (where applicable) testbench golden
-  vectors;
-* the ``verify_front`` harness reports zero model/netlist/RTL
-  mismatches over a synthesized front, detects tampered RTL, memoizes
-  through ``EvaluationCache``, and is reachable from the pipeline/CLI.
+The ``verify_front`` harness reports zero model/RTL mismatches over a
+synthesized front, detects tampered testbench and module text (a
+property test mutates mask, exponent and bias literals), memoizes
+through ``EvaluationCache``, shares one module parse with publishing,
+and is reachable from the pipeline/CLI.
 """
 
 from types import SimpleNamespace
@@ -21,24 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.approx.neuron import ApproximateNeuron
 from repro.core.cache import EvaluationCache
 from repro.evaluation.verification import verify_design, verify_front
-from repro.hardware.netlist import Netlist, build_neuron_netlist
-from repro.hardware.simulator import (
-    CompiledNetlist,
-    compile_netlist,
-    simulate,
-    simulate_batch,
-    simulate_neuron_netlist,
-)
 from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
 from repro.rtl.verilog import generate_mlp_verilog
-
-
-def _neuron_buses(neuron, vectors):
-    vectors = np.asarray(vectors, dtype=np.int64)
-    return {f"x{i}": vectors[:, i] for i in range(neuron.fan_in)}
 
 
 #: Placeholder result for runner tests that stub out the session.
@@ -63,233 +41,7 @@ def tiny_ga_result():
 
 
 # ----------------------------------------------------------------------
-# Batched engine vs scalar oracle
-# ----------------------------------------------------------------------
-class TestBatchedOracleEquivalence:
-    def test_100_random_netlists_bit_identical(self, make_neuron):
-        """The slow=True oracle guarantee: ≥100 random netlists, exact."""
-        rng = np.random.default_rng(0)
-        for trial in range(110):
-            fan_in = int(rng.integers(1, 7))
-            input_bits = int(rng.integers(1, 9))
-            neuron = make_neuron(rng, fan_in=fan_in, input_bits=input_bits)
-            vectors = rng.integers(0, 1 << input_bits, size=(int(rng.integers(1, 9)), fan_in))
-            fast = simulate_neuron_netlist(neuron, vectors)
-            slow = simulate_neuron_netlist(neuron, vectors, slow=True)
-            model = neuron.accumulate(np.asarray(vectors, dtype=np.int64)).tolist()
-            assert fast == slow == model, trial
-
-    def test_boundary_vectors_twos_complement(self, make_neuron):
-        """All-zero / all-max stimulus hits the accumulator extremes."""
-        rng = np.random.default_rng(1)
-        for signs in ([1, 1, 1], [-1, -1, -1], [1, -1, 1]):
-            neuron = ApproximateNeuron(
-                masks=np.array([0b1111, 0b1111, 0b1111]),
-                signs=np.array(signs),
-                exponents=np.array([0, 2, 4]),
-                bias=int(rng.integers(-64, 64)),
-                input_bits=4,
-            )
-            vectors = np.array([[0, 0, 0], [15, 15, 15], [15, 0, 15]])
-            results = simulate_neuron_netlist(neuron, vectors)
-            assert results == simulate_neuron_netlist(neuron, vectors, slow=True)
-            assert results == neuron.accumulate(vectors).tolist()
-            # The all-max vector reaches the accumulator extreme of the
-            # uniform-sign neurons (modulo the bias term).
-            if all(s == 1 for s in signs):
-                assert results[1] - neuron.bias + max(neuron.bias, 0) == neuron.max_accumulator()
-            if all(s == -1 for s in signs):
-                assert results[1] - neuron.bias + min(neuron.bias, 0) == neuron.min_accumulator()
-
-    def test_mux_and_const_gate_kernels(self):
-        """Hand-built netlist covering MUX2 and the constant generators."""
-        netlist = Netlist()
-        a, b = netlist.add_input_bus("a", 2)
-        (sel,) = netlist.add_input_bus("sel", 1)
-        one = netlist.add_gate("CONST1", ())[0]
-        muxed = netlist.add_gate("MUX2", (a, b, sel))[0]
-        inverted = netlist.add_gate("XNOR2", (muxed, one))[0]
-        zero = netlist.add_gate("CONST0", ())[0]
-        low = netlist.add_gate("OR2", (inverted, zero))[0]
-        netlist.output_bits = [low, muxed]
-        values = {
-            "a": np.array([0, 1, 2, 3, 1]),
-            "sel": np.array([0, 0, 1, 1, 1]),
-        }
-        fast = simulate_batch(netlist, values)
-        slow = simulate_batch(netlist, values, slow=True)
-        assert np.array_equal(fast, slow)
-
-    def test_input_validation(self, make_neuron):
-        rng = np.random.default_rng(2)
-        neuron = make_neuron(rng, fan_in=2, input_bits=4)
-        netlist = build_neuron_netlist(neuron)
-        with pytest.raises(KeyError):
-            simulate_batch(netlist, {"x0": np.array([1])})
-        with pytest.raises(ValueError):
-            simulate_batch(netlist, {"x0": np.array([1]), "x1": np.array([16])})
-        with pytest.raises(ValueError):
-            simulate_batch(netlist, {"x0": np.array([1, 2]), "x1": np.array([1])})
-        with pytest.raises(ValueError):
-            simulate_batch(netlist, {"x0": np.array([[1]]), "x1": np.array([[1]])})
-        with pytest.raises(ValueError):
-            simulate_neuron_netlist(neuron, np.zeros((3, 5), dtype=int))
-
-
-# ----------------------------------------------------------------------
-# Compile-time structural validation (the former per-vector hot scan)
-# ----------------------------------------------------------------------
-class TestCompiledPlan:
-    def test_undriven_net_rejected_at_compile_time(self):
-        netlist = Netlist()
-        (a,) = netlist.add_input_bus("a", 1)
-        phantom = netlist.new_net()  # allocated but never driven
-        out = netlist.add_gate("AND2", (a, phantom))[0]
-        netlist.output_bits = [out]
-        with pytest.raises(RuntimeError, match="undriven"):
-            compile_netlist(netlist)
-        with pytest.raises(RuntimeError, match="undriven"):
-            simulate(netlist, {"a": 1})
-
-    def test_undriven_output_bit_rejected(self):
-        netlist = Netlist()
-        (a,) = netlist.add_input_bus("a", 1)
-        netlist.output_bits = [a, netlist.new_net()]
-        with pytest.raises(RuntimeError, match="output bits"):
-            compile_netlist(netlist)
-
-    def test_duplicate_driver_rejected(self):
-        netlist = Netlist()
-        (a,) = netlist.add_input_bus("a", 1)
-        out = netlist.add_gate("NOT", (a,))[0]
-        from repro.hardware.gates import Gate
-
-        netlist.gates.append(Gate(gate_type="BUF", inputs=(a,), outputs=(out,)))
-        netlist.invalidate_plan()
-        netlist.output_bits = [out]
-        with pytest.raises(ValueError, match="driven more than once"):
-            compile_netlist(netlist)
-
-    def test_empty_output_bus_rejected(self):
-        """The width == 0 two's-complement edge case is a clear error."""
-        netlist = Netlist()
-        netlist.add_input_bus("a", 2)
-        with pytest.raises(ValueError, match="empty output bus"):
-            compile_netlist(netlist)
-        with pytest.raises(ValueError, match="empty output bus"):
-            simulate(netlist, {"a": 1})
-
-    def test_plan_is_memoized_and_invalidated(self, make_neuron):
-        rng = np.random.default_rng(3)
-        netlist = build_neuron_netlist(make_neuron(rng))
-        plan = netlist.compiled()
-        assert netlist.compiled() is plan
-        assert isinstance(plan, CompiledNetlist)
-        netlist.add_gate("NOT", (netlist.output_bits[0],))
-        assert netlist.compiled() is not plan
-
-    def test_output_bus_reassignment_recompiles_plan(self):
-        """Reassigning ``output_bits`` (the dominant mutation idiom) after
-        a compile must not leave the batched path on the stale bus."""
-        netlist = Netlist()
-        a, b = netlist.add_input_bus("a", 2)
-        inverted = netlist.add_gate("NOT", (a,))[0]
-        netlist.output_bits = [a, b]
-        values = {"a": np.array([0, 1, 2, 3])}
-        first = simulate_batch(netlist, values)
-        assert np.array_equal(first, simulate_batch(netlist, values, slow=True))
-        netlist.output_bits = [inverted]  # no mutator method involved
-        second = simulate_batch(netlist, values)
-        assert np.array_equal(second, simulate_batch(netlist, values, slow=True))
-        assert not np.array_equal(first, second)
-
-    def test_wide_bus_exact_packing(self):
-        """Buses wider than 62 bits fall back to exact Python-int packing."""
-        netlist = Netlist()
-        bits = [netlist.add_constant(0) for _ in range(70)]
-        netlist.output_bits = list(bits)
-        assert compile_netlist(netlist).run({}).tolist() == [0]
-        netlist2 = Netlist()
-        bits = [netlist2.add_constant(0) for _ in range(70)]
-        netlist2.constants[bits[0]] = 1
-        netlist2.constants[bits[69]] = 1  # sign bit → negative
-        netlist2.output_bits = list(bits)
-        assert compile_netlist(netlist2).run({}).tolist() == [1 - (1 << 69)]
-
-
-# ----------------------------------------------------------------------
-# Property-based differential sweeps
-# ----------------------------------------------------------------------
-GATE_POOL = ("NOT", "BUF", "AND2", "OR2", "NAND2", "NOR2", "XOR2", "XNOR2",
-             "MUX2", "HA", "FA")
-GATE_ARITY = {"NOT": 1, "BUF": 1, "MUX2": 3, "HA": 2, "FA": 3}
-
-
-class TestPropertyDifferential:
-    @settings(max_examples=30, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=10**9),
-        fan_in=st.integers(min_value=1, max_value=6),
-        input_bits=st.integers(min_value=1, max_value=8),
-        all_negative=st.booleans(),
-        pow2_masks=st.booleans(),
-    )
-    def test_neuron_netlist_matches_model(
-        self, seed, fan_in, input_bits, all_negative, pow2_masks
-    ):
-        """Seeded sweep over widths, negative weights and pow2 masks."""
-        rng = np.random.default_rng(seed)
-        if pow2_masks:
-            masks = 1 << rng.integers(0, input_bits, size=fan_in)
-        else:
-            masks = rng.integers(0, 1 << input_bits, size=fan_in)
-        signs = (
-            -np.ones(fan_in, dtype=np.int64)
-            if all_negative
-            else rng.choice([-1, 1], size=fan_in)
-        )
-        neuron = ApproximateNeuron(
-            masks=masks,
-            signs=signs,
-            exponents=rng.integers(0, 5, size=fan_in),
-            bias=int(rng.integers(-128, 128)),
-            input_bits=input_bits,
-        )
-        high = (1 << input_bits) - 1
-        vectors = rng.integers(0, high + 1, size=(6, fan_in))
-        vectors[0, :] = 0     # two's-complement boundary values
-        vectors[1, :] = high
-        fast = simulate_neuron_netlist(neuron, vectors)
-        assert fast == simulate_neuron_netlist(neuron, vectors, slow=True)
-        assert fast == neuron.accumulate(vectors).tolist()
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10**9))
-    def test_random_gate_dag_matches_scalar(self, seed):
-        """Random netlists over every gate type: batched == scalar walk."""
-        rng = np.random.default_rng(seed)
-        netlist = Netlist()
-        width = int(rng.integers(1, 6))
-        pool = list(netlist.add_input_bus("a", width))
-        pool.append(netlist.add_constant(0))
-        pool.append(netlist.add_constant(1))
-        for _ in range(int(rng.integers(1, 26))):
-            gate_type = GATE_POOL[int(rng.integers(0, len(GATE_POOL)))]
-            arity = GATE_ARITY.get(gate_type, 2)
-            inputs = tuple(pool[int(i)] for i in rng.integers(0, len(pool), size=arity))
-            pool.extend(netlist.add_gate(gate_type, inputs))
-        out_width = int(rng.integers(1, min(8, len(pool)) + 1))
-        netlist.output_bits = [
-            pool[int(i)] for i in rng.integers(0, len(pool), size=out_width)
-        ]
-        values = {"a": rng.integers(0, 1 << width, size=6)}
-        fast = simulate_batch(netlist, values)
-        slow = simulate_batch(netlist, values, slow=True)
-        assert np.array_equal(fast, slow)
-
-
-# ----------------------------------------------------------------------
-# Cross-layer differential verification (model ↔ netlist ↔ RTL)
+# Cross-layer differential verification (model ↔ testbench ↔ module text)
 # ----------------------------------------------------------------------
 class TestVerifyDesign:
     def test_random_mlps_verify_clean(self, make_mlp):
@@ -312,7 +64,8 @@ class TestVerifyDesign:
 
     def test_tampered_testbench_detected(self, make_mlp, rng):
         """The harness is a real differential check: flipping one golden
-        response in the emitted RTL text must be reported."""
+        response in the emitted RTL text must be reported by both legs
+        that read the golden responses."""
         mlp = make_mlp(rng)
         vectors = rng.integers(0, 16, size=(6, 4))
         text = generate_testbench(mlp, vectors=vectors)
@@ -324,8 +77,8 @@ class TestVerifyDesign:
         result = verify_design(mlp, vectors, testbench_text=tampered)
         assert not result.passed
         assert result.model_mismatches == 1
-        assert result.rtl_mismatches == 1
-        assert result.netlist_mismatches == 0
+        assert result.eda_mismatches == 1
+        assert result.expression_mismatches == 0
 
     def test_foreign_stimulus_rejected(self, make_mlp, rng):
         mlp = make_mlp(rng)
@@ -351,7 +104,7 @@ class TestVerifyDesign:
         """Emit the module text of a model with one mask, exponent or bias
         changed, and verify it against the original model: the text leg
         counts exactly the (neuron, vector) accumulators the change
-        alters, and the netlist, RTL and model legs stay clean."""
+        alters, and the model-vs-testbench leg stays clean."""
         rng = np.random.default_rng(seed)
         mlp = make_mlp(rng, sizes=(5, 4, 3), mask_density=0.5)
         mutant = mlp.copy()
@@ -382,9 +135,12 @@ class TestVerifyDesign:
         result = verify_design(mlp, vectors, verilog_text=generate_mlp_verilog(mutant))
         assert result.expression_mismatches == altered
         assert result.passed == (altered == 0)
-        assert result.netlist_mismatches == 0
-        assert result.rtl_mismatches == 0
         assert result.model_mismatches == 0
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 5), (2, 4, 1)])
+    def test_vectors_of_wrong_shape_rejected(self, make_mlp, rng, shape):
+        with pytest.raises(ValueError, match="vectors must have shape"):
+            verify_design(make_mlp(rng), np.zeros(shape, dtype=np.int64))
 
     def test_truncated_verilog_module_rejected(self, make_mlp, rng):
         mlp = make_mlp(rng)
@@ -407,9 +163,9 @@ class TestVerifyFront:
         assert verification.num_designs == len(tiny_ga_result.estimated_front)
         assert verification.num_designs > 0
         assert verification.num_vectors == 16
-        assert verification.netlist_mismatches == 0
-        assert verification.rtl_mismatches == 0
         assert verification.model_mismatches == 0
+        assert verification.expression_mismatches == 0
+        assert verification.eda_mismatches == 0
         assert verification.total_mismatches == 0
         assert verification.passed
 
@@ -435,19 +191,9 @@ class TestVerifyFront:
         assert empty.passed
         assert empty.num_vectors == 0
 
-    def test_front_shares_compiled_plans_across_designs(self, tiny_ga_result):
-        """One compiled netlist schedule serves every parameter-identical
-        neuron across the whole front."""
-        verification = verify_front(tiny_ga_result, num_vectors=8, seed=3)
-        assert (
-            verification.plans_compiled + verification.plan_reuses
-            == verification.num_neuron_checks
-        )
-        assert 0 < verification.plans_compiled <= verification.num_neuron_checks
-
-    def test_plan_sharing_is_result_identical(self, tiny_ga_result):
-        """Shared plans change nothing: per-design verify_design without a
-        plan cache produces the same results."""
+    def test_neuron_checks_count_every_accumulator_net(self, tiny_ga_result):
+        """Every design compares one accumulator net per neuron, and the
+        front result is the per-design results in front order."""
         from repro.evaluation.verification import _draw_vectors
 
         config = tiny_ga_result.layout.config
@@ -457,39 +203,13 @@ class TestVerifyFront:
             8,
             seed=3,
         )
-        shared = verify_front(tiny_ga_result, vectors=vectors)
-        solo = [
-            verify_design(tiny_ga_result.decode(point), vectors)
-            for point in tiny_ga_result.estimated_front
-        ]
-        assert shared.results == solo
-
-    def test_plan_cache_reuses_identical_neurons(self, make_neuron, rng):
-        from repro.evaluation.verification import NetlistPlanCache
-
-        neuron_a = make_neuron(rng)
-        neuron_b = ApproximateNeuron(
-            masks=neuron_a.masks.copy(),
-            signs=neuron_a.signs.copy(),
-            exponents=neuron_a.exponents.copy(),
-            bias=neuron_a.bias,
-            input_bits=neuron_a.input_bits,
-        )
-        cache = NetlistPlanCache()
-        first = cache.netlist(neuron_a)
-        second = cache.netlist(neuron_b)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
-        # A different bias is a different netlist.
-        different = ApproximateNeuron(
-            masks=neuron_a.masks.copy(),
-            signs=neuron_a.signs.copy(),
-            exponents=neuron_a.exponents.copy(),
-            bias=neuron_a.bias + 1,
-            input_bits=neuron_a.input_bits,
-        )
-        assert cache.netlist(different) is not first
-        assert len(cache) == 2
+        verification = verify_front(tiny_ga_result, vectors=vectors)
+        models = [tiny_ga_result.decode(point) for point in tiny_ga_result.estimated_front]
+        assert verification.results == [verify_design(model, vectors) for model in models]
+        fan_outs = [sum(layer.fan_out for layer in model.layers) for model in models]
+        assert [result.num_neurons for result in verification.results] == fan_outs
+        assert verification.num_neuron_checks == sum(fan_outs) > 0
+        assert verification.plans_compiled == verification.plan_reuses == 0
 
     def test_verification_survives_snapshot_roundtrip(self, tiny_ga_result, tmp_path):
         """DesignVerification entries are on the snapshot allowlist."""
@@ -826,7 +546,12 @@ class TestSeededVerification:
         )
         assert seen["scale"].verify_rtl is True
         assert seen["scale"].verify_seed == 7
-        assert "expr 0 / eda 0 / total 0 mismatches [OK]" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert (
+            f"({checked.num_neuron_checks} accumulator nets) -- "
+            "model 0 / expr 0 / eda 0 / total 0 mismatches [OK]"
+        ) in out
+        assert "netlist" not in out
 
     def test_runner_rejects_orphan_verify_seed(self):
         """--verify-seed alone would silently seed nothing."""

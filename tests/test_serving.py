@@ -92,7 +92,7 @@ def _front(designs, dataset="demo") -> FrontRecord:
         default_accuracy_loss=0.05,
         selected=designs[0].name if designs else None,
         training_seconds=1.5,
-        verification=VerificationRecord(len(designs), 16, 0, 0, 0, 0, True),
+        verification=VerificationRecord(len(designs), 16, 0, 0, True),
     )
 
 
@@ -173,6 +173,17 @@ class TestStoreRoundTrip:
         payload["schema_version"] = STORE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(payload))
         with pytest.raises(StoreError, match="schema_version"):
+            store.get_front("demo")
+
+    def test_version_2_front_record_is_refused(self, store):
+        """A version-2 front record (its verification object still holds
+        the gate-level netlist counts) is refused by its version."""
+        path = store.root / "demo" / "front.json"
+        payload = json.loads(path.read_text())
+        payload["schema_version"] = 2
+        payload["record"]["verification"].update(netlist_mismatches=0, rtl_mismatches=0)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(StoreError, match="schema_version=2"):
             store.get_front("demo")
 
     def test_malformed_and_unknown_fields_fail(self, store):
