@@ -8,16 +8,19 @@ is the argmax over the raw output-layer accumulators.
 
 :func:`forward_stacked` is the one vectorized inference kernel: it runs
 a whole stacked population (:class:`PopulationParameters`) through
-bit-plane matmuls, and this module alone knows the bit-plane format
-(:func:`build_bit_planes`, :func:`exact_matmul_dtype`).
+bit-plane matmuls in per-thread, resident scratch, and this module alone
+knows the bit-plane format (:func:`build_bit_planes`,
+:func:`exact_matmul_dtype`).
 :meth:`ApproximateMLP.forward` runs one model through the layers'
 plain eq. (4) sums and is the kernel's scalar oracle.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -353,11 +356,36 @@ def stack_parameters(models: Sequence[ApproximateMLP]) -> PopulationParameters:
 
 #: Bytes one block of candidates may spend on its largest buffer (the
 #: bias-folded input bits, or the accumulators) in :func:`forward_stacked`.
-#: The blocks reuse one input buffer per layer, so a call allocates no
-#: large temporary: glibc raises its mmap threshold to the size of each
-#: large buffer freed, after which up to twice that size of freed heap
-#: stays resident.
 _BLOCK_BYTES = 1 << 20
+
+
+class _Scratch(threading.local):
+    """Per-thread, grow-only buffers of the forward kernel, one per slot name.
+
+    The kernel's block buffers are ~1 MB and it runs once per GA
+    generation.  Allocated afresh, they come and go at the top of the
+    heap, which glibc trims and the next call faults back in (thousands
+    to tens of thousands of minor faults per ci ``search`` op); kept
+    here, they stay resident.  Only kernel temporaries live in scratch:
+    no array handed to a caller aliases it.  Per thread, so concurrent
+    dataset stages never share a buffer.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: Dict[str, np.ndarray] = {}
+
+    def array(self, slot: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """``slot``'s buffer as an uninitialized array; valid until the
+        slot is requested again."""
+        dtype = np.dtype(dtype)
+        nbytes = dtype.itemsize * math.prod(shape)
+        buffer = self.buffers.get(slot)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self.buffers[slot] = np.empty(nbytes, dtype=np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+_SCRATCH = _Scratch()
 
 
 def _input_rows(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -375,7 +403,11 @@ def _input_rows(values: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
     # inputs shift in int64.
     itype = np.uint8 if width <= 8 else np.int64
     shifts = np.arange(width, dtype=itype)[:, None]
-    bits = (values.astype(itype)[..., None, :] >> shifts) & itype(1)
+    narrow = _SCRATCH.array("narrow", values.shape, itype)
+    np.copyto(narrow, values, casting="unsafe")
+    bits = _SCRATCH.array("bits", (*lead, features, width, n), itype)
+    np.right_shift(narrow[..., None, :], shifts, out=bits)
+    np.bitwise_and(bits, itype(1), out=bits)
     out[..., :rows, :] = bits.reshape(*lead, rows, n)
     out[..., rows, :] = 1
     return out
@@ -451,6 +483,55 @@ def _qrelu_(acc: np.ndarray, shifts: np.ndarray, max_value: int) -> np.ndarray:
     return np.clip(acc, 0, max_value, out=acc)
 
 
+def _forward_blocks(
+    params: PopulationParameters, x: np.ndarray
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Run the candidates in blocks; yield ``(rows, scores)`` per block.
+
+    ``scores`` are the output accumulators of candidates ``rows`` as a
+    ``(block, num_outputs, n_samples)`` scratch array, overwritten when
+    the next block is drawn.  Every buffer is per-thread scratch and the
+    block is sized so that its largest buffer stays under
+    ``_BLOCK_BYTES``.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim == 1:
+        x = x[None, :]
+    n = x.shape[0]
+    max_value = (1 << params.activation_bits) - 1
+    weights = [_layer_weights(params, index) for index in range(len(params.masks))]
+    first = weights[0]
+    shared = _input_rows(
+        x.T, params.input_bits[0], _SCRATCH.array("shared", (first.shape[2], n), first.dtype)
+    )
+    count = first.shape[0]
+    # A block's buffers: every layer's accumulators and the input bits of
+    # the layers after the first (layer 0's input bits are shared).
+    per_candidate = n * max(
+        [w.itemsize * w.shape[1] for w in weights] + [w.itemsize * w.shape[2] for w in weights[1:]]
+    )
+    block = min(count, max(1, _BLOCK_BYTES // max(per_candidate, 1)))
+    accumulators = [
+        _SCRATCH.array(f"acc{index}", (block, w.shape[1], n), w.dtype)
+        for index, w in enumerate(weights)
+    ]
+    inputs = [
+        _SCRATCH.array(f"inputs{index}", (block, w.shape[2], n), w.dtype)
+        for index, w in enumerate(weights[1:], start=1)
+    ]
+    for start in range(0, count, block):
+        rows = slice(start, start + block)
+        planes = first[rows]
+        size = len(planes)
+        acc = accumulators[0][:size]
+        np.matmul(planes.reshape(-1, planes.shape[2]), shared, out=acc.reshape(-1, n))
+        for index, layer_weights in enumerate(weights[1:]):
+            _qrelu_(acc, params.shifts[rows, index, None, None], max_value)
+            layer_inputs = _input_rows(acc, params.input_bits[index + 1], inputs[index][:size])
+            acc = np.matmul(layer_weights[rows], layer_inputs, out=accumulators[index + 1][:size])
+        yield rows, acc
+
+
 def forward_stacked(
     params: PopulationParameters, x: np.ndarray
 ) -> np.ndarray:  # lint: oracle-pair(accumulate)
@@ -465,39 +546,19 @@ def forward_stacked(
     the output, so the result is bitwise identical to
     :meth:`ApproximateMLP.forward` per candidate, whose scalar
     :meth:`ApproximateLayer.accumulate` is this kernel's oracle.  Candidates run in
-    blocks whose largest buffer stays under ``_BLOCK_BYTES``.
+    blocks whose largest buffer stays under ``_BLOCK_BYTES``, in
+    per-thread scratch that stays resident between calls.
 
     Returns
     -------
-    Output accumulators as a ``(P, n_samples, num_outputs)`` view, in
-    the last layer's exact dtype.
+    Output accumulators as a ``(P, n_samples, num_outputs)`` view of a
+    fresh array, in the last layer's exact dtype.
     """
-    x = np.asarray(x, dtype=np.int64)
-    if x.ndim == 1:
-        x = x[None, :]
-    n = x.shape[0]
-    max_value = (1 << params.activation_bits) - 1
-    weights = [_layer_weights(params, index) for index in range(len(params.masks))]
-    first = weights[0]
-    shared = _input_rows(x.T, params.input_bits[0], np.empty((first.shape[2], n), first.dtype))
-    count, num_outputs = weights[-1].shape[:2]
-    # A block's buffers: every layer's accumulators and the input bits of
-    # the layers after the first (layer 0's input bits are shared).
-    per_candidate = n * max(
-        [w.itemsize * w.shape[1] for w in weights] + [w.itemsize * w.shape[2] for w in weights[1:]]
-    )
-    block = min(count, max(1, _BLOCK_BYTES // max(per_candidate, 1)))
-    buffers = [np.empty((block, w.shape[2], n), w.dtype) for w in weights[1:]]
-    scores = np.empty((count, num_outputs, n), dtype=weights[-1].dtype)
-    for start in range(0, count, block):
-        rows = slice(start, start + block)
-        planes = first[rows]
-        acc = (planes.reshape(-1, planes.shape[2]) @ shared).reshape(*planes.shape[:2], n)
-        for index, layer_weights in enumerate(weights[1:]):
-            _qrelu_(acc, params.shifts[rows, index, None, None], max_value)
-            inputs = _input_rows(acc, params.input_bits[index + 1], buffers[index][: len(acc)])
-            acc = np.matmul(layer_weights[rows], inputs)
-        scores[rows] = acc
+    scores = None
+    for rows, block in _forward_blocks(params, x):
+        if scores is None:
+            scores = np.empty((len(params.masks[0]), *block.shape[1:]), dtype=block.dtype)
+        scores[rows] = block
     return scores.transpose(0, 2, 1)
 
 
@@ -509,14 +570,28 @@ def forward_population(population: Population, x: np.ndarray) -> np.ndarray:
 
 
 def accuracy_population(population: Population, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Classification accuracy of every candidate of a population at once."""
+    """Classification accuracy of every candidate of a population at once.
+
+    Scored block by block from the kernel's scratch, so no
+    ``(P, n_samples, num_outputs)`` score tensor is built.
+    """
+    if not isinstance(population, PopulationParameters):
+        population = stack_parameters(population)
     y = np.asarray(y)
-    scores = forward_population(population, x)  # (P, n, num_outputs)
+    accuracies = np.empty(len(population.masks[0]))
     # argmax's first-maximum rule as two reductions over the class axis:
     # they run along the scores' memory order, where np.argmax would make
     # one call per (candidate, sample) row.
-    num_outputs = scores.shape[2]
-    best = scores.max(axis=2, keepdims=True)
+    num_outputs = population.biases[-1].shape[1]
     rank_from_last = np.arange(num_outputs - 1, -1, -1, dtype=np.min_scalar_type(num_outputs))
-    predictions = (num_outputs - 1) - ((scores == best) * rank_from_last).max(axis=2)
-    return (predictions == y[None, :]).mean(axis=1)
+    for rows, scores in _forward_blocks(population, x):
+        best = np.maximum.reduce(scores, axis=1, keepdims=True)
+        ties = np.equal(scores, best, out=_SCRATCH.array("ties", scores.shape, bool))
+        ranks = np.multiply(
+            ties,
+            rank_from_last[:, None],
+            out=_SCRATCH.array("ranks", scores.shape, rank_from_last.dtype),
+        )
+        predictions = (num_outputs - 1) - np.maximum.reduce(ranks, axis=1)
+        accuracies[rows] = (predictions == y[None, :]).mean(axis=1)
+    return accuracies

@@ -104,10 +104,11 @@ class TrainingResult:
     epochs_run: int = 0
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row softmax over the last axis, written to ``out`` when given."""
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True), out=out)
+    exp = np.exp(shifted, out=shifted)
+    return np.divide(exp, np.add.reduce(exp, axis=-1, keepdims=True), out=exp)
 
 
 @dataclass
@@ -240,8 +241,15 @@ class GradientTrainer:
         grad_w, grad_b = views(grads)[:num_layers], views(grads)[num_layers:]
         velocity = np.zeros_like(params)
         second = np.zeros_like(params)
+        scaled, update = np.empty_like(params), np.empty_like(params)
         one_hot = np.eye(topology.num_outputs)[labels]
         n = features.shape[0]
+        # The batches' start rows; every batch holds ``batch_size`` rows
+        # except a shorter tail.
+        starts = range(0, n, self.batch_size)
+        full = n // self.batch_size
+        lengths = np.array([min(self.batch_size, n - start) for start in starts], dtype=np.float64)
+        probs = np.empty((restarts, n, topology.num_outputs))
         losses = np.zeros((self.epochs, restarts))
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
@@ -249,46 +257,48 @@ class GradientTrainer:
         for epoch in range(self.epochs):
             orders = np.stack([rng.permutation(n) for rng in rngs])  # (R, n)
             shuffled_x, shuffled_t = features[orders], one_hot[orders]
-            for start_idx in range(0, n, self.batch_size):
+            for start_idx in starts:
                 x = shuffled_x[:, start_idx : start_idx + self.batch_size]
                 t = shuffled_t[:, start_idx : start_idx + self.batch_size]
                 batch = x.shape[1]
 
                 activations = [x]
                 for index in range(num_layers):
-                    z = activations[-1] @ weights[index] + biases[index]
+                    z = activations[-1] @ weights[index]
+                    z += biases[index]
                     if index < num_layers - 1:
-                        z = np.maximum(z, 0.0)
+                        np.maximum(z, 0.0, out=z)
                     activations.append(z)
-                probs = _softmax(activations[-1])
-                # The serial batch mean, rescaled below exactly as there,
-                # so the recorded losses stay bit-identical.
-                batch_loss = -((t * np.log(probs + 1e-12)).sum(axis=-1).sum(axis=-1) / batch)
-                losses[epoch] += batch_loss * batch
+                batch_probs = _softmax(
+                    activations[-1], out=probs[:, start_idx : start_idx + batch]
+                )
 
-                grad = (probs - t) / batch
+                grad = np.subtract(batch_probs, t)
+                grad /= batch
                 step += 1
                 for index in range(num_layers - 1, -1, -1):
-                    np.add(
-                        activations[index].transpose(0, 2, 1) @ grad,
-                        self.weight_decay * weights[index],
-                        out=grad_w[index],
-                    )
-                    grad_b[index][...] = grad.sum(axis=1, keepdims=True)
+                    np.multiply(weights[index], self.weight_decay, out=grad_w[index])
+                    grad_w[index] += activations[index].transpose(0, 2, 1) @ grad
+                    np.add.reduce(grad, axis=1, keepdims=True, out=grad_b[index])
                     if index > 0:
                         grad = grad @ weights[index].transpose(0, 2, 1)
-                        grad = grad * (activations[index] > 0)
+                        grad *= activations[index] > 0
                 if self.optimizer == "adam":
-                    velocity = beta1 * velocity + (1 - beta1) * grads
-                    second = beta2 * second + (1 - beta2) * grads**2
+                    velocity *= beta1
+                    velocity += np.multiply(grads, 1 - beta1, out=scaled)
+                    second *= beta2
+                    second += np.multiply(np.square(grads, out=scaled), 1 - beta2, out=scaled)
                     correction1 = 1 - beta1**step
                     correction2 = 1 - beta2**step
-                    update = (velocity / correction1) / (np.sqrt(second / correction2) + eps)
-                    params -= self.learning_rate * update
+                    np.sqrt(np.divide(second, correction2, out=update), out=update)
+                    update += eps
+                    np.divide(np.divide(velocity, correction1, out=scaled), update, out=update)
+                    params -= np.multiply(update, self.learning_rate, out=update)
                 else:
-                    velocity = self.momentum * velocity - self.learning_rate * grads
+                    velocity *= self.momentum
+                    velocity -= np.multiply(grads, self.learning_rate, out=scaled)
                     params += velocity
-            losses[epoch] /= n
+            losses[epoch] = self._epoch_loss(probs, shuffled_t, lengths, full)
             if self.verbose and (epoch % max(self.epochs // 10, 1) == 0):  # pragma: no cover
                 print(f"epoch {epoch}: loss=" + ", ".join(f"{v:.4f}" for v in losses[epoch]))
         return [
@@ -302,6 +312,33 @@ class GradientTrainer:
             )
             for r in range(restarts)
         ]
+
+    def _epoch_loss(
+        self, probs: np.ndarray, targets: np.ndarray, lengths: np.ndarray, full: int
+    ) -> np.ndarray:
+        """Every restart's mean training loss over one epoch, as :meth:`_train_single`
+        records it: per-batch means accumulated batch by batch.
+
+        ``probs`` and ``targets`` are ``(R, n, C)`` in the epoch's shuffled
+        order and ``lengths`` the batch lengths, the first ``full`` of
+        them ``batch_size``.  Each sum runs over the serial operands in
+        the serial order, so the result is bit-identical.
+        """
+        restarts, n, _ = probs.shape
+        samples = np.add.reduce(targets * np.log(probs + 1e-12), axis=-1)  # (R, n)
+        sums = np.empty((restarts, len(lengths)))
+        split = full * self.batch_size
+        np.add.reduce(
+            samples[:, :split].reshape(restarts, full, self.batch_size), axis=-1, out=sums[:, :full]
+        )
+        if split < n:
+            np.add.reduce(samples[:, split:], axis=-1, out=sums[:, full])
+        # A leading zero starts the running sum from 0.0 as the serial
+        # loop does; accumulate adds the batches strictly in order, where
+        # a pairwise sum would regroup them.
+        terms = np.zeros((restarts, len(lengths) + 1))
+        np.multiply(-(sums / lengths), lengths, out=terms[:, 1:])
+        return np.add.accumulate(terms, axis=1)[:, -1] / n
 
     def _train_single(
         self,

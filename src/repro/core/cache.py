@@ -5,13 +5,17 @@ subsequent front-synthesis stage used to rebuild all of that from
 scratch (decode again, forward again, synthesize one model at a time),
 and the reporting experiments (Table II, Fig. 4, Fig. 5) re-request the
 same hardware reports.  :class:`EvaluationCache` is one bounded memo
-shared by all of them, keyed by the chromosome's raw genome bytes:
+shared by all of them, keyed by the chromosome's genome bytes:
 
 ``fitness``
-    (evaluator context digest, genome) → fitness values (training
-    accuracy + FA-count area), the GA's inner-loop memo.  The digest
-    covers the layout, training split and feasibility constraint,
-    because the cached values embed all three;
+    (evaluator context digest, compact genome) → fitness values
+    (training accuracy + FA-count area), the GA's inner-loop memo.  The
+    digest covers the layout, training split and feasibility
+    constraint, because the cached values embed all three.  The genome
+    is the row's bytes in the layout's narrowest signed key dtype
+    (:meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`; int16
+    for the paper's formats), since this section holds one entry per
+    genome the GA ever scored;
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``
@@ -52,7 +56,9 @@ versioned pickle, and
 self-namespacing — they embed the layout identity, the training split
 digest and the feasibility constraint — so snapshots taken from
 different datasets, scales or constraints can share a directory without
-colliding.  Keys are flat tuples of strings, bytes and numbers (the
+colliding.  The other sections key genomes by their int64 bytes
+(:meth:`EvaluationCache.genome_key`), which also name published designs.
+Keys are flat tuples of strings, bytes and numbers (the
 layout and the evaluator context are each one :func:`stable_fingerprint`
 string), whose hashes CPython caches.  Loading is corruption-tolerant: a missing, truncated,
 garbage or version-mismatched file restores nothing instead of raising,
@@ -129,8 +135,10 @@ _MISSING = object()
 #: selection from the ``rtl-verify`` report keys.
 #: Version 7 drops the two gate-level netlist counts from
 #: ``DesignVerification``.
+#: Version 8 keys fitness entries by the compact genome (the layout's
+#: key dtype) instead of its int64 bytes.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 7
+CACHE_FORMAT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -314,7 +322,12 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     @staticmethod
     def genome_key(chromosome: np.ndarray) -> bytes:
-        """Canonical cache key of a chromosome (its raw genome bytes)."""
+        """Canonical cache key of a chromosome (its int64 genome bytes).
+
+        It keys the accuracy, report and module sections and names
+        published designs; the fitness section uses the compact
+        :meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`.
+        """
         return np.ascontiguousarray(chromosome, dtype=np.int64).tobytes()
 
     @staticmethod

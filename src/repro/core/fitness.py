@@ -21,9 +21,12 @@ stacked parameter tensors
 forwarded through one stacked integer forward pass and FA-counted from
 the same tensors — no per-candidate model object is built.
 :meth:`evaluate_population` deduplicates the batch and serves repeated
-genomes (elites, clones produced by crossover) from a
-``chromosome.tobytes()``-keyed memo cache, so no chromosome is ever
-scored twice.  The per-chromosome decode +
+genomes (elites, clones produced by crossover) from a memo cache, so no
+chromosome is ever scored twice.  The memo keys each genome by its
+bytes in the layout's compact key dtype
+(:meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`: int16 for the
+paper's number formats, a quarter of the int64 genome), after one bounds
+check of the whole batch.  The per-chromosome decode +
 :meth:`~repro.approx.mlp.ApproximateMLP.accuracy` + scalar
 :func:`~repro.hardware.adder_tree.mlp_fa_count` path is kept as the
 ``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
@@ -225,12 +228,13 @@ class FitnessEvaluator:
         The batch is deduplicated first — in-batch duplicates (elites,
         crossover clones) are folded onto one lookup and never counted
         twice — then resolved against the memo cache; only the unique,
-        never-seen rows are scored, as one matrix.
+        never-seen rows are scored, as one matrix.  A row with a gene out
+        of its layout bounds raises ``ValueError`` before any lookup.
         """
         if len(population) == 0:
             return []
-        population = np.ascontiguousarray(np.asarray(population), dtype=np.int64)
-        keys = [row.tobytes() for row in population]
+        population = np.asarray(population, dtype=np.int64)
+        keys = self.layout.memo_keys(population)
 
         # Resolve against a batch-local map so cache eviction while
         # storing new results can never drop an entry we still need.

@@ -3,8 +3,9 @@
 The paper's training runs evaluate tens of millions of chromosomes on a
 64-core server; the reproduction exposes the same flow at three budgets
 so that tests and benchmarks stay fast.  ``runner --experiment all
---scale full`` regenerates every artifact in 87.5 s (one run on a
-2-core x86_64 box, Python 3.11.7).
+--scale full`` regenerates every artifact in 73–82 s with a 387–389 MB
+peak RSS (three runs on a 2-core x86_64 box, Python 3.11.7, one BLAS
+thread).
 """
 
 from __future__ import annotations

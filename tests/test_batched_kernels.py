@@ -9,11 +9,14 @@
 * ``forward_stacked`` equals the per-model scalar forward (its oracle,
   ``ApproximateLayer.accumulate``) on every corner design, and the
   ``slow=True`` oracles run without the kernel's bit-plane helpers.
+  No array the kernel returns aliases its per-thread scratch, and
+  threads running it at once get the serial results.
 * Stacked gradient restarts equal the serial restarts
   (``GradientTrainer.train(..., slow=True)``) bit for bit.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -343,6 +346,71 @@ class TestKernelAgainstScalarOracle:
             assert np.array_equal(mlp.predict(x_test), predictions)
             assert verify_design(mlp, x_test[:16]).total_mismatches == 0
 
+    def test_returned_arrays_never_alias_scratch(self):
+        """Interleaved kernel calls of other shapes and dtypes reuse the
+        per-thread scratch; no array returned earlier may change."""
+        rng = np.random.default_rng(12)
+        config = ApproxConfig(input_bits=8, activation_bits=8, weight_bits=50)
+        layout = ChromosomeLayout(Topology((3, 4, 2, 3)), config)
+        exponent_genes = np.array(
+            [layout.describe_gene(i)[0] == "exponent" for i in range(layout.num_genes)]
+        )
+        calls = []
+        # Each call is smaller than the one before it or a new dtype, so
+        # grow-only scratch would hand it the previous call's memory.
+        for exponent, size, samples in ((0, 5, 40), (30, 3, 17), (48, 6, 64), (0, 2, 9)):
+            population = np.stack([layout.random(rng) for _ in range(size)])
+            population[:, exponent_genes] = exponent
+            x = rng.integers(0, 256, size=(samples, 3))
+            y = rng.integers(0, 3, size=samples)
+            params = layout.population_parameters(population)
+            scores = forward_stacked(params, x)
+            accuracies = accuracy_population(params, x, y)
+            assert np.array_equal(accuracies, (scores.argmax(axis=2) == y).mean(axis=1))
+            calls.append((scores, scores.copy(), accuracies, accuracies.copy()))
+        assert [call[0].dtype for call in calls] == [np.float32, np.float64, np.int64, np.float32]
+        for scores, scores_then, accuracies, accuracies_then in calls:
+            assert np.array_equal(scores, scores_then)
+            assert np.array_equal(accuracies, accuracies_then)
+
+    def test_concurrent_threads_get_the_serial_results(self):
+        """Every thread has its own scratch: threads scoring different
+        populations at once (more threads than cores, a tiny switch
+        interval) get exactly the serial accuracies."""
+        rng = np.random.default_rng(13)
+        layout = ChromosomeLayout(Topology((4, 5, 3)), ApproxConfig())
+        jobs = []
+        for _ in range(4):
+            population = np.stack([layout.random(rng) for _ in range(8)])
+            x = rng.integers(0, 16, size=(60, 4))
+            y = rng.integers(0, 3, size=60)
+            params = layout.population_parameters(population)
+            jobs.append((params, x, y, accuracy_population(params, x, y)))
+        results = {index: [] for index in range(len(jobs))}
+
+        def work(index, params, x, y):
+            for _ in range(30):
+                results[index].append(accuracy_population(params, x, y))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(index, *job[:3]))
+                for index, job in enumerate(jobs)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index, job in enumerate(jobs):
+            assert len(results[index]) == 30
+            for accuracies in results[index]:
+                assert np.array_equal(accuracies, job[3])
+
 
 class TestStackedGradientRestarts:
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
@@ -359,6 +427,26 @@ class TestStackedGradientRestarts:
         assert stacked.train_accuracy == serial.train_accuracy
         assert stacked.losses == serial.losses
         assert stacked.epochs_run == serial.epochs_run == restarts * 6
+        for a, b in zip(
+            stacked.model.weights + stacked.model.biases,
+            serial.model.weights + serial.model.biases,
+        ):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_ten_classes_and_a_partial_tail_batch(self, optimizer):
+        """Ten classes make the per-sample class sums pairwise (eight or
+        more terms), and 70 rows in batches of 16 leave a 6-row tail: the
+        one-pass epoch loss must still equal the serial per-batch means."""
+        rng = np.random.default_rng(12)
+        features = rng.random((70, 6))
+        labels = rng.integers(0, 10, size=70)
+        trainer = GradientTrainer(
+            epochs=4, batch_size=16, optimizer=optimizer, restarts=2, seed=1
+        )
+        stacked = trainer.train(features, labels, (6, 5, 10))
+        serial = trainer.train(features, labels, (6, 5, 10), slow=True)
+        assert stacked.losses == serial.losses
         for a, b in zip(
             stacked.model.weights + stacked.model.biases,
             serial.model.weights + serial.model.biases,

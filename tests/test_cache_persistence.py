@@ -272,7 +272,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 4 (expected 7)" in caplog.text
+        assert "format version 4 (expected 8)" in caplog.text
         assert len(cache.fitness) == 0
 
     def test_version_6_verification_report_is_ignored(self, tmp_path, caplog):
@@ -306,12 +306,40 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 6 (expected 7)" in caplog.text
+        assert "format version 6 (expected 8)" in caplog.text
         assert len(cache.reports) == 0
 
         payload["version"] = CACHE_FORMAT_VERSION
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 1
+
+    def test_version_7_int64_keyed_snapshot_is_ignored(
+        self, tmp_path, caplog, small_topology, approx_config
+    ):
+        """A version-7 snapshot keys fitness entries by the int64 genome;
+        the current memo would never hit them, so the version refuses
+        the whole file."""
+        from repro.core.chromosome import ChromosomeLayout
+        from repro.core.fitness import FitnessEvaluator, FitnessValues
+
+        layout = ChromosomeLayout(small_topology, approx_config)
+        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
+        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]))
+        genome = np.asarray(layout.lower_bounds)
+        key = evaluator._fitness_key(genome.astype(np.int64).tobytes())
+        value = FitnessValues(error=0.25, area=12.0, accuracy=0.75)
+        payload = {
+            "magic": "repro-evaluation-cache",
+            "version": 7,
+            "sections": {"fitness": [(key, value, 1.0)], "accuracy": [], "reports": [], "baselines": []},
+        }
+        path = tmp_path / "v7.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert "format version 7 (expected 8)" in caplog.text
+        assert len(cache.fitness) == 0
 
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
         """Snapshots deserialize through a restricted unpickler: a
@@ -385,7 +413,7 @@ class TestStableKeys:
         layout = ChromosomeLayout(small_topology, approx_config)
         inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
         evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]), baseline_accuracy=0.75)
-        genome = EvaluationCache.genome_key(np.zeros(layout.num_genes, dtype=np.int64))
+        (genome,) = layout.memo_keys(np.zeros((1, layout.num_genes), dtype=np.int64))
         key = evaluator._fitness_key(genome)
         assert [type(part) for part in key] == [str, bytes]
         assert isinstance(EvaluationCache.layout_key(layout), str)
@@ -579,7 +607,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 7
+        assert payload["version"] == CACHE_FORMAT_VERSION == 8
         (key, value, stamp), = payload["sections"]["baselines"]
         payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))

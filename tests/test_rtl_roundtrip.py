@@ -141,7 +141,7 @@ class TestOracleClosure:
     # An accumulator narrower than the QReLU output once made the emitted
     # ``sat`` part-select read past its declared width.
     @example(seed=611723, hidden=2, input_bits=2, mask_density=0.125)
-    def test_microverilog_netlist_and_model_agree(
+    def test_microverilog_and_model_agree(
         self, make_mlp, seed, hidden, input_bits, mask_density
     ):
         mlp, vectors = _draw_case(make_mlp, seed, hidden, input_bits, mask_density)

@@ -336,6 +336,23 @@ class TestFitnessCache:
         assert results[0] == evaluator.compute(a)
         assert results[1] == evaluator.compute(d)
 
+    def test_out_of_range_genome_never_aliases_a_cached_one(self, tiny_fitness_setup):
+        """A gene pushed out of range by a multiple of 2**16 has the same
+        int16 key bytes as the cached genome; the batch bounds check must
+        refuse it before the lookup, not return the cached fitness."""
+        layout, inputs, labels = tiny_fitness_setup
+        assert layout.key_dtype is np.int16
+        genome = layout.random(np.random.default_rng(6))
+        evaluator = FitnessEvaluator(layout, inputs, labels)
+        cached = evaluator.evaluate(genome)
+        wrapped = genome.copy()
+        wrapped[0] += 1 << 16
+        assert layout.memo_keys(genome[None, :]) == [wrapped.astype(np.int16).tobytes()]
+        with pytest.raises(ValueError, match="out of bounds"):
+            evaluator.evaluate_population(np.stack([genome, wrapped]))
+        assert evaluator.cache_hits == 0
+        assert evaluator.evaluate(genome) == cached
+
     def test_rejects_bad_parameters(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         with pytest.raises(ValueError):
