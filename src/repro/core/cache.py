@@ -22,12 +22,15 @@ shared by all of them, keyed by the chromosome's genome bytes:
     (genome, voltage, clock period, registers flag) → hardware report,
     priced with the default EGFET library (callers with a custom
     library bypass this section — the key carries no library identity);
-``baselines``
-    (training split, topology sizes, gradient-trainer settings, numpy
-    version) → the trained float baseline's weights and biases as
-    ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`), so a warm
-    cache directory restores the exact baseline instead of retraining it
-    (see :meth:`EvaluationCache.baseline_key`);
+``stages``
+    (stage kind, :meth:`EvaluationCache.stage_key` parts) → a whole
+    stage result in plain builtins, so a warm cache directory restores
+    it instead of recomputing it: the trained float baseline's weights
+    and biases as ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`,
+    kind ``"baseline"``) and a GA run's archive, history and evaluation
+    count (:meth:`~repro.core.trainer.GAResult.pack`, kind ``"ga"``).
+    Every key ends with the numpy version and :func:`code_digest`, so an
+    edited source tree never restores a stale result;
 ``modules``
     (layout key, genome) → ``(text, module)``: a front member's canonical
     module text (``generate_mlp_verilog(model)``) and its
@@ -49,7 +52,7 @@ misses, which the tests use to assert that a full pipeline run performs
 zero redundant forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (fitness, accuracy, reports, baselines — compiled modules
+data sections (fitness, accuracy, reports, stages — compiled modules
 are deliberately excluded: they are large and cheap to rebuild) into one
 versioned pickle, and
 :meth:`EvaluationCache.load` restores them.  Keys are fully
@@ -75,6 +78,7 @@ the entry count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -93,6 +97,7 @@ __all__ = [
     "EvaluationCache",
     "SnapshotPolicy",
     "CACHE_FORMAT_VERSION",
+    "code_digest",
     "pack_arrays",
     "stable_fingerprint",
     "unpack_arrays",
@@ -117,6 +122,22 @@ def stable_fingerprint(*parts: Union[bytes, str], digest_size: int = 16) -> str:
         digest.update(part)
     return digest.hexdigest()
 
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """Digest of the ``repro`` package's ``.py`` sources (path and bytes).
+
+    Part of every :meth:`EvaluationCache.stage_key`, so a persisted stage
+    result never outlives the code that produced it.  Computed on first
+    use and then once per process, never at import.
+    """
+    package = Path(__file__).resolve().parents[1]
+    parts: List[Union[bytes, str]] = []
+    for path in sorted(package.rglob("*.py")):
+        parts += [path.relative_to(package).as_posix(), path.read_bytes()]
+    return stable_fingerprint(*parts)
+
+
 _LOGGER = logging.getLogger(__name__)
 
 _MISSING = object()
@@ -137,8 +158,10 @@ _MISSING = object()
 #: ``DesignVerification``.
 #: Version 8 keys fitness entries by the compact genome (the layout's
 #: key dtype) instead of its int64 bytes.
+#: Version 9 renames ``baselines`` to ``stages``, keyed by ``(stage
+#: kind, key)`` with the code digest, and adds GA results to it.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 8
+CACHE_FORMAT_VERSION = 9
 
 
 @dataclass(frozen=True)
@@ -314,8 +337,8 @@ class EvaluationCache:
         self.fitness = LRUCache(max_fitness_entries)
         self.accuracy = LRUCache(max_accuracy_entries)
         self.reports = LRUCache(max_report_entries)
-        # A few small entries per dataset (one per split and trainer settings).
-        self.baselines = LRUCache(256)
+        # A few entries per dataset: one per stage kind and settings.
+        self.stages = LRUCache(256)
         # In memory only: one capped front's worth of compiled modules.
         self.modules = LRUCache(self.MAX_MODULE_ENTRIES)
 
@@ -386,21 +409,39 @@ class EvaluationCache:
         return (genome, float(voltage), float(clock_period_ms), bool(include_registers))
 
     @staticmethod
+    def stage_key(kind: str, *parts: Hashable) -> Tuple[str, Hashable]:
+        """Key of one persisted stage result in the ``stages`` section.
+
+        ``(kind, (*parts, numpy version, code digest))``: the numpy
+        version can change trained floats, and the :func:`code_digest`
+        makes any edit of the package a miss.
+        """
+        return (kind, (*parts, np.__version__, code_digest()))
+
+    @staticmethod
+    def settings_key(settings: Any, exclude: Sequence[str] = ()) -> Tuple[Tuple[str, Any], ...]:
+        """A dataclass's ``(field name, value)`` pairs, for stage keys."""
+        return tuple(
+            (field.name, getattr(settings, field.name))
+            for field in fields(settings)
+            if field.name not in exclude
+        )
+
+    @staticmethod
     def baseline_key(split: Hashable, sizes: Sequence[int], trainer: Any) -> Hashable:
-        """Cache key of one trained float baseline.
+        """Stage key of one trained float baseline.
 
         ``split`` is the training split's :meth:`split_fingerprint`,
         ``sizes`` the topology's layer sizes and ``trainer`` the
         :class:`~repro.baselines.gradient.GradientTrainer` dataclass;
-        every trainer field except ``verbose`` is part of the key.  The
-        numpy version is too, since it can change the trained floats.
+        every trainer field except ``verbose`` is part of the key.
         """
-        settings = tuple(
-            (field.name, getattr(trainer, field.name))
-            for field in fields(trainer)
-            if field.name != "verbose"
+        return EvaluationCache.stage_key(
+            "baseline",
+            split,
+            tuple(int(size) for size in sizes),
+            EvaluationCache.settings_key(trainer, exclude=("verbose",)),
         )
-        return (split, tuple(int(size) for size in sizes), settings, np.__version__)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
@@ -415,7 +456,7 @@ class EvaluationCache:
                 ("fitness", self.fitness),
                 ("accuracy", self.accuracy),
                 ("reports", self.reports),
-                ("baselines", self.baselines),
+                ("stages", self.stages),
                 ("modules", self.modules),
             )
         }
@@ -425,7 +466,7 @@ class EvaluationCache:
         self.fitness.clear()
         self.accuracy.clear()
         self.reports.clear()
-        self.baselines.clear()
+        self.stages.clear()
         self.modules.clear()
 
     # ------------------------------------------------------------------
@@ -434,7 +475,7 @@ class EvaluationCache:
     #: Sections included in a disk snapshot.  ``modules`` is excluded on
     #: purpose: compiled modules are orders of magnitude larger than
     #: fitness tuples and are rebuilt lazily from the genomes anyway.
-    _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "baselines")
+    _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "stages")
 
     def save(
         self,

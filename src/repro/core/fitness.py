@@ -151,14 +151,33 @@ class FitnessEvaluator:
             if cache is not None
             else EvaluationCache(max_fitness_entries=max_cache_size)
         )
-        # Cached FitnessValues embed the decode semantics, the training
-        # split and the feasibility constraint, so fitness keys are
-        # namespaced by this evaluator's context: one digest string.
-        self._context_key = stable_fingerprint(
+        self._context_key = self.context_key(
+            layout, self.train_inputs, self.train_labels, baseline_accuracy, max_accuracy_loss
+        )
+
+    @staticmethod
+    def context_key(
+        layout: ChromosomeLayout,
+        train_inputs: np.ndarray,
+        train_labels: np.ndarray,
+        baseline_accuracy: Optional[float],
+        max_accuracy_loss: float,
+    ) -> str:
+        """One digest string of everything a fitness value depends on
+        besides the genome.
+
+        Cached :class:`FitnessValues` embed the decode semantics, the
+        training split and the feasibility constraint, so fitness keys
+        are namespaced by this digest.
+        """
+        split = EvaluationCache.split_fingerprint(
+            np.asarray(train_inputs, dtype=np.int64), np.asarray(train_labels, dtype=np.int64)
+        )
+        return stable_fingerprint(
             EvaluationCache.layout_key(layout),
             repr(None if baseline_accuracy is None else float(baseline_accuracy)),
             repr(float(max_accuracy_loss)),
-            repr(EvaluationCache.split_fingerprint(self.train_inputs, self.train_labels)),
+            repr(split),
         )
 
     def _fitness_key(self, genome: bytes) -> tuple:

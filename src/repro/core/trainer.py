@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import astuple, dataclass, fields
+from typing import Any, Hashable, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
 from repro.approx.topology import Topology
 from repro.baselines.gradient import FloatMLP
-from repro.core.cache import EvaluationCache
+from repro.core.cache import EvaluationCache, pack_arrays, stable_fingerprint
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator, FitnessValues
 from repro.core.nsga2 import crowding_distance, nsga2_sort_key
@@ -149,6 +149,76 @@ class GAResult:
         """The point with the highest accuracy on the estimated front."""
         return max(self.estimated_front, key=lambda p: p.accuracy)
 
+    def pack(self) -> tuple:
+        """Plain-builtin form for the evaluation cache's ``stages`` section.
+
+        ``(evaluations, points, history)``: each archive point as
+        ``(error, area, accuracy, int64 genome bytes)`` and each
+        :class:`GenerationStats` as a tuple of its fields.  Builtins only,
+        so the snapshot allowlist needs no numpy or trainer globals.
+        """
+        points = tuple(
+            (
+                float(point.error),
+                float(point.area),
+                float(point.accuracy),
+                np.ascontiguousarray(point.payload, dtype="<i8").tobytes(),
+            )
+            for point in self.pareto_points
+        )
+        history = tuple(
+            tuple(kind(value) for kind, value in zip(_STATS_TYPES, astuple(stats)))
+            for stats in self.history
+        )
+        return (int(self.evaluations), points, history)
+
+    @classmethod
+    def unpack(
+        cls, value: Any, layout: ChromosomeLayout, baseline_accuracy: Optional[float] = None
+    ) -> Optional["GAResult"]:
+        """Inverse of :meth:`pack` on ``layout``, or ``None`` if malformed.
+
+        Every genome must have the layout's length and lie within its
+        bounds.  ``wall_clock_seconds`` is the time this restore took.
+        """
+        start = time.perf_counter()
+        try:
+            evaluations, packed_points, packed_history = value
+            points = []
+            for error, area, accuracy, genome in packed_points:
+                if not all(type(v) is float for v in (error, area, accuracy)):
+                    return None
+                if not isinstance(genome, bytes) or len(genome) != 8 * layout.num_genes:
+                    return None
+                chromosome = np.frombuffer(genome, dtype="<i8").astype(np.int64)
+                layout.validate(chromosome)
+                points.append(ParetoPoint(error, area, accuracy, payload=chromosome))
+            history = []
+            for row in packed_history:
+                if len(row) != len(_STATS_TYPES) or any(
+                    type(v) is not kind for kind, v in zip(_STATS_TYPES, row)
+                ):
+                    return None
+                history.append(GenerationStats(*row))
+        except (TypeError, ValueError):
+            return None
+        if type(evaluations) is not int or not points or not history:
+            return None
+        return cls(
+            layout=layout,
+            pareto_points=points,
+            history=history,
+            evaluations=evaluations,
+            wall_clock_seconds=time.perf_counter() - start,
+            baseline_accuracy=baseline_accuracy,
+        )
+
+
+#: Builtin type of each :class:`GenerationStats` field, in field order.
+_STATS_TYPES = tuple(
+    int if field.type == "int" else float for field in fields(GenerationStats)
+)
+
 
 class GATrainer:
     """NSGA-II driver for approximate, hardware-aware MLP training."""
@@ -171,6 +241,38 @@ class GATrainer:
         )
 
     # ------------------------------------------------------------------
+    def result_key(
+        self,
+        train_inputs: np.ndarray,
+        train_labels: np.ndarray,
+        baseline_accuracy: Optional[float] = None,
+        seed_model: Optional[FloatMLP] = None,
+        area_objective: bool = True,
+    ) -> Hashable:
+        """Stage key of what :meth:`train` returns for these arguments.
+
+        It covers the fitness context (layout, training split, baseline
+        accuracy, loss bound), the gene bounds, every :class:`GAConfig`
+        field, the objective and the seed model's arrays; the shared
+        :meth:`~repro.core.cache.EvaluationCache.stage_key` adds the numpy
+        version and the code digest.
+        """
+        seed = None
+        if seed_model is not None:
+            packed = pack_arrays(list(seed_model.weights) + list(seed_model.biases))
+            seed = stable_fingerprint(*(part for shape, data in packed for part in (repr(shape), data)))
+        layout = self.layout
+        return EvaluationCache.stage_key(
+            "ga",
+            FitnessEvaluator.context_key(
+                layout, train_inputs, train_labels, baseline_accuracy, self.ga_config.max_accuracy_loss
+            ),
+            stable_fingerprint(layout.lower_bounds.tobytes(), layout.upper_bounds.tobytes()),
+            EvaluationCache.settings_key(self.ga_config),
+            bool(area_objective),
+            seed,
+        )
+
     def train(
         self,
         train_inputs: np.ndarray,

@@ -19,15 +19,17 @@ readable ``<experiment>.json`` + ``<experiment>.csv`` (see
 through ``Artifact.from_json``).
 
 ``--cache-dir DIR`` makes the evaluation cache persistent: each
-dataset's trained baseline and fitness/accuracy/hardware-report entries
-are loaded from ``DIR`` before the baseline stage and saved back
-afterwards (compacted by the scale's snapshot policy), so a second
-invocation of the same experiment at the same scale is served almost
-entirely from cache (a per-dataset ``[cache]`` summary line reports the
-hit rate, the snapshot traffic and whether the baseline was
-``restored`` or ``trained``).  Snapshots are versioned and keys are namespaced by
-dataset split and constraints, so one directory can safely be shared
-between scales and experiments.
+dataset's trained baseline, GA results and fitness/accuracy/hardware-
+report entries are loaded from ``DIR`` before the baseline stage and
+saved back afterwards (compacted by the scale's snapshot policy), so a
+second invocation of the same experiment at the same scale restores the
+baseline and the GA instead of training them.  A per-dataset ``[cache]``
+summary line reports this session's fitness lookups and hit rate (0/0
+when the GA was restored), the snapshot traffic and whether the baseline
+and the GA were ``restored`` or ``trained``.  Snapshots are versioned,
+and keys are namespaced by dataset split, constraints, settings and the
+package's source digest, so one directory can safely be shared between
+scales and experiments, and an edited source tree retrains.
 
 ``--dataset-workers N`` warms the per-dataset heavy stages in ``N``
 threads before the experiments read them (datasets are independent).
@@ -224,7 +226,7 @@ def main(argv: List[str] | None = None) -> int:
                 f"[cache] {dataset}: fitness {stats['cache_hits']}/"
                 f"{stats['evaluations']} hits ({100.0 * stats['hit_rate']:.1f}%), "
                 f"snapshot loaded {stats['loaded']} / saved {stats['saved']} entries, "
-                f"baseline {stats['baseline']}"
+                f"baseline {stats['baseline']}, ga {stats['ga']}"
             )
     if scale.verify_rtl:
         for dataset, verification in sorted(session.verification_summary().items()):

@@ -44,7 +44,8 @@ the front when there is no cache directory) creates it and loads the
 dataset's snapshot exactly once, and every later stage of that dataset
 shares it.  A second session over the same directory therefore restores
 the gradient baseline (re-quantizing the bit-exact float weights instead
-of retraining them) and replays the GA's fitness work from disk.
+of retraining them) and both GA results (the archive and history as the
+first run left them) instead of running any generation.
 Per-dataset stages can run in parallel
 (:meth:`ExperimentSession.prefetch` / ``dataset_workers``): datasets are
 independent, so their baseline + GA stages are warmed concurrently and
@@ -60,10 +61,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.baselines.approx_tc23 import explore_tc23
-from repro.baselines.exact_bespoke import quantize_float_mlp, train_exact_baseline
+from repro.baselines.exact_bespoke import quantize_float_mlp
 from repro.baselines.gradient import FloatMLP, GradientTrainer
 from repro.core.cache import EvaluationCache, SnapshotPolicy, pack_arrays, unpack_arrays
 from repro.core.trainer import GAConfig, GAResult, GATrainer
@@ -88,6 +89,8 @@ __all__ = [
 ]
 
 _LOGGER = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 @dataclass(frozen=True)
 class ExperimentDefinition:
@@ -120,11 +123,10 @@ class ExperimentSession:
         Optional directory for disk-backed
         :class:`~repro.core.cache.EvaluationCache` snapshots (one file
         per dataset); overrides ``scale.cache_dir``.  When set, the
-        baseline stage restores the previous run's trained float
-        baseline, the genetic stages start from its fitness/accuracy/
-        report entries, and the merged cache is saved back afterwards,
-        so a repeated invocation of an identical experiment is served
-        almost entirely from cache.
+        baseline and GA stages restore the previous run's results, the
+        later stages start from its accuracy/report entries, and the
+        merged cache is saved back afterwards, so a repeated invocation
+        of an identical experiment trains nothing.
     """
 
     def __init__(
@@ -144,8 +146,10 @@ class ExperimentSession:
         self._cache_io: Dict[str, Dict[str, int]] = {}
         #: One evaluation cache per dataset (canonical spec name).
         self._caches: Dict[str, EvaluationCache] = {}
-        #: Datasets whose baseline was restored from the snapshot.
-        self._restored_baselines: set = set()
+        #: ``(stage kind, canonical spec name)`` of every stage result
+        #: restored from the snapshot (kinds ``"baseline"``, ``"ga"`` and
+        #: ``"ga_plain"``).
+        self._restored: set = set()
         self._registry_lock = threading.Lock()
         # Reentrant: stages nest (ga_plain -> front -> baseline all take
         # the same dataset's lock on one thread).
@@ -202,40 +206,25 @@ class ExperimentSession:
                 seed=scale.seed,
             )
             topology = spec.mlp_topology
-            cache = key = None
-            if self.cache_dir is not None:
-                cache = self._evaluation_cache(spec.name)
+            features, labels = dataset.train.features, dataset.train.labels
             start = time.perf_counter()
-            float_model = None
-            if cache is not None:
-                key = EvaluationCache.baseline_key(
-                    EvaluationCache.split_fingerprint(
-                        dataset.train.features, dataset.train.labels
-                    ),
+            float_model, restored = self._restore_or_run(
+                spec.name,
+                "baseline",
+                lambda: EvaluationCache.baseline_key(
+                    EvaluationCache.split_fingerprint(features, labels),
                     topology.sizes,
                     trainer,
-                )
-                float_model = self._restore_baseline(cache, key, topology, spec.name)
-            restored = float_model is not None
-            if restored:
-                bespoke = quantize_float_mlp(float_model, dataset.train.features)
-            else:
-                bespoke, float_model = train_exact_baseline(
-                    dataset.train.features,
-                    dataset.train.labels,
-                    topology,
-                    trainer=trainer,
-                )
+                ),
+                run=lambda: trainer.train(features, labels, topology).model,
+                pack=lambda model: pack_arrays(model.weights + model.biases),
+                rebuild=lambda value: self._rebuild_baseline(value, topology),
+            )
+            bespoke = quantize_float_mlp(float_model, features)
             # Restore + quantize on a hit: the time this session spent.
             elapsed = time.perf_counter() - start
-            if restored:
-                with self._registry_lock:
-                    self._restored_baselines.add(spec.name)
-            elif cache is not None:
-                cache.baselines.put(
-                    key, pack_arrays(float_model.weights + float_model.biases)
-                )
-                self.persist_cache(spec.name, cache)
+            if not restored and self.cache_dir is not None:
+                self.persist_cache(spec.name, self._evaluation_cache(spec.name))
             x_train, y_train = dataset.quantized_train()
             x_test, y_test = dataset.quantized_test()
             report = bespoke.synthesize(clock_period_ms=spec.clock_period_ms)
@@ -279,16 +268,22 @@ class ExperimentSession:
             # once per operating point.  With a
             # cache directory it also spans *runs*: the baseline stage
             # already loaded the previous invocation's snapshot into
-            # this dataset's cache, and the merged cache is snapshotted
-            # afterwards.
+            # this dataset's cache (from which a matching GA result is
+            # restored instead of trained), and the merged cache is
+            # snapshotted afterwards.
             cache = self._evaluation_cache(spec.name)
+            baseline_accuracy = result.baseline.train_accuracy
+            seed_model = result.baseline.float_model
             start = time.perf_counter()
-            ga_result = trainer.train(
-                x_train,
-                y_train,
-                baseline_accuracy=result.baseline.train_accuracy,
-                seed_model=result.baseline.float_model,
-                cache=cache,
+            ga_result, _ = self._restore_or_run(
+                spec.name,
+                "ga",
+                lambda: trainer.result_key(x_train, y_train, baseline_accuracy, seed_model),
+                run=lambda: trainer.train(
+                    x_train, y_train, baseline_accuracy, seed_model, cache=cache
+                ),
+                pack=GAResult.pack,
+                rebuild=lambda value: GAResult.unpack(value, trainer.layout, baseline_accuracy),
             )
             elapsed = time.perf_counter() - start
 
@@ -420,8 +415,15 @@ class ExperimentSession:
             assert approx is not None
             x_train, y_train = result.dataset.quantized_train()
             trainer = GATrainer(result.spec.mlp_topology, ga_config=self._ga_config())
-            ga_result = trainer.train(
-                x_train, y_train, area_objective=False, cache=approx.cache
+            ga_result, _ = self._restore_or_run(
+                result.spec.name,
+                "ga_plain",
+                lambda: trainer.result_key(x_train, y_train, area_objective=False),
+                run=lambda: trainer.train(
+                    x_train, y_train, area_objective=False, cache=approx.cache
+                ),
+                pack=GAResult.pack,
+                rebuild=lambda value: GAResult.unpack(value, trainer.layout),
             )
             self.persist_cache(result.spec.name, approx.cache)
             return ga_result
@@ -720,27 +722,51 @@ class ExperimentSession:
                 cache = self._caches.setdefault(spec_name, cache)
         return cache
 
-    @staticmethod
-    def _restore_baseline(
-        cache: EvaluationCache, key, topology, spec_name: str
-    ) -> Optional[FloatMLP]:
-        """The cached float baseline under ``key``, or ``None`` to retrain.
+    def _restore_or_run(
+        self,
+        spec_name: str,
+        kind: str,
+        key: Callable[[], object],
+        *,
+        run: Callable[[], _T],
+        pack: Callable[[_T], object],
+        rebuild: Callable[[object], Optional[_T]],
+    ) -> Tuple[_T, bool]:
+        """``(result, restored)``: a stage result from the dataset's snapshot, or run.
 
-        An entry that does not rebuild into the topology's layer shapes
-        is a miss, not an error (the snapshot's corruption tolerance):
-        it is logged and the retrained baseline overwrites it.
+        Without a cache directory this is just ``run()``: the key is
+        never built and nothing is stored.  With one, the ``stages``
+        entry under ``key()`` is rebuilt; a miss, or an entry that does
+        not rebuild (the snapshot's corruption tolerance: logged at
+        WARNING), runs the stage and stores its packed result over the
+        bad entry.  The caller saves the snapshot.
         """
-        value = cache.baselines.get(key)
-        if value is None:
-            return None
+        if self.cache_dir is None:
+            return run(), False
+        cache = self._evaluation_cache(spec_name)
+        stage_key = key()
+        value = cache.stages.get(stage_key)
+        if value is not None:
+            restored = rebuild(value)
+            if restored is not None:
+                with self._registry_lock:
+                    self._restored.add((kind, spec_name))
+                return restored, True
+            _LOGGER.warning(
+                "ignoring malformed cached %s of %s; recomputing", kind, spec_name
+            )
+        result = run()
+        cache.stages.put(stage_key, pack(result))
+        return result, False
+
+    @staticmethod
+    def _rebuild_baseline(value: object, topology) -> Optional[FloatMLP]:
+        """A cached float baseline on ``topology``, or ``None`` if malformed."""
         weight_shapes = list(topology.layer_shapes())
         arrays = unpack_arrays(
             value, weight_shapes + [(fan_out,) for _, fan_out in weight_shapes]
         )
         if arrays is None:
-            _LOGGER.warning(
-                "ignoring malformed cached baseline of %s; retraining", spec_name
-            )
             return None
         layers = topology.num_layers
         return FloatMLP(topology=topology, weights=arrays[:layers], biases=arrays[layers:])
@@ -787,34 +813,35 @@ class ExperimentSession:
     def cache_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-dataset fitness-cache hit rates and disk-snapshot traffic.
 
-        ``hit_rate`` is the GA stage's unique-lookup hit rate (hits /
-        evaluations); on a second identical run against the same
-        ``cache_dir`` it approaches 1.0 because every genome's fitness
-        was restored from disk.  ``loaded``/``saved`` count snapshot
+        ``evaluations``/``cache_hits``/``hit_rate`` count the front GA's
+        unique fitness lookups in this session.  On a second identical
+        run against the same ``cache_dir`` the GA is restored, not run,
+        so all three read 0.  ``loaded``/``saved`` count snapshot
         entries read before the baseline stage and written after the
-        last stage that saved.  ``baseline`` is ``"restored"`` when the
-        gradient baseline came from the snapshot, else ``"trained"``.
+        last stage that saved.  ``baseline`` and ``ga`` (the front's GA)
+        are ``"restored"`` when the stage result came from the snapshot,
+        else ``"trained"``.
         """
         summary: Dict[str, Dict[str, object]] = {}
         for name, result in self._fronts():
-            history = result.approximate.ga_result.history
-            if not history:
-                continue
-            last = history[-1]
-            # _cache_io is keyed by the canonical spec name, which may
-            # differ from the caller-supplied alias keying the stage.
-            io = self._cache_io.get(result.spec.name, {})
+            # _cache_io and _restored are keyed by the canonical spec
+            # name, which may differ from the alias keying the stage.
+            spec_name = result.spec.name
+            io = self._cache_io.get(spec_name, {})
+            with self._registry_lock:
+                restored = {kind for kind, key in self._restored if key == spec_name}
+            evaluations = hits = 0
+            if "ga" not in restored:
+                last = result.approximate.ga_result.history[-1]
+                evaluations, hits = last.evaluations, last.cache_hits
             summary[name] = {
-                "evaluations": last.evaluations,
-                "cache_hits": last.cache_hits,
-                "hit_rate": last.cache_hit_rate,
+                "evaluations": evaluations,
+                "cache_hits": hits,
+                "hit_rate": hits / evaluations if evaluations else 0.0,
                 "loaded": io.get("loaded", 0),
                 "saved": io.get("saved", 0),
-                "baseline": (
-                    "restored"
-                    if result.spec.name in self._restored_baselines
-                    else "trained"
-                ),
+                "baseline": "restored" if "baseline" in restored else "trained",
+                "ga": "restored" if "ga" in restored else "trained",
             }
         return summary
 

@@ -58,16 +58,19 @@ def population_layer_column_counts(
     width = input_bits + max_exp + bias_bits + 1
 
     bits = np.arange(input_bits, dtype=np.int64)[:, None, None, None]
-    bit_set = (masks[None, :, :, :] >> bits) & 1  # (B, P, fan_in, fan_out)
-    columns = bits + exponents[None, :, :, :]
+    bit_set = (masks[None, :, :, :] & (1 << bits)) != 0  # (B, P, fan_in, fan_out)
     neuron = (
         np.arange(population, dtype=np.int64)[:, None] * fan_out
         + np.arange(fan_out, dtype=np.int64)[None, :]
     )  # (P, fan_out)
-    flat = columns * columns_per_slice + neuron[None, :, None, :]
+    # Flat (column, neuron) bin of every summand bit, built in place;
+    # gathering the set bits' bins keeps the bincount integer and small.
+    flat = bits + exponents[None, :, :, :]
+    flat *= columns_per_slice
+    flat += neuron[None, :, None, :]
     counts = np.bincount(
-        flat.ravel(), weights=bit_set.ravel(), minlength=width * columns_per_slice
-    ).astype(np.int64).reshape(width, columns_per_slice)
+        flat[bit_set], minlength=width * columns_per_slice
+    ).reshape(width, columns_per_slice)
 
     bias_bit_range = np.arange(bias_bits, dtype=np.int64)[:, None]
     counts[:bias_bits, :] += (bias_magnitudes[None, :] >> bias_bit_range) & 1

@@ -3,8 +3,9 @@
 Covers the snapshot format (versioning, atomic writes, LRU-order
 preservation), the corruption tolerance of :meth:`EvaluationCache.load`,
 the process-stable split fingerprints, and the end-to-end promise: a
-second identical experiment run against the same ``--cache-dir`` is
-served almost entirely (> 90 %) from the fitness cache.
+second identical experiment run against the same ``--cache-dir``
+restores the baseline and both GA results, and without its GA entries
+is served almost entirely (> 90 %) from the fitness cache.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.gradient import GradientTrainer
+from repro.core.trainer import GATrainer
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
     EvaluationCache,
     SnapshotPolicy,
+    code_digest,
     pack_arrays,
     unpack_arrays,
 )
@@ -54,13 +57,13 @@ class TestSnapshotRoundTrip:
             GradientTrainer(epochs=7),
         )
         cache = EvaluationCache()
-        cache.baselines.put(key, pack_arrays(arrays))
+        cache.stages.put(key, pack_arrays(arrays))
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == 1
 
         restored = EvaluationCache()
         assert restored.load(path) == 1
-        unpacked = unpack_arrays(restored.baselines.get(key), [(4, 3), (3,)])
+        unpacked = unpack_arrays(restored.stages.get(key), [(4, 3), (3,)])
         assert [a.tobytes() for a in unpacked] == [a.tobytes() for a in arrays]
 
     def test_baseline_key_covers_trainer_settings_but_not_verbose(self):
@@ -77,7 +80,31 @@ class TestSnapshotRoundTrip:
             assert EvaluationCache.baseline_key(split, (4, 3), changed) != key
         assert EvaluationCache.baseline_key(split, (4, 2), GradientTrainer()) != key
         assert EvaluationCache.baseline_key(("other",), (4, 3), GradientTrainer()) != key
-        assert np.__version__ in key
+        kind, parts = key
+        assert kind == "baseline"
+        assert parts[-2:] == (np.__version__, code_digest())
+
+    def test_code_digest_covers_every_package_source(self, tmp_path, monkeypatch):
+        """An edit anywhere in the package changes the digest, so no stage
+        key of the old tree matches."""
+        import repro.core.cache as cache_module
+
+        package = tmp_path / "repro"
+        (package / "core").mkdir(parents=True)
+        (package / "core" / "cache.py").write_text("# cache\n")
+        (package / "baselines").mkdir()
+        gradient = package / "baselines" / "gradient.py"
+        gradient.write_text("EPOCHS = 1\n")
+        monkeypatch.setattr(cache_module, "__file__", str(package / "core" / "cache.py"))
+        digests = []
+        try:
+            for text in ("EPOCHS = 1\n", "EPOCHS = 2\n"):
+                gradient.write_text(text)
+                code_digest.cache_clear()
+                digests.append(code_digest())
+        finally:
+            code_digest.cache_clear()
+        assert digests[0] != digests[1]
 
     @pytest.mark.parametrize(
         "value",
@@ -272,7 +299,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 4 (expected 8)" in caplog.text
+        assert f"format version 4 (expected {CACHE_FORMAT_VERSION})" in caplog.text
         assert len(cache.fitness) == 0
 
     def test_version_6_verification_report_is_ignored(self, tmp_path, caplog):
@@ -306,7 +333,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 6 (expected 8)" in caplog.text
+        assert f"format version 6 (expected {CACHE_FORMAT_VERSION})" in caplog.text
         assert len(cache.reports) == 0
 
         payload["version"] = CACHE_FORMAT_VERSION
@@ -338,7 +365,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert "format version 7 (expected 8)" in caplog.text
+        assert f"format version 7 (expected {CACHE_FORMAT_VERSION})" in caplog.text
         assert len(cache.fitness) == 0
 
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
@@ -490,6 +517,51 @@ def _baseline_fingerprint(baseline) -> tuple:
     )
 
 
+def _drop_stage_entries(snapshot, kind: str) -> int:
+    """Remove a snapshot's ``stages`` entries of one kind; returns how many."""
+    payload = pickle.loads(snapshot.read_bytes())
+    entries = payload["sections"]["stages"]
+    kept = [entry for entry in entries if entry[0][0] != kind]
+    payload["sections"]["stages"] = kept
+    snapshot.write_bytes(pickle.dumps(payload))
+    return len(entries) - len(kept)
+
+
+def _count_ga_training(monkeypatch) -> dict:
+    """Count ``GATrainer.train`` calls (both GA stages run through it)."""
+    calls = {"n": 0}
+    original = GATrainer.train
+
+    def counting(self, *args, **kwargs):
+        calls["n"] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GATrainer, "train", counting)
+    return calls
+
+
+def _without_seconds(artifact):
+    """The artifact with every wall-clock (``*_seconds``) column removed."""
+    rows = tuple(
+        {key: value for key, value in row.items() if not key.endswith("_seconds")}
+        for row in artifact.rows
+    )
+    return dataclasses.replace(artifact, rows=rows)
+
+
+def _ga_fingerprint(ga_result) -> tuple:
+    """Everything a restored GA result must reproduce."""
+    return (
+        [
+            (point.error, point.area, point.accuracy, point.payload.tobytes())
+            for point in ga_result.pareto_points
+        ],
+        ga_result.history,
+        ga_result.evaluations,
+        ga_result.baseline_accuracy,
+    )
+
+
 class TestPipelinePersistence:
     def test_second_run_hits_over_90_percent(self, tmp_path):
         """The acceptance criterion: an identical second run against the
@@ -501,11 +573,15 @@ class TestPipelinePersistence:
         assert first_summary["loaded"] == 0
         assert first_summary["saved"] > 0
         assert (tmp_path / "breast_cancer.cache.pkl").exists()
+        # Without its GA entry the second session replays the GA through
+        # the fitness memo instead of restoring it.
+        dropped = _drop_stage_entries(tmp_path / "breast_cancer.cache.pkl", "ga")
+        assert dropped == 1
 
         second = ExperimentSession(TINY, cache_dir=tmp_path)
         second_result = second.front("breast_cancer")
         second_summary = second.cache_summary()["breast_cancer"]
-        assert second_summary["loaded"] == first_summary["saved"]
+        assert second_summary["loaded"] == first_summary["saved"] - dropped
         assert second_summary["hit_rate"] > 0.9
 
         # Same seed + restored fitness values => identical evolution.
@@ -607,9 +683,9 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 8
-        (key, value, stamp), = payload["sections"]["baselines"]
-        payload["sections"]["baselines"] = [(key, corrupt(value), stamp)]
+        assert payload["version"] == CACHE_FORMAT_VERSION == 9
+        (key, value, stamp), = payload["sections"]["stages"]
+        payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))
 
         calls = _count_gradient_training(monkeypatch)
@@ -625,6 +701,117 @@ class TestPipelinePersistence:
         assert _baseline_fingerprint(
             restored.baseline("breast_cancer").baseline
         ) == _baseline_fingerprint(cold)
+        assert calls["n"] == 1
+
+
+class TestGARestore:
+    """The GA stages restore their results from the snapshot."""
+
+    def test_second_session_trains_no_ga(self, tmp_path, monkeypatch):
+        first = ExperimentSession(TINY, cache_dir=tmp_path)
+        first_artifacts = first.run(["table2", "table3"])
+        assert first.cache_summary()["breast_cancer"]["ga"] == "trained"
+
+        calls = _count_ga_training(monkeypatch)
+        second = ExperimentSession(TINY, cache_dir=tmp_path)
+        second_artifacts = second.run(["table2", "table3"])
+        assert calls["n"] == 0
+        summary = second.cache_summary()["breast_cancer"]
+        assert (summary["baseline"], summary["ga"]) == ("restored", "restored")
+        # Nothing was looked up in this session.
+        assert (summary["evaluations"], summary["cache_hits"], summary["hit_rate"]) == (0, 0, 0.0)
+        for name in ("table2", "table3"):
+            assert _without_seconds(second_artifacts[name]) == _without_seconds(
+                first_artifacts[name]
+            ), name
+        assert second.stage_counts() == first.stage_counts()
+        assert _ga_fingerprint(
+            second.front("breast_cancer").approximate.ga_result
+        ) == _ga_fingerprint(first.front("breast_cancer").approximate.ga_result)
+        assert _ga_fingerprint(second.ga_plain("breast_cancer")) == _ga_fingerprint(
+            first.ga_plain("breast_cancer")
+        )
+
+    def test_front_and_plain_ga_keep_separate_entries(self, tmp_path):
+        ExperimentSession(TINY, cache_dir=tmp_path).run(["table3"])
+        payload = pickle.loads((tmp_path / "breast_cancer.cache.pkl").read_bytes())
+        kinds = sorted(key[0] for key, _, _ in payload["sections"]["stages"])
+        assert kinds == ["baseline", "ga", "ga"]
+        front, plain = (
+            value for key, value, _ in payload["sections"]["stages"] if key[0] == "ga"
+        )
+        assert front != plain
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"ga_generations": 7}, {"seed": 1}, "code"],
+        ids=["generations", "seed", "code-digest"],
+    )
+    def test_changed_settings_or_code_miss(self, tmp_path, monkeypatch, change):
+        import repro.core.cache as cache_module
+
+        ExperimentSession(TINY, cache_dir=tmp_path).front("breast_cancer")
+        scale = TINY
+        if change == "code":
+            monkeypatch.setattr(cache_module, "code_digest", lambda: "an edited tree")
+        else:
+            scale = dataclasses.replace(TINY, **change)
+        calls = _count_ga_training(monkeypatch)
+        changed = ExperimentSession(scale, cache_dir=tmp_path)
+        changed.front("breast_cancer")
+        assert calls["n"] == 1
+        assert changed.cache_summary()["breast_cancer"]["ga"] == "trained"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda value, layout: "garbage",
+            lambda value, layout: (
+                value[0],
+                ((*value[1][0][:3], value[1][0][3][:-8]),) + value[1][1:],
+                value[2],
+            ),
+            lambda value, layout: (
+                value[0],
+                ((*value[1][0][:3], (layout.upper_bounds + 1).astype("<i8").tobytes()),)
+                + value[1][1:],
+                value[2],
+            ),
+            lambda value, layout: (value[0], value[1], (value[2][0][:-1],) + value[2][1:]),
+            lambda value, layout: (float(value[0]), value[1], value[2]),
+        ],
+        ids=["non-tuple", "genome-length", "genome-bounds", "history-arity", "count-type"],
+    )
+    def test_malformed_entry_replays_and_is_overwritten(
+        self, tmp_path, monkeypatch, caplog, corrupt
+    ):
+        first = ExperimentSession(TINY, cache_dir=tmp_path)
+        cold = _ga_fingerprint(first.front("breast_cancer").approximate.ga_result)
+        layout = first.front("breast_cancer").approximate.ga_result.layout
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        payload = pickle.loads(snapshot.read_bytes())
+        payload["sections"]["stages"] = [
+            (key, corrupt(value, layout) if key[0] == "ga" else value, stamp)
+            for key, value, stamp in payload["sections"]["stages"]
+        ]
+        snapshot.write_bytes(pickle.dumps(payload))
+
+        calls = _count_ga_training(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.session"):
+            replayed = ExperimentSession(TINY, cache_dir=tmp_path)
+            result = replayed.front("breast_cancer").approximate.ga_result
+        assert calls["n"] == 1
+        assert "malformed cached ga of breast_cancer" in caplog.text
+        assert replayed.cache_summary()["breast_cancer"]["ga"] == "trained"
+        # The replay hits the fitness memo, so only its counters differ.
+        assert _ga_fingerprint(result)[0] == cold[0]
+
+        # The replayed result overwrote the bad entry on disk.
+        restored = ExperimentSession(TINY, cache_dir=tmp_path)
+        assert _ga_fingerprint(
+            restored.front("breast_cancer").approximate.ga_result
+        )[0] == cold[0]
+        assert restored.cache_summary()["breast_cancer"]["ga"] == "restored"
         assert calls["n"] == 1
 
 
@@ -655,6 +842,6 @@ class TestRunnerFlag:
         line = next(
             l for l in second_out.splitlines() if l.startswith("[cache] breast_cancer")
         )
-        rate = float(line.split("(")[1].split("%")[0])
-        assert rate > 90.0
-        assert line.endswith("baseline restored")
+        # Both stages were restored: this session looked nothing up.
+        assert "fitness 0/0 hits" in line
+        assert line.endswith("baseline restored, ga restored")

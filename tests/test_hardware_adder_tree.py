@@ -170,6 +170,32 @@ class TestFastArea:
         assert counts.shape[1] == layer.fan_out
         assert counts.sum() > 0
 
+    def test_layer_column_counts_match_scalar_columns(self):
+        """Every neuron's stacked histogram equals the scalar
+        ``approximate_neuron_columns``, including empty masks and zero
+        biases."""
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            population, fan_in, fan_out = (int(v) for v in rng.integers(1, 7, size=3))
+            input_bits = int(rng.integers(1, 9))
+            masks = rng.integers(0, 2**input_bits, size=(population, fan_in, fan_out))
+            masks *= rng.random(masks.shape) < rng.random()
+            exponents = rng.integers(0, 8, size=masks.shape)
+            biases = rng.integers(-300, 300, size=(population, fan_out)) * (rng.random() < 0.8)
+            counts = population_layer_column_counts(masks, exponents, biases, input_bits)
+            assert counts.dtype == np.int64
+            for p in range(population):
+                for j in range(fan_out):
+                    scalar = approximate_neuron_columns(
+                        masks[p, :, j], exponents[p, :, j], int(biases[p, j]), input_bits
+                    )
+                    column = counts[:, p * fan_out + j]
+                    size = max(len(scalar), len(column))
+                    assert np.array_equal(
+                        np.pad(column, (0, size - len(column))),
+                        np.pad(scalar, (0, size - len(scalar))),
+                    )
+
     def test_reduce_rejects_1d(self):
         with pytest.raises(ValueError):
             reduce_columns_adder_costs(np.array([1, 2, 3]))
