@@ -28,9 +28,7 @@ shared by all of them, keyed by the chromosome's genome bytes:
     it instead of recomputing it: the trained float baseline's weights
     and biases as ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`,
     kind ``"baseline"``) and a GA run's archive, history and evaluation
-    count (:meth:`~repro.core.trainer.GAResult.pack`, kind ``"ga"``).
-    Every key ends with the numpy version and :func:`code_digest`, so an
-    edited source tree never restores a stale result;
+    count (:meth:`~repro.core.trainer.GAResult.pack`, kind ``"ga"``);
 ``modules``
     (layout key, genome) → ``(text, module)``: a front member's canonical
     module text (``generate_mlp_verilog(model)``) and its
@@ -52,20 +50,38 @@ misses, which the tests use to assert that a full pipeline run performs
 zero redundant forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (fitness, accuracy, reports, stages — compiled modules
-are deliberately excluded: they are large and cheap to rebuild) into one
-versioned pickle, and
-:meth:`EvaluationCache.load` restores them.  Keys are fully
+data sections (compiled modules are deliberately excluded: they are
+large and cheap to rebuild) into two versioned pickles per snapshot.
+The **head** at the snapshot path holds ``accuracy``, ``reports`` and
+``stages`` plus the fitness section's entry count and oldest last-used
+stamp; the ``fitness`` entries, by far the most numerous, go into the
+**fitness file** next to it (``<path>.fitness``,
+:meth:`EvaluationCache.fitness_path`).  :meth:`EvaluationCache.load`
+restores the head at once and only backs the fitness section by its
+file (:meth:`LRUCache.back_with`): the file is read on the section's
+first access, so a warm session whose GA stages are restored from
+``stages`` never opens it, and ``save`` leaves an unread fitness file
+on disk instead of rewriting it.
+
+Keys are fully
 self-namespacing — they embed the layout identity, the training split
 digest and the feasibility constraint — so snapshots taken from
 different datasets, scales or constraints can share a directory without
-colliding.  The other sections key genomes by their int64 bytes
-(:meth:`EvaluationCache.genome_key`), which also name published designs.
-Keys are flat tuples of strings, bytes and numbers (the
-layout and the evaluator context are each one :func:`stable_fingerprint`
-string), whose hashes CPython caches.  Loading is corruption-tolerant: a missing, truncated,
-garbage or version-mismatched file restores nothing instead of raising,
-so a crashed writer can never take down the next run.
+colliding, and any valid fitness file at the path is correct to read,
+whichever run wrote it.  The other sections key genomes by their
+int64 bytes (:meth:`EvaluationCache.genome_key`), which also name
+published designs.  Keys are flat tuples of strings, bytes and numbers
+(the layout and the evaluator context are each one
+:func:`stable_fingerprint` string), whose hashes CPython caches.
+
+Both files record the format version, the numpy version and the
+:func:`code_digest` of the package, so an edited source tree restores
+nothing — no stage result, and no fitness value the old code computed.
+Loading is corruption-tolerant: a missing, truncated, garbage,
+version-mismatched or other-code file restores nothing from that file
+instead of raising (a bad fitness file leaves the fitness section
+empty, the head's sections restored), so a crashed writer can never
+take down the next run.
 
 Long-lived cache directories are kept bounded by **snapshot
 compaction**: every entry carries a last-used timestamp, and
@@ -73,7 +89,10 @@ compaction**: every entry carries a last-used timestamp, and
 age bound drops entries unused for too long at write time, so a
 directory accumulated over many runs does not grow with the union of
 everything ever evaluated.  The section bounds of the LRU caches cap
-the entry count.
+the entry count.  Both apply to the head at every save; an unread
+fitness file is read and rewritten only when its recorded oldest stamp
+is past the age bound or its count exceeds the fitness bound, which is
+when compacting it would drop something.
 """
 
 from __future__ import annotations
@@ -127,9 +146,10 @@ def stable_fingerprint(*parts: Union[bytes, str], digest_size: int = 16) -> str:
 def code_digest() -> str:
     """Digest of the ``repro`` package's ``.py`` sources (path and bytes).
 
-    Part of every :meth:`EvaluationCache.stage_key`, so a persisted stage
-    result never outlives the code that produced it.  Computed on first
-    use and then once per process, never at import.
+    Recorded in every snapshot file :meth:`EvaluationCache.save` writes,
+    so a persisted stage result or fitness value never outlives the
+    code that produced it.  Computed on first use and then once per
+    process, never at import.
     """
     package = Path(__file__).resolve().parents[1]
     parts: List[Union[bytes, str]] = []
@@ -160,8 +180,12 @@ _MISSING = object()
 #: key dtype) instead of its int64 bytes.
 #: Version 9 renames ``baselines`` to ``stages``, keyed by ``(stage
 #: kind, key)`` with the code digest, and adds GA results to it.
+#: Version 10 moves the ``fitness`` section into its own file (the head
+#: records its entry count and oldest stamp) and records the numpy
+#: version and code digest once per file instead of in stage keys.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 9
+_FITNESS_MAGIC = "repro-evaluation-cache/fitness"
+CACHE_FORMAT_VERSION = 10
 
 
 @dataclass(frozen=True)
@@ -243,6 +267,68 @@ class _SnapshotUnpickler(pickle.Unpickler):
         )
 
 
+def _code_stamp() -> Tuple[str, str]:
+    """The numpy version and :func:`code_digest` every snapshot file records."""
+    return (np.__version__, code_digest())
+
+
+def _read_snapshot(path: Path, magic: str, *, missing_ok: bool) -> Optional[dict]:
+    """The checked payload of one snapshot file, or ``None``.
+
+    Never raises on bad input.  A missing file (logged unless
+    ``missing_ok``), a truncated or garbage pickle, a foreign payload, a
+    format-version mismatch or a file written by other code (another
+    numpy version or an edited package, see :func:`code_digest`) reads
+    as ``None`` and logs a WARNING.  Deserialization goes through the
+    allowlisted :class:`_SnapshotUnpickler`.
+    """
+    try:
+        with open(path, "rb") as handle:
+            payload = _SnapshotUnpickler(handle).load()
+    except FileNotFoundError:
+        if not missing_ok:
+            _LOGGER.warning("ignoring missing cache snapshot %s", path)
+        return None
+    except Exception as error:  # noqa: BLE001 - tolerate any corruption
+        _LOGGER.warning("ignoring unreadable cache snapshot %s: %s", path, error)
+        return None
+    if not isinstance(payload, dict) or payload.get("magic") != magic:
+        _LOGGER.warning("ignoring foreign cache snapshot %s", path)
+        return None
+    if payload.get("version") != CACHE_FORMAT_VERSION:
+        _LOGGER.warning(
+            "ignoring cache snapshot %s with format version %r (expected %d)",
+            path,
+            payload.get("version"),
+            CACHE_FORMAT_VERSION,
+        )
+        return None
+    if payload.get("code") != _code_stamp():
+        _LOGGER.warning(
+            "ignoring cache snapshot %s written by other code %r (expected %r)",
+            path,
+            payload.get("code"),
+            _code_stamp(),
+        )
+        return None
+    return payload
+
+
+def _write_snapshot(path: Path, payload: dict) -> None:
+    """Pickle ``payload`` to ``path`` atomically (temp file + rename)."""
+    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class LRUCache:
     """A bounded mapping with least-recently-*used* eviction.
 
@@ -252,6 +338,10 @@ class LRUCache:
     also carries a last-used wall-clock timestamp, which snapshot
     compaction (:class:`SnapshotPolicy`) uses to age entries out of
     long-lived cache directories.
+
+    A section can be **backed by a snapshot file** (:meth:`back_with`):
+    its entries stay on disk until the first call of any method that
+    reads or changes them, which reads the file into the section first.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -262,9 +352,73 @@ class LRUCache:
         self.misses = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._stamps: Dict[Hashable, float] = {}
+        #: ``(path, entry count, oldest last-used stamp)`` of the file
+        #: still holding this section's entries, or ``None`` once read.
+        #: Every method that reads or changes entries checks it first.
+        self.backing: Optional[Tuple[Path, int, float]] = None
+
+    def back_with(self, path: Union[str, Path], count: int, oldest: float) -> None:
+        """Defer this section's entries to the fitness file at ``path``.
+
+        ``count`` and ``oldest`` (the oldest entry's last-used stamp)
+        are what the snapshot head recorded, so :meth:`EvaluationCache.save`
+        can carry an unread file forward without opening it.  A section
+        that already holds entries reads the file at once, merging it.
+        """
+        if len(self):
+            self._restore_file(Path(path))
+        else:
+            self.backing = (Path(path), int(count), float(oldest))
+
+    def _read_backing(self) -> None:
+        path = self.backing[0]
+        self.backing = None
+        self._restore_file(path)
+
+    def _restore_file(self, path: Path) -> None:
+        payload = _read_snapshot(path, _FITNESS_MAGIC, missing_ok=False)
+        if payload is not None:
+            try:
+                self.restore(payload.get("entries", []))
+            except (TypeError, ValueError) as error:
+                _LOGGER.warning("ignoring malformed cache snapshot %s: %s", path, error)
+
+    def restore(self, entries: Sequence[Tuple[Hashable, Any, float]]) -> int:
+        """Put persisted ``(key, value, last_used)`` triples, least recent first.
+
+        Returns how many were read.  Each goes through :meth:`put`, so
+        this section's bound applies, and keeps its persisted stamp, so
+        the age bound keeps working across process restarts.  Raises
+        ``TypeError`` / ``ValueError`` on a malformed entry.
+        """
+        count = 0
+        for key, value, stamp in entries:
+            self.put(key, value)
+            if key in self._data:
+                self._stamps[key] = float(stamp)
+            count += 1
+        return count
+
+    def entries(
+        self, now: float, max_age: Optional[float] = None
+    ) -> List[Tuple[Hashable, Any, float]]:
+        """``(key, value, last_used)`` triples, least recent first.
+
+        Entries last used more than ``max_age`` seconds before ``now``
+        are left out.
+        """
+        if self.backing is not None:
+            self._read_backing()
+        stamps = self._stamps
+        entries = [(key, value, stamps.get(key, now)) for key, value in self._data.items()]
+        if max_age is not None:
+            entries = [entry for entry in entries if now - entry[2] <= max_age]
+        return entries
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, refreshing its recency on a hit."""
+        if self.backing is not None:
+            self._read_backing()
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
@@ -276,6 +430,8 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the least recently used."""
+        if self.backing is not None:
+            self._read_backing()
         data = self._data
         data[key] = value
         data.move_to_end(key)
@@ -286,6 +442,8 @@ class LRUCache:
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key``'s value, counted like a :meth:`get`."""
+        if self.backing is not None:
+            self._read_backing()
         value = self._data.pop(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
@@ -296,20 +454,29 @@ class LRUCache:
 
     def last_used(self, key: Hashable) -> Optional[float]:
         """Wall-clock time of the entry's last :meth:`put`/:meth:`get` hit."""
+        if self.backing is not None:
+            self._read_backing()
         return self._stamps.get(key)
 
     def __contains__(self, key: Hashable) -> bool:
+        if self.backing is not None:
+            self._read_backing()
         return key in self._data
 
     def __len__(self) -> int:
+        if self.backing is not None:
+            self._read_backing()
         return len(self._data)
 
     def keys(self) -> List[Hashable]:
         """Keys in eviction order (least recently used first)."""
+        if self.backing is not None:
+            self._read_backing()
         return list(self._data.keys())
 
     def clear(self) -> None:
-        """Drop every entry (counters are retained)."""
+        """Drop every entry, a backing file's unread ones too (counters are retained)."""
+        self.backing = None
         self._data.clear()
         self._stamps.clear()
 
@@ -412,11 +579,11 @@ class EvaluationCache:
     def stage_key(kind: str, *parts: Hashable) -> Tuple[str, Hashable]:
         """Key of one persisted stage result in the ``stages`` section.
 
-        ``(kind, (*parts, numpy version, code digest))``: the numpy
-        version can change trained floats, and the :func:`code_digest`
-        makes any edit of the package a miss.
+        ``(kind, parts)``.  The numpy version and :func:`code_digest`
+        are not part of it: every snapshot file records them once, and
+        :meth:`load` restores nothing from a file written by other code.
         """
-        return (kind, (*parts, np.__version__, code_digest()))
+        return (kind, parts)
 
     @staticmethod
     def settings_key(settings: Any, exclude: Sequence[str] = ()) -> Tuple[Tuple[str, Any], ...]:
@@ -472,10 +639,17 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
-    #: Sections included in a disk snapshot.  ``modules`` is excluded on
-    #: purpose: compiled modules are orders of magnitude larger than
-    #: fitness tuples and are rebuilt lazily from the genomes anyway.
-    _PERSISTED_SECTIONS = ("fitness", "accuracy", "reports", "stages")
+    #: Sections written into the snapshot head.  ``fitness`` goes into
+    #: its own file (:meth:`fitness_path`), ``modules`` nowhere: compiled
+    #: modules are orders of magnitude larger than fitness tuples and
+    #: are rebuilt lazily from the genomes anyway.
+    _PERSISTED_SECTIONS = ("accuracy", "reports", "stages")
+
+    @staticmethod
+    def fitness_path(path: Union[str, Path]) -> Path:
+        """The file holding the ``fitness`` section of the snapshot at ``path``."""
+        path = Path(path)
+        return path.with_name(path.name + ".fitness")
 
     def save(
         self,
@@ -486,11 +660,24 @@ class EvaluationCache:
     ) -> int:
         """Snapshot the data sections to ``path``; returns entries written.
 
-        The write is atomic (temp file + rename), so a crash mid-save
-        leaves any previous snapshot intact.  Entries are stored in LRU
-        order (least recently used first) together with their last-used
-        timestamps, so a later :meth:`load` into a smaller cache keeps
-        the hottest entries and compaction can age entries across runs.
+        A snapshot is two files.  The head at ``path`` holds the
+        accuracy, reports and stages sections plus the fitness section's
+        entry count and oldest last-used stamp; the fitness entries go
+        into :meth:`fitness_path`.  Both record the format version, the
+        numpy version and the :func:`code_digest`.  The fitness file is
+        written first and the head second, each atomically (temp file +
+        rename), so a crash mid-save leaves the previous files intact.
+        Entries are stored in LRU order (least recently used first)
+        together with their last-used timestamps, so a later
+        :meth:`load` into a smaller cache keeps the hottest entries and
+        compaction can age entries across runs.
+
+        A fitness section still backed by its file at the target path
+        (never accessed since :meth:`load`) is not rewritten: its count
+        and stamp are carried into the new head.  It is read and
+        rewritten only when it must be compacted — its oldest entry is
+        past the policy's age bound, or it holds more entries than this
+        cache's fitness bound.
 
         ``policy`` bounds the snapshot (see :class:`SnapshotPolicy`);
         ``now`` overrides the reference time of the age bound (tests).
@@ -500,43 +687,59 @@ class EvaluationCache:
         if now is None:
             now = time.time()  # lint: allow(RP03) -- compaction ages entries against their persisted wall-clock stamps
         max_age = None if policy is None else policy.max_age_seconds
-        sections: Dict[str, List[Tuple[Hashable, Any, float]]] = {}
-        for name in self._PERSISTED_SECTIONS:
-            section = getattr(self, name)
-            entries = [
-                (key, value, section._stamps.get(key, now))
-                for key, value in section._data.items()
-            ]
-            if max_age is not None:
-                entries = [entry for entry in entries if now - entry[2] <= max_age]
-            sections[name] = entries
-        payload = {
-            "magic": _SNAPSHOT_MAGIC,
-            "version": CACHE_FORMAT_VERSION,
-            "sections": sections,
+        code = _code_stamp()
+        fitness_file = self.fitness_path(path)
+        backing = self.fitness.backing
+        if backing is None or (
+            backing[0] != fitness_file
+            or backing[1] > self.fitness.max_size
+            or (max_age is not None and now - backing[2] > max_age)
+        ):
+            entries = self.fitness.entries(now, max_age)
+            _write_snapshot(
+                fitness_file,
+                {
+                    "magic": _FITNESS_MAGIC,
+                    "version": CACHE_FORMAT_VERSION,
+                    "code": code,
+                    "entries": entries,
+                },
+            )
+            fitness = (len(entries), min((entry[2] for entry in entries), default=now))
+        else:
+            fitness = backing[1:]
+        sections = {
+            name: getattr(self, name).entries(now, max_age) for name in self._PERSISTED_SECTIONS
         }
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(path.parent), prefix=path.name, suffix=".tmp"
+        _write_snapshot(
+            path,
+            {
+                "magic": _SNAPSHOT_MAGIC,
+                "version": CACHE_FORMAT_VERSION,
+                "code": code,
+                "sections": sections,
+                "fitness": fitness,
+            },
         )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return sum(len(entries) for entries in sections.values())
+        return fitness[0] + sum(len(entries) for entries in sections.values())
 
     def load(self, path: Union[str, Path]) -> int:
         """Restore a snapshot written by :meth:`save`; returns entries loaded.
 
+        The head's sections are restored at once.  The fitness section
+        is only backed by its file (:meth:`LRUCache.back_with`): the file
+        is read on the section's first access, so a session that never
+        runs a GA never opens it.  Loading into a non-empty fitness
+        section reads the file at once.  The count includes the fitness
+        entries the head recorded, read or not.
+
         Loading is corruption-tolerant and never raises on bad input: a
-        missing file, a truncated or garbage pickle, a foreign payload
-        or a format-version mismatch all restore zero entries (logged at
-        WARNING level, except the common missing-file case).
+        missing head, a truncated or garbage pickle, a foreign payload,
+        a format-version mismatch or a file written by other code (numpy
+        version or :func:`code_digest`) restores nothing from that file
+        (logged at WARNING level, except the common missing-head case).
+        A bad or missing fitness file therefore yields an empty fitness
+        section while the head's sections are still restored.
         Deserialization is restricted to the snapshot allowlist
         (:data:`_SAFE_SNAPSHOT_GLOBALS`), so a malicious file in the
         cache directory cannot execute code during load.  Restored
@@ -544,39 +747,18 @@ class EvaluationCache:
         section bounds of *this* cache apply.
         """
         path = Path(path)
-        try:
-            with open(path, "rb") as handle:
-                payload = _SnapshotUnpickler(handle).load()
-        except FileNotFoundError:
+        payload = _read_snapshot(path, _SNAPSHOT_MAGIC, missing_ok=True)
+        if payload is None:
             return 0
-        except Exception as error:  # noqa: BLE001 - tolerate any corruption
-            _LOGGER.warning("ignoring unreadable cache snapshot %s: %s", path, error)
-            return 0
-        if not isinstance(payload, dict) or payload.get("magic") != _SNAPSHOT_MAGIC:
-            _LOGGER.warning("ignoring foreign cache snapshot %s", path)
-            return 0
-        if payload.get("version") != CACHE_FORMAT_VERSION:
-            _LOGGER.warning(
-                "ignoring cache snapshot %s with format version %r (expected %d)",
-                path,
-                payload.get("version"),
-                CACHE_FORMAT_VERSION,
-            )
+        sections = payload.get("sections")
+        if not isinstance(sections, dict):
+            _LOGGER.warning("ignoring cache snapshot %s without a section table", path)
             return 0
         total = 0
-        sections = payload.get("sections", {})
         for name in self._PERSISTED_SECTIONS:
-            entries = sections.get(name, [])
             section = getattr(self, name)
             try:
-                for key, value, stamp in entries:
-                    section.put(key, value)
-                    # Preserve the persisted last-used time so the age
-                    # bound keeps working across process restarts (put
-                    # freshly stamped the entry with "now").
-                    if key in section._data:
-                        section._stamps[key] = float(stamp)
-                    total += 1
+                total += section.restore(sections.get(name, []))
             except (TypeError, ValueError) as error:
                 _LOGGER.warning(
                     "ignoring malformed %r section of cache snapshot %s: %s",
@@ -584,4 +766,14 @@ class EvaluationCache:
                     path,
                     error,
                 )
-        return total
+        try:
+            count, oldest = payload.get("fitness", (0, 0.0))
+            count, oldest = int(count), float(oldest)
+        except (TypeError, ValueError) as error:
+            _LOGGER.warning(
+                "ignoring malformed fitness record of cache snapshot %s: %s", path, error
+            )
+            return total
+        if count > 0:
+            self.fitness.back_with(self.fitness_path(path), count, oldest)
+        return total + count

@@ -185,8 +185,8 @@ class FitnessEvaluator:
 
     @property
     def _cache(self):
-        """The fitness section's backing mapping (tests and debugging)."""
-        return self.cache.fitness._data
+        """The fitness section (tests and debugging)."""
+        return self.cache.fitness
 
     # ------------------------------------------------------------------
     def compute(self, chromosome: np.ndarray) -> FitnessValues:

@@ -253,9 +253,9 @@ class GATrainer:
 
         It covers the fitness context (layout, training split, baseline
         accuracy, loss bound), the gene bounds, every :class:`GAConfig`
-        field, the objective and the seed model's arrays; the shared
-        :meth:`~repro.core.cache.EvaluationCache.stage_key` adds the numpy
-        version and the code digest.
+        field, the objective and the seed model's arrays.  The numpy
+        version and the code digest guard the whole snapshot file
+        (:meth:`~repro.core.cache.EvaluationCache.load`), not the key.
         """
         seed = None
         if seed_model is not None:

@@ -1,11 +1,13 @@
 """Tests of the disk-backed evaluation cache (save/load + session wiring).
 
-Covers the snapshot format (versioning, atomic writes, LRU-order
-preservation), the corruption tolerance of :meth:`EvaluationCache.load`,
-the process-stable split fingerprints, and the end-to-end promise: a
-second identical experiment run against the same ``--cache-dir``
-restores the baseline and both GA results, and without its GA entries
-is served almost entirely (> 90 %) from the fitness cache.
+Covers the snapshot format (versioning, the code guard, atomic writes,
+LRU-order preservation), the fitness file that is read only on first
+use and rewritten only when read or compacted, the corruption tolerance
+of :meth:`EvaluationCache.load`, the process-stable split fingerprints,
+and the end-to-end promise: a second identical experiment run against
+the same ``--cache-dir`` restores the baseline and both GA results
+without opening a fitness file, and without its GA entries is served
+almost entirely (> 90 %) from the fitness cache.
 """
 
 from __future__ import annotations
@@ -82,7 +84,9 @@ class TestSnapshotRoundTrip:
         assert EvaluationCache.baseline_key(("other",), (4, 3), GradientTrainer()) != key
         kind, parts = key
         assert kind == "baseline"
-        assert parts[-2:] == (np.__version__, code_digest())
+        # The code guard is recorded once per snapshot file, not per key.
+        assert parts[:2] == (split, (4, 3))
+        assert np.__version__ not in parts and code_digest() not in parts
 
     def test_code_digest_covers_every_package_source(self, tmp_path, monkeypatch):
         """An edit anywhere in the package changes the digest, so no stage
@@ -160,7 +164,9 @@ class TestSnapshotRoundTrip:
         second = EvaluationCache()
         second.fitness.put("k", "new")
         second.save(path)
-        leftovers = [p for p in tmp_path.iterdir() if p != path]
+        leftovers = [
+            p for p in tmp_path.iterdir() if p not in (path, EvaluationCache.fitness_path(path))
+        ]
         assert leftovers == []  # no temp files left behind
         restored = EvaluationCache()
         restored.load(path)
@@ -239,6 +245,23 @@ class TestSnapshotCompaction:
             ExperimentScale(name="no-policy", cache_max_age_days=None)
         )
         assert diskless.snapshot_policy is None
+
+
+def _full_cache() -> EvaluationCache:
+    """A cache with one entry in every persisted section."""
+    cache = EvaluationCache()
+    cache.fitness.put(("ctx", b"g1"), (0.25, 12.0))
+    cache.fitness.put(("ctx", b"g2"), (0.5, 8.0))
+    cache.accuracy.put((b"g1", "split"), 0.875)
+    cache.reports.put((b"g1", 1.0, 200.0, False), {"area": 3.5})
+    cache.stages.put(("ga", ("key",)), ("packed",))
+    return cache
+
+
+def _rewrite_pickle(path, edit) -> None:
+    payload = pickle.loads(path.read_bytes())
+    edit(payload)
+    path.write_bytes(pickle.dumps(payload))
 
 
 class TestCorruptionTolerance:
@@ -337,6 +360,7 @@ class TestCorruptionTolerance:
         assert len(cache.reports) == 0
 
         payload["version"] = CACHE_FORMAT_VERSION
+        payload["code"] = (np.__version__, code_digest())
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 1
 
@@ -397,6 +421,199 @@ class TestCorruptionTolerance:
         restored.load(path)
         assert restored.fitness.get("k") == "v"
         assert len(restored.accuracy) == 0
+
+    def test_section_table_of_wrong_type_loads_nothing(self, tmp_path, caplog):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        _rewrite_pickle(path, lambda payload: payload.update(sections=[]))
+        restored = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert restored.load(path) == 0
+        assert "without a section table" in caplog.text
+        assert restored.fitness.backing is None
+
+
+class TestLazyFitnessFile:
+    """The fitness section lives in its own file, read on first use."""
+
+    def test_load_defers_the_fitness_file_until_first_access(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        assert _full_cache().save(path) == 5
+        assert EvaluationCache.fitness_path(path) == tmp_path / "snap.pkl.fitness"
+
+        restored = EvaluationCache()
+        assert restored.load(path) == 5  # the head's recorded count
+        assert restored.fitness.backing[:2] == (EvaluationCache.fitness_path(path), 2)
+        assert restored.stages.get(("ga", ("key",))) == ("packed",)
+        assert restored.fitness.backing is not None  # other sections do not read it
+        assert restored.fitness.get(("ctx", b"g1")) == (0.25, 12.0)
+        assert restored.fitness.backing is None
+        assert restored.fitness.keys() == [("ctx", b"g2"), ("ctx", b"g1")]
+
+    @pytest.mark.parametrize(
+        "access",
+        [
+            lambda section: section.get("absent"),
+            lambda section: section.put("new", 1.0),
+            lambda section: section.pop("absent"),
+            lambda section: "absent" in section,
+            len,
+            lambda section: section.keys(),
+            lambda section: section.last_used("absent"),
+            lambda section: section.entries(now=0.0),
+            lambda section: section.restore([("new", 1.0, 0.0)]),
+        ],
+        ids=["get", "put", "pop", "in", "len", "keys", "last_used", "entries", "restore"],
+    )
+    def test_every_access_reads_the_file(self, tmp_path, access):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        restored = EvaluationCache()
+        restored.load(path)
+        access(restored.fitness)
+        assert restored.fitness.backing is None
+        assert ("ctx", b"g1") in restored.fitness
+
+    def test_clear_drops_the_unread_file(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        restored = EvaluationCache()
+        restored.load(path)
+        EvaluationCache.fitness_path(path).unlink()
+        restored.clear()  # nothing to read: no warning, nothing left
+        assert restored.fitness.backing is None
+        assert len(restored.fitness) == 0
+
+    def test_evaluator_cache_view_reads_the_file(self, tmp_path, small_topology, approx_config):
+        from repro.core.chromosome import ChromosomeLayout
+        from repro.core.fitness import FitnessEvaluator
+
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        restored = EvaluationCache()
+        restored.load(path)
+        layout = ChromosomeLayout(small_topology, approx_config)
+        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
+        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]), cache=restored)
+        assert len(evaluator._cache) == 2
+
+    def test_unread_file_is_carried_forward_not_rewritten(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        fitness_file = EvaluationCache.fitness_path(path)
+        before = fitness_file.stat()
+        restored = EvaluationCache()
+        assert restored.load(path) == 5
+        assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0)) == 5
+        after = fitness_file.stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert restored.fitness.backing is not None
+        assert EvaluationCache().load(path) == 5
+
+    def test_aged_file_is_compacted_on_save_without_a_read_first(self, tmp_path):
+        cache = EvaluationCache()
+        cache.fitness.put("fresh", 1.0)
+        cache.fitness.put("stale", 2.0)
+        now = cache.fitness.last_used("fresh")
+        cache.fitness._stamps["stale"] = now - 1000.0
+        path = tmp_path / "snap.pkl"
+        assert cache.save(path, now=now) == 2
+        assert pickle.loads(path.read_bytes())["fitness"] == (2, now - 1000.0)
+
+        restored = EvaluationCache()
+        restored.load(path)
+        assert restored.fitness.backing is not None  # nothing read it
+        assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0), now=now) == 1
+        assert restored.fitness.backing is None
+        payload = pickle.loads(EvaluationCache.fitness_path(path).read_bytes())
+        assert [key for key, _, _ in payload["entries"]] == ["fresh"]
+        assert pickle.loads(path.read_bytes())["fitness"] == (1, now)
+
+    def test_file_over_the_section_bound_is_compacted_on_save(self, tmp_path):
+        big = EvaluationCache()
+        for index in range(20):
+            big.fitness.put(("ctx", index), float(index))
+        path = tmp_path / "snap.pkl"
+        big.save(path)
+        small = EvaluationCache(max_fitness_entries=5)
+        assert small.load(path) == 20
+        assert small.save(path) == 5
+        assert EvaluationCache().load(path) == 5
+
+    def test_save_to_another_path_writes_its_own_fitness_file(self, tmp_path):
+        path, other = tmp_path / "a.pkl", tmp_path / "b.pkl"
+        _full_cache().save(path)
+        restored = EvaluationCache()
+        restored.load(path)
+        assert restored.save(other) == 5
+        copy = EvaluationCache()
+        copy.load(other)
+        assert copy.fitness.get(("ctx", b"g2")) == (0.5, 8.0)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda path: path.unlink(),
+            lambda path: path.write_bytes(b"\x00garbage"),
+            lambda path: _rewrite_pickle(
+                path, lambda p: p.update(version=CACHE_FORMAT_VERSION - 1)
+            ),
+            lambda path: _rewrite_pickle(path, lambda p: p.update(code=("0.0", "other"))),
+            lambda path: _rewrite_pickle(path, lambda p: p.update(magic="repro-evaluation-cache")),
+            lambda path: _rewrite_pickle(path, lambda p: p.update(entries=42)),
+        ],
+        ids=["missing", "garbage", "version", "code", "magic", "entries"],
+    )
+    def test_bad_fitness_file_keeps_the_head(self, tmp_path, caplog, damage):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        damage(EvaluationCache.fitness_path(path))
+        restored = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert restored.load(path) == 5
+            assert not caplog.records  # the fitness file is not opened yet
+            assert restored.fitness.get(("ctx", b"g1")) is None
+        assert len(caplog.records) == 1
+        assert "snap.pkl.fitness" in caplog.text
+        assert len(restored.fitness) == 0
+        assert restored.accuracy.get((b"g1", "split")) == 0.875
+        assert restored.reports.get((b"g1", 1.0, 200.0, False)) == {"area": 3.5}
+        assert restored.stages.get(("ga", ("key",))) == ("packed",)
+
+    def test_load_into_non_empty_cache_merges_both_files(self, tmp_path):
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        cache = EvaluationCache()
+        cache.fitness.put(("ctx", b"mine"), (0.0, 1.0))
+        cache.accuracy.put((b"mine", "split"), 0.5)
+        assert cache.load(path) == 5
+        assert cache.fitness.backing is None  # read at once, not deferred
+        assert cache.fitness.keys() == [("ctx", b"mine"), ("ctx", b"g1"), ("ctx", b"g2")]
+        assert cache.accuracy.keys() == [(b"mine", "split"), (b"g1", "split")]
+
+    def test_second_load_merges_the_first_deferred_file(self, tmp_path):
+        first, second = tmp_path / "a.pkl", tmp_path / "b.pkl"
+        _full_cache().save(first)
+        other = EvaluationCache()
+        other.fitness.put(("ctx", b"other"), (1.0, 0.0))
+        other.save(second)
+        cache = EvaluationCache()
+        assert cache.load(first) == 5
+        assert cache.load(second) == 1
+        assert cache.fitness.keys() == [("ctx", b"g1"), ("ctx", b"g2"), ("ctx", b"other")]
+
+    def test_code_guard_refuses_the_head_of_other_code(self, tmp_path, caplog, monkeypatch):
+        import repro.core.cache as cache_module
+
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        monkeypatch.setattr(cache_module, "code_digest", lambda: "an edited tree")
+        restored = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert restored.load(path) == 0
+        assert "written by other code" in caplog.text
+        assert restored.fitness.backing is None
+        assert len(restored.stages) == 0
 
 
 class TestStableKeys:
@@ -683,7 +900,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 9
+        assert payload["version"] == CACHE_FORMAT_VERSION == 10
         (key, value, stamp), = payload["sections"]["stages"]
         payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))
@@ -762,6 +979,32 @@ class TestGARestore:
         assert calls["n"] == 1
         assert changed.cache_summary()["breast_cancer"]["ga"] == "trained"
 
+    def test_edited_code_recomputes_fitness_instead_of_reading_the_memo(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """After a source edit the GA that the stage miss reruns computes
+        its fitness values; it never reads the old code's memo."""
+        import repro.core.cache as cache_module
+        from repro.core.fitness import FitnessEvaluator
+
+        ExperimentSession(TINY, cache_dir=tmp_path).front("breast_cancer")
+        monkeypatch.setattr(cache_module, "code_digest", lambda: "an edited tree")
+        scored = {"rows": 0}
+        original = FitnessEvaluator.compute_population
+
+        def counting(self, population, slow=False):
+            scored["rows"] += len(population)
+            return original(self, population, slow=slow)
+
+        monkeypatch.setattr(FitnessEvaluator, "compute_population", counting)
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            edited = ExperimentSession(TINY, cache_dir=tmp_path)
+            result = edited.front("breast_cancer").approximate.ga_result
+        assert scored["rows"] > 0
+        assert result.history[-1].fitness_computations == scored["rows"]
+        assert "written by other code" in caplog.text
+        assert edited.cache_summary()["breast_cancer"]["loaded"] == 0
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -813,6 +1056,69 @@ class TestGARestore:
         )[0] == cold[0]
         assert restored.cache_summary()["breast_cancer"]["ga"] == "restored"
         assert calls["n"] == 1
+
+
+def _read_exports(directory) -> dict:
+    """Every exported JSON file under ``directory``, ``*_seconds`` keys stripped."""
+    import json
+
+    def strip(value):
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items() if not k.endswith("_seconds")}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    return {
+        path.relative_to(directory).as_posix(): strip(json.loads(path.read_text("utf-8")))
+        for path in sorted(directory.rglob("*.json"))
+    }
+
+
+class TestWarmSessionSkipsFitnessFile:
+    def test_restored_ga_never_opens_the_fitness_file(
+        self, tmp_path, capsys, caplog, monkeypatch
+    ):
+        """A warm session whose GA is restored reads and writes no fitness
+        file: deleted after the cold run, it is neither missed nor
+        recreated.  A later GA miss then warns once and recomputes."""
+        from repro.experiments import runner as runner_module
+        from repro.experiments.config import SCALES
+
+        monkeypatch.setitem(SCALES, "tiny-cache", TINY)
+        cache_dir = tmp_path / "cache"
+
+        def run(export_dir):
+            argv = [
+                "--experiment", "table2", "--scale", "tiny-cache",
+                "--cache-dir", str(cache_dir), "--export-dir", str(export_dir),
+            ]
+            assert runner_module.main(argv) == 0
+            out = capsys.readouterr().out
+            return next(l for l in out.splitlines() if l.startswith("[cache] breast_cancer"))
+
+        run(tmp_path / "cold")
+        fitness_file = EvaluationCache.fitness_path(cache_dir / "breast_cancer.cache.pkl")
+        fitness_file.unlink()
+        with caplog.at_level(logging.WARNING):
+            line = run(tmp_path / "warm")
+        assert line.endswith("baseline restored, ga restored")
+        assert not caplog.records
+        assert not fitness_file.exists()
+        assert _read_exports(tmp_path / "warm") == _read_exports(tmp_path / "cold")
+
+        caplog.clear()
+        computations = _count_ga_training(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            missed = ExperimentSession(
+                dataclasses.replace(TINY, ga_generations=7), cache_dir=cache_dir
+            )
+            result = missed.front("breast_cancer").approximate.ga_result
+        assert computations["n"] == 1
+        assert len(caplog.records) == 1
+        assert "breast_cancer.cache.pkl.fitness" in caplog.text
+        assert result.history[-1].fitness_computations > 0
+        assert fitness_file.exists()  # the GA's work is written back
 
 
 class TestRunnerFlag:
