@@ -79,18 +79,24 @@ def _class_centers(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
 def _apply_label_noise(
     labels: np.ndarray, spec: SyntheticSpec, rng: np.random.Generator
 ) -> np.ndarray:
+    """Corrupt a ``label_noise`` fraction of the labels.
+
+    All replacements come from one vector draw: the same bounded draws,
+    in the same order, as one scalar ``rng.choice`` per flipped label.
+    """
     if spec.label_noise <= 0.0:
         return labels
     labels = labels.copy()
-    flip = rng.random(labels.shape[0]) < spec.label_noise
-    flip_indices = np.flatnonzero(flip)
-    for idx in flip_indices:
-        if spec.ordinal:
-            step = rng.choice([-1, 1])
-            labels[idx] = int(np.clip(labels[idx] + step, 0, spec.num_classes - 1))
-        else:
-            choices = [c for c in range(spec.num_classes) if c != labels[idx]]
-            labels[idx] = int(rng.choice(choices))
+    flip = np.flatnonzero(rng.random(labels.shape[0]) < spec.label_noise)
+    if flip.size == 0:
+        return labels
+    if spec.ordinal:
+        steps = rng.choice([-1, 1], size=flip.size)
+        labels[flip] = np.clip(labels[flip] + steps, 0, spec.num_classes - 1)
+    else:
+        # A uniform draw over the other classes: skip past the true label.
+        draws = rng.choice(spec.num_classes - 1, size=flip.size)
+        labels[flip] = draws + (draws >= labels[flip])
     return labels
 
 

@@ -7,7 +7,8 @@ tens of thousands of candidates and synthesis re-costs whole fronts.
 This module holds the one vectorized adder-tree kernel both use:
 
 * :func:`population_layer_column_counts` builds the column histogram of
-  every neuron of a stacked population layer with one bincount, and
+  every neuron of a stacked population layer with one bincount (for the
+  GA's FA count, front synthesis and the exact baselines), and
 * :func:`reduce_columns_adder_costs` runs one shared 3:2 reduction sweep
   over many histograms at once, returning the same FA / HA / CPA / stage
   counts as :func:`~repro.hardware.adder_tree.count_adders_from_columns`

@@ -10,6 +10,8 @@ whole population in one pass:
 
 * every neuron of every candidate (and, for the approximate path, every
   layer position) contributes one column of a single histogram matrix,
+  built by :func:`~repro.hardware.fast_area.population_layer_column_counts`
+  (an exact weight enters it as one summand per CSD digit),
 * one shared Half-Adder-aware 3:2 reduction sweep
   (:func:`~repro.hardware.fast_area.reduce_columns_adder_costs`, the
   same kernel that counts the GA's FAs) yields per-neuron FA / HA /
@@ -24,7 +26,6 @@ whole population in one pass:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -34,7 +35,6 @@ from repro.approx.masks import mask_popcount
 from repro.approx.mlp import Population, PopulationParameters, stack_parameters
 from repro.hardware.area import (
     argmax_cell_counts,
-    csd_encode,
     merge_cell_counts,
     qrelu_cell_counts,
     register_cell_counts,
@@ -272,15 +272,6 @@ def synthesize_approximate_population(
 # ----------------------------------------------------------------------
 # Exact bespoke MLPs (population-batched, heterogeneous jobs)
 # ----------------------------------------------------------------------
-@lru_cache(maxsize=65536)
-def _csd_digit_info(code: int) -> Tuple[Tuple[int, ...], int]:
-    """Cached CSD digit positions and negative-digit count of a code."""
-    digits = csd_encode(code)
-    positions = tuple(position for position, _ in digits)
-    negatives = sum(1 for _, digit in digits if digit < 0)
-    return positions, negatives
-
-
 def _exact_layer_columns(
     codes: np.ndarray, biases: np.ndarray, in_bits: int
 ) -> Tuple[np.ndarray, int]:
@@ -289,35 +280,31 @@ def _exact_layer_columns(
     Returns ``(columns, inverter_bits)`` where ``columns`` has shape
     ``(width, fan_out)`` and ``inverter_bits`` is the layer's NOT-gate
     bit total (``in_bits`` per negative CSD digit, summed over weights).
-    Each CSD digit at position ``p`` contributes one shifted
-    ``in_bits``-wide copy of the input, i.e. ``+1`` on columns
-    ``[p, p + in_bits)`` — accumulated with a difference array and one
-    cumulative sum instead of per-weight slicing.
+    Every weight's CSD digits come at once from the non-adjacent-form
+    identity (NAF is unique, so they sit where
+    :func:`~repro.hardware.area.csd_encode` puts them): with
+    ``h = |c| >> 1`` and ``t = |c| + h``, ``t & (h ^ t)`` holds the
+    digits of the sign of ``c`` and ``h & (h ^ t)`` the opposite ones.
+    A digit at position ``p`` is one full-mask summand of exponent ``p``
+    for :func:`~repro.hardware.fast_area.population_layer_column_counts`.
     """
-    fan_in, fan_out = codes.shape
-    max_weight_bits = max(
-        int(np.abs(codes).max(initial=0)).bit_length(), 1
+    fan_out = codes.shape[1]
+    half = np.abs(codes) >> 1
+    total = np.abs(codes) + half
+    carry = half ^ total
+    plus, minus = total & carry, half & carry
+    negative = np.where(codes < 0, plus, minus)
+    inverter_bits = in_bits * int(mask_popcount(negative).sum())
+
+    digits = plus | minus
+    slots = np.arange(int(digits.max(initial=0)).bit_length(), dtype=np.int64)
+    # One summand per (digit slot, weight); an absent digit adds no bit.
+    present = (digits[None, :, :] >> slots[:, None, None]) & 1
+    masks = (present * ((1 << in_bits) - 1)).reshape(1, -1, fan_out)
+    exponents = np.repeat(slots, codes.size).reshape(1, -1, fan_out)
+    columns = population_layer_column_counts(
+        masks, exponents, biases[None, :], in_bits
     )
-    bias_mags = np.abs(biases)
-    max_bias_bits = max(int(bias_mags.max(initial=0)).bit_length(), 1)
-    width = in_bits + max_weight_bits + max_bias_bits + 2
-
-    diff = np.zeros((width + 1, fan_out), dtype=np.int64)
-    inverter_bits = 0
-    for value in np.unique(codes):
-        code = int(value)
-        if code == 0:
-            continue
-        positions, negatives = _csd_digit_info(code)
-        occurrences = (codes == value).sum(axis=0)
-        inverter_bits += in_bits * negatives * int(occurrences.sum())
-        for position in positions:
-            diff[position] += occurrences
-            diff[position + in_bits] -= occurrences
-    columns = np.cumsum(diff[:-1], axis=0)
-
-    bias_bit_range = np.arange(max_bias_bits, dtype=np.int64)[:, None]
-    columns[:max_bias_bits] += (bias_mags[None, :] >> bias_bit_range) & 1
     return columns, inverter_bits
 
 

@@ -1,8 +1,10 @@
 """Tests for the dataset substrate (synthetic generation, preprocessing, registry)."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.datasets.dataset import Dataset, DatasetSplit
 from repro.datasets.preprocessing import normalize_01, stratified_split
@@ -12,7 +14,11 @@ from repro.datasets.registry import (
     get_spec,
     load_dataset,
 )
-from repro.datasets.synthetic import SyntheticSpec, generate_synthetic_classification
+from repro.datasets.synthetic import (
+    SyntheticSpec,
+    _apply_label_noise,
+    generate_synthetic_classification,
+)
 
 
 class TestPreprocessing:
@@ -134,6 +140,114 @@ class TestSyntheticGeneration:
             SyntheticSpec(num_features=2, num_classes=2, num_samples=10, label_noise=1.0)
         with pytest.raises(ValueError):
             SyntheticSpec(num_features=2, num_classes=2, num_samples=10, class_priors=(0.9, 0.2))
+
+
+def _loop_label_noise(labels, spec, rng):
+    """Reference: one scalar draw per flipped label, in index order."""
+    if spec.label_noise <= 0.0:
+        return labels
+    labels = labels.copy()
+    flip = rng.random(labels.shape[0]) < spec.label_noise
+    for idx in np.flatnonzero(flip):
+        if spec.ordinal:
+            step = rng.choice([-1, 1])
+            labels[idx] = int(np.clip(labels[idx] + step, 0, spec.num_classes - 1))
+        else:
+            choices = [c for c in range(spec.num_classes) if c != labels[idx]]
+            labels[idx] = int(rng.choice(choices))
+    return labels
+
+
+class TestLabelNoise:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_classes=st.integers(2, 10),
+        num_samples=st.integers(1, 300),
+        label_noise=st.floats(0.0, 0.5),
+        ordinal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # No flips (noise off; noise on but no draw under it), and two classes,
+    # where each replacement is a draw from one choice.
+    @example(num_classes=3, num_samples=50, label_noise=0.0, ordinal=False, seed=0)
+    @example(num_classes=6, num_samples=1, label_noise=1e-9, ordinal=True, seed=1)
+    @example(num_classes=2, num_samples=200, label_noise=0.5, ordinal=False, seed=2)
+    def test_one_draw_matches_per_label_loop(
+        self, num_classes, num_samples, label_noise, ordinal, seed
+    ):
+        spec = SyntheticSpec(
+            num_features=2,
+            num_classes=num_classes,
+            num_samples=num_samples,
+            label_noise=label_noise,
+            ordinal=ordinal,
+        )
+        labels = np.random.default_rng(seed ^ 0x5EED).integers(
+            0, num_classes, size=num_samples
+        )
+        fast_rng = np.random.default_rng(seed)
+        loop_rng = np.random.default_rng(seed)
+        fast = _apply_label_noise(labels, spec, fast_rng)
+        loop = _loop_label_noise(labels, spec, loop_rng)
+        np.testing.assert_array_equal(fast, loop)
+        assert fast.dtype == loop.dtype
+        # The same draws were consumed: both streams continue alike.
+        assert fast_rng.bit_generator.state == loop_rng.bit_generator.state
+        assert fast.min() >= 0 and fast.max() < num_classes
+
+
+def _dataset_digest(dataset):
+    """Digest of a dataset's train/test features (6 decimals) and labels."""
+    digest = hashlib.sha256()
+    for split in (dataset.train, dataset.test):
+        features = np.round(split.features, 6)
+        digest.update(np.ascontiguousarray(features, dtype="<f8").tobytes())
+        digest.update(np.ascontiguousarray(split.labels, dtype="<i8").tobytes())
+    return digest.hexdigest()[:16]
+
+
+#: ``load_dataset(name, seed, num_samples)`` digests.  Every experiment,
+#: cache key and published number starts from these arrays, so a change
+#: to the generator's random stream must show up here first.
+DATASET_DIGESTS = {
+    ("breast_cancer", 0, None): "a8e70d939c554a5b",
+    ("breast_cancer", 0, 300): "bcd1d0914012eabb",
+    ("breast_cancer", 0, 800): "8129e9a5c6acd74f",
+    ("breast_cancer", 100, None): "a46ddf71f55acf0c",
+    ("breast_cancer", 100, 300): "95d6600b7897f7af",
+    ("breast_cancer", 100, 800): "ea6c4218d89d7a21",
+    ("cardio", 0, None): "53ef73aec0d5d395",
+    ("cardio", 0, 300): "f176debe2d90d80b",
+    ("cardio", 0, 800): "a87168f7c4bf0b18",
+    ("cardio", 100, None): "81e1660c4a5ac7ea",
+    ("cardio", 100, 300): "7efa59a6c712d068",
+    ("cardio", 100, 800): "7df9c881f073c568",
+    ("pendigits", 0, None): "3bdde942de959f31",
+    ("pendigits", 0, 300): "e2a19a487ade2bc6",
+    ("pendigits", 0, 800): "d7e9acb7b332b3b6",
+    ("pendigits", 100, None): "c4d5ed39980ca38d",
+    ("pendigits", 100, 300): "f6fdf427073d5e31",
+    ("pendigits", 100, 800): "6a5c20183c2f7afe",
+    ("redwine", 0, None): "a3a297ecc99e64c6",
+    ("redwine", 0, 300): "aef0386fcc94ee66",
+    ("redwine", 0, 800): "ed0d341401fec9b3",
+    ("redwine", 100, None): "a0c3e36aa7bfb0c1",
+    ("redwine", 100, 300): "cd019e7ce0969fbe",
+    ("redwine", 100, 800): "6a138c6fe967b001",
+    ("whitewine", 0, None): "3fb0e07d0165349b",
+    ("whitewine", 0, 300): "ee78e90f597e2393",
+    ("whitewine", 0, 800): "304c9c825e32b8d1",
+    ("whitewine", 100, None): "30e1845303fff8d1",
+    ("whitewine", 100, 300): "33213e57882116bf",
+    ("whitewine", 100, 800): "fb268e50b6a02da3",
+}
+
+
+class TestDatasetStream:
+    @pytest.mark.parametrize("name, seed, num_samples", list(DATASET_DIGESTS))
+    def test_load_dataset_digest_is_pinned(self, name, seed, num_samples):
+        dataset = load_dataset(name, seed=seed, num_samples=num_samples)
+        assert _dataset_digest(dataset) == DATASET_DIGESTS[(name, seed, num_samples)]
 
 
 class TestDatasetContainers:

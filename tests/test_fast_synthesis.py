@@ -14,7 +14,7 @@ no redundant forward/synthesis for genomes already seen by the GA stage.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.approx.topology import Topology
@@ -25,8 +25,10 @@ from repro.evaluation.pareto_analysis import evaluate_front
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import ExperimentSession
 from repro.hardware.adder_tree import count_adders_from_columns
+from repro.hardware.area import csd_encode
 from repro.hardware.fast_area import reduce_columns_adder_costs
 from repro.hardware.fast_synthesis import (
+    _exact_layer_columns,
     synthesize_approximate_population,
     synthesize_exact_population,
 )
@@ -273,6 +275,93 @@ class TestExactEquivalence:
         rng = np.random.default_rng(15)
         job = _random_exact_job(rng)
         assert synthesize_exact_mlp(**job) == synthesize_exact_mlp(slow=True, **job)
+
+
+def _carry_run_codes():
+    """Codes ``±2^k`` and ``±(2^k - 1)``: single digits and the longest
+    CSD carry runs, ``2^k - 1 = 2^k - 2^0``."""
+    powers = [1 << k for k in range(11)]
+    codes = powers + [p - 1 for p in powers[1:]]
+    codes += [-code for code in codes]
+    return np.array(codes, dtype=np.int64).reshape(-1, 6)
+
+
+def _exact_edge_jobs():
+    """Exact layers at the edges of the column-histogram builder."""
+    zeros = np.zeros((5, 3), dtype=np.int64)
+    carry = _carry_run_codes()
+    return {
+        "all_zero": {
+            "weight_codes": [zeros, np.zeros((3, 2), dtype=np.int64)],
+            "bias_codes": [np.zeros(3, dtype=np.int64), np.zeros(2, dtype=np.int64)],
+            "input_bits_per_layer": [4, 8],
+        },
+        "carry_runs": {
+            "weight_codes": [carry, carry.T[:, :3]],
+            "bias_codes": [
+                np.array([0, 1, -1, 1023, -1024, 2047]),
+                np.array([-(1 << 20), 5, 0]),
+            ],
+            "input_bits_per_layer": [4, 8],
+        },
+        "one_bit_inputs": {
+            "weight_codes": [carry[:, :4], np.array([[3], [-3], [7], [-8]])],
+            "bias_codes": [np.array([-1, 2, -3, 4]), np.array([-9])],
+            "input_bits_per_layer": [1, 1],
+        },
+        "single_neuron": {
+            "weight_codes": [np.array([[-7], [12], [0], [-1]])],
+            "bias_codes": [np.array([-100])],
+            "input_bits_per_layer": [4],
+        },
+        "negative_biases": {
+            "weight_codes": [np.array([[5, -6], [-127, 127], [64, -64]])],
+            "bias_codes": [np.array([-5000, -1])],
+            "input_bits_per_layer": [3],
+        },
+    }
+
+
+class TestExactColumnEdges:
+    @pytest.mark.parametrize("name", sorted(_exact_edge_jobs()))
+    def test_edge_layers_match_scalar_oracle(self, name):
+        job = _exact_edge_jobs()[name]
+        assert synthesize_exact_population([job])[0] == synthesize_exact_mlp(
+            slow=True, **job
+        )
+
+    def test_edge_layers_batched_together(self):
+        jobs = list(_exact_edge_jobs().values())
+        for job, report in zip(jobs, synthesize_exact_population(jobs)):
+            assert report == synthesize_exact_mlp(slow=True, **job)
+
+    def test_all_zero_layer_holds_only_its_bias(self):
+        columns, inverter_bits = _exact_layer_columns(
+            np.zeros((4, 2), dtype=np.int64), np.array([0, -5]), 4
+        )
+        assert inverter_bits == 0
+        np.testing.assert_array_equal(columns[:, 0], 0)
+        np.testing.assert_array_equal(columns[:3, 1], [1, 0, 1])
+        np.testing.assert_array_equal(columns[3:, 1], 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(2**40), 2**40))
+    @example(0)
+    @example(-1)
+    @example(3)
+    @example(-(2**40))
+    @example(2**40 - 1)
+    @example(0b1011011101111)
+    def test_naf_digits_equal_csd_encode(self, code):
+        """With one input bit and no bias, a 1x1 layer's histogram marks
+        exactly the weight's CSD digit positions."""
+        columns, inverter_bits = _exact_layer_columns(
+            np.array([[code]], dtype=np.int64), np.zeros(1, dtype=np.int64), 1
+        )
+        digits = csd_encode(code)
+        assert set(np.flatnonzero(columns[:, 0])) == {p for p, _ in digits}
+        assert columns.max(initial=0) <= 1
+        assert inverter_bits == sum(1 for _, digit in digits if digit < 0)
 
 
 # ----------------------------------------------------------------------
