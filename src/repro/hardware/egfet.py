@@ -21,7 +21,9 @@ absolute calibration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import types
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 __all__ = ["CellSpec", "EGFETLibrary", "default_egfet_library"]
@@ -122,7 +124,6 @@ class EGFETLibrary:
     min_voltage: float = MIN_VOLTAGE
     power_exponent: float = 2.0
     name: str = "egfet-printed"
-    _cells_cache: Dict[str, CellSpec] = field(default_factory=dict, repr=False, compare=False)
 
     def cell(self, cell_name: str) -> CellSpec:
         """Look up a cell, raising ``KeyError`` with the available names."""
@@ -181,12 +182,19 @@ class EGFETLibrary:
         return self.cell(cell_name).area_cm2 / self.cell("NAND2").area_cm2
 
 
+@functools.cache
 def default_egfet_library() -> EGFETLibrary:
-    """Build the default calibrated printed EGFET library."""
+    """The default calibrated printed EGFET library.
+
+    Built once per process.  Every call returns the same immutable
+    instance: the dataclass is frozen and its ``cells`` is a read-only
+    mapping, so threads share it safely.  A caller that wants other
+    cells builds its own :class:`EGFETLibrary` (``dataclasses.replace``).
+    """
     cells: Dict[str, CellSpec] = {}
     for name, ge in _GATE_EQUIVALENTS.items():
         area = _UNIT_GATE_AREA_CM2 * ge
         power = area * NOMINAL_POWER_DENSITY_MW_PER_CM2
         delay = _UNIT_GATE_DELAY_MS * _GATE_DELAYS_MS[name]
         cells[name] = CellSpec(area_cm2=area, power_mw=power, delay_ms=delay)
-    return EGFETLibrary(cells=cells)
+    return EGFETLibrary(cells=types.MappingProxyType(cells))

@@ -114,14 +114,17 @@ def classify_power_source(
         Printed area; when provided, circuits larger than
         ``unsustainable_area_cm2`` land in the red zone.
     sources:
-        Candidate power sources, assumed sorted by ascending budget.
+        Candidate power sources, in any order.  The circuit gets the
+        smallest budget that can power it; among sources with that same
+        budget the first listed wins.
     """
     if power_mw < 0:
         raise ValueError(f"power_mw must be non-negative, got {power_mw}")
     sustainable = True if area_cm2 is None else area_cm2 <= unsustainable_area_cm2
     chosen: Optional[PowerSource] = None
-    for source in sorted(sources, key=lambda s: s.max_power_mw):
-        if source.can_power(power_mw):
+    for source in sources:
+        if source.can_power(power_mw) and (
+            chosen is None or source.max_power_mw < chosen.max_power_mw
+        ):
             chosen = source
-            break
     return FeasibilityZone(power_source=chosen, sustainable_area=sustainable)

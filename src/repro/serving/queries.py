@@ -211,7 +211,7 @@ def front_rows(record: Union[DatasetRecord, FrontRecord]) -> List[Dict]:
     """One row per true-Pareto-front member of a stored front."""
     front = record.front if isinstance(record, DatasetRecord) else record
     rows = []
-    for design in true_front(front.designs):
+    for design in front.true_front:
         rows.append(
             {
                 "dataset": front.dataset,

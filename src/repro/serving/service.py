@@ -8,8 +8,14 @@ The service is the interactive half of the system: it answers
 It is a plain synchronous memo: each dataset record and each RTL record
 is read from the store at most once, on first use, and served from
 memory afterwards.  Records are immutable — a store republish is a new
-service.  The list of published datasets is re-read on every call, so a
-dataset published after the service started is still found.
+service.  What a record fixes is built once with it: its true Pareto
+front is computed on the first ``front`` query
+(:attr:`~repro.serving.store.FrontRecord.true_front`), and the EGFET
+library that re-scales and classifies operating points is built once per
+process (:func:`~repro.hardware.egfet.default_egfet_library`).  Every
+answer is still assembled from the records; no answer is cached.  The
+list of published datasets is re-read on every call, so a dataset
+published after the service started is still found.
 """
 
 from __future__ import annotations

@@ -31,13 +31,15 @@ record or the new one.
 
 This module is import-pure by construction: it depends only on the
 standard library, :mod:`repro.core.cache` (fingerprints) and
-:mod:`repro.evaluation.artifacts` (the cell codec).  The test suite
-pins that property with a subprocess import-graph guard.
+:mod:`repro.evaluation.artifacts` (the cell codec), plus
+:mod:`repro.serving.queries` once a record's true front is first read.
+The test suite pins that property with a subprocess import-graph guard.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import tempfile
@@ -214,6 +216,18 @@ class FrontRecord:
     selected: Optional[str]
     training_seconds: float
     verification: Optional[VerificationRecord] = None
+
+    @functools.cached_property
+    def true_front(self) -> Tuple[DesignRecord, ...]:
+        """The non-dominated designs, by ascending area.
+
+        :func:`repro.serving.queries.true_front` over ``designs``,
+        computed on first use and kept with the record: the record is
+        immutable, so its front never changes.
+        """
+        from repro.serving.queries import true_front
+
+        return tuple(true_front(self.designs))
 
     def design(self, name: str) -> DesignRecord:
         """Look up one front member by name."""
@@ -511,13 +525,17 @@ class DesignStore:
 
     def datasets(self) -> List[str]:
         """Names of datasets with a published front, sorted."""
-        if not self.root.is_dir():
+        try:
+            entries = os.scandir(self.root)
+        except (FileNotFoundError, NotADirectoryError):
             return []
-        return sorted(
-            entry.name
-            for entry in self.root.iterdir()
-            if entry.is_dir() and (entry / "front.json").is_file()
-        )
+        with entries:
+            return sorted(
+                entry.name
+                for entry in entries
+                if entry.is_dir()
+                and os.path.isfile(os.path.join(entry.path, "front.json"))
+            )
 
     def has_dataset(self, dataset: str) -> bool:
         """Whether a front has been published for ``dataset``."""

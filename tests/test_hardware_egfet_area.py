@@ -1,5 +1,7 @@
 """Tests for the EGFET library, CSD encoding and peripheral area models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -19,6 +21,7 @@ from repro.hardware.egfet import (
     MIN_VOLTAGE,
     NOMINAL_VOLTAGE,
     CellSpec,
+    EGFETLibrary,
     default_egfet_library,
 )
 
@@ -112,6 +115,18 @@ class TestEgfetLibrary:
         library = default_egfet_library()
         assert library.area("FA", 10) == pytest.approx(10 * library.area("FA"))
         assert library.power("FA", 10) == pytest.approx(10 * library.power("FA"))
+
+    def test_default_library_is_built_once_and_read_only(self):
+        library = default_egfet_library()
+        assert default_egfet_library() is library
+        with pytest.raises(TypeError):
+            library.cells["FA"] = CellSpec(area_cm2=1, power_mw=1, delay_ms=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            library.power_exponent = 3.0
+        fresh = default_egfet_library.__wrapped__()
+        assert fresh is not library
+        for field in dataclasses.fields(EGFETLibrary):
+            assert getattr(fresh, field.name) == getattr(library, field.name), field.name
 
     def test_cellspec_rejects_negative(self):
         with pytest.raises(ValueError):

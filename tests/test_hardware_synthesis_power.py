@@ -125,6 +125,19 @@ class TestPowerSources:
         assert classify_power_source(25.0).power_source is MOLEX
         assert classify_power_source(100.0).power_source is None
 
+    def test_any_source_order_gives_the_same_choice(self):
+        import itertools
+
+        for power in (0.5, 1.0, 3.0, 10.0, 25.0, 100.0):
+            expected = classify_power_source(power).power_source
+            for order in itertools.permutations(PRINTED_POWER_SOURCES):
+                assert classify_power_source(power, sources=order).power_source is expected
+
+    def test_first_listed_source_wins_a_budget_tie(self):
+        twin = PowerSource(name="Blue Spark twin", max_power_mw=BLUE_SPARK.max_power_mw)
+        assert classify_power_source(3.0, sources=[MOLEX, twin, BLUE_SPARK]).power_source is twin
+        assert classify_power_source(3.0, sources=[BLUE_SPARK, MOLEX, twin]).power_source is BLUE_SPARK
+
     def test_zone_labels(self):
         assert classify_power_source(0.5).label == ENERGY_HARVESTER.name
         assert classify_power_source(100.0).label == "No Adequate Power Supply"

@@ -214,6 +214,17 @@ class TestStoreRoundTrip:
         ]
         assert leftovers == []
 
+    def test_datasets_lists_only_published_fronts(self, tmp_path):
+        assert DesignStore(tmp_path / "missing").datasets() == []
+        store = DesignStore(tmp_path / "store")
+        store.put_front(_front([_design(0, 0.9, 1.0)], dataset="beta"))
+        (store.root / "empty").mkdir()
+        (store.root / "stray.json").write_text("{}", encoding="utf-8")
+        assert (store.root / "store.json").is_file()
+        assert store.datasets() == ["beta"]
+        store.put_front(_front([_design(0, 0.9, 1.0)], dataset="alpha"))
+        assert store.datasets() == ["alpha", "beta"]
+
     def test_invalid_names_rejected(self, store):
         with pytest.raises(StoreError):
             store.get_front("../escape")
@@ -678,6 +689,39 @@ class TestParetoService:
         store.put_front(_front([_design(0, 0.9, 1.0)], dataset="late"))
         assert service.datasets() == ["demo", "late"]
         assert {row["dataset"] for row in service.points("fig5")} == {"demo", "late"}
+
+    def test_feasibility_builds_no_cell_after_warm_up(self, store, monkeypatch):
+        from repro.hardware.egfet import CellSpec
+
+        service = ParetoService(store)
+        service.feasibility("demo")
+        built = {"n": 0}
+        real = CellSpec.__post_init__
+
+        def counting(spec):
+            built["n"] += 1
+            real(spec)
+
+        monkeypatch.setattr(CellSpec, "__post_init__", counting)
+        service.feasibility("demo")
+        service.feasibility("demo", voltage=0.8)
+        service.points("fig5")
+        assert built["n"] == 0
+
+    def test_front_queries_compute_the_true_front_once(self, store, monkeypatch):
+        calls = {"n": 0}
+        real = queries.nondominated_mask
+
+        def counting(accuracies, areas):
+            calls["n"] += 1
+            return real(accuracies, areas)
+
+        monkeypatch.setattr(queries, "nondominated_mask", counting)
+        service = ParetoService(store)
+        answers = [service.front("demo") for _ in range(16)]
+        assert calls["n"] == 1
+        fresh = queries.front_rows(store.get_dataset("demo"))
+        assert all(answer == fresh for answer in answers)
 
     @pytest.mark.parametrize(
         "field, value",
