@@ -4,8 +4,8 @@ These track the vectorized fitness engine's headline claim (≥5× faster
 GA generations at the default benchmark sizes) plus micro-benchmarks
 of the non-dominated sort at a Table-III-like population size (with the
 retained scalar sort as the reference) and at the union sizes the GA
-sorts every generation, and of the per-generation bookkeeping a warm
-cache leaves: selection, the archive update and the generation stats.
+sorts every generation, and of the per-generation bookkeeping around
+fitness scoring: selection, the archive update and the generation stats.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.cache import EvaluationCache
 from repro.core.fitness import FitnessEvaluator
 from repro.core.nsga2 import (
     fast_non_dominated_sort,
@@ -108,8 +107,8 @@ CI_POPULATION = 40
 
 def test_bench_selection_and_archive(benchmark, ga_training_data, record_bench):
     """One generation's bookkeeping on a ci-sized 80-row parent+offspring
-    union whose fitness comes from a warm cache: the fitness lookups,
-    the archive update, environmental selection and the generation stats."""
+    union, scored once outside the timed loop: the archive update,
+    environmental selection and the generation stats."""
     x_train, y_train = ga_training_data
     config = GAConfig(population_size=CI_POPULATION, seed=0)
     trainer = GATrainer(TOPOLOGY, ga_config=config)
@@ -123,24 +122,20 @@ def test_bench_selection_and_archive(benchmark, ga_training_data, record_bench):
         x_train,
         y_train,
         baseline_accuracy=float(np.median(accuracies)) + config.max_accuracy_loss,
-        cache=EvaluationCache(),
     )
     fitnesses = evaluator.evaluate_population(union)
     reference = (1.0, 1.1 * max(fit.area for fit in fitnesses) + 1.0)
 
     def bookkeeping():
         archive = ParetoArchive(max_size=config.archive_size)
-        fitnesses = evaluator.evaluate_population(union)
         trainer._update_archive(archive, union, fitnesses)
         survivors, kept, _ = trainer._environmental_selection(union, fitnesses, CI_POPULATION, True)
         return survivors, trainer._stats(0, kept, archive, evaluator, reference)
 
-    computed = evaluator.fitness_computations
     survivors, stats = benchmark(bookkeeping)
     start = time.perf_counter()
     bookkeeping()
     seconds = time.perf_counter() - start
-    assert evaluator.fitness_computations == computed  # every lookup hit
     assert len(survivors) == CI_POPULATION
     assert stats.archive_size >= 1 and stats.hypervolume > 0.0
     record_bench(

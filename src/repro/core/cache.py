@@ -1,21 +1,10 @@
 """Shared evaluation cache spanning the stages of the Fig. 2 pipeline.
 
-The GA stage decodes and forwards every chromosome it evaluates; the
-subsequent front-synthesis stage used to rebuild all of that from
-scratch (decode again, forward again, synthesize one model at a time),
-and the reporting experiments (Table II, Fig. 4, Fig. 5) re-request the
-same hardware reports.  :class:`EvaluationCache` is one bounded memo
-shared by all of them, keyed by the chromosome's genome bytes:
+The front-synthesis stage scores the GA's front on held-out data, and
+the reporting experiments (Table II, Fig. 4, Fig. 5) re-request the same
+hardware reports.  :class:`EvaluationCache` is one bounded memo shared by
+all of them, keyed by the chromosome's genome bytes:
 
-``fitness``
-    (evaluator context digest, compact genome) → fitness values
-    (training accuracy + FA-count area), the GA's inner-loop memo.  The
-    digest covers the layout, training split and feasibility
-    constraint, because the cached values embed all three.  The genome
-    is the row's bytes in the layout's narrowest signed key dtype
-    (:meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`; int16
-    for the paper's formats), since this section holds one entry per
-    genome the GA ever scored;
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``
@@ -38,50 +27,38 @@ shared by all of them, keyed by the chromosome's genome bytes:
     sign-off parses each design once (see
     :func:`~repro.evaluation.verification.compiled_module`).
 
-No section holds decoded models: the GA and the front stage both score
-straight from genome matrices
+There is no section for GA fitness values.  The GA folds the duplicates
+within each population batch and scores every unique row
+(:meth:`~repro.core.fitness.FitnessEvaluator.evaluate_population`): a
+cross-generation memo served only about 1.5 % of the unique lookups, and
+a warm cache directory restores the whole GA result from ``stages``
+instead.  No section holds decoded models either: the GA and the front
+stage both score straight from genome matrices
 (:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`),
 and sign-off decodes each design it verifies or publishes.
 
 Every section is a true LRU (:class:`LRUCache`): a hit refreshes
-recency, so hot genomes — elites that reappear generation after
-generation — survive eviction pressure.  Sections also count hits and
-misses, which the tests use to assert that a full pipeline run performs
-zero redundant forward/synthesis work.
+recency, so hot entries survive eviction pressure.  Sections also count
+hits and misses, which the tests use to assert that a full pipeline run
+performs zero redundant forward/synthesis work.
 
 The cache is **disk-backed**: :meth:`EvaluationCache.save` snapshots the
-data sections (compiled modules are deliberately excluded: they are
-large and cheap to rebuild) into two versioned pickles per snapshot.
-The **head** at the snapshot path holds ``accuracy``, ``reports`` and
-``stages`` plus the fitness section's entry count and oldest last-used
-stamp; the ``fitness`` entries, by far the most numerous, go into the
-**fitness file** next to it (``<path>.fitness``,
-:meth:`EvaluationCache.fitness_path`).  :meth:`EvaluationCache.load`
-restores the head at once and only backs the fitness section by its
-file (:meth:`LRUCache.back_with`): the file is read on the section's
-first access, so a warm session whose GA stages are restored from
-``stages`` never opens it, and ``save`` leaves an unread fitness file
-on disk instead of rewriting it.
-
-Keys are fully
-self-namespacing — they embed the layout identity, the training split
-digest and the feasibility constraint — so snapshots taken from
+``accuracy``, ``reports`` and ``stages`` sections (compiled modules are
+deliberately excluded: they are large and cheap to rebuild) into one
+versioned pickle per snapshot, and :meth:`EvaluationCache.load` restores
+them.  Keys are fully self-namespacing — they embed the layout identity,
+the split digest and the stage settings — so snapshots taken from
 different datasets, scales or constraints can share a directory without
-colliding, and any valid fitness file at the path is correct to read,
-whichever run wrote it.  The other sections key genomes by their
-int64 bytes (:meth:`EvaluationCache.genome_key`), which also name
-published designs.  Keys are flat tuples of strings, bytes and numbers
-(the layout and the evaluator context are each one
+colliding.  Genomes are keyed by their int64 bytes
+(:meth:`EvaluationCache.genome_key`), which also name published designs.
+Keys are flat tuples of strings, bytes and numbers (the layout is one
 :func:`stable_fingerprint` string), whose hashes CPython caches.
 
-Both files record the format version, the numpy version and the
+Every snapshot records the format version, the numpy version and the
 :func:`code_digest` of the package, so an edited source tree restores
-nothing — no stage result, and no fitness value the old code computed.
-Loading is corruption-tolerant: a missing, truncated, garbage,
-version-mismatched or other-code file restores nothing from that file
-instead of raising (a bad fitness file leaves the fitness section
-empty, the head's sections restored), so a crashed writer can never
-take down the next run.
+nothing.  Loading is corruption-tolerant: a missing, truncated, garbage,
+version-mismatched or other-code file restores nothing instead of
+raising, so a crashed writer can never take down the next run.
 
 Long-lived cache directories are kept bounded by **snapshot
 compaction**: every entry carries a last-used timestamp, and
@@ -89,10 +66,7 @@ compaction**: every entry carries a last-used timestamp, and
 age bound drops entries unused for too long at write time, so a
 directory accumulated over many runs does not grow with the union of
 everything ever evaluated.  The section bounds of the LRU caches cap
-the entry count.  Both apply to the head at every save; an unread
-fitness file is read and rewritten only when its recorded oldest stamp
-is past the age bound or its count exceeds the fitness bound, which is
-when compacting it would drop something.
+the entry count.
 """
 
 from __future__ import annotations
@@ -146,10 +120,9 @@ def stable_fingerprint(*parts: Union[bytes, str], digest_size: int = 16) -> str:
 def code_digest() -> str:
     """Digest of the ``repro`` package's ``.py`` sources (path and bytes).
 
-    Recorded in every snapshot file :meth:`EvaluationCache.save` writes,
-    so a persisted stage result or fitness value never outlives the
-    code that produced it.  Computed on first use and then once per
-    process, never at import.
+    Recorded in every snapshot :meth:`EvaluationCache.save` writes, so a
+    persisted stage result never outlives the code that produced it.
+    Computed on first use and then once per process, never at import.
     """
     package = Path(__file__).resolve().parents[1]
     parts: List[Union[bytes, str]] = []
@@ -183,9 +156,10 @@ _MISSING = object()
 #: Version 10 moves the ``fitness`` section into its own file (the head
 #: records its entry count and oldest stamp) and records the numpy
 #: version and code digest once per file instead of in stage keys.
+#: Version 11 drops the ``fitness`` section, its file and the head's
+#: record of it, and the ``cache_hits`` column of packed GA histories.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-_FITNESS_MAGIC = "repro-evaluation-cache/fitness"
-CACHE_FORMAT_VERSION = 10
+CACHE_FORMAT_VERSION = 11
 
 
 @dataclass(frozen=True)
@@ -211,7 +185,6 @@ class SnapshotPolicy:
 _SAFE_SNAPSHOT_GLOBALS = {
     # Only in version-4 keys: lets those snapshots fail the version check.
     ("repro.approx.config", "ApproxConfig"),
-    ("repro.core.fitness", "FitnessValues"),
     ("repro.hardware.synthesis", "HardwareReport"),
     # The RTL-verification harness memoizes per-design results in the
     # reports section; they must survive the snapshot round trip.
@@ -268,31 +241,29 @@ class _SnapshotUnpickler(pickle.Unpickler):
 
 
 def _code_stamp() -> Tuple[str, str]:
-    """The numpy version and :func:`code_digest` every snapshot file records."""
+    """The numpy version and :func:`code_digest` every snapshot records."""
     return (np.__version__, code_digest())
 
 
-def _read_snapshot(path: Path, magic: str, *, missing_ok: bool) -> Optional[dict]:
+def _read_snapshot(path: Path) -> Optional[dict]:
     """The checked payload of one snapshot file, or ``None``.
 
-    Never raises on bad input.  A missing file (logged unless
-    ``missing_ok``), a truncated or garbage pickle, a foreign payload, a
-    format-version mismatch or a file written by other code (another
-    numpy version or an edited package, see :func:`code_digest`) reads
-    as ``None`` and logs a WARNING.  Deserialization goes through the
-    allowlisted :class:`_SnapshotUnpickler`.
+    Never raises on bad input.  A missing file reads as ``None`` silently;
+    a truncated or garbage pickle, a foreign payload, a format-version
+    mismatch or a file written by other code (another numpy version or
+    an edited package, see :func:`code_digest`) reads as ``None`` and
+    logs a WARNING.  Deserialization goes through the allowlisted
+    :class:`_SnapshotUnpickler`.
     """
     try:
         with open(path, "rb") as handle:
             payload = _SnapshotUnpickler(handle).load()
     except FileNotFoundError:
-        if not missing_ok:
-            _LOGGER.warning("ignoring missing cache snapshot %s", path)
         return None
     except Exception as error:  # noqa: BLE001 - tolerate any corruption
         _LOGGER.warning("ignoring unreadable cache snapshot %s: %s", path, error)
         return None
-    if not isinstance(payload, dict) or payload.get("magic") != magic:
+    if not isinstance(payload, dict) or payload.get("magic") != _SNAPSHOT_MAGIC:
         _LOGGER.warning("ignoring foreign cache snapshot %s", path)
         return None
     if payload.get("version") != CACHE_FORMAT_VERSION:
@@ -338,10 +309,6 @@ class LRUCache:
     also carries a last-used wall-clock timestamp, which snapshot
     compaction (:class:`SnapshotPolicy`) uses to age entries out of
     long-lived cache directories.
-
-    A section can be **backed by a snapshot file** (:meth:`back_with`):
-    its entries stay on disk until the first call of any method that
-    reads or changes them, which reads the file into the section first.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -352,36 +319,6 @@ class LRUCache:
         self.misses = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._stamps: Dict[Hashable, float] = {}
-        #: ``(path, entry count, oldest last-used stamp)`` of the file
-        #: still holding this section's entries, or ``None`` once read.
-        #: Every method that reads or changes entries checks it first.
-        self.backing: Optional[Tuple[Path, int, float]] = None
-
-    def back_with(self, path: Union[str, Path], count: int, oldest: float) -> None:
-        """Defer this section's entries to the fitness file at ``path``.
-
-        ``count`` and ``oldest`` (the oldest entry's last-used stamp)
-        are what the snapshot head recorded, so :meth:`EvaluationCache.save`
-        can carry an unread file forward without opening it.  A section
-        that already holds entries reads the file at once, merging it.
-        """
-        if len(self):
-            self._restore_file(Path(path))
-        else:
-            self.backing = (Path(path), int(count), float(oldest))
-
-    def _read_backing(self) -> None:
-        path = self.backing[0]
-        self.backing = None
-        self._restore_file(path)
-
-    def _restore_file(self, path: Path) -> None:
-        payload = _read_snapshot(path, _FITNESS_MAGIC, missing_ok=False)
-        if payload is not None:
-            try:
-                self.restore(payload.get("entries", []))
-            except (TypeError, ValueError) as error:
-                _LOGGER.warning("ignoring malformed cache snapshot %s: %s", path, error)
 
     def restore(self, entries: Sequence[Tuple[Hashable, Any, float]]) -> int:
         """Put persisted ``(key, value, last_used)`` triples, least recent first.
@@ -407,8 +344,6 @@ class LRUCache:
         Entries last used more than ``max_age`` seconds before ``now``
         are left out.
         """
-        if self.backing is not None:
-            self._read_backing()
         stamps = self._stamps
         entries = [(key, value, stamps.get(key, now)) for key, value in self._data.items()]
         if max_age is not None:
@@ -417,8 +352,6 @@ class LRUCache:
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, refreshing its recency on a hit."""
-        if self.backing is not None:
-            self._read_backing()
         value = self._data.get(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
@@ -430,8 +363,6 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert (or refresh) ``key``, evicting the least recently used."""
-        if self.backing is not None:
-            self._read_backing()
         data = self._data
         data[key] = value
         data.move_to_end(key)
@@ -442,8 +373,6 @@ class LRUCache:
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key``'s value, counted like a :meth:`get`."""
-        if self.backing is not None:
-            self._read_backing()
         value = self._data.pop(key, _MISSING)
         if value is _MISSING:
             self.misses += 1
@@ -454,29 +383,20 @@ class LRUCache:
 
     def last_used(self, key: Hashable) -> Optional[float]:
         """Wall-clock time of the entry's last :meth:`put`/:meth:`get` hit."""
-        if self.backing is not None:
-            self._read_backing()
         return self._stamps.get(key)
 
     def __contains__(self, key: Hashable) -> bool:
-        if self.backing is not None:
-            self._read_backing()
         return key in self._data
 
     def __len__(self) -> int:
-        if self.backing is not None:
-            self._read_backing()
         return len(self._data)
 
     def keys(self) -> List[Hashable]:
         """Keys in eviction order (least recently used first)."""
-        if self.backing is not None:
-            self._read_backing()
         return list(self._data.keys())
 
     def clear(self) -> None:
-        """Drop every entry, a backing file's unread ones too (counters are retained)."""
-        self.backing = None
+        """Drop every entry (counters are retained)."""
         self._data.clear()
         self._stamps.clear()
 
@@ -497,11 +417,9 @@ class EvaluationCache:
 
     def __init__(
         self,
-        max_fitness_entries: int = 250_000,
         max_accuracy_entries: int = 250_000,
         max_report_entries: int = 65_536,
     ) -> None:
-        self.fitness = LRUCache(max_fitness_entries)
         self.accuracy = LRUCache(max_accuracy_entries)
         self.reports = LRUCache(max_report_entries)
         # A few entries per dataset: one per stage kind and settings.
@@ -515,8 +433,7 @@ class EvaluationCache:
         """Canonical cache key of a chromosome (its int64 genome bytes).
 
         It keys the accuracy, report and module sections and names
-        published designs; the fitness section uses the compact
-        :meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`.
+        published designs.
         """
         return np.ascontiguousarray(chromosome, dtype=np.int64).tobytes()
 
@@ -527,10 +444,10 @@ class EvaluationCache:
         Two layouts with the same topology, number formats and shift
         handling decode any given genome identically; layouts differing
         only in gene *bounds* (the ablation experiments restrict those)
-        share a key on purpose.  Namespacing model/fitness entries with
-        this prevents collisions between layouts whose chromosomes
-        merely have equal byte length.  One :func:`stable_fingerprint`
-        string, so keys built on it stay flat.
+        share a key on purpose.  Namespacing entries with this prevents
+        collisions between layouts whose chromosomes merely have equal
+        byte length.  One :func:`stable_fingerprint` string, so keys
+        built on it stay flat.
         """
         return stable_fingerprint(
             repr(tuple(int(size) for size in layout.topology.sizes)),
@@ -620,7 +537,6 @@ class EvaluationCache:
                 "misses": section.misses,
             }
             for name, section in (
-                ("fitness", self.fitness),
                 ("accuracy", self.accuracy),
                 ("reports", self.reports),
                 ("stages", self.stages),
@@ -630,7 +546,6 @@ class EvaluationCache:
 
     def clear(self) -> None:
         """Drop every entry of every section."""
-        self.fitness.clear()
         self.accuracy.clear()
         self.reports.clear()
         self.stages.clear()
@@ -639,17 +554,10 @@ class EvaluationCache:
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
-    #: Sections written into the snapshot head.  ``fitness`` goes into
-    #: its own file (:meth:`fitness_path`), ``modules`` nowhere: compiled
-    #: modules are orders of magnitude larger than fitness tuples and
-    #: are rebuilt lazily from the genomes anyway.
+    #: Sections written into a snapshot.  ``modules`` is left out:
+    #: compiled modules are large and are rebuilt lazily from the
+    #: genomes anyway.
     _PERSISTED_SECTIONS = ("accuracy", "reports", "stages")
-
-    @staticmethod
-    def fitness_path(path: Union[str, Path]) -> Path:
-        """The file holding the ``fitness`` section of the snapshot at ``path``."""
-        path = Path(path)
-        return path.with_name(path.name + ".fitness")
 
     def save(
         self,
@@ -660,24 +568,13 @@ class EvaluationCache:
     ) -> int:
         """Snapshot the data sections to ``path``; returns entries written.
 
-        A snapshot is two files.  The head at ``path`` holds the
-        accuracy, reports and stages sections plus the fitness section's
-        entry count and oldest last-used stamp; the fitness entries go
-        into :meth:`fitness_path`.  Both record the format version, the
-        numpy version and the :func:`code_digest`.  The fitness file is
-        written first and the head second, each atomically (temp file +
-        rename), so a crash mid-save leaves the previous files intact.
+        The snapshot records the format version, the numpy version and
+        the :func:`code_digest`, and is written atomically (temp file +
+        rename), so a crash mid-save leaves the previous file intact.
         Entries are stored in LRU order (least recently used first)
         together with their last-used timestamps, so a later
         :meth:`load` into a smaller cache keeps the hottest entries and
         compaction can age entries across runs.
-
-        A fitness section still backed by its file at the target path
-        (never accessed since :meth:`load`) is not rewritten: its count
-        and stamp are carried into the new head.  It is read and
-        rewritten only when it must be compacted — its oldest entry is
-        past the policy's age bound, or it holds more entries than this
-        cache's fitness bound.
 
         ``policy`` bounds the snapshot (see :class:`SnapshotPolicy`);
         ``now`` overrides the reference time of the age bound (tests).
@@ -687,27 +584,6 @@ class EvaluationCache:
         if now is None:
             now = time.time()  # lint: allow(RP03) -- compaction ages entries against their persisted wall-clock stamps
         max_age = None if policy is None else policy.max_age_seconds
-        code = _code_stamp()
-        fitness_file = self.fitness_path(path)
-        backing = self.fitness.backing
-        if backing is None or (
-            backing[0] != fitness_file
-            or backing[1] > self.fitness.max_size
-            or (max_age is not None and now - backing[2] > max_age)
-        ):
-            entries = self.fitness.entries(now, max_age)
-            _write_snapshot(
-                fitness_file,
-                {
-                    "magic": _FITNESS_MAGIC,
-                    "version": CACHE_FORMAT_VERSION,
-                    "code": code,
-                    "entries": entries,
-                },
-            )
-            fitness = (len(entries), min((entry[2] for entry in entries), default=now))
-        else:
-            fitness = backing[1:]
         sections = {
             name: getattr(self, name).entries(now, max_age) for name in self._PERSISTED_SECTIONS
         }
@@ -716,30 +592,20 @@ class EvaluationCache:
             {
                 "magic": _SNAPSHOT_MAGIC,
                 "version": CACHE_FORMAT_VERSION,
-                "code": code,
+                "code": _code_stamp(),
                 "sections": sections,
-                "fitness": fitness,
             },
         )
-        return fitness[0] + sum(len(entries) for entries in sections.values())
+        return sum(len(entries) for entries in sections.values())
 
     def load(self, path: Union[str, Path]) -> int:
         """Restore a snapshot written by :meth:`save`; returns entries loaded.
 
-        The head's sections are restored at once.  The fitness section
-        is only backed by its file (:meth:`LRUCache.back_with`): the file
-        is read on the section's first access, so a session that never
-        runs a GA never opens it.  Loading into a non-empty fitness
-        section reads the file at once.  The count includes the fitness
-        entries the head recorded, read or not.
-
         Loading is corruption-tolerant and never raises on bad input: a
-        missing head, a truncated or garbage pickle, a foreign payload,
+        missing file, a truncated or garbage pickle, a foreign payload,
         a format-version mismatch or a file written by other code (numpy
-        version or :func:`code_digest`) restores nothing from that file
-        (logged at WARNING level, except the common missing-head case).
-        A bad or missing fitness file therefore yields an empty fitness
-        section while the head's sections are still restored.
+        version or :func:`code_digest`) restores nothing (logged at
+        WARNING level, except the common missing-file case).
         Deserialization is restricted to the snapshot allowlist
         (:data:`_SAFE_SNAPSHOT_GLOBALS`), so a malicious file in the
         cache directory cannot execute code during load.  Restored
@@ -747,7 +613,7 @@ class EvaluationCache:
         section bounds of *this* cache apply.
         """
         path = Path(path)
-        payload = _read_snapshot(path, _SNAPSHOT_MAGIC, missing_ok=True)
+        payload = _read_snapshot(path)
         if payload is None:
             return 0
         sections = payload.get("sections")
@@ -766,14 +632,4 @@ class EvaluationCache:
                     path,
                     error,
                 )
-        try:
-            count, oldest = payload.get("fitness", (0, 0.0))
-            count, oldest = int(count), float(oldest)
-        except (TypeError, ValueError) as error:
-            _LOGGER.warning(
-                "ignoring malformed fitness record of cache snapshot %s: %s", path, error
-            )
-            return total
-        if count > 0:
-            self.fitness.back_with(self.fitness_path(path), count, oldest)
-        return total + count
+        return total

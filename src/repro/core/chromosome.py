@@ -44,13 +44,6 @@ class ChromosomeLayout:
         When True, one extra gene per hidden layer encodes the QReLU
         right shift (bounded by the worst-case shift); when False the
         worst-case shifts are used verbatim.
-
-    Attributes
-    ----------
-    key_dtype:
-        Narrowest signed integer dtype covering every gene's bounds at
-        construction; :meth:`memo_keys` keys genomes in it.  Bounds may
-        be narrowed afterwards (the ablations do), never widened.
     """
 
     topology: Topology
@@ -94,15 +87,6 @@ class ChromosomeLayout:
             self.lower_bounds[bias] = self.config.bias_min
             self.upper_bounds[bias] = self.config.bias_max
         self.upper_bounds[self._shift_slice] = self._max_shifts[:num_hidden]
-        # Fixed at construction: ablations narrow the bounds afterwards,
-        # and a genome must key the same under the full and the narrowed
-        # layout, which share a layout key.
-        low, high = int(self.lower_bounds.min(initial=0)), int(self.upper_bounds.max(initial=0))
-        self.key_dtype = next(
-            dtype
-            for dtype in (np.int8, np.int16, np.int32, np.int64)
-            if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max
-        )
 
     # ------------------------------------------------------------------
     # Gene bookkeeping
@@ -145,19 +129,6 @@ class ChromosomeLayout:
                 f"population must have shape (n, {self.num_genes}), got {population.shape}"
             )
         return population
-
-    def memo_keys(self, population: np.ndarray) -> List[bytes]:
-        """Fitness-memo keys of an ``(n, genes)`` population, one per row.
-
-        A row's key is its genes' bytes in :attr:`key_dtype`, the
-        narrowest signed dtype holding every gene of this layout.  The
-        whole batch is bounds-checked first: the cast is exact only in
-        bounds, and an out-of-range gene that wrapped could alias a
-        cached genome and return its fitness.
-        """
-        population = self._population(population)
-        self._check_bounds(population)
-        return [row.tobytes() for row in population.astype(self.key_dtype)]
 
     def _check_bounds(self, population: np.ndarray) -> None:
         """One vectorized bounds check over an ``(n, genes)`` batch; the

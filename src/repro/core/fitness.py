@@ -14,19 +14,18 @@ to how far the candidate's accuracy loss exceeds the admissible bound
 (10 % during training, per Section IV-A).  The violation is used for
 constrained dominance in the NSGA-II selection.
 
-The evaluator is population-batched and genome-native: the unique,
-never-seen rows of an ``(n, genes)`` population matrix are sliced into
-stacked parameter tensors
-(:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`),
-forwarded through one stacked integer forward pass and FA-counted from
-the same tensors — no per-candidate model object is built.
-:meth:`evaluate_population` deduplicates the batch and serves repeated
-genomes (elites, clones produced by crossover) from a memo cache, so no
-chromosome is ever scored twice.  The memo keys each genome by its
-bytes in the layout's compact key dtype
-(:meth:`~repro.core.chromosome.ChromosomeLayout.memo_keys`: int16 for the
-paper's number formats, a quarter of the int64 genome), after one bounds
-check of the whole batch.  The per-chromosome decode +
+The evaluator is population-batched and genome-native: the unique rows
+of an ``(n, genes)`` population matrix are sliced into stacked parameter
+tensors
+(:meth:`~repro.core.chromosome.ChromosomeLayout.population_parameters`,
+which bounds-checks every row), forwarded through one stacked integer
+forward pass and FA-counted from the same tensors — no per-candidate
+model object is built.  :meth:`FitnessEvaluator.evaluate_population`
+folds the duplicates within one batch (elites, clones produced by
+crossover) and scores every unique row.  There is no memo across
+batches: on the ``ci`` and full experiment scales a cross-generation
+memo served only about 1.5 % of the unique lookups, and an exact integer
+recompute returns the same values.  The per-chromosome decode +
 :meth:`~repro.approx.mlp.ApproximateMLP.accuracy` + scalar
 :func:`~repro.hardware.adder_tree.mlp_fa_count` path is kept as the
 ``slow=True`` oracle of :meth:`FitnessEvaluator.compute_population`.
@@ -85,33 +84,17 @@ class FitnessEvaluator:
         marked infeasible (constrained NSGA-II).
     max_accuracy_loss:
         Admissible accuracy loss during training (paper: 10 %).
-    max_cache_size:
-        Bound on the memo cache.  Eviction is true LRU: a cache hit
-        refreshes an entry's recency, so hot genomes (elites reappearing
-        every generation) are not evicted in pure insertion order.
-        Ignored when a shared ``cache`` is supplied — the shared cache
-        keeps its own section bounds.
-    cache:
-        Optional shared :class:`~repro.core.cache.EvaluationCache`.  When
-        given, fitness values are stored there, so later runs and
-        pipeline stages can reuse the GA's work; when omitted, a private
-        cache is created.  Fitness
-        entries are namespaced by the evaluator's context (training
-        split, baseline accuracy, loss bound), so one cache can safely
-        be shared between evaluators with different constraints.
 
     Attributes
     ----------
     evaluations:
         Number of *unique* fitness lookups requested.  Genomes that are
         duplicated within one :meth:`evaluate_population` batch count
-        once — duplicates are folded before the cache is consulted, so
-        they are neither lookups nor hits.
-    cache_hits:
-        How many unique lookups were served from the memo cache.
+        once.
     fitness_computations:
-        Number of chromosomes actually scored
-        (``evaluations - cache_hits``).
+        Number of chromosomes scored by :meth:`evaluate_population`.
+        Every unique row of a batch is scored, so it equals
+        ``evaluations``.
     """
 
     def __init__(
@@ -121,8 +104,6 @@ class FitnessEvaluator:
         train_labels: np.ndarray,
         baseline_accuracy: Optional[float] = None,
         max_accuracy_loss: float = 0.10,
-        max_cache_size: int = 250_000,
-        cache: Optional[EvaluationCache] = None,
     ) -> None:
         self.layout = layout
         self.train_inputs = np.asarray(train_inputs, dtype=np.int64)
@@ -138,22 +119,10 @@ class FitnessEvaluator:
             )
         if max_accuracy_loss < 0:
             raise ValueError(f"max_accuracy_loss must be non-negative, got {max_accuracy_loss}")
-        if max_cache_size <= 0:
-            raise ValueError(f"max_cache_size must be positive, got {max_cache_size}")
         self.baseline_accuracy = baseline_accuracy
         self.max_accuracy_loss = max_accuracy_loss
-        self.max_cache_size = max_cache_size
         self.evaluations = 0
-        self.cache_hits = 0
         self.fitness_computations = 0
-        self.cache = (
-            cache
-            if cache is not None
-            else EvaluationCache(max_fitness_entries=max_cache_size)
-        )
-        self._context_key = self.context_key(
-            layout, self.train_inputs, self.train_labels, baseline_accuracy, max_accuracy_loss
-        )
 
     @staticmethod
     def context_key(
@@ -166,9 +135,10 @@ class FitnessEvaluator:
         """One digest string of everything a fitness value depends on
         besides the genome.
 
-        Cached :class:`FitnessValues` embed the decode semantics, the
-        training split and the feasibility constraint, so fitness keys
-        are namespaced by this digest.
+        :class:`FitnessValues` embed the decode semantics, the training
+        split and the feasibility constraint, so the GA's stage key
+        (:meth:`~repro.core.trainer.GATrainer.result_key`) includes this
+        digest.
         """
         split = EvaluationCache.split_fingerprint(
             np.asarray(train_inputs, dtype=np.int64), np.asarray(train_labels, dtype=np.int64)
@@ -180,23 +150,15 @@ class FitnessEvaluator:
             repr(split),
         )
 
-    def _fitness_key(self, genome: bytes) -> tuple:
-        return (self._context_key, genome)
-
-    @property
-    def _cache(self):
-        """The fitness section (tests and debugging)."""
-        return self.cache.fitness
-
     # ------------------------------------------------------------------
     def compute(self, chromosome: np.ndarray) -> FitnessValues:
-        """Evaluate one chromosome, bypassing the memo cache."""
+        """Evaluate one chromosome (not counted)."""
         return self.compute_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
 
     def compute_population(
         self, population: np.ndarray, slow: bool = False
     ) -> List[FitnessValues]:
-        """Score every row of an ``(n, genes)`` matrix, bypassing the memo.
+        """Score every row of an ``(n, genes)`` matrix (not counted).
 
         The rows are sliced into stacked parameters, forwarded in one
         stacked pass and FA-counted from the same tensors.  ``slow=True``
@@ -234,7 +196,7 @@ class FitnessEvaluator:
         )
 
     def evaluate(self, chromosome: np.ndarray) -> FitnessValues:
-        """Evaluate one chromosome (memoized)."""
+        """Evaluate one chromosome (counted)."""
         return self.evaluate_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
 
     def evaluate_population(
@@ -245,36 +207,19 @@ class FitnessEvaluator:
         ``population`` may be an ``(n, genes)`` int64 matrix (the
         trainer's native representation) or a sequence of gene vectors.
         The batch is deduplicated first — in-batch duplicates (elites,
-        crossover clones) are folded onto one lookup and never counted
-        twice — then resolved against the memo cache; only the unique,
-        never-seen rows are scored, as one matrix.  A row with a gene out
-        of its layout bounds raises ``ValueError`` before any lookup.
+        crossover clones) are folded onto one row and counted once — and
+        the unique rows are scored as one matrix.  A row with a gene out
+        of its layout bounds raises ``ValueError``.
         """
         if len(population) == 0:
             return []
-        population = np.asarray(population, dtype=np.int64)
-        keys = self.layout.memo_keys(population)
-
-        # Resolve against a batch-local map so cache eviction while
-        # storing new results can never drop an entry we still need.
-        resolved: Dict[bytes, FitnessValues] = {}
-        pending: Dict[bytes, int] = {}
+        population = np.ascontiguousarray(population, dtype=np.int64)
+        keys = [row.tobytes() for row in population]
+        first: Dict[bytes, int] = {}
         for index, key in enumerate(keys):
-            if key in resolved or key in pending:
-                continue  # in-batch duplicate: one lookup, counted once
-            cached = self.cache.fitness.get(self._fitness_key(key))
-            if cached is not None:
-                self.cache_hits += 1
-                resolved[key] = cached
-            else:
-                pending[key] = index
-        self.evaluations += len(resolved) + len(pending)
-
-        if pending:
-            unique = population[list(pending.values())]
-            computed = self.compute_population(unique)
-            self.fitness_computations += len(unique)
-            for key, values in zip(pending, computed):
-                resolved[key] = values
-                self.cache.fitness.put(self._fitness_key(key), values)
+            first.setdefault(key, index)
+        computed = self.compute_population(population[list(first.values())])
+        self.evaluations += len(first)
+        self.fitness_computations += len(first)
+        resolved = dict(zip(first, computed))
         return [resolved[key] for key in keys]

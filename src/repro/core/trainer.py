@@ -77,10 +77,9 @@ class GenerationStats:
 
     ``evaluations`` counts *unique* fitness lookups requested so far
     (genomes duplicated within one population batch are folded onto a
-    single lookup), ``cache_hits`` how many of those were served from
-    the evaluator's memo cache, and ``fitness_computations`` how many
-    chromosomes were actually scored — the three always
-    satisfy ``evaluations == cache_hits + fitness_computations``.
+    single lookup) and ``fitness_computations`` how many chromosomes
+    were scored.  The evaluator scores every unique row of a batch, so
+    the two are equal.
 
     ``duration_s`` is the wall-clock time of this generation alone
     (variation + evaluation + environmental selection + stats).
@@ -94,14 +93,8 @@ class GenerationStats:
     hypervolume: float
     archive_size: int
     evaluations: int
-    cache_hits: int = 0
     fitness_computations: int = 0
     duration_s: float = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Fraction of unique lookups served from the memo cache."""
-        return self.cache_hits / self.evaluations if self.evaluations else 0.0
 
 
 @dataclass
@@ -280,7 +273,6 @@ class GATrainer:
         baseline_accuracy: Optional[float] = None,
         seed_model: Optional[FloatMLP] = None,
         area_objective: bool = True,
-        cache: Optional[EvaluationCache] = None,
     ) -> GAResult:
         """Run the genetic training.
 
@@ -300,10 +292,6 @@ class GATrainer:
             When False the area objective is ignored (all candidates get
             area 0), which reproduces the hardware-unaware "GA" column of
             Table III and is used by the ablation experiments.
-        cache:
-            Optional shared :class:`~repro.core.cache.EvaluationCache`;
-            the fitness values of every evaluated genome are stored
-            there, so a warm cache serves a repeated search.
         """
         config = self.ga_config
         rng = np.random.default_rng(config.seed)
@@ -315,7 +303,6 @@ class GATrainer:
             train_labels=train_labels,
             baseline_accuracy=baseline_accuracy,
             max_accuracy_loss=config.max_accuracy_loss,
-            cache=cache,
         )
         initializer = PopulationInitializer(
             layout=self.layout,
@@ -372,16 +359,10 @@ class GATrainer:
             history.append(stats)
             if _LOGGER.isEnabledFor(logging.DEBUG):
                 previous = history[-2] if len(history) > 1 else None
-                lookups = stats.evaluations - (previous.evaluations if previous else 0)
-                hits = stats.cache_hits - (previous.cache_hits if previous else 0)
                 _LOGGER.debug(
-                    "generation %d: %d unique fitness lookups, %d cache hits "
-                    "(%.1f%% hit rate), %d computed, %.3fs",
+                    "generation %d: %d unique fitness lookups, %.3fs",
                     generation,
-                    lookups,
-                    hits,
-                    100.0 * hits / lookups if lookups else 0.0,
-                    lookups - hits,
+                    stats.evaluations - (previous.evaluations if previous else 0),
                     stats.duration_s,
                 )
 
@@ -531,7 +512,6 @@ class GATrainer:
             hypervolume=archive.hypervolume(reference),
             archive_size=len(archive),
             evaluations=evaluator.evaluations,
-            cache_hits=evaluator.cache_hits,
             fitness_computations=evaluator.fitness_computations,
             duration_s=duration_s,
         )

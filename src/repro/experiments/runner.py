@@ -19,17 +19,17 @@ readable ``<experiment>.json`` + ``<experiment>.csv`` (see
 through ``Artifact.from_json``).
 
 ``--cache-dir DIR`` makes the evaluation cache persistent: each
-dataset's trained baseline, GA results and fitness/accuracy/hardware-
-report entries are loaded from ``DIR`` before the baseline stage and
-saved back afterwards (compacted by the scale's snapshot policy), so a
-second invocation of the same experiment at the same scale restores the
-baseline and the GA instead of training them.  A per-dataset ``[cache]``
-summary line reports this session's fitness lookups and hit rate (0/0
-when the GA was restored), the snapshot traffic and whether the baseline
-and the GA were ``restored`` or ``trained``.  Snapshots are versioned,
-and keys are namespaced by dataset split, constraints, settings and the
-package's source digest, so one directory can safely be shared between
-scales and experiments, and an edited source tree retrains.
+dataset's trained baseline, GA results and accuracy/hardware-report
+entries are loaded from ``DIR/<dataset>.cache.pkl`` before the baseline
+stage and saved back afterwards (compacted by the scale's snapshot
+policy), so a second invocation of the same experiment at the same
+scale restores the baseline and the GA instead of training them.  A
+per-dataset ``[cache]`` summary line reports the snapshot traffic and
+whether the baseline and the GA were ``restored`` or ``trained``.
+Snapshots are versioned, and keys are namespaced by dataset split,
+constraints, settings and the package's source digest, so one directory
+can safely be shared between scales and experiments, and an edited
+source tree retrains.
 
 ``--dataset-workers N`` warms the per-dataset heavy stages in ``N``
 threads before the experiments read them (datasets are independent).
@@ -121,7 +121,7 @@ def main(argv: List[str] | None = None) -> int:
         default=None,
         help=(
             "directory for persistent evaluation-cache snapshots; repeated "
-            "invocations share fitness/synthesis work across restarts"
+            "invocations restore trained stages and reuse synthesis work"
         ),
     )
     parser.add_argument(
@@ -223,9 +223,8 @@ def main(argv: List[str] | None = None) -> int:
     if session.cache_dir is not None:
         for dataset, stats in sorted(session.cache_summary().items()):
             print(
-                f"[cache] {dataset}: fitness {stats['cache_hits']}/"
-                f"{stats['evaluations']} hits ({100.0 * stats['hit_rate']:.1f}%), "
-                f"snapshot loaded {stats['loaded']} / saved {stats['saved']} entries, "
+                f"[cache] {dataset}: snapshot loaded {stats['loaded']} / "
+                f"saved {stats['saved']} entries, "
                 f"baseline {stats['baseline']}, ga {stats['ga']}"
             )
     if scale.verify_rtl:

@@ -35,7 +35,7 @@ Programmatic use::
     artifacts["table2"].save("out/")              # table2.json + table2.csv
 
 Stage outputs that are expensive to recompute (the trained float
-baseline, fitness values, test accuracies, hardware reports, RTL
+baseline, the GA results, test accuracies, hardware reports, RTL
 verification results) persist through the session's
 :class:`~repro.core.cache.EvaluationCache` when a ``cache_dir`` is set —
 the same disk snapshots ``runner.py --cache-dir`` uses.  The session owns
@@ -262,7 +262,7 @@ class ExperimentSession:
             x_train, y_train = result.dataset.quantized_train()
             x_test, y_test = result.dataset.quantized_test()
             trainer = GATrainer(spec.mlp_topology, ga_config=self._ga_config())
-            # One evaluation cache spans the GA, front-synthesis and
+            # One evaluation cache spans the front-synthesis and
             # reporting stages: no stage decodes a model to score the
             # front, and every hardware report is synthesized at most
             # once per operating point.  With a
@@ -279,9 +279,7 @@ class ExperimentSession:
                 spec.name,
                 "ga",
                 lambda: trainer.result_key(x_train, y_train, baseline_accuracy, seed_model),
-                run=lambda: trainer.train(
-                    x_train, y_train, baseline_accuracy, seed_model, cache=cache
-                ),
+                run=lambda: trainer.train(x_train, y_train, baseline_accuracy, seed_model),
                 pack=GAResult.pack,
                 rebuild=lambda value: GAResult.unpack(value, trainer.layout, baseline_accuracy),
             )
@@ -403,10 +401,9 @@ class ExperimentSession:
 
         The one GA flow ``--experiment all`` still has to train beyond
         the shared front: the paper's "GA" column measures a genuinely
-        different search.  Its fitness work shares the dataset's
-        evaluation cache (contexts are namespaced, so constrained and
-        unconstrained entries never collide) and therefore also persists
-        into the ``cache_dir`` snapshot.
+        different search.  Its result is a stage entry of the dataset's
+        evaluation cache (keyed apart from the front's GA) and therefore
+        also persists into the ``cache_dir`` snapshot.
         """
 
         def build():
@@ -419,9 +416,7 @@ class ExperimentSession:
                 result.spec.name,
                 "ga_plain",
                 lambda: trainer.result_key(x_train, y_train, area_objective=False),
-                run=lambda: trainer.train(
-                    x_train, y_train, area_objective=False, cache=approx.cache
-                ),
+                run=lambda: trainer.train(x_train, y_train, area_objective=False),
                 pack=GAResult.pack,
                 rebuild=lambda value: GAResult.unpack(value, trainer.layout),
             )
@@ -811,14 +806,10 @@ class ExperimentSession:
             ]
 
     def cache_summary(self) -> Dict[str, Dict[str, object]]:
-        """Per-dataset fitness-cache hit rates and disk-snapshot traffic.
+        """Per-dataset disk-snapshot traffic and stage restores.
 
-        ``evaluations``/``cache_hits``/``hit_rate`` count the front GA's
-        unique fitness lookups in this session.  On a second identical
-        run against the same ``cache_dir`` the GA is restored, not run,
-        so all three read 0.  ``loaded``/``saved`` count snapshot
-        entries read before the baseline stage and written after the
-        last stage that saved.  ``baseline`` and ``ga`` (the front's GA)
+        ``loaded``/``saved`` count snapshot entries read before the
+        baseline stage and written after the last stage that saved.  ``baseline`` and ``ga`` (the front's GA)
         are ``"restored"`` when the stage result came from the snapshot,
         else ``"trained"``.
         """
@@ -830,14 +821,7 @@ class ExperimentSession:
             io = self._cache_io.get(spec_name, {})
             with self._registry_lock:
                 restored = {kind for kind, key in self._restored if key == spec_name}
-            evaluations = hits = 0
-            if "ga" not in restored:
-                last = result.approximate.ga_result.history[-1]
-                evaluations, hits = last.evaluations, last.cache_hits
             summary[name] = {
-                "evaluations": evaluations,
-                "cache_hits": hits,
-                "hit_rate": hits / evaluations if evaluations else 0.0,
                 "loaded": io.get("loaded", 0),
                 "saved": io.get("saved", 0),
                 "baseline": "restored" if "baseline" in restored else "trained",

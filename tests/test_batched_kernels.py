@@ -268,8 +268,7 @@ class TestFrontDecodes:
             GAConfig(population_size=16, generations=4, seed=3),
         )
         cache = EvaluationCache()
-        result = trainer.train(x_train, y_train, baseline_accuracy=0.9, cache=cache)
-        assert len(cache.fitness) > 0
+        result = trainer.train(x_train, y_train, baseline_accuracy=0.9)
         # Fitness and the front stage both score from the genome matrix.
         designs = evaluate_front(result, x_test, y_test, cache=cache)
         assert len(designs) == len(result.estimated_front) > 0

@@ -1,13 +1,11 @@
 """Tests of the disk-backed evaluation cache (save/load + session wiring).
 
-Covers the snapshot format (versioning, the code guard, atomic writes,
-LRU-order preservation), the fitness file that is read only on first
-use and rewritten only when read or compacted, the corruption tolerance
-of :meth:`EvaluationCache.load`, the process-stable split fingerprints,
-and the end-to-end promise: a second identical experiment run against
-the same ``--cache-dir`` restores the baseline and both GA results
-without opening a fitness file, and without its GA entries is served
-almost entirely (> 90 %) from the fitness cache.
+Covers the snapshot format (versioning, the code guard, the unpickling
+allowlist, atomic writes, LRU-order preservation), the corruption
+tolerance of :meth:`EvaluationCache.load`, the process-stable split
+fingerprints, and the end-to-end promise: a second identical experiment
+run against the same ``--cache-dir`` restores the baseline and both GA
+results, from one snapshot file per dataset.
 """
 
 from __future__ import annotations
@@ -15,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -36,18 +35,19 @@ from repro.experiments.session import ExperimentSession
 class TestSnapshotRoundTrip:
     def test_save_and_load_restores_data_sections(self, tmp_path):
         cache = EvaluationCache()
-        cache.fitness.put(("ctx", b"genome-1"), (0.25, 12.0))
-        cache.fitness.put(("ctx", b"genome-2"), (0.5, 8.0))
         cache.accuracy.put((("k", b"g"), "split"), 0.875)
+        cache.accuracy.put((("k", b"h"), "split"), 0.5)
         cache.reports.put(("g", 1.0, 200.0, False), {"area": 3.5})
+        cache.stages.put(("ga", ("key",)), ("packed",))
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.pkl"]  # one file
 
         restored = EvaluationCache()
         assert restored.load(path) == 4
-        assert restored.fitness.get(("ctx", b"genome-1")) == (0.25, 12.0)
-        assert restored.fitness.get(("ctx", b"genome-2")) == (0.5, 8.0)
         assert restored.accuracy.get((("k", b"g"), "split")) == 0.875
+        assert restored.accuracy.get((("k", b"h"), "split")) == 0.5
+        assert restored.stages.get(("ga", ("key",))) == ("packed",)
         assert restored.reports.get(("g", 1.0, 200.0, False)) == {"area": 3.5}
 
     def test_baselines_section_round_trips_bit_exactly(self, tmp_path):
@@ -128,30 +128,30 @@ class TestSnapshotRoundTrip:
     def test_modules_section_is_not_persisted(self, tmp_path):
         cache = EvaluationCache()
         cache.modules.put(("layout", b"g"), ("module text", None))
-        cache.fitness.put(("ctx", b"g"), 1.0)
+        cache.accuracy.put((b"g", "split"), 1.0)
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == 1
         restored = EvaluationCache()
         restored.load(path)
         assert len(restored.modules) == 0
-        assert len(restored.fitness) == 1
+        assert len(restored.accuracy) == 1
 
     def test_load_preserves_lru_order(self, tmp_path):
         cache = EvaluationCache()
         for index in range(5):
-            cache.fitness.put(("ctx", index), index)
-        cache.fitness.get(("ctx", 0))  # refresh: 0 becomes most recent
+            cache.accuracy.put(("ctx", index), index)
+        cache.accuracy.get(("ctx", 0))  # refresh: 0 becomes most recent
         path = tmp_path / "snap.pkl"
         cache.save(path)
-        restored = EvaluationCache(max_fitness_entries=2)
+        restored = EvaluationCache(max_accuracy_entries=2)
         restored.load(path)
         # Entries are stored least-recent first, so a smaller cache
         # keeps the hottest tail: the refreshed 0 and the latest insert.
-        assert restored.fitness.keys() == [("ctx", 4), ("ctx", 0)]
+        assert restored.accuracy.keys() == [("ctx", 4), ("ctx", 0)]
 
     def test_save_creates_parent_directories(self, tmp_path):
         cache = EvaluationCache()
-        cache.fitness.put("k", "v")
+        cache.accuracy.put("k", "v")
         path = tmp_path / "nested" / "dir" / "snap.pkl"
         cache.save(path)
         assert path.exists()
@@ -159,18 +159,15 @@ class TestSnapshotRoundTrip:
     def test_save_is_atomic(self, tmp_path):
         path = tmp_path / "snap.pkl"
         first = EvaluationCache()
-        first.fitness.put("k", "old")
+        first.accuracy.put("k", "old")
         first.save(path)
         second = EvaluationCache()
-        second.fitness.put("k", "new")
+        second.accuracy.put("k", "new")
         second.save(path)
-        leftovers = [
-            p for p in tmp_path.iterdir() if p not in (path, EvaluationCache.fitness_path(path))
-        ]
-        assert leftovers == []  # no temp files left behind
+        assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
         restored = EvaluationCache()
         restored.load(path)
-        assert restored.fitness.get("k") == "new"
+        assert restored.accuracy.get("k") == "new"
 
 
 class TestSnapshotCompaction:
@@ -185,43 +182,43 @@ class TestSnapshotCompaction:
         section bounds of the cache that saves it next."""
         big = EvaluationCache()
         for index in range(500):
-            big.fitness.put(("ctx", index), float(index))
+            big.accuracy.put(("ctx", index), float(index))
         path = tmp_path / "snap.pkl"
         assert big.save(path) == 500
 
-        small = EvaluationCache(max_fitness_entries=50)
+        small = EvaluationCache(max_accuracy_entries=50)
         assert small.load(path) == 500  # read fully, bounded on put
-        assert len(small.fitness) == 50
+        assert len(small.accuracy) == 50
         assert small.save(path) == 50
         assert self._entry_count(path) == 50
 
     def test_policy_age_bound_drops_stale_entries(self, tmp_path):
         cache = EvaluationCache()
-        cache.fitness.put("fresh", 1.0)
-        cache.fitness.put("stale", 2.0)
-        now = cache.fitness.last_used("fresh")
-        cache.fitness._stamps["stale"] = now - 1000.0
+        cache.accuracy.put("fresh", 1.0)
+        cache.accuracy.put("stale", 2.0)
+        now = cache.accuracy.last_used("fresh")
+        cache.accuracy._stamps["stale"] = now - 1000.0
         path = tmp_path / "snap.pkl"
         policy = SnapshotPolicy(max_age_seconds=500.0)
         assert cache.save(path, policy=policy, now=now) == 1
         restored = EvaluationCache()
         restored.load(path)
-        assert restored.fitness.get("fresh") == 1.0
-        assert "stale" not in restored.fitness
+        assert restored.accuracy.get("fresh") == 1.0
+        assert "stale" not in restored.accuracy
 
     def test_stamps_survive_the_snapshot_round_trip(self, tmp_path):
         """Aging keeps working across restarts: the persisted last-used
         time is restored on load, not replaced by load time."""
         cache = EvaluationCache()
-        cache.fitness.put("old", 1.0)
-        old_stamp = cache.fitness.last_used("old") - 10_000.0
-        cache.fitness._stamps["old"] = old_stamp
+        cache.accuracy.put("old", 1.0)
+        old_stamp = cache.accuracy.last_used("old") - 10_000.0
+        cache.accuracy._stamps["old"] = old_stamp
         path = tmp_path / "snap.pkl"
         cache.save(path)
 
         restored = EvaluationCache()
         restored.load(path)
-        assert restored.fitness.last_used("old") == old_stamp
+        assert restored.accuracy.last_used("old") == old_stamp
         # A second save with an age policy can therefore still drop it.
         assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0)) == 0
 
@@ -250,8 +247,6 @@ class TestSnapshotCompaction:
 def _full_cache() -> EvaluationCache:
     """A cache with one entry in every persisted section."""
     cache = EvaluationCache()
-    cache.fitness.put(("ctx", b"g1"), (0.25, 12.0))
-    cache.fitness.put(("ctx", b"g2"), (0.5, 8.0))
     cache.accuracy.put((b"g1", "split"), 0.875)
     cache.reports.put((b"g1", 1.0, 200.0, False), {"area": 3.5})
     cache.stages.put(("ga", ("key",)), ("packed",))
@@ -277,7 +272,7 @@ class TestCorruptionTolerance:
     def test_truncated_snapshot_loads_nothing(self, tmp_path):
         cache = EvaluationCache()
         for index in range(100):
-            cache.fitness.put(("ctx", index), float(index))
+            cache.accuracy.put(("ctx", index), float(index))
         path = tmp_path / "snap.pkl"
         cache.save(path)
         truncated = tmp_path / "truncated.pkl"
@@ -291,7 +286,7 @@ class TestCorruptionTolerance:
 
     def test_version_mismatch_loads_nothing(self, tmp_path):
         cache = EvaluationCache()
-        cache.fitness.put("k", "v")
+        cache.accuracy.put("k", "v")
         path = tmp_path / "snap.pkl"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
@@ -301,12 +296,12 @@ class TestCorruptionTolerance:
 
     def test_version_4_snapshot_is_ignored(self, tmp_path, caplog, small_topology, approx_config):
         """A version-4 snapshot (nested tuple context keys holding the
-        ApproxConfig dataclass) is refused by its version, not mis-read."""
-        from repro.core.fitness import FitnessValues
-
+        ApproxConfig dataclass) is refused by its version, not mis-read.
+        Its fitness values are plain tuples here: a ``FitnessValues`` is
+        refused earlier, by the allowlist (see the test below)."""
         split = ((3, 4), (3,), "int64", "int64", "0" * 32)
         context = ((tuple(small_topology.sizes), approx_config, True), 0.75, 0.1, split)
-        value = FitnessValues(error=0.25, area=12.0, accuracy=0.75)
+        value = (0.25, 12.0, 0.75, 0.0)
         payload = {
             "magic": "repro-evaluation-cache",
             "version": 4,
@@ -323,7 +318,31 @@ class TestCorruptionTolerance:
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
         assert f"format version 4 (expected {CACHE_FORMAT_VERSION})" in caplog.text
-        assert len(cache.fitness) == 0
+        assert all(section["entries"] == 0 for section in cache.stats().values())
+
+    def test_fitness_values_are_refused_by_the_allowlist(self, tmp_path, caplog):
+        """No persisted section holds a ``FitnessValues`` any more, so even
+        a current-version head of the current code that pickles one is
+        refused whole instead of restored."""
+        from repro.core.fitness import FitnessValues
+
+        payload = {
+            "magic": "repro-evaluation-cache",
+            "version": CACHE_FORMAT_VERSION,
+            "code": (np.__version__, code_digest()),
+            "sections": {
+                "accuracy": [((b"g", "split"), FitnessValues(0.25, 12.0, 0.75), 1.0)],
+                "reports": [],
+                "stages": [],
+            },
+        }
+        path = tmp_path / "snap.pkl"
+        path.write_bytes(pickle.dumps(payload))
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert "disallowed global repro.core.fitness.FitnessValues" in caplog.text
+        assert len(cache.accuracy) == 0
 
     def test_version_6_verification_report_is_ignored(self, tmp_path, caplog):
         """A version-6 snapshot holds ``DesignVerification`` reports that
@@ -364,34 +383,6 @@ class TestCorruptionTolerance:
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 1
 
-    def test_version_7_int64_keyed_snapshot_is_ignored(
-        self, tmp_path, caplog, small_topology, approx_config
-    ):
-        """A version-7 snapshot keys fitness entries by the int64 genome;
-        the current memo would never hit them, so the version refuses
-        the whole file."""
-        from repro.core.chromosome import ChromosomeLayout
-        from repro.core.fitness import FitnessEvaluator, FitnessValues
-
-        layout = ChromosomeLayout(small_topology, approx_config)
-        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
-        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]))
-        genome = np.asarray(layout.lower_bounds)
-        key = evaluator._fitness_key(genome.astype(np.int64).tobytes())
-        value = FitnessValues(error=0.25, area=12.0, accuracy=0.75)
-        payload = {
-            "magic": "repro-evaluation-cache",
-            "version": 7,
-            "sections": {"fitness": [(key, value, 1.0)], "accuracy": [], "reports": [], "baselines": []},
-        }
-        path = tmp_path / "v7.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        cache = EvaluationCache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
-            assert cache.load(path) == 0
-        assert f"format version 7 (expected {CACHE_FORMAT_VERSION})" in caplog.text
-        assert len(cache.fitness) == 0
-
     def test_malicious_pickle_is_refused_without_execution(self, tmp_path):
         """Snapshots deserialize through a restricted unpickler: a
         pickle carrying an os.system payload must be rejected before
@@ -411,7 +402,7 @@ class TestCorruptionTolerance:
 
     def test_malformed_section_is_skipped(self, tmp_path):
         cache = EvaluationCache()
-        cache.fitness.put("k", "v")
+        cache.reports.put("k", "v")
         path = tmp_path / "snap.pkl"
         cache.save(path)
         payload = pickle.loads(path.read_bytes())
@@ -419,7 +410,7 @@ class TestCorruptionTolerance:
         path.write_bytes(pickle.dumps(payload))
         restored = EvaluationCache()
         restored.load(path)
-        assert restored.fitness.get("k") == "v"
+        assert restored.reports.get("k") == "v"
         assert len(restored.accuracy) == 0
 
     def test_section_table_of_wrong_type_loads_nothing(self, tmp_path, caplog):
@@ -430,177 +421,6 @@ class TestCorruptionTolerance:
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert restored.load(path) == 0
         assert "without a section table" in caplog.text
-        assert restored.fitness.backing is None
-
-
-class TestLazyFitnessFile:
-    """The fitness section lives in its own file, read on first use."""
-
-    def test_load_defers_the_fitness_file_until_first_access(self, tmp_path):
-        path = tmp_path / "snap.pkl"
-        assert _full_cache().save(path) == 5
-        assert EvaluationCache.fitness_path(path) == tmp_path / "snap.pkl.fitness"
-
-        restored = EvaluationCache()
-        assert restored.load(path) == 5  # the head's recorded count
-        assert restored.fitness.backing[:2] == (EvaluationCache.fitness_path(path), 2)
-        assert restored.stages.get(("ga", ("key",))) == ("packed",)
-        assert restored.fitness.backing is not None  # other sections do not read it
-        assert restored.fitness.get(("ctx", b"g1")) == (0.25, 12.0)
-        assert restored.fitness.backing is None
-        assert restored.fitness.keys() == [("ctx", b"g2"), ("ctx", b"g1")]
-
-    @pytest.mark.parametrize(
-        "access",
-        [
-            lambda section: section.get("absent"),
-            lambda section: section.put("new", 1.0),
-            lambda section: section.pop("absent"),
-            lambda section: "absent" in section,
-            len,
-            lambda section: section.keys(),
-            lambda section: section.last_used("absent"),
-            lambda section: section.entries(now=0.0),
-            lambda section: section.restore([("new", 1.0, 0.0)]),
-        ],
-        ids=["get", "put", "pop", "in", "len", "keys", "last_used", "entries", "restore"],
-    )
-    def test_every_access_reads_the_file(self, tmp_path, access):
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        restored = EvaluationCache()
-        restored.load(path)
-        access(restored.fitness)
-        assert restored.fitness.backing is None
-        assert ("ctx", b"g1") in restored.fitness
-
-    def test_clear_drops_the_unread_file(self, tmp_path):
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        restored = EvaluationCache()
-        restored.load(path)
-        EvaluationCache.fitness_path(path).unlink()
-        restored.clear()  # nothing to read: no warning, nothing left
-        assert restored.fitness.backing is None
-        assert len(restored.fitness) == 0
-
-    def test_evaluator_cache_view_reads_the_file(self, tmp_path, small_topology, approx_config):
-        from repro.core.chromosome import ChromosomeLayout
-        from repro.core.fitness import FitnessEvaluator
-
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        restored = EvaluationCache()
-        restored.load(path)
-        layout = ChromosomeLayout(small_topology, approx_config)
-        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
-        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]), cache=restored)
-        assert len(evaluator._cache) == 2
-
-    def test_unread_file_is_carried_forward_not_rewritten(self, tmp_path):
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        fitness_file = EvaluationCache.fitness_path(path)
-        before = fitness_file.stat()
-        restored = EvaluationCache()
-        assert restored.load(path) == 5
-        assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0)) == 5
-        after = fitness_file.stat()
-        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
-        assert restored.fitness.backing is not None
-        assert EvaluationCache().load(path) == 5
-
-    def test_aged_file_is_compacted_on_save_without_a_read_first(self, tmp_path):
-        cache = EvaluationCache()
-        cache.fitness.put("fresh", 1.0)
-        cache.fitness.put("stale", 2.0)
-        now = cache.fitness.last_used("fresh")
-        cache.fitness._stamps["stale"] = now - 1000.0
-        path = tmp_path / "snap.pkl"
-        assert cache.save(path, now=now) == 2
-        assert pickle.loads(path.read_bytes())["fitness"] == (2, now - 1000.0)
-
-        restored = EvaluationCache()
-        restored.load(path)
-        assert restored.fitness.backing is not None  # nothing read it
-        assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0), now=now) == 1
-        assert restored.fitness.backing is None
-        payload = pickle.loads(EvaluationCache.fitness_path(path).read_bytes())
-        assert [key for key, _, _ in payload["entries"]] == ["fresh"]
-        assert pickle.loads(path.read_bytes())["fitness"] == (1, now)
-
-    def test_file_over_the_section_bound_is_compacted_on_save(self, tmp_path):
-        big = EvaluationCache()
-        for index in range(20):
-            big.fitness.put(("ctx", index), float(index))
-        path = tmp_path / "snap.pkl"
-        big.save(path)
-        small = EvaluationCache(max_fitness_entries=5)
-        assert small.load(path) == 20
-        assert small.save(path) == 5
-        assert EvaluationCache().load(path) == 5
-
-    def test_save_to_another_path_writes_its_own_fitness_file(self, tmp_path):
-        path, other = tmp_path / "a.pkl", tmp_path / "b.pkl"
-        _full_cache().save(path)
-        restored = EvaluationCache()
-        restored.load(path)
-        assert restored.save(other) == 5
-        copy = EvaluationCache()
-        copy.load(other)
-        assert copy.fitness.get(("ctx", b"g2")) == (0.5, 8.0)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            lambda path: path.unlink(),
-            lambda path: path.write_bytes(b"\x00garbage"),
-            lambda path: _rewrite_pickle(
-                path, lambda p: p.update(version=CACHE_FORMAT_VERSION - 1)
-            ),
-            lambda path: _rewrite_pickle(path, lambda p: p.update(code=("0.0", "other"))),
-            lambda path: _rewrite_pickle(path, lambda p: p.update(magic="repro-evaluation-cache")),
-            lambda path: _rewrite_pickle(path, lambda p: p.update(entries=42)),
-        ],
-        ids=["missing", "garbage", "version", "code", "magic", "entries"],
-    )
-    def test_bad_fitness_file_keeps_the_head(self, tmp_path, caplog, damage):
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        damage(EvaluationCache.fitness_path(path))
-        restored = EvaluationCache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
-            assert restored.load(path) == 5
-            assert not caplog.records  # the fitness file is not opened yet
-            assert restored.fitness.get(("ctx", b"g1")) is None
-        assert len(caplog.records) == 1
-        assert "snap.pkl.fitness" in caplog.text
-        assert len(restored.fitness) == 0
-        assert restored.accuracy.get((b"g1", "split")) == 0.875
-        assert restored.reports.get((b"g1", 1.0, 200.0, False)) == {"area": 3.5}
-        assert restored.stages.get(("ga", ("key",))) == ("packed",)
-
-    def test_load_into_non_empty_cache_merges_both_files(self, tmp_path):
-        path = tmp_path / "snap.pkl"
-        _full_cache().save(path)
-        cache = EvaluationCache()
-        cache.fitness.put(("ctx", b"mine"), (0.0, 1.0))
-        cache.accuracy.put((b"mine", "split"), 0.5)
-        assert cache.load(path) == 5
-        assert cache.fitness.backing is None  # read at once, not deferred
-        assert cache.fitness.keys() == [("ctx", b"mine"), ("ctx", b"g1"), ("ctx", b"g2")]
-        assert cache.accuracy.keys() == [(b"mine", "split"), (b"g1", "split")]
-
-    def test_second_load_merges_the_first_deferred_file(self, tmp_path):
-        first, second = tmp_path / "a.pkl", tmp_path / "b.pkl"
-        _full_cache().save(first)
-        other = EvaluationCache()
-        other.fitness.put(("ctx", b"other"), (1.0, 0.0))
-        other.save(second)
-        cache = EvaluationCache()
-        assert cache.load(first) == 5
-        assert cache.load(second) == 1
-        assert cache.fitness.keys() == [("ctx", b"g1"), ("ctx", b"g2"), ("ctx", b"other")]
 
     def test_code_guard_refuses_the_head_of_other_code(self, tmp_path, caplog, monkeypatch):
         import repro.core.cache as cache_module
@@ -612,7 +432,6 @@ class TestLazyFitnessFile:
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert restored.load(path) == 0
         assert "written by other code" in caplog.text
-        assert restored.fitness.backing is None
         assert len(restored.stages) == 0
 
 
@@ -647,39 +466,28 @@ class TestStableKeys:
             same_bytes_a, labels
         ) != EvaluationCache.split_fingerprint(same_bytes_b, labels)
 
-    def test_fitness_keys_round_trip_through_pickle(self, small_topology, approx_config):
-        """Snapshot keys embed the layout identity and the evaluator
-        context as flat strings; pickling must not change their
-        equality/hash."""
-        from repro.core.chromosome import ChromosomeLayout
-        from repro.core.fitness import FitnessEvaluator
-
-        layout = ChromosomeLayout(small_topology, approx_config)
-        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
-        evaluator = FitnessEvaluator(layout, inputs, np.array([0, 1, 0]), baseline_accuracy=0.75)
-        (genome,) = layout.memo_keys(np.zeros((1, layout.num_genes), dtype=np.int64))
-        key = evaluator._fitness_key(genome)
-        assert [type(part) for part in key] == [str, bytes]
-        assert isinstance(EvaluationCache.layout_key(layout), str)
-        assert pickle.loads(pickle.dumps(key)) == key
-        assert hash(pickle.loads(pickle.dumps(key))) == hash(key)
-
     def test_fitness_context_separates_constraints(self, small_topology, approx_config):
-        """The folded context digest still tells evaluators apart by
-        layout, baseline accuracy, loss bound and training split."""
+        """The folded context digest of the GA's stage key tells
+        evaluators apart by layout, baseline accuracy, loss bound and
+        training split."""
         from repro.core.chromosome import ChromosomeLayout
         from repro.core.fitness import FitnessEvaluator
 
         layout = ChromosomeLayout(small_topology, approx_config)
         inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
         labels = np.array([0, 1, 0])
+        assert isinstance(EvaluationCache.layout_key(layout), str)
 
         def context(**kwargs):
             arguments = dict(
-                layout=layout, train_inputs=inputs, train_labels=labels, baseline_accuracy=0.75
+                layout=layout,
+                train_inputs=inputs,
+                train_labels=labels,
+                baseline_accuracy=0.75,
+                max_accuracy_loss=0.1,
             )
             arguments.update(kwargs)
-            return FitnessEvaluator(**arguments)._context_key
+            return FitnessEvaluator.context_key(**arguments)
 
         variants = [
             context(),
@@ -780,46 +588,9 @@ def _ga_fingerprint(ga_result) -> tuple:
 
 
 class TestPipelinePersistence:
-    def test_second_run_hits_over_90_percent(self, tmp_path):
-        """The acceptance criterion: an identical second run against the
-        same cache directory reports > 90 % fitness-cache hit rate and
-        reproduces the same designs."""
-        first = ExperimentSession(TINY, cache_dir=tmp_path)
-        first_result = first.front("breast_cancer")
-        first_summary = first.cache_summary()["breast_cancer"]
-        assert first_summary["loaded"] == 0
-        assert first_summary["saved"] > 0
-        assert (tmp_path / "breast_cancer.cache.pkl").exists()
-        # Without its GA entry the second session replays the GA through
-        # the fitness memo instead of restoring it.
-        dropped = _drop_stage_entries(tmp_path / "breast_cancer.cache.pkl", "ga")
-        assert dropped == 1
-
-        second = ExperimentSession(TINY, cache_dir=tmp_path)
-        second_result = second.front("breast_cancer")
-        second_summary = second.cache_summary()["breast_cancer"]
-        assert second_summary["loaded"] == first_summary["saved"] - dropped
-        assert second_summary["hit_rate"] > 0.9
-
-        # Same seed + restored fitness values => identical evolution.
-        first_designs = [
-            (d.point.error, d.point.area, d.test_accuracy, d.report.area_cm2)
-            for d in first_result.approximate.designs
-        ]
-        second_designs = [
-            (d.point.error, d.point.area, d.test_accuracy, d.report.area_cm2)
-            for d in second_result.approximate.designs
-        ]
-        assert first_designs == second_designs
-
-        # The GA never recomputed a fitness: everything it asked for was
-        # either restored from disk or memoized within the run.
-        ga_stats = second_result.approximate.ga_result.history[-1]
-        assert ga_stats.fitness_computations == 0
-
     def test_ga_plain_folds_its_entries_into_the_snapshot(self, tmp_path):
-        """The hardware-unaware GA shares the front's cache and saves it
-        again, so the snapshot also serves the Table III GA next run."""
+        """The hardware-unaware GA's result joins the front's snapshot, so
+        it also serves the Table III GA next run."""
         session = ExperimentSession(TINY, cache_dir=tmp_path)
         session.front("breast_cancer")
         after_front = session.cache_summary()["breast_cancer"]["saved"]
@@ -900,7 +671,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 10
+        assert payload["version"] == CACHE_FORMAT_VERSION == 11
         (key, value, stamp), = payload["sections"]["stages"]
         payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))
@@ -935,8 +706,6 @@ class TestGARestore:
         assert calls["n"] == 0
         summary = second.cache_summary()["breast_cancer"]
         assert (summary["baseline"], summary["ga"]) == ("restored", "restored")
-        # Nothing was looked up in this session.
-        assert (summary["evaluations"], summary["cache_hits"], summary["hit_rate"]) == (0, 0, 0.0)
         for name in ("table2", "table3"):
             assert _without_seconds(second_artifacts[name]) == _without_seconds(
                 first_artifacts[name]
@@ -979,32 +748,6 @@ class TestGARestore:
         assert calls["n"] == 1
         assert changed.cache_summary()["breast_cancer"]["ga"] == "trained"
 
-    def test_edited_code_recomputes_fitness_instead_of_reading_the_memo(
-        self, tmp_path, monkeypatch, caplog
-    ):
-        """After a source edit the GA that the stage miss reruns computes
-        its fitness values; it never reads the old code's memo."""
-        import repro.core.cache as cache_module
-        from repro.core.fitness import FitnessEvaluator
-
-        ExperimentSession(TINY, cache_dir=tmp_path).front("breast_cancer")
-        monkeypatch.setattr(cache_module, "code_digest", lambda: "an edited tree")
-        scored = {"rows": 0}
-        original = FitnessEvaluator.compute_population
-
-        def counting(self, population, slow=False):
-            scored["rows"] += len(population)
-            return original(self, population, slow=slow)
-
-        monkeypatch.setattr(FitnessEvaluator, "compute_population", counting)
-        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
-            edited = ExperimentSession(TINY, cache_dir=tmp_path)
-            result = edited.front("breast_cancer").approximate.ga_result
-        assert scored["rows"] > 0
-        assert result.history[-1].fitness_computations == scored["rows"]
-        assert "written by other code" in caplog.text
-        assert edited.cache_summary()["breast_cancer"]["loaded"] == 0
-
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -1046,7 +789,8 @@ class TestGARestore:
         assert calls["n"] == 1
         assert "malformed cached ga of breast_cancer" in caplog.text
         assert replayed.cache_summary()["breast_cancer"]["ga"] == "trained"
-        # The replay hits the fitness memo, so only its counters differ.
+        # The replay evolves the same archive; its history differs only
+        # in the wall-clock durations.
         assert _ga_fingerprint(result)[0] == cold[0]
 
         # The replayed result overwrote the bad entry on disk.
@@ -1075,13 +819,13 @@ def _read_exports(directory) -> dict:
     }
 
 
-class TestWarmSessionSkipsFitnessFile:
-    def test_restored_ga_never_opens_the_fitness_file(
-        self, tmp_path, capsys, caplog, monkeypatch
+class TestOneFilePerDataset:
+    def test_runner_writes_no_fitness_file_and_scores_every_lookup(
+        self, tmp_path, capsys, monkeypatch
     ):
-        """A warm session whose GA is restored reads and writes no fitness
-        file: deleted after the cold run, it is neither missed nor
-        recreated.  A later GA miss then warns once and recomputes."""
+        """A cold ``runner --cache-dir`` writes one snapshot per dataset and
+        no fitness file; the warm run restores both GA stages and exports
+        the same numbers.  Every GA generation scored each unique lookup."""
         from repro.experiments import runner as runner_module
         from repro.experiments.config import SCALES
 
@@ -1090,39 +834,31 @@ class TestWarmSessionSkipsFitnessFile:
 
         def run(export_dir):
             argv = [
-                "--experiment", "table2", "--scale", "tiny-cache",
+                "--experiment", "table3", "--scale", "tiny-cache",
                 "--cache-dir", str(cache_dir), "--export-dir", str(export_dir),
             ]
             assert runner_module.main(argv) == 0
             out = capsys.readouterr().out
             return next(l for l in out.splitlines() if l.startswith("[cache] breast_cancer"))
 
-        run(tmp_path / "cold")
-        fitness_file = EvaluationCache.fitness_path(cache_dir / "breast_cancer.cache.pkl")
-        fitness_file.unlink()
-        with caplog.at_level(logging.WARNING):
-            line = run(tmp_path / "warm")
-        assert line.endswith("baseline restored, ga restored")
-        assert not caplog.records
-        assert not fitness_file.exists()
+        assert run(tmp_path / "cold").endswith("baseline trained, ga trained")
+        assert [p.name for p in cache_dir.iterdir()] == ["breast_cancer.cache.pkl"]
+        assert run(tmp_path / "warm").endswith("baseline restored, ga restored")
+        assert list(cache_dir.glob("*.fitness")) == []
         assert _read_exports(tmp_path / "warm") == _read_exports(tmp_path / "cold")
 
-        caplog.clear()
-        computations = _count_ga_training(monkeypatch)
-        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
-            missed = ExperimentSession(
-                dataclasses.replace(TINY, ga_generations=7), cache_dir=cache_dir
-            )
-            result = missed.front("breast_cancer").approximate.ga_result
-        assert computations["n"] == 1
-        assert len(caplog.records) == 1
-        assert "breast_cancer.cache.pkl.fitness" in caplog.text
-        assert result.history[-1].fitness_computations > 0
-        assert fitness_file.exists()  # the GA's work is written back
+        restored = ExperimentSession(TINY, cache_dir=cache_dir)
+        for ga_result in (
+            restored.front("breast_cancer").approximate.ga_result,
+            restored.ga_plain("breast_cancer"),
+        ):
+            assert ga_result.history
+            for row in ga_result.history:
+                assert row.fitness_computations == row.evaluations > 0
 
 
 class TestRunnerFlag:
-    def test_runner_cache_dir_reports_hit_rate(self, tmp_path, capsys, monkeypatch):
+    def test_runner_cache_dir_reports_restored_stages(self, tmp_path, capsys, monkeypatch):
         """``runner.py --cache-dir`` wires the directory through and
         prints the per-dataset ``[cache]`` summary."""
         from repro.experiments import runner as runner_module
@@ -1148,6 +884,8 @@ class TestRunnerFlag:
         line = next(
             l for l in second_out.splitlines() if l.startswith("[cache] breast_cancer")
         )
-        # Both stages were restored: this session looked nothing up.
-        assert "fitness 0/0 hits" in line
+        # Both stages were restored; the line reports the snapshot traffic.
+        assert "fitness" not in line
+        loaded, saved = re.search(r"snapshot loaded (\d+) / saved (\d+) entries", line).groups()
+        assert int(loaded) == int(saved) > 0
         assert line.endswith("baseline restored, ga restored")

@@ -1,7 +1,5 @@
 """Tests for the chromosome encoding (Fig. 3)."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,47 +122,4 @@ class TestEncodeDecode:
         layout = ChromosomeLayout(topology, ApproxConfig(), learn_shifts=bool(rng.integers(0, 2)))
         chromosome = layout.random(rng)
         assert np.array_equal(layout.encode(layout.decode(chromosome)), chromosome)
-
-
-class TestMemoKeys:
-    @pytest.mark.parametrize(
-        "config, dtype",
-        [
-            (ApproxConfig(), np.int16),
-            (ApproxConfig(activation_bits=4), np.int8),
-            (ApproxConfig(bias_bits=20), np.int32),
-        ],
-    )
-    def test_key_dtype_is_the_narrowest_covering_the_bounds(self, config, dtype):
-        layout = ChromosomeLayout(Topology((4, 3, 2)), config)
-        assert layout.key_dtype is dtype
-        genome = layout.upper_bounds.copy()
-        genome[layout.lower_bounds < 0] = layout.lower_bounds[layout.lower_bounds < 0]
-        (key,) = layout.memo_keys(genome[None, :])
-        assert key == genome.astype(dtype).tobytes()
-        assert np.array_equal(np.frombuffer(key, dtype=dtype), genome)
-
-    def test_narrowed_layout_keys_like_the_full_layout(self, rng):
-        """Bounds narrowed after construction (as the ablations do) leave
-        the key dtype alone, even where the narrowed range would fit a
-        smaller dtype, so a genome keys the same under both layouts."""
-        from repro.experiments.ablation import _freeze_masks_open
-
-        full = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
-        trainer = SimpleNamespace(layout=ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig()))
-        _freeze_masks_open(trainer)
-        narrowed = trainer.layout
-        narrowed.upper_bounds = np.minimum(narrowed.upper_bounds, 100)
-        narrowed.lower_bounds = np.minimum(np.maximum(narrowed.lower_bounds, -100), 100)
-        population = np.stack([narrowed.random(rng) for _ in range(5)])
-        assert narrowed.key_dtype is full.key_dtype is np.int16
-        assert narrowed.memo_keys(population) == full.memo_keys(population)
-
-    def test_memo_keys_check_shape_and_bounds(self, layout):
-        with pytest.raises(ValueError, match="shape"):
-            layout.memo_keys(np.zeros((2, layout.num_genes + 1), dtype=np.int64))
-        genome = layout.lower_bounds.copy()
-        genome[0] = layout.upper_bounds[0] + 1
-        with pytest.raises(ValueError, match="out of bounds"):
-            layout.memo_keys(genome[None, :])
 

@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.cache import EvaluationCache
 from repro.core.trainer import GAConfig, GATrainer
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
@@ -90,8 +89,7 @@ class TestGATrainer:
         assert 16 < result.evaluations <= 16 * (8 + 1)
         last = result.history[-1]
         assert last.evaluations == result.evaluations
-        assert last.cache_hits + last.fitness_computations == last.evaluations
-        assert 0.0 <= last.cache_hit_rate <= 1.0
+        assert last.fitness_computations == last.evaluations
         assert len(result.history) == 8
         assert len(result.estimated_front) >= 1
         assert result.wall_clock_seconds > 0
@@ -179,24 +177,6 @@ class TestGATrainer:
         assert [dataclasses.replace(s, duration_s=0.0) for s in first.history] == [
             dataclasses.replace(s, duration_s=0.0) for s in second.history
         ]
-
-    def test_warm_cache_recomputes_nothing(self, tiny_dataset_module):
-        """A second run over the first run's cache scores no genome and,
-        with the same seed, evolves exactly the same archive."""
-        x_train, y_train, _, _ = tiny_dataset_module
-        config = GAConfig(population_size=16, generations=4, seed=3)
-        cache = EvaluationCache()
-        cold, warm = (
-            GATrainer((4, 3, 2), ga_config=config).train(
-                x_train, y_train, baseline_accuracy=0.9, cache=cache
-            )
-            for _ in range(2)
-        )
-        assert cold.history[-1].fitness_computations > 0
-        last = warm.history[-1]
-        assert last.fitness_computations == 0
-        assert last.cache_hits == last.evaluations == cold.history[-1].evaluations
-        assert _archive_key(warm) == _archive_key(cold)
 
     def test_area_objective_disabled(self, tiny_dataset_module):
         x_train, y_train, _, _ = tiny_dataset_module

@@ -20,7 +20,6 @@ from repro.approx.config import ApproxConfig
 from repro.approx.topology import Topology
 from repro.core.cache import EvaluationCache, LRUCache
 from repro.core.chromosome import ChromosomeLayout
-from repro.core.fitness import FitnessEvaluator
 from repro.evaluation.pareto_analysis import evaluate_front
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import ExperimentSession
@@ -457,52 +456,6 @@ class TestLRUCache:
         assert len(cache) == 2
         with pytest.raises(ValueError):
             LRUCache(max_size=0)
-
-    def test_fitness_evaluator_memo_is_lru(self):
-        rng = np.random.default_rng(31)
-        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
-        inputs = rng.integers(0, 16, size=(20, 4))
-        labels = rng.integers(0, 2, size=20)
-        evaluator = FitnessEvaluator(layout, inputs, labels, max_cache_size=3)
-        chromosomes = [layout.random(rng) for _ in range(4)]
-        hot = chromosomes[0]
-        evaluator.evaluate(hot)
-        evaluator.evaluate(chromosomes[1])
-        evaluator.evaluate(chromosomes[2])
-        # Refresh the hot genome, then insert a fourth: the hot genome
-        # must survive (FIFO would evict it, being the oldest insert).
-        evaluator.evaluate(hot)
-        evaluator.evaluate(chromosomes[3])
-        hits_before = evaluator.cache_hits
-        evaluator.evaluate(hot)
-        assert evaluator.cache_hits == hits_before + 1
-        # The least recently *used* entry was evicted instead: looking
-        # chromosomes[1] up again forces a recomputation.
-        computations_before = evaluator.fitness_computations
-        evaluator.evaluate(chromosomes[1])
-        assert evaluator.fitness_computations == computations_before + 1
-
-    def test_shared_cache_isolates_evaluator_contexts(self):
-        # Cached fitness values embed the feasibility constraint, so two
-        # evaluators with different baselines sharing one cache must not
-        # serve each other's entries.
-        rng = np.random.default_rng(32)
-        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
-        inputs = rng.integers(0, 16, size=(20, 4))
-        labels = rng.integers(0, 2, size=20)
-        chromosome = layout.random(rng)
-        shared = EvaluationCache()
-        constrained = FitnessEvaluator(
-            layout, inputs, labels, baseline_accuracy=1.5, cache=shared
-        )
-        unconstrained = FitnessEvaluator(layout, inputs, labels, cache=shared)
-        first = constrained.evaluate(chromosome)
-        second = unconstrained.evaluate(chromosome)
-        # An impossible baseline makes every candidate infeasible; the
-        # unconstrained evaluator must not inherit that violation.
-        assert first.constraint_violation > 0.0
-        assert second.constraint_violation == 0.0
-        assert unconstrained.cache_hits == 0
 
 
 # ----------------------------------------------------------------------

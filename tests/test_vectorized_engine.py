@@ -7,7 +7,7 @@ exact agreement over randomized models, batches and populations:
 * stacked bit-plane kernel == per-model scalar accumulate (bitwise),
 * two-objective sweep non-dominated sort == Deb's pairwise-loop sort,
 * sweep-based ``pareto_front`` / ``ParetoArchive`` == all-pairs scans,
-* memoized ``evaluate_population`` == per-chromosome ``compute``
+* deduplicating ``evaluate_population`` == per-chromosome ``compute``
   (the genome-native batch kernels are covered in ``test_batched_kernels.py``).
 """
 
@@ -271,7 +271,7 @@ def tiny_fitness_setup():
     return layout, inputs, labels
 
 
-class TestFitnessCache:
+class TestFitnessBatch:
     def test_population_matches_individual_compute(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         rng = np.random.default_rng(0)
@@ -282,7 +282,7 @@ class TestFitnessCache:
         for chromosome, values in zip(population, batch):
             assert values == evaluator.compute(chromosome)
 
-    def test_cache_counters(self, tiny_fitness_setup):
+    def test_counters_fold_in_batch_duplicates(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         rng = np.random.default_rng(1)
         population = [layout.random(rng) for _ in range(6)]
@@ -290,70 +290,27 @@ class TestFitnessCache:
         evaluator = FitnessEvaluator(layout, inputs, labels)
         evaluator.evaluate_population(duplicated)
         # Counters reflect unique lookups: the 6 in-batch duplicates are
-        # folded before the cache is consulted, so they are neither
-        # lookups nor hits.
+        # folded onto their first occurrence.
         assert evaluator.evaluations == 6
         assert evaluator.fitness_computations == 6
-        assert evaluator.cache_hits == 0
-        # A second pass is served entirely from the cache.
+        # Nothing is memoized across batches: a second pass scores again.
         evaluator.evaluate_population(duplicated)
-        assert evaluator.evaluations == 12
-        assert evaluator.fitness_computations == 6
-        assert evaluator.cache_hits == 6
-        assert evaluator.evaluations == (
-            evaluator.cache_hits + evaluator.fitness_computations
-        )
+        assert evaluator.evaluations == evaluator.fitness_computations == 12
 
-    def test_single_evaluate_uses_cache(self, tiny_fitness_setup):
+    def test_out_of_range_genome_raises(self, tiny_fitness_setup):
+        """A gene pushed out of range (here by a multiple of 2**16) is
+        refused, not scored, even next to an in-range duplicate."""
         layout, inputs, labels = tiny_fitness_setup
-        rng = np.random.default_rng(2)
-        chromosome = layout.random(rng)
-        evaluator = FitnessEvaluator(layout, inputs, labels)
-        first = evaluator.evaluate(chromosome)
-        second = evaluator.evaluate(chromosome.copy())
-        assert first == second
-        assert evaluator.cache_hits == 1
-        assert evaluator.fitness_computations == 1
-
-    def test_cache_eviction_bound(self, tiny_fitness_setup):
-        layout, inputs, labels = tiny_fitness_setup
-        rng = np.random.default_rng(3)
-        evaluator = FitnessEvaluator(layout, inputs, labels, max_cache_size=4)
-        for _ in range(10):
-            evaluator.evaluate(layout.random(rng))
-        assert len(evaluator._cache) <= 4
-
-    def test_population_survives_mid_batch_eviction(self, tiny_fitness_setup):
-        # A cache-hit entry evicted while the batch's new results are
-        # being stored must still reach the returned list.
-        layout, inputs, labels = tiny_fitness_setup
-        rng = np.random.default_rng(5)
-        evaluator = FitnessEvaluator(layout, inputs, labels, max_cache_size=3)
-        a, b, c, d = (layout.random(rng) for _ in range(4))
-        for chromosome in (a, b, c):
-            evaluator.evaluate(chromosome)
-        results = evaluator.evaluate_population([a, d])
-        assert results[0] == evaluator.compute(a)
-        assert results[1] == evaluator.compute(d)
-
-    def test_out_of_range_genome_never_aliases_a_cached_one(self, tiny_fitness_setup):
-        """A gene pushed out of range by a multiple of 2**16 has the same
-        int16 key bytes as the cached genome; the batch bounds check must
-        refuse it before the lookup, not return the cached fitness."""
-        layout, inputs, labels = tiny_fitness_setup
-        assert layout.key_dtype is np.int16
         genome = layout.random(np.random.default_rng(6))
         evaluator = FitnessEvaluator(layout, inputs, labels)
-        cached = evaluator.evaluate(genome)
+        scored = evaluator.evaluate(genome)
         wrapped = genome.copy()
         wrapped[0] += 1 << 16
-        assert layout.memo_keys(genome[None, :]) == [wrapped.astype(np.int16).tobytes()]
         with pytest.raises(ValueError, match="out of bounds"):
             evaluator.evaluate_population(np.stack([genome, wrapped]))
-        assert evaluator.cache_hits == 0
-        assert evaluator.evaluate(genome) == cached
+        assert evaluator.evaluate(genome) == scored
 
     def test_rejects_bad_parameters(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         with pytest.raises(ValueError):
-            FitnessEvaluator(layout, inputs, labels, max_cache_size=0)
+            FitnessEvaluator(layout, inputs, labels, max_accuracy_loss=-0.1)
