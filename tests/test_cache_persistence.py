@@ -294,6 +294,40 @@ class TestCorruptionTolerance:
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 0
 
+    @pytest.mark.parametrize("version", range(1, CACHE_FORMAT_VERSION))
+    def test_every_earlier_format_version_loads_nothing(self, tmp_path, caplog, version):
+        """A head of today's shape and code but an earlier format number
+        is refused by that number alone."""
+        path = tmp_path / "snap.pkl"
+        _full_cache().save(path)
+        _rewrite_pickle(path, lambda payload: payload.update(version=version))
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert f"format version {version} (expected {CACHE_FORMAT_VERSION})" in caplog.text
+        assert all(section["entries"] == 0 for section in cache.stats().values())
+
+    def test_format_10_directory_loads_nothing_and_is_rewritten(self, tmp_path, caplog):
+        """A format-10 snapshot (a head recording its fitness file's entry
+        count and stamp, next to that ``.fitness`` file) restores nothing;
+        the next save writes a current head, with no fitness record, that
+        loads again."""
+        path = tmp_path / "breast_cancer.cache.pkl"
+        _full_cache().save(path)
+        _rewrite_pickle(path, lambda payload: payload.update(version=10, fitness=(1, 1.0)))
+        (tmp_path / "breast_cancer.cache.pkl.fitness").write_bytes(
+            pickle.dumps({"magic": "repro-fitness-memo", "version": 10, "entries": []})
+        )
+        cache = EvaluationCache()
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert cache.load(path) == 0
+        assert "format version 10" in caplog.text
+        written = _full_cache().save(path)
+        payload = pickle.loads(path.read_bytes())
+        assert payload["version"] == CACHE_FORMAT_VERSION
+        assert "fitness" not in payload
+        assert EvaluationCache().load(path) == written == 3
+
     def test_version_4_snapshot_is_ignored(self, tmp_path, caplog, small_topology, approx_config):
         """A version-4 snapshot (nested tuple context keys holding the
         ApproxConfig dataclass) is refused by its version, not mis-read.
@@ -465,6 +499,20 @@ class TestStableKeys:
         assert EvaluationCache.split_fingerprint(
             same_bytes_a, labels
         ) != EvaluationCache.split_fingerprint(same_bytes_b, labels)
+
+    def test_ga_stage_keys_round_trip_through_pickle(self, small_topology, approx_config):
+        """The GA's stage key is flat builtins (the layout and evaluator
+        context folded into strings); pickling must not change its
+        equality or hash."""
+        from repro.core.trainer import GAConfig
+
+        trainer = GATrainer(small_topology.sizes, approx_config, ga_config=GAConfig(seed=1))
+        inputs = np.arange(12, dtype=np.int64).reshape(3, 4) % 16
+        key = trainer.result_key(inputs, np.array([0, 1, 0]), baseline_accuracy=0.75)
+        assert key[0] == "ga"
+        copy = pickle.loads(pickle.dumps(key))
+        assert copy == key and hash(copy) == hash(key)
+        assert copy != trainer.result_key(inputs, np.array([0, 1, 0]), baseline_accuracy=0.5)
 
     def test_fitness_context_separates_constraints(self, small_topology, approx_config):
         """The folded context digest of the GA's stage key tells

@@ -123,3 +123,53 @@ class TestEncodeDecode:
         chromosome = layout.random(rng)
         assert np.array_equal(layout.encode(layout.decode(chromosome)), chromosome)
 
+
+
+class TestPopulationBounds:
+    """``population_parameters`` is the one bounds check every scored
+    row passes, whatever the number formats make the gene ranges."""
+
+    CONFIGS = [ApproxConfig(), ApproxConfig(activation_bits=4), ApproxConfig(bias_bits=20)]
+    IDS = ["paper", "activation-4", "bias-20"]
+
+    @staticmethod
+    def _extremes(layout):
+        return np.stack([layout.lower_bounds, layout.upper_bounds])
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
+    def test_genomes_at_the_bounds_are_accepted(self, config):
+        layout = ChromosomeLayout(Topology((4, 3, 2)), config, learn_shifts=True)
+        params = layout.population_parameters(self._extremes(layout))
+        assert params.biases[0].shape == (2, 3)
+        assert params.biases[0].min() == config.bias_min
+        assert params.biases[0].max() == config.bias_max
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
+    def test_a_gene_past_either_bound_raises(self, config):
+        layout = ChromosomeLayout(Topology((4, 3, 2)), config, learn_shifts=True)
+        for row, step in ((0, -1), (1, 1)):
+            population = self._extremes(layout)
+            population[row, -1] += step
+            with pytest.raises(ValueError, match=rf"genes \[{layout.num_genes - 1}\] out of bounds"):
+                layout.population_parameters(population)
+
+    def test_population_shape_is_checked(self):
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        for shape in ((2, layout.num_genes + 1), (layout.num_genes,), (1, 2, layout.num_genes)):
+            with pytest.raises(ValueError, match="shape"):
+                layout.population_parameters(np.zeros(shape, dtype=np.int64))
+
+    def test_narrowed_layout_checks_its_narrowed_bounds(self, rng):
+        """Bounds narrowed after construction (as the ablations do) are
+        the ones checked: a gene inside the full range but outside the
+        narrowed one raises."""
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
+        population = np.stack([layout.random(rng) for _ in range(3)])
+        population = np.clip(population, -100, 100)
+        layout.upper_bounds = np.minimum(layout.upper_bounds, 100)
+        layout.lower_bounds = np.minimum(np.maximum(layout.lower_bounds, -100), 100)
+        layout.population_parameters(population)
+        narrowed = int(np.flatnonzero(layout.upper_bounds == 100)[0])
+        population[1, narrowed] = 101
+        with pytest.raises(ValueError, match="out of bounds"):
+            layout.population_parameters(population)

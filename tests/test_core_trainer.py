@@ -186,6 +186,22 @@ class TestGATrainer:
         )
         assert len(result.estimated_front) >= 1
 
+    @pytest.mark.parametrize("area_objective", [True, False])
+    def test_every_generation_scores_each_unique_lookup(self, tiny_dataset_module, area_objective):
+        """Nothing is memoized across generations: every history row has
+        scored exactly its unique lookups, which grow by at most one
+        offspring population per generation."""
+        x_train, y_train, _, _ = tiny_dataset_module
+        config = GAConfig(population_size=12, generations=5, seed=4)
+        result = GATrainer((4, 3, 2), ga_config=config).train(
+            x_train, y_train, baseline_accuracy=0.9, area_objective=area_objective
+        )
+        counts = [(row.evaluations, row.fitness_computations) for row in result.history]
+        assert all(evaluations == computations for evaluations, computations in counts)
+        steps = np.diff([12] + [evaluations for evaluations, _ in counts])
+        assert np.all((steps >= 0) & (steps <= 12))
+        assert result.evaluations == counts[-1][0]
+
     def test_constraint_fallback_when_infeasible(self, tiny_dataset_module):
         # An impossible baseline accuracy makes every candidate infeasible;
         # the trainer must still return a usable front.

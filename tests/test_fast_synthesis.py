@@ -457,6 +457,83 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(max_size=0)
 
+    def test_put_replaces_the_value_and_refreshes_recency(self):
+        cache = LRUCache(max_size=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("a", 10)
+        assert cache.keys() == ["b", "a"]
+        cache.put("c", 3)
+        assert cache.keys() == ["a", "c"]
+        assert cache.get("a") == 10
+
+    def test_pop_removes_and_counts_like_get(self):
+        cache = LRUCache(max_size=4)
+        cache.put("a", 1)
+        assert cache.pop("a") == 1
+        assert cache.pop("a", "gone") == "gone"
+        assert "a" not in cache and cache.last_used("a") is None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_contains_and_len_leave_recency_and_counters_alone(self):
+        cache = LRUCache(max_size=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert "a" in cache and "z" not in cache and len(cache) == 2
+        assert cache.keys() == ["a", "b"]
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_last_used_follows_put_and_get_hits_only(self, monkeypatch):
+        import repro.core.cache as cache_module
+
+        clock = iter([100.0, 200.0])
+        monkeypatch.setattr(cache_module.time, "time", lambda: next(clock))
+        cache = LRUCache(max_size=2)
+        assert cache.last_used("a") is None
+        cache.put("a", 1)
+        assert cache.last_used("a") == 100.0
+        cache.get("missing")
+        assert cache.last_used("a") == 100.0
+        cache.get("a")
+        assert cache.last_used("a") == 200.0
+
+    def test_entries_age_bound(self):
+        cache = LRUCache(max_size=4)
+        cache.restore([("old", 1, 10.0), ("new", 2, 95.0)])
+        assert cache.entries(now=100.0) == [("old", 1, 10.0), ("new", 2, 95.0)]
+        assert cache.entries(now=100.0, max_age=30.0) == [("new", 2, 95.0)]
+
+    def test_restore_keeps_order_and_persisted_stamps(self):
+        cache = LRUCache(max_size=4)
+        assert cache.restore([("a", 1, 5.0), ("b", 2, 7.0)]) == 2
+        assert cache.keys() == ["a", "b"]
+        assert (cache.last_used("a"), cache.last_used("b")) == (5.0, 7.0)
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_restore_past_the_bound_keeps_the_most_recent(self):
+        cache = LRUCache(max_size=2)
+        assert cache.restore([(key, key, float(key)) for key in range(5)]) == 5
+        assert cache.keys() == [3, 4]
+        assert cache.last_used(3) == 3.0
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [(("a", 1), ValueError), (([], 1, 0.0), TypeError)],
+        ids=["short-triple", "unhashable-key"],
+    )
+    def test_restore_rejects_malformed_entries(self, entry, error):
+        cache = LRUCache(max_size=2)
+        with pytest.raises(error):
+            cache.restore([entry])
+
+    def test_clear_drops_entries_and_keeps_counters(self):
+        cache = LRUCache(max_size=2)
+        cache.put("a", 1)
+        cache.get("a")
+        cache.clear()
+        assert len(cache) == 0 and cache.keys() == [] and cache.last_used("a") is None
+        assert cache.hits == 1
+
 
 # ----------------------------------------------------------------------
 # End-to-end cache sharing across pipeline stages

@@ -314,3 +314,97 @@ class TestFitnessBatch:
         layout, inputs, labels = tiny_fitness_setup
         with pytest.raises(ValueError):
             FitnessEvaluator(layout, inputs, labels, max_accuracy_loss=-0.1)
+
+    @pytest.mark.parametrize(
+        "pattern, unique",
+        [
+            ([0, 1, 2, 3], 4),
+            ([0, 0, 0, 0], 1),
+            ([0, 1, 0, 1, 0, 1], 2),
+            ([0, 1, 2, 2, 1, 0], 3),
+            ([3], 1),
+        ],
+        ids=["all-unique", "all-same", "interleaved", "mirrored", "single"],
+    )
+    def test_duplicates_fold_onto_one_scored_row(self, tiny_fitness_setup, pattern, unique):
+        """Every position gets its own row's fitness, whatever the
+        duplicate pattern, and each distinct genome is scored once."""
+        layout, inputs, labels = tiny_fitness_setup
+        rng = np.random.default_rng(21)
+        genomes = [layout.random(rng) for _ in range(4)]
+        population = np.stack([genomes[index] for index in pattern])
+        evaluator = FitnessEvaluator(layout, inputs, labels, baseline_accuracy=0.9)
+        scored = []
+        original = evaluator.compute_population
+
+        def spy(rows, slow=False):
+            scored.append(rows.copy())
+            return original(rows, slow=slow)
+
+        evaluator.compute_population = spy
+        batch = evaluator.evaluate_population(population)
+        (rows,) = scored
+        del evaluator.compute_population
+        assert batch == [evaluator.compute(row) for row in population]
+        assert evaluator.evaluations == evaluator.fitness_computations == unique
+        assert len({row.tobytes() for row in rows}) == len(rows) == unique
+
+    def test_empty_population_scores_nothing(self, tiny_fitness_setup):
+        layout, inputs, labels = tiny_fitness_setup
+        evaluator = FitnessEvaluator(layout, inputs, labels)
+        assert evaluator.evaluate_population([]) == []
+        assert evaluator.evaluate_population(np.zeros((0, layout.num_genes), dtype=np.int64)) == []
+        assert evaluator.evaluations == evaluator.fitness_computations == 0
+
+    def test_matrix_and_list_inputs_agree(self, tiny_fitness_setup):
+        layout, inputs, labels = tiny_fitness_setup
+        rng = np.random.default_rng(22)
+        rows = [layout.random(rng) for _ in range(5)]
+        as_list = FitnessEvaluator(layout, inputs, labels).evaluate_population(rows + rows[:2])
+        as_matrix = FitnessEvaluator(layout, inputs, labels).evaluate_population(
+            np.stack(rows + rows[:2])
+        )
+        assert as_list == as_matrix
+
+    def test_single_evaluate_scores_every_call(self, tiny_fitness_setup):
+        """``evaluate`` is a one-row batch: equal genomes give equal
+        values, and each call is scored and counted afresh."""
+        layout, inputs, labels = tiny_fitness_setup
+        chromosome = layout.random(np.random.default_rng(2))
+        evaluator = FitnessEvaluator(layout, inputs, labels)
+        first = evaluator.evaluate(chromosome)
+        second = evaluator.evaluate(chromosome.copy())
+        assert first == second == evaluator.compute(chromosome)
+        assert evaluator.evaluations == evaluator.fitness_computations == 2
+
+    def test_evaluators_with_other_constraints_stay_independent(self, tiny_fitness_setup):
+        """Fitness values embed the feasibility constraint: an impossible
+        baseline makes every candidate infeasible for one evaluator and
+        leaves another, unconstrained one untouched."""
+        layout, inputs, labels = tiny_fitness_setup
+        chromosome = layout.random(np.random.default_rng(32))
+        constrained = FitnessEvaluator(layout, inputs, labels, baseline_accuracy=1.5)
+        unconstrained = FitnessEvaluator(layout, inputs, labels)
+        first = constrained.evaluate(chromosome)
+        second = unconstrained.evaluate(chromosome)
+        assert first.constraint_violation > 0.0
+        assert second.constraint_violation == 0.0
+        assert (first.error, first.area) == (second.error, second.area)
+
+    @pytest.mark.parametrize("bias_bits", [20, 24])
+    def test_genomes_equal_in_their_low_16_bits_are_scored_apart(self, bias_bits):
+        """Wide bias genes keep two in-range genomes whose bias differs by
+        2**16 distinct: the int64 dedupe key never aliases them."""
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig(bias_bits=bias_bits))
+        rng = np.random.default_rng(23)
+        inputs = rng.integers(0, 16, size=(40, 4))
+        labels = rng.integers(0, 2, size=40)
+        bias_gene = int(np.flatnonzero(layout.upper_bounds >= 1 << 17)[0])
+        low = layout.random(rng)
+        low[bias_gene] = 5
+        high = low.copy()
+        high[bias_gene] = 5 + (1 << 16)
+        evaluator = FitnessEvaluator(layout, inputs, labels)
+        batch = evaluator.evaluate_population(np.stack([low, high, low]))
+        assert evaluator.evaluations == evaluator.fitness_computations == 2
+        assert batch == [evaluator.compute(low), evaluator.compute(high), evaluator.compute(low)]
