@@ -14,10 +14,15 @@ all of them, keyed by the chromosome's genome bytes:
 ``stages``
     (stage kind, :meth:`EvaluationCache.stage_key` parts) → a whole
     stage result in plain builtins, so a warm cache directory restores
-    it instead of recomputing it: the trained float baseline's weights
-    and biases as ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`,
-    kind ``"baseline"``) and a GA run's archive, history and evaluation
-    count (:meth:`~repro.core.trainer.GAResult.pack`, kind ``"ga"``);
+    it instead of recomputing it.  Kind ``"baseline"`` holds the whole
+    exact baseline: the trained float model's weights and biases as
+    ``(shape, float64 bytes)`` pairs (:func:`pack_arrays`), the quantized
+    bespoke circuit's codes as ``(shape, int64 bytes)`` pairs with its
+    shifts and bit widths, and its exact
+    :class:`~repro.hardware.synthesis.HardwareReport`, so a hit neither
+    trains, quantizes nor synthesizes.  Kind ``"ga"`` holds a GA
+    run's archive, history and evaluation count
+    (:meth:`~repro.core.trainer.GAResult.pack`);
 ``modules``
     (layout key, genome) → ``(text, module)``: a front member's canonical
     module text (``generate_mlp_verilog(model)``) and its
@@ -78,6 +83,7 @@ import os
 import pickle
 import tempfile
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -158,8 +164,10 @@ _MISSING = object()
 #: version and code digest once per file instead of in stage keys.
 #: Version 11 drops the ``fitness`` section, its file and the head's
 #: record of it, and the ``cache_hits`` column of packed GA histories.
+#: Version 12 packs the quantized bespoke circuit and its hardware report
+#: into the ``baseline`` stage entry next to the float model.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 11
+CACHE_FORMAT_VERSION = 12
 
 
 @dataclass(frozen=True)
@@ -168,6 +176,14 @@ class SnapshotPolicy:
 
     Entries whose last use is older than ``max_age_seconds`` are left
     out of the snapshot; ``None`` keeps entries regardless of age.
+
+    :meth:`~repro.experiments.session.ExperimentSession.persist_cache`
+    rewrites a dataset's snapshot only when the session put an entry into
+    a persisted section since the snapshot was loaded (or last written),
+    or when the loaded snapshot's oldest last-used stamp is older than
+    half of ``max_age_seconds``.  The second rule refreshes the stamps of
+    entries that are still being read, so they do not age out; a warm run
+    that restores everything and is far from the bound writes nothing.
     """
 
     max_age_seconds: Optional[float] = None
@@ -192,29 +208,35 @@ _SAFE_SNAPSHOT_GLOBALS = {
 }
 
 
-def pack_arrays(arrays: Sequence[np.ndarray]) -> Tuple[Tuple[Tuple[int, ...], bytes], ...]:
-    """Plain-builtin form of float arrays: one ``(shape, float64 bytes)`` pair each.
+def pack_arrays(
+    arrays: Sequence[np.ndarray], dtype: str = "<f8"
+) -> Tuple[Tuple[Tuple[int, ...], bytes], ...]:
+    """Plain-builtin form of arrays: one ``(shape, bytes)`` pair each.
 
-    Builtins only, so the snapshot allowlist needs no numpy globals.
+    The bytes are the array cast to ``dtype`` (little-endian float64 by
+    default, ``"<i8"`` for integer codes).  Builtins only, so the
+    snapshot allowlist needs no numpy globals.
     """
     packed = []
     for array in arrays:
-        array = np.asarray(array, dtype="<f8")
+        array = np.asarray(array, dtype=dtype)
         packed.append((tuple(int(dim) for dim in array.shape), array.tobytes()))
     return tuple(packed)
 
 
 def unpack_arrays(
-    value: Any, shapes: Sequence[Tuple[int, ...]]
+    value: Any, shapes: Sequence[Tuple[int, ...]], dtype: str = "<f8"
 ) -> Optional[List[np.ndarray]]:
     """Inverse of :func:`pack_arrays`, checked against the expected ``shapes``.
 
     Returns ``None`` instead of raising when ``value`` is not one
     ``(shape, bytes)`` pair per expected shape with matching shapes and
-    byte lengths, so a malformed snapshot entry reads as a miss.
+    byte lengths, so a malformed snapshot entry reads as a miss.  The
+    arrays come back in ``dtype``'s native-order type (float64 or int64).
     """
     if not isinstance(value, tuple) or len(value) != len(shapes):
         return None
+    dtype = np.dtype(dtype)
     arrays = []
     for entry, shape in zip(value, shapes):
         if not isinstance(entry, tuple) or len(entry) != 2:
@@ -223,9 +245,9 @@ def unpack_arrays(
         shape = tuple(shape)
         if stored_shape != shape or not isinstance(data, bytes):
             return None
-        if len(data) != 8 * int(np.prod(shape, dtype=np.int64)):
+        if len(data) != dtype.itemsize * int(np.prod(shape, dtype=np.int64)):
             return None
-        arrays.append(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(shape))
+        arrays.append(np.frombuffer(data, dtype=dtype).astype(dtype.type).reshape(shape))
     return arrays
 
 
@@ -300,15 +322,28 @@ def _write_snapshot(path: Path, payload: dict) -> None:
         raise
 
 
+def _is_frozen(array: np.ndarray) -> bool:
+    """Whether ``array``'s content cannot change: read-only and owning its data."""
+    return not array.flags.writeable and array.base is None
+
+
+#: ``(id(inputs), id(labels))`` → ``(weak inputs, weak labels, fingerprint)``
+#: of frozen splits (see :meth:`EvaluationCache.split_fingerprint`).  An
+#: entry leaves when either array dies, before its id can be reused.
+_FINGERPRINTS: Dict[Tuple[int, int], Tuple[Any, Any, Hashable]] = {}
+
+
 class LRUCache:
     """A bounded mapping with least-recently-*used* eviction.
 
     Unlike a plain insertion-ordered dict bound, a :meth:`get` hit moves
     the entry to the back of the eviction queue, so entries are evicted
-    in true LRU order.  ``hits`` / ``misses`` count lookups.  Each entry
-    also carries a last-used wall-clock timestamp, which snapshot
-    compaction (:class:`SnapshotPolicy`) uses to age entries out of
-    long-lived cache directories.
+    in true LRU order.  ``hits`` / ``misses`` count lookups and
+    ``writes`` counts the calls that changed the entries (:meth:`put`, a
+    :meth:`pop` hit, :meth:`clear`), which tells a snapshot writer whether
+    anything is new.  Each entry also carries a last-used wall-clock
+    timestamp, which snapshot compaction (:class:`SnapshotPolicy`) uses
+    to age entries out of long-lived cache directories.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -317,6 +352,7 @@ class LRUCache:
         self.max_size = max_size
         self.hits = 0
         self.misses = 0
+        self.writes = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
         self._stamps: Dict[Hashable, float] = {}
 
@@ -366,6 +402,7 @@ class LRUCache:
         data = self._data
         data[key] = value
         data.move_to_end(key)
+        self.writes += 1
         self._stamps[key] = time.time()  # lint: allow(RP03) -- last-used stamps are persisted and aged across runs/processes; only the wall clock is comparable there
         while len(data) > self.max_size:
             evicted, _ = data.popitem(last=False)
@@ -379,11 +416,16 @@ class LRUCache:
             return default
         self._stamps.pop(key, None)
         self.hits += 1
+        self.writes += 1
         return value
 
     def last_used(self, key: Hashable) -> Optional[float]:
         """Wall-clock time of the entry's last :meth:`put`/:meth:`get` hit."""
         return self._stamps.get(key)
+
+    def oldest_stamp(self) -> Optional[float]:
+        """The earliest last-used time of any entry (``None`` when empty)."""
+        return min(self._stamps.values(), default=None)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
@@ -397,6 +439,8 @@ class LRUCache:
 
     def clear(self) -> None:
         """Drop every entry (counters are retained)."""
+        if self._data:
+            self.writes += 1
         self._data.clear()
         self._stamps.clear()
 
@@ -464,19 +508,38 @@ class EvaluationCache:
         process (``PYTHONHASHSEED``), which would make every persisted
         key miss after a restart.  The digest is stable across processes
         and machines, so disk-backed caches keep hitting.
+
+        When both arrays are read-only and own their data (the arrays a
+        :class:`~repro.datasets.dataset.DatasetSplit` hands out), their
+        content cannot change, so the fingerprint is remembered for as
+        long as both live and each split is hashed once.
         """
         inputs = np.asarray(inputs)
         labels = np.asarray(labels)
+        frozen = _is_frozen(inputs) and _is_frozen(labels)
+        memo_key = (id(inputs), id(labels))
+        if frozen:
+            memo = _FINGERPRINTS.get(memo_key)
+            if memo is not None and memo[0]() is inputs and memo[1]() is labels:
+                return memo[2]
         digest = hashlib.blake2b(digest_size=16)
         digest.update(np.ascontiguousarray(inputs).tobytes())
         digest.update(np.ascontiguousarray(labels).tobytes())
-        return (
+        fingerprint = (
             inputs.shape,
             labels.shape,
             str(inputs.dtype),
             str(labels.dtype),
             digest.hexdigest(),
         )
+        if frozen:
+            forget = lambda _: _FINGERPRINTS.pop(memo_key, None)  # noqa: E731
+            _FINGERPRINTS[memo_key] = (
+                weakref.ref(inputs, forget),
+                weakref.ref(labels, forget),
+                fingerprint,
+            )
+        return fingerprint
 
     @staticmethod
     def report_key(
@@ -551,6 +614,15 @@ class EvaluationCache:
         self.stages.clear()
         self.modules.clear()
 
+    def persisted_writes(self) -> int:
+        """Changes made so far to the sections a snapshot holds (:attr:`LRUCache.writes`)."""
+        return sum(getattr(self, name).writes for name in self._PERSISTED_SECTIONS)
+
+    def oldest_stamp(self) -> Optional[float]:
+        """The earliest last-used time in the sections a snapshot holds."""
+        stamps = (getattr(self, name).oldest_stamp() for name in self._PERSISTED_SECTIONS)
+        return min((stamp for stamp in stamps if stamp is not None), default=None)
+
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
@@ -578,6 +650,8 @@ class EvaluationCache:
 
         ``policy`` bounds the snapshot (see :class:`SnapshotPolicy`);
         ``now`` overrides the reference time of the age bound (tests).
+        A ``<path>.fitness`` file left beside the snapshot by format 10
+        or earlier (the deleted GA fitness memo) is removed.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -596,6 +670,7 @@ class EvaluationCache:
                 "sections": sections,
             },
         )
+        path.with_name(path.name + ".fitness").unlink(missing_ok=True)
         return sum(len(entries) for entries in sections.values())
 
     def load(self, path: Union[str, Path]) -> int:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -14,20 +14,30 @@ __all__ = ["DatasetSplit", "Dataset"]
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """One split (train or test) of a dataset."""
+    """One split (train or test) of a dataset.
+
+    ``labels`` is a read-only copy and :meth:`quantized` returns one
+    read-only array per bit width, so the arrays a split hands out never
+    change and their :meth:`~repro.core.cache.EvaluationCache.split_fingerprint`
+    is computed once.
+    """
 
     features: np.ndarray
     labels: np.ndarray
+    _quantized: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.array(self.labels, dtype=np.int64)
         if features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
             raise ValueError(
                 f"labels must have shape ({features.shape[0]},), got {labels.shape}"
             )
+        labels.flags.writeable = False
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
 
@@ -42,8 +52,16 @@ class DatasetSplit:
         return int(self.features.shape[1])
 
     def quantized(self, bits: int = DEFAULT_INPUT_BITS) -> np.ndarray:
-        """Inputs quantized to ``bits``-bit unsigned integers."""
-        return quantize_inputs(self.features, bits=bits)
+        """Inputs quantized to ``bits``-bit unsigned integers (read-only).
+
+        Computed once per bit width; every call returns the same array.
+        """
+        codes = self._quantized.get(bits)
+        if codes is None:
+            codes = quantize_inputs(self.features, bits=bits)
+            codes.flags.writeable = False
+            codes = self._quantized.setdefault(bits, codes)
+        return codes
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,16 @@ readable ``<experiment>.json`` + ``<experiment>.csv`` (see
 through ``Artifact.from_json``).
 
 ``--cache-dir DIR`` makes the evaluation cache persistent: each
-dataset's trained baseline, GA results and accuracy/hardware-report
-entries are loaded from ``DIR/<dataset>.cache.pkl`` before the baseline
-stage and saved back afterwards (compacted by the scale's snapshot
-policy), so a second invocation of the same experiment at the same
+dataset's exact baseline (float model, bespoke circuit and its report),
+GA results and accuracy/hardware-report entries are loaded from
+``DIR/<dataset>.cache.pkl`` before the baseline stage and saved back
+afterwards (compacted by the scale's snapshot policy) when the run added
+something, so a second invocation of the same experiment at the same
 scale restores the baseline and the GA instead of training them.  A
 per-dataset ``[cache]`` summary line reports the snapshot traffic and
-whether the baseline and the GA were ``restored`` or ``trained``.
+whether the baseline and the GA were ``restored`` or ``trained``;
+``saved 0`` means the run left the snapshot unchanged (it added no
+entry, and its entries are far from the age bound).
 Snapshots are versioned, and keys are namespaced by dataset split,
 constraints, settings and the package's source digest, so one directory
 can safely be shared between scales and experiments, and an edited

@@ -43,9 +43,11 @@ one cache per dataset: the first stage that needs it (the baseline, or
 the front when there is no cache directory) creates it and loads the
 dataset's snapshot exactly once, and every later stage of that dataset
 shares it.  A second session over the same directory therefore restores
-the gradient baseline (re-quantizing the bit-exact float weights instead
-of retraining them) and both GA results (the archive and history as the
-first run left them) instead of running any generation.
+the whole exact baseline (the bit-exact float weights, the quantized
+bespoke circuit and its hardware report, so it neither retrains,
+re-quantizes nor re-synthesizes) and both GA results (the archive and
+history as the first run left them) instead of running any generation,
+and it leaves a snapshot to which it added nothing unwritten.
 Per-dataset stages can run in parallel
 (:meth:`ExperimentSession.prefetch` / ``dataset_workers``): datasets are
 independent, so their baseline + GA stages are warmed concurrently and
@@ -64,7 +66,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.baselines.approx_tc23 import explore_tc23
-from repro.baselines.exact_bespoke import quantize_float_mlp
+from repro.baselines.exact_bespoke import BespokeMLP, quantize_float_mlp
 from repro.baselines.gradient import FloatMLP, GradientTrainer
 from repro.core.cache import EvaluationCache, SnapshotPolicy, pack_arrays, unpack_arrays
 from repro.core.trainer import GAConfig, GAResult, GATrainer
@@ -80,6 +82,7 @@ from repro.experiments import table2 as _table2
 from repro.experiments import table3 as _table3
 from repro.experiments.config import EXPERIMENT_ORDER, ExperimentScale, get_scale
 from repro.experiments.pipeline import ApproximateResult, BaselineResult, PipelineResult
+from repro.hardware.synthesis import HardwareReport
 
 __all__ = [
     "EXPERIMENT_ORDER",
@@ -125,8 +128,9 @@ class ExperimentSession:
         per dataset); overrides ``scale.cache_dir``.  When set, the
         baseline and GA stages restore the previous run's results, the
         later stages start from its accuracy/report entries, and the
-        merged cache is saved back afterwards, so a repeated invocation
-        of an identical experiment trains nothing.
+        merged cache is saved back afterwards if the session added to it
+        (:meth:`persist_cache`), so a repeated invocation of an identical
+        experiment trains nothing and writes nothing.
     """
 
     def __init__(
@@ -206,9 +210,18 @@ class ExperimentSession:
                 seed=scale.seed,
             )
             topology = spec.mlp_topology
+            clock_period_ms = spec.clock_period_ms
             features, labels = dataset.train.features, dataset.train.labels
             start = time.perf_counter()
-            float_model, restored = self._restore_or_run(
+            trained_seconds: List[float] = []
+
+            def run():
+                float_model = trainer.train(features, labels, topology).model
+                bespoke = quantize_float_mlp(float_model, features)
+                trained_seconds.append(time.perf_counter() - start)
+                return float_model, bespoke, bespoke.synthesize(clock_period_ms=clock_period_ms)
+
+            (float_model, bespoke, report), restored = self._restore_or_run(
                 spec.name,
                 "baseline",
                 lambda: EvaluationCache.baseline_key(
@@ -216,18 +229,17 @@ class ExperimentSession:
                     topology.sizes,
                     trainer,
                 ),
-                run=lambda: trainer.train(features, labels, topology).model,
-                pack=lambda model: pack_arrays(model.weights + model.biases),
-                rebuild=lambda value: self._rebuild_baseline(value, topology),
+                run=run,
+                pack=self._pack_baseline,
+                rebuild=lambda value: self._rebuild_baseline(value, topology, clock_period_ms),
             )
-            bespoke = quantize_float_mlp(float_model, features)
-            # Restore + quantize on a hit: the time this session spent.
-            elapsed = time.perf_counter() - start
+            # Train + quantize, or the restore on a hit: the time this
+            # session spent on the baseline (synthesis is not training).
+            elapsed = trained_seconds[0] if trained_seconds else time.perf_counter() - start
             if not restored and self.cache_dir is not None:
                 self.persist_cache(spec.name, self._evaluation_cache(spec.name))
             x_train, y_train = dataset.quantized_train()
             x_test, y_test = dataset.quantized_test()
-            report = bespoke.synthesize(clock_period_ms=spec.clock_period_ms)
             baseline = BaselineResult(
                 bespoke=bespoke,
                 float_model=float_model,
@@ -712,7 +724,15 @@ class ExperimentSession:
             cache = EvaluationCache()
             snapshot = self._snapshot_path(spec_name)
             if snapshot is not None:
-                self._cache_io[spec_name] = {"loaded": cache.load(snapshot), "saved": 0}
+                loaded = cache.load(snapshot)
+                self._cache_io[spec_name] = {
+                    "loaded": loaded,
+                    "saved": 0,
+                    # What persist_cache compares against: the writes
+                    # the load itself made and the snapshot's oldest stamp.
+                    "writes": cache.persisted_writes(),
+                    "oldest": cache.oldest_stamp(),
+                }
             with self._registry_lock:
                 cache = self._caches.setdefault(spec_name, cache)
         return cache
@@ -755,16 +775,63 @@ class ExperimentSession:
         return result, False
 
     @staticmethod
-    def _rebuild_baseline(value: object, topology) -> Optional[FloatMLP]:
-        """A cached float baseline on ``topology``, or ``None`` if malformed."""
-        weight_shapes = list(topology.layer_shapes())
-        arrays = unpack_arrays(
-            value, weight_shapes + [(fan_out,) for _, fan_out in weight_shapes]
+    def _pack_baseline(stage: Tuple[FloatMLP, BespokeMLP, HardwareReport]) -> tuple:
+        """The ``stages`` entry of an exact baseline, in plain builtins.
+
+        ``(float arrays, code arrays, shifts, (input bits, activation
+        bits), report)``: the float model's weights then biases and the
+        bespoke circuit's weight then bias codes as :func:`pack_arrays`
+        pairs (float64 and int64), and its :class:`HardwareReport`.
+        """
+        float_model, bespoke, report = stage
+        return (
+            pack_arrays(float_model.weights + float_model.biases),
+            pack_arrays(bespoke.weight_codes + bespoke.bias_codes, dtype="<i8"),
+            tuple(int(shift) for shift in bespoke.shifts),
+            (int(bespoke.input_bits), int(bespoke.activation_bits)),
+            report,
         )
-        if arrays is None:
+
+    @staticmethod
+    def _rebuild_baseline(
+        value: object, topology, clock_period_ms: float
+    ) -> Optional[Tuple[FloatMLP, BespokeMLP, HardwareReport]]:
+        """Inverse of :meth:`_pack_baseline` on ``topology``, or ``None`` if malformed.
+
+        The report must be priced at ``clock_period_ms``.  A format-11
+        entry (the float arrays alone) reads as malformed.
+        """
+        try:
+            packed_floats, packed_codes, shifts, bits, report = value
+        except (TypeError, ValueError):
             return None
+        shapes = list(topology.layer_shapes())
+        shapes += [(fan_out,) for _, fan_out in shapes]
+        arrays = unpack_arrays(packed_floats, shapes)
+        codes = unpack_arrays(packed_codes, shapes, dtype="<i8")
         layers = topology.num_layers
-        return FloatMLP(topology=topology, weights=arrays[:layers], biases=arrays[layers:])
+        if (
+            arrays is None
+            or codes is None
+            or not isinstance(shifts, tuple)
+            or len(shifts) != layers
+            or not isinstance(bits, tuple)
+            or len(bits) != 2
+            or not all(type(v) is int and v >= 0 for v in shifts + bits)
+            or not isinstance(report, HardwareReport)
+            or report.clock_period_ms != clock_period_ms
+        ):
+            return None
+        float_model = FloatMLP(topology=topology, weights=arrays[:layers], biases=arrays[layers:])
+        bespoke = BespokeMLP(
+            topology=topology,
+            weight_codes=codes[:layers],
+            bias_codes=codes[layers:],
+            shifts=list(shifts),
+            input_bits=bits[0],
+            activation_bits=bits[1],
+        )
+        return float_model, bespoke, report
 
     def _snapshot_path(self, name: str) -> Optional[Path]:
         """Disk location of one dataset's evaluation-cache snapshot."""
@@ -780,20 +847,47 @@ class ExperimentSession:
             return None
         return SnapshotPolicy(max_age_seconds=max_age_days * 86400.0)
 
-    def persist_cache(self, spec_name: str, cache: Optional[EvaluationCache]) -> int:
+    def persist_cache(
+        self,
+        spec_name: str,
+        cache: Optional[EvaluationCache],
+        *,
+        now: Optional[float] = None,
+    ) -> int:
         """Save (compacted) a dataset's evaluation cache to its snapshot.
 
         The front stage calls this after the genetic stage; later stages
         that add entries to the same cache (the hardware-unaware Table
         III GA) call it again to fold their work into the snapshot.
-        Returns the number of entries written (0 without a cache dir).
+
+        The snapshot is rewritten only when this session put an entry
+        into a persisted section since the snapshot was loaded or last
+        written, or when the loaded snapshot's oldest last-used stamp is
+        older than half the policy's age bound (so entries still being
+        read do not age out); see :class:`~repro.core.cache.SnapshotPolicy`.
+        ``now`` overrides the reference time of both age checks (tests).
+        Returns the number of entries written: 0 without a cache dir or
+        when the snapshot was left unchanged.
         """
         snapshot = self._snapshot_path(spec_name)
         if snapshot is None or cache is None:
             return 0
-        saved = cache.save(snapshot, policy=self.snapshot_policy)
-        io = self._cache_io.setdefault(spec_name, {"loaded": 0, "saved": 0})
-        io["saved"] = saved
+        io = self._cache_io.setdefault(
+            spec_name, {"loaded": 0, "saved": 0, "writes": 0, "oldest": None}
+        )
+        if now is None:
+            now = time.time()  # lint: allow(RP03) -- compared with persisted wall-clock last-used stamps
+        policy = self.snapshot_policy
+        aging = (
+            policy is not None
+            and policy.max_age_seconds is not None
+            and io["oldest"] is not None
+            and now - io["oldest"] > policy.max_age_seconds / 2
+        )
+        if cache.persisted_writes() == io["writes"] and not aging:
+            return 0
+        saved = cache.save(snapshot, policy=policy, now=now)
+        io.update(saved=saved, writes=cache.persisted_writes(), oldest=None)
         return saved
 
     def _fronts(self) -> List[Tuple[str, PipelineResult]]:
@@ -809,7 +903,9 @@ class ExperimentSession:
         """Per-dataset disk-snapshot traffic and stage restores.
 
         ``loaded``/``saved`` count snapshot entries read before the
-        baseline stage and written after the last stage that saved.  ``baseline`` and ``ga`` (the front's GA)
+        baseline stage and written by the last snapshot write; ``saved``
+        is 0 when the session left the snapshot unchanged (see
+        :meth:`persist_cache`).  ``baseline`` and ``ga`` (the front's GA)
         are ``"restored"`` when the stage result came from the snapshot,
         else ``"trained"``.
         """

@@ -27,10 +27,9 @@ is a genuinely distinct search and runs as its own once-per-dataset
 stage.
 
 On a warm cache directory (a repeated ``--cache-dir`` run) all three
-columns are replay times, not training times: the ``grad`` column is
-the time to restore and re-quantize the cached baseline, and both GA
-columns time searches whose fitness lookups are served from the
-snapshot.
+columns are restore times, not training times: the ``grad`` column is
+the time to restore the cached exact baseline, and both GA columns the
+time to restore the cached GA results.
 """
 
 from __future__ import annotations

@@ -28,7 +28,11 @@ from repro.core.cache import (
     pack_arrays,
     unpack_arrays,
 )
-from repro.experiments.config import ExperimentScale
+from repro.baselines.exact_bespoke import BespokeMLP
+from repro.core import cache as cache_module
+from repro.datasets.registry import get_spec
+from repro.experiments import session as session_module
+from repro.experiments.config import ExperimentScale, get_scale
 from repro.experiments.session import ExperimentSession
 
 
@@ -327,6 +331,8 @@ class TestCorruptionTolerance:
         assert payload["version"] == CACHE_FORMAT_VERSION
         assert "fitness" not in payload
         assert EvaluationCache().load(path) == written == 3
+        # The stale fitness file went with the rewrite.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["breast_cancer.cache.pkl"]
 
     def test_version_4_snapshot_is_ignored(self, tmp_path, caplog, small_topology, approx_config):
         """A version-4 snapshot (nested tuple context keys holding the
@@ -585,9 +591,17 @@ def _baseline_fingerprint(baseline) -> tuple:
         [w.tobytes() for w in bespoke.weight_codes],
         [b.tobytes() for b in bespoke.bias_codes],
         list(bespoke.shifts),
+        bespoke.input_bits,
+        bespoke.activation_bits,
+        dataclasses.asdict(baseline.report),
         baseline.train_accuracy,
         baseline.test_accuracy,
     )
+
+
+def _corrupt_first_pair(packed, edit) -> tuple:
+    """``packed`` (:func:`pack_arrays` pairs) with ``edit(shape, data)`` applied to the first."""
+    return (edit(*packed[0]),) + packed[1:]
 
 
 def _drop_stage_entries(snapshot, kind: str) -> int:
@@ -707,10 +721,18 @@ class TestPipelinePersistence:
         "corrupt",
         [
             lambda value: "garbage",
-            lambda value: ((value[0][0], value[0][1][:-8]),) + value[1:],
-            lambda value: ((value[0][0][::-1], value[0][1]),) + value[1:],
+            lambda value: (_corrupt_first_pair(value[0], lambda shape, data: (shape, data[:-8])),)
+            + value[1:],
+            lambda value: (_corrupt_first_pair(value[0], lambda shape, data: (shape[::-1], data)),)
+            + value[1:],
+            lambda value: (value[0], _corrupt_first_pair(value[1], lambda shape, data: (shape, data[:-8])))
+            + value[2:],
+            lambda value: value[:2] + ((-1,) * len(value[2]),) + value[3:],
+            lambda value: value[:3] + ((4.0, 4),) + value[4:],
+            lambda value: value[:4] + ("not a report",),
+            lambda value: value[:4] + (dataclasses.replace(value[4], clock_period_ms=1.0),),
         ],
-        ids=["non-tuple", "byte-length", "shape"],
+        ids=["non-tuple", "byte-length", "shape", "code-bytes", "shifts", "bits", "report", "clock"],
     )
     def test_malformed_entry_is_retrained_and_overwritten(
         self, tmp_path, monkeypatch, caplog, corrupt
@@ -719,7 +741,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 11
+        assert payload["version"] == CACHE_FORMAT_VERSION == 12
         (key, value, stamp), = payload["sections"]["stages"]
         payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))
@@ -850,6 +872,229 @@ class TestGARestore:
         assert calls["n"] == 1
 
 
+class TestWholeBaselineRestore:
+    """The ``baseline`` stage entry holds the float model, the quantized
+    bespoke circuit and its hardware report, so a hit neither trains,
+    quantizes nor synthesizes."""
+
+    @pytest.mark.parametrize("name", get_scale("ci").datasets)
+    def test_restored_baseline_equals_a_fresh_computation(self, tmp_path, monkeypatch, name):
+        scale = get_scale("ci")
+        fresh = ExperimentSession(scale).baseline(name).baseline
+        ExperimentSession(scale, cache_dir=tmp_path).baseline(name)
+
+        calls = {"quantize": 0, "synthesize": 0}
+        original_quantize = session_module.quantize_float_mlp
+        original_synthesize = BespokeMLP.synthesize
+
+        def counting_quantize(*args, **kwargs):
+            calls["quantize"] += 1
+            return original_quantize(*args, **kwargs)
+
+        def counting_synthesize(self, *args, **kwargs):
+            calls["synthesize"] += 1
+            return original_synthesize(self, *args, **kwargs)
+
+        monkeypatch.setattr(session_module, "quantize_float_mlp", counting_quantize)
+        monkeypatch.setattr(BespokeMLP, "synthesize", counting_synthesize)
+        gradient = _count_gradient_training(monkeypatch)
+        warm = ExperimentSession(scale, cache_dir=tmp_path)
+        restored = warm.baseline(name).baseline
+        assert gradient["n"] == calls["quantize"] == calls["synthesize"] == 0
+        assert ("baseline", get_spec(name).name) in warm._restored
+        assert _baseline_fingerprint(restored) == _baseline_fingerprint(fresh)
+        assert restored.report == fresh.report
+        assert restored.bespoke.topology == fresh.bespoke.topology
+
+    def test_format_11_baseline_entry_is_ignored_and_recomputed(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A baseline entry of the format-11 shape (the float arrays
+        alone) in a current snapshot is refused with a WARNING; the
+        baseline is trained again and its whole entry written back."""
+        cold = ExperimentSession(TINY).baseline("breast_cancer").baseline
+        ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        payload = pickle.loads(snapshot.read_bytes())
+        (key, value, stamp), = payload["sections"]["stages"]
+        assert len(value) == 5
+        payload["sections"]["stages"] = [(key, value[0], stamp)]
+        snapshot.write_bytes(pickle.dumps(payload))
+
+        calls = _count_gradient_training(monkeypatch)
+        with caplog.at_level(logging.WARNING, logger="repro.experiments.session"):
+            session = ExperimentSession(TINY, cache_dir=tmp_path)
+            result = session.baseline("breast_cancer").baseline
+        assert calls["n"] == 1
+        assert "ignoring malformed cached baseline of breast_cancer" in caplog.text
+        assert _baseline_fingerprint(result) == _baseline_fingerprint(cold)
+        (_, rewritten, _), = pickle.loads(snapshot.read_bytes())["sections"]["stages"]
+        assert rewritten == value
+
+
+def _snapshot_state(directory) -> dict:
+    """``{file name: (bytes, mtime_ns)}`` of every snapshot in ``directory``."""
+    return {
+        path.name: (path.read_bytes(), path.stat().st_mtime_ns)
+        for path in sorted(directory.glob("*.cache.pkl"))
+    }
+
+
+TINY_PAIR = dataclasses.replace(TINY, name="tiny-pair", datasets=("breast_cancer", "redwine"))
+
+
+class TestSnapshotWriteSkip:
+    """A session rewrites a snapshot only when it added an entry or when
+    the loaded entries are getting close to the age bound."""
+
+    def test_warm_session_leaves_every_snapshot_unchanged(self, tmp_path):
+        ExperimentSession(TINY_PAIR, cache_dir=tmp_path).run(["table2", "table3"])
+        before = _snapshot_state(tmp_path)
+        assert sorted(before) == ["breast_cancer.cache.pkl", "redwine.cache.pkl"]
+
+        warm = ExperimentSession(TINY_PAIR, cache_dir=tmp_path)
+        warm.run(["table2", "table3"])
+        assert _snapshot_state(tmp_path) == before
+        for name, summary in warm.cache_summary().items():
+            assert summary["loaded"] > 0 and summary["saved"] == 0, name
+            assert (summary["baseline"], summary["ga"]) == ("restored", "restored"), name
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
+    def test_session_that_computes_rewrites_its_snapshot(self, tmp_path, monkeypatch):
+        """A warm ``table2`` session followed by ``table3`` trains the
+        hardware-unaware GA, so that dataset's snapshot is rewritten with
+        one more entry; a dataset whose accuracy entries were dropped
+        rescores its front and is rewritten too."""
+        ExperimentSession(TINY_PAIR, cache_dir=tmp_path).run(["table2"])
+        before = _snapshot_state(tmp_path)
+
+        session = ExperimentSession(TINY_PAIR, cache_dir=tmp_path)
+        session.front("breast_cancer")
+        assert session.cache_summary()["breast_cancer"]["saved"] == 0
+        assert _snapshot_state(tmp_path) == before
+        session.ga_plain("breast_cancer")
+        after = _snapshot_state(tmp_path)
+        assert after["breast_cancer.cache.pkl"][0] != before["breast_cancer.cache.pkl"][0]
+        saved = session.cache_summary()["breast_cancer"]["saved"]
+        assert saved == session.cache_summary()["breast_cancer"]["loaded"] + 1
+        assert after["redwine.cache.pkl"] == before["redwine.cache.pkl"]
+
+        redwine = tmp_path / "redwine.cache.pkl"
+        _rewrite_pickle(redwine, lambda payload: payload["sections"].update(accuracy=[]))
+        edited = redwine.read_bytes()
+        rescored = ExperimentSession(TINY_PAIR, cache_dir=tmp_path)
+        rescored.front("redwine")
+        assert rescored.cache_summary()["redwine"]["saved"] > 0
+        assert redwine.read_bytes() != edited
+        reloaded = EvaluationCache()
+        reloaded.load(redwine)
+        assert len(reloaded.accuracy) > 0
+
+    def test_half_age_rule(self, tmp_path):
+        """Reading a snapshot whose oldest entry is older than half the
+        age bound rewrites it (refreshing the stamps of the entries read);
+        younger than that, the snapshot is left alone."""
+        session = ExperimentSession(TINY, cache_dir=tmp_path)
+        session.front("breast_cancer")
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        probe = EvaluationCache()
+        probe.load(snapshot)
+        oldest = probe.oldest_stamp()
+        max_age = session.snapshot_policy.max_age_seconds
+        assert max_age == TINY.cache_max_age_days * 86400.0
+
+        warm = ExperimentSession(TINY, cache_dir=tmp_path)
+        cache = warm.front("breast_cancer").approximate.cache
+        before = _snapshot_state(tmp_path)
+        assert warm.persist_cache("breast_cancer", cache, now=oldest + 0.5 * max_age - 1.0) == 0
+        assert _snapshot_state(tmp_path) == before
+        written = warm.persist_cache("breast_cancer", cache, now=oldest + 0.5 * max_age + 1.0)
+        assert written == warm.cache_summary()["breast_cancer"]["loaded"] > 0
+        assert _snapshot_state(tmp_path) != before
+        refreshed = EvaluationCache()
+        refreshed.load(snapshot)
+        assert refreshed.oldest_stamp() > oldest
+        # Once written, the session rewrites again only for new entries.
+        after = _snapshot_state(tmp_path)
+        assert warm.persist_cache("breast_cancer", cache, now=oldest + max_age) == 0
+        assert _snapshot_state(tmp_path) == after
+
+    def test_no_age_bound_never_rewrites_for_age(self, tmp_path):
+        scale = dataclasses.replace(TINY, cache_max_age_days=None)
+        ExperimentSession(scale, cache_dir=tmp_path).front("breast_cancer")
+        before = _snapshot_state(tmp_path)
+        warm = ExperimentSession(scale, cache_dir=tmp_path)
+        cache = warm.front("breast_cancer").approximate.cache
+        assert warm.persist_cache("breast_cancer", cache, now=1e12) == 0
+        assert _snapshot_state(tmp_path) == before
+
+    def test_earlier_format_directory_is_rewritten_without_its_fitness_file(self, tmp_path):
+        """A directory from format 11 or earlier loads nothing, so the
+        session retrains and rewrites the head; a leftover ``.fitness``
+        file beside it is deleted."""
+        ExperimentSession(TINY, cache_dir=tmp_path).front("breast_cancer")
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        _rewrite_pickle(snapshot, lambda payload: payload.update(version=10))
+        (tmp_path / "breast_cancer.cache.pkl.fitness").write_bytes(b"format-10 fitness memo")
+
+        session = ExperimentSession(TINY, cache_dir=tmp_path)
+        session.front("breast_cancer")
+        summary = session.cache_summary()["breast_cancer"]
+        assert summary["loaded"] == 0 and summary["saved"] > 0
+        assert summary["baseline"] == "trained"
+        assert [p.name for p in tmp_path.iterdir()] == ["breast_cancer.cache.pkl"]
+        assert pickle.loads(snapshot.read_bytes())["version"] == CACHE_FORMAT_VERSION
+
+
+class TestSplitFingerprintMemo:
+    def test_frozen_split_is_hashed_once_with_the_same_key(self, monkeypatch):
+        """A dataset split's read-only arrays are fingerprinted once; the
+        key equals the one computed from writable copies."""
+        dataset = ExperimentSession(TINY).baseline("breast_cancer").dataset
+        inputs, labels = dataset.quantized_test()
+        expected = EvaluationCache.split_fingerprint(inputs.copy(), labels.copy())
+
+        digests = {"n": 0}
+        original = cache_module.hashlib.blake2b
+
+        def counting(*args, **kwargs):
+            digests["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cache_module.hashlib, "blake2b", counting)
+        first = EvaluationCache.split_fingerprint(inputs, labels)
+        for _ in range(3):
+            assert EvaluationCache.split_fingerprint(*dataset.quantized_test()) == first
+        assert first == expected
+        assert digests["n"] <= 1
+        # Writable arrays are always hashed: their content may change.
+        writable = inputs.copy()
+        EvaluationCache.split_fingerprint(writable, labels)
+        EvaluationCache.split_fingerprint(writable, labels)
+        assert digests["n"] >= 2
+
+    def test_memo_entry_leaves_with_its_arrays(self):
+        inputs = np.arange(12, dtype=np.int64).reshape(4, 3).copy()
+        labels = np.arange(4, dtype=np.int64)
+        inputs.flags.writeable = labels.flags.writeable = False
+        EvaluationCache.split_fingerprint(inputs, labels)
+        key = (id(inputs), id(labels))
+        assert key in cache_module._FINGERPRINTS
+        del inputs
+        assert key not in cache_module._FINGERPRINTS
+
+    def test_read_only_view_is_not_memoized(self):
+        """A read-only view of a writable array can still change."""
+        base = np.zeros((4, 3), dtype=np.int64)
+        view = base[:]
+        view.flags.writeable = False
+        labels = np.zeros(4, dtype=np.int64)
+        labels.flags.writeable = False
+        first = EvaluationCache.split_fingerprint(view, labels)
+        base[0, 0] = 1
+        assert EvaluationCache.split_fingerprint(view, labels) != first
+
+
 def _read_exports(directory) -> dict:
     """Every exported JSON file under ``directory``, ``*_seconds`` keys stripped."""
     import json
@@ -925,15 +1170,18 @@ class TestRunnerFlag:
         first_out = capsys.readouterr().out
         assert "[cache] breast_cancer" in first_out
         assert "baseline trained" in first_out
-        assert (tmp_path / "breast_cancer.cache.pkl").exists()
+        snapshot = tmp_path / "breast_cancer.cache.pkl"
+        cold_bytes = snapshot.read_bytes()
 
         assert runner_module.main(argv) == 0
         second_out = capsys.readouterr().out
         line = next(
             l for l in second_out.splitlines() if l.startswith("[cache] breast_cancer")
         )
-        # Both stages were restored; the line reports the snapshot traffic.
+        # Both stages were restored and nothing was added, so the warm run
+        # read the snapshot and left it as it was.
         assert "fitness" not in line
         loaded, saved = re.search(r"snapshot loaded (\d+) / saved (\d+) entries", line).groups()
-        assert int(loaded) == int(saved) > 0
+        assert int(loaded) > 0 and int(saved) == 0
         assert line.endswith("baseline restored, ga restored")
+        assert snapshot.read_bytes() == cold_bytes

@@ -257,6 +257,34 @@ class TestDatasetContainers:
         assert quantized.min() >= 0 and quantized.max() <= 15
         assert split.num_samples == 20 and split.num_features == 3
 
+    def test_quantized_train_is_one_read_only_array(self):
+        """Each split is quantized once per bit width: every call returns
+        the same read-only array, equal to a fresh quantization."""
+        from repro.quant.quantizers import quantize_inputs
+
+        dataset = load_dataset("breast_cancer", seed=0, num_samples=200)
+        inputs, labels = dataset.quantized_train()
+        for _ in range(3):
+            again, again_labels = dataset.quantized_train()
+            assert again is inputs and again_labels is labels
+        assert dataset.quantized_test()[0] is dataset.quantized_test()[0]
+        assert dataset.train.quantized(bits=3) is dataset.train.quantized(bits=3)
+        assert dataset.train.quantized(bits=3) is not inputs
+        np.testing.assert_array_equal(inputs, quantize_inputs(dataset.train.features))
+        for array in (inputs, labels, dataset.quantized_test()[0], dataset.test.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_split_copies_its_labels(self, rng):
+        """The read-only labels are the split's own copy: the caller's
+        array stays writable and later edits to it do not reach the split."""
+        labels = np.array([0, 1, 0, 1])
+        split = DatasetSplit(features=rng.random((4, 2)), labels=labels)
+        labels[0] = 1
+        assert labels.flags.writeable
+        assert split.labels.tolist() == [0, 1, 0, 1]
+
     def test_split_validation(self, rng):
         with pytest.raises(ValueError):
             DatasetSplit(features=rng.random(10), labels=np.zeros(10))

@@ -457,6 +457,27 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(max_size=0)
 
+    def test_writes_count_changes_and_oldest_stamp(self):
+        """``writes`` counts what changes the entries (put, a pop hit, a
+        clear that drops something), never a lookup; ``oldest_stamp`` is
+        the earliest last-used time."""
+        cache = LRUCache(max_size=4)
+        assert cache.oldest_stamp() is None
+        cache.clear()
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.get("a")
+        cache.get("missing")
+        cache.pop("missing")
+        assert "a" in cache
+        assert cache.writes == 2
+        assert cache.oldest_stamp() == min(cache.last_used("a"), cache.last_used("b"))
+        cache.restore([("c", 3, 10.0)])
+        assert cache.writes == 3 and cache.oldest_stamp() == 10.0
+        cache.pop("a")
+        cache.clear()
+        assert cache.writes == 5 and cache.oldest_stamp() is None
+
     def test_put_replaces_the_value_and_refreshes_recency(self):
         cache = LRUCache(max_size=2)
         cache.put("a", 1)
