@@ -20,12 +20,14 @@ unavailable and the paper trains with NSGA-II.
 * :mod:`repro.core.population` — semi-random initialization doped with
   nearly non-approximate individuals.
 * :mod:`repro.core.pareto` — Pareto-front utilities and hypervolume.
+* :mod:`repro.core.pure` — the stdlib-only first-front sweep and content
+  fingerprint, shared with the numpy-free serving layer.
 * :mod:`repro.core.trainer` — the :class:`GATrainer` orchestrating the
   whole flow and producing the estimated area/accuracy Pareto front.
 """
 
 # Re-exports are lazy (PEP 562): the serving layer imports the light
-# query-time modules (cache, nsga2, pareto) without the trainer stack
+# query-time module (pure) without the trainer stack or numpy
 # loading as a side effect.  ``from repro.core import GATrainer`` still
 # works exactly as before.
 from repro._lazy import lazy_exports

@@ -57,7 +57,8 @@ different datasets, scales or constraints can share a directory without
 colliding.  Genomes are keyed by their int64 bytes
 (:meth:`EvaluationCache.genome_key`), which also name published designs.
 Keys are flat tuples of strings, bytes and numbers (the layout is one
-:func:`stable_fingerprint` string), whose hashes CPython caches.
+:func:`~repro.core.pure.stable_fingerprint` string), whose hashes CPython
+caches.
 
 Every snapshot records the format version, the numpy version and the
 :func:`code_digest` of the package, so an edited source tree restores
@@ -91,6 +92,8 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.pure import stable_fingerprint
+
 __all__ = [
     "LRUCache",
     "EvaluationCache",
@@ -98,28 +101,8 @@ __all__ = [
     "CACHE_FORMAT_VERSION",
     "code_digest",
     "pack_arrays",
-    "stable_fingerprint",
     "unpack_arrays",
 ]
-
-
-def stable_fingerprint(*parts: Union[bytes, str], digest_size: int = 16) -> str:
-    """Machine-stable BLAKE2b hex digest of a sequence of parts.
-
-    The shared identity scheme of the persistence layers: the
-    :class:`~repro.serving.store.DesignStore` keys its records with it,
-    and it is stable across processes, machines and ``PYTHONHASHSEED``
-    (unlike the built-in ``hash``).  Parts are length-prefixed before
-    hashing so that the concatenation is unambiguous
-    (``("ab", "c") != ("a", "bc")``).
-    """
-    digest = hashlib.blake2b(digest_size=digest_size)
-    for part in parts:
-        if isinstance(part, str):
-            part = part.encode("utf-8")
-        digest.update(len(part).to_bytes(8, "little"))
-        digest.update(part)
-    return digest.hexdigest()
 
 
 @functools.lru_cache(maxsize=None)

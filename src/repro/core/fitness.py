@@ -39,8 +39,9 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.approx.mlp import accuracy_population
-from repro.core.cache import EvaluationCache, stable_fingerprint
+from repro.core.cache import EvaluationCache
 from repro.core.chromosome import ChromosomeLayout
+from repro.core.pure import stable_fingerprint
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
 

@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "dominates",
     "constrained_dominates",
-    "first_front_mask",
     "fast_non_dominated_sort",
     "fast_non_dominated_sort_reference",
     "crowding_distance",
@@ -61,45 +60,6 @@ def constrained_dominates(
     if not feasible_a and not feasible_b:
         return violation_a < violation_b
     return dominates(a, b)
-
-
-def first_front_mask(objectives: np.ndarray) -> np.ndarray:
-    """Boolean mask of the points no other point Pareto-dominates.
-
-    Two minimization objectives.  After ordering by ``(first, second)``
-    a point is dominated iff some point with a strictly smaller first
-    objective has a second no larger, or a point with an equal first
-    objective has a strictly smaller second — both are prefix minima,
-    so one vectorized sweep decides every point.  Identical points do
-    not dominate each other, so duplicates all stay.
-    """
-    objectives = np.asarray(objectives, dtype=np.float64)
-    n = objectives.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    first, second = objectives[:, 0], objectives[:, 1]
-    order = np.lexsort((second, first))
-    first_sorted = first[order]
-    second_sorted = second[order]
-
-    # Index of the first element of each equal-first group.
-    positions = np.arange(n)
-    is_start = np.empty(n, dtype=bool)
-    is_start[0] = True
-    is_start[1:] = first_sorted[1:] != first_sorted[:-1]
-    group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
-    group_min_second = second_sorted[group_start]
-
-    # Minimum second objective among all points with a strictly smaller first.
-    prefix_min = np.minimum.accumulate(second_sorted)
-    best_prev = np.full(n, np.inf)
-    nonzero = group_start > 0
-    best_prev[nonzero] = prefix_min[group_start[nonzero] - 1]
-
-    dominated_sorted = (best_prev <= second_sorted) | (second_sorted > group_min_second)
-    keep = np.empty(n, dtype=bool)
-    keep[order] = ~dominated_sorted
-    return keep
 
 
 def _non_domination_ranks(

@@ -25,7 +25,8 @@ from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.nsga2 import dominates, first_front_mask
+from repro.core.nsga2 import dominates
+from repro.core.pure import first_front_mask
 
 __all__ = [
     "ParetoPoint",
@@ -61,14 +62,14 @@ def pareto_front(points: Iterable[ParetoPoint]) -> List[ParetoPoint]:
 
     Duplicate objective vectors are collapsed to a single representative
     (the first in input order).  The non-dominated candidates come from
-    the sort-and-sweep :func:`~repro.core.nsga2.first_front_mask`.
+    the sort-and-sweep :func:`~repro.core.pure.first_front_mask`.
     """
     points = list(points)
     n = len(points)
     if n <= 1:
         return list(points)
-    keep = first_front_mask([[p.error, p.area] for p in points])
-    candidates = [points[i] for i in np.flatnonzero(keep)]
+    keep = first_front_mask((p.error, p.area) for p in points)
+    candidates = [point for point, kept in zip(points, keep) if kept]
     if len(candidates) > 1:
         objs = np.array([[p.error, p.area] for p in candidates])
         close = np.isclose(objs[:, None, :], objs[None, :, :]).all(axis=2)

@@ -24,13 +24,14 @@ from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
 from repro.approx.topology import Topology
 from repro.baselines.gradient import FloatMLP
-from repro.core.cache import EvaluationCache, pack_arrays, stable_fingerprint
+from repro.core.cache import EvaluationCache, pack_arrays
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator, FitnessValues
 from repro.core.nsga2 import crowding_distance, nsga2_sort_key
 from repro.core.operators import GeneticOperators
 from repro.core.pareto import ParetoArchive, ParetoPoint, pareto_front
 from repro.core.population import PopulationInitializer
+from repro.core.pure import stable_fingerprint
 
 __all__ = ["GAConfig", "GenerationStats", "GAResult", "GATrainer"]
 

@@ -26,11 +26,10 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from repro.evaluation.report import format_rows
 
@@ -56,12 +55,18 @@ class ArtifactError(ValueError):
 
 
 def _normalize_scalar(value: object) -> object:
-    """Coerce one cell to a JSON-representable Python scalar."""
+    """Coerce one cell to a JSON-representable Python scalar.
+
+    numpy is read from ``sys.modules`` rather than imported, so the
+    serving tier never loads it: a numpy scalar can only exist once
+    numpy is loaded.
+    """
     if value is None or isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (int, np.integer)):
+    np = sys.modules.get("numpy")
+    if isinstance(value, int) or (np is not None and isinstance(value, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float) or (np is not None and isinstance(value, np.floating)):
         return float(value)
     raise ArtifactError(
         f"cell of type {type(value).__name__} is not a serializable scalar: {value!r}"

@@ -193,10 +193,11 @@ def true_pareto_front(
 ) -> List[EvaluatedDesign]:
     """Non-dominated designs in the (accuracy, synthesized area) plane.
 
-    The fast path is the batched dominance formulation shared with the
-    serving layer (:func:`repro.serving.queries.true_front` — dominance
-    in this plane is Pareto dominance over the minimization objectives
-    ``(-accuracy, area)``, computed by the NSGA-II kernel).  ``slow=True``
+    The fast path is the sort-and-sweep shared with the serving layer
+    (:func:`repro.serving.queries.true_front` — dominance in this plane
+    is Pareto dominance over the minimization objectives
+    ``(-accuracy, area)``, computed by
+    :func:`repro.core.pure.first_front_mask`).  ``slow=True``
     keeps the scalar O(n²) reference walk as the bit-identical oracle
     for the equivalence tests.
     """

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.core.cache import EvaluationCache, stable_fingerprint
+from repro.core.cache import EvaluationCache
+from repro.core.pure import stable_fingerprint
 from repro.evaluation.pareto_analysis import design_sort_name
 from repro.experiments.pipeline import PipelineResult
 from repro.serving.store import (

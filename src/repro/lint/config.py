@@ -89,12 +89,13 @@ def eda_forbidden_modules(serving_forbidden: Tuple[str, ...]) -> Tuple[str, ...]
 
     The EDA cross-check flow reads *published* stores, so it shares the
     serving layer's forbidden list except that (a) it obviously may
-    import itself and (b) it may parse stored RTL text through the pure
+    import itself, (b) it may parse stored RTL text through the pure
     :mod:`repro.rtl.vectors` helpers — the generator half of ``repro.rtl``
     stays forbidden transitively because it imports the search-time
-    model stack (``repro.approx``).
+    model stack (``repro.approx``) — and (c) it may import numpy, which
+    :mod:`repro.eda.microverilog` simulates with.
     """
-    allowed = {"repro.eda", "repro.rtl"}
+    allowed = {"repro.eda", "repro.rtl", "numpy"}
     forbidden = tuple(m for m in serving_forbidden if m not in allowed)
     # Generator modules remain explicitly off-limits even if their
     # transitive approx dependency is someday removed: emitting new RTL

@@ -10,7 +10,9 @@ The engine owns everything the rules share:
   line, whether the import is function-level or ``TYPE_CHECKING``-
   guarded), with relative imports resolved and ``from pkg import mod``
   normalized to the submodule it actually loads.  :meth:`Project.closure`
-  computes the transitive import closure the purity rule reasons over.
+  computes the transitive import closure the purity rule reasons over;
+  an import from outside the project (``numpy``, ``json``) enters it as
+  its top-level name, a leaf with no edges of its own.
 * **Findings** — :class:`Finding` records carry rule id, severity,
   ``file:line:col`` anchors, a message and a fix hint; they format as
   text or JSON and fingerprint stably for ``--baseline`` files.
@@ -359,8 +361,12 @@ class Project:
         reached module, the *first* import statement that pulled it in
         (the file/line to anchor a finding at) and the parent module in
         the chain (``None`` for the start set), so rules can reconstruct
-        the full import chain for their messages.
+        the full import chain for their messages.  An import whose
+        top-level name is no scanned package (a third-party or stdlib
+        module) is recorded by that top-level name as a leaf: its own
+        imports are not scanned, but a policy can still forbid it.
         """
+        project_roots = {module.partition(".")[0] for module in self.modules}
         reached: Dict[str, Tuple[str, int, Optional[str]]] = {}
         queue: List[str] = []
         for module in start_modules:
@@ -372,7 +378,12 @@ class Project:
             for edge in self.edges.get(current, ()):
                 if edge.type_checking and not include_type_checking:
                     continue
-                for target in self.expand_target(edge.target):
+                root = edge.target.partition(".")[0]
+                if root in project_roots:
+                    targets = self.expand_target(edge.target)
+                else:
+                    targets = [root]
+                for target in targets:
                     if target not in reached:
                         reached[target] = (current, edge.line, current)
                         queue.append(target)

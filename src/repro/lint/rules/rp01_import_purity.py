@@ -4,7 +4,9 @@ For every :class:`~repro.lint.config.PurityPolicy` zone the rule
 computes the static transitive import closure (function-level imports
 included — a lazy import still breaks purity the moment the function
 runs; ``TYPE_CHECKING`` blocks excluded — they never execute) and
-fails if any closure member matches a forbidden prefix.  Findings are
+fails if any closure member matches a forbidden prefix.  Third-party
+packages are closure members too (by top-level name), so a zone can
+forbid ``numpy`` itself.  Findings are
 anchored at the import statement *inside the zone* that starts the
 offending chain, and the message spells the whole chain out, because
 the interesting hop is usually three modules deep.

@@ -4,7 +4,7 @@ Every command answers from the store alone; nothing here (or in any
 module this one imports) can start a GA search or a synthesis run.  The
 ``--assert-pure`` flag turns that promise into a runtime check: after
 answering, the process inspects ``sys.modules`` and fails (exit code 3)
-if any search-time module was imported.  The CI serve-smoke job runs its
+if any search-time module, or numpy, was imported.  The CI serve-smoke job runs its
 whole query battery under this flag.
 
 Commands::
@@ -39,9 +39,11 @@ from repro.serving.store import DesignStore
 __all__ = ["FORBIDDEN_MODULES", "answer_lines", "forbidden_loaded", "main"]
 
 #: Module prefixes the serving layer must never import — the search-time
-#: half of the system.  Single source of truth for ``--assert-pure``,
-#: the import-graph unit test and the CI serve-smoke job.
+#: half of the system, and numpy, which no query needs and which would
+#: double the server's cold start.  Single source of truth for
+#: ``--assert-pure``, the import-graph unit test and the CI serve-smoke job.
 FORBIDDEN_MODULES = (
+    "numpy",
     "repro.approx",
     "repro.baselines",
     "repro.datasets",
@@ -88,7 +90,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--assert-pure",
         action="store_true",
-        help="fail (exit 3) if any search-time module was imported",
+        help="fail (exit 3) if any search-time module or numpy was imported",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.assert_pure:
         loaded = forbidden_loaded()
         if loaded:
-            print(f"[purity] search-time modules imported: {loaded}", file=sys.stderr)
+            print(f"[purity] forbidden modules imported: {loaded}", file=sys.stderr)
             return 3
         print(
             f"[purity] serving import graph clean "

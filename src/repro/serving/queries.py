@@ -12,9 +12,10 @@ one produced by a full search run.
 Import discipline — the point of the serving split — is strict: this
 module (and everything under :mod:`repro.serving`) must never import a
 trainer, a genetic operator or a synthesis engine.  The permitted
-dependencies are the batched dominance kernel (:mod:`repro.core.nsga2`),
+dependencies are the stdlib-only first-front sweep (:mod:`repro.core.pure`),
 the printed-technology parameter tables (:mod:`repro.hardware.egfet`,
 :mod:`repro.hardware.power_sources`) and the reporting/artifact helpers.
+None of them imports numpy, so serving a store never loads it.
 ``tests/test_serving.py`` pins this with a subprocess import-graph guard.
 """
 
@@ -22,9 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.core.nsga2 import first_front_mask
+from repro.core.pure import first_front_mask
 from repro.evaluation.report import reduction_factor
 from repro.hardware.egfet import EGFETLibrary, MIN_VOLTAGE, default_egfet_library
 from repro.hardware.power_sources import classify_power_source
@@ -67,21 +66,19 @@ DEFAULT_ACCURACY_LOSS = 0.05
 
 def nondominated_mask(
     accuracies: Sequence[float], areas: Sequence[float]
-) -> np.ndarray:
-    """Boolean mask of the designs on the true (accuracy, area) front.
+) -> List[bool]:
+    """Per-design flags: is the design on the true (accuracy, area) front?
 
     A design dominates another when it is no less accurate *and* no
     larger, and strictly better in at least one of the two — i.e. Pareto
     dominance over the minimization objectives ``(-accuracy, area)``,
-    which is exactly what the NSGA-II first-front sweep computes.
+    which is exactly what the first-front sweep computes.
     Ties (identical accuracy and area) never dominate each other, so
     duplicated operating points all survive, matching the scalar oracle.
     """
-    accuracies = np.asarray(accuracies, dtype=np.float64)
-    areas = np.asarray(areas, dtype=np.float64)
-    if accuracies.shape != areas.shape or accuracies.ndim != 1:
-        raise ValueError("accuracies and areas must be equal-length 1-D sequences")
-    return first_front_mask(np.column_stack([-accuracies, areas]))
+    if len(accuracies) != len(areas):
+        raise ValueError("accuracies and areas must be equal-length sequences")
+    return first_front_mask((-float(acc), area) for acc, area in zip(accuracies, areas))
 
 
 def true_front(designs: Sequence) -> List:

@@ -20,7 +20,7 @@ Layout on disk (one directory per dataset)::
     <root>/<dataset>/rtl/<design>.json     RTLRecord    (per design)
 
 Every record is identified by a machine-stable BLAKE2b fingerprint
-(:func:`repro.core.cache.stable_fingerprint` — the same machinery the
+(:func:`repro.core.pure.stable_fingerprint` — the same machinery the
 evaluation cache uses for dataset splits), and every cell follows the
 artifact serialization conventions (:mod:`repro.evaluation.artifacts`):
 scalar-only values, ``allow_nan=False``, non-finite floats spelled as
@@ -30,7 +30,7 @@ half-written record behind; a reader either sees the previous complete
 record or the new one.
 
 This module is import-pure by construction: it depends only on the
-standard library, :mod:`repro.core.cache` (fingerprints) and
+standard library, :mod:`repro.core.pure` (fingerprints) and
 :mod:`repro.evaluation.artifacts` (the cell codec), plus
 :mod:`repro.serving.queries` once a record's true front is first read.
 The test suite pins that property with a subprocess import-graph guard.
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.cache import stable_fingerprint
+from repro.core.pure import stable_fingerprint
 from repro.evaluation.artifacts import decode_cell, encode_cell
 
 __all__ = [

@@ -96,6 +96,22 @@ class TestImportGraph:
             "bad_pkg.search_zone.trainer",
         ]
 
+    def test_imports_outside_the_project_are_leaf_roots(self, tmp_path):
+        (tmp_path / "mod_a.py").write_text(
+            "import json\n"
+            "from numpy.linalg import norm\n"
+            "import mod_b\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "mod_b.py").write_text(
+            "def late():\n    import scipy.sparse\n", encoding="utf-8"
+        )
+        project = Project([tmp_path], LintConfig())
+        closure = project.closure(["mod_a"])
+        assert set(closure) == {"mod_a", "mod_b", "json", "numpy", "scipy"}
+        assert closure["numpy"] == ("mod_a", 2, "mod_a")
+        assert project.chain(closure, "scipy") == ["mod_a", "mod_b", "scipy"]
+
     def test_type_checking_imports_excluded(self, tmp_path):
         (tmp_path / "mod_a.py").write_text(
             "from typing import TYPE_CHECKING\n"

@@ -77,6 +77,22 @@ class TestRP01ImportPurity:
             "bad_pkg.search_zone.trainer" in chain_finding.message
         )
 
+    def test_third_party_import_detected(self):
+        """A function-level ``import numpy`` in the zone is a finding
+        when the policy forbids numpy, anchored at that import."""
+        project = make_project(
+            "bad_pkg",
+            purity_policies=(
+                PurityPolicy(zone="bad_pkg.serving_zone", forbidden=("numpy",)),
+            ),
+        )
+        (finding,) = ImportPurityRule().check(project)
+        assert finding.path.endswith("serving_zone/plot.py")
+        assert finding.line == 5
+        assert finding.message.endswith(
+            "forbidden module numpy via bad_pkg.serving_zone.plot -> numpy"
+        )
+
     def test_clean_zone_passes(self):
         project = make_project(
             "clean_pkg",

@@ -6,7 +6,8 @@ Pins the tentpole guarantees of the search-time / query-time split:
   bit-identically, writes are atomic, malformed and version-mismatched
   files fail loudly, and the record schemas are golden-pinned;
 * **import purity** — ``repro.serving`` (checked in a subprocess)
-  imports no trainer, genetic operator or synthesis engine;
+  imports no trainer, genetic operator or synthesis engine, and no
+  serving process loads numpy;
 * **vectorized true front** — the batched dominance formulation is
   bit-identical to the scalar ``slow=True`` oracle, ties included;
 * **deterministic selection** — ``select_design`` breaks area ties by
@@ -351,6 +352,7 @@ class TestImportPurity:
             "import repro.serving.service, repro.serving.store\n"
             "from repro.serving.cli import forbidden_loaded\n"
             "print(json.dumps({'forbidden': forbidden_loaded(),\n"
+            "                  'numpy': 'numpy' in sys.modules,\n"
             "                  'repro': sorted(m for m in sys.modules\n"
             "                                  if m.startswith('repro'))}))\n"
         )
@@ -365,6 +367,7 @@ class TestImportPurity:
             "repro.serving imported search-time modules: "
             f"{report['forbidden']} (loaded: {report['repro']})"
         )
+        assert not report["numpy"]
 
     def test_runner_query_mode_loads_no_search_stack(self, store):
         """``runner --query`` answers from the store without importing the
@@ -374,6 +377,7 @@ class TestImportPurity:
             "from repro.experiments import runner\n"
             "code = runner.main(sys.argv[1:])\n"
             "print(json.dumps({'code': code,\n"
+            "                  'numpy': 'numpy' in sys.modules,\n"
             "                  'repro': sorted(m for m in sys.modules\n"
             "                                  if m.startswith('repro'))}))\n"
         )
@@ -388,11 +392,48 @@ class TestImportPurity:
         assert answer["ok"] and report["code"] == 0
         for module in ("repro.core.trainer", "repro.baselines.gradient", "repro.experiments.session"):
             assert module not in report["repro"]
+        assert not report["numpy"]
+
+    def test_runner_serve_session_never_loads_numpy(self, store):
+        """A ``runner --serve`` process that runs every op's code path
+        (feasibility with and without the voltage re-scale, an explicit
+        ``rtl`` design, both point sets) never imports numpy."""
+        design = store.get_dataset("demo").front.designs[1].name
+        battery = [
+            {"op": "datasets"},
+            {"op": "select", "dataset": "demo"},
+            {"op": "front", "dataset": "demo"},
+            {"op": "feasibility", "dataset": "demo"},
+            {"op": "feasibility", "dataset": "demo", "voltage": 0.6},
+            {"op": "rtl", "dataset": "demo", "design": design},
+            {"op": "points", "experiment": "fig4"},
+            {"op": "points", "experiment": "fig5"},
+        ]
+        code = (
+            "import json, sys\n"
+            "from repro.experiments import runner\n"
+            "code = runner.main(sys.argv[1:])\n"
+            "print(json.dumps({'code': code,\n"
+            "                  'numpy': sorted(m for m in sys.modules\n"
+            "                                  if m.partition('.')[0] == 'numpy')}))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "--serve", "--store-dir", str(store.root)],
+            input="".join(json.dumps(query) + "\n" for query in battery),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        *answers, report = (json.loads(line) for line in result.stdout.splitlines())
+        assert [answer["ok"] for answer in answers] == [True] * len(battery)
+        assert answers[5]["result"]["design"] == design
+        assert report == {"code": 0, "numpy": []}
 
     def test_forbidden_list_covers_the_search_stack(self):
         from repro.serving.cli import FORBIDDEN_MODULES
 
         for prefix in (
+            "numpy",
             "repro.core.trainer",
             "repro.core.operators",
             "repro.approx",
@@ -443,8 +484,8 @@ class TestTrueFrontEquivalence:
 
     def test_mask_semantics(self):
         mask = queries.nondominated_mask([0.9, 0.8, 0.95], [1.0, 2.0, 3.0])
-        assert mask.tolist() == [True, False, True]
-        assert queries.nondominated_mask([], []).tolist() == []
+        assert mask == [True, False, True]
+        assert queries.nondominated_mask([], []) == []
 
 
 # ---------------------------------------------------------------------------

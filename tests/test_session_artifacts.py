@@ -29,6 +29,7 @@ from repro.evaluation.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     Artifact,
     ArtifactError,
+    normalize_cell,
 )
 from repro.experiments.config import ExperimentScale
 from repro.experiments.session import (
@@ -244,9 +245,48 @@ class TestArtifactUnit:
         assert type(artifact.rows[0]["i"]) is int
         assert type(artifact.rows[0]["f"]) is float
 
+    @pytest.mark.parametrize(
+        "make, expected",
+        [
+            (lambda np: np.int8(-7), -7),
+            (lambda np: np.uint64(2**64 - 1), 2**64 - 1),
+            (lambda np: np.int64(-(2**63)), -(2**63)),
+            (lambda np: np.float16(0.5), 0.5),
+            (lambda np: np.float32(0.1), 0.10000000149011612),
+            (lambda np: np.float64(-0.0), -0.0),
+            (lambda np: np.float64("inf"), math.inf),
+        ],
+    )
+    def test_numpy_scalar_becomes_its_python_value(self, make, expected):
+        import numpy as np
+
+        value = normalize_cell(make(np))
+        # repr tells -0.0 from 0.0 and an int from an equal float.
+        assert type(value) is type(expected) and repr(value) == repr(expected)
+
     def test_non_scalar_cell_is_rejected(self):
         with pytest.raises(ArtifactError, match="not a serializable scalar"):
             self._artifact([{"bad": [1, 2, 3]}])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda np: np.bool_(True),
+            lambda np: np.complex128(1j),
+            lambda np: np.array(3),
+            lambda np: np.array([1.0]),
+            lambda np: np.datetime64("2024-01-01"),
+            lambda np: 1j,
+        ],
+        ids=["bool_", "complex128", "0-d array", "1-d array", "datetime64", "complex"],
+    )
+    def test_numpy_and_complex_cells_are_rejected(self, make):
+        import numpy as np
+
+        with pytest.raises(ArtifactError, match="not a serializable scalar"):
+            normalize_cell(make(np))
+        with pytest.raises(ArtifactError, match="not a serializable scalar"):
+            self._artifact([{"bad": make(np)}])
 
     def test_version_mismatch_is_rejected(self):
         text = self._artifact([{"a": 1}]).to_json()
