@@ -22,13 +22,12 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from itertools import product
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.baselines.exact_bespoke import BespokeMLP
 from repro.hardware.area import csd_encode
-from repro.hardware.egfet import EGFETLibrary
 from repro.hardware.synthesis import HardwareReport, synthesize_exact_mlp
 from repro.quant.qrelu import qrelu
 
@@ -39,6 +38,10 @@ __all__ = [
     "Tc23ApproximateMLP",
     "explore_tc23",
 ]
+
+#: The TC'23 sweep grid: CSD digits per coefficient x truncated LSBs.
+CSD_DIGIT_OPTIONS = (1, 2, 3)
+TRUNCATION_OPTIONS = (0, 1, 2, 3)
 
 
 def approximate_weight_code(code: int, max_csd_digits: int) -> int:
@@ -158,14 +161,10 @@ class Tc23ApproximateMLP:
         }
 
     def synthesize(
-        self,
-        library: Optional[EGFETLibrary] = None,
-        voltage: float = 1.0,
-        clock_period_ms: Optional[float] = None,
+        self, voltage: float = 1.0, clock_period_ms: Optional[float] = None
     ) -> HardwareReport:
         """Hardware analysis of the approximated bespoke circuit."""
         return synthesize_exact_mlp(
-            library=library,
             voltage=voltage,
             clock_period_ms=clock_period_ms,
             **self.synthesis_job(),
@@ -178,9 +177,6 @@ def explore_tc23(
     labels: np.ndarray,
     baseline_accuracy: float,
     max_accuracy_loss: float = 0.05,
-    csd_digit_options: Sequence[int] = (1, 2, 3),
-    truncation_options: Sequence[int] = (0, 1, 2, 3),
-    library: Optional[EGFETLibrary] = None,
     clock_period_ms: Optional[float] = None,
 ) -> tuple[Optional[Tc23ApproximateMLP], Optional[HardwareReport], List[dict]]:
     """Sweep the TC'23 design space and pick the smallest admissible circuit.
@@ -191,7 +187,7 @@ def explore_tc23(
     """
     from repro.hardware.fast_synthesis import synthesize_exact_population
 
-    configs = list(product(csd_digit_options, truncation_options))
+    configs = list(product(CSD_DIGIT_OPTIONS, TRUNCATION_OPTIONS))
     # Weight codes are approximated once per digit count and shared by
     # that count's truncations.
     approximated = {
@@ -200,9 +196,7 @@ def explore_tc23(
     }
     models = [approximated[digits]._at_truncation(trunc) for digits, trunc in configs]
     reports = synthesize_exact_population(
-        [model.synthesis_job() for model in models],
-        library=library,
-        clock_period_ms=clock_period_ms,
+        [model.synthesis_job() for model in models], clock_period_ms=clock_period_ms
     )
 
     best_model: Optional[Tc23ApproximateMLP] = None

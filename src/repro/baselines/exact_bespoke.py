@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.approx.topology import Topology
 from repro.baselines.gradient import FloatMLP, GradientTrainer
-from repro.hardware.egfet import EGFETLibrary
 from repro.hardware.synthesis import HardwareReport, synthesize_exact_mlp
 from repro.quant.qrelu import qrelu
 from repro.quant.quantizers import (
@@ -106,12 +105,7 @@ class BespokeMLP:
         """Classification accuracy on integer-quantized inputs."""
         return float(np.mean(self.predict(x) == np.asarray(y)))
 
-    def synthesize(
-        self,
-        library: Optional[EGFETLibrary] = None,
-        voltage: float = 1.0,
-        clock_period_ms: Optional[float] = None,
-    ) -> HardwareReport:
+    def synthesize(self, clock_period_ms: Optional[float] = None) -> HardwareReport:
         """Hardware analysis of the bespoke circuit (area, power, delay).
 
         Pass the dataset's registry clock period
@@ -124,8 +118,6 @@ class BespokeMLP:
             input_bits_per_layer=self.input_bits_per_layer,
             activation_bits=self.activation_bits,
             activation_shifts=self.shifts,
-            library=library,
-            voltage=voltage,
             clock_period_ms=clock_period_ms,
         )
 

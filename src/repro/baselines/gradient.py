@@ -113,12 +113,12 @@ def _softmax(logits: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
 
 @dataclass
 class GradientTrainer:
-    """Mini-batch Adam (or SGD with momentum) on the cross-entropy loss.
+    """Mini-batch Adam on the cross-entropy loss.
 
     The printed MLP topologies have very narrow hidden layers (2–5
     neurons), which makes plain SGD prone to collapsing onto the majority
     class; Adam with a handful of random restarts reliably reaches the
-    baseline accuracies of Table I, so that is the default.
+    baseline accuracies of Table I.
 
     Parameters
     ----------
@@ -128,10 +128,6 @@ class GradientTrainer:
         Mini-batch size.
     learning_rate:
         Step size.
-    optimizer:
-        ``"adam"`` (default) or ``"sgd"`` (classical momentum).
-    momentum:
-        Momentum coefficient (SGD only).
     weight_decay:
         L2 regularization strength.
     restarts:
@@ -144,16 +140,11 @@ class GradientTrainer:
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 0.01
-    optimizer: str = "adam"
-    momentum: float = 0.9
     weight_decay: float = 1e-4
     restarts: int = 3
     seed: Optional[int] = 0
-    verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {self.restarts}")
 
@@ -283,24 +274,17 @@ class GradientTrainer:
                     if index > 0:
                         grad = grad @ weights[index].transpose(0, 2, 1)
                         grad *= activations[index] > 0
-                if self.optimizer == "adam":
-                    velocity *= beta1
-                    velocity += np.multiply(grads, 1 - beta1, out=scaled)
-                    second *= beta2
-                    second += np.multiply(np.square(grads, out=scaled), 1 - beta2, out=scaled)
-                    correction1 = 1 - beta1**step
-                    correction2 = 1 - beta2**step
-                    np.sqrt(np.divide(second, correction2, out=update), out=update)
-                    update += eps
-                    np.divide(np.divide(velocity, correction1, out=scaled), update, out=update)
-                    params -= np.multiply(update, self.learning_rate, out=update)
-                else:
-                    velocity *= self.momentum
-                    velocity -= np.multiply(grads, self.learning_rate, out=scaled)
-                    params += velocity
+                velocity *= beta1
+                velocity += np.multiply(grads, 1 - beta1, out=scaled)
+                second *= beta2
+                second += np.multiply(np.square(grads, out=scaled), 1 - beta2, out=scaled)
+                correction1 = 1 - beta1**step
+                correction2 = 1 - beta2**step
+                np.sqrt(np.divide(second, correction2, out=update), out=update)
+                update += eps
+                np.divide(np.divide(velocity, correction1, out=scaled), update, out=update)
+                params -= np.multiply(update, self.learning_rate, out=update)
             losses[epoch] = self._epoch_loss(probs, shuffled_t, lengths, full)
-            if self.verbose and (epoch % max(self.epochs // 10, 1) == 0):  # pragma: no cover
-                print(f"epoch {epoch}: loss=" + ", ".join(f"{v:.4f}" for v in losses[epoch]))
         return [
             (
                 FloatMLP(
@@ -386,28 +370,20 @@ class GradientTrainer:
                     if index > 0:
                         grad = grad @ model.weights[index].T
                         grad = grad * (activations[index] > 0)
-                    if self.optimizer == "adam":
-                        velocity_w[index] = beta1 * velocity_w[index] + (1 - beta1) * grad_w
-                        velocity_b[index] = beta1 * velocity_b[index] + (1 - beta1) * grad_b
-                        second_w[index] = beta2 * second_w[index] + (1 - beta2) * grad_w**2
-                        second_b[index] = beta2 * second_b[index] + (1 - beta2) * grad_b**2
-                        correction1 = 1 - beta1**step
-                        correction2 = 1 - beta2**step
-                        update_w = (velocity_w[index] / correction1) / (
-                            np.sqrt(second_w[index] / correction2) + eps
-                        )
-                        update_b = (velocity_b[index] / correction1) / (
-                            np.sqrt(second_b[index] / correction2) + eps
-                        )
-                        model.weights[index] = model.weights[index] - self.learning_rate * update_w
-                        model.biases[index] = model.biases[index] - self.learning_rate * update_b
-                    else:
-                        velocity_w[index] = self.momentum * velocity_w[index] - self.learning_rate * grad_w
-                        velocity_b[index] = self.momentum * velocity_b[index] - self.learning_rate * grad_b
-                        model.weights[index] = model.weights[index] + velocity_w[index]
-                        model.biases[index] = model.biases[index] + velocity_b[index]
+                    velocity_w[index] = beta1 * velocity_w[index] + (1 - beta1) * grad_w
+                    velocity_b[index] = beta1 * velocity_b[index] + (1 - beta1) * grad_b
+                    second_w[index] = beta2 * second_w[index] + (1 - beta2) * grad_w**2
+                    second_b[index] = beta2 * second_b[index] + (1 - beta2) * grad_b**2
+                    correction1 = 1 - beta1**step
+                    correction2 = 1 - beta2**step
+                    update_w = (velocity_w[index] / correction1) / (
+                        np.sqrt(second_w[index] / correction2) + eps
+                    )
+                    update_b = (velocity_b[index] / correction1) / (
+                        np.sqrt(second_b[index] / correction2) + eps
+                    )
+                    model.weights[index] = model.weights[index] - self.learning_rate * update_w
+                    model.biases[index] = model.biases[index] - self.learning_rate * update_b
 
             losses.append(epoch_loss / n)
-            if self.verbose and (epoch % max(self.epochs // 10, 1) == 0):  # pragma: no cover
-                print(f"epoch {epoch}: loss={losses[-1]:.4f}")
         return model, losses

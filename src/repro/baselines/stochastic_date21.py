@@ -21,12 +21,12 @@ while preserving the accuracy-degradation mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.baselines.gradient import FloatMLP
-from repro.hardware.egfet import EGFETLibrary, default_egfet_library
+from repro.hardware.egfet import default_egfet_library
 from repro.hardware.synthesis import HardwareReport
 
 __all__ = ["StochasticConfig", "StochasticMLP"]
@@ -146,9 +146,9 @@ class StochasticMLP:
             "XOR2": 3.0,
         }
 
-    def synthesize(self, library: Optional[EGFETLibrary] = None) -> HardwareReport:
+    def synthesize(self) -> HardwareReport:
         """Hardware analysis of the stochastic MLP."""
-        library = library or default_egfet_library()
+        library = default_egfet_library()
         counts = self.cell_counts()
         area = sum(library.area(cell, count) for cell, count in counts.items())
         power = sum(library.power(cell, count) for cell, count in counts.items())

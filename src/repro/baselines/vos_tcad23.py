@@ -17,17 +17,20 @@ method without a full timing simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.baselines.approx_tc23 import Tc23Config, Tc23ApproximateMLP
 from repro.baselines.exact_bespoke import BespokeMLP
-from repro.hardware.egfet import EGFETLibrary
 from repro.hardware.synthesis import HardwareReport
 from repro.quant.qrelu import qrelu
 
 __all__ = ["VosConfig", "VosApproximateMLP", "explore_vos"]
+
+#: The TCAD'23 sweep grid: CSD digits per coefficient x over-scaled supply (V).
+CSD_DIGIT_OPTIONS = (1, 2, 3)
+VOLTAGE_OPTIONS = (0.8, 0.7)
 
 
 @dataclass(frozen=True)
@@ -110,14 +113,10 @@ class VosApproximateMLP:
         """Per-model synthesis arguments for the batched exact engine."""
         return self._inner.synthesis_job()
 
-    def synthesize(
-        self,
-        library: Optional[EGFETLibrary] = None,
-        clock_period_ms: Optional[float] = None,
-    ) -> HardwareReport:
+    def synthesize(self, clock_period_ms: Optional[float] = None) -> HardwareReport:
         """Hardware analysis at the over-scaled supply voltage."""
         return self._inner.synthesize(
-            library=library, voltage=self.config.voltage, clock_period_ms=clock_period_ms
+            voltage=self.config.voltage, clock_period_ms=clock_period_ms
         )
 
 
@@ -127,9 +126,6 @@ def explore_vos(
     labels: np.ndarray,
     baseline_accuracy: float,
     max_accuracy_loss: float = 0.05,
-    csd_digit_options: Sequence[int] = (1, 2, 3),
-    voltage_options: Sequence[float] = (0.8, 0.7),
-    library: Optional[EGFETLibrary] = None,
     clock_period_ms: Optional[float] = None,
     seed: int = 0,
 ) -> tuple[Optional[VosApproximateMLP], Optional[HardwareReport], List[dict]]:
@@ -143,8 +139,8 @@ def explore_vos(
 
     configs = [
         (digits, voltage)
-        for digits in csd_digit_options
-        for voltage in voltage_options
+        for digits in CSD_DIGIT_OPTIONS
+        for voltage in VOLTAGE_OPTIONS
     ]
     models = [
         VosApproximateMLP(
@@ -156,7 +152,6 @@ def explore_vos(
     ]
     reports = synthesize_exact_population(
         [model.synthesis_job() for model in models],
-        library=library,
         voltage=[voltage for _, voltage in configs],
         clock_period_ms=clock_period_ms,
     )

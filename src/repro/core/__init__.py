@@ -35,7 +35,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "EvaluationCache": "repro.core.cache",
     "LRUCache": "repro.core.cache",
-    "SnapshotPolicy": "repro.core.cache",
     "ChromosomeLayout": "repro.core.chromosome",
     "FitnessEvaluator": "repro.core.fitness",
     "FitnessValues": "repro.core.fitness",
@@ -67,7 +66,6 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS, _SUBMODULES)
 __all__ = [
     "EvaluationCache",
     "LRUCache",
-    "SnapshotPolicy",
     "ChromosomeLayout",
     "FitnessEvaluator",
     "FitnessValues",

@@ -8,9 +8,8 @@ all of them, keyed by the chromosome's genome bytes:
 ``accuracy``
     (genome, dataset fingerprint) → accuracy on a held-out split;
 ``reports``
-    (genome, voltage, clock period, registers flag) → hardware report,
-    priced with the default EGFET library (callers with a custom
-    library bypass this section — the key carries no library identity);
+    (genome, clock period) → hardware report, priced with the one EGFET
+    library at the nominal supply;
 ``stages``
     (stage kind, :meth:`EvaluationCache.stage_key` parts) → a whole
     stage result in plain builtins, so a warm cache directory restores
@@ -68,11 +67,11 @@ raising, so a crashed writer can never take down the next run.
 
 Long-lived cache directories are kept bounded by **snapshot
 compaction**: every entry carries a last-used timestamp, and
-:meth:`EvaluationCache.save` accepts a :class:`SnapshotPolicy` whose
-age bound drops entries unused for too long at write time, so a
-directory accumulated over many runs does not grow with the union of
-everything ever evaluated.  The section bounds of the LRU caches cap
-the entry count.
+:meth:`EvaluationCache.save` drops entries unused for longer than
+:data:`MAX_SNAPSHOT_AGE_SECONDS` at write time, so a directory
+accumulated over many runs does not grow with the union of everything
+ever evaluated.  The section bounds of the LRU caches cap the entry
+count.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ import tempfile
 import time
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -97,8 +96,8 @@ from repro.core.pure import stable_fingerprint
 __all__ = [
     "LRUCache",
     "EvaluationCache",
-    "SnapshotPolicy",
     "CACHE_FORMAT_VERSION",
+    "MAX_SNAPSHOT_AGE_SECONDS",
     "code_digest",
     "pack_arrays",
     "unpack_arrays",
@@ -149,31 +148,21 @@ _MISSING = object()
 #: record of it, and the ``cache_hits`` column of packed GA histories.
 #: Version 12 packs the quantized bespoke circuit and its hardware report
 #: into the ``baseline`` stage entry next to the float model.
+#: Version 13 keys reports by ``(genome, clock period)`` alone and drops
+#: the optimizer, momentum and verbose fields from baseline stage keys.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 12
+CACHE_FORMAT_VERSION = 13
 
-
-@dataclass(frozen=True)
-class SnapshotPolicy:
-    """Compaction bound applied by :meth:`EvaluationCache.save`.
-
-    Entries whose last use is older than ``max_age_seconds`` are left
-    out of the snapshot; ``None`` keeps entries regardless of age.
-
-    :meth:`~repro.experiments.session.ExperimentSession.persist_cache`
-    rewrites a dataset's snapshot only when the session put an entry into
-    a persisted section since the snapshot was loaded (or last written),
-    or when the loaded snapshot's oldest last-used stamp is older than
-    half of ``max_age_seconds``.  The second rule refreshes the stamps of
-    entries that are still being read, so they do not age out; a warm run
-    that restores everything and is far from the bound writes nothing.
-    """
-
-    max_age_seconds: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.max_age_seconds is not None and self.max_age_seconds <= 0:
-            raise ValueError(f"max_age_seconds must be positive, got {self.max_age_seconds}")
+#: Compaction age bound (30 days): :meth:`EvaluationCache.save` leaves
+#: out entries whose last use is older than this.
+#: :meth:`~repro.experiments.session.ExperimentSession.persist_cache`
+#: rewrites a dataset's snapshot only when the session put an entry into
+#: a persisted section since the snapshot was loaded (or last written),
+#: or when the loaded snapshot's oldest last-used stamp is older than
+#: half of this bound.  The second rule refreshes the stamps of entries
+#: that are still being read, so they do not age out; a warm run that
+#: restores everything and is far from the bound writes nothing.
+MAX_SNAPSHOT_AGE_SECONDS = 30 * 86400.0
 
 #: The only non-builtin globals a snapshot may reference.  Snapshot
 #: payloads are plain data (tuples, bytes, numbers, dicts) plus these
@@ -182,8 +171,6 @@ class SnapshotPolicy:
 #: payloads during load, *before* any magic/version check could reject
 #: them).
 _SAFE_SNAPSHOT_GLOBALS = {
-    # Only in version-4 keys: lets those snapshots fail the version check.
-    ("repro.approx.config", "ApproxConfig"),
     ("repro.hardware.synthesis", "HardwareReport"),
     # The RTL-verification harness memoizes per-design results in the
     # reports section; they must survive the snapshot round trip.
@@ -325,8 +312,8 @@ class LRUCache:
     ``writes`` counts the calls that changed the entries (:meth:`put`, a
     :meth:`pop` hit, :meth:`clear`), which tells a snapshot writer whether
     anything is new.  Each entry also carries a last-used wall-clock
-    timestamp, which snapshot compaction (:class:`SnapshotPolicy`) uses
-    to age entries out of long-lived cache directories.
+    timestamp, which snapshot compaction (:data:`MAX_SNAPSHOT_AGE_SECONDS`)
+    uses to age entries out of long-lived cache directories.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -437,18 +424,17 @@ class LRUCache:
 class EvaluationCache:
     """One memo shared by the GA, front-synthesis and reporting stages."""
 
+    #: Bounds of the ``accuracy`` and ``reports`` sections.
+    MAX_ACCURACY_ENTRIES = 250_000
+    MAX_REPORT_ENTRIES = 65_536
     #: Bound of the ``modules`` section.  Its entries are 60–220 KB each
     #: and live only between verification and publishing; a front
     #: longer than this is re-parsed for the members evicted first.
     MAX_MODULE_ENTRIES = 64
 
-    def __init__(
-        self,
-        max_accuracy_entries: int = 250_000,
-        max_report_entries: int = 65_536,
-    ) -> None:
-        self.accuracy = LRUCache(max_accuracy_entries)
-        self.reports = LRUCache(max_report_entries)
+    def __init__(self) -> None:
+        self.accuracy = LRUCache(self.MAX_ACCURACY_ENTRIES)
+        self.reports = LRUCache(self.MAX_REPORT_ENTRIES)
         # A few entries per dataset: one per stage kind and settings.
         self.stages = LRUCache(256)
         # In memory only: one capped front's worth of compiled modules.
@@ -525,18 +511,13 @@ class EvaluationCache:
         return fingerprint
 
     @staticmethod
-    def report_key(
-        genome: Hashable,
-        voltage: float,
-        clock_period_ms: float,
-        include_registers: bool = False,
-    ) -> Hashable:
-        """Cache key of one hardware report (a design at an operating point).
+    def report_key(genome: Hashable, clock_period_ms: float) -> Hashable:
+        """Cache key of one hardware report (a design at a clock period).
 
         ``genome`` is typically the layout-scoped ``(layout_key, genome
         bytes)`` pair used throughout :func:`evaluate_front`.
         """
-        return (genome, float(voltage), float(clock_period_ms), bool(include_registers))
+        return (genome, float(clock_period_ms))
 
     @staticmethod
     def stage_key(kind: str, *parts: Hashable) -> Tuple[str, Hashable]:
@@ -549,13 +530,9 @@ class EvaluationCache:
         return (kind, parts)
 
     @staticmethod
-    def settings_key(settings: Any, exclude: Sequence[str] = ()) -> Tuple[Tuple[str, Any], ...]:
+    def settings_key(settings: Any) -> Tuple[Tuple[str, Any], ...]:
         """A dataclass's ``(field name, value)`` pairs, for stage keys."""
-        return tuple(
-            (field.name, getattr(settings, field.name))
-            for field in fields(settings)
-            if field.name not in exclude
-        )
+        return tuple((field.name, getattr(settings, field.name)) for field in fields(settings))
 
     @staticmethod
     def baseline_key(split: Hashable, sizes: Sequence[int], trainer: Any) -> Hashable:
@@ -564,13 +541,13 @@ class EvaluationCache:
         ``split`` is the training split's :meth:`split_fingerprint`,
         ``sizes`` the topology's layer sizes and ``trainer`` the
         :class:`~repro.baselines.gradient.GradientTrainer` dataclass;
-        every trainer field except ``verbose`` is part of the key.
+        every trainer field is part of the key.
         """
         return EvaluationCache.stage_key(
             "baseline",
             split,
             tuple(int(size) for size in sizes),
-            EvaluationCache.settings_key(trainer, exclude=("verbose",)),
+            EvaluationCache.settings_key(trainer),
         )
 
     # ------------------------------------------------------------------
@@ -614,13 +591,7 @@ class EvaluationCache:
     #: genomes anyway.
     _PERSISTED_SECTIONS = ("accuracy", "reports", "stages")
 
-    def save(
-        self,
-        path: Union[str, Path],
-        policy: Optional[SnapshotPolicy] = None,
-        *,
-        now: Optional[float] = None,
-    ) -> int:
+    def save(self, path: Union[str, Path], *, now: Optional[float] = None) -> int:
         """Snapshot the data sections to ``path``; returns entries written.
 
         The snapshot records the format version, the numpy version and
@@ -631,8 +602,9 @@ class EvaluationCache:
         :meth:`load` into a smaller cache keeps the hottest entries and
         compaction can age entries across runs.
 
-        ``policy`` bounds the snapshot (see :class:`SnapshotPolicy`);
-        ``now`` overrides the reference time of the age bound (tests).
+        Entries unused for longer than :data:`MAX_SNAPSHOT_AGE_SECONDS`
+        are left out; ``now`` overrides the reference time of that age
+        bound (tests).
         A ``<path>.fitness`` file left beside the snapshot by format 10
         or earlier (the deleted GA fitness memo) is removed.
         """
@@ -640,9 +612,9 @@ class EvaluationCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         if now is None:
             now = time.time()  # lint: allow(RP03) -- compaction ages entries against their persisted wall-clock stamps
-        max_age = None if policy is None else policy.max_age_seconds
         sections = {
-            name: getattr(self, name).entries(now, max_age) for name in self._PERSISTED_SECTIONS
+            name: getattr(self, name).entries(now, MAX_SNAPSHOT_AGE_SECONDS)
+            for name in self._PERSISTED_SECTIONS
         }
         _write_snapshot(
             path,

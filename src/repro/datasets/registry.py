@@ -234,9 +234,8 @@ def load_dataset(
     name: str,
     seed: int = 0,
     num_samples: Optional[int] = None,
-    train_fraction: float = 0.7,
 ) -> Dataset:
-    """Generate and split a dataset stand-in.
+    """Generate and split a dataset stand-in, 70 % of it for training as in the paper.
 
     Parameters
     ----------
@@ -249,9 +248,6 @@ def load_dataset(
     num_samples:
         Optional override of the sample count (useful to shrink the
         heavier datasets in CI-scale experiments).
-    train_fraction:
-        Fraction of samples assigned to the training split (0.7 as in
-        the paper).
     """
     spec = get_spec(name)
     synth = spec.synthetic
@@ -269,9 +265,7 @@ def load_dataset(
     rng = np.random.default_rng(seed)
     features, labels = generate_synthetic_classification(synth, rng)
     features = normalize_01(features)
-    x_train, y_train, x_test, y_test = stratified_split(
-        features, labels, train_fraction=train_fraction, rng=rng
-    )
+    x_train, y_train, x_test, y_test = stratified_split(features, labels, rng=rng)
     return Dataset(
         name=spec.name,
         train=DatasetSplit(features=x_train, labels=y_train),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.hardware.egfet import EGFETLibrary, default_egfet_library
 from repro.hardware.power_sources import FeasibilityZone, classify_power_source
 from repro.hardware.synthesis import HardwareReport
 
@@ -37,7 +36,6 @@ def assess_feasibility(
     report: HardwareReport,
     design_name: str,
     voltage: Optional[float] = None,
-    library: Optional[EGFETLibrary] = None,
 ) -> FeasibilityResult:
     """Classify a synthesized circuit into its feasibility zone.
 
@@ -50,9 +48,8 @@ def assess_feasibility(
         voltage the report is re-scaled first (the Fig. 5 study operates
         the approximate MLPs at the minimum 0.6 V supply).
     """
-    library = library or default_egfet_library()
     if voltage is not None and abs(voltage - report.voltage) > 1e-9:
-        report = report.scaled_to_voltage(voltage, library=library)
+        report = report.scaled_to_voltage(voltage)
     zone = classify_power_source(power_mw=report.power_mw, area_cm2=report.area_cm2)
     return FeasibilityResult(
         design_name=design_name,

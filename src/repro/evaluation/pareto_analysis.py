@@ -31,7 +31,6 @@ from repro.approx.mlp import accuracy_population
 from repro.core.cache import EvaluationCache
 from repro.core.pareto import ParetoPoint
 from repro.core.trainer import GAResult
-from repro.hardware.egfet import EGFETLibrary
 from repro.hardware.synthesis import (
     DEFAULT_CLOCK_PERIOD_MS,
     HardwareReport,
@@ -70,14 +69,14 @@ def evaluate_front(
     result: GAResult,
     test_inputs: np.ndarray,
     test_labels: np.ndarray,
-    library: Optional[EGFETLibrary] = None,
-    voltage: float = 1.0,
     clock_period_ms: Optional[float] = None,
     max_designs: Optional[int] = None,
     cache: Optional[EvaluationCache] = None,
     slow: bool = False,
 ) -> List[EvaluatedDesign]:
     """Synthesize and test every member of the estimated Pareto front.
+
+    Every report is priced at the nominal 1 V supply.
 
     Parameters
     ----------
@@ -111,11 +110,7 @@ def evaluate_front(
             mlp = result.decode(point)
             accuracy = mlp.accuracy(test_inputs, test_labels)
             report = synthesize_approximate_mlp(
-                mlp,
-                library=library,
-                voltage=voltage,
-                clock_period_ms=clock_period_ms,
-                slow=True,
+                mlp, clock_period_ms=clock_period_ms, slow=True
             )
             designs.append(
                 EvaluatedDesign(point=point, test_accuracy=accuracy, report=report)
@@ -153,15 +148,12 @@ def evaluate_front(
                 cache.accuracy.put((keys[index], split), float(accuracy))
 
     # Hardware reports: one batched synthesis pass over the members
-    # without a cached report at this operating point, from the same
-    # parameter stack when the same members missed.  The report key
-    # carries no library identity, so the cache is only consulted for
-    # the default EGFET library — a custom library always re-prices.
+    # without a cached report at this clock period, from the same
+    # parameter stack when the same members missed.
     reports: List[Optional[HardwareReport]] = [None] * len(front)
-    report_cache = cache.reports if cache is not None and library is None else None
-    if report_cache is not None:
+    if cache is not None:
         reports = [
-            report_cache.get(EvaluationCache.report_key(key, voltage, clock_period_ms))
+            cache.reports.get(EvaluationCache.report_key(key, clock_period_ms))
             for key in keys
         ]
     missing = [index for index, report in enumerate(reports) if report is None]
@@ -169,17 +161,13 @@ def evaluate_front(
         if missing != stacked_rows:
             params = result.layout.population_parameters(genomes[missing])
         fresh_reports = synthesize_approximate_population(
-            params,
-            library=library,
-            voltage=voltage,
-            clock_period_ms=clock_period_ms,
+            params, clock_period_ms=clock_period_ms
         )
         for index, report in zip(missing, fresh_reports):
             reports[index] = report
-            if report_cache is not None:
-                report_cache.put(
-                    EvaluationCache.report_key(keys[index], voltage, clock_period_ms),
-                    report,
+            if cache is not None:
+                cache.reports.put(
+                    EvaluationCache.report_key(keys[index], clock_period_ms), report
                 )
 
     return [

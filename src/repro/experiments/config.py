@@ -54,18 +54,6 @@ class ExperimentScale:
         analysis step.
     seed:
         Global seed (dataset generation, training, GA).
-    cache_dir:
-        Optional directory for disk-backed evaluation caches.  When set,
-        the session's baseline stage loads each dataset's
-        :class:`~repro.core.cache.EvaluationCache` snapshot once and the
-        later stages save it, so repeated runner invocations share the
-        trained baseline, fitness and synthesis work across process
-        restarts (``runner.py --cache-dir``).
-    cache_max_age_days:
-        Snapshot-compaction age bound: entries whose last use is older
-        than this many days are dropped when the snapshot is saved, so
-        long-lived cache directories do not grow with the union of every
-        run ever made (``None`` keeps entries regardless of age).
     dataset_workers:
         Threads used to warm the per-dataset heavy stages (gradient
         baseline + GA front) in parallel before experiments read them
@@ -99,8 +87,6 @@ class ExperimentScale:
     ga_islands: int = 1
     max_front_designs: Optional[int] = 40
     seed: int = 0
-    cache_dir: Optional[str] = None
-    cache_max_age_days: Optional[float] = 30.0
     dataset_workers: int = 0
     verify_rtl: bool = False
     verify_vectors: int = 32

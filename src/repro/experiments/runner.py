@@ -22,11 +22,12 @@ through ``Artifact.from_json``).
 dataset's exact baseline (float model, bespoke circuit and its report),
 GA results and accuracy/hardware-report entries are loaded from
 ``DIR/<dataset>.cache.pkl`` before the baseline stage and saved back
-afterwards (compacted by the scale's snapshot policy) when the run added
+afterwards (compacted by the 30-day age bound) when the run added
 something, so a second invocation of the same experiment at the same
 scale restores the baseline and the GA instead of training them.  A
 per-dataset ``[cache]`` summary line reports the snapshot traffic and
-whether the baseline and the GA were ``restored`` or ``trained``;
+whether the baseline and the GA were ``restored`` or ``trained`` (``ga
+none`` when the experiments train no GA, as ``table1``);
 ``saved 0`` means the run left the snapshot unchanged (it added no
 entry, and its entries are far from the age bound).
 Snapshots are versioned, and keys are namespaced by dataset split,
@@ -184,8 +185,6 @@ def main(argv: List[str] | None = None) -> int:
         if args.dataset_workers < 0:
             parser.error("--dataset-workers must be non-negative")
         scale = dataclasses.replace(scale, dataset_workers=args.dataset_workers)
-    if args.cache_dir is not None:
-        scale = dataclasses.replace(scale, cache_dir=args.cache_dir)
     if args.verify_rtl:
         scale = dataclasses.replace(scale, verify_rtl=True)
     if args.verify_vectors is not None:
@@ -204,7 +203,7 @@ def main(argv: List[str] | None = None) -> int:
     # Imported here so the query modes above never load the search stack.
     from repro.experiments.session import ExperimentSession
 
-    session = ExperimentSession(scale)
+    session = ExperimentSession(scale, cache_dir=args.cache_dir)
     names = list(EXPERIMENT_ORDER) if args.experiment == "all" else [args.experiment]
     artifacts = session.run(
         names, export_dir=args.export_dir, store_dir=args.store_dir

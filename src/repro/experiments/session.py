@@ -68,7 +68,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Uni
 from repro.baselines.approx_tc23 import explore_tc23
 from repro.baselines.exact_bespoke import BespokeMLP, quantize_float_mlp
 from repro.baselines.gradient import FloatMLP, GradientTrainer
-from repro.core.cache import EvaluationCache, SnapshotPolicy, pack_arrays, unpack_arrays
+from repro.core.cache import (
+    MAX_SNAPSHOT_AGE_SECONDS,
+    EvaluationCache,
+    pack_arrays,
+    unpack_arrays,
+)
 from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.datasets.registry import get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
@@ -125,7 +130,7 @@ class ExperimentSession:
     cache_dir:
         Optional directory for disk-backed
         :class:`~repro.core.cache.EvaluationCache` snapshots (one file
-        per dataset); overrides ``scale.cache_dir``.  When set, the
+        per dataset, ``runner.py --cache-dir``).  When set, the
         baseline and GA stages restore the previous run's results, the
         later stages start from its accuracy/report entries, and the
         merged cache is saved back afterwards if the session added to it
@@ -139,8 +144,6 @@ class ExperimentSession:
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.scale = get_scale(scale) if isinstance(scale, str) else scale
-        if cache_dir is None:
-            cache_dir = self.scale.cache_dir
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._artifacts: Dict[str, Artifact] = {}
         self._stages: Dict[tuple, object] = {}
@@ -562,7 +565,6 @@ class ExperimentSession:
         self,
         experiments: Union[None, str, Sequence[str]] = None,
         export_dir: Optional[Union[str, Path]] = None,
-        dataset_workers: Optional[int] = None,
         store_dir: Optional[Union[str, Path]] = None,
     ) -> Dict[str, Artifact]:
         """Run experiments and return their artifacts, in canonical order.
@@ -578,12 +580,6 @@ class ExperimentSession:
             additionally export plot-ready ``<experiment>_points`` sets,
             and the serving design store is published under
             ``<export_dir>/store`` (unless ``store_dir`` overrides it).
-        dataset_workers:
-            Warm the per-dataset heavy stages in this many threads
-            before building artifacts (default: the scale's
-            ``dataset_workers``).  Datasets are independent, so their
-            baseline + GA stages parallelize cleanly; experiment
-            builders then read memoized results.
         store_dir:
             Explicit serving-store directory; everything query time
             needs (fronts, baselines, comparators, RTL) is published
@@ -603,10 +599,10 @@ class ExperimentSession:
                 )
         names.sort(key=EXPERIMENT_ORDER.index)
 
-        workers = (
-            self.scale.dataset_workers if dataset_workers is None else dataset_workers
-        )
-        if workers and workers > 1:
+        # Warm the independent per-dataset heavy stages in the scale's
+        # ``dataset_workers`` threads; the builders then read memoized results.
+        workers = self.scale.dataset_workers
+        if workers > 1:
             front_targets, baseline_targets = self._prefetch_plan(names)
             if front_targets or baseline_targets:
                 self.prefetch(
@@ -839,14 +835,6 @@ class ExperimentSession:
             return None
         return self.cache_dir / f"{name}.cache.pkl"
 
-    @property
-    def snapshot_policy(self) -> Optional[SnapshotPolicy]:
-        """Compaction policy applied whenever a snapshot is saved."""
-        max_age_days = self.scale.cache_max_age_days
-        if max_age_days is None:
-            return None
-        return SnapshotPolicy(max_age_seconds=max_age_days * 86400.0)
-
     def persist_cache(
         self,
         spec_name: str,
@@ -863,8 +851,9 @@ class ExperimentSession:
         The snapshot is rewritten only when this session put an entry
         into a persisted section since the snapshot was loaded or last
         written, or when the loaded snapshot's oldest last-used stamp is
-        older than half the policy's age bound (so entries still being
-        read do not age out); see :class:`~repro.core.cache.SnapshotPolicy`.
+        older than half of
+        :data:`~repro.core.cache.MAX_SNAPSHOT_AGE_SECONDS` (so entries
+        still being read do not age out).
         ``now`` overrides the reference time of both age checks (tests).
         Returns the number of entries written: 0 without a cache dir or
         when the snapshot was left unchanged.
@@ -877,51 +866,48 @@ class ExperimentSession:
         )
         if now is None:
             now = time.time()  # lint: allow(RP03) -- compared with persisted wall-clock last-used stamps
-        policy = self.snapshot_policy
-        aging = (
-            policy is not None
-            and policy.max_age_seconds is not None
-            and io["oldest"] is not None
-            and now - io["oldest"] > policy.max_age_seconds / 2
-        )
+        aging = io["oldest"] is not None and now - io["oldest"] > MAX_SNAPSHOT_AGE_SECONDS / 2
         if cache.persisted_writes() == io["writes"] and not aging:
             return 0
-        saved = cache.save(snapshot, policy=policy, now=now)
+        saved = cache.save(snapshot, now=now)
         io.update(saved=saved, writes=cache.persisted_writes(), oldest=None)
         return saved
 
-    def _fronts(self) -> List[Tuple[str, PipelineResult]]:
-        """``(dataset, result)`` of every front stage built so far."""
+    def _stage_results(self, kind: str) -> List[Tuple[str, PipelineResult]]:
+        """``(dataset, result)`` of every ``kind`` stage built so far."""
         with self._registry_lock:
             return [
-                (key[1], result)
-                for key, result in self._stages.items()
-                if key[0] == "ga_front"
+                (key[1], result) for key, result in self._stages.items() if key[0] == kind
             ]
 
     def cache_summary(self) -> Dict[str, Dict[str, object]]:
         """Per-dataset disk-snapshot traffic and stage restores.
 
-        ``loaded``/``saved`` count snapshot entries read before the
-        baseline stage and written by the last snapshot write; ``saved``
-        is 0 when the session left the snapshot unchanged (see
-        :meth:`persist_cache`).  ``baseline`` and ``ga`` (the front's GA)
-        are ``"restored"`` when the stage result came from the snapshot,
-        else ``"trained"``.
+        One entry per dataset whose baseline stage ran.  ``loaded`` /
+        ``saved`` count snapshot entries read before the baseline stage
+        and written by the last snapshot write; ``saved`` is 0 when the
+        session left the snapshot unchanged (see :meth:`persist_cache`).
+        ``baseline`` and ``ga`` (the front's GA) are ``"restored"`` when
+        the stage result came from the snapshot, else ``"trained"``;
+        ``ga`` is ``"none"`` when no front stage ran for the dataset.
         """
+        fronts = {name for name, _ in self._stage_results("ga_front")}
         summary: Dict[str, Dict[str, object]] = {}
-        for name, result in self._fronts():
+        for name, result in self._stage_results("gradient_baseline"):
             # _cache_io and _restored are keyed by the canonical spec
             # name, which may differ from the alias keying the stage.
             spec_name = result.spec.name
             io = self._cache_io.get(spec_name, {})
             with self._registry_lock:
                 restored = {kind for kind, key in self._restored if key == spec_name}
+            ga = "none"
+            if name in fronts:
+                ga = "restored" if "ga" in restored else "trained"
             summary[name] = {
                 "loaded": io.get("loaded", 0),
                 "saved": io.get("saved", 0),
                 "baseline": "restored" if "baseline" in restored else "trained",
-                "ga": "restored" if "ga" in restored else "trained",
+                "ga": ga,
             }
         return summary
 
@@ -929,7 +915,7 @@ class ExperimentSession:
         """Per-dataset front verification results (``verify_rtl`` runs only)."""
         return {
             name: result.approximate.verification
-            for name, result in self._fronts()
+            for name, result in self._stage_results("ga_front")
             if result.approximate.verification is not None
         }
 

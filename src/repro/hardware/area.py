@@ -33,7 +33,6 @@ __all__ = [
     "exact_neuron_adder_cost",
     "qrelu_cell_counts",
     "argmax_cell_counts",
-    "register_cell_counts",
     "merge_cell_counts",
 ]
 
@@ -187,11 +186,6 @@ def argmax_cell_counts(num_classes: int, score_bits: int) -> Dict[str, float]:
         "OR2": float(stages * score_bits),
         "MUX2": float(stages * (score_bits + index_bits)),
     }
-
-
-def register_cell_counts(num_input_bits: int, num_output_bits: int) -> Dict[str, float]:
-    """DFF counts for registered inputs and outputs of the bespoke core."""
-    return {"DFF": float(max(num_input_bits, 0) + max(num_output_bits, 0))}
 
 
 def merge_cell_counts(*counts: Dict[str, float]) -> Dict[str, float]:

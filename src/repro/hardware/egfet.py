@@ -24,9 +24,9 @@ from __future__ import annotations
 import functools
 import types
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
-__all__ = ["CellSpec", "EGFETLibrary", "default_egfet_library"]
+__all__ = ["CellSpec", "EGFETLibrary", "default_egfet_library", "rescale_power_delay"]
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,8 @@ def default_egfet_library() -> EGFETLibrary:
 
     Built once per process.  Every call returns the same immutable
     instance: the dataclass is frozen and its ``cells`` is a read-only
-    mapping, so threads share it safely.  A caller that wants other
-    cells builds its own :class:`EGFETLibrary` (``dataclasses.replace``).
+    mapping, so threads share it safely.  It is the one library every
+    circuit is priced with, as in the paper.
     """
     cells: Dict[str, CellSpec] = {}
     for name, ge in _GATE_EQUIVALENTS.items():
@@ -198,3 +198,28 @@ def default_egfet_library() -> EGFETLibrary:
         delay = _UNIT_GATE_DELAY_MS * _GATE_DELAYS_MS[name]
         cells[name] = CellSpec(area_cm2=area, power_mw=power, delay_ms=delay)
     return EGFETLibrary(cells=types.MappingProxyType(cells))
+
+
+def rescale_power_delay(
+    power_mw: float, delay_ms: float, from_voltage: float, to_voltage: float
+) -> Tuple[float, float]:
+    """``(power_mw, delay_ms)`` of a circuit moved from one supply to another.
+
+    Area is voltage-independent; power and delay follow the default
+    library's scaling laws.  This is the one re-scaling rule of the
+    Fig. 5 study, shared by
+    :meth:`~repro.hardware.synthesis.HardwareReport.scaled_to_voltage`
+    and the serving tier's :func:`~repro.serving.queries.scale_report`.
+    """
+    library = default_egfet_library()
+    power = (
+        power_mw
+        / library.voltage_power_factor(from_voltage)
+        * library.voltage_power_factor(to_voltage)
+    )
+    delay = (
+        delay_ms
+        / library.voltage_delay_factor(from_voltage)
+        * library.voltage_delay_factor(to_voltage)
+    )
+    return power, delay

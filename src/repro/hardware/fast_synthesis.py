@@ -37,7 +37,6 @@ from repro.hardware.area import (
     argmax_cell_counts,
     merge_cell_counts,
     qrelu_cell_counts,
-    register_cell_counts,
 )
 from repro.hardware.egfet import EGFETLibrary, default_egfet_library
 from repro.hardware.fast_area import (
@@ -111,10 +110,8 @@ def _price_vec(
 # ----------------------------------------------------------------------
 def synthesize_approximate_population(
     population: Population,
-    library: Optional[EGFETLibrary] = None,
     voltage: float = 1.0,
     clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
 ) -> List[HardwareReport]:
     """Hardware analysis of a homogeneous population in one pass.
 
@@ -129,7 +126,7 @@ def synthesize_approximate_population(
         if not population:
             return []
         population = stack_parameters(population)
-    library = library or default_egfet_library()
+    library = default_egfet_library()
     size = len(population.shifts)
     num_layers = len(population.masks)
 
@@ -231,22 +228,6 @@ def synthesize_approximate_population(
             + 2 * delay_or2
         )
 
-    if include_registers:
-        input_bits_total = population.masks[0].shape[1] * population.input_bits[0]
-        num_outputs = population.masks[-1].shape[2]
-        output_bits = (
-            int(np.ceil(np.log2(num_outputs))) if num_outputs > 1 else 1
-        )
-        reg_counts = {
-            cell: np.full(size, count)
-            for cell, count in register_cell_counts(
-                input_bits_total, output_bits
-            ).items()
-        }
-        totals = merge_cell_counts(totals, reg_counts)
-        breakdown["registers"] = _breakdown_area_vec(reg_counts, library, size)
-        critical += 2 * library.delay("DFF", voltage=voltage)
-
     area, power = _price_vec(totals, library, voltage, size)
     reports: List[HardwareReport] = []
     for index in range(size):
@@ -310,10 +291,8 @@ def _exact_layer_columns(
 
 def synthesize_exact_population(
     jobs: Sequence[Mapping[str, object]],
-    library: Optional[EGFETLibrary] = None,
     voltage: Union[float, Sequence[float]] = 1.0,
     clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
 ) -> List[HardwareReport]:
     """Hardware analysis of many exact bespoke MLPs in one pass.
 
@@ -331,7 +310,7 @@ def synthesize_exact_population(
     jobs = list(jobs)
     if not jobs:
         return []
-    library = library or default_egfet_library()
+    library = default_egfet_library()
     if np.isscalar(voltage):
         voltages = [float(voltage)] * len(jobs)
     else:
@@ -381,8 +360,6 @@ def synthesize_exact_population(
         prepared, voltages
     ):
         num_layers = len(layer_meta)
-        num_inputs = int(layer_meta[0][0].shape[0])
-        num_outputs = int(layer_meta[-1][0].shape[1])
         total_counts: Dict[str, float] = {}
         area_breakdown: Dict[str, float] = {}
         critical_path_ms = 0.0
@@ -449,16 +426,6 @@ def synthesize_exact_population(
                 * library.delay("FA", voltage=job_voltage)
                 + 2 * library.delay("OR2", voltage=job_voltage)
             )
-
-        if include_registers:
-            in_reg_bits = num_inputs * layer_meta[0][2]
-            out_reg_bits = (
-                int(np.ceil(np.log2(num_outputs))) if num_outputs > 1 else 1
-            )
-            reg_counts = register_cell_counts(in_reg_bits, out_reg_bits)
-            total_counts = merge_cell_counts(total_counts, reg_counts)
-            area_breakdown["registers"] = _breakdown_area(reg_counts, library)
-            critical_path_ms += 2 * library.delay("DFF", voltage=job_voltage)
 
         area, power = _price(total_counts, library, job_voltage)
         reports.append(

@@ -6,8 +6,8 @@ the printed EGFET library.  The model is gate-level analytical —
 
 * adder trees are costed with the Full/Half-Adder counter
   (:mod:`repro.hardware.adder_tree` / :mod:`repro.hardware.area`),
-* sign handling, QReLU saturation, the output argmax and registered I/O
-  are costed with small per-cell count formulas,
+* sign handling, QReLU saturation and the output argmax are costed
+  with small per-cell count formulas,
 * cell counts are priced with the EGFET library
   (:mod:`repro.hardware.egfet`), which also provides the supply-voltage
   scaling used in the Fig. 5 feasibility study.
@@ -19,7 +19,7 @@ same flow, so reduction factors depend only on circuit structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,8 @@ from repro.hardware.area import (
     exact_neuron_adder_cost,
     merge_cell_counts,
     qrelu_cell_counts,
-    register_cell_counts,
 )
-from repro.hardware.egfet import EGFETLibrary, default_egfet_library
+from repro.hardware.egfet import EGFETLibrary, default_egfet_library, rescale_power_delay
 
 __all__ = [
     "HardwareReport",
@@ -66,7 +65,7 @@ class HardwareReport:
         Number of instances per standard cell.
     area_breakdown:
         Area per structural component (adder trees, multipliers folded
-        into the trees, QReLU, argmax, registers, sign inverters).
+        into the trees, QReLU, argmax, sign inverters).
     """
 
     area_cm2: float
@@ -87,25 +86,15 @@ class HardwareReport:
         """Energy of one inference (one clock period) in millijoules."""
         return self.power_mw * self.clock_period_ms * 1e-3
 
-    def scaled_to_voltage(self, voltage: float, library: Optional[EGFETLibrary] = None) -> "HardwareReport":
+    def scaled_to_voltage(self, voltage: float) -> "HardwareReport":
         """Re-evaluate power and delay at a different supply voltage.
 
-        Area and cell counts are unchanged; power and delay follow the
-        library's voltage scaling laws.  This mirrors the paper's
-        "re-synthesize at 0.6 V" step for Fig. 5 (the circuit structure
-        is identical, only the operating point changes).
+        Area and cell counts are unchanged; power and delay follow
+        :func:`~repro.hardware.egfet.rescale_power_delay`.  This mirrors
+        the paper's "re-synthesize at 0.6 V" step for Fig. 5 (the circuit
+        structure is identical, only the operating point changes).
         """
-        library = library or default_egfet_library()
-        power = (
-            self.power_mw
-            / library.voltage_power_factor(self.voltage)
-            * library.voltage_power_factor(voltage)
-        )
-        delay = (
-            self.delay_ms
-            / library.voltage_delay_factor(self.voltage)
-            * library.voltage_delay_factor(voltage)
-        )
+        power, delay = rescale_power_delay(self.power_mw, self.delay_ms, self.voltage, voltage)
         return HardwareReport(
             area_cm2=self.area_cm2,
             power_mw=power,
@@ -137,10 +126,8 @@ def _breakdown_area(counts: Dict[str, float], library: EGFETLibrary) -> float:
 
 def synthesize_approximate_mlp(
     mlp: ApproximateMLP,
-    library: Optional[EGFETLibrary] = None,
     voltage: float = 1.0,
     clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
     slow: bool = False,
 ) -> HardwareReport:
     """Hardware analysis of a hardware-approximated MLP circuit.
@@ -161,13 +148,9 @@ def synthesize_approximate_mlp(
         from repro.hardware.fast_synthesis import synthesize_approximate_population
 
         return synthesize_approximate_population(
-            [mlp],
-            library=library,
-            voltage=voltage,
-            clock_period_ms=clock_period_ms,
-            include_registers=include_registers,
+            [mlp], voltage=voltage, clock_period_ms=clock_period_ms
         )[0]
-    library = library or default_egfet_library()
+    library = default_egfet_library()
     total_counts: Dict[str, float] = {}
     breakdown: Dict[str, float] = {}
     critical_path_ms = 0.0
@@ -221,14 +204,6 @@ def synthesize_approximate_mlp(
             + 2 * library.delay("OR2", voltage=voltage)
         )
 
-    if include_registers:
-        input_bits = mlp.topology.num_inputs * mlp.config.input_bits
-        output_bits = int(np.ceil(np.log2(mlp.topology.num_outputs))) if mlp.topology.num_outputs > 1 else 1
-        reg_counts = register_cell_counts(input_bits, output_bits)
-        total_counts = merge_cell_counts(total_counts, reg_counts)
-        breakdown["registers"] = _breakdown_area(reg_counts, library)
-        critical_path_ms += 2 * library.delay("DFF", voltage=voltage)
-
     area, power = _price(total_counts, library, voltage)
     return HardwareReport(
         area_cm2=area,
@@ -247,10 +222,8 @@ def synthesize_exact_mlp(
     input_bits_per_layer: Sequence[int],
     activation_bits: int = 8,
     activation_shifts: Optional[Sequence[int]] = None,
-    library: Optional[EGFETLibrary] = None,
     voltage: float = 1.0,
     clock_period_ms: Optional[float] = None,
-    include_registers: bool = False,
     slow: bool = False,
 ) -> HardwareReport:
     """Hardware analysis of an exact bespoke baseline MLP circuit.
@@ -287,13 +260,9 @@ def synthesize_exact_mlp(
             "activation_shifts": activation_shifts,
         }
         return synthesize_exact_population(
-            [job],
-            library=library,
-            voltage=voltage,
-            clock_period_ms=clock_period_ms,
-            include_registers=include_registers,
+            [job], voltage=voltage, clock_period_ms=clock_period_ms
         )[0]
-    library = library or default_egfet_library()
+    library = default_egfet_library()
     num_layers = len(weight_codes)
     if not (len(bias_codes) == len(input_bits_per_layer) == num_layers):
         raise ValueError("weight_codes, bias_codes and input_bits_per_layer must align")
@@ -301,8 +270,6 @@ def synthesize_exact_mlp(
     total_counts: Dict[str, float] = {}
     breakdown: Dict[str, float] = {}
     critical_path_ms = 0.0
-    num_inputs = int(np.asarray(weight_codes[0]).shape[0])
-    num_outputs = int(np.asarray(weight_codes[-1]).shape[1])
 
     for layer_index in range(num_layers):
         codes = np.asarray(weight_codes[layer_index], dtype=np.int64)
@@ -361,14 +328,6 @@ def synthesize_exact_mlp(
             + max(max_cpa // max(fan_out, 1), 1) * library.delay("FA", voltage=voltage)
             + 2 * library.delay("OR2", voltage=voltage)
         )
-
-    if include_registers:
-        in_reg_bits = num_inputs * int(input_bits_per_layer[0])
-        out_reg_bits = int(np.ceil(np.log2(num_outputs))) if num_outputs > 1 else 1
-        reg_counts = register_cell_counts(in_reg_bits, out_reg_bits)
-        total_counts = merge_cell_counts(total_counts, reg_counts)
-        breakdown["registers"] = _breakdown_area(reg_counts, library)
-        critical_path_ms += 2 * library.delay("DFF", voltage=voltage)
 
     area, power = _price(total_counts, library, voltage)
     return HardwareReport(

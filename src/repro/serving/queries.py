@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.pure import first_front_mask
 from repro.evaluation.report import reduction_factor
-from repro.hardware.egfet import EGFETLibrary, MIN_VOLTAGE, default_egfet_library
+from repro.hardware.egfet import MIN_VOLTAGE, rescale_power_delay
 from repro.hardware.power_sources import classify_power_source
 from repro.serving.store import (
     DatasetRecord,
@@ -233,27 +233,15 @@ def front_rows(record: Union[DatasetRecord, FrontRecord]) -> List[Dict]:
 # ---------------------------------------------------------------------------
 
 
-def scale_report(
-    report: ReportRecord,
-    voltage: float,
-    library: Optional[EGFETLibrary] = None,
-) -> ReportRecord:
+def scale_report(report: ReportRecord, voltage: float) -> ReportRecord:
     """Re-evaluate a stored report at a different supply voltage.
 
-    Same arithmetic (term for term) as
-    ``HardwareReport.scaled_to_voltage``: area is voltage-independent,
-    power and delay follow the EGFET library's scaling laws.
+    The same rule as ``HardwareReport.scaled_to_voltage``
+    (:func:`~repro.hardware.egfet.rescale_power_delay`): area is
+    voltage-independent, power and delay follow the EGFET scaling laws.
     """
-    library = library or default_egfet_library()
-    power = (
-        report.power_mw
-        / library.voltage_power_factor(report.voltage)
-        * library.voltage_power_factor(voltage)
-    )
-    delay = (
-        report.delay_ms
-        / library.voltage_delay_factor(report.voltage)
-        * library.voltage_delay_factor(voltage)
+    power, delay = rescale_power_delay(
+        report.power_mw, report.delay_ms, report.voltage, voltage
     )
     return ReportRecord(
         area_cm2=report.area_cm2,
@@ -268,7 +256,6 @@ def assess_report(
     report: ReportRecord,
     design_name: str,
     voltage: Optional[float] = None,
-    library: Optional[EGFETLibrary] = None,
 ) -> Dict:
     """Printed-power-source feasibility of one stored operating point.
 
@@ -276,9 +263,8 @@ def assess_report(
     :func:`repro.evaluation.feasibility.assess_feasibility` (same
     re-scale guard, same classifier), returning a plain row dict.
     """
-    library = library or default_egfet_library()
     if voltage is not None and abs(voltage - report.voltage) > 1e-9:
-        report = scale_report(report, voltage, library=library)
+        report = scale_report(report, voltage)
     zone = classify_power_source(power_mw=report.power_mw, area_cm2=report.area_cm2)
     return {
         "design": design_name,

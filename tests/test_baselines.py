@@ -63,13 +63,6 @@ class TestGradientTrainer:
         result = GradientTrainer(epochs=40, restarts=1, seed=0).train(x_train, y_train, (6, 4, 3))
         assert result.losses[-1] < result.losses[0]
 
-    def test_sgd_optimizer_runs(self, toy_data):
-        x_train, y_train, _, _ = toy_data
-        result = GradientTrainer(
-            epochs=20, restarts=1, optimizer="sgd", learning_rate=0.05, seed=0
-        ).train(x_train, y_train, (6, 4, 3))
-        assert result.train_accuracy > 0.4
-
     def test_restarts_pick_best(self, toy_data):
         x_train, y_train, _, _ = toy_data
         single = GradientTrainer(epochs=15, restarts=1, seed=0).train(x_train, y_train, (6, 2, 3))
@@ -83,8 +76,6 @@ class TestGradientTrainer:
             trainer.train(x_train, y_train, (5, 3, 3))  # wrong feature count
         with pytest.raises(ValueError):
             trainer.train(x_train, y_train, (6, 3, 2))  # too few outputs
-        with pytest.raises(ValueError):
-            GradientTrainer(optimizer="rmsprop")
         with pytest.raises(ValueError):
             GradientTrainer(restarts=0)
 
@@ -249,6 +240,22 @@ class TestTc23Baseline:
         if model is not None:
             assert report == model.synthesize()
 
+    def test_explore_tc23_sweeps_the_module_grid(self, toy_data, trained_baseline):
+        from itertools import product
+
+        from repro.baselines import approx_tc23
+        from repro.quant.quantizers import quantize_inputs
+
+        _, _, x_test, y_test = toy_data
+        bespoke, _ = trained_baseline
+        xq = quantize_inputs(x_test)
+        _, _, sweep = explore_tc23(bespoke, xq, y_test, bespoke.accuracy(xq, y_test))
+        assert approx_tc23.CSD_DIGIT_OPTIONS == (1, 2, 3)
+        assert approx_tc23.TRUNCATION_OPTIONS == (0, 1, 2, 3)
+        assert [(row["max_csd_digits"], row["truncation_bits"]) for row in sweep] == list(
+            product(approx_tc23.CSD_DIGIT_OPTIONS, approx_tc23.TRUNCATION_OPTIONS)
+        )
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             Tc23Config(max_csd_digits=0)
@@ -286,6 +293,27 @@ class TestVosBaseline:
         base_acc = bespoke.accuracy(xq, y_test)
         _, _, sweep = explore_vos(bespoke, xq, y_test, base_acc)
         assert len(sweep) == 6
+
+    def test_explore_vos_sweeps_the_module_grid(self, toy_data, trained_baseline):
+        from repro.baselines import vos_tcad23
+        from repro.quant.quantizers import quantize_inputs
+
+        _, _, x_test, y_test = toy_data
+        bespoke, _ = trained_baseline
+        xq = quantize_inputs(x_test)
+        _, _, sweep = explore_vos(bespoke, xq, y_test, bespoke.accuracy(xq, y_test))
+        assert vos_tcad23.CSD_DIGIT_OPTIONS == (1, 2, 3)
+        assert vos_tcad23.VOLTAGE_OPTIONS == (0.8, 0.7)
+        assert [(row["max_csd_digits"], row["voltage"]) for row in sweep] == [
+            (digits, voltage)
+            for digits in vos_tcad23.CSD_DIGIT_OPTIONS
+            for voltage in vos_tcad23.VOLTAGE_OPTIONS
+        ]
+        # The lower supply of each digit count draws less power on the
+        # same circuit.
+        for high, low in zip(sweep[::2], sweep[1::2]):
+            assert low["area_cm2"] == high["area_cm2"]
+            assert low["power_mw"] < high["power_mw"]
 
     def test_invalid_voltage(self):
         with pytest.raises(ValueError):

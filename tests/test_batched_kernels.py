@@ -412,15 +412,12 @@ class TestKernelAgainstScalarOracle:
 
 
 class TestStackedGradientRestarts:
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("restarts", [1, 2, 3])
-    def test_stacked_restarts_equal_serial_bit_for_bit(self, optimizer, restarts):
+    def test_stacked_restarts_equal_serial_bit_for_bit(self, restarts):
         rng = np.random.default_rng(10)
         features = rng.random((45, 5))  # 45 samples: batch size 8 leaves a 5-row tail
         labels = rng.integers(0, 3, size=45)
-        trainer = GradientTrainer(
-            epochs=6, batch_size=8, optimizer=optimizer, restarts=restarts, seed=4
-        )
+        trainer = GradientTrainer(epochs=6, batch_size=8, restarts=restarts, seed=4)
         stacked = trainer.train(features, labels, (5, 4, 3))
         serial = trainer.train(features, labels, (5, 4, 3), slow=True)
         assert stacked.train_accuracy == serial.train_accuracy
@@ -432,17 +429,14 @@ class TestStackedGradientRestarts:
         ):
             assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
-    def test_ten_classes_and_a_partial_tail_batch(self, optimizer):
+    def test_ten_classes_and_a_partial_tail_batch(self):
         """Ten classes make the per-sample class sums pairwise (eight or
         more terms), and 70 rows in batches of 16 leave a 6-row tail: the
         one-pass epoch loss must still equal the serial per-batch means."""
         rng = np.random.default_rng(12)
         features = rng.random((70, 6))
         labels = rng.integers(0, 10, size=70)
-        trainer = GradientTrainer(
-            epochs=4, batch_size=16, optimizer=optimizer, restarts=2, seed=1
-        )
+        trainer = GradientTrainer(epochs=4, batch_size=16, restarts=2, seed=1)
         stacked = trainer.train(features, labels, (6, 5, 10))
         serial = trainer.train(features, labels, (6, 5, 10), slow=True)
         assert stacked.losses == serial.losses

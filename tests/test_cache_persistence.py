@@ -22,8 +22,8 @@ from repro.baselines.gradient import GradientTrainer
 from repro.core.trainer import GATrainer
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
+    MAX_SNAPSHOT_AGE_SECONDS,
     EvaluationCache,
-    SnapshotPolicy,
     code_digest,
     pack_arrays,
     unpack_arrays,
@@ -41,7 +41,7 @@ class TestSnapshotRoundTrip:
         cache = EvaluationCache()
         cache.accuracy.put((("k", b"g"), "split"), 0.875)
         cache.accuracy.put((("k", b"h"), "split"), 0.5)
-        cache.reports.put(("g", 1.0, 200.0, False), {"area": 3.5})
+        cache.reports.put(("g", 200.0), {"area": 3.5})
         cache.stages.put(("ga", ("key",)), ("packed",))
         path = tmp_path / "snap.pkl"
         assert cache.save(path) == 4
@@ -52,7 +52,24 @@ class TestSnapshotRoundTrip:
         assert restored.accuracy.get((("k", b"g"), "split")) == 0.875
         assert restored.accuracy.get((("k", b"h"), "split")) == 0.5
         assert restored.stages.get(("ga", ("key",))) == ("packed",)
-        assert restored.reports.get(("g", 1.0, 200.0, False)) == {"area": 3.5}
+        assert restored.reports.get(("g", 200.0)) == {"area": 3.5}
+
+    def test_report_key_is_genome_and_clock_period(self):
+        genome = ("layout", b"genes")
+        key = EvaluationCache.report_key(genome, 200)
+        assert key == (genome, 200.0)
+        assert isinstance(key[1], float)
+        assert EvaluationCache.report_key(genome, 200.0) == key
+        assert EvaluationCache.report_key(genome, 250.0) != key
+        assert EvaluationCache.report_key(("layout", b"other"), 200.0) != key
+
+    def test_section_bounds_are_the_class_constants(self):
+        cache = EvaluationCache()
+        assert EvaluationCache.MAX_ACCURACY_ENTRIES == 250_000
+        assert EvaluationCache.MAX_REPORT_ENTRIES == 65_536
+        assert cache.accuracy.max_size == EvaluationCache.MAX_ACCURACY_ENTRIES
+        assert cache.reports.max_size == EvaluationCache.MAX_REPORT_ENTRIES
+        assert cache.modules.max_size == EvaluationCache.MAX_MODULE_ENTRIES
 
     def test_baselines_section_round_trips_bit_exactly(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -72,12 +89,10 @@ class TestSnapshotRoundTrip:
         unpacked = unpack_arrays(restored.stages.get(key), [(4, 3), (3,)])
         assert [a.tobytes() for a in unpacked] == [a.tobytes() for a in arrays]
 
-    def test_baseline_key_covers_trainer_settings_but_not_verbose(self):
+    def test_baseline_key_covers_trainer_settings(self):
         split = ("split",)
         key = EvaluationCache.baseline_key(split, (4, 3), GradientTrainer())
-        assert key == EvaluationCache.baseline_key(
-            split, (4, 3), GradientTrainer(verbose=True)
-        )
+        assert key == EvaluationCache.baseline_key(split, (4, 3), GradientTrainer())
         for changed in (
             GradientTrainer(epochs=201),
             GradientTrainer(seed=1),
@@ -140,14 +155,15 @@ class TestSnapshotRoundTrip:
         assert len(restored.modules) == 0
         assert len(restored.accuracy) == 1
 
-    def test_load_preserves_lru_order(self, tmp_path):
+    def test_load_preserves_lru_order(self, tmp_path, monkeypatch):
         cache = EvaluationCache()
         for index in range(5):
             cache.accuracy.put(("ctx", index), index)
         cache.accuracy.get(("ctx", 0))  # refresh: 0 becomes most recent
         path = tmp_path / "snap.pkl"
         cache.save(path)
-        restored = EvaluationCache(max_accuracy_entries=2)
+        monkeypatch.setattr(EvaluationCache, "MAX_ACCURACY_ENTRIES", 2)
+        restored = EvaluationCache()
         restored.load(path)
         # Entries are stored least-recent first, so a smaller cache
         # keeps the hottest tail: the refreshed 0 and the latest insert.
@@ -181,7 +197,7 @@ class TestSnapshotCompaction:
         probe = EvaluationCache()
         return probe.load(path)
 
-    def test_bloated_snapshot_shrinks_to_section_bounds(self, tmp_path):
+    def test_bloated_snapshot_shrinks_to_section_bounds(self, tmp_path, monkeypatch):
         """A snapshot accumulated by a large cache shrinks back to the
         section bounds of the cache that saves it next."""
         big = EvaluationCache()
@@ -190,7 +206,8 @@ class TestSnapshotCompaction:
         path = tmp_path / "snap.pkl"
         assert big.save(path) == 500
 
-        small = EvaluationCache(max_accuracy_entries=50)
+        monkeypatch.setattr(EvaluationCache, "MAX_ACCURACY_ENTRIES", 50)
+        small = EvaluationCache()
         assert small.load(path) == 500  # read fully, bounded on put
         assert len(small.accuracy) == 50
         assert small.save(path) == 50
@@ -200,14 +217,17 @@ class TestSnapshotCompaction:
         cache = EvaluationCache()
         cache.accuracy.put("fresh", 1.0)
         cache.accuracy.put("stale", 2.0)
+        cache.accuracy.put("old", 3.0)
         now = cache.accuracy.last_used("fresh")
-        cache.accuracy._stamps["stale"] = now - 1000.0
+        cache.accuracy._stamps["stale"] = now - MAX_SNAPSHOT_AGE_SECONDS - 1.0
+        cache.accuracy._stamps["old"] = now - MAX_SNAPSHOT_AGE_SECONDS
         path = tmp_path / "snap.pkl"
-        policy = SnapshotPolicy(max_age_seconds=500.0)
-        assert cache.save(path, policy=policy, now=now) == 1
+        assert MAX_SNAPSHOT_AGE_SECONDS == 30 * 86400.0
+        assert cache.save(path, now=now) == 2
         restored = EvaluationCache()
         restored.load(path)
         assert restored.accuracy.get("fresh") == 1.0
+        assert restored.accuracy.get("old") == 3.0  # at the bound: kept
         assert "stale" not in restored.accuracy
 
     def test_stamps_survive_the_snapshot_round_trip(self, tmp_path):
@@ -215,44 +235,23 @@ class TestSnapshotCompaction:
         time is restored on load, not replaced by load time."""
         cache = EvaluationCache()
         cache.accuracy.put("old", 1.0)
-        old_stamp = cache.accuracy.last_used("old") - 10_000.0
+        old_stamp = cache.accuracy.last_used("old") - MAX_SNAPSHOT_AGE_SECONDS - 10_000.0
         cache.accuracy._stamps["old"] = old_stamp
         path = tmp_path / "snap.pkl"
-        cache.save(path)
+        cache.save(path, now=old_stamp)
 
         restored = EvaluationCache()
         restored.load(path)
         assert restored.accuracy.last_used("old") == old_stamp
-        # A second save with an age policy can therefore still drop it.
-        assert restored.save(path, policy=SnapshotPolicy(max_age_seconds=500.0)) == 0
-
-    def test_policy_rejects_non_positive_bounds(self):
-        with pytest.raises(ValueError):
-            SnapshotPolicy(max_age_seconds=0)
-        with pytest.raises(ValueError):
-            SnapshotPolicy(max_age_seconds=-1.0)
-
-    def test_pipeline_scale_policy_reaches_save(self, tmp_path):
-        """The scale's age bound becomes the session's policy."""
-        scale = ExperimentScale(
-            name="tiny-policy",
-            datasets=("breast_cancer",),
-            cache_dir=str(tmp_path),
-            cache_max_age_days=7.0,
-        )
-        session = ExperimentSession(scale)
-        assert session.snapshot_policy == SnapshotPolicy(max_age_seconds=7.0 * 86400.0)
-        diskless = ExperimentSession(
-            ExperimentScale(name="no-policy", cache_max_age_days=None)
-        )
-        assert diskless.snapshot_policy is None
+        # A second save at the current time can therefore still drop it.
+        assert restored.save(path) == 0
 
 
 def _full_cache() -> EvaluationCache:
     """A cache with one entry in every persisted section."""
     cache = EvaluationCache()
     cache.accuracy.put((b"g1", "split"), 0.875)
-    cache.reports.put((b"g1", 1.0, 200.0, False), {"area": 3.5})
+    cache.reports.put((b"g1", 200.0), {"area": 3.5})
     cache.stages.put(("ga", ("key",)), ("packed",))
     return cache
 
@@ -336,9 +335,8 @@ class TestCorruptionTolerance:
 
     def test_version_4_snapshot_is_ignored(self, tmp_path, caplog, small_topology, approx_config):
         """A version-4 snapshot (nested tuple context keys holding the
-        ApproxConfig dataclass) is refused by its version, not mis-read.
-        Its fitness values are plain tuples here: a ``FitnessValues`` is
-        refused earlier, by the allowlist (see the test below)."""
+        ApproxConfig dataclass) is refused whole by the unpickling
+        allowlist, before its version is read, so nothing is mis-read."""
         split = ((3, 4), (3,), "int64", "int64", "0" * 32)
         context = ((tuple(small_topology.sizes), approx_config, True), 0.75, 0.1, split)
         value = (0.25, 12.0, 0.75, 0.0)
@@ -357,7 +355,7 @@ class TestCorruptionTolerance:
         cache = EvaluationCache()
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
-        assert f"format version 4 (expected {CACHE_FORMAT_VERSION})" in caplog.text
+        assert "disallowed global repro.approx.config.ApproxConfig" in caplog.text
         assert all(section["entries"] == 0 for section in cache.stats().values())
 
     def test_fitness_values_are_refused_by_the_allowlist(self, tmp_path, caplog):
@@ -662,23 +660,6 @@ class TestPipelinePersistence:
         restored = EvaluationCache()
         assert restored.load(tmp_path / "breast_cancer.cache.pkl") == after_plain
 
-    def test_scale_cache_dir_is_used(self, tmp_path):
-        scale = ExperimentScale(
-            name="tiny-cache-scale",
-            datasets=("breast_cancer",),
-            max_samples=200,
-            gradient_epochs=30,
-            gradient_restarts=1,
-            ga_population=16,
-            ga_generations=4,
-            max_front_designs=6,
-            seed=0,
-            cache_dir=str(tmp_path / "from-scale"),
-        )
-        session = ExperimentSession(scale)
-        session.front("breast_cancer")
-        assert (tmp_path / "from-scale" / "breast_cancer.cache.pkl").exists()
-
     def test_no_cache_dir_keeps_pipeline_diskless(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         session = ExperimentSession(TINY)
@@ -741,7 +722,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 12
+        assert payload["version"] == CACHE_FORMAT_VERSION == 13
         (key, value, stamp), = payload["sections"]["stages"]
         payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
         snapshot.write_bytes(pickle.dumps(payload))
@@ -1000,8 +981,7 @@ class TestSnapshotWriteSkip:
         probe = EvaluationCache()
         probe.load(snapshot)
         oldest = probe.oldest_stamp()
-        max_age = session.snapshot_policy.max_age_seconds
-        assert max_age == TINY.cache_max_age_days * 86400.0
+        max_age = MAX_SNAPSHOT_AGE_SECONDS
 
         warm = ExperimentSession(TINY, cache_dir=tmp_path)
         cache = warm.front("breast_cancer").approximate.cache
@@ -1018,15 +998,6 @@ class TestSnapshotWriteSkip:
         after = _snapshot_state(tmp_path)
         assert warm.persist_cache("breast_cancer", cache, now=oldest + max_age) == 0
         assert _snapshot_state(tmp_path) == after
-
-    def test_no_age_bound_never_rewrites_for_age(self, tmp_path):
-        scale = dataclasses.replace(TINY, cache_max_age_days=None)
-        ExperimentSession(scale, cache_dir=tmp_path).front("breast_cancer")
-        before = _snapshot_state(tmp_path)
-        warm = ExperimentSession(scale, cache_dir=tmp_path)
-        cache = warm.front("breast_cancer").approximate.cache
-        assert warm.persist_cache("breast_cancer", cache, now=1e12) == 0
-        assert _snapshot_state(tmp_path) == before
 
     def test_earlier_format_directory_is_rewritten_without_its_fitness_file(self, tmp_path):
         """A directory from format 11 or earlier loads nothing, so the
@@ -1185,3 +1156,33 @@ class TestRunnerFlag:
         assert int(loaded) > 0 and int(saved) == 0
         assert line.endswith("baseline restored, ga restored")
         assert snapshot.read_bytes() == cold_bytes
+
+    def test_runner_reports_baseline_only_runs(self, tmp_path, capsys, monkeypatch):
+        """A ``table1`` run trains no GA but still reads and writes each
+        dataset's snapshot, so it prints one ``[cache]`` line per dataset:
+        ``ga none`` on both runs, and on the warm run a restored baseline
+        and an unchanged snapshot."""
+        from repro.experiments import runner as runner_module
+        from repro.experiments.config import SCALES
+
+        monkeypatch.setitem(SCALES, "tiny-pair", TINY_PAIR)
+        argv = ["--experiment", "table1", "--scale", "tiny-pair", "--cache-dir", str(tmp_path)]
+
+        def cache_lines():
+            assert runner_module.main(argv) == 0
+            out = capsys.readouterr().out
+            return [l for l in out.splitlines() if l.startswith("[cache]")]
+
+        cold = cache_lines()
+        assert [l.split(":")[0] for l in cold] == ["[cache] breast_cancer", "[cache] redwine"]
+        assert all(l.endswith("baseline trained, ga none") for l in cold)
+        snapshots = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(snapshots) == ["breast_cancer.cache.pkl", "redwine.cache.pkl"]
+
+        warm = cache_lines()
+        assert [l.split(":")[0] for l in warm] == ["[cache] breast_cancer", "[cache] redwine"]
+        for line in warm:
+            loaded, saved = re.search(r"snapshot loaded (\d+) / saved (\d+) entries", line).groups()
+            assert int(loaded) > 0 and int(saved) == 0
+            assert line.endswith("baseline restored, ga none")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == snapshots

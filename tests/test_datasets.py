@@ -343,6 +343,21 @@ class TestRegistry:
         b = load_dataset("cardio", seed=2, num_samples=150)
         assert not np.array_equal(a.train.features, b.train.features)
 
+    @pytest.mark.parametrize("name", sorted(DATASET_SPECS))
+    def test_load_dataset_trains_on_seventy_percent_of_each_class(self, name):
+        """The paper's 70/30 stratified split is the one split: every class
+        puts ``round(0.7 * count)`` samples in the training set."""
+        dataset = load_dataset(name, seed=0, num_samples=200)
+        train = np.bincount(dataset.train.labels, minlength=dataset.num_classes)
+        test = np.bincount(dataset.test.labels, minlength=dataset.num_classes)
+        for n_train, n_test in zip(train, test):
+            total = n_train + n_test
+            if total > 1:
+                expected = min(max(int(round(0.7 * total)), 1), total - 1)
+            else:
+                expected = total
+            assert n_train == expected
+
     @settings(max_examples=5, deadline=None)
     @given(st.sampled_from(sorted(DATASET_SPECS)))
     def test_property_all_datasets_loadable(self, name):

@@ -392,7 +392,7 @@ class TestPipelineVerifyRtl:
         seen = {}
 
         class StubSession(session.ExperimentSession):
-            def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
+            def run(self, experiments=None, export_dir=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 
@@ -528,7 +528,7 @@ class TestSeededVerification:
         checked = verify_front(tiny_ga_result, num_vectors=4, seed=7)
 
         class StubSession(session.ExperimentSession):
-            def run(self, experiments=None, export_dir=None, dataset_workers=None, **kwargs):
+            def run(self, experiments=None, export_dir=None, **kwargs):
                 seen["scale"] = self.scale
                 return {name: _EMPTY_ARTIFACT for name in experiments}
 

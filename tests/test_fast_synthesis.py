@@ -124,23 +124,14 @@ class TestApproximateEquivalence:
             assert report == synthesize_approximate_mlp(mlp, slow=True)
 
     @pytest.mark.parametrize("voltage", [1.0, 0.8, 0.6])
-    @pytest.mark.parametrize("include_registers", [False, True])
-    def test_operating_points(self, voltage, include_registers, random_population):
+    def test_operating_points(self, voltage, random_population):
         rng = np.random.default_rng(5)
         mlps = random_population(rng, (6, 4, 3), 5)
-        fast = synthesize_approximate_population(
-            mlps, voltage=voltage, include_registers=include_registers
-        )
+        fast = synthesize_approximate_population(mlps, voltage=voltage)
         for mlp, report in zip(mlps, fast):
-            assert report == synthesize_approximate_mlp(
-                mlp,
-                voltage=voltage,
-                include_registers=include_registers,
-                slow=True,
-            )
+            assert report == synthesize_approximate_mlp(mlp, voltage=voltage, slow=True)
 
     @pytest.mark.parametrize("learn_shifts", [True, False])
-    @pytest.mark.parametrize("include_registers", [False, True])
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
@@ -152,12 +143,12 @@ class TestApproximateEquivalence:
         size=st.integers(min_value=1, max_value=5),
     )
     def test_parameters_input_matches_models_and_scalar_oracle(
-        self, learn_shifts, include_registers, seed, hidden, input_bits,
+        self, learn_shifts, seed, hidden, input_bits,
         activation_bits, weight_bits, bias_bits, size,
     ):
         """Stacked genome parameters (the front stage's input) give the
         reports of the model list and of the scalar oracle, with learned
-        or worst-case shifts and with or without I/O registers."""
+        or worst-case shifts."""
         rng = np.random.default_rng(seed)
         config = ApproxConfig(
             input_bits=input_bits,
@@ -169,16 +160,9 @@ class TestApproximateEquivalence:
         layout = ChromosomeLayout(topology, config, learn_shifts=learn_shifts)
         genomes = np.stack([layout.random(rng) for _ in range(size)])
         models = [layout.decode(row) for row in genomes]
-        native = synthesize_approximate_population(
-            layout.population_parameters(genomes), include_registers=include_registers
-        )
-        assert native == synthesize_approximate_population(
-            models, include_registers=include_registers
-        )
-        assert native == [
-            synthesize_approximate_mlp(mlp, include_registers=include_registers, slow=True)
-            for mlp in models
-        ]
+        native = synthesize_approximate_population(layout.population_parameters(genomes))
+        assert native == synthesize_approximate_population(models)
+        assert native == [synthesize_approximate_mlp(mlp, slow=True) for mlp in models]
 
     def test_edge_designs_match_scalar_oracle(self, edge_design):
         mlp, _ = edge_design
@@ -238,13 +222,8 @@ class TestExactEquivalence:
         for trial in range(10):
             job = _random_exact_job(rng)
             voltage = float(rng.choice([1.0, 0.9, 0.7]))
-            include_registers = bool(rng.integers(0, 2))
-            fast = synthesize_exact_mlp(
-                voltage=voltage, include_registers=include_registers, **job
-            )
-            slow = synthesize_exact_mlp(
-                voltage=voltage, include_registers=include_registers, slow=True, **job
-            )
+            fast = synthesize_exact_mlp(voltage=voltage, **job)
+            slow = synthesize_exact_mlp(voltage=voltage, slow=True, **job)
             assert fast == slow, trial
 
     def test_heterogeneous_batch_with_per_job_voltages(self):
@@ -399,29 +378,20 @@ class TestEvaluateFrontBatching:
         assert cache.reports.misses == misses_after_first
         assert cache.reports.hits >= len(first)
 
-    def test_custom_library_bypasses_report_cache(self, tiny_ga_result):
-        from dataclasses import replace
-
-        from repro.hardware.egfet import default_egfet_library
-
+    def test_report_memo_is_keyed_by_design_and_clock_period(self, tiny_ga_result):
+        """Reports are memoized per ``(genome, clock period)``: the same
+        front at another clock period is priced anew, not served from the
+        entries of the first."""
         result, inputs, labels = tiny_ga_result
         cache = EvaluationCache()
-        default_designs = evaluate_front(result, inputs, labels, cache=cache)
-        # A re-scaled library must not be served stale default-library
-        # reports from the shared cache.
-        library = default_egfet_library()
-        doubled = replace(
-            library,
-            cells={
-                name: replace(spec, area_cm2=spec.area_cm2 * 2)
-                for name, spec in library.cells.items()
-            },
-        )
-        custom_designs = evaluate_front(
-            result, inputs, labels, cache=cache, library=doubled
-        )
-        for base, custom in zip(default_designs, custom_designs):
-            assert custom.area_cm2 == pytest.approx(2 * base.area_cm2)
+        evaluate_front(result, inputs, labels, cache=cache, clock_period_ms=200.0)
+        keys = list(cache.reports.keys())
+        assert keys and all(key[1] == 200.0 and len(key) == 2 for key in keys)
+        misses = cache.reports.misses
+        other = evaluate_front(result, inputs, labels, cache=cache, clock_period_ms=250.0)
+        assert cache.reports.misses > misses
+        assert other == evaluate_front(result, inputs, labels, clock_period_ms=250.0)
+        assert {key[1] for key in cache.reports.keys()} == {200.0, 250.0}
 
 
 # ----------------------------------------------------------------------

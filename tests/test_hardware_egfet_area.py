@@ -15,7 +15,6 @@ from repro.hardware.area import (
     exact_neuron_columns,
     merge_cell_counts,
     qrelu_cell_counts,
-    register_cell_counts,
 )
 from repro.hardware.egfet import (
     MIN_VOLTAGE,
@@ -23,6 +22,7 @@ from repro.hardware.egfet import (
     CellSpec,
     EGFETLibrary,
     default_egfet_library,
+    rescale_power_delay,
 )
 
 
@@ -133,6 +133,30 @@ class TestEgfetLibrary:
             CellSpec(area_cm2=-1, power_mw=0, delay_ms=0)
 
 
+class TestVoltageRescale:
+    @pytest.mark.parametrize("voltage", [0.6, 0.8, 1.0])
+    def test_same_supply_keeps_power_and_delay(self, voltage):
+        power, delay = rescale_power_delay(1.25, 180.0, voltage, voltage)
+        assert power == pytest.approx(1.25, rel=1e-12)
+        assert delay == pytest.approx(180.0, rel=1e-12)
+
+    def test_follows_the_library_scaling_laws(self):
+        library = default_egfet_library()
+        power, delay = rescale_power_delay(2.0, 100.0, NOMINAL_VOLTAGE, 0.6)
+        assert power == pytest.approx(2.0 * 0.36)
+        assert delay == pytest.approx(100.0 * library.voltage_delay_factor(0.6))
+        assert delay > 100.0
+
+    def test_round_trip_restores_the_nominal_figures(self):
+        power, delay = rescale_power_delay(3.5, 220.0, NOMINAL_VOLTAGE, MIN_VOLTAGE)
+        back = rescale_power_delay(power, delay, MIN_VOLTAGE, NOMINAL_VOLTAGE)
+        assert back == pytest.approx((3.5, 220.0), rel=1e-12)
+
+    def test_supply_below_minimum_rejected(self):
+        with pytest.raises(ValueError):
+            rescale_power_delay(1.0, 1.0, NOMINAL_VOLTAGE, 0.3)
+
+
 class TestPeripheralCounts:
     def test_qrelu_counts_scale_with_excess_bits(self):
         small = qrelu_cell_counts(acc_bits=9, shift=0, out_bits=8)
@@ -154,9 +178,6 @@ class TestPeripheralCounts:
     def test_argmax_rejects_zero_classes(self):
         with pytest.raises(ValueError):
             argmax_cell_counts(0, 8)
-
-    def test_register_counts(self):
-        assert register_cell_counts(40, 2) == {"DFF": 42.0}
 
     def test_merge_cell_counts(self):
         merged = merge_cell_counts({"FA": 2.0}, {"FA": 3.0, "INV": 1.0})

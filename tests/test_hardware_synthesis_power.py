@@ -47,12 +47,6 @@ class TestSynthesizeApproximate:
         assert sparse_report.area_cm2 < dense_report.area_cm2
         assert sparse_report.power_mw < dense_report.power_mw
 
-    def test_registers_add_area(self, dense_mlp):
-        without = synthesize_approximate_mlp(dense_mlp, include_registers=False)
-        with_regs = synthesize_approximate_mlp(dense_mlp, include_registers=True)
-        assert with_regs.area_cm2 > without.area_cm2
-        assert "DFF" in with_regs.cell_counts
-
     def test_voltage_scaling_reduces_power_not_area(self, dense_mlp):
         nominal = synthesize_approximate_mlp(dense_mlp, voltage=1.0)
         scaled = nominal.scaled_to_voltage(0.6)

@@ -1025,3 +1025,40 @@ class TestWarmStoreParity:
         answers = [json.loads(line) for line in result.stdout.splitlines()]
         assert len(answers) == 6 and all(a["ok"] for a in answers)
         assert "[purity] serving import graph clean" in result.stderr
+
+
+# ---------------------------------------------------------------------------
+# One voltage re-scaling rule for the search and the serving tiers
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def smoke_store(tmp_path_factory):
+    """The smoke-scale ``table2`` run published into a store."""
+    from repro.experiments.session import ExperimentSession
+
+    out = tmp_path_factory.mktemp("smoke_store")
+    ExperimentSession("smoke").run(["table2"], store_dir=out)
+    return DesignStore(out)
+
+
+class TestOneVoltageRule:
+    @pytest.mark.parametrize("voltage", [0.6, 0.8, 1.0])
+    def test_scale_report_equals_scaled_to_voltage_bit_for_bit(self, smoke_store, voltage):
+        """The serving tier's ``scale_report`` and the search tier's
+        ``HardwareReport.scaled_to_voltage`` give the same floats, bit for
+        bit, for every stored design and baseline."""
+        from repro.hardware.synthesis import HardwareReport
+
+        records = []
+        for dataset in smoke_store.datasets():
+            front = smoke_store.get_dataset(dataset).front
+            records += [front.baseline] + [design.report for design in front.designs]
+        assert len(records) > len(smoke_store.datasets()) > 1
+        for record in records:
+            served = queries.scale_report(record, voltage)
+            searched = HardwareReport(**dataclasses.asdict(record)).scaled_to_voltage(voltage)
+            for field in dataclasses.fields(ReportRecord):
+                assert (
+                    getattr(served, field.name).hex() == getattr(searched, field.name).hex()
+                ), (field.name, record)

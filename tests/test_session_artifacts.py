@@ -16,6 +16,7 @@ Covers the tentpole guarantees of the session redesign:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -326,9 +327,10 @@ class TestParallelPrefetch:
             ga_generations=4,
             max_front_designs=6,
             seed=0,
+            dataset_workers=2,
         )
         session = ExperimentSession(scale)
-        artifacts = session.run(["table2"], dataset_workers=2)
+        artifacts = session.run(["table2"])
         rows = artifacts["table2"].rows
         assert [row["dataset"] for row in rows] == ["breast_cancer", "redwine"]
         counts = session.stage_counts()
@@ -348,7 +350,9 @@ class TestParallelPrefetch:
             seed=0,
         )
         serial = ExperimentSession(scale).run(["table2"])["table2"]
-        parallel = ExperimentSession(scale).run(["table2"], dataset_workers=2)["table2"]
+        parallel = ExperimentSession(
+            dataclasses.replace(scale, dataset_workers=2)
+        ).run(["table2"])["table2"]
         assert parallel == serial
 
 
