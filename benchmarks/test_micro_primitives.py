@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP, forward_population, forward_stacked
+from repro.approx.mlp import ApproximateMLP, forward_stacked, stack_parameters
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.hardware.adder_tree import mlp_fa_count
@@ -32,7 +32,7 @@ def batch():
 
 def test_bench_candidate_inference(benchmark, mlp, batch):
     """Stacked-kernel forward pass of one candidate over 1024 samples."""
-    scores = benchmark(lambda: forward_population([mlp], batch))
+    scores = benchmark(lambda: forward_stacked(stack_parameters([mlp]), batch))
     assert scores.shape == (1, 1024, 10)
 
 
@@ -40,7 +40,7 @@ def test_bench_candidate_inference_reference(benchmark, mlp, batch):
     """Scalar per-model forward pass (``ApproximateLayer.accumulate`` per
     layer), the kernel's oracle, kept for speedup tracking."""
     scores = benchmark(lambda: mlp.forward(batch))
-    assert np.array_equal(scores, forward_population([mlp], batch)[0])
+    assert np.array_equal(scores, forward_stacked(stack_parameters([mlp]), batch)[0])
 
 
 def test_bench_stacked_forward_ci_pendigits(benchmark):

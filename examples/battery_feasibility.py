@@ -24,10 +24,11 @@ from repro.baselines.gradient import GradientTrainer
 from repro.core import GAConfig, GATrainer
 from repro.datasets import load_dataset
 from repro.datasets.registry import get_spec
-from repro.evaluation.feasibility import assess_feasibility
 from repro.evaluation.report import format_table
 from repro.hardware.egfet import MIN_VOLTAGE
 from repro.hardware.synthesis import synthesize_approximate_mlp
+from repro.serving.queries import assess_report
+from repro.serving.store import ReportRecord
 
 
 def analyze(dataset_name: str) -> list:
@@ -63,15 +64,15 @@ def analyze(dataset_name: str) -> list:
         ("ours @1.0V", approx_report, 1.0),
         (f"ours @{MIN_VOLTAGE}V", approx_report, MIN_VOLTAGE),
     ):
-        feasibility = assess_feasibility(report, design_name=label, voltage=voltage)
+        feasibility = assess_report(ReportRecord.from_report(report), label, voltage)
         rows.append(
             [
                 spec.short_name,
                 label,
-                feasibility.area_cm2,
-                feasibility.power_mw,
-                feasibility.label,
-                "yes" if feasibility.self_powered else "no",
+                feasibility["area_cm2"],
+                feasibility["power_mw"],
+                feasibility["zone"],
+                "yes" if feasibility["self_powered"] else "no",
             ]
         )
     return rows

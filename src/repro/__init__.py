@@ -7,7 +7,7 @@ A from-scratch Python reproduction of
 
 The package is organized bottom-up:
 
-* :mod:`repro.quant`      — fixed-point formats, quantizers, QReLU,
+* :mod:`repro.quant`      — input quantizers and QReLU,
 * :mod:`repro.approx`     — the approximate (pow2 weights + bit masks) MLP,
 * :mod:`repro.hardware`   — FA-count area model, printed EGFET library,
   analytical synthesis, printed power sources,
@@ -19,7 +19,8 @@ The package is organized bottom-up:
   and the TC'23 / TCAD'23 / DATE'21 comparators,
 * :mod:`repro.datasets`   — the five evaluation datasets (offline
   synthetic stand-ins),
-* :mod:`repro.evaluation` — metrics, Pareto/hardware analysis, feasibility,
+* :mod:`repro.evaluation` — Pareto/hardware analysis, RTL verification,
+  artifacts and report tables,
 * :mod:`repro.experiments`— regeneration of every table and figure,
 * :mod:`repro.serving`    — the query-time half: persistent design store
   and the Pareto-front query service (imports **no** search-time

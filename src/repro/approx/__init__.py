@@ -8,9 +8,9 @@ This subpackage implements the hardware-approximated MLP of the paper:
   (:mod:`repro.approx.masks`) — fine-grained unstructured pruning that
   removes individual summand bits (and hence full adders) from the
   multi-operand adder trees,
-* the integer-only forward model of equation (4)
-  (:mod:`repro.approx.neuron`, :mod:`repro.approx.layer`,
-  :mod:`repro.approx.mlp`).
+* the integer-only forward model of equation (4): one layer's plain sum
+  (:mod:`repro.approx.layer`) and the MLP with its vectorized
+  population kernel (:mod:`repro.approx.mlp`).
 
 All learnable parameters are discrete integers, which is what motivates
 the genetic training flow of :mod:`repro.core`.
@@ -18,40 +18,17 @@ the genetic training flow of :mod:`repro.core`.
 
 from repro.approx.config import ApproxConfig
 from repro.approx.topology import Topology
-from repro.approx.pow2 import (
-    Pow2Weight,
-    pow2_value,
-    pow2_values,
-    nearest_pow2,
-    nearest_pow2_array,
-)
-from repro.approx.masks import (
-    apply_mask,
-    full_mask,
-    mask_popcount,
-    mask_to_bits,
-    bits_to_mask,
-    random_mask,
-)
-from repro.approx.neuron import ApproximateNeuron
+from repro.approx.pow2 import nearest_pow2_array
+from repro.approx.masks import full_mask, mask_popcount
 from repro.approx.layer import ApproximateLayer
 from repro.approx.mlp import ApproximateMLP
 
 __all__ = [
     "ApproxConfig",
     "Topology",
-    "Pow2Weight",
-    "pow2_value",
-    "pow2_values",
-    "nearest_pow2",
     "nearest_pow2_array",
-    "apply_mask",
     "full_mask",
     "mask_popcount",
-    "mask_to_bits",
-    "bits_to_mask",
-    "random_mask",
-    "ApproximateNeuron",
     "ApproximateLayer",
     "ApproximateMLP",
 ]

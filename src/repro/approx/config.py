@@ -54,19 +54,9 @@ class ApproxConfig:
         return self.weight_bits - 2
 
     @property
-    def num_exponents(self) -> int:
-        """Number of admissible exponent values (``k in 0..max_exponent``)."""
-        return self.max_exponent + 1
-
-    @property
     def max_input_value(self) -> int:
         """Largest primary-input code."""
         return (1 << self.input_bits) - 1
-
-    @property
-    def max_activation_value(self) -> int:
-        """Largest hidden-activation (QReLU output) code."""
-        return (1 << self.activation_bits) - 1
 
     @property
     def bias_min(self) -> int:

@@ -3,13 +3,16 @@
 The layer stores its parameters as dense ``(fan_in, fan_out)`` arrays
 and computes the paper's neuron sum (eq. 4), ``sum_i s_i * ((x_i & m_i)
 << k_i) + b``, as written: one ``(n, fan_in, fan_out)`` broadcast of
-the masked, shifted and signed inputs, summed over the inputs.
+the masked, shifted and signed inputs, summed over the inputs.  Neuron
+``j`` is column ``j`` of every parameter array; the hardware cost models
+read those columns directly.
 
 This per-model path is the plain scalar reference of the one vectorized
-inference kernel, :func:`repro.approx.mlp.forward_stacked`, which
-scores whole populations through bit-plane matmuls.  It shares none of
-that kernel's helpers (the bit-plane format and the exact-matmul dtype
-live in :mod:`repro.approx.mlp` only), so the ``slow=True`` oracles
+inference kernel in :mod:`repro.approx.mlp`, which scores whole
+populations through bit-plane matmuls (``forward_stacked`` returns
+their scores, ``accuracy_population`` their accuracies).  It shares
+none of that kernel's helpers (the bit-plane format and the exact-matmul
+dtype live in :mod:`repro.approx.mlp` only), so the ``slow=True`` oracles
 built on it — per-chromosome fitness, per-member front evaluation and
 the model leg of RTL verification — check the kernel independently.
 The broadcast costs ``n * fan_in * fan_out`` integers, which suits
@@ -19,12 +22,11 @@ sign-off's few vectors per design; populations go through the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.quant.qrelu import QReLU
-from repro.approx.neuron import ApproximateNeuron
 
 __all__ = [
     "ApproximateLayer",
@@ -164,24 +166,6 @@ class ApproximateLayer:
             return acc
         return self.activation(acc)
 
-    def neurons(self) -> Iterator[ApproximateNeuron]:
-        """Iterate over per-neuron views (used by the hardware cost models)."""
-        for j in range(self.fan_out):
-            yield self.neuron(j)
-
-    def neuron(self, index: int) -> ApproximateNeuron:
-        """Materialize neuron ``index`` as an :class:`ApproximateNeuron`."""
-        if not 0 <= index < self.fan_out:
-            raise IndexError(f"neuron index {index} out of range (fan_out={self.fan_out})")
-        return ApproximateNeuron(
-            masks=self.masks[:, index].copy(),
-            signs=self.signs[:, index].copy(),
-            exponents=self.exponents[:, index].copy(),
-            bias=int(self.biases[index]),
-            input_bits=self.input_bits,
-            activation=self.activation,
-        )
-
     def _accumulator_bounds(self) -> tuple:
         """Per-neuron ``(min, max)`` reachable accumulator values."""
         return accumulator_bounds(self.masks, self.signs, self.exponents, self.biases)
@@ -193,18 +177,3 @@ class ApproximateLayer:
     def min_accumulators(self) -> np.ndarray:
         """Per-neuron smallest (most negative) reachable accumulator values."""
         return self._accumulator_bounds()[0]
-
-    @property
-    def active_connections(self) -> int:
-        """Number of connections with a non-zero mask."""
-        return int(np.count_nonzero(self.masks))
-
-    @property
-    def retained_bits(self) -> int:
-        """Total number of retained summand bits across the layer."""
-        from repro.approx.masks import mask_popcount
-
-        return int(mask_popcount(self.masks).sum())
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)

@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "full_mask",
-    "apply_mask",
-    "mask_popcount",
-    "mask_to_bits",
-    "bits_to_mask",
-    "random_mask",
-]
+__all__ = ["full_mask", "mask_popcount"]
 
 
 def full_mask(bits: int) -> int:
@@ -27,15 +20,6 @@ def full_mask(bits: int) -> int:
     if bits <= 0:
         raise ValueError(f"bits must be positive, got {bits}")
     return (1 << bits) - 1
-
-
-def apply_mask(x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Bitwise-AND activations with masks (eq. ``x ⊙ m`` of the paper)."""
-    x = np.asarray(x, dtype=np.int64)
-    mask = np.asarray(mask, dtype=np.int64)
-    if np.any(mask < 0):
-        raise ValueError("masks must be non-negative integers")
-    return x & mask
 
 
 def mask_popcount(mask: np.ndarray) -> np.ndarray:
@@ -50,58 +34,3 @@ def mask_popcount(mask: np.ndarray) -> np.ndarray:
         counts += (work & np.uint64(1)).astype(np.int64)
         work >>= np.uint64(1)
     return counts
-
-
-def mask_to_bits(mask: int, bits: int) -> np.ndarray:
-    """Expand an integer mask into a little-endian bit vector of length ``bits``."""
-    if mask < 0:
-        raise ValueError(f"mask must be non-negative, got {mask}")
-    if bits <= 0:
-        raise ValueError(f"bits must be positive, got {bits}")
-    if mask >= (1 << bits):
-        raise ValueError(f"mask {mask:#x} does not fit in {bits} bits")
-    return np.array([(mask >> b) & 1 for b in range(bits)], dtype=np.int64)
-
-
-def bits_to_mask(bit_vector: np.ndarray) -> int:
-    """Pack a little-endian bit vector into an integer mask."""
-    bit_vector = np.asarray(bit_vector, dtype=np.int64)
-    if bit_vector.ndim != 1:
-        raise ValueError("bit vector must be one-dimensional")
-    if np.any((bit_vector != 0) & (bit_vector != 1)):
-        raise ValueError("bit vector entries must be 0 or 1")
-    mask = 0
-    for position, bit in enumerate(bit_vector.tolist()):
-        mask |= int(bit) << position
-    return mask
-
-
-def random_mask(
-    bits: int,
-    rng: np.random.Generator,
-    density: float = 0.5,
-    size: tuple[int, ...] | None = None,
-) -> np.ndarray | int:
-    """Draw random masks with an expected fraction ``density`` of one bits.
-
-    Parameters
-    ----------
-    bits:
-        Mask width.
-    rng:
-        Numpy random generator.
-    density:
-        Probability that each individual bit is retained.
-    size:
-        Shape of the returned array of masks; a scalar int is returned
-        when ``size`` is None.
-    """
-    if not 0.0 <= density <= 1.0:
-        raise ValueError(f"density must lie in [0, 1], got {density}")
-    shape = (1,) if size is None else tuple(size)
-    bit_draws = rng.random(size=shape + (bits,)) < density
-    weights = (1 << np.arange(bits, dtype=np.int64))
-    masks = (bit_draws * weights).sum(axis=-1).astype(np.int64)
-    if size is None:
-        return int(masks[0])
-    return masks

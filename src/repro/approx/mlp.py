@@ -6,11 +6,12 @@ and per-layer QReLU shifts) are exactly the learnable parameters
 ``theta`` of the paper.  Inference is integer-only and classification
 is the argmax over the raw output-layer accumulators.
 
-:func:`forward_stacked` is the one vectorized inference kernel: it runs
-a whole stacked population (:class:`PopulationParameters`) through
-bit-plane matmuls in per-thread, resident scratch, and this module alone
-knows the bit-plane format (:func:`build_bit_planes`,
-:func:`exact_matmul_dtype`).
+The one vectorized inference kernel runs a whole stacked population
+(:class:`PopulationParameters`) through bit-plane matmuls in per-thread,
+resident scratch, and this module alone knows the bit-plane format
+(:func:`build_bit_planes`, :func:`exact_matmul_dtype`).  It has two
+entries: :func:`accuracy_population`, which the GA and front evaluation
+score with, and :func:`forward_stacked`, which returns the raw scores.
 :meth:`ApproximateMLP.forward` runs one model through the layers'
 plain eq. (4) sums and is the kernel's scalar oracle.
 """
@@ -37,7 +38,6 @@ __all__ = [
     "build_bit_planes",
     "exact_matmul_dtype",
     "forward_stacked",
-    "forward_population",
     "accuracy_population",
 ]
 
@@ -216,85 +216,6 @@ class ApproximateMLP:
             layer.activation.shift if layer.activation is not None else 0
             for layer in self.layers
         ]
-
-    @property
-    def num_parameters(self) -> int:
-        """Total number of weights plus biases (as counted in Table I)."""
-        return self.topology.num_parameters
-
-    @property
-    def active_connections(self) -> int:
-        """Connections with non-zero masks across all layers."""
-        return sum(layer.active_connections for layer in self.layers)
-
-    @property
-    def retained_bits(self) -> int:
-        """Total retained summand bits across all layers."""
-        return sum(layer.retained_bits for layer in self.layers)
-
-    def sparsity(self) -> float:
-        """Fraction of fully pruned connections (zero masks)."""
-        total = self.topology.num_weights
-        return 1.0 - self.active_connections / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        """Serialize to plain Python containers (JSON-friendly)."""
-        return {
-            "topology": list(self.topology.sizes),
-            "config": {
-                "input_bits": self.config.input_bits,
-                "activation_bits": self.config.activation_bits,
-                "weight_bits": self.config.weight_bits,
-                "bias_bits": self.config.bias_bits,
-            },
-            "shifts": self.shifts,
-            "layers": [
-                {
-                    "masks": layer.masks.tolist(),
-                    "signs": layer.signs.tolist(),
-                    "exponents": layer.exponents.tolist(),
-                    "biases": layer.biases.tolist(),
-                }
-                for layer in self.layers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "ApproximateMLP":
-        """Inverse of :meth:`to_dict`."""
-        topology = Topology(payload["topology"])
-        config = ApproxConfig(**payload["config"])
-        layers = payload["layers"]
-        return cls.from_parameters(
-            topology=topology,
-            config=config,
-            masks=[np.asarray(layer["masks"]) for layer in layers],
-            signs=[np.asarray(layer["signs"]) for layer in layers],
-            exponents=[np.asarray(layer["exponents"]) for layer in layers],
-            biases=[np.asarray(layer["biases"]) for layer in layers],
-            shifts=payload.get("shifts"),
-        )
-
-    def copy(self) -> "ApproximateMLP":
-        """Deep copy of the model (copies the weight arrays directly)."""
-        layers = [
-            ApproximateLayer(
-                masks=layer.masks.copy(),
-                signs=layer.signs.copy(),
-                exponents=layer.exponents.copy(),
-                biases=layer.biases.copy(),
-                input_bits=layer.input_bits,
-                activation=layer.activation,
-            )
-            for layer in self.layers
-        ]
-        return ApproximateMLP(topology=self.topology, config=self.config, layers=layers)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
 
 
 class PopulationParameters(NamedTuple):
@@ -560,13 +481,6 @@ def forward_stacked(
             scores = np.empty((len(params.masks[0]), *block.shape[1:]), dtype=block.dtype)
         scores[rows] = block
     return scores.transpose(0, 2, 1)
-
-
-def forward_population(population: Population, x: np.ndarray) -> np.ndarray:
-    """:func:`forward_stacked` over models (stacked first) or stacked parameters."""
-    if not isinstance(population, PopulationParameters):
-        population = stack_parameters(population)
-    return forward_stacked(population, x)
 
 
 def accuracy_population(population: Population, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -14,83 +14,9 @@ or in (NOT-gated) two's complement form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "Pow2Weight",
-    "pow2_value",
-    "pow2_values",
-    "nearest_pow2",
-    "nearest_pow2_array",
-]
-
-
-@dataclass(frozen=True)
-class Pow2Weight:
-    """A single power-of-two weight ``s * 2**k``."""
-
-    sign: int
-    exponent: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-        if self.exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {self.exponent}")
-
-    @property
-    def value(self) -> int:
-        """The integer value of the weight."""
-        return self.sign * (1 << self.exponent)
-
-    def apply(self, activation: np.ndarray) -> np.ndarray:
-        """Multiply an integer activation by this weight (shift + sign)."""
-        activation = np.asarray(activation)
-        return self.sign * (activation << self.exponent)
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def pow2_value(sign: np.ndarray, exponent: np.ndarray) -> np.ndarray:
-    """Vectorized ``s * 2**k`` for arrays of signs and exponents."""
-    sign = np.asarray(sign, dtype=np.int64)
-    exponent = np.asarray(exponent, dtype=np.int64)
-    if np.any((sign != 1) & (sign != -1)):
-        raise ValueError("signs must be -1 or +1")
-    if np.any(exponent < 0):
-        raise ValueError("exponents must be non-negative")
-    return sign * (np.int64(1) << exponent)
-
-
-def pow2_values(max_exponent: int, include_negative: bool = True) -> np.ndarray:
-    """All representable pow2 weight values up to ``2**max_exponent``.
-
-    Returned sorted ascending; useful for projecting real-valued weights
-    onto the pow2 grid (e.g. for seeding the GA population from a
-    gradient-trained model).
-    """
-    if max_exponent < 0:
-        raise ValueError(f"max_exponent must be non-negative, got {max_exponent}")
-    positives = np.array([1 << k for k in range(max_exponent + 1)], dtype=np.int64)
-    if not include_negative:
-        return positives
-    return np.concatenate([-positives[::-1], positives])
-
-
-def nearest_pow2(value: float, max_exponent: int) -> Pow2Weight:
-    """Project a real value onto the nearest pow2 weight.
-
-    Zero (and any value) maps to the closest representable ``s * 2**k``;
-    note the representation has no exact zero — a pruned connection is
-    expressed through a zero mask instead (paper Section III-B).  Ties
-    are broken toward the smaller exponent (same rule as
-    :func:`nearest_pow2_array`, so the two functions always agree).
-    """
-    signs, exponents = nearest_pow2_array(np.array([value]), max_exponent)
-    return Pow2Weight(sign=int(signs[0]), exponent=int(exponents[0]))
+__all__ = ["nearest_pow2_array"]
 
 
 def nearest_pow2_array(

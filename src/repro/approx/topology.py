@@ -43,11 +43,6 @@ class Topology:
         return len(self.sizes) - 1
 
     @property
-    def hidden_sizes(self) -> Tuple[int, ...]:
-        """Sizes of the hidden layers only."""
-        return self.sizes[1:-1]
-
-    @property
     def num_weights(self) -> int:
         """Number of weight (connection) parameters."""
         return sum(self.sizes[i] * self.sizes[i + 1] for i in range(self.num_layers))
@@ -66,14 +61,6 @@ class Topology:
         """Yield ``(fan_in, fan_out)`` for every weight layer."""
         for i in range(self.num_layers):
             yield self.sizes[i], self.sizes[i + 1]
-
-    def layer_shape(self, layer_index: int) -> Tuple[int, int]:
-        """Return ``(fan_in, fan_out)`` of a single weight layer."""
-        if not 0 <= layer_index < self.num_layers:
-            raise IndexError(
-                f"layer_index {layer_index} out of range for {self.num_layers} layers"
-            )
-        return self.sizes[layer_index], self.sizes[layer_index + 1]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.sizes)

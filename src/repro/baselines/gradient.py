@@ -73,17 +73,6 @@ class FloatMLP:
                 activations = np.maximum(activations, 0.0)
         return activations
 
-    def hidden_activations(self, x: np.ndarray) -> List[np.ndarray]:
-        """Post-ReLU activations of every hidden layer (for calibration)."""
-        activations = np.asarray(x, dtype=np.float64)
-        collected: List[np.ndarray] = []
-        for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
-            activations = activations @ weight + bias
-            if index < len(self.weights) - 1:
-                activations = np.maximum(activations, 0.0)
-                collected.append(activations)
-        return collected
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Predicted class indices."""
         return np.argmax(self.forward(x), axis=1)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.baselines.approx_tc23 import Tc23Config, Tc23ApproximateMLP
 from repro.baselines.exact_bespoke import BespokeMLP
+from repro.hardware.egfet import MIN_VOLTAGE, NOMINAL_VOLTAGE
 from repro.hardware.synthesis import HardwareReport
 from repro.quant.qrelu import qrelu
 
@@ -32,6 +33,10 @@ __all__ = ["VosConfig", "VosApproximateMLP", "explore_vos"]
 CSD_DIGIT_OPTIONS = (1, 2, 3)
 VOLTAGE_OPTIONS = (0.8, 0.7)
 
+#: Per-neuron timing-error probability at the EGFET minimum supply; it
+#: falls linearly to zero at the nominal supply.
+ERROR_RATE_AT_MIN = 0.08
+
 
 @dataclass(frozen=True)
 class VosConfig:
@@ -39,27 +44,20 @@ class VosConfig:
 
     max_csd_digits: int = 2
     voltage: float = 0.8
-    nominal_voltage: float = 1.0
-    error_rate_at_min: float = 0.08
-    min_voltage: float = 0.6
 
     def __post_init__(self) -> None:
-        if not self.min_voltage <= self.voltage <= self.nominal_voltage:
+        if not MIN_VOLTAGE <= self.voltage <= NOMINAL_VOLTAGE:
             raise ValueError(
-                f"voltage must lie in [{self.min_voltage}, {self.nominal_voltage}], got {self.voltage}"
+                f"voltage must lie in [{MIN_VOLTAGE}, {NOMINAL_VOLTAGE}], got {self.voltage}"
             )
-        if not 0.0 <= self.error_rate_at_min <= 1.0:
-            raise ValueError("error_rate_at_min must lie in [0, 1]")
 
     @property
     def timing_error_probability(self) -> float:
         """Per-neuron probability of a VOS-induced timing error."""
-        if self.voltage >= self.nominal_voltage - 1e-12:
+        if self.voltage >= NOMINAL_VOLTAGE - 1e-12:
             return 0.0
-        depth = (self.nominal_voltage - self.voltage) / (
-            self.nominal_voltage - self.min_voltage
-        )
-        return float(np.clip(depth, 0.0, 1.0) * self.error_rate_at_min)
+        depth = (NOMINAL_VOLTAGE - self.voltage) / (NOMINAL_VOLTAGE - MIN_VOLTAGE)
+        return float(np.clip(depth, 0.0, 1.0) * ERROR_RATE_AT_MIN)
 
 
 @dataclass

@@ -310,8 +310,8 @@ class LRUCache:
     the entry to the back of the eviction queue, so entries are evicted
     in true LRU order.  ``hits`` / ``misses`` count lookups and
     ``writes`` counts the calls that changed the entries (:meth:`put`, a
-    :meth:`pop` hit, :meth:`clear`), which tells a snapshot writer whether
-    anything is new.  Each entry also carries a last-used wall-clock
+    :meth:`pop` hit), which tells a snapshot writer whether anything is
+    new.  Each entry also carries a last-used wall-clock
     timestamp, which snapshot compaction (:data:`MAX_SNAPSHOT_AGE_SECONDS`)
     uses to age entries out of long-lived cache directories.
     """
@@ -389,10 +389,6 @@ class LRUCache:
         self.writes += 1
         return value
 
-    def last_used(self, key: Hashable) -> Optional[float]:
-        """Wall-clock time of the entry's last :meth:`put`/:meth:`get` hit."""
-        return self._stamps.get(key)
-
     def oldest_stamp(self) -> Optional[float]:
         """The earliest last-used time of any entry (``None`` when empty)."""
         return min(self._stamps.values(), default=None)
@@ -402,23 +398,6 @@ class LRUCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-    def keys(self) -> List[Hashable]:
-        """Keys in eviction order (least recently used first)."""
-        return list(self._data.keys())
-
-    def clear(self) -> None:
-        """Drop every entry (counters are retained)."""
-        if self._data:
-            self.writes += 1
-        self._data.clear()
-        self._stamps.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class EvaluationCache:
@@ -551,29 +530,6 @@ class EvaluationCache:
         )
 
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Hit/miss counters of every section (for logs and tests)."""
-        return {
-            name: {
-                "entries": len(section),
-                "hits": section.hits,
-                "misses": section.misses,
-            }
-            for name, section in (
-                ("accuracy", self.accuracy),
-                ("reports", self.reports),
-                ("stages", self.stages),
-                ("modules", self.modules),
-            )
-        }
-
-    def clear(self) -> None:
-        """Drop every entry of every section."""
-        self.accuracy.clear()
-        self.reports.clear()
-        self.stages.clear()
-        self.modules.clear()
-
     def persisted_writes(self) -> int:
         """Changes made so far to the sections a snapshot holds (:attr:`LRUCache.writes`)."""
         return sum(getattr(self, name).writes for name in self._PERSISTED_SECTIONS)

@@ -91,9 +91,3 @@ class Dataset:
     def quantized_test(self, bits: int = DEFAULT_INPUT_BITS) -> Tuple[np.ndarray, np.ndarray]:
         """Quantized test inputs and their labels."""
         return self.test.quantized(bits), self.test.labels
-
-    def class_distribution(self) -> np.ndarray:
-        """Fraction of samples per class over train plus test."""
-        labels = np.concatenate([self.train.labels, self.test.labels])
-        counts = np.bincount(labels, minlength=self.num_classes).astype(np.float64)
-        return counts / counts.sum()

@@ -24,7 +24,6 @@ __all__ = [
     "DATASET_SPECS",
     "available_datasets",
     "get_spec",
-    "clock_period_for",
     "load_dataset",
 ]
 
@@ -217,17 +216,6 @@ def get_spec(name: str) -> DatasetSpec:
             f"unknown dataset {name!r}; available: {available_datasets()}"
         )
     return DATASET_SPECS[key]
-
-
-def clock_period_for(name: str) -> float:
-    """Per-dataset target clock period (ms), Section V-A.
-
-    The paper clocks Pendigits at 250 ms and every other dataset at
-    200 ms; synthesis callers should plumb this registry value instead
-    of relying on the hard-coded
-    :data:`~repro.hardware.synthesis.DEFAULT_CLOCK_PERIOD_MS` fallback.
-    """
-    return get_spec(name).clock_period_ms
 
 
 def load_dataset(

@@ -1,4 +1,4 @@
-"""Evaluation harness: metrics, hardware Pareto analysis, feasibility, reports."""
+"""Evaluation harness: hardware Pareto analysis, RTL verification, artifacts, reports."""
 
 # Re-exports are lazy (PEP 562): the serving layer reuses the artifact
 # and report helpers without the model-dependent analysis/verification
@@ -9,16 +9,10 @@ _EXPORTS = {
     "ARTIFACT_SCHEMA_VERSION": "repro.evaluation.artifacts",
     "Artifact": "repro.evaluation.artifacts",
     "ArtifactError": "repro.evaluation.artifacts",
-    "accuracy_score": "repro.evaluation.metrics",
-    "confusion_matrix": "repro.evaluation.metrics",
-    "error_rate": "repro.evaluation.metrics",
-    "per_class_accuracy": "repro.evaluation.metrics",
     "EvaluatedDesign": "repro.evaluation.pareto_analysis",
     "evaluate_front": "repro.evaluation.pareto_analysis",
     "true_pareto_front": "repro.evaluation.pareto_analysis",
     "select_design": "repro.evaluation.pareto_analysis",
-    "FeasibilityResult": "repro.evaluation.feasibility",
-    "assess_feasibility": "repro.evaluation.feasibility",
     "format_rows": "repro.evaluation.report",
     "format_table": "repro.evaluation.report",
     "reduction_factor": "repro.evaluation.report",
@@ -30,8 +24,6 @@ _EXPORTS = {
 
 _SUBMODULES = (
     "artifacts",
-    "feasibility",
-    "metrics",
     "pareto_analysis",
     "report",
     "verification",
@@ -43,16 +35,10 @@ __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "Artifact",
     "ArtifactError",
-    "accuracy_score",
-    "confusion_matrix",
-    "error_rate",
-    "per_class_accuracy",
     "EvaluatedDesign",
     "evaluate_front",
     "true_pareto_front",
     "select_design",
-    "FeasibilityResult",
-    "assess_feasibility",
     "format_rows",
     "format_table",
     "reduction_factor",

@@ -32,7 +32,6 @@ _EXPORTS = {
     "AdderTreeCost": "repro.hardware.adder_tree",
     "count_adders_from_columns": "repro.hardware.adder_tree",
     "approximate_neuron_columns": "repro.hardware.adder_tree",
-    "neuron_adder_cost": "repro.hardware.adder_tree",
     "layer_adder_cost": "repro.hardware.adder_tree",
     "mlp_fa_count": "repro.hardware.adder_tree",
     "mlp_adder_cost": "repro.hardware.adder_tree",
@@ -71,7 +70,6 @@ __all__ = [
     "AdderTreeCost",
     "count_adders_from_columns",
     "approximate_neuron_columns",
-    "neuron_adder_cost",
     "layer_adder_cost",
     "mlp_fa_count",
     "mlp_adder_cost",

@@ -25,14 +25,12 @@ import numpy as np
 
 from repro.approx.layer import ApproximateLayer
 from repro.approx.mlp import ApproximateMLP
-from repro.approx.neuron import ApproximateNeuron
 
 __all__ = [
     "AdderTreeCost",
     "bit_positions",
     "approximate_neuron_columns",
     "count_adders_from_columns",
-    "neuron_adder_cost",
     "layer_adder_cost",
     "mlp_adder_cost",
     "mlp_fa_count",
@@ -66,11 +64,6 @@ class AdderTreeCost:
     def total_full_adders(self) -> int:
         """Full Adders including the final carry-propagate adder."""
         return self.full_adders + self.cpa_full_adders
-
-    @property
-    def fa_equivalent(self) -> float:
-        """Single-number area proxy: FA count with HAs weighted at half an FA."""
-        return self.total_full_adders + 0.5 * self.half_adders
 
     def __add__(self, other: "AdderTreeCost") -> "AdderTreeCost":
         return AdderTreeCost(
@@ -203,33 +196,19 @@ def count_adders_from_columns(
     )
 
 
-def neuron_adder_cost(
-    neuron: ApproximateNeuron,
-    use_half_adders: bool = False,
-    include_final_cpa: bool = False,
-) -> AdderTreeCost:
-    """Adder cost of a single approximate neuron."""
-    columns = approximate_neuron_columns(
-        masks=neuron.masks,
-        exponents=neuron.exponents,
-        bias=neuron.bias,
-        input_bits=neuron.input_bits,
-    )
-    return count_adders_from_columns(
-        columns, use_half_adders=use_half_adders, include_final_cpa=include_final_cpa
-    )
-
-
 def layer_adder_cost(
     layer: ApproximateLayer,
     use_half_adders: bool = False,
     include_final_cpa: bool = False,
 ) -> AdderTreeCost:
-    """Summed adder cost of all neurons in a layer."""
+    """Summed adder cost of all neurons (columns) in a layer."""
     total = AdderTreeCost()
-    for neuron in layer.neurons():
-        total = total + neuron_adder_cost(
-            neuron, use_half_adders=use_half_adders, include_final_cpa=include_final_cpa
+    for j in range(layer.fan_out):
+        columns = approximate_neuron_columns(
+            layer.masks[:, j], layer.exponents[:, j], int(layer.biases[j]), layer.input_bits
+        )
+        total = total + count_adders_from_columns(
+            columns, use_half_adders=use_half_adders, include_final_cpa=include_final_cpa
         )
     return total
 

@@ -177,10 +177,6 @@ class EGFETLibrary:
                 f"({self.min_voltage} V) of the EGFET technology"
             )
 
-    def gate_equivalents(self, cell_name: str) -> float:
-        """Area of a cell expressed in NAND2 equivalents."""
-        return self.cell(cell_name).area_cm2 / self.cell("NAND2").area_cm2
-
 
 @functools.cache
 def default_egfet_library() -> EGFETLibrary:
@@ -207,9 +203,9 @@ def rescale_power_delay(
 
     Area is voltage-independent; power and delay follow the default
     library's scaling laws.  This is the one re-scaling rule of the
-    Fig. 5 study, shared by
-    :meth:`~repro.hardware.synthesis.HardwareReport.scaled_to_voltage`
-    and the serving tier's :func:`~repro.serving.queries.scale_report`.
+    Fig. 5 study; the serving tier's
+    :func:`~repro.serving.queries.scale_report` applies it to stored
+    reports.
     """
     library = default_egfet_library()
     power = (

@@ -32,7 +32,7 @@ from repro.hardware.area import (
     merge_cell_counts,
     qrelu_cell_counts,
 )
-from repro.hardware.egfet import EGFETLibrary, default_egfet_library, rescale_power_delay
+from repro.hardware.egfet import EGFETLibrary, default_egfet_library
 
 __all__ = [
     "HardwareReport",
@@ -75,35 +75,6 @@ class HardwareReport:
     clock_period_ms: float
     cell_counts: Dict[str, float] = field(default_factory=dict)
     area_breakdown: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def meets_timing(self) -> bool:
-        """Whether the critical path fits in the clock period."""
-        return self.delay_ms <= self.clock_period_ms
-
-    @property
-    def energy_per_inference_mj(self) -> float:
-        """Energy of one inference (one clock period) in millijoules."""
-        return self.power_mw * self.clock_period_ms * 1e-3
-
-    def scaled_to_voltage(self, voltage: float) -> "HardwareReport":
-        """Re-evaluate power and delay at a different supply voltage.
-
-        Area and cell counts are unchanged; power and delay follow
-        :func:`~repro.hardware.egfet.rescale_power_delay`.  This mirrors
-        the paper's "re-synthesize at 0.6 V" step for Fig. 5 (the circuit
-        structure is identical, only the operating point changes).
-        """
-        power, delay = rescale_power_delay(self.power_mw, self.delay_ms, self.voltage, voltage)
-        return HardwareReport(
-            area_cm2=self.area_cm2,
-            power_mw=power,
-            delay_ms=delay,
-            voltage=voltage,
-            clock_period_ms=self.clock_period_ms,
-            cell_counts=dict(self.cell_counts),
-            area_breakdown=dict(self.area_breakdown),
-        )
 
 
 def _price(

@@ -1,11 +1,8 @@
-"""Fixed-point and quantization substrate.
+"""Quantization substrate.
 
 This subpackage provides the numeric formats used throughout the
 reproduction:
 
-* :class:`~repro.quant.fixed_point.FixedPointFormat` — signed/unsigned
-  fixed-point formats with quantize/dequantize helpers (used by the
-  exact bespoke baseline, which hardwires 8-bit fixed-point weights).
 * :class:`~repro.quant.quantizers.UniformQuantizer` and
   :class:`~repro.quant.quantizers.InputQuantizer` — uniform affine
   quantizers for the 4-bit inputs of the printed MLPs.
@@ -13,23 +10,13 @@ reproduction:
   by both the baseline and the approximate MLPs (8-bit outputs).
 """
 
-from repro.quant.fixed_point import FixedPointFormat, quantize_fixed, dequantize_fixed
-from repro.quant.quantizers import (
-    InputQuantizer,
-    UniformQuantizer,
-    quantize_inputs,
-    quantize_weights_fixed,
-)
+from repro.quant.quantizers import InputQuantizer, UniformQuantizer, quantize_inputs
 from repro.quant.qrelu import QReLU, qrelu
 
 __all__ = [
-    "FixedPointFormat",
-    "quantize_fixed",
-    "dequantize_fixed",
     "UniformQuantizer",
     "InputQuantizer",
     "quantize_inputs",
-    "quantize_weights_fixed",
     "QReLU",
     "qrelu",
 ]

@@ -1,8 +1,9 @@
-"""Uniform quantizers for MLP inputs and coefficients.
+"""Uniform input quantizers and the default bit widths.
 
 The printed-MLP design flow quantizes the normalized ``[0, 1]`` input
 features to 4-bit unsigned integers and the trained floating-point
-weights to 8-bit signed fixed point (the bespoke baseline) or to
+weights to 8-bit signed fixed point (the bespoke baseline, see
+:func:`repro.baselines.exact_bespoke.quantize_float_mlp`) or to
 power-of-two values (our approximate MLPs, see :mod:`repro.approx.pow2`).
 """
 
@@ -12,13 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.quant.fixed_point import FixedPointFormat
-
 __all__ = [
     "UniformQuantizer",
     "InputQuantizer",
     "quantize_inputs",
-    "quantize_weights_fixed",
     "DEFAULT_INPUT_BITS",
     "DEFAULT_WEIGHT_BITS",
     "DEFAULT_ACTIVATION_BITS",
@@ -82,10 +80,6 @@ class UniformQuantizer:
         codes = np.clip(codes, 0, self.max_code)
         return codes.astype(np.int64)
 
-    def dequantize(self, codes: np.ndarray) -> np.ndarray:
-        """Map integer codes back to real values."""
-        return self.lo + np.asarray(codes, dtype=np.float64) * self.step
-
 
 class InputQuantizer(UniformQuantizer):
     """Quantizer for the normalized ``[0, 1]`` input features.
@@ -111,32 +105,3 @@ def quantize_inputs(x: np.ndarray, bits: int = DEFAULT_INPUT_BITS) -> np.ndarray
         Bit-width of the integer codes (default 4, as in the paper).
     """
     return InputQuantizer(bits).quantize(x)
-
-
-def quantize_weights_fixed(
-    weights: np.ndarray,
-    total_bits: int = DEFAULT_WEIGHT_BITS,
-    frac_bits: int | None = None,
-) -> tuple[np.ndarray, FixedPointFormat]:
-    """Quantize real weights to signed fixed-point codes.
-
-    The fractional bit count defaults to ``total_bits - 1`` minus the
-    number of integer bits needed to cover the maximum absolute weight,
-    i.e. the finest representation without overflow — the standard
-    post-training scheme used for the bespoke baseline.
-
-    Returns
-    -------
-    (codes, fmt):
-        Integer weight codes and the :class:`FixedPointFormat` they use.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if frac_bits is None:
-        max_abs = float(np.max(np.abs(weights))) if weights.size else 0.0
-        if max_abs <= 0.0:
-            int_bits = 0
-        else:
-            int_bits = max(0, int(np.ceil(np.log2(max_abs + 1e-12))) + 1)
-        frac_bits = max(0, total_bits - 1 - int_bits)
-    fmt = FixedPointFormat(total_bits=total_bits, frac_bits=frac_bits, signed=True)
-    return fmt.quantize(weights), fmt

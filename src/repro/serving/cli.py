@@ -63,8 +63,6 @@ FORBIDDEN_MODULES = (
     "repro.hardware.adder_tree",
     "repro.evaluation.pareto_analysis",
     "repro.evaluation.verification",
-    "repro.evaluation.feasibility",
-    "repro.evaluation.metrics",
 )
 
 

@@ -236,9 +236,10 @@ def front_rows(record: Union[DatasetRecord, FrontRecord]) -> List[Dict]:
 def scale_report(report: ReportRecord, voltage: float) -> ReportRecord:
     """Re-evaluate a stored report at a different supply voltage.
 
-    The same rule as ``HardwareReport.scaled_to_voltage``
-    (:func:`~repro.hardware.egfet.rescale_power_delay`): area is
-    voltage-independent, power and delay follow the EGFET scaling laws.
+    Area is voltage-independent; power and delay follow the EGFET
+    scaling laws (:func:`~repro.hardware.egfet.rescale_power_delay`).
+    This mirrors the paper's "re-synthesize at 0.6 V" step for Fig. 5:
+    the circuit structure is identical, only the operating point moves.
     """
     power, delay = rescale_power_delay(
         report.power_mw, report.delay_ms, report.voltage, voltage
@@ -257,11 +258,14 @@ def assess_report(
     design_name: str,
     voltage: Optional[float] = None,
 ) -> Dict:
-    """Printed-power-source feasibility of one stored operating point.
+    """Printed-power-source feasibility of one operating point, as a row dict.
 
-    The record-level equivalent of
-    :func:`repro.evaluation.feasibility.assess_feasibility` (same
-    re-scale guard, same classifier), returning a plain row dict.
+    When ``voltage`` differs from the report's, the report is re-scaled
+    first (:func:`scale_report`; Fig. 5 runs our designs at the minimum
+    0.6 V supply), then :func:`~repro.hardware.power_sources.classify_power_source`
+    picks the smallest adequate source.  Search-time callers wrap a
+    synthesized :class:`~repro.hardware.synthesis.HardwareReport` with
+    :meth:`ReportRecord.from_report <repro.serving.store.ReportRecord.from_report>`.
     """
     if voltage is not None and abs(voltage - report.voltage) > 1e-9:
         report = scale_report(report, voltage)

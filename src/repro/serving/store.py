@@ -537,10 +537,6 @@ class DesignStore:
                 and os.path.isfile(os.path.join(entry.path, "front.json"))
             )
 
-    def has_dataset(self, dataset: str) -> bool:
-        """Whether a front has been published for ``dataset``."""
-        return self._section_path(dataset, "front").is_file()
-
     def get_front(self, dataset: str) -> FrontRecord:
         """Load a dataset's front section (raises if absent)."""
         return self._get(dataset, "front")

@@ -1,7 +1,7 @@
 """Shared fixtures for the test suite.
 
 Besides the plain value fixtures, this module hosts the *builder
-factories* (``make_neuron``, ``make_mlp``, ``random_population``) that
+factories* (``make_mlp``, ``random_population``) that
 several hardware/RTL/synthesis test modules previously each re-declared
 locally.  They are session-scoped fixtures returning plain functions —
 the factories themselves are stateless (the caller passes the rng), and
@@ -19,7 +19,6 @@ from hypothesis import settings
 
 from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
-from repro.approx.neuron import ApproximateNeuron
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.datasets.preprocessing import normalize_01, stratified_split
@@ -61,17 +60,6 @@ def pytest_collection_modifyitems(items):
             )
 
 
-def build_neuron(rng, fan_in=4, input_bits=4, max_exponent=4, bias_bound=64):
-    """A random :class:`ApproximateNeuron` (signs drawn from {-1, +1})."""
-    return ApproximateNeuron(
-        masks=rng.integers(0, 1 << input_bits, size=fan_in),
-        signs=rng.choice([-1, 1], size=fan_in),
-        exponents=rng.integers(0, max_exponent + 1, size=fan_in),
-        bias=int(rng.integers(-bias_bound, bias_bound)),
-        input_bits=input_bits,
-    )
-
-
 def build_mlp(rng, sizes=(4, 3, 2), config=None, mask_density=0.5):
     """A random :class:`ApproximateMLP` on ``sizes``."""
     return ApproximateMLP.random(
@@ -83,12 +71,6 @@ def build_population(rng, sizes, size, config=None):
     """Layout-decoded random population (the GA's candidate shape)."""
     layout = ChromosomeLayout(Topology(sizes), config or ApproxConfig())
     return [layout.decode(layout.random(rng)) for _ in range(size)]
-
-
-@pytest.fixture(scope="session")
-def make_neuron():
-    """Factory fixture: ``make_neuron(rng, fan_in=..., input_bits=...)``."""
-    return build_neuron
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.approx.config import ApproxConfig
+from repro.approx.masks import full_mask
 from repro.approx.mlp import ApproximateMLP, default_shifts
 from repro.approx.topology import Topology
 
@@ -63,24 +64,13 @@ class TestApproximateMLP:
     def test_mask_density_extremes(self, small_topology, approx_config, rng, make_mlp):
         dense = make_mlp(rng, sizes=small_topology.sizes, config=approx_config, mask_density=1.0)
         sparse = make_mlp(rng, sizes=small_topology.sizes, config=approx_config, mask_density=0.0)
-        assert dense.sparsity() == 0.0
-        assert sparse.sparsity() == 1.0
-        assert dense.retained_bits > sparse.retained_bits
-
-    def test_serialization_roundtrip(self, random_mlp, rng):
-        clone = ApproximateMLP.from_dict(random_mlp.to_dict())
-        x = rng.integers(0, 16, size=(10, 4))
-        assert np.array_equal(clone.forward(x), random_mlp.forward(x))
-        assert clone.shifts == random_mlp.shifts
-
-    def test_copy_is_independent(self, random_mlp, rng):
-        clone = random_mlp.copy()
-        clone.layers[0].masks[:] = 0
-        assert random_mlp.layers[0].masks.sum() > 0 or random_mlp.retained_bits >= 0
-        x = rng.integers(0, 16, size=(5, 4))
-        # The original is unaffected by mutating the copy.
-        assert not np.array_equal(clone.layers[0].masks, random_mlp.layers[0].masks) or (
-            random_mlp.layers[0].masks.sum() == 0
+        dense_masks = [layer.masks for layer in dense.layers]
+        sparse_masks = [layer.masks for layer in sparse.layers]
+        assert sum(np.count_nonzero(m) for m in dense_masks) == small_topology.num_weights
+        assert all(m.sum() == 0 for m in sparse_masks)
+        # Density 1.0 opens every mask fully.
+        assert all(
+            np.all(layer.masks == (1 << layer.input_bits) - 1) for layer in dense.layers
         )
 
     def test_layer_count_mismatch_rejected(self, small_topology, approx_config, random_mlp):
@@ -91,12 +81,60 @@ class TestApproximateMLP:
                 layers=random_mlp.layers,
             )
 
-    def test_num_parameters_matches_topology(self, random_mlp, small_topology):
-        assert random_mlp.num_parameters == small_topology.num_parameters
+    @pytest.mark.parametrize("density", [0.0, 0.5, 1.0])
+    def test_random_parameters_in_range(self, small_topology, approx_config, density):
+        mlp = ApproximateMLP.random(
+            small_topology, approx_config, np.random.default_rng(3), mask_density=density
+        )
+        for layer in mlp.layers:
+            assert layer.masks.min() >= 0 and layer.masks.max() <= full_mask(layer.input_bits)
+            assert set(np.unique(layer.signs)) <= {-1, 1}
+            assert layer.exponents.min() >= 0
+            assert layer.exponents.max() <= approx_config.max_exponent
+            assert layer.biases.min() >= approx_config.bias_min
+            assert layer.biases.max() <= approx_config.bias_max
 
-    def test_callable_alias(self, random_mlp, rng):
-        x = rng.integers(0, 16, size=(3, 4))
-        assert np.array_equal(random_mlp(x), random_mlp.forward(x))
+    def test_parameter_count_matches_topology(self, random_mlp, small_topology):
+        count = sum(layer.masks.size + layer.biases.size for layer in random_mlp.layers)
+        assert count == small_topology.num_parameters
+
+    def test_from_parameters_rebuilds_the_same_network(self, random_mlp, rng):
+        layers = random_mlp.layers
+        clone = ApproximateMLP.from_parameters(
+            random_mlp.topology,
+            random_mlp.config,
+            masks=[layer.masks for layer in layers],
+            signs=[layer.signs for layer in layers],
+            exponents=[layer.exponents for layer in layers],
+            biases=[layer.biases for layer in layers],
+            shifts=random_mlp.shifts,
+        )
+        x = rng.integers(0, 16, size=(10, 4))
+        assert np.array_equal(clone.forward(x), random_mlp.forward(x))
+        assert clone.shifts == random_mlp.shifts
+
+    def test_from_parameters_checks_ranges_unless_trusted(self, random_mlp):
+        layers = random_mlp.layers
+        params = dict(
+            masks=[layer.masks for layer in layers],
+            signs=[np.zeros_like(layer.signs) for layer in layers],
+            exponents=[layer.exponents for layer in layers],
+            biases=[layer.biases for layer in layers],
+        )
+        with pytest.raises(ValueError):
+            ApproximateMLP.from_parameters(random_mlp.topology, random_mlp.config, **params)
+        ApproximateMLP.from_parameters(
+            random_mlp.topology, random_mlp.config, **params, validate=False
+        )
+
+    def test_accuracy_is_the_share_of_agreeing_predictions(self, random_mlp, rng):
+        x = rng.integers(0, 16, size=(40, 4))
+        predictions = random_mlp.predict(x)
+        assert random_mlp.accuracy(x, predictions) == 1.0
+        wrong = predictions.copy()
+        wrong[:10] = 1 - wrong[:10]
+        assert random_mlp.accuracy(x, wrong) == pytest.approx(0.75)
+        assert random_mlp.accuracy(x, 1 - predictions) == 0.0
 
     def test_fully_pruned_mlp_predicts_constant(self, small_topology, approx_config, rng, make_mlp):
         mlp = make_mlp(rng, sizes=small_topology.sizes, config=approx_config, mask_density=0.0)

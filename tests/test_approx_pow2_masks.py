@@ -1,80 +1,75 @@
-"""Tests for the pow2 weight representation and mask utilities."""
+"""Tests for the pow2 weight projection and mask utilities."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.approx.masks import (
-    apply_mask,
-    bits_to_mask,
-    full_mask,
-    mask_popcount,
-    mask_to_bits,
-    random_mask,
-)
-from repro.approx.pow2 import (
-    Pow2Weight,
-    nearest_pow2,
-    nearest_pow2_array,
-    pow2_value,
-    pow2_values,
-)
+from repro.approx.layer import ApproximateLayer
+from repro.approx.masks import full_mask, mask_popcount
+from repro.approx.pow2 import nearest_pow2_array
 
 
-class TestPow2Weight:
-    def test_value(self):
-        assert Pow2Weight(sign=1, exponent=3).value == 8
-        assert Pow2Weight(sign=-1, exponent=0).value == -1
-        assert int(Pow2Weight(sign=-1, exponent=5)) == -32
+def one_connection(mask: int, sign: int, exponent: int, input_bits: int = 4) -> ApproximateLayer:
+    """A one-input, one-neuron layer without bias: its accumulator is the summand."""
+    return ApproximateLayer(
+        masks=[[mask]], signs=[[sign]], exponents=[[exponent]], biases=[0], input_bits=input_bits
+    )
 
-    def test_apply_is_shift_and_sign(self):
-        weight = Pow2Weight(sign=-1, exponent=2)
-        assert np.array_equal(weight.apply(np.array([0, 1, 3])), np.array([0, -4, -12]))
 
-    def test_invalid_sign(self):
-        with pytest.raises(ValueError):
-            Pow2Weight(sign=0, exponent=1)
+def pow2_value(value: float, max_exponent: int) -> int:
+    """``s * 2**k`` of ``value`` projected by :func:`nearest_pow2_array`."""
+    signs, exponents = nearest_pow2_array(np.array([value]), max_exponent)
+    return int(signs[0]) * (1 << int(exponents[0]))
 
-    def test_invalid_exponent(self):
-        with pytest.raises(ValueError):
-            Pow2Weight(sign=1, exponent=-1)
+
+class TestPow2Summand:
+    @pytest.mark.parametrize(
+        "sign, exponent", [(1, 0), (1, 3), (1, 6), (-1, 0), (-1, 2), (-1, 5)]
+    )
+    def test_summand_is_shift_and_sign(self, sign, exponent):
+        """``w * x`` with ``w = s * 2**k`` is ``x`` shifted left by ``k``, negated for ``s = -1``."""
+        x = np.array([[0], [1], [3], [15]])
+        summands = one_connection(full_mask(4), sign, exponent).accumulate(x)[:, 0]
+        assert summands.tolist() == [sign * (value << exponent) for value in (0, 1, 3, 15)]
+        assert summands.tolist() == [sign * 2**exponent * value for value in (0, 1, 3, 15)]
 
 
 class TestPow2Helpers:
-    def test_pow2_value_vectorized(self):
-        signs = np.array([1, -1, 1])
-        exps = np.array([0, 3, 6])
-        assert np.array_equal(pow2_value(signs, exps), np.array([1, -8, 64]))
-
-    def test_pow2_value_rejects_bad_sign(self):
-        with pytest.raises(ValueError):
-            pow2_value(np.array([2]), np.array([0]))
-
-    def test_pow2_values_grid(self):
-        grid = pow2_values(2)
-        assert np.array_equal(grid, np.array([-4, -2, -1, 1, 2, 4]))
-        assert np.array_equal(pow2_values(1, include_negative=False), np.array([1, 2]))
-
     def test_nearest_pow2_exact_values(self):
-        assert nearest_pow2(8.0, 6).value == 8
-        assert nearest_pow2(-16.0, 6).value == -16
+        assert pow2_value(8.0, 6) == 8
+        assert pow2_value(-16.0, 6) == -16
 
     def test_nearest_pow2_rounds_to_closest(self):
-        assert nearest_pow2(3.0, 6).value in (2, 4)
-        assert abs(nearest_pow2(100.0, 6).value) == 64  # saturates at 2^6
+        assert pow2_value(3.0, 6) in (2, 4)
+        assert abs(pow2_value(100.0, 6)) == 64  # saturates at 2^6
 
-    def test_nearest_pow2_array_matches_scalar(self):
-        values = np.array([0.7, -3.0, 40.0, -0.1])
+    def test_nearest_pow2_array_matches_brute_force(self):
+        """Every projection is the grid value closest in linear distance,
+        the smaller exponent on a tie."""
+        values = np.array([0.7, -3.0, 40.0, -0.1, 1.5, 6.0, 96.0, 0.0])
         signs, exps = nearest_pow2_array(values, max_exponent=6)
+        grid = [1 << k for k in range(7)]
         for value, s, k in zip(values, signs, exps):
-            scalar = nearest_pow2(float(value), 6)
-            assert s * (1 << k) == scalar.value
+            best = min(grid, key=lambda g: (abs(abs(value) - g), g))
+            assert s * (1 << k) == (-best if value < 0 else best)
 
     @given(st.floats(min_value=-200, max_value=200, allow_nan=False))
     def test_property_projection_within_grid(self, value):
         signs, exps = nearest_pow2_array(np.array([value]), max_exponent=6)
         assert signs[0] in (-1, 1)
         assert 0 <= exps[0] <= 6
+
+    def test_projection_keeps_the_array_shape(self):
+        values = np.array([[0.7, -3.0, 40.0], [-0.1, 1.5, 6.0]])
+        signs, exps = nearest_pow2_array(values, max_exponent=6)
+        assert signs.shape == exps.shape == values.shape
+        flat_signs, flat_exps = nearest_pow2_array(values.ravel(), max_exponent=6)
+        assert np.array_equal(signs.ravel(), flat_signs)
+        assert np.array_equal(exps.ravel(), flat_exps)
+
+    def test_zero_projects_to_plus_one(self):
+        assert pow2_value(0.0, 6) == 1
+        assert pow2_value(-0.0, 6) == 1
 
 
 class TestMasks:
@@ -86,55 +81,33 @@ class TestMasks:
         with pytest.raises(ValueError):
             full_mask(0)
 
-    def test_apply_mask_paper_example(self):
-        # Paper Section III-B: A = a5a4a3a2a1a0, mask 101101 keeps a5,a3,a2,a0.
-        value = 0b111111
-        assert apply_mask(np.array([value]), np.array([0b101101]))[0] == 0b101101
-
-    def test_apply_mask_zero_removes_summand(self):
-        assert apply_mask(np.array([13]), np.array([0]))[0] == 0
-
-    def test_apply_mask_rejects_negative_mask(self):
-        with pytest.raises(ValueError):
-            apply_mask(np.array([1]), np.array([-1]))
-
     def test_mask_popcount(self):
         assert np.array_equal(
             mask_popcount(np.array([0, 1, 0b1011, 255])), np.array([0, 1, 3, 8])
         )
 
-    def test_mask_to_bits_roundtrip(self):
-        mask = 0b1010
-        bits = mask_to_bits(mask, 4)
-        assert np.array_equal(bits, np.array([0, 1, 0, 1]))
-        assert bits_to_mask(bits) == mask
-
-    def test_mask_to_bits_rejects_overflow(self):
-        with pytest.raises(ValueError):
-            mask_to_bits(16, 4)
-
-    def test_bits_to_mask_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            bits_to_mask(np.array([0, 2]))
-
-    def test_random_mask_scalar_and_array(self, rng):
-        scalar = random_mask(4, rng)
-        assert 0 <= scalar <= 15
-        array = random_mask(4, rng, density=1.0, size=(3, 2))
-        assert array.shape == (3, 2)
-        assert np.all(array == 15)
-        zeros = random_mask(4, rng, density=0.0, size=(5,))
-        assert np.all(zeros == 0)
-
-    def test_random_mask_rejects_bad_density(self, rng):
-        with pytest.raises(ValueError):
-            random_mask(4, rng, density=1.5)
-
     @given(st.integers(min_value=0, max_value=255))
     def test_property_popcount_matches_python(self, mask):
         assert mask_popcount(np.array([mask]))[0] == bin(mask).count("1")
 
+    def test_popcount_keeps_the_array_shape(self):
+        masks = np.array([[0b1010, 0], [0b1, 0b1111]])
+        assert mask_popcount(masks).tolist() == [[2, 0], [1, 4]]
+
+    def test_zero_mask_removes_the_summand(self):
+        assert one_connection(0, 1, 3).accumulate(np.array([[13]]))[0, 0] == 0
+
+    @pytest.mark.parametrize("mask", [-1, 16])
+    def test_mask_outside_the_input_width_rejected(self, mask):
+        with pytest.raises(ValueError):
+            one_connection(mask, 1, 0)
+
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0))
-    def test_property_mask_roundtrip(self, bits, seed):
+    def test_property_mask_keeps_exactly_its_bits(self, bits, seed):
+        """The summand of an unshifted connection is ``x & mask``, whose
+        retained bits are the mask's bits that ``x`` also has set."""
         mask = seed % (1 << bits)
-        assert bits_to_mask(mask_to_bits(mask, bits)) == mask
+        x = (seed // 7) % (1 << bits)
+        summand = one_connection(mask, 1, 0, input_bits=bits).accumulate(np.array([[x]]))[0, 0]
+        assert summand == x & mask
+        assert mask_popcount(np.array([summand]))[0] == bin(x & mask).count("1")

@@ -17,14 +17,12 @@ class TestTopology:
     def test_layer_shapes(self):
         topology = Topology((10, 3, 2))
         assert list(topology.layer_shapes()) == [(10, 3), (3, 2)]
-        assert topology.layer_shape(1) == (3, 2)
 
     def test_properties(self):
         topology = Topology((21, 3, 3))
         assert topology.num_inputs == 21
         assert topology.num_outputs == 3
         assert topology.num_layers == 2
-        assert topology.hidden_sizes == (3,)
         assert len(topology) == 3
         assert list(topology) == [21, 3, 3]
 
@@ -36,9 +34,12 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology((5, 0, 2))
 
-    def test_layer_shape_out_of_range(self):
-        with pytest.raises(IndexError):
-            Topology((4, 2)).layer_shape(1)
+    @pytest.mark.parametrize("sizes", [(4, 2), (21, 3, 3), (10, 5, 4, 2)])
+    def test_layer_shapes_chain_the_sizes(self, sizes):
+        shapes = list(Topology(sizes).layer_shapes())
+        assert len(shapes) == Topology(sizes).num_layers == len(sizes) - 1
+        assert [fan_in for fan_in, _ in shapes] == list(sizes[:-1])
+        assert [fan_out for _, fan_out in shapes] == list(sizes[1:])
 
     def test_str(self):
         assert str(Topology((10, 3, 2))) == "(10, 3, 2)"
@@ -52,12 +53,10 @@ class TestApproxConfig:
         assert config.weight_bits == 8
         # k in [0, n-1) with n = 8 -> k_max = 6.
         assert config.max_exponent == 6
-        assert config.num_exponents == 7
 
     def test_value_ranges(self):
         config = ApproxConfig()
         assert config.max_input_value == 15
-        assert config.max_activation_value == 255
         assert config.bias_min == -128
         assert config.bias_max == 127
 

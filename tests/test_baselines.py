@@ -84,7 +84,6 @@ class TestGradientTrainer:
         model = FloatMLP.random(topology, rng)
         with pytest.raises(ValueError):
             FloatMLP(topology=topology, weights=model.weights[:1], biases=model.biases)
-        assert len(model.hidden_activations(rng.random((5, 3)))) == 1
 
 
 class TestExactBespoke:
@@ -130,6 +129,47 @@ class TestExactBespoke:
         bespoke = quantize_float_mlp(float_model, x_train)
         assert all(shift >= 0 for shift in bespoke.shifts)
         assert bespoke.input_bits_per_layer == [4, 8]
+
+
+def hand_float_mlp(first_layer):
+    """A (2, 2, 2) float MLP with the given first-layer weights."""
+    return FloatMLP(
+        topology=Topology((2, 2, 2)),
+        weights=[np.asarray(first_layer, dtype=float), np.array([[1.0, -1.0], [0.5, 0.25]])],
+        biases=[np.zeros(2), np.zeros(2)],
+    )
+
+
+class TestWeightFixedPoint:
+    """Symmetric per-layer weight quantization of :func:`quantize_float_mlp`."""
+
+    calibration = np.array([[0.0, 1.0], [1.0, 0.5], [0.25, 0.75]])
+
+    def test_codes_round_to_the_nearest_step(self):
+        bespoke = quantize_float_mlp(hand_float_mlp([[1.0, -0.6], [0.25, 0.0]]), self.calibration)
+        # The largest magnitude (1.0) maps to the top code 127.
+        assert bespoke.weight_codes[0].tolist() == [[127, -76], [32, 0]]
+
+    def test_zero_weights_quantize_to_zero(self):
+        bespoke = quantize_float_mlp(hand_float_mlp(np.zeros((2, 2))), self.calibration)
+        assert np.all(bespoke.weight_codes[0] == 0)
+
+    @pytest.mark.parametrize("weight_bits", [4, 6, 8])
+    def test_codes_fill_the_signed_range(self, weight_bits, rng):
+        weights = rng.normal(size=(2, 2)) * 3.0
+        bespoke = quantize_float_mlp(
+            hand_float_mlp(weights), self.calibration, weight_bits=weight_bits
+        )
+        top = (1 << (weight_bits - 1)) - 1
+        for codes in bespoke.weight_codes:
+            assert codes.min() >= -top - 1 and codes.max() <= top
+            assert np.abs(codes).max() == top
+
+    def test_round_trip_error_within_half_a_step(self, rng):
+        weights = rng.normal(size=(2, 2)) * 5.0
+        bespoke = quantize_float_mlp(hand_float_mlp(weights), self.calibration)
+        scale = np.abs(weights).max() / 127
+        assert np.all(np.abs(bespoke.weight_codes[0] * scale - weights) <= scale / 2 + 1e-12)
 
 
 class TestTc23Baseline:

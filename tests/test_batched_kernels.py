@@ -29,7 +29,6 @@ from repro.approx.mlp import (
     accuracy_population,
     build_bit_planes,
     exact_matmul_dtype,
-    forward_population,
     forward_stacked,
     stack_parameters,
 )
@@ -245,7 +244,7 @@ class TestGenomeNativeFitness:
                 assert np.array_equal(a, b)
         assert np.array_equal(stacked.shifts, native.shifts)
         x = rng.integers(0, 16, size=(12, 4))
-        assert np.array_equal(forward_population(models, x), forward_population(native, x))
+        assert np.array_equal(forward_stacked(stack_parameters(models), x), forward_stacked(native, x))
 
     def test_evaluate_and_pool_share_the_batch_path(self):
         rng = np.random.default_rng(9)
@@ -294,7 +293,7 @@ class TestKernelAgainstScalarOracle:
         rng = np.random.default_rng(seed)
         wide = rng.integers(0, 1 << (mlp.config.input_bits + extra_bits), size=(16, 5))
         x = np.vstack([vectors, wide])
-        assert np.array_equal(forward_population([mlp], x)[0], mlp.forward(x))
+        assert np.array_equal(forward_stacked(stack_parameters([mlp]), x)[0], mlp.forward(x))
         labels = rng.integers(0, mlp.topology.num_outputs, size=len(x))
         assert accuracy_population([mlp], x, labels)[0] == mlp.accuracy(x, labels)
 

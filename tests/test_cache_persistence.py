@@ -167,7 +167,7 @@ class TestSnapshotRoundTrip:
         restored.load(path)
         # Entries are stored least-recent first, so a smaller cache
         # keeps the hottest tail: the refreshed 0 and the latest insert.
-        assert restored.accuracy.keys() == [("ctx", 4), ("ctx", 0)]
+        assert [key for key, _, _ in restored.accuracy.entries(now=0.0)] == [("ctx", 4), ("ctx", 0)]
 
     def test_save_creates_parent_directories(self, tmp_path):
         cache = EvaluationCache()
@@ -218,7 +218,7 @@ class TestSnapshotCompaction:
         cache.accuracy.put("fresh", 1.0)
         cache.accuracy.put("stale", 2.0)
         cache.accuracy.put("old", 3.0)
-        now = cache.accuracy.last_used("fresh")
+        now = cache.accuracy._stamps["fresh"]
         cache.accuracy._stamps["stale"] = now - MAX_SNAPSHOT_AGE_SECONDS - 1.0
         cache.accuracy._stamps["old"] = now - MAX_SNAPSHOT_AGE_SECONDS
         path = tmp_path / "snap.pkl"
@@ -235,14 +235,14 @@ class TestSnapshotCompaction:
         time is restored on load, not replaced by load time."""
         cache = EvaluationCache()
         cache.accuracy.put("old", 1.0)
-        old_stamp = cache.accuracy.last_used("old") - MAX_SNAPSHOT_AGE_SECONDS - 10_000.0
+        old_stamp = cache.accuracy._stamps["old"] - MAX_SNAPSHOT_AGE_SECONDS - 10_000.0
         cache.accuracy._stamps["old"] = old_stamp
         path = tmp_path / "snap.pkl"
         cache.save(path, now=old_stamp)
 
         restored = EvaluationCache()
         restored.load(path)
-        assert restored.accuracy.last_used("old") == old_stamp
+        assert restored.accuracy._stamps["old"] == old_stamp
         # A second save at the current time can therefore still drop it.
         assert restored.save(path) == 0
 
@@ -308,7 +308,7 @@ class TestCorruptionTolerance:
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
         assert f"format version {version} (expected {CACHE_FORMAT_VERSION})" in caplog.text
-        assert all(section["entries"] == 0 for section in cache.stats().values())
+        assert not any(len(getattr(cache, name)) for name in ("accuracy", "reports", "stages", "modules"))
 
     def test_format_10_directory_loads_nothing_and_is_rewritten(self, tmp_path, caplog):
         """A format-10 snapshot (a head recording its fitness file's entry
@@ -356,7 +356,7 @@ class TestCorruptionTolerance:
         with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
             assert cache.load(path) == 0
         assert "disallowed global repro.approx.config.ApproxConfig" in caplog.text
-        assert all(section["entries"] == 0 for section in cache.stats().values())
+        assert not any(len(getattr(cache, name)) for name in ("accuracy", "reports", "stages", "modules"))
 
     def test_fitness_values_are_refused_by_the_allowlist(self, tmp_path, caplog):
         """No persisted section holds a ``FitnessValues`` any more, so even

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.datasets.dataset import Dataset, DatasetSplit
+from repro.datasets.dataset import DatasetSplit
 from repro.datasets.preprocessing import normalize_01, stratified_split
 from repro.datasets.registry import (
     DATASET_SPECS,
@@ -290,13 +290,6 @@ class TestDatasetContainers:
             DatasetSplit(features=rng.random(10), labels=np.zeros(10))
         with pytest.raises(ValueError):
             DatasetSplit(features=rng.random((10, 2)), labels=np.zeros(9))
-
-    def test_dataset_class_distribution(self, rng):
-        train = DatasetSplit(features=rng.random((80, 3)), labels=np.array([0] * 60 + [1] * 20))
-        test = DatasetSplit(features=rng.random((20, 3)), labels=np.array([0] * 15 + [1] * 5))
-        dataset = Dataset(name="toy", train=train, test=test, num_classes=2)
-        distribution = dataset.class_distribution()
-        assert distribution == pytest.approx([0.75, 0.25])
 
 
 class TestRegistry:

@@ -7,6 +7,7 @@ through ``EvaluationCache``, shares one module parse with publishing,
 and is reachable from the pipeline/CLI.
 """
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,7 +108,7 @@ class TestVerifyDesign:
         alters, and the model-vs-testbench leg stays clean."""
         rng = np.random.default_rng(seed)
         mlp = make_mlp(rng, sizes=(5, 4, 3), mask_density=0.5)
-        mutant = mlp.copy()
+        mutant = copy.deepcopy(mlp)
         layer_index = int(rng.integers(len(mlp.layers)))
         layer, config = mutant.layers[layer_index], mlp.config
         j = int(rng.integers(layer.fan_out))

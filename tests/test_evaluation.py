@@ -1,16 +1,8 @@
-"""Tests for metrics, Pareto/hardware analysis, feasibility and reporting."""
+"""Tests for Pareto/hardware analysis and reporting."""
 
-import numpy as np
 import pytest
 
 from repro.core.pareto import ParetoPoint
-from repro.evaluation.feasibility import assess_feasibility
-from repro.evaluation.metrics import (
-    accuracy_score,
-    confusion_matrix,
-    error_rate,
-    per_class_accuracy,
-)
 from repro.evaluation.pareto_analysis import (
     EvaluatedDesign,
     select_design,
@@ -18,39 +10,6 @@ from repro.evaluation.pareto_analysis import (
 )
 from repro.evaluation.report import format_table, reduction_factor
 from repro.hardware.synthesis import HardwareReport
-
-
-class TestMetrics:
-    def test_accuracy_and_error(self):
-        y_true = np.array([0, 1, 1, 0])
-        y_pred = np.array([0, 1, 0, 0])
-        assert accuracy_score(y_true, y_pred) == pytest.approx(0.75)
-        assert error_rate(y_true, y_pred) == pytest.approx(0.25)
-
-    def test_accuracy_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            accuracy_score(np.zeros(3), np.zeros(4))
-
-    def test_accuracy_empty(self):
-        with pytest.raises(ValueError):
-            accuracy_score(np.array([]), np.array([]))
-
-    def test_confusion_matrix(self):
-        matrix = confusion_matrix(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 2]), 3)
-        assert matrix[0, 0] == 1 and matrix[0, 1] == 1
-        assert matrix.sum() == 4
-
-    def test_confusion_matrix_validation(self):
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([3]), np.array([0]), 3)
-        with pytest.raises(ValueError):
-            confusion_matrix(np.array([0]), np.array([0]), 0)
-
-    def test_per_class_accuracy(self):
-        recalls = per_class_accuracy(np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), 3)
-        assert recalls[0] == pytest.approx(0.5)
-        assert recalls[1] == pytest.approx(1.0)
-        assert np.isnan(recalls[2])
 
 
 def make_report(area: float, power: float, voltage: float = 1.0) -> HardwareReport:
@@ -94,26 +53,6 @@ class TestParetoAnalysis:
 
     def test_select_design_empty(self):
         assert select_design([], baseline_accuracy=0.9) is None
-
-
-class TestFeasibility:
-    def test_zone_assignment_from_report(self):
-        result = assess_feasibility(make_report(area=2.0, power=0.5), design_name="toy")
-        assert result.self_powered
-        assert result.label == "Printed energy harvester"
-
-    def test_voltage_rescaling_applied(self):
-        report = make_report(area=2.0, power=10.0, voltage=1.0)
-        at_nominal = assess_feasibility(report, "toy")
-        at_low = assess_feasibility(report, "toy", voltage=0.6)
-        assert at_nominal.zone.label == "Zinergy"
-        assert at_low.power_mw == pytest.approx(3.6)
-        assert at_low.zone.label == "Blue Spark"
-
-    def test_unsustainable_area(self):
-        result = assess_feasibility(make_report(area=100.0, power=0.5), "huge")
-        assert result.label == "Unsustainable Area"
-        assert not result.zone.feasible
 
 
 class TestReporting:

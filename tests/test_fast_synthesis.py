@@ -385,18 +385,28 @@ class TestEvaluateFrontBatching:
         result, inputs, labels = tiny_ga_result
         cache = EvaluationCache()
         evaluate_front(result, inputs, labels, cache=cache, clock_period_ms=200.0)
-        keys = list(cache.reports.keys())
+        keys = _keys(cache.reports)
         assert keys and all(key[1] == 200.0 and len(key) == 2 for key in keys)
         misses = cache.reports.misses
         other = evaluate_front(result, inputs, labels, cache=cache, clock_period_ms=250.0)
         assert cache.reports.misses > misses
         assert other == evaluate_front(result, inputs, labels, clock_period_ms=250.0)
-        assert {key[1] for key in cache.reports.keys()} == {200.0, 250.0}
+        assert {key[1] for key in _keys(cache.reports)} == {200.0, 250.0}
 
 
 # ----------------------------------------------------------------------
 # LRU cache semantics (satellite: FIFO -> true LRU)
 # ----------------------------------------------------------------------
+def _keys(cache):
+    """Keys in eviction order (least recently used first)."""
+    return [key for key, _, _ in cache.entries(now=0.0)]
+
+
+def _stamp(cache, key):
+    """``key``'s last-used time, or ``None`` when it is not cached."""
+    return {k: stamp for k, _, stamp in cache.entries(now=0.0)}.get(key)
+
+
 class TestLRUCache:
     def test_hit_refreshes_recency_and_eviction_order(self):
         cache = LRUCache(max_size=3)
@@ -406,13 +416,13 @@ class TestLRUCache:
         # Touch the oldest entry: under FIFO it would still be evicted
         # first; under true LRU the untouched "b" goes first.
         assert cache.get("a") == 1
-        assert cache.keys() == ["b", "c", "a"]
+        assert _keys(cache) == ["b", "c", "a"]
         cache.put("d", 4)
         assert "b" not in cache
         assert "a" in cache and "c" in cache and "d" in cache
         cache.put("e", 5)
         assert "c" not in cache
-        assert cache.keys() == ["a", "d", "e"]
+        assert _keys(cache) == ["a", "d", "e"]
 
     def test_counters_and_bound(self):
         cache = LRUCache(max_size=2)
@@ -420,7 +430,6 @@ class TestLRUCache:
         cache.put("x", 1)
         assert cache.get("x") == 1
         assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
         cache.put("y", 2)
         cache.put("z", 3)
         assert len(cache) == 2
@@ -428,12 +437,10 @@ class TestLRUCache:
             LRUCache(max_size=0)
 
     def test_writes_count_changes_and_oldest_stamp(self):
-        """``writes`` counts what changes the entries (put, a pop hit, a
-        clear that drops something), never a lookup; ``oldest_stamp`` is
-        the earliest last-used time."""
+        """``writes`` counts what changes the entries (put, a pop hit),
+        never a lookup; ``oldest_stamp`` is the earliest last-used time."""
         cache = LRUCache(max_size=4)
         assert cache.oldest_stamp() is None
-        cache.clear()
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")
@@ -441,21 +448,22 @@ class TestLRUCache:
         cache.pop("missing")
         assert "a" in cache
         assert cache.writes == 2
-        assert cache.oldest_stamp() == min(cache.last_used("a"), cache.last_used("b"))
+        assert cache.oldest_stamp() == min(_stamp(cache, "a"), _stamp(cache, "b"))
         cache.restore([("c", 3, 10.0)])
         assert cache.writes == 3 and cache.oldest_stamp() == 10.0
         cache.pop("a")
-        cache.clear()
-        assert cache.writes == 5 and cache.oldest_stamp() is None
+        cache.pop("b")
+        cache.pop("c")
+        assert cache.writes == 6 and cache.oldest_stamp() is None
 
     def test_put_replaces_the_value_and_refreshes_recency(self):
         cache = LRUCache(max_size=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("a", 10)
-        assert cache.keys() == ["b", "a"]
+        assert _keys(cache) == ["b", "a"]
         cache.put("c", 3)
-        assert cache.keys() == ["a", "c"]
+        assert _keys(cache) == ["a", "c"]
         assert cache.get("a") == 10
 
     def test_pop_removes_and_counts_like_get(self):
@@ -463,7 +471,7 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.pop("a") == 1
         assert cache.pop("a", "gone") == "gone"
-        assert "a" not in cache and cache.last_used("a") is None
+        assert "a" not in cache and _stamp(cache, "a") is None
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_contains_and_len_leave_recency_and_counters_alone(self):
@@ -471,7 +479,7 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.put("b", 2)
         assert "a" in cache and "z" not in cache and len(cache) == 2
-        assert cache.keys() == ["a", "b"]
+        assert _keys(cache) == ["a", "b"]
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_last_used_follows_put_and_get_hits_only(self, monkeypatch):
@@ -480,13 +488,13 @@ class TestLRUCache:
         clock = iter([100.0, 200.0])
         monkeypatch.setattr(cache_module.time, "time", lambda: next(clock))
         cache = LRUCache(max_size=2)
-        assert cache.last_used("a") is None
+        assert _stamp(cache, "a") is None
         cache.put("a", 1)
-        assert cache.last_used("a") == 100.0
+        assert _stamp(cache, "a") == 100.0
         cache.get("missing")
-        assert cache.last_used("a") == 100.0
+        assert _stamp(cache, "a") == 100.0
         cache.get("a")
-        assert cache.last_used("a") == 200.0
+        assert _stamp(cache, "a") == 200.0
 
     def test_entries_age_bound(self):
         cache = LRUCache(max_size=4)
@@ -497,15 +505,15 @@ class TestLRUCache:
     def test_restore_keeps_order_and_persisted_stamps(self):
         cache = LRUCache(max_size=4)
         assert cache.restore([("a", 1, 5.0), ("b", 2, 7.0)]) == 2
-        assert cache.keys() == ["a", "b"]
-        assert (cache.last_used("a"), cache.last_used("b")) == (5.0, 7.0)
+        assert _keys(cache) == ["a", "b"]
+        assert (_stamp(cache, "a"), _stamp(cache, "b")) == (5.0, 7.0)
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_restore_past_the_bound_keeps_the_most_recent(self):
         cache = LRUCache(max_size=2)
         assert cache.restore([(key, key, float(key)) for key in range(5)]) == 5
-        assert cache.keys() == [3, 4]
-        assert cache.last_used(3) == 3.0
+        assert _keys(cache) == [3, 4]
+        assert _stamp(cache, 3) == 3.0
 
     @pytest.mark.parametrize(
         "entry, error",
@@ -516,14 +524,6 @@ class TestLRUCache:
         cache = LRUCache(max_size=2)
         with pytest.raises(error):
             cache.restore([entry])
-
-    def test_clear_drops_entries_and_keeps_counters(self):
-        cache = LRUCache(max_size=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.clear()
-        assert len(cache) == 0 and cache.keys() == [] and cache.last_used("a") is None
-        assert cache.hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -574,9 +574,9 @@ class TestPipelineCacheSharing:
         assert cache.reports.misses == len(approx.designs)
 
     def test_pendigits_uses_registry_clock_period(self):
-        from repro.datasets.registry import clock_period_for
+        from repro.datasets.registry import get_spec
 
-        assert clock_period_for("pendigits") == pytest.approx(250.0)
+        assert get_spec("pendigits").clock_period_ms == pytest.approx(250.0)
         session = ExperimentSession(_tiny_scale(("pendigits",)))
         result = session.front("pendigits")
         assert result.baseline.report.clock_period_ms == pytest.approx(250.0)

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
-from repro.approx.neuron import ApproximateNeuron
+from repro.approx.layer import ApproximateLayer
 from repro.approx.topology import Topology
 from repro.hardware.adder_tree import (
     AdderTreeCost,
     approximate_neuron_columns,
     bit_positions,
     count_adders_from_columns,
+    layer_adder_cost,
     mlp_adder_cost,
     mlp_fa_count,
-    neuron_adder_cost,
 )
 from repro.hardware.fast_area import (
     fast_population_fa_count,
@@ -115,26 +115,22 @@ class TestCountAdders:
         assert total.half_adders == 1
         assert total.reduction_stages == 5
         assert sum([a, b], AdderTreeCost()).full_adders == 3
-        assert a.fa_equivalent == pytest.approx(5.5)
 
 
 class TestNeuronAndMlpCost:
+    @staticmethod
+    def one_neuron(mask):
+        return ApproximateLayer(
+            masks=np.full((8, 1), mask),
+            signs=np.ones((8, 1), dtype=int),
+            exponents=np.zeros((8, 1), dtype=int),
+            biases=np.zeros(1, dtype=int),
+            input_bits=4,
+        )
+
     def test_pruning_reduces_fa_count(self, rng):
-        dense = ApproximateNeuron(
-            masks=np.full(8, 0b1111),
-            signs=np.ones(8, dtype=int),
-            exponents=np.zeros(8, dtype=int),
-            bias=0,
-            input_bits=4,
-        )
-        sparse = ApproximateNeuron(
-            masks=np.array([0b0001] * 8),
-            signs=np.ones(8, dtype=int),
-            exponents=np.zeros(8, dtype=int),
-            bias=0,
-            input_bits=4,
-        )
-        assert neuron_adder_cost(dense).full_adders > neuron_adder_cost(sparse).full_adders
+        dense, sparse = self.one_neuron(0b1111), self.one_neuron(0b0001)
+        assert layer_adder_cost(dense).full_adders > layer_adder_cost(sparse).full_adders
 
     def test_fully_pruned_mlp_has_zero_fa(self, small_topology, approx_config, rng):
         mlp = ApproximateMLP.random(small_topology, approx_config, rng, mask_density=0.0)

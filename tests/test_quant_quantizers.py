@@ -1,15 +1,10 @@
-"""Tests for input/weight quantizers."""
+"""Tests for the input quantizers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.quant.quantizers import (
-    InputQuantizer,
-    UniformQuantizer,
-    quantize_inputs,
-    quantize_weights_fixed,
-)
+from repro.quant.quantizers import InputQuantizer, UniformQuantizer, quantize_inputs
 
 
 class TestUniformQuantizer:
@@ -37,15 +32,29 @@ class TestUniformQuantizer:
         with pytest.raises(ValueError):
             UniformQuantizer(bits=0)
 
-    def test_dequantize_roundtrip_on_grid(self):
-        quantizer = UniformQuantizer(bits=3, lo=-1.0, hi=1.0)
-        codes = np.arange(8)
-        assert np.array_equal(quantizer.quantize(quantizer.dequantize(codes)), codes)
-
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_property_codes_in_range(self, value):
         code = quantize_inputs(np.array([value]), bits=4)[0]
         assert 0 <= code <= 15
+
+    def test_grid_values_map_to_their_codes(self):
+        quantizer = UniformQuantizer(bits=3, lo=-1.0, hi=1.0)
+        codes = np.arange(8)
+        assert np.array_equal(quantizer.quantize(quantizer.lo + codes * quantizer.step), codes)
+
+    def test_rounds_to_the_nearest_code(self):
+        quantizer = UniformQuantizer(bits=2, lo=0.0, hi=3.0)
+        values = np.array([0.4, 0.6, 1.49, 1.51, 2.6])
+        assert quantizer.quantize(values).tolist() == [0, 1, 1, 2, 3]
+
+    @given(st.floats(min_value=-2.0, max_value=2.0, allow_nan=False))
+    def test_property_error_within_half_a_step(self, value):
+        """In range, the code's grid value is within half a step of the
+        input; out of range, the code saturates at the nearer end."""
+        quantizer = UniformQuantizer(bits=5, lo=-1.0, hi=1.0)
+        code = int(quantizer.quantize(np.array([value]))[0])
+        clipped = min(max(value, quantizer.lo), quantizer.hi)
+        assert abs(quantizer.lo + code * quantizer.step - clipped) <= quantizer.step / 2 + 1e-12
 
 
 class TestInputQuantizer:
@@ -55,28 +64,3 @@ class TestInputQuantizer:
     def test_quantize_inputs_matches_class(self):
         values = np.linspace(0, 1, 17)
         assert np.array_equal(quantize_inputs(values), InputQuantizer().quantize(values))
-
-
-class TestWeightQuantization:
-    def test_zero_weights(self):
-        codes, fmt = quantize_weights_fixed(np.zeros((3, 2)))
-        assert np.all(codes == 0)
-        assert fmt.total_bits == 8
-
-    def test_max_weight_representable(self):
-        weights = np.array([0.5, -0.25, 0.75])
-        codes, fmt = quantize_weights_fixed(weights, total_bits=8)
-        assert np.all(fmt.representable(codes))
-        assert np.allclose(fmt.dequantize(codes), weights, atol=fmt.scale)
-
-    def test_explicit_frac_bits(self):
-        weights = np.array([1.0, -1.0])
-        codes, fmt = quantize_weights_fixed(weights, total_bits=8, frac_bits=4)
-        assert fmt.frac_bits == 4
-        assert codes[0] == 16
-        assert codes[1] == -16
-
-    def test_large_weights_get_integer_bits(self):
-        weights = np.array([5.0, -3.0])
-        codes, fmt = quantize_weights_fixed(weights, total_bits=8)
-        assert np.allclose(fmt.dequantize(codes), weights, atol=fmt.scale)

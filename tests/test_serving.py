@@ -166,7 +166,6 @@ class TestStoreRoundTrip:
         assert record.tc23 is None and record.methods is None
         assert record.rtl_designs == ()
         assert store.datasets() == ["demo"]
-        assert store.has_dataset("demo") and not store.has_dataset("other")
 
     def test_schema_version_mismatch_fails(self, store):
         path = store.root / "demo" / "front.json"
@@ -1028,37 +1027,89 @@ class TestWarmStoreParity:
 
 
 # ---------------------------------------------------------------------------
-# One voltage re-scaling rule for the search and the serving tiers
+# Printed-power-source feasibility of one operating point
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def smoke_store(tmp_path_factory):
-    """The smoke-scale ``table2`` run published into a store."""
-    from repro.experiments.session import ExperimentSession
+def _report(area: float, power: float, voltage: float = 1.0) -> ReportRecord:
+    return ReportRecord(
+        area_cm2=area, power_mw=power, delay_ms=10.0, voltage=voltage, clock_period_ms=200.0
+    )
 
-    out = tmp_path_factory.mktemp("smoke_store")
-    ExperimentSession("smoke").run(["table2"], store_dir=out)
-    return DesignStore(out)
+
+class TestAssessReport:
+    def test_zone_assignment_from_report(self):
+        row = queries.assess_report(_report(area=2.0, power=0.5), "toy")
+        assert row["self_powered"]
+        assert row["zone"] == "Printed energy harvester"
+
+    def test_voltage_rescaling_applied(self):
+        report = _report(area=2.0, power=10.0, voltage=1.0)
+        at_nominal = queries.assess_report(report, "toy")
+        at_low = queries.assess_report(report, "toy", voltage=0.6)
+        assert at_nominal["zone"] == "Zinergy"
+        assert at_low["power_mw"] == pytest.approx(3.6)
+        assert at_low["zone"] == "Blue Spark"
+        assert at_low["area_cm2"] == report.area_cm2 and at_low["voltage"] == 0.6
+
+    def test_rescale_guard_keeps_a_report_at_its_own_voltage(self):
+        """Asking for the report's own supply re-scales nothing, so the
+        figures come back bit for bit; 0.6 V goes through ``scale_report``."""
+        report = _report(area=2.0, power=10.0, voltage=1.0)
+        assert queries.assess_report(report, "toy", voltage=1.0) == queries.assess_report(
+            report, "toy"
+        )
+        scaled = queries.scale_report(report, 0.6)
+        at_low = queries.assess_report(report, "toy", voltage=0.6)
+        assert (at_low["power_mw"], at_low["voltage"]) == (scaled.power_mw, scaled.voltage)
+
+    def test_unsustainable_area(self):
+        row = queries.assess_report(_report(area=100.0, power=0.5), "huge")
+        assert row["zone"] == "Unsustainable Area"
+        assert not row["feasible"]
+
+    def test_synthesized_report_assessed_through_from_report(self, rng):
+        """Search-time callers wrap a :class:`HardwareReport`; every scalar
+        field survives the wrap, so the row carries the synthesized figures."""
+        from repro.approx.config import ApproxConfig
+        from repro.approx.mlp import ApproximateMLP
+        from repro.approx.topology import Topology
+        from repro.hardware.synthesis import synthesize_approximate_mlp
+
+        mlp = ApproximateMLP.random(Topology((4, 3, 2)), ApproxConfig(), rng)
+        report = synthesize_approximate_mlp(mlp, clock_period_ms=200.0)
+        record = ReportRecord.from_report(report)
+        for field in dataclasses.fields(ReportRecord):
+            assert getattr(record, field.name) == getattr(report, field.name), field.name
+        row = queries.assess_report(record, "mlp", voltage=0.6)
+        assert row["area_cm2"] == report.area_cm2
+        assert row["power_mw"] == queries.scale_report(record, 0.6).power_mw < report.power_mw
 
 
 class TestOneVoltageRule:
     @pytest.mark.parametrize("voltage", [0.6, 0.8, 1.0])
-    def test_scale_report_equals_scaled_to_voltage_bit_for_bit(self, smoke_store, voltage):
-        """The serving tier's ``scale_report`` and the search tier's
-        ``HardwareReport.scaled_to_voltage`` give the same floats, bit for
-        bit, for every stored design and baseline."""
-        from repro.hardware.synthesis import HardwareReport
+    def test_scale_report_follows_rescale_power_delay_bit_for_bit(self, published, voltage):
+        """The serving tier's ``scale_report`` moves every stored design and
+        baseline by ``egfet.rescale_power_delay``, the one re-scaling rule,
+        to the same floats bit for bit, and leaves area and clock alone."""
+        from repro.hardware.egfet import rescale_power_delay
 
+        _, _, out = published
+        store = DesignStore(out / "store")
         records = []
-        for dataset in smoke_store.datasets():
-            front = smoke_store.get_dataset(dataset).front
+        for dataset in store.datasets():
+            front = store.get_dataset(dataset).front
             records += [front.baseline] + [design.report for design in front.designs]
-        assert len(records) > len(smoke_store.datasets()) > 1
+        assert len(records) > 1
         for record in records:
             served = queries.scale_report(record, voltage)
-            searched = HardwareReport(**dataclasses.asdict(record)).scaled_to_voltage(voltage)
-            for field in dataclasses.fields(ReportRecord):
-                assert (
-                    getattr(served, field.name).hex() == getattr(searched, field.name).hex()
-                ), (field.name, record)
+            power, delay = rescale_power_delay(
+                record.power_mw, record.delay_ms, record.voltage, voltage
+            )
+            assert served.power_mw.hex() == power.hex(), record
+            assert served.delay_ms.hex() == delay.hex(), record
+            assert (served.area_cm2, served.clock_period_ms, served.voltage) == (
+                record.area_cm2,
+                record.clock_period_ms,
+                voltage,
+            )

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
-from repro.approx.mlp import ApproximateMLP, forward_population
+from repro.approx.mlp import ApproximateMLP, forward_stacked, stack_parameters
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import FitnessEvaluator
@@ -42,7 +42,7 @@ class TestBitPlaneForward:
             Topology(sizes), ApproxConfig(), rng, mask_density=float(rng.random())
         )
         batch = rng.integers(0, 16, size=(int(rng.integers(1, 64)), sizes[0]))
-        assert np.array_equal(forward_population([mlp], batch)[0], mlp.forward(batch))
+        assert np.array_equal(forward_stacked(stack_parameters([mlp]), batch)[0], mlp.forward(batch))
 
     def test_in_place_edits_take_effect(self):
         # The layer memoizes nothing, so an edited layer needs no refresh.
@@ -65,14 +65,20 @@ class TestBitPlaneForward:
         with pytest.raises(ValueError):
             layout.decode(chromosome)
 
-    def test_copy_is_deep_and_equal(self):
+    def test_decoded_network_owns_its_arrays(self):
+        """Each decode is an independent deep copy: editing one network
+        changes neither the chromosome nor another decode of it."""
         rng = np.random.default_rng(6)
-        mlp = ApproximateMLP.random(Topology((6, 5, 3)), ApproxConfig(), rng)
+        layout = ChromosomeLayout(Topology((6, 5, 3)), ApproxConfig())
+        chromosome = layout.random(rng)
+        saved = chromosome.copy()
+        first, second = layout.decode(chromosome), layout.decode(chromosome)
         x = rng.integers(0, 16, size=(32, 6))
-        clone = mlp.copy()
-        assert np.array_equal(clone.forward(x), mlp.forward(x))
-        clone.layers[0].masks[:] = 0
-        assert not np.array_equal(clone.layers[0].masks, mlp.layers[0].masks)
+        assert np.array_equal(first.forward(x), second.forward(x))
+        first.layers[0].masks[:] = 0
+        assert not np.array_equal(first.layers[0].masks, second.layers[0].masks)
+        assert np.array_equal(chromosome, saved)
+        assert np.array_equal(layout.decode(chromosome).forward(x), second.forward(x))
 
 
 class TestFaCountReduction:
