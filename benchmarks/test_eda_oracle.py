@@ -1,8 +1,9 @@
 """Benchmarks of the microverilog module-text oracle.
 
-Tracks what the pure-Python Verilog-subset simulator costs: parse,
-evaluate-only and parse+simulate throughput on a front-sized batch of
-generated modules, one ``verify_front`` run, of which the simulator
+Tracks what the pure-Python Verilog-subset simulator costs: scan-only,
+parse, evaluate-only and parse+simulate throughput on a front-sized
+batch of generated modules, a testbench emit + read-back round trip per
+module, one ``verify_front`` run, of which the simulator
 is one oracle, and one verify + publish sign-off of a front, which
 parses each design's module text once.  Timings land in
 ``BENCH_eda_oracle.json`` (see ``conftest.record_bench``) so the CI
@@ -20,8 +21,9 @@ import numpy as np
 import pytest
 
 from repro.core.cache import EvaluationCache
-from repro.eda.microverilog import parse_module, simulate_mlp_module
+from repro.eda.microverilog import _tokenize, parse_module, simulate_mlp_module
 from repro.evaluation.verification import verify_front
+from repro.rtl.testbench import extract_testbench_vectors, generate_testbench
 from repro.rtl.verilog import generate_mlp_verilog
 
 #: Parse/simulate sweep shape: 12 modules × 256 stimulus vectors.
@@ -32,26 +34,25 @@ INPUT_BITS = 4
 
 
 def _random_modules():
+    """``(models, module texts, stimulus)`` of the parse/simulate sweep."""
     from repro.approx.config import ApproxConfig
     from repro.approx.mlp import ApproximateMLP
     from repro.approx.topology import Topology
 
     rng = np.random.default_rng(0)
     config = ApproxConfig(input_bits=INPUT_BITS)
-    texts = [
-        generate_mlp_verilog(
-            ApproximateMLP.random(Topology(SIZES), config, rng, mask_density=0.5)
-        )
+    models = [
+        ApproximateMLP.random(Topology(SIZES), config, rng, mask_density=0.5)
         for _ in range(NUM_MODULES)
     ]
     vectors = rng.integers(0, (1 << INPUT_BITS), size=(NUM_VECTORS, SIZES[0]))
-    return texts, vectors.astype(np.int64)
+    return models, [generate_mlp_verilog(mlp) for mlp in models], vectors.astype(np.int64)
 
 
 def test_bench_parse_and_simulate_sweep(record_bench):
     """12 modules × 256 vectors: parse alone, evaluation of the parsed
     modules alone, and parse + evaluation together."""
-    texts, vectors = _random_modules()
+    _, texts, vectors = _random_modules()
 
     start = time.perf_counter()
     modules = [parse_module(text) for text in texts]
@@ -94,6 +95,37 @@ def test_bench_parse_and_simulate_sweep(record_bench):
         vectors_per_second=(NUM_MODULES * NUM_VECTORS) / simulate_seconds
         if simulate_seconds
         else float("inf"),
+    )
+
+
+def test_bench_scan_and_testbench_roundtrip(record_bench):
+    """The sign-off's text handling alone: scanning the 12 module texts,
+    and emitting then reading back a 256-vector testbench per model."""
+    models, texts, vectors = _random_modules()
+
+    start = time.perf_counter()
+    token_counts = [len(_tokenize(text)) for text in texts]
+    scan_seconds = time.perf_counter() - start
+
+    start = time.perf_counter()
+    parsed = [extract_testbench_vectors(generate_testbench(mlp, vectors=vectors)) for mlp in models]
+    roundtrip_seconds = time.perf_counter() - start
+    assert all(np.array_equal(p.vectors, vectors) for p in parsed)
+    assert all(np.array_equal(p.golden, mlp.predict(vectors)) for p, mlp in zip(parsed, models))
+
+    record_bench(
+        "eda_oracle",
+        "scan_sweep_12_modules",
+        seconds=scan_seconds,
+        num_modules=NUM_MODULES,
+        num_tokens=sum(token_counts),
+    )
+    record_bench(
+        "eda_oracle",
+        "testbench_roundtrip_12x256",
+        seconds=roundtrip_seconds,
+        num_modules=NUM_MODULES,
+        num_vectors=NUM_VECTORS,
     )
 
 

@@ -22,15 +22,16 @@ def full_mask(bits: int) -> int:
     return (1 << bits) - 1
 
 
+#: Set bits of every byte value.
+_BYTE_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+
+
 def mask_popcount(mask: np.ndarray) -> np.ndarray:
     """Number of retained (one) bits per mask.
 
-    Works on arbitrary-shaped integer arrays.
+    Works on arbitrary-shaped integer arrays: one table lookup per byte
+    of the ``uint64`` view, at any mask width.
     """
     mask = np.asarray(mask, dtype=np.uint64)
-    counts = np.zeros(mask.shape, dtype=np.int64)
-    work = mask.copy()
-    while np.any(work):
-        counts += (work & np.uint64(1)).astype(np.int64)
-        work >>= np.uint64(1)
-    return counts
+    octets = np.ascontiguousarray(mask).view(np.uint8).reshape(mask.shape + (8,))
+    return _BYTE_POPCOUNT[octets].sum(axis=-1)

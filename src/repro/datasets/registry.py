@@ -9,7 +9,7 @@ difficulty (see DESIGN.md for the substitution rationale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np

@@ -27,9 +27,10 @@ caught here, the same way iverilog would catch it in a real EDA flow.
 
 A module text is handled in four stages, each once:
 
-1. **scan** — one :data:`_TOKEN_RE` ``finditer`` pass; each match folds
-   in the whitespace and comments before its token, and a character no
-   token starts with is rejected where it stands, never skipped;
+1. **scan** — one :data:`_TOKEN_RE` ``findall`` pass; each match folds
+   in the whitespace and comments before its token, each distinct token
+   text is classified once, and a character no token starts with is
+   rejected, never skipped;
 2. **parse** — recursive descent for module items and statements,
    precedence climbing over :data:`_PRECEDENCE` for expressions;
 3. **resolve** — the drivers are ordered topologically and every
@@ -47,6 +48,7 @@ patterns stay exact.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -78,26 +80,30 @@ class MicroVerilogError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-#: One token and the whitespace and comments before it.  The comment
-#: patterns match any text in one way only, and ``bad`` (any other
-#: character) and ``end`` (trailing space) always match where the skip
-#: stops, so ``finditer`` never skips text and never backtracks
-#: super-linearly.
+#: One token, in its one group, and the whitespace and comments before
+#: it.  The comment patterns match any text in one way only, and ``\S``
+#: (a character no token starts with) and ``\Z`` (the end, captured as
+#: ``""``) always match where the skip stops, so ``findall`` never skips
+#: text and never backtracks super-linearly.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:(?://[^\n]*(?:\n|\Z)|/\*(?:[^*]|\*(?!/))*\*/)\s*)*
-    (?:
-      (?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*&|^~!<>?:=;,().\[\]{}@#])
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
-    | (?P<based>(?P<size>\d+)?\s*'(?P<signed>[sS])?(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-F_xzXZ?]+))
-    | (?P<dec>\d[\d_]*)
-    | (?P<bad>.)
-    | (?P<end>\Z)
+    (
+      <<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*&|^~!<>?:=;,().\[\]{}@#]
+    | [A-Za-z_][A-Za-z0-9_$]*
+    | \d*\s*'[sS]?[bodhBODH][0-9a-fA-F_xzXZ?]+
+    | \d[\d_]*
+    | \S
+    | \Z
     )
     """,
     re.VERBOSE,
 )
 
+_OPERATORS = frozenset(
+    "<<< >>> << >> <= >= == != && || - + * & | ^ ~ ! < > ? : = ; , ( ) . [ ] { } @ #".split()
+)
+_IDENT_START = frozenset(string.ascii_letters + "_")
 _FOUR_STATE_RE = re.compile(r"[xzXZ?]")
 _BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
 
@@ -107,48 +113,52 @@ class _Token(NamedTuple):
     text: str
     #: For "num": (value, width, signed, sized)
     number: Optional[Tuple[int, int, bool, bool]] = None
-    position: int = 0
 
 
-def _based_number(match: "re.Match[str]", literal: str) -> Tuple[int, int, bool, bool]:
-    digits = match.group("digits").replace("_", "")
+def _based_number(literal: str) -> Tuple[int, int, bool, bool]:
+    size, _, rest = literal.partition("'")
+    signed = rest[0] in "sS"
+    digits = rest[signed + 1 :].replace("_", "")
     if _FOUR_STATE_RE.search(digits):
         raise MicroVerilogError(f"4-state value {literal!r} is unsupported")
-    base = _BASES[match.group("base").lower()]
+    base = _BASES[rest[signed].lower()]
     try:
         value = int(digits, base)
     except ValueError:
         raise MicroVerilogError(f"literal {literal!r} has digits outside base {base}") from None
-    size = match.group("size")
+    # ``int`` ignores the blanks a sized literal may have before its ``'``.
     width = int(size) if size else 32
     if width <= 0:
         raise MicroVerilogError(f"zero-width literal {literal!r}")
     if value >> width:
         raise MicroVerilogError(f"literal {literal!r} does not fit in {width} bits")
-    return value, width, match.group("signed") is not None, True
+    return value, width, signed, True
+
+
+def _classify(literal: str, text: str) -> _Token:
+    if literal in _OPERATORS:
+        return _Token("op", literal)
+    if literal[0] in _IDENT_START:
+        return _Token("ident", literal)
+    if "'" in literal and len(literal) > 1:
+        return _Token("num", literal, _based_number(literal))
+    if literal[0].isdecimal():  # what ``\d`` matches
+        value = int(literal.replace("_", ""))
+        # Unsized decimal literals are signed and at least 32 bits wide.
+        return _Token("num", literal, (value, max(32, value.bit_length() + 1), True, False))
+    # A lone ``\S``: find where it first stands, for the message.
+    start = next(m.start(1) for m in _TOKEN_RE.finditer(text) if m[1] == literal)
+    raise MicroVerilogError(f"unrecognized Verilog at {text[start : start + 20]!r}")
 
 
 def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    # ``tuple.__new__`` builds the same ``_Token`` instances without
-    # running the NamedTuple's Python-level ``__new__``.
-    append, new = tokens.append, tuple.__new__
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        literal = match[kind]
-        start = match.end() - len(literal)
-        if kind == "ident" or kind == "op":
-            append(new(_Token, (kind, literal, None, start)))
-        elif kind == "dec":
-            value = int(literal.replace("_", ""))
-            # Unsized decimal literals are signed and at least 32 bits wide.
-            width = max(32, value.bit_length() + 1)
-            append(new(_Token, ("num", literal, (value, width, True, False), start)))
-        elif kind == "based":
-            append(new(_Token, ("num", literal, _based_number(match, literal), start)))
-        elif kind == "bad":
-            raise MicroVerilogError(f"unrecognized Verilog at {text[start : start + 20]!r}")
-    return tokens
+    literals = _TOKEN_RE.findall(text)
+    # The scan always ends on ``\Z``: drop its ``""`` (twice after blanks).
+    del literals[literals.index("") :]
+    # One token per distinct literal, classified in order of first
+    # appearance, so the first bad token in the text is the one reported.
+    tokens = {literal: _classify(literal, text) for literal in dict.fromkeys(literals)}
+    return list(map(tokens.__getitem__, literals))
 
 
 # ---------------------------------------------------------------------------

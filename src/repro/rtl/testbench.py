@@ -8,7 +8,8 @@ the paper's functional simulation step.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from itertools import starmap
+from typing import Optional
 
 import numpy as np
 
@@ -51,38 +52,31 @@ def generate_testbench(
         raise ValueError(f"vectors must have shape (n, {num_inputs}), got {vectors.shape}")
     expected = mlp.predict(vectors)
 
-    lines: List[str] = []
-    lines.append("`timescale 1ms/1us")
-    lines.append(f"module {testbench_name};")
-    for i in range(num_inputs):
-        lines.append(f"    reg  [{config.input_bits - 1}:0] in{i};")
-    lines.append(f"    wire [{class_bits - 1}:0] class_index;")
-    lines.append("    integer errors;")
-    lines.append("")
+    bits = config.input_bits
     ports = ", ".join([f".in{i}(in{i})" for i in range(num_inputs)] + [".class_index(class_index)"])
-    lines.append(f"    {module_name} dut ({ports});")
-    lines.append("")
-    lines.append("    initial begin")
-    lines.append("        errors = 0;")
-    for vector, golden in zip(vectors.tolist(), expected.tolist()):
-        for i, value in enumerate(vector):
-            lines.append(f"        in{i} = {config.input_bits}'d{int(value)};")
-        lines.append("        #1;")
-        lines.append(f"        if (class_index !== {class_bits}'d{int(golden)}) begin")
-        # The applied vector is known at generation time, so it is
-        # spelled out literally: the SystemVerilog-only "%p" format
-        # breaks under Verilog-2001 simulators such as iverilog.
-        inputs_literal = "{" + ", ".join(str(int(value)) for value in vector) + "}"
-        lines.append(
-            f'            $display("MISMATCH inputs={inputs_literal} expected='
-            + str(int(golden))
-            + ' got=%0d", class_index);'
-        )
-        lines.append("            errors = errors + 1;")
-        lines.append("        end")
-    lines.append('        if (errors == 0) $display("TESTBENCH PASSED");')
-    lines.append('        else $display("TESTBENCH FAILED with %0d errors", errors);')
-    lines.append("        $finish;")
-    lines.append("    end")
-    lines.append("endmodule")
-    return "\n".join(lines) + "\n"
+    header = (
+        f"`timescale 1ms/1us\nmodule {testbench_name};\n"
+        + "".join(f"    reg  [{bits - 1}:0] in{i};\n" for i in range(num_inputs))
+        + f"    wire [{class_bits - 1}:0] class_index;\n    integer errors;\n\n"
+        + f"    {module_name} dut ({ports});\n\n    initial begin\n        errors = 0;\n"
+    )
+    # One vector's block; fields 0..n-1 are its inputs, field n its golden
+    # class.  The applied vector is known at generation time, so it is
+    # spelled out literally: the SystemVerilog-only "%p" format breaks
+    # under Verilog-2001 simulators such as iverilog.
+    block = (
+        "".join(f"        in{i} = {bits}'d{{{i}}};\n" for i in range(num_inputs))
+        + f"        #1;\n        if (class_index !== {class_bits}'d{{{num_inputs}}}) begin\n"
+        + '            $display("MISMATCH inputs={{'
+        + ", ".join(f"{{{i}}}" for i in range(num_inputs))
+        + f'}}}} expected={{{num_inputs}}} got=%0d", class_index);\n'
+        + "            errors = errors + 1;\n        end\n"
+    )
+    rows = np.column_stack([vectors, expected]).tolist()
+    return (
+        header
+        + "".join(starmap(block.format, rows))
+        + '        if (errors == 0) $display("TESTBENCH PASSED");\n'
+        + '        else $display("TESTBENCH FAILED with %0d errors", errors);\n'
+        + "        $finish;\n    end\nendmodule\n"
+    )

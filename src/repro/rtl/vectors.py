@@ -18,6 +18,7 @@ module instead.
 from __future__ import annotations
 
 import re
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -79,9 +80,12 @@ def extract_testbench_vectors(text: str) -> TestbenchVectors:
     Raises ``ValueError`` when the text does not look like a generated
     testbench.
     """
-    golden = np.array([int(g) for g in _GOLDEN_RE.findall(text)], dtype=np.int64)
-    assignments = [(int(i), int(v)) for i, v in _INPUT_RE.findall(text)]
-    if golden.size == 0 or not assignments:
+    golden = np.array(_GOLDEN_RE.findall(text), dtype=np.int64)
+    # Every ``(index, value)`` digit-string pair, converted in one call
+    # (a flat list converts faster than a list of tuples).
+    pairs = chain.from_iterable(_INPUT_RE.findall(text))
+    assignments = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    if golden.size == 0 or assignments.size == 0:
         raise ValueError("text does not contain generated testbench stimulus")
     if len(assignments) % golden.size:
         raise ValueError(
@@ -89,9 +93,9 @@ def extract_testbench_vectors(text: str) -> TestbenchVectors:
             f"{golden.size} golden checks"
         )
     num_inputs = len(assignments) // golden.size
-    vectors = np.zeros((golden.size, num_inputs), dtype=np.int64)
-    for flat, (index, value) in enumerate(assignments):
-        if index != flat % num_inputs:
-            raise ValueError("input assignments are not in canonical order")
-        vectors[flat // num_inputs, index] = value
-    return TestbenchVectors(vectors=vectors, golden=golden)
+    if not np.array_equal(assignments[:, 0], np.tile(np.arange(num_inputs), golden.size)):
+        raise ValueError("input assignments are not in canonical order")
+    return TestbenchVectors(
+        vectors=np.ascontiguousarray(assignments[:, 1].reshape(golden.size, num_inputs)),
+        golden=golden,
+    )

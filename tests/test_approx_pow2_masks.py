@@ -90,6 +90,23 @@ class TestMasks:
     def test_property_popcount_matches_python(self, mask):
         assert mask_popcount(np.array([mask]))[0] == bin(mask).count("1")
 
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=0, max_size=3).flatmap(
+            lambda shape: st.lists(
+                st.integers(min_value=0, max_value=2**63 - 1),
+                min_size=int(np.prod(shape)),
+                max_size=int(np.prod(shape)),
+            ).map(lambda values: np.array(values, dtype=np.int64).reshape(shape))
+        )
+    )
+    def test_popcount_matches_bin_count(self, masks):
+        """Any non-negative int64 array, at every bit width and shape
+        (0-d to 3-d), gets its per-element ``bin().count("1")``."""
+        counts = mask_popcount(masks)
+        assert np.shape(counts) == masks.shape
+        expected = [bin(int(value)).count("1") for value in masks.ravel()]
+        assert np.ravel(counts).tolist() == expected
+
     def test_popcount_keeps_the_array_shape(self):
         masks = np.array([[0b1010, 0], [0b1, 0b1111]])
         assert mask_popcount(masks).tolist() == [[2, 0], [1, 4]]

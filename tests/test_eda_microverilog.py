@@ -18,16 +18,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP
 from repro.approx.topology import Topology
 from repro.eda.microverilog import (
     _PRECEDENCE,
-    _TOKEN_RE,
     MAX_WIDTH,
     MicroVerilogError,
-    _based_number,
     _Token,
     _tokenize,
     parse_module,
@@ -35,6 +34,100 @@ from repro.eda.microverilog import (
 )
 from repro.evaluation.verification import verify_design
 from repro.rtl.verilog import generate_mlp_verilog
+
+
+#: The named-group scanner pattern: the reference ``_tokenize`` (one
+#: unnamed group, classified per distinct text) must agree with.
+_TOKEN_RE = re.compile(
+    r"""
+    \s*(?:(?://[^\n]*(?:\n|\Z)|/\*(?:[^*]|\*(?!/))*\*/)\s*)*
+    (?:
+      (?P<op><<<|>>>|<<|>>|<=|>=|==|!=|&&|\|\||[-+*&|^~!<>?:=;,().\[\]{}@#])
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_$]*)
+    | (?P<based>(?P<size>\d+)?\s*'(?P<signed>[sS])?(?P<base>[bodhBODH])(?P<digits>[0-9a-fA-F_xzXZ?]+))
+    | (?P<dec>\d[\d_]*)
+    | (?P<bad>.)
+    | (?P<end>\Z)
+    )
+    """,
+    re.VERBOSE,
+)
+_BASES = {"b": 2, "o": 8, "d": 10, "h": 16}
+
+
+def _reference_based(match, literal):
+    digits = match.group("digits").replace("_", "")
+    if re.search(r"[xzXZ?]", digits):
+        raise MicroVerilogError(f"4-state value {literal!r} is unsupported")
+    base = _BASES[match.group("base").lower()]
+    try:
+        value = int(digits, base)
+    except ValueError:
+        raise MicroVerilogError(f"literal {literal!r} has digits outside base {base}") from None
+    size = match.group("size")
+    width = int(size) if size else 32
+    if width <= 0:
+        raise MicroVerilogError(f"zero-width literal {literal!r}")
+    if value >> width:
+        raise MicroVerilogError(f"literal {literal!r} does not fit in {width} bits")
+    return value, width, match.group("signed") is not None, True
+
+
+def _reference_tokens(text):
+    """``(kind, text, number)`` per token, one ``finditer`` match each."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        literal = match[kind]
+        if kind in ("ident", "op"):
+            tokens.append((kind, literal, None))
+        elif kind == "dec":
+            value = int(literal.replace("_", ""))
+            tokens.append(("num", literal, (value, max(32, value.bit_length() + 1), True, False)))
+        elif kind == "based":
+            tokens.append(("num", literal, _reference_based(match, literal)))
+        elif kind == "bad":
+            start = match.start(kind)
+            raise MicroVerilogError(f"unrecognized Verilog at {text[start : start + 20]!r}")
+    return tokens
+
+
+_OPERATOR_TEXTS = (
+    "<<< >>> << >> <= >= == != && || - + * & | ^ ~ ! < > ? : = ; , ( ) . [ ] { } @ #".split()
+)
+_DIGIT_FORMATS = {"b": "b", "o": "o", "d": "d", "h": "x"}
+
+
+@st.composite
+def _well_formed_literal(draw):
+    """A based literal whose value fits its width: ``8'hff``, ``4 'sb10``,
+    ``'o17`` (unsized, 32 bits)."""
+    width = draw(st.integers(min_value=0, max_value=40))
+    base = draw(st.sampled_from("bodhBODH"))
+    value = draw(st.integers(min_value=0, max_value=(1 << (width or 32)) - 1))
+    blank = draw(st.sampled_from(["", " ", "\t"]))
+    size = f"{width}{blank}" if width else ""
+    signed = draw(st.sampled_from(["", "s", "S"]))
+    return f"{size}'{signed}{base}{format(value, _DIGIT_FORMATS[base.lower()])}"
+
+
+#: One identifier, operator or well-formed literal.
+_SCAN_TOKEN = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_$]{0,5}", fullmatch=True),
+    st.sampled_from(_OPERATOR_TEXTS),
+    st.from_regex(r"[0-9][0-9_]{0,12}", fullmatch=True),
+    _well_formed_literal(),
+)
+#: A literal of any shape the pattern takes, legal or not.
+_SCAN_LITERAL = st.from_regex(
+    r"[0-9]{0,3}[ ]?'[sS]?[bodhBODH][0-9a-fA-F_xzXZ?]{1,10}", fullmatch=True
+)
+#: Blanks, a line comment or a block comment.
+_SCAN_GAP = st.one_of(
+    st.from_regex(r"[ \t\n\r]{1,3}", fullmatch=True),
+    st.from_regex(r"//[^\n]{0,10}\n", fullmatch=True),
+    st.from_regex(r"/\*([^*]|\*[^*/]){0,6}\*/", fullmatch=True),
+)
 
 
 def _module(body: str, ports: str = "input  wire [7:0] in0,\n    output wire [7:0] out") -> str:
@@ -370,35 +463,48 @@ class TestScanner:
             parse_module(text)
         assert str(error.value) == f"unrecognized Verilog at {character!r}"
 
-    def test_token_positions_skip_leading_space_and_comments(self):
-        text = "  a // note\n  /* block */ 8'd3 +\tb\n"
-        tokens = _tokenize(text)
-        assert [token.text for token in tokens] == ["a", "8'd3", "+", "b"]
-        assert [token.position for token in tokens] == [2, 26, 31, 33]
-        assert all(text.startswith(token.text, token.position) for token in tokens)
+    @settings(max_examples=200, deadline=None)
+    @given(pieces=st.lists(st.one_of(_SCAN_TOKEN, _SCAN_LITERAL, _SCAN_GAP), max_size=40))
+    def test_tokens_match_reference(self, pieces):
+        """Any text of tokens, literals (4-state, out-of-range and badly
+        sized ones included), blanks and comments scans to the reference
+        scanner's ``(kind, text, number)`` triples, or fails with its
+        message."""
+        text = "".join(pieces)
+        try:
+            expected = _reference_tokens(text)
+        except MicroVerilogError as error:
+            with pytest.raises(MicroVerilogError) as raised:
+                _tokenize(text)
+            assert str(raised.value) == str(error)
+        else:
+            assert [tuple(token) for token in _tokenize(text)] == expected
 
-    def test_tokens_match_named_tuple_construction(self, edge_design):
-        """The ``tuple.__new__`` fast path builds the very tokens the
-        NamedTuple constructor builds, on every corner design's module."""
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pieces=st.lists(st.one_of(_SCAN_TOKEN, _SCAN_GAP), max_size=30),
+        where=st.integers(min_value=0),
+        character=st.sampled_from(["$", "`", "\\", "'", "/", '"', "%", "\u00e9", "\u00b2"]),
+    )
+    def test_illegal_character_anywhere_rejected(self, pieces, where, character):
+        """An illegal character between any two blank-separated pieces
+        is reported where it stands."""
+        where %= len(pieces) + 1
+        head = "".join(f"{piece} " for piece in pieces[:where])
+        text = head + character + "".join(f" {piece}" for piece in pieces[where:])
+        with pytest.raises(MicroVerilogError) as error:
+            _tokenize(text)
+        at = len(head)
+        assert str(error.value) == f"unrecognized Verilog at {text[at : at + 20]!r}"
+
+    def test_tokens_match_reference_on_edge_designs(self, edge_design):
+        """Every corner design's module scans to the reference triples,
+        each a ``_Token``."""
         mlp, _ = edge_design
         text = generate_mlp_verilog(mlp)
-        expected = []
-        for match in _TOKEN_RE.finditer(text):
-            kind = match.lastgroup
-            literal = match[kind]
-            start = match.end() - len(literal)
-            if kind in ("ident", "op"):
-                expected.append(_Token(kind, literal, None, start))
-            elif kind == "dec":
-                value = int(literal.replace("_", ""))
-                width = max(32, value.bit_length() + 1)
-                expected.append(_Token("num", literal, (value, width, True, False), start))
-            elif kind == "based":
-                expected.append(_Token("num", literal, _based_number(match, literal), start))
         tokens = _tokenize(text)
-        assert tokens == expected
+        assert [tuple(token) for token in tokens] == _reference_tokens(text)
         assert all(type(token) is _Token for token in tokens)
-        assert [token.kind for token in tokens] == [token[0] for token in expected]
 
     def test_trailing_comment_and_whitespace_accepted(self):
         module = parse_module(_module("    assign out = in0;") + "  // end\n\n /* c */  ")

@@ -15,9 +15,11 @@ factories) across topologies, bit widths and mask densities:
   mismatches) — the full oracle closure.
 """
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
-import re
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -193,3 +195,84 @@ class TestRenameModule:
     def test_text_without_module_header_rejected(self):
         with pytest.raises(ValueError, match="header"):
             rename_module("// no module here\nwire x;\n", "m")
+
+
+#: Per corner design, the sha256 of: ``generate_mlp_verilog``; the
+#: published testbench (``seed=0``, 16 vectors); a testbench on a
+#: 32-vector ``_draw_vectors`` stimulus.  Designs with the same input
+#: width and the same 32 golden classes share the last one.
+EMITTED_SHA256 = {
+    "all_pruned": (
+        "46c537c0b4d1d47e0e91140ba836cf461a7b4de55b4c965850f34450c7705625",
+        "9033474189b3553f543dad5ab316c5aced30cea5eca193323c9379587d6c4f19",
+        "0ea361fea22c1868da8a37fa2843f3212102a37ab4c54d7178a3ae1e4c7ff027",
+    ),
+    "constant_hidden_layer": (
+        "703fa91b5ab1e7a7844efd435e6ac29f453c921a21d4b8eb05604e75e508bd36",
+        "dc55253cd4d1d48915f1b59620ce8fad4c3b31a8dfcfcbbc73ff26bf90b118dd",
+        "0ea361fea22c1868da8a37fa2843f3212102a37ab4c54d7178a3ae1e4c7ff027",
+    ),
+    "minimal_widths": (
+        "ef11edd7e662a1cc851ba998a9939be8701d6aa0e1d08eba4eaf73fac5004699",
+        "afc6c4f7691f801b9a8d44f3eb16508c8b1f05256bd8de25ba51c4a40f987bde",
+        "fa3beac83b0b8fa148fb01c304c9bf2aa7b3974822eea62da7beef486230472d",
+    ),
+    "one_bit_inputs": (
+        "56688d5b2cdd2a7fbe04b5b0f65cd7a42cc4bebfa262c83aafb6497660e30b5b",
+        "e0673a70f88c96178af25d9e9b65aafbb98873a45e4e3dd4fcef0385e25a713f",
+        "fa3beac83b0b8fa148fb01c304c9bf2aa7b3974822eea62da7beef486230472d",
+    ),
+    "shift_past_accumulator": (
+        "c2e4c45f2755382d2733f346a481a68f657c68de692b5bff3576d4ce2aedfcba",
+        "62dc67505a9de9fa0ad5dedf69293f0c1f45cc95e8629330ff1353c782fba891",
+        "0ea361fea22c1868da8a37fa2843f3212102a37ab4c54d7178a3ae1e4c7ff027",
+    ),
+    "sparse": (
+        "94aee92744d62d137713005a5933ad37533645a6a0cafc6c559cc047fdd9d8f2",
+        "0b13f2160a053513a0e3f08fc86626d9d9949a90cb0ddf682bdf4634091cebe9",
+        "0ea361fea22c1868da8a37fa2843f3212102a37ab4c54d7178a3ae1e4c7ff027",
+    ),
+}
+
+
+class TestEmittedBytesPinned:
+    """The emitters' bytes, and the reader's errors, are fixed: a faster
+    emitter or reader must reproduce them exactly."""
+
+    def test_module_and_testbench_bytes(self, edge_design, request):
+        from repro.evaluation.verification import _draw_vectors
+
+        mlp, _ = edge_design
+        name = request.node.callspec.params["edge_design"]
+        module = f"approx_mlp_{name}"
+        texts = (
+            generate_mlp_verilog(mlp, module_name=module),
+            generate_testbench(mlp, module_name=module, testbench_name=f"{module}_tb", seed=0),
+            generate_testbench(
+                mlp, vectors=_draw_vectors(5, mlp.config.max_input_value, 32, seed=0)
+            ),
+        )
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
+        assert digests == EMITTED_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("module empty; endmodule", "text does not contain generated testbench stimulus"),
+            (
+                "    in0 = 4'd1;\n    in1 = 4'd2;\n    in0 = 4'd3;\n"
+                "if (class_index !== 2'd1)\nif (class_index !== 2'd0)\n",
+                "3 input assignments do not divide into 2 golden checks",
+            ),
+            (
+                "    in0 = 4'd1;\n    in1 = 4'd2;\n    in1 = 4'd3;\n    in0 = 4'd3;\n"
+                "if (class_index !== 2'd1)\nif (class_index !== 2'd0)\n",
+                "input assignments are not in canonical order",
+            ),
+        ],
+        ids=["no_stimulus", "count_does_not_divide", "out_of_order"],
+    )
+    def test_reader_errors(self, text, message):
+        with pytest.raises(ValueError) as error:
+            extract_testbench_vectors(text)
+        assert str(error.value) == message
