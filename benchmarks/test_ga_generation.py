@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.fitness import FitnessEvaluator
+from repro.core.fitness import ACCURACY, AREA, FitnessEvaluator
 from repro.core.nsga2 import (
     fast_non_dominated_sort,
     fast_non_dominated_sort_reference,
@@ -116,20 +116,20 @@ def test_bench_selection_and_archive(benchmark, ga_training_data, record_bench):
     union = np.stack([trainer.layout.random(rng) for _ in range(2 * CI_POPULATION)])
     # A baseline at the median accuracy plus the loss bound leaves about
     # half of the union infeasible, as early generations see it.
-    accuracies = [fit.accuracy for fit in FitnessEvaluator(trainer.layout, x_train, y_train).evaluate_population(union)]
+    accuracies = FitnessEvaluator(trainer.layout, x_train, y_train).evaluate_population(union)[:, ACCURACY]
     evaluator = FitnessEvaluator(
         trainer.layout,
         x_train,
         y_train,
         baseline_accuracy=float(np.median(accuracies)) + config.max_accuracy_loss,
     )
-    fitnesses = evaluator.evaluate_population(union)
-    reference = (1.0, 1.1 * max(fit.area for fit in fitnesses) + 1.0)
+    fitness = evaluator.evaluate_population(union)
+    reference = (1.0, 1.1 * float(fitness[:, AREA].max()) + 1.0)
 
     def bookkeeping():
         archive = ParetoArchive(max_size=config.archive_size)
-        trainer._update_archive(archive, union, fitnesses)
-        survivors, kept, _ = trainer._environmental_selection(union, fitnesses, CI_POPULATION, True)
+        trainer._update_archive(archive, union, fitness)
+        survivors, kept, _ = trainer._environmental_selection(union, fitness, CI_POPULATION, True)
         return survivors, trainer._stats(0, kept, archive, evaluator, reference)
 
     survivors, stats = benchmark(bookkeeping)

@@ -37,7 +37,6 @@ _EXPORTS = {
     "LRUCache": "repro.core.cache",
     "ChromosomeLayout": "repro.core.chromosome",
     "FitnessEvaluator": "repro.core.fitness",
-    "FitnessValues": "repro.core.fitness",
     "crowding_distance": "repro.core.nsga2",
     "fast_non_dominated_sort": "repro.core.nsga2",
     "GeneticOperators": "repro.core.operators",
@@ -68,7 +67,6 @@ __all__ = [
     "LRUCache",
     "ChromosomeLayout",
     "FitnessEvaluator",
-    "FitnessValues",
     "crowding_distance",
     "fast_non_dominated_sort",
     "GeneticOperators",

@@ -12,7 +12,11 @@ For every chromosome the evaluator computes
 and, when a baseline accuracy is supplied, a constraint violation equal
 to how far the candidate's accuracy loss exceeds the admissible bound
 (10 % during training, per Section IV-A).  The violation is used for
-constrained dominance in the NSGA-II selection.
+constrained dominance in the NSGA-II selection.  A population's fitness
+is one ``(n, 4)`` float64 table, a row per chromosome, whose columns are
+named by the module constants :data:`ERROR`, :data:`AREA`,
+:data:`ACCURACY` and :data:`VIOLATION` (a row is feasible when its
+violation is ``<= 0``).
 
 The evaluator is population-batched and genome-native: the unique rows
 of an ``(n, genes)`` population matrix are sliced into stacked parameter
@@ -33,8 +37,7 @@ recompute returns the same values.  The per-chromosome decode +
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -45,27 +48,11 @@ from repro.core.pure import stable_fingerprint
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
 
-__all__ = ["FitnessValues", "FitnessEvaluator"]
+__all__ = ["ERROR", "AREA", "ACCURACY", "VIOLATION", "FitnessEvaluator"]
 
-
-@dataclass(frozen=True)
-class FitnessValues:
-    """Objectives and feasibility of one evaluated chromosome."""
-
-    error: float
-    area: float
-    accuracy: float
-    constraint_violation: float = 0.0
-
-    @property
-    def objectives(self) -> np.ndarray:
-        """The minimization objectives ``[error, area]``."""
-        return np.array([self.error, self.area], dtype=np.float64)
-
-    @property
-    def feasible(self) -> bool:
-        """Whether the accuracy-loss constraint is satisfied."""
-        return self.constraint_violation <= 0.0
+#: Columns of the ``(n, 4)`` float64 fitness table: the two minimization
+#: objectives first, so ``table[:, :2]`` is the NSGA-II objective matrix.
+ERROR, AREA, ACCURACY, VIOLATION = range(4)
 
 
 class FitnessEvaluator:
@@ -136,8 +123,8 @@ class FitnessEvaluator:
         """One digest string of everything a fitness value depends on
         besides the genome.
 
-        :class:`FitnessValues` embed the decode semantics, the training
-        split and the feasibility constraint, so the GA's stage key
+        A fitness row embeds the decode semantics, the training split and
+        the feasibility constraint, so the GA's stage key
         (:meth:`~repro.core.trainer.GATrainer.result_key`) includes this
         digest.
         """
@@ -152,14 +139,8 @@ class FitnessEvaluator:
         )
 
     # ------------------------------------------------------------------
-    def compute(self, chromosome: np.ndarray) -> FitnessValues:
-        """Evaluate one chromosome (not counted)."""
-        return self.compute_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
-
-    def compute_population(
-        self, population: np.ndarray, slow: bool = False
-    ) -> List[FitnessValues]:
-        """Score every row of an ``(n, genes)`` matrix (not counted).
+    def compute_population(self, population: np.ndarray, slow: bool = False) -> np.ndarray:
+        """Fitness table of every row of an ``(n, genes)`` matrix (not counted).
 
         The rows are sliced into stacked parameters, forwarded in one
         stacked pass and FA-counted from the same tensors.  ``slow=True``
@@ -169,58 +150,39 @@ class FitnessEvaluator:
         """
         if slow:
             models = [self.layout.decode(row) for row in population]
-            return [
-                self._make_values(
-                    model.accuracy(self.train_inputs, self.train_labels),
-                    float(mlp_fa_count(model)),
-                )
-                for model in models
-            ]
-        params = self.layout.population_parameters(population)
-        accuracies = accuracy_population(params, self.train_inputs, self.train_labels)
-        areas = fast_population_fa_count(params)
-        return [
-            self._make_values(accuracy, float(area))
-            for accuracy, area in zip(accuracies.tolist(), areas.tolist())
-        ]
-
-    def _make_values(self, accuracy: float, area: float) -> FitnessValues:
-        violation = 0.0
+            accuracies = [model.accuracy(self.train_inputs, self.train_labels) for model in models]
+            areas = [mlp_fa_count(model) for model in models]
+        else:
+            params = self.layout.population_parameters(population)
+            accuracies = accuracy_population(params, self.train_inputs, self.train_labels)
+            areas = fast_population_fa_count(params)
+        table = np.zeros((len(accuracies), 4), dtype=np.float64)
+        table[:, ACCURACY] = accuracies
+        table[:, ERROR] = 1.0 - table[:, ACCURACY]
+        table[:, AREA] = areas
         if self.baseline_accuracy is not None:
-            loss = self.baseline_accuracy - accuracy
-            violation = max(0.0, loss - self.max_accuracy_loss)
-        return FitnessValues(
-            error=1.0 - accuracy,
-            area=area,
-            accuracy=accuracy,
-            constraint_violation=violation,
-        )
+            loss = self.baseline_accuracy - table[:, ACCURACY]
+            table[:, VIOLATION] = np.maximum(0.0, loss - self.max_accuracy_loss)
+        return table
 
-    def evaluate(self, chromosome: np.ndarray) -> FitnessValues:
-        """Evaluate one chromosome (counted)."""
-        return self.evaluate_population(np.asarray(chromosome, dtype=np.int64)[None, :])[0]
+    def evaluate_population(self, population: np.ndarray) -> np.ndarray:
+        """Fitness table of an ``(n, genes)`` int64 population (counted).
 
-    def evaluate_population(
-        self, population: Union[np.ndarray, Sequence[np.ndarray]]
-    ) -> List[FitnessValues]:
-        """Evaluate every chromosome of a population.
-
-        ``population`` may be an ``(n, genes)`` int64 matrix (the
-        trainer's native representation) or a sequence of gene vectors.
         The batch is deduplicated first — in-batch duplicates (elites,
         crossover clones) are folded onto one row and counted once — and
         the unique rows are scored as one matrix.  A row with a gene out
         of its layout bounds raises ``ValueError``.
         """
         if len(population) == 0:
-            return []
+            return np.zeros((0, 4), dtype=np.float64)
         population = np.ascontiguousarray(population, dtype=np.int64)
-        keys = [row.tobytes() for row in population]
+        # A row's id is the rank of its genome's first appearance, so the
+        # first index of each id, in id order, picks the unique rows.
         first: Dict[bytes, int] = {}
-        for index, key in enumerate(keys):
-            first.setdefault(key, index)
-        computed = self.compute_population(population[list(first.values())])
-        self.evaluations += len(first)
-        self.fitness_computations += len(first)
-        resolved = dict(zip(first, computed))
-        return [resolved[key] for key in keys]
+        inverse = np.array(
+            [first.setdefault(row.tobytes(), len(first)) for row in population], dtype=np.int64
+        )
+        unique = population[np.unique(inverse, return_index=True)[1]]
+        self.evaluations += len(unique)
+        self.fitness_computations += len(unique)
+        return self.compute_population(unique)[inverse]

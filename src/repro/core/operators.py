@@ -5,12 +5,12 @@ The operators work directly on the integer gene vectors produced by
 
 * **binary tournament selection** with the usual NSGA-II criterion
   (lower rank wins, ties broken by larger crowding distance),
-* **uniform** or **one-point crossover** ("crossover combines winning
-  weights"),
+* **uniform crossover** ("crossover combines winning weights"),
 * **mutation** that treats mask genes specially: instead of re-drawing
   the whole mask value, individual bits are flipped, which is the
   natural neighbourhood for the fine-grained pruning decision.  Sign,
-  exponent and bias genes receive a random-reset / creep mutation.
+  exponent and bias genes receive a random-reset or (with probability
+  :data:`CREEP_FRACTION`) a +/-1 creep mutation.
 
 A selected gene is guaranteed to actually change: creep mutations
 *reflect* off the gene bounds instead of clipping back onto the current
@@ -21,9 +21,8 @@ selected — so the effective mutation rate equals
 
 The whole variation pipeline is **matrix-native**:
 :meth:`GeneticOperators.make_offspring` takes the population as one
-``(n, genes)`` int64 matrix (a list of gene vectors is accepted and
-stacked), runs batched tournaments / crossover / mutation with pure
-numpy index arithmetic, and returns the offspring as a
+``(n, genes)`` int64 matrix, runs batched tournaments / crossover /
+mutation with pure numpy index arithmetic, and returns the offspring as a
 ``(count, genes)`` matrix.  The original per-individual scalar walk is
 retained behind ``slow=True``: both paths consume the *same* pre-drawn
 random tensors (:class:`VariationDraws`), so for a given generator
@@ -34,14 +33,18 @@ randomized equivalence tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.nsga2 import binary_tournament_winners
 
-__all__ = ["GeneticOperators", "VariationDraws"]
+__all__ = ["CREEP_FRACTION", "GeneticOperators", "VariationDraws"]
+
+#: Share of range-gene mutations that take a +/-1 creep step instead of a
+#: full random reset: a branch coin below it creeps.
+CREEP_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,8 @@ class VariationDraws:
     #: ``(p,)`` uniforms deciding whether a pair undergoes crossover.
     crossover_coins: np.ndarray
     #: ``(x, g)`` uniforms — the gene-origin masks of the ``x`` pairs
-    #: that undergo uniform crossover, in pair order (empty for
-    #: one-point crossover).
+    #: that undergo crossover, in pair order.
     crossover_mask: np.ndarray
-    #: ``(p,)`` cut positions (one-point crossover; empty for uniform).
-    crossover_points: np.ndarray
     #: ``(c, g)`` uniforms selecting which genes mutate.
     mutation_coins: np.ndarray
     #: ``(k,)`` uniforms, one per selected gene in row-major order:
@@ -100,28 +100,17 @@ class GeneticOperators:
         too low for the short chromosomes of printed MLPs; the default
         0.02 mutates a handful of genes per child, and the trainer's
         configuration exposes it).
-    crossover:
-        ``"uniform"`` or ``"one_point"``.
-    creep_fraction:
-        Fraction of non-mask mutations that use a +/-1 creep step instead
-        of a full random reset.
     """
 
     layout: ChromosomeLayout
     crossover_probability: float = 0.7
     mutation_probability: float = 0.02
-    crossover: str = "uniform"
-    creep_fraction: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crossover_probability <= 1.0:
             raise ValueError("crossover_probability must lie in [0, 1]")
         if not 0.0 <= self.mutation_probability <= 1.0:
             raise ValueError("mutation_probability must lie in [0, 1]")
-        if self.crossover not in ("uniform", "one_point"):
-            raise ValueError(f"unknown crossover kind {self.crossover!r}")
-        if not 0.0 <= self.creep_fraction <= 1.0:
-            raise ValueError("creep_fraction must lie in [0, 1]")
         self._mask_bits = np.asarray(self.layout.mask_bits_per_gene, dtype=np.int64)
         lower = np.asarray(self.layout.lower_bounds, dtype=np.int64)
         upper = np.asarray(self.layout.upper_bounds, dtype=np.int64)
@@ -135,95 +124,6 @@ class GeneticOperators:
         self._flip_genes = mask_flags & (self._mask_bits > 0) & (span > 0)
         self._binary_genes = ~mask_flags & (span == 1)
         self._range_genes = ~mask_flags & (span >= 2)
-
-    # ------------------------------------------------------------------
-    # Selection
-    # ------------------------------------------------------------------
-    def tournament_select(
-        self,
-        population: Sequence[np.ndarray],
-        ranks: np.ndarray,
-        crowding: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Binary tournament by (rank, crowding distance).
-
-        Single-item convenience API (draws its own randomness); the
-        offspring pipeline uses the batched
-        :func:`~repro.core.nsga2.binary_tournament_winners` instead.
-        """
-        n = len(population)
-        if n == 0:
-            raise ValueError("population is empty")
-        if n == 1:
-            return np.array(population[0], dtype=np.int64)
-        a, b = rng.choice(n, size=2, replace=False)
-        if ranks[a] < ranks[b]:
-            winner = a
-        elif ranks[b] < ranks[a]:
-            winner = b
-        elif crowding[a] > crowding[b]:
-            winner = a
-        elif crowding[b] > crowding[a]:
-            winner = b
-        else:
-            winner = a if rng.random() < 0.5 else b
-        return np.array(population[winner], dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Crossover
-    # ------------------------------------------------------------------
-    def crossover_pair(
-        self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Produce two children from two parents.
-
-        Single-item convenience API (draws its own randomness); the
-        offspring pipeline uses :meth:`crossover_population` instead.
-        """
-        parent_a = np.asarray(parent_a, dtype=np.int64)
-        parent_b = np.asarray(parent_b, dtype=np.int64)
-        if parent_a.shape != parent_b.shape:
-            raise ValueError("parents must have the same shape")
-        if rng.random() >= self.crossover_probability:
-            return parent_a.copy(), parent_b.copy()
-        if self.crossover == "uniform":
-            take_from_a = rng.random(parent_a.shape[0]) < 0.5
-            child_a = np.where(take_from_a, parent_a, parent_b)
-            child_b = np.where(take_from_a, parent_b, parent_a)
-        else:  # one_point
-            point = int(rng.integers(1, max(parent_a.shape[0], 2)))
-            child_a = np.concatenate([parent_a[:point], parent_b[point:]])
-            child_b = np.concatenate([parent_b[:point], parent_a[point:]])
-        return child_a.astype(np.int64), child_b.astype(np.int64)
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-    def mutate(self, chromosome: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Mutate a chromosome in place-safe fashion (returns a copy).
-
-        Every selected mutable gene is guaranteed to change value; genes
-        that cannot change (zero-bit mask genes, ``lower == upper``
-        bounds) are skipped.  Implemented as a one-row batch through
-        :meth:`mutate_population`, so the single-chromosome and batched
-        paths cannot drift apart.
-        """
-        child = np.asarray(chromosome, dtype=np.int64)
-        num_genes = child.shape[0]
-        mutation_coins = rng.random((1, num_genes))
-        selected = int(np.count_nonzero(mutation_coins < self.mutation_probability))
-        draws = VariationDraws(
-            contestants=np.zeros((0, 2), dtype=np.int64),
-            tie_coins=np.zeros(0),
-            crossover_coins=np.zeros(0),
-            crossover_mask=np.zeros((0, num_genes)),
-            crossover_points=np.zeros(0, dtype=np.int64),
-            mutation_coins=mutation_coins,
-            branch_coins=rng.random(selected),
-            value_coins=rng.random(selected),
-        )
-        return self.mutate_population(child[None, :], draws)[0]
 
     # ------------------------------------------------------------------
     # Batched variation pipeline
@@ -252,13 +152,8 @@ class GeneticOperators:
         contestants = np.stack([first, second], axis=1)
         tie_coins = rng.random(num_children)
         crossover_coins = rng.random(num_pairs)
-        if self.crossover == "uniform":
-            num_crossed = int(np.count_nonzero(crossover_coins < self.crossover_probability))
-            crossover_mask = rng.random((num_crossed, num_genes))
-            crossover_points = np.zeros(0, dtype=np.int64)
-        else:
-            crossover_mask = np.zeros((0, num_genes))
-            crossover_points = rng.integers(1, max(num_genes, 2), size=num_pairs)
+        num_crossed = int(np.count_nonzero(crossover_coins < self.crossover_probability))
+        crossover_mask = rng.random((num_crossed, num_genes))
         mutation_coins = rng.random((num_children, num_genes))
         num_selected = int(np.count_nonzero(mutation_coins < self.mutation_probability))
         return VariationDraws(
@@ -266,7 +161,6 @@ class GeneticOperators:
             tie_coins=tie_coins,
             crossover_coins=crossover_coins,
             crossover_mask=crossover_mask,
-            crossover_points=crossover_points,
             mutation_coins=mutation_coins,
             branch_coins=rng.random(num_selected),
             value_coins=rng.random(num_selected),
@@ -283,19 +177,13 @@ class GeneticOperators:
     def crossover_population(
         self, parents_a: np.ndarray, parents_b: np.ndarray, draws: VariationDraws
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Crossover of ``num_pairs`` parent rows, as boolean-mask blends."""
+        """Uniform crossover of ``num_pairs`` parent rows, as boolean-mask blends."""
         parents_a = np.asarray(parents_a, dtype=np.int64)
         parents_b = np.asarray(parents_b, dtype=np.int64)
         crossed = draws.crossover_coins < self.crossover_probability
         # Rows that skip crossover take every gene from their own parent.
         take_from_a = np.ones(parents_a.shape, dtype=bool)
-        if self.crossover == "uniform":
-            take_from_a[crossed] = draws.crossover_mask < 0.5
-        else:  # one_point
-            gene_index = np.arange(parents_a.shape[1])[None, :]
-            take_from_a[crossed] = (
-                gene_index < draws.crossover_points[crossed, None]
-            )
+        take_from_a[crossed] = draws.crossover_mask < 0.5
         children_a = np.where(take_from_a, parents_a, parents_b)
         children_b = np.where(take_from_a, parents_b, parents_a)
         return children_a, children_b
@@ -337,7 +225,7 @@ class GeneticOperators:
         # Range genes: +/-1 creep (reflected off the bounds) or a random
         # reset over the range excluding the current value.
         in_range = self._range_genes[cols]
-        creep = in_range & (branch_coins < self.creep_fraction)
+        creep = in_range & (branch_coins < CREEP_FRACTION)
         step = np.where(value_coins < 0.5, -1, 1)
         step = np.where(values == lower, 1, np.where(values == upper, -1, step))
         mutated[creep] = (values + step)[creep]
@@ -403,15 +291,10 @@ class GeneticOperators:
             parent_a = population[tournament(2 * pair)].copy()
             parent_b = population[tournament(2 * pair + 1)].copy()
             if draws.crossover_coins[pair] < self.crossover_probability:
-                if self.crossover == "uniform":
-                    take_from_a = draws.crossover_mask[crossed_so_far] < 0.5
-                    crossed_so_far += 1
-                    child_a = np.where(take_from_a, parent_a, parent_b)
-                    child_b = np.where(take_from_a, parent_b, parent_a)
-                else:
-                    point = int(draws.crossover_points[pair])
-                    child_a = np.concatenate([parent_a[:point], parent_b[point:]])
-                    child_b = np.concatenate([parent_b[:point], parent_a[point:]])
+                take_from_a = draws.crossover_mask[crossed_so_far] < 0.5
+                crossed_so_far += 1
+                child_a = np.where(take_from_a, parent_a, parent_b)
+                child_b = np.where(take_from_a, parent_b, parent_a)
             else:
                 child_a, child_b = parent_a, parent_b
             children.append(child_a.astype(np.int64))
@@ -438,7 +321,7 @@ class GeneticOperators:
                 elif self._binary_genes[index]:
                     offspring[row, index] = lower + upper - value
                 elif self._range_genes[index]:
-                    if branch_coin < self.creep_fraction:
+                    if branch_coin < CREEP_FRACTION:
                         step = -1 if value_coin < 0.5 else 1
                         if value == lower:
                             step = 1
@@ -458,7 +341,7 @@ class GeneticOperators:
     # ------------------------------------------------------------------
     def make_offspring(
         self,
-        population: Union[np.ndarray, Sequence[np.ndarray]],
+        population: np.ndarray,
         ranks: np.ndarray,
         crowding: np.ndarray,
         count: int,
@@ -467,19 +350,16 @@ class GeneticOperators:
     ) -> np.ndarray:
         """Produce ``count`` children via selection, crossover and mutation.
 
-        ``population`` may be an ``(n, genes)`` matrix or a sequence of
-        gene vectors; the result is always a ``(count, genes)`` int64
-        matrix.  ``slow=True`` runs the scalar per-individual reference
-        walk over the same random draws (bit-identical output).
+        ``population`` is an ``(n, genes)`` int64 matrix and so is the
+        result, ``(count, genes)``.  ``slow=True`` runs the scalar
+        per-individual reference walk over the same random draws
+        (bit-identical output).
         """
-        matrix = np.ascontiguousarray(population, dtype=np.int64)
-        if matrix.ndim != 2:
-            raise ValueError(
-                f"population must stack into an (n, genes) matrix, got {matrix.shape}"
-            )
-        draws = self.draw_variation(matrix.shape[0], count, rng)
+        if population.ndim != 2:
+            raise ValueError(f"population must be an (n, genes) matrix, got {population.shape}")
+        draws = self.draw_variation(population.shape[0], count, rng)
         if slow:
-            offspring = self._offspring_scalar(matrix, ranks, crowding, draws)
+            offspring = self._offspring_scalar(population, ranks, crowding, draws)
         else:
-            offspring = self._offspring_vectorized(matrix, ranks, crowding, draws)
+            offspring = self._offspring_vectorized(population, ranks, crowding, draws)
         return offspring[:count]

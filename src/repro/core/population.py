@@ -16,7 +16,7 @@ search space that is already accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -117,12 +117,13 @@ class PopulationInitializer:
             chromosome[shift_slice] = layout.upper_bounds[shift_slice]
         return layout.clip(chromosome)
 
-    def build(self, population_size: int, rng: np.random.Generator) -> List[np.ndarray]:
-        """Construct the full initial population."""
+    def build(self, population_size: int, rng: np.random.Generator) -> np.ndarray:
+        """The full initial population as a ``(population_size, genes)`` int64
+        matrix: the random individuals first, then the doped ones."""
         if population_size <= 0:
             raise ValueError(f"population_size must be positive, got {population_size}")
         num_doped = int(round(self.doping_fraction * population_size))
         num_doped = min(num_doped, population_size)
-        population = [self.random_individual(rng) for _ in range(population_size - num_doped)]
-        population.extend(self.doped_individual(rng) for _ in range(num_doped))
-        return population
+        rows = [self.random_individual(rng) for _ in range(population_size - num_doped)]
+        rows.extend(self.doped_individual(rng) for _ in range(num_doped))
+        return np.stack(rows).astype(np.int64, copy=False)

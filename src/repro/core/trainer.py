@@ -26,7 +26,7 @@ from repro.approx.topology import Topology
 from repro.baselines.gradient import FloatMLP
 from repro.core.cache import EvaluationCache, pack_arrays
 from repro.core.chromosome import ChromosomeLayout
-from repro.core.fitness import FitnessEvaluator, FitnessValues
+from repro.core.fitness import AREA, ERROR, VIOLATION, FitnessEvaluator
 from repro.core.nsga2 import crowding_distance, nsga2_sort_key
 from repro.core.operators import GeneticOperators
 from repro.core.pareto import ParetoArchive, ParetoPoint, pareto_front
@@ -59,11 +59,6 @@ class GAConfig:
     learn_shifts: bool = True
     archive_size: int = 256
     seed: int = 0
-    #: Run the genetic operators through the scalar per-individual
-    #: reference walk instead of the matrix-native engine.  Bit-identical
-    #: to the default (both consume the same random draws); retained for
-    #: the equivalence tests and for bisecting discrepancies.
-    slow_operators: bool = False
 
     def __post_init__(self) -> None:
         if self.population_size < 4:
@@ -314,18 +309,15 @@ class GATrainer:
         archive = ParetoArchive(max_size=config.archive_size)
         history: List[GenerationStats] = []
 
-        # The population lives as one (n, genes) int64 matrix end to end:
-        # variation, fitness evaluation and environmental selection all
-        # operate on the matrix without per-individual list round-trips.
-        population = np.stack(initializer.build(config.population_size, rng)).astype(
-            np.int64, copy=False
-        )
-        fitnesses = evaluator.evaluate_population(population)
-        self._update_archive(archive, population, fitnesses)
+        # The population lives as one (n, genes) int64 matrix and its
+        # fitness as one (n, 4) table end to end: variation, evaluation
+        # and environmental selection index rows of both.
+        population = initializer.build(config.population_size, rng)
+        fitness = evaluator.evaluate_population(population)
+        self._update_archive(archive, population, fitness)
         # Fixed hypervolume reference point so progress is comparable
         # across generations.
-        initial_max_area = max((fit.area for fit in fitnesses), default=1.0)
-        hv_reference = (1.0, float(initial_max_area) * 1.1 + 1.0)
+        hv_reference = (1.0, float(fitness[:, AREA].max()) * 1.1 + 1.0)
 
         operators = GeneticOperators(
             layout=self.layout,
@@ -334,24 +326,23 @@ class GATrainer:
         )
         # Only the initial population is sorted from scratch: environmental
         # selection hands every later generation its survivors' sort key.
-        sort_key = nsga2_sort_key(*self._objective_matrix(fitnesses, area_objective))
+        sort_key = nsga2_sort_key(*self._objective_matrix(fitness, area_objective))
 
         for generation in range(config.generations):
             generation_start = time.perf_counter()
-            population, fitnesses, sort_key = self._generation_step(
+            population, fitness, sort_key = self._generation_step(
                 rng=rng,
                 evaluator=evaluator,
                 operators=operators,
                 archive=archive,
                 population=population,
-                fitnesses=fitnesses,
+                fitness=fitness,
                 sort_key=sort_key,
                 area_objective=area_objective,
-                slow_operators=config.slow_operators,
             )
             stats = self._stats(
                 generation,
-                fitnesses,
+                fitness,
                 archive,
                 evaluator,
                 hv_reference,
@@ -371,15 +362,8 @@ class GATrainer:
             # No candidate satisfied the accuracy-loss bound within the
             # budget; fall back to the final population so downstream
             # hardware analysis still has a front to work with.
-            for chromosome, fit in zip(population, fitnesses):
-                archive.add(
-                    ParetoPoint(
-                        error=fit.error,
-                        area=fit.area,
-                        accuracy=fit.accuracy,
-                        payload=np.array(chromosome, dtype=np.int64),
-                    )
-                )
+            for chromosome, (error, area, accuracy, _) in zip(population, fitness.tolist()):
+                archive.add(ParetoPoint(error, area, accuracy, payload=chromosome.copy()))
 
         result = GAResult(
             layout=self.layout,
@@ -402,11 +386,10 @@ class GATrainer:
         operators: GeneticOperators,
         archive: ParetoArchive,
         population: np.ndarray,
-        fitnesses: List[FitnessValues],
+        fitness: np.ndarray,
         sort_key: tuple[np.ndarray, np.ndarray],
         area_objective: bool,
-        slow_operators: bool = False,
-    ) -> tuple[np.ndarray, List[FitnessValues], tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """One NSGA-II generation: variation → evaluation → selection.
 
         ``sort_key`` is the population's ``nsga2_sort_key`` (ranks and
@@ -416,55 +399,40 @@ class GATrainer:
         """
         target_size = len(population)
         ranks, crowding = sort_key
-        offspring = operators.make_offspring(
-            population, ranks, crowding, target_size, rng, slow=slow_operators
-        )
-        offspring_fitnesses = evaluator.evaluate_population(offspring)
-        self._update_archive(archive, offspring, offspring_fitnesses)
+        offspring = operators.make_offspring(population, ranks, crowding, target_size, rng)
+        offspring_fitness = evaluator.evaluate_population(offspring)
+        self._update_archive(archive, offspring, offspring_fitness)
         return self._environmental_selection(
             np.concatenate([population, offspring]),
-            fitnesses + offspring_fitnesses,
+            np.concatenate([fitness, offspring_fitness]),
             target_size,
             area_objective,
         )
 
     @staticmethod
     def _objective_matrix(
-        fitnesses: Sequence[FitnessValues], area_objective: bool
+        fitness: np.ndarray, area_objective: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        table = np.array(
-            [(fit.error, fit.area, fit.constraint_violation) for fit in fitnesses],
-            dtype=np.float64,
-        ).reshape(-1, 3)
+        """``nsga2_sort_key``'s inputs: the ``[error, area]`` columns (area
+        zeroed without the area objective) and the violations."""
+        objectives = fitness[:, :2]
         if not area_objective:
-            table[:, 1] = 0.0
-        return table[:, :2], table[:, 2]
+            objectives = np.column_stack([fitness[:, ERROR], np.zeros(len(fitness))])
+        return objectives, fitness[:, VIOLATION]
 
-    def _update_archive(
-        self,
-        archive: ParetoArchive,
-        population: Sequence[np.ndarray],
-        fitnesses: Sequence[FitnessValues],
-    ) -> None:
-        violations = np.array([fit.constraint_violation for fit in fitnesses], dtype=np.float64)
-        for index in np.flatnonzero(violations <= 0.0).tolist():
-            fit = fitnesses[index]
-            archive.add(
-                ParetoPoint(
-                    error=fit.error,
-                    area=fit.area,
-                    accuracy=fit.accuracy,
-                    payload=np.array(population[index], dtype=np.int64),
-                )
-            )
+    @staticmethod
+    def _update_archive(archive: ParetoArchive, population: np.ndarray, fitness: np.ndarray) -> None:
+        for index in np.flatnonzero(fitness[:, VIOLATION] <= 0.0).tolist():
+            error, area, accuracy, _ = fitness[index].tolist()
+            archive.add(ParetoPoint(error, area, accuracy, payload=population[index].copy()))
 
     def _environmental_selection(
         self,
         population: np.ndarray,
-        fitnesses: List[FitnessValues],
+        fitness: np.ndarray,
         target_size: int,
         area_objective: bool,
-    ) -> tuple[np.ndarray, List[FitnessValues], tuple[np.ndarray, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
         """Keep the best ``target_size`` rows: whole fronts, then the least
         crowded members of the first front that does not fit.
 
@@ -475,7 +443,7 @@ class GATrainer:
         crowding is unchanged; only the partial front's crowding is
         recomputed, over its chosen members in the order they were chosen.
         """
-        objectives, violations = self._objective_matrix(fitnesses, area_objective)
+        objectives, violations = self._objective_matrix(fitness, area_objective)
         ranks, crowding = nsga2_sort_key(objectives, violations)
         # Fronts in rank order, members ascending within each front.
         by_front = np.argsort(ranks, kind="stable")
@@ -492,18 +460,18 @@ class GATrainer:
                 np.concatenate([sort_key[0], np.full(remaining, whole, dtype=np.int64)]),
                 np.concatenate([sort_key[1], crowding_distance(objectives[chosen])]),
             )
-        return population[survivors], [fitnesses[i] for i in survivors.tolist()], sort_key
+        return population[survivors], fitness[survivors], sort_key
 
     @staticmethod
     def _stats(
         generation: int,
-        fitnesses: Sequence[FitnessValues],
+        fitness: np.ndarray,
         archive: ParetoArchive,
         evaluator: FitnessEvaluator,
         reference: tuple[float, float],
         duration_s: float = 0.0,
     ) -> GenerationStats:
-        errors, areas = np.array([(fit.error, fit.area) for fit in fitnesses]).T
+        errors, areas = fitness[:, ERROR], fitness[:, AREA]
         return GenerationStats(
             generation=generation,
             best_error=float(errors.min()),

@@ -42,11 +42,6 @@ class DatasetSplit:
         object.__setattr__(self, "labels", labels)
 
     @property
-    def num_samples(self) -> int:
-        """Number of samples in the split."""
-        return int(self.features.shape[0])
-
-    @property
     def num_features(self) -> int:
         """Number of input features."""
         return int(self.features.shape[1])
@@ -78,11 +73,6 @@ class Dataset:
             raise ValueError(f"num_classes must be at least 2, got {self.num_classes}")
         if self.train.num_features != self.test.num_features:
             raise ValueError("train and test splits must have the same feature count")
-
-    @property
-    def num_features(self) -> int:
-        """Number of input features."""
-        return self.train.num_features
 
     def quantized_train(self, bits: int = DEFAULT_INPUT_BITS) -> Tuple[np.ndarray, np.ndarray]:
         """Quantized training inputs and their labels."""

@@ -48,11 +48,6 @@ class DatasetSpec:
     paper_parameters: Optional[int] = None
 
     @property
-    def num_features(self) -> int:
-        """Number of input features (first topology entry)."""
-        return self.topology[0]
-
-    @property
     def num_classes(self) -> int:
         """Number of classes (last topology entry)."""
         return self.topology[-1]

@@ -62,10 +62,5 @@ class QReLU:
         if self.out_bits <= 0:
             raise ValueError(f"out_bits must be positive, got {self.out_bits}")
 
-    @property
-    def max_value(self) -> int:
-        """Largest value the activation can produce."""
-        return (1 << self.out_bits) - 1
-
     def __call__(self, acc: np.ndarray) -> np.ndarray:
         return qrelu(acc, shift=self.shift, out_bits=self.out_bits)

@@ -55,8 +55,12 @@ class TestbenchVectors(NamedTuple):
         return int(self.vectors.shape[1])
 
 
-#: One applied input assignment: ``inN = <bits>'d<value>;`` lines.
-_INPUT_RE = re.compile(r"^\s*in(\d+) = \d+'d(\d+);$", re.MULTILINE)
+#: One applied input assignment: ``inN = <bits>'d<value>;`` lines.  The
+#: match starts at the newline before the line, a literal, so the regex
+#: engine jumps from newline to newline instead of trying a match at
+#: every character; the reader prepends one newline so that the first
+#: line counts too.
+_INPUT_RE = re.compile(r"\n\s*in(\d+) = \d+'d(\d+);$", re.MULTILINE)
 #: One golden self-check: ``if (class_index !== <bits>'d<value>)`` lines.
 _GOLDEN_RE = re.compile(r"class_index !== \d+'d(\d+)\)")
 
@@ -83,7 +87,7 @@ def extract_testbench_vectors(text: str) -> TestbenchVectors:
     golden = np.array(_GOLDEN_RE.findall(text), dtype=np.int64)
     # Every ``(index, value)`` digit-string pair, converted in one call
     # (a flat list converts faster than a list of tuples).
-    pairs = chain.from_iterable(_INPUT_RE.findall(text))
+    pairs = chain.from_iterable(_INPUT_RE.findall("\n" + text))
     assignments = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
     if golden.size == 0 or assignments.size == 0:
         raise ValueError("text does not contain generated testbench stimulus")

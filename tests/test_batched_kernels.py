@@ -50,7 +50,8 @@ def _evaluator(layout, rng, n_samples=30, baseline_accuracy=0.8):
 def _assert_batch_matches_oracle(evaluator, population):
     fast = evaluator.compute_population(population)
     slow = evaluator.compute_population(population, slow=True)
-    assert fast == slow
+    assert fast.shape == (len(population), 4)
+    assert np.array_equal(fast, slow)
     # The stacked forward itself is bitwise identical, not only the argmax.
     layout = evaluator.layout
     params = layout.population_parameters(population)
@@ -252,7 +253,8 @@ class TestGenomeNativeFitness:
         evaluator = _evaluator(layout, rng)
         population = np.stack([layout.random(rng) for _ in range(5)])
         oracle = evaluator.compute_population(population, slow=True)
-        assert [evaluator.evaluate(row) for row in population] == oracle
+        one_row = [evaluator.evaluate_population(row[None]) for row in population]
+        assert np.array_equal(np.concatenate(one_row), oracle)
         assert evaluator.fitness_computations == 5
 
 
@@ -337,7 +339,7 @@ class TestKernelAgainstScalarOracle:
         with pytest.raises(HelperCalled):
             forward_stacked(params, x_test)
 
-        assert evaluator.compute_population(population, slow=True) == fitness
+        assert np.array_equal(evaluator.compute_population(population, slow=True), fitness)
         assert evaluate_front(result, x_test, y_test, slow=True) == designs
         for row, predictions in zip(population, kernel_predictions):
             mlp = layout.decode(row)

@@ -358,30 +358,6 @@ class TestCorruptionTolerance:
         assert "disallowed global repro.approx.config.ApproxConfig" in caplog.text
         assert not any(len(getattr(cache, name)) for name in ("accuracy", "reports", "stages", "modules"))
 
-    def test_fitness_values_are_refused_by_the_allowlist(self, tmp_path, caplog):
-        """No persisted section holds a ``FitnessValues`` any more, so even
-        a current-version head of the current code that pickles one is
-        refused whole instead of restored."""
-        from repro.core.fitness import FitnessValues
-
-        payload = {
-            "magic": "repro-evaluation-cache",
-            "version": CACHE_FORMAT_VERSION,
-            "code": (np.__version__, code_digest()),
-            "sections": {
-                "accuracy": [((b"g", "split"), FitnessValues(0.25, 12.0, 0.75), 1.0)],
-                "reports": [],
-                "stages": [],
-            },
-        }
-        path = tmp_path / "snap.pkl"
-        path.write_bytes(pickle.dumps(payload))
-        cache = EvaluationCache()
-        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
-            assert cache.load(path) == 0
-        assert "disallowed global repro.core.fitness.FitnessValues" in caplog.text
-        assert len(cache.accuracy) == 0
-
     def test_version_6_verification_report_is_ignored(self, tmp_path, caplog):
         """A version-6 snapshot holds ``DesignVerification`` reports that
         still carry the gate-level netlist counts.  The old shape passes

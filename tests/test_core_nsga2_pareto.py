@@ -12,7 +12,6 @@ from repro.core.nsga2 import (
     front_crowding_distances,
     nsga2_sort_key,
 )
-from repro.core.fitness import FitnessValues
 from repro.core.pareto import ParetoArchive, ParetoPoint, hypervolume, pareto_front
 from repro.core.trainer import GATrainer
 
@@ -185,17 +184,14 @@ class TestCarriedSortKey:
         violations = (
             np.maximum(0.0, rng.integers(0, 6, n) / 10.0 - 0.3) if with_violations else np.zeros(n)
         )
-        fitnesses = [
-            FitnessValues(error=e, area=a, accuracy=1.0 - e, constraint_violation=v)
-            for e, a, v in zip(errors.tolist(), areas.tolist(), violations.tolist())
-        ]
+        fitness = np.column_stack([errors, areas, 1.0 - errors, violations])
         population = np.arange(n)[:, None]
         trainer = GATrainer((2, 2, 2))
         survivors, kept, (ranks, crowding) = trainer._environmental_selection(
-            population, fitnesses, target, area_objective
+            population, fitness, target, area_objective
         )
         assert len(kept) == target == len(survivors)
-        assert [fitnesses[i] for i in survivors[:, 0]] == kept
+        assert np.array_equal(fitness[survivors[:, 0]], kept)
         objectives, kept_violations = trainer._objective_matrix(kept, area_objective)
         fresh_ranks, fresh_crowding = nsga2_sort_key(objectives, kept_violations)
         assert np.array_equal(ranks, fresh_ranks)

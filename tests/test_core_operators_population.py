@@ -6,9 +6,10 @@ import pytest
 from repro.approx.config import ApproxConfig
 from repro.baselines.gradient import FloatMLP
 from repro.core.chromosome import ChromosomeLayout
-from repro.core.fitness import FitnessEvaluator, FitnessValues
-from repro.core.operators import GeneticOperators
+from repro.core.fitness import ACCURACY, AREA, ERROR, VIOLATION, FitnessEvaluator
+from repro.core.operators import CREEP_FRACTION, GeneticOperators, VariationDraws
 from repro.core.population import PopulationInitializer
+from repro.hardware.adder_tree import mlp_fa_count
 
 
 @pytest.fixture
@@ -21,72 +22,96 @@ def operators(layout):
     return GeneticOperators(layout=layout, crossover_probability=1.0, mutation_probability=0.1)
 
 
+def _draws(
+    num_genes, crossover_coins=(), crossover_mask=None, mutation_coins=None, branch=(), value=()
+):
+    """Hand-built :class:`VariationDraws` for the crossover or the mutation
+    step alone: no tournaments, and by default no crossover and no gene
+    selected for mutation."""
+    return VariationDraws(
+        contestants=np.zeros((0, 2), dtype=np.int64),
+        tie_coins=np.zeros(0),
+        crossover_coins=np.asarray(crossover_coins, dtype=np.float64),
+        crossover_mask=np.zeros((0, num_genes)) if crossover_mask is None else crossover_mask,
+        mutation_coins=np.ones((0, num_genes)) if mutation_coins is None else mutation_coins,
+        branch_coins=np.asarray(branch, dtype=np.float64),
+        value_coins=np.asarray(value, dtype=np.float64),
+    )
+
+
+def _mutate_all(ops, chromosomes, branch, value):
+    """Mutate every gene of every row (every mutation coin is 0) with the
+    given branch and value coins: a scalar, one coin per gene or one per
+    entry of ``chromosomes``, in row-major order."""
+    chromosomes = np.atleast_2d(np.asarray(chromosomes, dtype=np.int64))
+    coins = [np.broadcast_to(c, chromosomes.shape).reshape(-1) for c in (branch, value)]
+    draws = _draws(
+        chromosomes.shape[1], mutation_coins=np.zeros(chromosomes.shape), branch=coins[0], value=coins[1]
+    )
+    return ops.mutate_population(chromosomes, draws)
+
+
 class TestOperators:
     def test_crossover_children_within_bounds(self, layout, operators, rng):
         a, b = layout.random(rng), layout.random(rng)
-        child_a, child_b = operators.crossover_pair(a, b, rng)
-        layout.validate(child_a)
-        layout.validate(child_b)
+        draws = _draws(layout.num_genes, [0.0], rng.random((1, layout.num_genes)))
+        children_a, children_b = operators.crossover_population(a[None], b[None], draws)
+        layout.validate(children_a[0])
+        layout.validate(children_b[0])
 
     def test_uniform_crossover_mixes_genes(self, layout, operators, rng):
         a = layout.lower_bounds.copy()
         b = layout.upper_bounds.copy()
-        child_a, child_b = operators.crossover_pair(a, b, rng)
+        mask = rng.random((1, layout.num_genes))
+        children_a, children_b = operators.crossover_population(
+            a[None], b[None], _draws(layout.num_genes, [0.0], mask)
+        )
+        child_a, child_b = children_a[0], children_b[0]
         # Every gene of each child comes from one of the parents.
         assert np.all((child_a == a) | (child_a == b))
         assert np.all((child_b == a) | (child_b == b))
         # And the two children are complementary.
         assert np.all((child_a == a) ^ (child_b == a) | (a == b))
-
-    def test_one_point_crossover(self, layout, rng):
-        ops = GeneticOperators(layout, crossover_probability=1.0, crossover="one_point")
-        a = layout.lower_bounds.copy()
-        b = layout.upper_bounds.copy()
-        child_a, _ = ops.crossover_pair(a, b, rng)
-        switches = np.count_nonzero(np.diff((child_a == a).astype(int)))
-        assert switches <= 1 + np.count_nonzero(a == b)
+        # A mask entry below 0.5 takes the gene from the first parent.
+        assert np.array_equal(child_a, np.where(mask[0] < 0.5, a, b))
 
     def test_no_crossover_when_probability_zero(self, layout, rng):
         ops = GeneticOperators(layout, crossover_probability=0.0)
         a, b = layout.random(rng), layout.random(rng)
-        child_a, child_b = ops.crossover_pair(a, b, rng)
-        assert np.array_equal(child_a, a) and np.array_equal(child_b, b)
-
-    def test_crossover_shape_mismatch(self, layout, operators, rng):
-        with pytest.raises(ValueError):
-            operators.crossover_pair(layout.random(rng), np.zeros(3, dtype=np.int64), rng)
+        draws = ops.draw_variation(2, 2, rng)
+        assert draws.crossover_mask.shape == (0, layout.num_genes)
+        children_a, children_b = ops.crossover_population(a[None], b[None], draws)
+        assert np.array_equal(children_a[0], a) and np.array_equal(children_b[0], b)
 
     def test_mutation_respects_bounds(self, layout, rng):
         ops = GeneticOperators(layout, mutation_probability=1.0)
-        for _ in range(5):
-            layout.validate(ops.mutate(layout.random(rng), rng))
+        population = np.stack([layout.random(rng) for _ in range(6)])
+        for child in ops.mutate_population(population, ops.draw_variation(6, 6, rng)):
+            layout.validate(child)
 
     def test_mutation_zero_probability_is_identity(self, layout, rng):
         ops = GeneticOperators(layout, mutation_probability=0.0)
-        chromosome = layout.random(rng)
-        assert np.array_equal(ops.mutate(chromosome, rng), chromosome)
+        population = np.stack([layout.random(rng) for _ in range(2)])
+        draws = ops.draw_variation(2, 2, rng)
+        assert np.array_equal(ops.mutate_population(population, draws), population)
 
     def test_mutation_changes_some_genes(self, layout, rng):
         ops = GeneticOperators(layout, mutation_probability=1.0)
-        chromosome = layout.random(rng)
-        mutated = ops.mutate(chromosome, rng)
-        assert np.any(mutated != chromosome)
+        population = np.stack([layout.random(rng) for _ in range(2)])
+        mutated = ops.mutate_population(population, ops.draw_variation(2, 2, rng))
+        assert np.all(np.any(mutated != population, axis=1))
 
     def test_tournament_prefers_lower_rank(self, layout, rng):
         ops = GeneticOperators(layout)
-        population = [layout.random(rng) for _ in range(2)]
         ranks = np.array([0, 5])
         crowding = np.array([0.0, 0.0])
-        wins = sum(
-            np.array_equal(
-                ops.tournament_select(population, ranks, crowding, rng), population[0]
-            )
-            for _ in range(30)
-        )
-        assert wins == 30  # with distinct contestants the lower rank always wins
+        draws = ops.draw_variation(2, 30, rng)
+        winners = ops.select_parents(ranks, crowding, draws)
+        assert winners.shape == (30,)
+        assert np.all(winners == 0)  # with distinct contestants the lower rank always wins
 
     def test_make_offspring_count_and_validity(self, layout, operators, rng):
-        population = [layout.random(rng) for _ in range(6)]
+        population = np.stack([layout.random(rng) for _ in range(6)])
         ranks = np.zeros(6, dtype=int)
         crowding = np.zeros(6)
         children = operators.make_offspring(population, ranks, crowding, 9, rng)
@@ -99,8 +124,6 @@ class TestOperators:
             GeneticOperators(layout, crossover_probability=2.0)
         with pytest.raises(ValueError):
             GeneticOperators(layout, mutation_probability=-0.1)
-        with pytest.raises(ValueError):
-            GeneticOperators(layout, crossover="two_point")
 
     def test_make_offspring_returns_matrix(self, layout, operators, rng):
         population = np.stack([layout.random(rng) for _ in range(6)])
@@ -124,16 +147,13 @@ class TestVectorizedScalarEquivalence:
     draws, so for identical generator states the offspring matrices must
     be bit-identical — the strongest form of identity of distribution."""
 
-    @pytest.mark.parametrize("crossover", ["uniform", "one_point"])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_offspring_bit_identical(self, layout, crossover, seed):
+    @pytest.mark.parametrize("seed", range(16))
+    def test_offspring_bit_identical(self, layout, seed):
         rng = np.random.default_rng(seed)
         ops = GeneticOperators(
             layout,
             crossover_probability=float(rng.random()),
             mutation_probability=float(rng.random() * 0.5),
-            crossover=crossover,
-            creep_fraction=float(rng.random()),
         )
         size = int(rng.integers(2, 12))
         count = int(rng.integers(1, 12))
@@ -156,35 +176,30 @@ class TestVectorizedScalarEquivalence:
         for child in fast:
             layout.validate(child)
 
-    def test_list_and_matrix_populations_agree(self, layout, operators, rng):
-        population = [layout.random(rng) for _ in range(5)]
-        ranks, crowding = np.zeros(5, dtype=int), np.zeros(5)
-        from_list = operators.make_offspring(
-            population, ranks, crowding, 6, np.random.default_rng(0)
-        )
-        from_matrix = operators.make_offspring(
-            np.stack(population), ranks, crowding, 6, np.random.default_rng(0)
-        )
-        assert np.array_equal(from_list, from_matrix)
-
 
 class TestMutationGuarantees:
     """A selected mutable gene must always change value (the effective
     mutation rate equals ``mutation_probability``)."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_single_mutate_always_changes_selected_genes(self, layout, seed):
+    def test_every_selected_gene_changes(self, layout, seed):
+        """Every gene selected, with random branch and value coins: each
+        mutable gene moves, also from either bound."""
         ops = GeneticOperators(layout, mutation_probability=1.0)
         rng = np.random.default_rng(seed)
         mutable = layout.upper_bounds > layout.lower_bounds
-        for chromosome in (
-            layout.lower_bounds.copy(),  # creep at the lower bound
-            layout.upper_bounds.copy(),  # creep at the upper bound
-            layout.random(rng),
-        ):
-            mutated = ops.mutate(chromosome, rng)
-            layout.validate(mutated)
-            assert np.all(mutated[mutable] != chromosome[mutable])
+        chromosomes = np.stack(
+            [
+                layout.lower_bounds,  # creep at the lower bound
+                layout.upper_bounds,  # creep at the upper bound
+                layout.random(rng),
+            ]
+        )
+        coins = rng.random((2,) + chromosomes.shape)
+        mutated = _mutate_all(ops, chromosomes, coins[0], coins[1])
+        for row, chromosome in zip(mutated, chromosomes):
+            layout.validate(row)
+            assert np.all(row[mutable] != chromosome[mutable])
 
     def test_batched_mutation_always_changes_selected_genes(self, layout):
         """Per-gene: exactly the selected mutable genes change value."""
@@ -222,31 +237,49 @@ class TestMutationGuarantees:
         # a few standard errors of the true rate.
         assert abs(rate - probability) < 0.02
 
-    def test_creep_reflects_at_bounds(self, layout, rng):
-        """Creep steps reflect instead of clipping onto the same value."""
-        ops = GeneticOperators(layout, mutation_probability=1.0, creep_fraction=1.0)
+    @pytest.mark.parametrize(
+        "branch", [0.0, np.nextafter(CREEP_FRACTION, 0.0)], ids=["branch_zero", "branch_below_fraction"]
+    )
+    @pytest.mark.parametrize("value", [0.0, 0.99], ids=["down", "up"])
+    def test_creep_reflects_at_bounds(self, layout, branch, value):
+        """A branch coin below ``CREEP_FRACTION`` creeps, and creep steps
+        reflect off the bounds instead of clipping onto the same value,
+        whichever direction the value coin asks for."""
+        ops = GeneticOperators(layout, mutation_probability=1.0)
         non_mask = ~layout.mask_gene_flags
         span = layout.upper_bounds - layout.lower_bounds
         creeping = non_mask & (span >= 2)
-        if not np.any(creeping):
-            pytest.skip("layout has no creep-mutated genes")
-        lower = ops.mutate(layout.lower_bounds.copy(), rng)
-        upper = ops.mutate(layout.upper_bounds.copy(), rng)
+        assert np.any(creeping)
+        lower, upper = _mutate_all(
+            ops, np.stack([layout.lower_bounds, layout.upper_bounds]), branch, value
+        )
         assert np.all(lower[creeping] == layout.lower_bounds[creeping] + 1)
         assert np.all(upper[creeping] == layout.upper_bounds[creeping] - 1)
+        # Between the bounds the value coin picks the direction.
+        middle = np.where(creeping, layout.lower_bounds + span // 2, layout.lower_bounds)
+        (stepped,) = _mutate_all(ops, middle, branch, value)
+        step = -1 if value < 0.5 else 1
+        assert np.all(stepped[creeping] == middle[creeping] + step)
 
-    def test_random_reset_never_redraws_current_value(self, layout):
-        """The reset branch resamples so the gene always moves."""
-        ops = GeneticOperators(layout, mutation_probability=1.0, creep_fraction=0.0)
-        span = layout.upper_bounds - layout.lower_bounds
+    @pytest.mark.parametrize("branch", [CREEP_FRACTION, 0.99], ids=["branch_at_fraction", "branch_high"])
+    def test_random_reset_never_redraws_current_value(self, layout, branch):
+        """A branch coin at or above ``CREEP_FRACTION`` resets: the value
+        coin picks uniformly among the ``span`` values other than the
+        current one, so the gene always moves."""
+        ops = GeneticOperators(layout, mutation_probability=1.0)
+        lower, upper = layout.lower_bounds, layout.upper_bounds
+        span = upper - lower
         resetting = ~layout.mask_gene_flags & (span >= 2)
-        if not np.any(resetting):
-            pytest.skip("layout has no reset-mutated genes")
+        assert np.any(resetting)
         rng = np.random.default_rng(11)
         for trial in range(50):
             chromosome = layout.random(rng)
-            mutated = ops.mutate(chromosome, rng)
+            coins = rng.random(chromosome.size)
+            mutated = _mutate_all(ops, chromosome, branch, coins)[0]
             assert np.all(mutated[resetting] != chromosome[resetting])
+            draw = lower + np.minimum((coins * span).astype(np.int64), span - 1)
+            expected = draw + (draw >= chromosome)
+            assert np.array_equal(mutated[resetting], expected[resetting])
             layout.validate(mutated)
 
 
@@ -267,15 +300,16 @@ class _FrozenMaskLayout:
 class TestZeroBitMaskGenes:
     """A mask gene with zero mask bits must be skipped, not phantom-flipped."""
 
-    def test_single_mutate_skips_zero_bit_mask_gene(self):
+    def test_mutation_skips_zero_bit_mask_gene(self):
         layout = _FrozenMaskLayout()
         ops = GeneticOperators(layout, mutation_probability=1.0)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            mutated = ops.mutate(np.array([0, 5, 1], dtype=np.int64), rng)
-            assert mutated[0] == 0  # unchanged, and clip was never called
-            assert 0 <= mutated[1] <= 15 and mutated[1] != 5
-            assert mutated[2] == 0
+        chromosomes = np.tile(np.array([0, 5, 1], dtype=np.int64), (20, 1))
+        coins = rng.random((2, 20, 3))
+        mutated = _mutate_all(ops, chromosomes, coins[0], coins[1])
+        assert np.all(mutated[:, 0] == 0)  # unchanged, and clip was never called
+        assert np.all((mutated[:, 1] >= 0) & (mutated[:, 1] <= 15) & (mutated[:, 1] != 5))
+        assert np.all(mutated[:, 2] == 0)
 
     @pytest.mark.parametrize("slow", [False, True])
     def test_batched_mutation_skips_zero_bit_mask_gene(self, slow):
@@ -304,7 +338,8 @@ class TestZeroBitMaskGenes:
         layout.lower_bounds[mask_flags] = (1 << bits[mask_flags]) - 1
         ops = GeneticOperators(layout, mutation_probability=1.0)
         chromosome = layout.clip(layout.random(rng))
-        mutated = ops.mutate(chromosome, rng)
+        coins = rng.random((2, chromosome.size))
+        mutated = _mutate_all(ops, chromosome, coins[0], coins[1])[0]
         assert np.all(mutated[mask_flags] == chromosome[mask_flags])
         layout.validate(mutated)
 
@@ -313,7 +348,9 @@ class TestPopulationInitializer:
     def test_population_size_and_validity(self, layout, rng):
         init = PopulationInitializer(layout, doping_fraction=0.1)
         population = init.build(20, rng)
-        assert len(population) == 20
+        assert isinstance(population, np.ndarray)
+        assert population.shape == (20, layout.num_genes)
+        assert population.dtype == np.int64
         for individual in population:
             layout.validate(individual)
 
@@ -360,28 +397,28 @@ class TestFitnessEvaluator:
     def test_objectives_and_ranges(self, layout, tiny_dataset):
         x_train, y_train, _, _ = tiny_dataset
         evaluator = FitnessEvaluator(layout, x_train, y_train)
-        fitness = evaluator.evaluate(layout.random(np.random.default_rng(0)))
-        assert isinstance(fitness, FitnessValues)
-        assert 0.0 <= fitness.accuracy <= 1.0
-        assert fitness.error == pytest.approx(1.0 - fitness.accuracy)
-        assert fitness.area >= 0
-        assert fitness.feasible  # no baseline -> no constraint
+        fitness = evaluator.evaluate_population(layout.random(np.random.default_rng(0))[None])
+        assert fitness.shape == (1, 4) and fitness.dtype == np.float64
+        (row,) = fitness
+        assert 0.0 <= row[ACCURACY] <= 1.0
+        assert row[ERROR] == pytest.approx(1.0 - row[ACCURACY])
+        assert row[AREA] >= 0
+        assert row[VIOLATION] <= 0.0  # no baseline -> no constraint
 
     def test_constraint_violation(self, layout, tiny_dataset):
         x_train, y_train, _, _ = tiny_dataset
         evaluator = FitnessEvaluator(
             layout, x_train, y_train, baseline_accuracy=1.0, max_accuracy_loss=0.0
         )
-        fitness = evaluator.evaluate(layout.random(np.random.default_rng(0)))
-        if fitness.accuracy < 1.0:
-            assert fitness.constraint_violation > 0
-            assert not fitness.feasible
+        (row,) = evaluator.evaluate_population(layout.random(np.random.default_rng(0))[None])
+        if row[ACCURACY] < 1.0:
+            assert row[VIOLATION] > 0
 
     def test_evaluation_counter(self, layout, tiny_dataset):
         x_train, y_train, _, _ = tiny_dataset
         evaluator = FitnessEvaluator(layout, x_train, y_train)
         rng = np.random.default_rng(0)
-        evaluator.evaluate_population([layout.random(rng) for _ in range(7)])
+        evaluator.evaluate_population(np.stack([layout.random(rng) for _ in range(7)]))
         assert evaluator.evaluations == 7
 
     def test_input_validation(self, layout, tiny_dataset):
@@ -393,6 +430,52 @@ class TestFitnessEvaluator:
         with pytest.raises(ValueError):
             FitnessEvaluator(layout, x_train, y_train, max_accuracy_loss=-1.0)
 
-    def test_objectives_property(self):
-        values = FitnessValues(error=0.25, area=12.0, accuracy=0.75)
-        assert np.array_equal(values.objectives, np.array([0.25, 12.0]))
+
+class TestFitnessTable:
+    """``evaluate_population`` returns one ``(n, 4)`` float64 table whose
+    columns the module constants name, objectives first."""
+
+    def test_columns_are_named_objectives_first(self):
+        assert (ERROR, AREA, ACCURACY, VIOLATION) == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("baseline", [None, 0.2, 0.55, 0.9])
+    def test_columns_follow_from_accuracy_and_area(self, layout, tiny_dataset, baseline):
+        x_train, y_train, _, _ = tiny_dataset
+        rng = np.random.default_rng(5)
+        population = np.stack([layout.random(rng) for _ in range(12)])
+        evaluator = FitnessEvaluator(
+            layout, x_train, y_train, baseline_accuracy=baseline, max_accuracy_loss=0.05
+        )
+        table = evaluator.evaluate_population(population)
+        assert table.shape == (12, 4) and table.dtype == np.float64
+        for row, chromosome in zip(table.tolist(), population):
+            model = layout.decode(chromosome)
+            accuracy = model.accuracy(evaluator.train_inputs, evaluator.train_labels)
+            assert row[ACCURACY] == accuracy
+            assert row[ERROR] == 1.0 - accuracy
+            assert row[AREA] == float(mlp_fa_count(model))
+            expected = 0.0 if baseline is None else max(0.0, baseline - accuracy - 0.05)
+            assert row[VIOLATION] == expected
+
+    def test_duplicate_rows_are_scored_once_and_share_their_row(self, layout, tiny_dataset):
+        x_train, y_train, _, _ = tiny_dataset
+        rng = np.random.default_rng(6)
+        genomes = np.stack([layout.random(rng) for _ in range(3)])
+        population = genomes[[2, 0, 2, 1, 0, 2]]
+        evaluator = FitnessEvaluator(layout, x_train, y_train, baseline_accuracy=0.8)
+        scored = []
+        compute = evaluator.compute_population
+        evaluator.compute_population = lambda rows: scored.append(rows.copy()) or compute(rows)
+        table = evaluator.evaluate_population(population)
+        del evaluator.compute_population
+        assert [rows.tolist() for rows in scored] == [genomes[[2, 0, 1]].tolist()]
+        assert evaluator.evaluations == evaluator.fitness_computations == 3
+        assert np.array_equal(table, evaluator.compute_population(genomes)[[2, 0, 2, 1, 0, 2]])
+        assert np.array_equal(table[0], table[2]) and np.array_equal(table[0], table[5])
+
+    def test_empty_batch_is_an_empty_table(self, layout, tiny_dataset):
+        x_train, y_train, _, _ = tiny_dataset
+        evaluator = FitnessEvaluator(layout, x_train, y_train)
+        table = evaluator.evaluate_population(np.zeros((0, layout.num_genes), dtype=np.int64))
+        assert table.shape == (0, 4) and table.dtype == np.float64
+        assert evaluator.evaluations == evaluator.fitness_computations == 0

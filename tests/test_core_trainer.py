@@ -1,10 +1,12 @@
 """Tests for the NSGA-II trainer (integration of the core package)."""
 
 import dataclasses
+from functools import partialmethod
 
 import numpy as np
 import pytest
 
+from repro.core.operators import GeneticOperators
 from repro.core.trainer import GAConfig, GATrainer
 from repro.hardware.adder_tree import mlp_fa_count
 from repro.hardware.fast_area import fast_population_fa_count
@@ -143,16 +145,26 @@ class TestGATrainer:
         front_b = [(p.error, p.area) for p in result_b.estimated_front]
         assert front_a == front_b
 
-    def test_deterministic_across_operator_paths(self, tiny_dataset_module):
-        """Vectorized and ``slow_operators`` runs share every random draw,
-        so the same seed must produce identical fronts and histories."""
+    def test_deterministic_across_operator_paths(self, tiny_dataset_module, monkeypatch):
+        """A whole GA run through the scalar ``make_offspring(slow=True)``
+        oracle shares every random draw with the vectorized run, so the
+        same seed must produce identical fronts and histories."""
         x_train, y_train, _, _ = tiny_dataset_module
-        fast_config = GAConfig(population_size=12, generations=4, seed=3)
-        slow_config = GAConfig(
-            population_size=12, generations=4, seed=3, slow_operators=True
+        config = GAConfig(population_size=12, generations=4, seed=3)
+        fast = GATrainer((4, 3, 2), ga_config=config).train(x_train, y_train)
+        scalar_calls = []
+        scalar = GeneticOperators._offspring_scalar
+
+        def counted_scalar(self, *args):
+            scalar_calls.append(len(args[0]))
+            return scalar(self, *args)
+
+        monkeypatch.setattr(
+            GeneticOperators, "make_offspring", partialmethod(GeneticOperators.make_offspring, slow=True)
         )
-        fast = GATrainer((4, 3, 2), ga_config=fast_config).train(x_train, y_train)
-        slow = GATrainer((4, 3, 2), ga_config=slow_config).train(x_train, y_train)
+        monkeypatch.setattr(GeneticOperators, "_offspring_scalar", counted_scalar)
+        slow = GATrainer((4, 3, 2), ga_config=config).train(x_train, y_train)
+        assert scalar_calls == [12] * config.generations
         assert [(p.error, p.area) for p in fast.estimated_front] == [
             (p.error, p.area) for p in slow.estimated_front
         ]

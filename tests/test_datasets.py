@@ -255,7 +255,7 @@ class TestDatasetContainers:
         split = DatasetSplit(features=rng.random((20, 3)), labels=rng.integers(0, 2, 20))
         quantized = split.quantized(bits=4)
         assert quantized.min() >= 0 and quantized.max() <= 15
-        assert split.num_samples == 20 and split.num_features == 3
+        assert split.features.shape == (20, 3) and split.num_features == 3
 
     def test_quantized_train_is_one_read_only_array(self):
         """Each split is quantized once per bit width: every call returns
@@ -320,10 +320,10 @@ class TestRegistry:
 
     def test_load_dataset_shapes(self):
         dataset = load_dataset("breast_cancer", seed=0, num_samples=200)
-        assert dataset.num_features == 10
+        assert dataset.train.num_features == dataset.test.num_features == 10
         assert dataset.num_classes == 2
-        assert dataset.train.num_samples + dataset.test.num_samples == 200
-        assert dataset.train.num_samples > dataset.test.num_samples
+        assert len(dataset.train.labels) + len(dataset.test.labels) == 200
+        assert len(dataset.train.labels) > len(dataset.test.labels)
 
     def test_load_dataset_deterministic(self):
         a = load_dataset("redwine", seed=3, num_samples=150)
@@ -356,5 +356,5 @@ class TestRegistry:
     def test_property_all_datasets_loadable(self, name):
         dataset = load_dataset(name, seed=0, num_samples=120)
         spec = get_spec(name)
-        assert dataset.num_features == spec.num_features
+        assert dataset.train.num_features == spec.topology[0]
         assert dataset.num_classes == spec.num_classes

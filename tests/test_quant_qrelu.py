@@ -53,8 +53,11 @@ class TestQReLUClass:
         assert np.array_equal(activation(values), qrelu(values, shift=2, out_bits=8))
 
     def test_max_value(self):
-        assert QReLU(out_bits=8).max_value == 255
-        assert QReLU(out_bits=4).max_value == 15
+        """The largest output is ``2**out_bits - 1``, reached by saturation."""
+        top = np.array([1 << 20, (1 << 20) + 12345])
+        assert QReLU(out_bits=8)(top).tolist() == [255, 255]
+        assert QReLU(out_bits=4)(top).tolist() == [15, 15]
+        assert QReLU(out_bits=4)(np.array([15, 16])).tolist() == [15, 15]
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

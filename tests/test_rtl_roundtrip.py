@@ -276,3 +276,68 @@ class TestEmittedBytesPinned:
         with pytest.raises(ValueError) as error:
             extract_testbench_vectors(text)
         assert str(error.value) == message
+
+
+#: The reader's input pattern before it took a literal prefix: an
+#: ``inN = <bits>'d<value>;`` line anchored at a line start.  The current
+#: pattern must find exactly the same ``(index, value)`` pairs.
+_REFERENCE_INPUT_RE = re.compile(r"^\s*in(\d+) = \d+'d(\d+);$", re.MULTILINE)
+
+#: Fragments of testbench lines, line breaks, ASCII and Unicode
+#: whitespace (only ``\n`` ends a line for ``^``/``$``) and near misses.
+_PIECES = st.sampled_from(
+    [
+        "in", "in0", "in12", " = ", "4'd", "'d", "7", "0", "٣", ";", "\n", "\n\n",
+        " ", "        ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", " ", "\xa0",
+        "x", "#1;", "// in1 = 4'd2;", "in3 = 4'd9;", "    in1 = 8'd255;\n", "in2 = 'd1;",
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def tamper_base(make_mlp):
+    """A short emitted testbench (4 vectors of 3 inputs) to tamper with."""
+    rng = np.random.default_rng(3)
+    mlp = make_mlp(rng, sizes=(3, 2, 2), mask_density=0.5)
+    return generate_testbench(mlp, vectors=rng.integers(0, 16, size=(4, 3)))
+
+
+def _input_pairs(text):
+    """The ``(index, value)`` pairs the reader takes from ``text``."""
+    from repro.rtl.vectors import _INPUT_RE
+
+    return _INPUT_RE.findall("\n" + text)
+
+
+class TestInputPattern:
+    """The reader's literal-prefixed input pattern finds the same pairs
+    as the line-anchored reference on any text."""
+
+    def test_matches_reference_on_emitted_testbenches(self, edge_design):
+        mlp, vectors = edge_design
+        text = generate_testbench(mlp, vectors=vectors)
+        pairs = _input_pairs(text)
+        assert pairs == _REFERENCE_INPUT_RE.findall(text)
+        assert len(pairs) == vectors.size
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(0, 4), st.lists(_PIECES, max_size=3).map("".join)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_reference_on_tampered_testbenches(self, tamper_base, edits):
+        """Cut and splice an emitted testbench at random places."""
+        text = tamper_base
+        for where, cut, insert in edits:
+            at = int(where * len(text))
+            text = text[:at] + insert + text[at + cut :]
+        assert _input_pairs(text) == _REFERENCE_INPUT_RE.findall(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.lists(_PIECES, max_size=40).map("".join), st.text(max_size=80)))
+    def test_matches_reference_on_random_text(self, text):
+        assert _input_pairs(text) == _REFERENCE_INPUT_RE.findall(text)
+

@@ -7,7 +7,7 @@ exact agreement over randomized models, batches and populations:
 * stacked bit-plane kernel == per-model scalar accumulate (bitwise),
 * two-objective sweep non-dominated sort == Deb's pairwise-loop sort,
 * sweep-based ``pareto_front`` / ``ParetoArchive`` == all-pairs scans,
-* deduplicating ``evaluate_population`` == per-chromosome ``compute``
+* deduplicating ``evaluate_population`` == one-row ``compute_population``
   (the genome-native batch kernels are covered in ``test_batched_kernels.py``).
 """
 
@@ -19,7 +19,7 @@ from repro.approx.config import ApproxConfig
 from repro.approx.mlp import ApproximateMLP, forward_stacked, stack_parameters
 from repro.approx.topology import Topology
 from repro.core.chromosome import ChromosomeLayout
-from repro.core.fitness import FitnessEvaluator
+from repro.core.fitness import AREA, ERROR, VIOLATION, FitnessEvaluator
 from repro.core.nsga2 import fast_non_dominated_sort, fast_non_dominated_sort_reference
 from repro.core.pareto import (
     ParetoArchive,
@@ -284,15 +284,15 @@ class TestFitnessBatch:
         population = [layout.random(rng) for _ in range(12)]
         population += [population[0].copy(), population[3].copy()]
         evaluator = FitnessEvaluator(layout, inputs, labels, baseline_accuracy=0.9)
-        batch = evaluator.evaluate_population(population)
+        batch = evaluator.evaluate_population(np.stack(population))
         for chromosome, values in zip(population, batch):
-            assert values == evaluator.compute(chromosome)
+            assert np.array_equal(values, evaluator.compute_population(chromosome[None])[0])
 
     def test_counters_fold_in_batch_duplicates(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         rng = np.random.default_rng(1)
-        population = [layout.random(rng) for _ in range(6)]
-        duplicated = population + [c.copy() for c in population]
+        population = np.stack([layout.random(rng) for _ in range(6)])
+        duplicated = np.concatenate([population, population])
         evaluator = FitnessEvaluator(layout, inputs, labels)
         evaluator.evaluate_population(duplicated)
         # Counters reflect unique lookups: the 6 in-batch duplicates are
@@ -309,12 +309,12 @@ class TestFitnessBatch:
         layout, inputs, labels = tiny_fitness_setup
         genome = layout.random(np.random.default_rng(6))
         evaluator = FitnessEvaluator(layout, inputs, labels)
-        scored = evaluator.evaluate(genome)
+        scored = evaluator.evaluate_population(genome[None])
         wrapped = genome.copy()
         wrapped[0] += 1 << 16
         with pytest.raises(ValueError, match="out of bounds"):
             evaluator.evaluate_population(np.stack([genome, wrapped]))
-        assert evaluator.evaluate(genome) == scored
+        assert np.array_equal(evaluator.evaluate_population(genome[None]), scored)
 
     def test_rejects_bad_parameters(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
@@ -351,36 +351,29 @@ class TestFitnessBatch:
         batch = evaluator.evaluate_population(population)
         (rows,) = scored
         del evaluator.compute_population
-        assert batch == [evaluator.compute(row) for row in population]
+        assert np.array_equal(
+            batch, np.concatenate([evaluator.compute_population(row[None]) for row in population])
+        )
         assert evaluator.evaluations == evaluator.fitness_computations == unique
         assert len({row.tobytes() for row in rows}) == len(rows) == unique
 
     def test_empty_population_scores_nothing(self, tiny_fitness_setup):
         layout, inputs, labels = tiny_fitness_setup
         evaluator = FitnessEvaluator(layout, inputs, labels)
-        assert evaluator.evaluate_population([]) == []
-        assert evaluator.evaluate_population(np.zeros((0, layout.num_genes), dtype=np.int64)) == []
+        table = evaluator.evaluate_population(np.zeros((0, layout.num_genes), dtype=np.int64))
+        assert table.shape == (0, 4)
         assert evaluator.evaluations == evaluator.fitness_computations == 0
 
-    def test_matrix_and_list_inputs_agree(self, tiny_fitness_setup):
-        layout, inputs, labels = tiny_fitness_setup
-        rng = np.random.default_rng(22)
-        rows = [layout.random(rng) for _ in range(5)]
-        as_list = FitnessEvaluator(layout, inputs, labels).evaluate_population(rows + rows[:2])
-        as_matrix = FitnessEvaluator(layout, inputs, labels).evaluate_population(
-            np.stack(rows + rows[:2])
-        )
-        assert as_list == as_matrix
-
-    def test_single_evaluate_scores_every_call(self, tiny_fitness_setup):
-        """``evaluate`` is a one-row batch: equal genomes give equal
-        values, and each call is scored and counted afresh."""
+    def test_single_row_batches_score_every_call(self, tiny_fitness_setup):
+        """One-row batches of equal genomes give equal values, and each
+        call is scored and counted afresh."""
         layout, inputs, labels = tiny_fitness_setup
         chromosome = layout.random(np.random.default_rng(2))
         evaluator = FitnessEvaluator(layout, inputs, labels)
-        first = evaluator.evaluate(chromosome)
-        second = evaluator.evaluate(chromosome.copy())
-        assert first == second == evaluator.compute(chromosome)
+        first = evaluator.evaluate_population(chromosome[None])
+        second = evaluator.evaluate_population(chromosome.copy()[None])
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, evaluator.compute_population(chromosome[None]))
         assert evaluator.evaluations == evaluator.fitness_computations == 2
 
     def test_evaluators_with_other_constraints_stay_independent(self, tiny_fitness_setup):
@@ -391,11 +384,11 @@ class TestFitnessBatch:
         chromosome = layout.random(np.random.default_rng(32))
         constrained = FitnessEvaluator(layout, inputs, labels, baseline_accuracy=1.5)
         unconstrained = FitnessEvaluator(layout, inputs, labels)
-        first = constrained.evaluate(chromosome)
-        second = unconstrained.evaluate(chromosome)
-        assert first.constraint_violation > 0.0
-        assert second.constraint_violation == 0.0
-        assert (first.error, first.area) == (second.error, second.area)
+        (first,) = constrained.evaluate_population(chromosome[None])
+        (second,) = unconstrained.evaluate_population(chromosome[None])
+        assert first[VIOLATION] > 0.0
+        assert second[VIOLATION] == 0.0
+        assert np.array_equal(first[[ERROR, AREA]], second[[ERROR, AREA]])
 
     @pytest.mark.parametrize("bias_bits", [20, 24])
     def test_genomes_equal_in_their_low_16_bits_are_scored_apart(self, bias_bits):
@@ -413,4 +406,6 @@ class TestFitnessBatch:
         evaluator = FitnessEvaluator(layout, inputs, labels)
         batch = evaluator.evaluate_population(np.stack([low, high, low]))
         assert evaluator.evaluations == evaluator.fitness_computations == 2
-        assert batch == [evaluator.compute(low), evaluator.compute(high), evaluator.compute(low)]
+        assert np.array_equal(
+            batch, np.concatenate([evaluator.compute_population(row[None]) for row in (low, high, low)])
+        )
