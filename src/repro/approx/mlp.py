@@ -431,7 +431,7 @@ def _forward_blocks(
     per_candidate = n * max(
         [w.itemsize * w.shape[1] for w in weights] + [w.itemsize * w.shape[2] for w in weights[1:]]
     )
-    block = min(count, max(1, _BLOCK_BYTES // max(per_candidate, 1)))
+    block = max(1, min(count, _BLOCK_BYTES // max(per_candidate, 1)))
     accumulators = [
         _SCRATCH.array(f"acc{index}", (block, w.shape[1], n), w.dtype)
         for index, w in enumerate(weights)
@@ -480,6 +480,8 @@ def forward_stacked(
         if scores is None:
             scores = np.empty((len(params.masks[0]), *block.shape[1:]), dtype=block.dtype)
         scores[rows] = block
+    if scores is None:  # an empty stack: no block ran
+        scores = np.empty((0, params.biases[-1].shape[1], np.atleast_2d(x).shape[0]))
     return scores.transpose(0, 2, 1)
 
 

@@ -64,14 +64,9 @@ Every snapshot records the format version, the numpy version and the
 nothing.  Loading is corruption-tolerant: a missing, truncated, garbage,
 version-mismatched or other-code file restores nothing instead of
 raising, so a crashed writer can never take down the next run.
-
-Long-lived cache directories are kept bounded by **snapshot
-compaction**: every entry carries a last-used timestamp, and
-:meth:`EvaluationCache.save` drops entries unused for longer than
-:data:`MAX_SNAPSHOT_AGE_SECONDS` at write time, so a directory
-accumulated over many runs does not grow with the union of everything
-ever evaluated.  The section bounds of the LRU caches cap the entry
-count.
+The section bounds of the LRU caches cap a snapshot's entry count, and
+a snapshot holds no wall-clock value, so the same tree, inputs and seed
+always write the same bytes.
 """
 
 from __future__ import annotations
@@ -82,7 +77,6 @@ import logging
 import os
 import pickle
 import tempfile
-import time
 import weakref
 from collections import OrderedDict
 from dataclasses import fields
@@ -97,7 +91,6 @@ __all__ = [
     "LRUCache",
     "EvaluationCache",
     "CACHE_FORMAT_VERSION",
-    "MAX_SNAPSHOT_AGE_SECONDS",
     "code_digest",
     "pack_arrays",
     "unpack_arrays",
@@ -124,45 +117,11 @@ _LOGGER = logging.getLogger(__name__)
 _MISSING = object()
 
 #: Magic marker + schema version of the on-disk snapshot format.  Bump
-#: the version whenever key structure or cached value types change; old
+#: the version on any change of key structure or value shape; old
 #: snapshots are then ignored (never mis-read) by :meth:`EvaluationCache.load`.
-#: Version 2 stores each entry as a ``(key, value, last_used)`` triple
-#: so snapshot compaction can age entries across process restarts.
-#: Version 3 invalidates version-2 snapshots because pickled
-#: ``DesignVerification`` reports gained the EDA-oracle fields.
-#: Version 4 adds the ``baselines`` section (trained float baselines).
-#: Version 5 flattens the keys: layout and fitness context are each one
-#: fingerprint string, no longer tuples holding ``ApproxConfig``.
-#: Version 6 drops ``DesignVerification.eda_oracle`` and the oracle
-#: selection from the ``rtl-verify`` report keys.
-#: Version 7 drops the two gate-level netlist counts from
-#: ``DesignVerification``.
-#: Version 8 keys fitness entries by the compact genome (the layout's
-#: key dtype) instead of its int64 bytes.
-#: Version 9 renames ``baselines`` to ``stages``, keyed by ``(stage
-#: kind, key)`` with the code digest, and adds GA results to it.
-#: Version 10 moves the ``fitness`` section into its own file (the head
-#: records its entry count and oldest stamp) and records the numpy
-#: version and code digest once per file instead of in stage keys.
-#: Version 11 drops the ``fitness`` section, its file and the head's
-#: record of it, and the ``cache_hits`` column of packed GA histories.
-#: Version 12 packs the quantized bespoke circuit and its hardware report
-#: into the ``baseline`` stage entry next to the float model.
-#: Version 13 keys reports by ``(genome, clock period)`` alone and drops
-#: the optimizer, momentum and verbose fields from baseline stage keys.
+#: CHANGES.md records what each version changed.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 13
-
-#: Compaction age bound (30 days): :meth:`EvaluationCache.save` leaves
-#: out entries whose last use is older than this.
-#: :meth:`~repro.experiments.session.ExperimentSession.persist_cache`
-#: rewrites a dataset's snapshot only when the session put an entry into
-#: a persisted section since the snapshot was loaded (or last written),
-#: or when the loaded snapshot's oldest last-used stamp is older than
-#: half of this bound.  The second rule refreshes the stamps of entries
-#: that are still being read, so they do not age out; a warm run that
-#: restores everything and is far from the bound writes nothing.
-MAX_SNAPSHOT_AGE_SECONDS = 30 * 86400.0
+CACHE_FORMAT_VERSION = 14
 
 #: The only non-builtin globals a snapshot may reference.  Snapshot
 #: payloads are plain data (tuples, bytes, numbers, dicts) plus these
@@ -311,9 +270,7 @@ class LRUCache:
     in true LRU order.  ``hits`` / ``misses`` count lookups and
     ``writes`` counts the calls that changed the entries (:meth:`put`, a
     :meth:`pop` hit), which tells a snapshot writer whether anything is
-    new.  Each entry also carries a last-used wall-clock
-    timestamp, which snapshot compaction (:data:`MAX_SNAPSHOT_AGE_SECONDS`)
-    uses to age entries out of long-lived cache directories.
+    new.
     """
 
     def __init__(self, max_size: int) -> None:
@@ -324,37 +281,23 @@ class LRUCache:
         self.misses = 0
         self.writes = 0
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._stamps: Dict[Hashable, float] = {}
 
-    def restore(self, entries: Sequence[Tuple[Hashable, Any, float]]) -> int:
-        """Put persisted ``(key, value, last_used)`` triples, least recent first.
+    def restore(self, entries: Sequence[Tuple[Hashable, Any]]) -> int:
+        """Put persisted ``(key, value)`` pairs, least recent first.
 
         Returns how many were read.  Each goes through :meth:`put`, so
-        this section's bound applies, and keeps its persisted stamp, so
-        the age bound keeps working across process restarts.  Raises
-        ``TypeError`` / ``ValueError`` on a malformed entry.
+        this section's bound applies.  Raises ``TypeError`` /
+        ``ValueError`` on a malformed entry.
         """
         count = 0
-        for key, value, stamp in entries:
+        for key, value in entries:
             self.put(key, value)
-            if key in self._data:
-                self._stamps[key] = float(stamp)
             count += 1
         return count
 
-    def entries(
-        self, now: float, max_age: Optional[float] = None
-    ) -> List[Tuple[Hashable, Any, float]]:
-        """``(key, value, last_used)`` triples, least recent first.
-
-        Entries last used more than ``max_age`` seconds before ``now``
-        are left out.
-        """
-        stamps = self._stamps
-        entries = [(key, value, stamps.get(key, now)) for key, value in self._data.items()]
-        if max_age is not None:
-            entries = [entry for entry in entries if now - entry[2] <= max_age]
-        return entries
+    def entries(self) -> List[Tuple[Hashable, Any]]:
+        """``(key, value)`` pairs, least recent first."""
+        return list(self._data.items())
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """Look up ``key``, refreshing its recency on a hit."""
@@ -363,7 +306,6 @@ class LRUCache:
             self.misses += 1
             return default
         self._data.move_to_end(key)
-        self._stamps[key] = time.time()  # lint: allow(RP03) -- last-used stamps are persisted and aged across runs/processes; only the wall clock is comparable there
         self.hits += 1
         return value
 
@@ -373,10 +315,8 @@ class LRUCache:
         data[key] = value
         data.move_to_end(key)
         self.writes += 1
-        self._stamps[key] = time.time()  # lint: allow(RP03) -- last-used stamps are persisted and aged across runs/processes; only the wall clock is comparable there
         while len(data) > self.max_size:
-            evicted, _ = data.popitem(last=False)
-            self._stamps.pop(evicted, None)
+            data.popitem(last=False)
 
     def pop(self, key: Hashable, default: Any = None) -> Any:
         """Remove and return ``key``'s value, counted like a :meth:`get`."""
@@ -384,14 +324,9 @@ class LRUCache:
         if value is _MISSING:
             self.misses += 1
             return default
-        self._stamps.pop(key, None)
         self.hits += 1
         self.writes += 1
         return value
-
-    def oldest_stamp(self) -> Optional[float]:
-        """The earliest last-used time of any entry (``None`` when empty)."""
-        return min(self._stamps.values(), default=None)
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
@@ -534,11 +469,6 @@ class EvaluationCache:
         """Changes made so far to the sections a snapshot holds (:attr:`LRUCache.writes`)."""
         return sum(getattr(self, name).writes for name in self._PERSISTED_SECTIONS)
 
-    def oldest_stamp(self) -> Optional[float]:
-        """The earliest last-used time in the sections a snapshot holds."""
-        stamps = (getattr(self, name).oldest_stamp() for name in self._PERSISTED_SECTIONS)
-        return min((stamp for stamp in stamps if stamp is not None), default=None)
-
     # ------------------------------------------------------------------
     # Disk persistence
     # ------------------------------------------------------------------
@@ -547,31 +477,21 @@ class EvaluationCache:
     #: genomes anyway.
     _PERSISTED_SECTIONS = ("accuracy", "reports", "stages")
 
-    def save(self, path: Union[str, Path], *, now: Optional[float] = None) -> int:
+    def save(self, path: Union[str, Path]) -> int:
         """Snapshot the data sections to ``path``; returns entries written.
 
         The snapshot records the format version, the numpy version and
         the :func:`code_digest`, and is written atomically (temp file +
         rename), so a crash mid-save leaves the previous file intact.
-        Entries are stored in LRU order (least recently used first)
-        together with their last-used timestamps, so a later
-        :meth:`load` into a smaller cache keeps the hottest entries and
-        compaction can age entries across runs.
-
-        Entries unused for longer than :data:`MAX_SNAPSHOT_AGE_SECONDS`
-        are left out; ``now`` overrides the reference time of that age
-        bound (tests).
+        Entries are stored as ``(key, value)`` pairs in LRU order (least
+        recently used first), so a later :meth:`load` into a smaller
+        cache keeps the hottest entries.
         A ``<path>.fitness`` file left beside the snapshot by format 10
         or earlier (the deleted GA fitness memo) is removed.
         """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if now is None:
-            now = time.time()  # lint: allow(RP03) -- compaction ages entries against their persisted wall-clock stamps
-        sections = {
-            name: getattr(self, name).entries(now, MAX_SNAPSHOT_AGE_SECONDS)
-            for name in self._PERSISTED_SECTIONS
-        }
+        sections = {name: getattr(self, name).entries() for name in self._PERSISTED_SECTIONS}
         _write_snapshot(
             path,
             {

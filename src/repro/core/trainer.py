@@ -76,9 +76,6 @@ class GenerationStats:
     single lookup) and ``fitness_computations`` how many chromosomes
     were scored.  The evaluator scores every unique row of a batch, so
     the two are equal.
-
-    ``duration_s`` is the wall-clock time of this generation alone
-    (variation + evaluation + environmental selection + stats).
     """
 
     generation: int
@@ -90,7 +87,6 @@ class GenerationStats:
     archive_size: int
     evaluations: int
     fitness_computations: int = 0
-    duration_s: float = 0.0
 
 
 @dataclass
@@ -340,14 +336,7 @@ class GATrainer:
                 sort_key=sort_key,
                 area_objective=area_objective,
             )
-            stats = self._stats(
-                generation,
-                fitness,
-                archive,
-                evaluator,
-                hv_reference,
-                duration_s=time.perf_counter() - generation_start,
-            )
+            stats = self._stats(generation, fitness, archive, evaluator, hv_reference)
             history.append(stats)
             if _LOGGER.isEnabledFor(logging.DEBUG):
                 previous = history[-2] if len(history) > 1 else None
@@ -355,7 +344,7 @@ class GATrainer:
                     "generation %d: %d unique fitness lookups, %.3fs",
                     generation,
                     stats.evaluations - (previous.evaluations if previous else 0),
-                    stats.duration_s,
+                    time.perf_counter() - generation_start,
                 )
 
         if len(archive) == 0:
@@ -469,7 +458,6 @@ class GATrainer:
         archive: ParetoArchive,
         evaluator: FitnessEvaluator,
         reference: tuple[float, float],
-        duration_s: float = 0.0,
     ) -> GenerationStats:
         errors, areas = fitness[:, ERROR], fitness[:, AREA]
         return GenerationStats(
@@ -482,5 +470,4 @@ class GATrainer:
             archive_size=len(archive),
             evaluations=evaluator.evaluations,
             fitness_computations=evaluator.fitness_computations,
-            duration_s=duration_s,
         )

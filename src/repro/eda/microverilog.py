@@ -1,9 +1,10 @@
 """A pure-Python structural-Verilog-subset parser and simulator.
 
 The in-process verification harness (:mod:`repro.evaluation.verification`)
-is four-way differential, but every one of its oracles shares Python
-semantics — the emitted module text had never been *parsed and executed
-as Verilog*.  This module closes that gap without any external tool: it
+is three-way differential: the model against the testbench golden, and
+the module text against the model and against the golden.  Its other
+oracles share Python semantics, so only here is the emitted module text
+*parsed and executed as Verilog*, without any external tool: this module
 implements exactly the Verilog-2001 subset that
 :func:`repro.rtl.verilog.generate_mlp_verilog` emits —
 

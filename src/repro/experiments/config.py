@@ -1,11 +1,11 @@
-"""Experiment scales: smoke (seconds), ci (a minute or two), full (~1.5 min).
+"""Experiment scales: smoke (seconds), ci (a minute or two), full (about a minute).
 
 The paper's training runs evaluate tens of millions of chromosomes on a
 64-core server; the reproduction exposes the same flow at three budgets
 so that tests and benchmarks stay fast.  ``runner --experiment all
---scale full`` regenerates every artifact in 73–82 s with a 387–389 MB
-peak RSS (three runs on a 2-core x86_64 box, Python 3.11.7, one BLAS
-thread).
+--scale full`` regenerates every artifact in 62.6 s with a 55 MB peak
+RSS (one run on a shared 2-core x86_64 box, Python 3.11.7, numpy 2.4.6,
+one BLAS thread).
 """
 
 from __future__ import annotations

@@ -68,12 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Uni
 from repro.baselines.approx_tc23 import explore_tc23
 from repro.baselines.exact_bespoke import BespokeMLP, quantize_float_mlp
 from repro.baselines.gradient import FloatMLP, GradientTrainer
-from repro.core.cache import (
-    MAX_SNAPSHOT_AGE_SECONDS,
-    EvaluationCache,
-    pack_arrays,
-    unpack_arrays,
-)
+from repro.core.cache import EvaluationCache, pack_arrays, unpack_arrays
 from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.datasets.registry import get_spec, load_dataset
 from repro.evaluation.artifacts import Artifact
@@ -721,14 +716,9 @@ class ExperimentSession:
             snapshot = self._snapshot_path(spec_name)
             if snapshot is not None:
                 loaded = cache.load(snapshot)
-                self._cache_io[spec_name] = {
-                    "loaded": loaded,
-                    "saved": 0,
-                    # What persist_cache compares against: the writes
-                    # the load itself made and the snapshot's oldest stamp.
-                    "writes": cache.persisted_writes(),
-                    "oldest": cache.oldest_stamp(),
-                }
+                # persist_cache compares against the writes the load itself made.
+                writes = cache.persisted_writes()
+                self._cache_io[spec_name] = {"loaded": loaded, "saved": 0, "writes": writes}
             with self._registry_lock:
                 cache = self._caches.setdefault(spec_name, cache)
         return cache
@@ -835,42 +825,28 @@ class ExperimentSession:
             return None
         return self.cache_dir / f"{name}.cache.pkl"
 
-    def persist_cache(
-        self,
-        spec_name: str,
-        cache: Optional[EvaluationCache],
-        *,
-        now: Optional[float] = None,
-    ) -> int:
-        """Save (compacted) a dataset's evaluation cache to its snapshot.
+    def persist_cache(self, spec_name: str, cache: Optional[EvaluationCache]) -> int:
+        """Save a dataset's evaluation cache to its snapshot.
 
         The front stage calls this after the genetic stage; later stages
         that add entries to the same cache (the hardware-unaware Table
         III GA) call it again to fold their work into the snapshot.
 
-        The snapshot is rewritten only when this session put an entry
-        into a persisted section since the snapshot was loaded or last
-        written, or when the loaded snapshot's oldest last-used stamp is
-        older than half of
-        :data:`~repro.core.cache.MAX_SNAPSHOT_AGE_SECONDS` (so entries
-        still being read do not age out).
-        ``now`` overrides the reference time of both age checks (tests).
-        Returns the number of entries written: 0 without a cache dir or
-        when the snapshot was left unchanged.
+        The snapshot is rewritten if and only if this session changed a
+        persisted section
+        (:meth:`~repro.core.cache.EvaluationCache.persisted_writes`)
+        since the snapshot was loaded or last written.  Returns the
+        number of entries written: 0 without a cache dir or when the
+        snapshot was left unchanged.
         """
         snapshot = self._snapshot_path(spec_name)
         if snapshot is None or cache is None:
             return 0
-        io = self._cache_io.setdefault(
-            spec_name, {"loaded": 0, "saved": 0, "writes": 0, "oldest": None}
-        )
-        if now is None:
-            now = time.time()  # lint: allow(RP03) -- compared with persisted wall-clock last-used stamps
-        aging = io["oldest"] is not None and now - io["oldest"] > MAX_SNAPSHOT_AGE_SECONDS / 2
-        if cache.persisted_writes() == io["writes"] and not aging:
+        io = self._cache_io.setdefault(spec_name, {"loaded": 0, "saved": 0, "writes": 0})
+        if cache.persisted_writes() == io["writes"]:
             return 0
-        saved = cache.save(snapshot, now=now)
-        io.update(saved=saved, writes=cache.persisted_writes(), oldest=None)
+        saved = cache.save(snapshot)
+        io.update(saved=saved, writes=cache.persisted_writes())
         return saved
 
     def _stage_results(self, kind: str) -> List[Tuple[str, PipelineResult]]:

@@ -17,9 +17,8 @@ code:
   ``datetime.utcnow()``, ``date.today()``.  (``time.perf_counter`` and
   ``time.monotonic`` are fine — durations, not timestamps.)
 
-Legitimate wall-clock uses (the evaluation cache persists last-used
-stamps that must compare across processes and runs) carry a
-line-scoped ``# lint: allow(RP03) -- reason`` pragma.
+A legitimate wall-clock use would carry a line-scoped
+``# lint: allow(RP03) -- reason`` pragma; the package has none.
 """
 
 from __future__ import annotations

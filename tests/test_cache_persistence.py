@@ -22,7 +22,6 @@ from repro.baselines.gradient import GradientTrainer
 from repro.core.trainer import GATrainer
 from repro.core.cache import (
     CACHE_FORMAT_VERSION,
-    MAX_SNAPSHOT_AGE_SECONDS,
     EvaluationCache,
     code_digest,
     pack_arrays,
@@ -167,7 +166,7 @@ class TestSnapshotRoundTrip:
         restored.load(path)
         # Entries are stored least-recent first, so a smaller cache
         # keeps the hottest tail: the refreshed 0 and the latest insert.
-        assert [key for key, _, _ in restored.accuracy.entries(now=0.0)] == [("ctx", 4), ("ctx", 0)]
+        assert restored.accuracy.entries() == [(("ctx", 4), 4), (("ctx", 0), 0)]
 
     def test_save_creates_parent_directories(self, tmp_path):
         cache = EvaluationCache()
@@ -191,7 +190,7 @@ class TestSnapshotRoundTrip:
 
 
 class TestSnapshotCompaction:
-    """The cache-eviction policy for long-lived ``--cache-dir`` directories."""
+    """The section bounds cap what a long-lived ``--cache-dir`` holds."""
 
     def _entry_count(self, path):
         probe = EvaluationCache()
@@ -212,39 +211,6 @@ class TestSnapshotCompaction:
         assert len(small.accuracy) == 50
         assert small.save(path) == 50
         assert self._entry_count(path) == 50
-
-    def test_policy_age_bound_drops_stale_entries(self, tmp_path):
-        cache = EvaluationCache()
-        cache.accuracy.put("fresh", 1.0)
-        cache.accuracy.put("stale", 2.0)
-        cache.accuracy.put("old", 3.0)
-        now = cache.accuracy._stamps["fresh"]
-        cache.accuracy._stamps["stale"] = now - MAX_SNAPSHOT_AGE_SECONDS - 1.0
-        cache.accuracy._stamps["old"] = now - MAX_SNAPSHOT_AGE_SECONDS
-        path = tmp_path / "snap.pkl"
-        assert MAX_SNAPSHOT_AGE_SECONDS == 30 * 86400.0
-        assert cache.save(path, now=now) == 2
-        restored = EvaluationCache()
-        restored.load(path)
-        assert restored.accuracy.get("fresh") == 1.0
-        assert restored.accuracy.get("old") == 3.0  # at the bound: kept
-        assert "stale" not in restored.accuracy
-
-    def test_stamps_survive_the_snapshot_round_trip(self, tmp_path):
-        """Aging keeps working across restarts: the persisted last-used
-        time is restored on load, not replaced by load time."""
-        cache = EvaluationCache()
-        cache.accuracy.put("old", 1.0)
-        old_stamp = cache.accuracy._stamps["old"] - MAX_SNAPSHOT_AGE_SECONDS - 10_000.0
-        cache.accuracy._stamps["old"] = old_stamp
-        path = tmp_path / "snap.pkl"
-        cache.save(path, now=old_stamp)
-
-        restored = EvaluationCache()
-        restored.load(path)
-        assert restored.accuracy._stamps["old"] == old_stamp
-        # A second save at the current time can therefore still drop it.
-        assert restored.save(path) == 0
 
 
 def _full_cache() -> EvaluationCache:
@@ -392,8 +358,10 @@ class TestCorruptionTolerance:
         assert f"format version 6 (expected {CACHE_FORMAT_VERSION})" in caplog.text
         assert len(cache.reports) == 0
 
+        # Relabelled as current (entries as today's pairs), it would load.
         payload["version"] = CACHE_FORMAT_VERSION
         payload["code"] = (np.__version__, code_digest())
+        payload["sections"]["reports"] = [(key, value) for key, value, _ in payload["sections"]["reports"]]
         path.write_bytes(pickle.dumps(payload))
         assert EvaluationCache().load(path) == 1
 
@@ -414,16 +382,21 @@ class TestCorruptionTolerance:
         assert EvaluationCache().load(path) == 0
         assert not marker.exists()
 
-    def test_malformed_section_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section",
+        [42, [((b"g1", "split"), 0.875, 0.0)]],
+        ids=["not-an-entry-list", "format-13-triples"],
+    )
+    def test_malformed_section_is_skipped(self, tmp_path, caplog, section):
         cache = EvaluationCache()
         cache.reports.put("k", "v")
         path = tmp_path / "snap.pkl"
         cache.save(path)
-        payload = pickle.loads(path.read_bytes())
-        payload["sections"]["accuracy"] = 42  # not an entry list
-        path.write_bytes(pickle.dumps(payload))
+        _rewrite_pickle(path, lambda payload: payload["sections"].update(accuracy=section))
         restored = EvaluationCache()
-        restored.load(path)
+        with caplog.at_level(logging.WARNING, logger="repro.core.cache"):
+            assert restored.load(path) == 1
+        assert "ignoring malformed 'accuracy' section" in caplog.text
         assert restored.reports.get("k") == "v"
         assert len(restored.accuracy) == 0
 
@@ -698,9 +671,9 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 13
-        (key, value, stamp), = payload["sections"]["stages"]
-        payload["sections"]["stages"] = [(key, corrupt(value), stamp)]
+        assert payload["version"] == CACHE_FORMAT_VERSION == 14
+        (key, value), = payload["sections"]["stages"]
+        payload["sections"]["stages"] = [(key, corrupt(value))]
         snapshot.write_bytes(pickle.dumps(payload))
 
         calls = _count_gradient_training(monkeypatch)
@@ -748,11 +721,9 @@ class TestGARestore:
     def test_front_and_plain_ga_keep_separate_entries(self, tmp_path):
         ExperimentSession(TINY, cache_dir=tmp_path).run(["table3"])
         payload = pickle.loads((tmp_path / "breast_cancer.cache.pkl").read_bytes())
-        kinds = sorted(key[0] for key, _, _ in payload["sections"]["stages"])
+        kinds = sorted(key[0] for key, _ in payload["sections"]["stages"])
         assert kinds == ["baseline", "ga", "ga"]
-        front, plain = (
-            value for key, value, _ in payload["sections"]["stages"] if key[0] == "ga"
-        )
+        front, plain = (value for key, value in payload["sections"]["stages"] if key[0] == "ga")
         assert front != plain
 
     @pytest.mark.parametrize(
@@ -804,8 +775,8 @@ class TestGARestore:
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
         payload["sections"]["stages"] = [
-            (key, corrupt(value, layout) if key[0] == "ga" else value, stamp)
-            for key, value, stamp in payload["sections"]["stages"]
+            (key, corrupt(value, layout) if key[0] == "ga" else value)
+            for key, value in payload["sections"]["stages"]
         ]
         snapshot.write_bytes(pickle.dumps(payload))
 
@@ -816,15 +787,12 @@ class TestGARestore:
         assert calls["n"] == 1
         assert "malformed cached ga of breast_cancer" in caplog.text
         assert replayed.cache_summary()["breast_cancer"]["ga"] == "trained"
-        # The replay evolves the same archive; its history differs only
-        # in the wall-clock durations.
-        assert _ga_fingerprint(result)[0] == cold[0]
+        # The replay evolves the same archive and history.
+        assert _ga_fingerprint(result) == cold
 
         # The replayed result overwrote the bad entry on disk.
         restored = ExperimentSession(TINY, cache_dir=tmp_path)
-        assert _ga_fingerprint(
-            restored.front("breast_cancer").approximate.ga_result
-        )[0] == cold[0]
+        assert _ga_fingerprint(restored.front("breast_cancer").approximate.ga_result) == cold
         assert restored.cache_summary()["breast_cancer"]["ga"] == "restored"
         assert calls["n"] == 1
 
@@ -873,9 +841,9 @@ class TestWholeBaselineRestore:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        (key, value, stamp), = payload["sections"]["stages"]
+        (key, value), = payload["sections"]["stages"]
         assert len(value) == 5
-        payload["sections"]["stages"] = [(key, value[0], stamp)]
+        payload["sections"]["stages"] = [(key, value[0])]
         snapshot.write_bytes(pickle.dumps(payload))
 
         calls = _count_gradient_training(monkeypatch)
@@ -885,7 +853,7 @@ class TestWholeBaselineRestore:
         assert calls["n"] == 1
         assert "ignoring malformed cached baseline of breast_cancer" in caplog.text
         assert _baseline_fingerprint(result) == _baseline_fingerprint(cold)
-        (_, rewritten, _), = pickle.loads(snapshot.read_bytes())["sections"]["stages"]
+        (_, rewritten), = pickle.loads(snapshot.read_bytes())["sections"]["stages"]
         assert rewritten == value
 
 
@@ -901,8 +869,8 @@ TINY_PAIR = dataclasses.replace(TINY, name="tiny-pair", datasets=("breast_cancer
 
 
 class TestSnapshotWriteSkip:
-    """A session rewrites a snapshot only when it added an entry or when
-    the loaded entries are getting close to the age bound."""
+    """A session rewrites a snapshot if and only if it changed a
+    persisted section since the load or the last write."""
 
     def test_warm_session_leaves_every_snapshot_unchanged(self, tmp_path):
         ExperimentSession(TINY_PAIR, cache_dir=tmp_path).run(["table2", "table3"])
@@ -947,34 +915,6 @@ class TestSnapshotWriteSkip:
         reloaded.load(redwine)
         assert len(reloaded.accuracy) > 0
 
-    def test_half_age_rule(self, tmp_path):
-        """Reading a snapshot whose oldest entry is older than half the
-        age bound rewrites it (refreshing the stamps of the entries read);
-        younger than that, the snapshot is left alone."""
-        session = ExperimentSession(TINY, cache_dir=tmp_path)
-        session.front("breast_cancer")
-        snapshot = tmp_path / "breast_cancer.cache.pkl"
-        probe = EvaluationCache()
-        probe.load(snapshot)
-        oldest = probe.oldest_stamp()
-        max_age = MAX_SNAPSHOT_AGE_SECONDS
-
-        warm = ExperimentSession(TINY, cache_dir=tmp_path)
-        cache = warm.front("breast_cancer").approximate.cache
-        before = _snapshot_state(tmp_path)
-        assert warm.persist_cache("breast_cancer", cache, now=oldest + 0.5 * max_age - 1.0) == 0
-        assert _snapshot_state(tmp_path) == before
-        written = warm.persist_cache("breast_cancer", cache, now=oldest + 0.5 * max_age + 1.0)
-        assert written == warm.cache_summary()["breast_cancer"]["loaded"] > 0
-        assert _snapshot_state(tmp_path) != before
-        refreshed = EvaluationCache()
-        refreshed.load(snapshot)
-        assert refreshed.oldest_stamp() > oldest
-        # Once written, the session rewrites again only for new entries.
-        after = _snapshot_state(tmp_path)
-        assert warm.persist_cache("breast_cancer", cache, now=oldest + max_age) == 0
-        assert _snapshot_state(tmp_path) == after
-
     def test_earlier_format_directory_is_rewritten_without_its_fitness_file(self, tmp_path):
         """A directory from format 11 or earlier loads nothing, so the
         session retrains and rewrites the head; a leftover ``.fitness``
@@ -991,6 +931,35 @@ class TestSnapshotWriteSkip:
         assert summary["baseline"] == "trained"
         assert [p.name for p in tmp_path.iterdir()] == ["breast_cancer.cache.pkl"]
         assert pickle.loads(snapshot.read_bytes())["version"] == CACHE_FORMAT_VERSION
+
+
+def _snapshot_bytes(directory) -> dict:
+    """``{file name: bytes}`` of every snapshot in ``directory``."""
+    return {name: data for name, (data, _) in _snapshot_state(directory).items()}
+
+
+class TestSnapshotDeterminism:
+    """A snapshot holds no wall-clock value: two cold sessions over
+    separate directories write the same bytes."""
+
+    def test_front_and_plain_ga_write_identical_snapshots(self, tmp_path):
+        for run in ("a", "b"):
+            session = ExperimentSession(TINY, cache_dir=tmp_path / run)
+            session.front("breast_cancer")
+            session.ga_plain("breast_cancer")
+        first = _snapshot_bytes(tmp_path / "a")
+        assert list(first) == ["breast_cancer.cache.pkl"]
+        assert _snapshot_bytes(tmp_path / "b") == first
+
+    def test_threaded_table2_writes_identical_snapshots(self, tmp_path):
+        """Two threaded fills, and a serial one, write the same bytes."""
+        for run, workers in (("a", 2), ("b", 2), ("serial", 0)):
+            scale = dataclasses.replace(TINY_PAIR, dataset_workers=workers)
+            ExperimentSession(scale, cache_dir=tmp_path / run).run(["table2"])
+        first = _snapshot_bytes(tmp_path / "a")
+        assert sorted(first) == ["breast_cancer.cache.pkl", "redwine.cache.pkl"]
+        assert _snapshot_bytes(tmp_path / "b") == first
+        assert _snapshot_bytes(tmp_path / "serial") == first
 
 
 class TestSplitFingerprintMemo:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.approx.config import ApproxConfig
+from repro.approx.mlp import accuracy_population, forward_stacked
 from repro.baselines.gradient import FloatMLP
 from repro.core.chromosome import ChromosomeLayout
 from repro.core.fitness import ACCURACY, AREA, ERROR, VIOLATION, FitnessEvaluator
@@ -479,3 +480,18 @@ class TestFitnessTable:
         table = evaluator.evaluate_population(np.zeros((0, layout.num_genes), dtype=np.int64))
         assert table.shape == (0, 4) and table.dtype == np.float64
         assert evaluator.evaluations == evaluator.fitness_computations == 0
+
+    def test_empty_matrix_through_the_stacked_kernel(self, layout, tiny_dataset):
+        """An empty matrix runs the fast path, which agrees with the
+        ``slow=True`` oracle, and the stacked kernels return empty arrays."""
+        x_train, y_train, _, _ = tiny_dataset
+        evaluator = FitnessEvaluator(layout, x_train, y_train)
+        empty = np.zeros((0, layout.num_genes), dtype=np.int64)
+        fast = evaluator.compute_population(empty)
+        assert fast.shape == (0, 4)
+        assert np.array_equal(fast, evaluator.compute_population(empty, slow=True))
+        params = layout.population_parameters(empty)
+        accuracies = accuracy_population(params, evaluator.train_inputs, evaluator.train_labels)
+        assert accuracies.shape == (0,)
+        scores = forward_stacked(params, evaluator.train_inputs)
+        assert scores.shape == (0, len(evaluator.train_inputs), layout.topology.num_outputs)

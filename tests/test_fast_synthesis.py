@@ -399,12 +399,7 @@ class TestEvaluateFrontBatching:
 # ----------------------------------------------------------------------
 def _keys(cache):
     """Keys in eviction order (least recently used first)."""
-    return [key for key, _, _ in cache.entries(now=0.0)]
-
-
-def _stamp(cache, key):
-    """``key``'s last-used time, or ``None`` when it is not cached."""
-    return {k: stamp for k, _, stamp in cache.entries(now=0.0)}.get(key)
+    return [key for key, _ in cache.entries()]
 
 
 class TestLRUCache:
@@ -436,11 +431,10 @@ class TestLRUCache:
         with pytest.raises(ValueError):
             LRUCache(max_size=0)
 
-    def test_writes_count_changes_and_oldest_stamp(self):
+    def test_writes_count_changes(self):
         """``writes`` counts what changes the entries (put, a pop hit),
-        never a lookup; ``oldest_stamp`` is the earliest last-used time."""
+        never a lookup."""
         cache = LRUCache(max_size=4)
-        assert cache.oldest_stamp() is None
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")
@@ -448,13 +442,12 @@ class TestLRUCache:
         cache.pop("missing")
         assert "a" in cache
         assert cache.writes == 2
-        assert cache.oldest_stamp() == min(_stamp(cache, "a"), _stamp(cache, "b"))
-        cache.restore([("c", 3, 10.0)])
-        assert cache.writes == 3 and cache.oldest_stamp() == 10.0
+        cache.restore([("c", 3)])
+        assert cache.writes == 3
         cache.pop("a")
         cache.pop("b")
         cache.pop("c")
-        assert cache.writes == 6 and cache.oldest_stamp() is None
+        assert cache.writes == 6 and cache.entries() == []
 
     def test_put_replaces_the_value_and_refreshes_recency(self):
         cache = LRUCache(max_size=2)
@@ -471,7 +464,7 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.pop("a") == 1
         assert cache.pop("a", "gone") == "gone"
-        assert "a" not in cache and _stamp(cache, "a") is None
+        assert "a" not in cache and cache.entries() == []
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_contains_and_len_leave_recency_and_counters_alone(self):
@@ -482,43 +475,21 @@ class TestLRUCache:
         assert _keys(cache) == ["a", "b"]
         assert (cache.hits, cache.misses) == (0, 0)
 
-    def test_last_used_follows_put_and_get_hits_only(self, monkeypatch):
-        import repro.core.cache as cache_module
-
-        clock = iter([100.0, 200.0])
-        monkeypatch.setattr(cache_module.time, "time", lambda: next(clock))
-        cache = LRUCache(max_size=2)
-        assert _stamp(cache, "a") is None
-        cache.put("a", 1)
-        assert _stamp(cache, "a") == 100.0
-        cache.get("missing")
-        assert _stamp(cache, "a") == 100.0
-        cache.get("a")
-        assert _stamp(cache, "a") == 200.0
-
-    def test_entries_age_bound(self):
+    def test_restore_keeps_order(self):
         cache = LRUCache(max_size=4)
-        cache.restore([("old", 1, 10.0), ("new", 2, 95.0)])
-        assert cache.entries(now=100.0) == [("old", 1, 10.0), ("new", 2, 95.0)]
-        assert cache.entries(now=100.0, max_age=30.0) == [("new", 2, 95.0)]
-
-    def test_restore_keeps_order_and_persisted_stamps(self):
-        cache = LRUCache(max_size=4)
-        assert cache.restore([("a", 1, 5.0), ("b", 2, 7.0)]) == 2
-        assert _keys(cache) == ["a", "b"]
-        assert (_stamp(cache, "a"), _stamp(cache, "b")) == (5.0, 7.0)
+        assert cache.restore([("a", 1), ("b", 2)]) == 2
+        assert cache.entries() == [("a", 1), ("b", 2)]
         assert (cache.hits, cache.misses) == (0, 0)
 
     def test_restore_past_the_bound_keeps_the_most_recent(self):
         cache = LRUCache(max_size=2)
-        assert cache.restore([(key, key, float(key)) for key in range(5)]) == 5
-        assert _keys(cache) == [3, 4]
-        assert _stamp(cache, 3) == 3.0
+        assert cache.restore([(key, float(key)) for key in range(5)]) == 5
+        assert cache.entries() == [(3, 3.0), (4, 4.0)]
 
     @pytest.mark.parametrize(
         "entry, error",
-        [(("a", 1), ValueError), (([], 1, 0.0), TypeError)],
-        ids=["short-triple", "unhashable-key"],
+        [(("a",), ValueError), (("a", 1, 0.0), ValueError), (([], 1), TypeError)],
+        ids=["short-pair", "format-13-triple", "unhashable-key"],
     )
     def test_restore_rejects_malformed_entries(self, entry, error):
         cache = LRUCache(max_size=2)
