@@ -19,8 +19,15 @@ line tables of its compiled code objects.  The entry points are:
 * ``python -m repro.lint``, text and JSON.
 
 A line no entry point reaches is an error path, a ``slow=`` oracle, or
-code that only tests call.  Stdlib only; the children import the
-package from ``src/``.  Not collected by pytest.  Run from anywhere::
+code that only tests call.  The census also prints the two design-size
+measures: ``src/``'s line count (every line of every ``*.py`` file, as
+``find src -name '*.py' | xargs cat | wc -l`` counts them) and its
+settable values, read from the ASTs of ``src/repro``: defaulted
+parameters of every function or method whose name has no leading
+underscore (``__init__`` included), defaulted fields of public
+``@dataclass`` classes, and ``add_argument`` calls.  Stdlib only; the
+children import the package from ``src/``.  Not collected by pytest.
+Run from anywhere::
 
     python benchmarks/entry_census.py             # total share (~10 s, 2-core x86_64)
     python benchmarks/entry_census.py --per-file  # plus one row per module
@@ -29,6 +36,7 @@ package from ``src/``.  Not collected by pytest.  Run from anywhere::
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import runpy
@@ -80,6 +88,48 @@ def executable_lines(path: Path) -> Set[int]:
         for _, _, line in code.co_lines()
         if line is not None and line > 0
     }
+
+
+def settable_values(path: Path) -> Tuple[int, int, int]:
+    """``(defaulted public parameters, defaulted public dataclass fields,
+    add_argument calls)`` of one source file."""
+    parameters = fields = arguments = 0
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_") or node.name == "__init__":
+                parameters += len(node.args.defaults)
+                parameters += sum(default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if any("dataclass" in ast.unparse(deco) for deco in node.decorator_list):
+                fields += sum(
+                    isinstance(item, ast.AnnAssign)
+                    and item.value is not None
+                    and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_")
+                    for item in node.body
+                )
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ):
+            arguments += 1
+    return parameters, fields, arguments
+
+
+def design_size() -> str:
+    """One line: ``src/``'s line count and its settable-value counts."""
+    lines = sum(
+        len(path.read_bytes().splitlines()) for path in SRC.rglob("*.py")
+    )
+    parameters, fields, arguments = map(
+        sum, zip(*(settable_values(path) for path in PACKAGE.rglob("*.py")))
+    )
+    return (
+        f"src/ has {lines} lines; settable values: {parameters + fields + arguments} "
+        f"({parameters} defaulted parameters + {fields} defaulted dataclass fields "
+        f"+ {arguments} add_argument calls)"
+    )
 
 
 def run_traced(out: str, module: str, args: List[str]) -> int:
@@ -184,6 +234,7 @@ def census(per_file: bool) -> None:
             name = str(path.relative_to(SRC))
             print(f"{name:48} {covered:5d} / {len(lines):5d}  {100.0 * covered / max(len(lines), 1):5.1f}%")
     print(f"reached {hit} of {total} executable src/ lines: {100.0 * hit / total:.1f}%")
+    print(design_size())
 
 
 def main() -> None:

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.fitness import ACCURACY, AREA, FitnessEvaluator
+from repro.core.fitness import ACCURACY, AREA, MAX_ACCURACY_LOSS, FitnessEvaluator
 from repro.core.nsga2 import (
     fast_non_dominated_sort,
     fast_non_dominated_sort_reference,
@@ -121,13 +121,13 @@ def test_bench_selection_and_archive(benchmark, ga_training_data, record_bench):
         trainer.layout,
         x_train,
         y_train,
-        baseline_accuracy=float(np.median(accuracies)) + config.max_accuracy_loss,
+        baseline_accuracy=float(np.median(accuracies)) + MAX_ACCURACY_LOSS,
     )
     fitness = evaluator.evaluate_population(union)
     reference = (1.0, 1.1 * float(fitness[:, AREA].max()) + 1.0)
 
     def bookkeeping():
-        archive = ParetoArchive(max_size=config.archive_size)
+        archive = ParetoArchive()
         trainer._update_archive(archive, union, fitness)
         survivors, kept, _ = trainer._environmental_selection(union, fitness, CI_POPULATION, True)
         return survivors, trainer._stats(0, kept, archive, evaluator, reference)

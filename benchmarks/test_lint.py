@@ -33,7 +33,6 @@ def test_lint_full_tree_battery(record_bench):
         files=stats.files,
         rules=len(stats.rules),
         findings=len(findings),
-        suppressed=stats.suppressed,
     )
 
     assert findings == [], [f.format_text() for f in findings]

@@ -31,9 +31,7 @@ TOPOLOGY = (16, 5, 10)
 def variation_inputs():
     rng = np.random.default_rng(0)
     layout = ChromosomeLayout(Topology(TOPOLOGY), ApproxConfig())
-    operators = GeneticOperators(
-        layout, crossover_probability=0.7, mutation_probability=0.02
-    )
+    operators = GeneticOperators(layout)
     population = np.stack([layout.random(rng) for _ in range(POPULATION)])
     objectives = rng.random((POPULATION, 2))
     ranks, crowding = nsga2_sort_key(objectives)

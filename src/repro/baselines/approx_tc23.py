@@ -30,6 +30,7 @@ from repro.baselines.exact_bespoke import BespokeMLP
 from repro.hardware.area import csd_encode
 from repro.hardware.synthesis import HardwareReport, synthesize_exact_mlp
 from repro.quant.qrelu import qrelu
+from repro.serving.queries import DEFAULT_ACCURACY_LOSS
 
 __all__ = [
     "approximate_weight_code",
@@ -176,7 +177,7 @@ def explore_tc23(
     inputs: np.ndarray,
     labels: np.ndarray,
     baseline_accuracy: float,
-    max_accuracy_loss: float = 0.05,
+    max_accuracy_loss: float = DEFAULT_ACCURACY_LOSS,
     clock_period_ms: Optional[float] = None,
 ) -> tuple[Optional[Tc23ApproximateMLP], Optional[HardwareReport], List[dict]]:
     """Sweep the TC'23 design space and pick the smallest admissible circuit.

@@ -26,6 +26,7 @@ from repro.baselines.exact_bespoke import BespokeMLP
 from repro.hardware.egfet import MIN_VOLTAGE, NOMINAL_VOLTAGE
 from repro.hardware.synthesis import HardwareReport
 from repro.quant.qrelu import qrelu
+from repro.serving.queries import DEFAULT_ACCURACY_LOSS
 
 __all__ = ["VosConfig", "VosApproximateMLP", "explore_vos"]
 
@@ -123,7 +124,7 @@ def explore_vos(
     inputs: np.ndarray,
     labels: np.ndarray,
     baseline_accuracy: float,
-    max_accuracy_loss: float = 0.05,
+    max_accuracy_loss: float = DEFAULT_ACCURACY_LOSS,
     clock_period_ms: Optional[float] = None,
     seed: int = 0,
 ) -> tuple[Optional[VosApproximateMLP], Optional[HardwareReport], List[dict]]:

@@ -121,7 +121,7 @@ _MISSING = object()
 #: snapshots are then ignored (never mis-read) by :meth:`EvaluationCache.load`.
 #: CHANGES.md records what each version changed.
 _SNAPSHOT_MAGIC = "repro-evaluation-cache"
-CACHE_FORMAT_VERSION = 14
+CACHE_FORMAT_VERSION = 15
 
 #: The only non-builtin globals a snapshot may reference.  Snapshot
 #: payloads are plain data (tuples, bytes, numbers, dicts) plus these
@@ -368,8 +368,7 @@ class EvaluationCache:
     def layout_key(layout: Any) -> str:
         """Decode-semantics identity of a chromosome layout.
 
-        Two layouts with the same topology, number formats and shift
-        handling decode any given genome identically; layouts differing
+        Two layouts with the same topology and number formats decode any given genome identically; layouts differing
         only in gene *bounds* (the ablation experiments restrict those)
         share a key on purpose.  Namespacing entries with this prevents
         collisions between layouts whose chromosomes merely have equal
@@ -379,7 +378,6 @@ class EvaluationCache:
         return stable_fingerprint(
             repr(tuple(int(size) for size in layout.topology.sizes)),
             repr(layout.config),  # the dataclass repr: every field, by name
-            repr(bool(getattr(layout, "learn_shifts", True))),
         )
 
     @staticmethod

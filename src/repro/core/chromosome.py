@@ -3,10 +3,10 @@
 Every learnable parameter becomes one integer gene.  Genes are grouped
 by weight (mask ``m``, sign ``s``, exponent ``k``), then by neuron
 (its ``fan_in`` weights followed by the bias ``b``), then by layer —
-mirroring the encoding illustrated in the paper's Fig. 3.  Optionally a
+mirroring the encoding illustrated in the paper's Fig. 3.  One
 per-hidden-layer QReLU shift gene is appended at the end of the
-chromosome (an extension enabled by default in the trainer: the GA can
-then adapt the activation scaling to the pruning level it discovers).
+chromosome (an extension of the paper's encoding: the GA can then adapt
+the activation scaling to the pruning level it discovers).
 
 The :class:`ChromosomeLayout` knows the lower/upper bound of every gene
 and converts between flat gene vectors and :class:`ApproximateMLP`
@@ -40,15 +40,13 @@ class ChromosomeLayout:
         MLP layer sizes.
     config:
         Number formats (mask widths, exponent range, bias range).
-    learn_shifts:
-        When True, one extra gene per hidden layer encodes the QReLU
-        right shift (bounded by the worst-case shift); when False the
-        worst-case shifts are used verbatim.
+
+    One extra gene per hidden layer encodes the QReLU right shift,
+    bounded by the worst-case shift.
     """
 
     topology: Topology
     config: ApproxConfig = field(default_factory=ApproxConfig)
-    learn_shifts: bool = True
 
     def __post_init__(self) -> None:
         # Per-layer gather indices: ``_weight_genes[l][i, j]`` is the mask
@@ -70,7 +68,7 @@ class ChromosomeLayout:
             offset += fan_out * genes_per_neuron
 
         self._max_shifts = default_shifts(self.topology, self.config)
-        num_hidden = self.topology.num_layers - 1 if self.learn_shifts else 0
+        num_hidden = self.topology.num_layers - 1
         self._shift_slice = slice(offset, offset + num_hidden)
         self.num_genes = offset + num_hidden
 
@@ -105,7 +103,7 @@ class ChromosomeLayout:
 
     @property
     def shift_slice(self) -> slice:
-        """Slice holding the (optional) per-hidden-layer shift genes."""
+        """Slice holding the per-hidden-layer shift genes."""
         return self._shift_slice
 
     def validate(self, chromosome: np.ndarray) -> None:
@@ -157,26 +155,17 @@ class ChromosomeLayout:
         This is the one place genes map to parameters: masks, ±1 signs
         and exponents come back as one ``(n, fan_in, fan_out)`` tensor per
         layer, biases as ``(n, fan_out)`` and the QReLU shifts as
-        ``(n, hidden)`` (the worst-case shifts when they are not learned).
-        Out-of-bounds genes raise the same ``ValueError`` as
+        ``(n, hidden)``.  Out-of-bounds genes raise the same ``ValueError`` as
         :meth:`validate`.
         """
         population = self._population(population)
         self._check_bounds(population)
-        num_hidden = self.topology.num_layers - 1
-        if self.learn_shifts:
-            shifts = population[:, self._shift_slice]
-        else:
-            shifts = np.tile(
-                np.array(self._max_shifts[:num_hidden], dtype=np.int64),
-                (population.shape[0], 1),
-            )
         return PopulationParameters(
             masks=[population[:, weights] for weights in self._weight_genes],
             signs=[2 * population[:, weights + 1] - 1 for weights in self._weight_genes],
             exponents=[population[:, weights + 2] for weights in self._weight_genes],
             biases=[population[:, bias] for bias in self._bias_genes],
-            shifts=shifts,
+            shifts=population[:, self._shift_slice],
             input_bits=tuple(
                 self.config.layer_input_bits(index) for index in range(self.topology.num_layers)
             ),
@@ -225,12 +214,9 @@ class ChromosomeLayout:
                 axis=1,
             )
             chromosome[self._layer_slices[layer_index]] = per_neuron.reshape(-1)
-        if self.learn_shifts:
-            shifts = mlp.shifts[: self.topology.num_layers - 1]
-            capped = [
-                min(int(s), int(self._max_shifts[idx])) for idx, s in enumerate(shifts)
-            ]
-            chromosome[self._shift_slice] = np.array(capped, dtype=np.int64)
+        shifts = mlp.shifts[: self.topology.num_layers - 1]
+        capped = [min(int(s), int(self._max_shifts[idx])) for idx, s in enumerate(shifts)]
+        chromosome[self._shift_slice] = np.array(capped, dtype=np.int64)
         return self.clip(chromosome)
 
     def describe_gene(self, index: int) -> Tuple[str, int, int, int]:
@@ -242,7 +228,7 @@ class ChromosomeLayout:
         """
         if not 0 <= index < self.num_genes:
             raise IndexError(f"gene index {index} out of range")
-        if self.learn_shifts and self._shift_slice.start <= index < self._shift_slice.stop:
+        if self._shift_slice.start <= index < self._shift_slice.stop:
             return ("shift", index - self._shift_slice.start, -1, -1)
         for layer_index, (fan_in, fan_out) in enumerate(self.topology.layer_shapes()):
             sl = self._layer_slices[layer_index]

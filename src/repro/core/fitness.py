@@ -54,6 +54,9 @@ __all__ = ["ERROR", "AREA", "ACCURACY", "VIOLATION", "FitnessEvaluator"]
 #: objectives first, so ``table[:, :2]`` is the NSGA-II objective matrix.
 ERROR, AREA, ACCURACY, VIOLATION = range(4)
 
+#: Admissible accuracy loss during training (paper: 10 %).
+MAX_ACCURACY_LOSS = 0.10
+
 
 class FitnessEvaluator:
     """Evaluates chromosomes on accuracy and hardware area.
@@ -91,7 +94,7 @@ class FitnessEvaluator:
         train_inputs: np.ndarray,
         train_labels: np.ndarray,
         baseline_accuracy: Optional[float] = None,
-        max_accuracy_loss: float = 0.10,
+        max_accuracy_loss: float = MAX_ACCURACY_LOSS,
     ) -> None:
         self.layout = layout
         self.train_inputs = np.asarray(train_inputs, dtype=np.int64)

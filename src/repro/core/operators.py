@@ -98,8 +98,8 @@ class GeneticOperators:
     mutation_probability:
         Per-gene mutation probability (paper: 0.2 %–ish per gene is far
         too low for the short chromosomes of printed MLPs; the default
-        0.02 mutates a handful of genes per child, and the trainer's
-        configuration exposes it).
+        0.02, which the trainer uses, mutates a handful of genes per
+        child).
     """
 
     layout: ChromosomeLayout

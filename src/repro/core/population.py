@@ -112,9 +112,7 @@ class PopulationInitializer:
             per_neuron[:, -1] = biases
             chromosome[layout.layer_slice(layer_index)] = per_neuron.reshape(-1)
 
-        if layout.learn_shifts:
-            shift_slice = layout.shift_slice
-            chromosome[shift_slice] = layout.upper_bounds[shift_slice]
+        chromosome[layout.shift_slice] = layout.upper_bounds[layout.shift_slice]
         return layout.clip(chromosome)
 
     def build(self, population_size: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 This is the "Training & Approximation Framework" box of the paper's
 Fig. 2: given a dataset and an MLP topology it evolves masks, signs,
-power-of-two exponents and biases (and, as an enabled-by-default
-extension, per-layer QReLU shifts) against the two objectives of
+power-of-two exponents and biases (and, as an extension, per-layer
+QReLU shifts) against the two objectives of
 equation (3), and returns the estimated area/accuracy Pareto front.
 
 The subsequent "Hardware analysis" step — synthesizing the front's
@@ -26,7 +26,7 @@ from repro.approx.topology import Topology
 from repro.baselines.gradient import FloatMLP
 from repro.core.cache import EvaluationCache, pack_arrays
 from repro.core.chromosome import ChromosomeLayout
-from repro.core.fitness import AREA, ERROR, VIOLATION, FitnessEvaluator
+from repro.core.fitness import AREA, ERROR, MAX_ACCURACY_LOSS, VIOLATION, FitnessEvaluator
 from repro.core.nsga2 import crowding_distance, nsga2_sort_key
 from repro.core.operators import GeneticOperators
 from repro.core.pareto import ParetoArchive, ParetoPoint, pareto_front
@@ -42,22 +42,21 @@ _LOGGER = logging.getLogger(__name__)
 class GAConfig:
     """Hyper-parameters of the genetic training.
 
-    The defaults follow the paper where stated (crossover 0.7, ~10 %
-    doping, 10 % admissible accuracy loss during training) and use
-    CI-friendly budgets elsewhere; the DATE'24 experiments use far larger
+    Only the budgets, the doping fraction (which the GA ablation varies)
+    and the seed are set here.  The paper's other settings live as the
+    defaults of the component that uses them: crossover 0.7 and the
+    per-gene mutation rate in :class:`GeneticOperators`, the 10 %
+    admissible accuracy loss during training in :class:`FitnessEvaluator`,
+    the unbiased initial mask draw in :class:`PopulationInitializer` and
+    the archive bound in :class:`ParetoArchive`.  The defaults here are
+    CI-friendly budgets; the DATE'24 experiments use far larger
     populations/generations, which the experiment harness requests
     explicitly.
     """
 
     population_size: int = 60
     generations: int = 40
-    crossover_probability: float = 0.7
-    mutation_probability: float = 0.02
     doping_fraction: float = 0.10
-    initial_mask_density: float = 0.5
-    max_accuracy_loss: float = 0.10
-    learn_shifts: bool = True
-    archive_size: int = 256
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -219,11 +218,7 @@ class GATrainer:
         self.topology = topology
         self.approx_config = approx_config or ApproxConfig()
         self.ga_config = ga_config or GAConfig()
-        self.layout = ChromosomeLayout(
-            topology=self.topology,
-            config=self.approx_config,
-            learn_shifts=self.ga_config.learn_shifts,
-        )
+        self.layout = ChromosomeLayout(topology=self.topology, config=self.approx_config)
 
     # ------------------------------------------------------------------
     def result_key(
@@ -250,7 +245,7 @@ class GATrainer:
         return EvaluationCache.stage_key(
             "ga",
             FitnessEvaluator.context_key(
-                layout, train_inputs, train_labels, baseline_accuracy, self.ga_config.max_accuracy_loss
+                layout, train_inputs, train_labels, baseline_accuracy, MAX_ACCURACY_LOSS
             ),
             stable_fingerprint(layout.lower_bounds.tobytes(), layout.upper_bounds.tobytes()),
             EvaluationCache.settings_key(self.ga_config),
@@ -294,15 +289,11 @@ class GATrainer:
             train_inputs=train_inputs,
             train_labels=train_labels,
             baseline_accuracy=baseline_accuracy,
-            max_accuracy_loss=config.max_accuracy_loss,
         )
         initializer = PopulationInitializer(
-            layout=self.layout,
-            doping_fraction=config.doping_fraction,
-            mask_density=config.initial_mask_density,
-            seed_model=seed_model,
+            layout=self.layout, doping_fraction=config.doping_fraction, seed_model=seed_model
         )
-        archive = ParetoArchive(max_size=config.archive_size)
+        archive = ParetoArchive()
         history: List[GenerationStats] = []
 
         # The population lives as one (n, genes) int64 matrix and its
@@ -315,11 +306,7 @@ class GATrainer:
         # across generations.
         hv_reference = (1.0, float(fitness[:, AREA].max()) * 1.1 + 1.0)
 
-        operators = GeneticOperators(
-            layout=self.layout,
-            crossover_probability=config.crossover_probability,
-            mutation_probability=config.mutation_probability,
-        )
+        operators = GeneticOperators(layout=self.layout)
         # Only the initial population is sorted from scratch: environmental
         # selection hands every later generation its survivors' sort key.
         sort_key = nsga2_sort_key(*self._objective_matrix(fitness, area_objective))

@@ -36,6 +36,7 @@ from repro.hardware.synthesis import (
     HardwareReport,
     synthesize_approximate_mlp,
 )
+from repro.serving import queries
 
 __all__ = [
     "EvaluatedDesign",
@@ -190,9 +191,7 @@ def true_pareto_front(
     for the equivalence tests.
     """
     if not slow:
-        from repro.serving.queries import true_front
-
-        return true_front(designs)
+        return queries.true_front(designs)
     kept: List[EvaluatedDesign] = []
     for candidate in designs:
         dominated = False
@@ -239,7 +238,7 @@ def design_sort_name(design: EvaluatedDesign) -> str:
 def select_design(
     designs: Sequence[EvaluatedDesign],
     baseline_accuracy: float,
-    max_accuracy_loss: float = 0.05,
+    max_accuracy_loss: float = queries.DEFAULT_ACCURACY_LOSS,
 ) -> Optional[EvaluatedDesign]:
     """Smallest-area design within the accuracy-loss budget (Table II pick).
 
@@ -252,10 +251,8 @@ def select_design(
     (delegating to the shared rule in
     :func:`repro.serving.queries.select_design`).
     """
-    from repro.serving.queries import select_design as _select
-
     designs = list(designs)
-    return _select(
+    return queries.select_design(
         designs,
         baseline_accuracy,
         max_accuracy_loss=max_accuracy_loss,

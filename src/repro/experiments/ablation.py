@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.trainer import GAConfig, GAResult, GATrainer
 from repro.core.pareto import hypervolume
+from repro.serving.queries import DEFAULT_ACCURACY_LOSS
 
 __all__ = ["build_approximation_ablation", "build_ga_settings_ablation"]
 
@@ -86,12 +87,9 @@ def _train_variant(
     )
 
 
-def build_approximation_ablation(
-    session,
-    dataset: str = ABLATION_DATASET,
-    max_accuracy_loss: float = 0.05,
-) -> List[Dict]:
+def build_approximation_ablation(session) -> List[Dict]:
     """Compare pow2-only, mask-only and combined approximation modes."""
+    dataset = ABLATION_DATASET
     result = session.baseline(dataset)
     x_test, y_test = result.dataset.quantized_test()
 
@@ -114,7 +112,7 @@ def build_approximation_ablation(
                 f"approx:{mode}",
                 lambda restrict=restrict: _train_variant(session, dataset, restrict),
             )
-        point = ga_result.select_within_accuracy_loss(max_accuracy_loss)
+        point = ga_result.select_within_accuracy_loss(DEFAULT_ACCURACY_LOSS)
         best = ga_result.best_accuracy_point()
         rows.append(
             {
@@ -134,10 +132,9 @@ def build_approximation_ablation(
     return rows
 
 
-def build_ga_settings_ablation(
-    session, dataset: str = ABLATION_DATASET
-) -> List[Dict]:
+def build_ga_settings_ablation(session) -> List[Dict]:
     """Compare doped vs random init and constrained vs unconstrained GA."""
+    dataset = ABLATION_DATASET
     settings = [
         ("doped+constraint", 0.10, True),
         ("random_init", 0.0, True),

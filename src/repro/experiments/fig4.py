@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
-
 __all__ = ["DISPLAY", "build_fig4"]
 
 #: (header, row key) pairs of the printed table.
@@ -37,14 +35,12 @@ DISPLAY = (
 )
 
 
-def build_fig4(
-    session, max_accuracy_loss: float = ACCURACY_LOSS_BUDGET
-) -> List[Dict]:
+def build_fig4(session) -> List[Dict]:
     """Fig. 4 rows (one per dataset and method), a thin record reader.
 
     The session's ``front_record``/``methods_record`` stages measure
     every comparator exactly once (models never leave the record
-    stage); row assembly — selection at this call's budget,
+    stage); row assembly — selection at the Table II budget,
     normalization, reduction factors — is the shared pure query logic,
     so a Fig. 4 regenerated from a warm serving store is identical.
     """
@@ -52,8 +48,5 @@ def build_fig4(
 
     rows: List[Dict] = []
     for name in session.scale.datasets:
-        record = session.record(
-            name, methods=True, max_accuracy_loss=max_accuracy_loss
-        )
-        rows.extend(queries.fig4_rows(record, max_accuracy_loss=max_accuracy_loss))
+        rows.extend(queries.fig4_rows(session.record(name, methods=True)))
     return rows

@@ -15,9 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.table2 import ACCURACY_LOSS_BUDGET
-from repro.hardware.egfet import MIN_VOLTAGE
-
 __all__ = ["DISPLAY", "build_fig5"]
 
 #: (header, row key) pairs of the printed table.
@@ -31,16 +28,13 @@ DISPLAY = (
 )
 
 
-def build_fig5(
-    session,
-    max_accuracy_loss: float = ACCURACY_LOSS_BUDGET,
-    approximate_voltage: float = MIN_VOLTAGE,
-) -> List[Dict]:
+def build_fig5(session) -> List[Dict]:
     """Fig. 5 rows: one per (dataset, design) with the assigned zone.
 
     The baseline and the TC'23 design are assessed at the nominal 1 V
     (they cannot tolerate voltage scaling without missing their timing),
-    our design additionally at ``approximate_voltage``.
+    our design additionally at the minimum EGFET supply
+    (:data:`~repro.hardware.egfet.MIN_VOLTAGE`, 0.6 V).
     """
     # Thin record reader: the session's ``front_record``/``tc23_record``
     # stages carry every operating point as plain data, and the shared
@@ -51,12 +45,5 @@ def build_fig5(
 
     rows: List[Dict] = []
     for name in session.scale.datasets:
-        record = session.record(name, tc23=True, max_accuracy_loss=max_accuracy_loss)
-        rows.extend(
-            queries.fig5_rows(
-                record,
-                max_accuracy_loss=max_accuracy_loss,
-                approximate_voltage=approximate_voltage,
-            )
-        )
+        rows.extend(queries.fig5_rows(session.record(name, tc23=True)))
     return rows

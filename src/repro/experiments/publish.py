@@ -22,6 +22,7 @@ from repro.core.cache import EvaluationCache
 from repro.core.pure import stable_fingerprint
 from repro.evaluation.pareto_analysis import design_sort_name
 from repro.experiments.pipeline import PipelineResult
+from repro.serving.queries import DEFAULT_ACCURACY_LOSS
 from repro.serving.store import (
     DesignRecord,
     DesignStore,
@@ -50,11 +51,7 @@ def _split_digest(result: PipelineResult) -> str:
     return stable_fingerprint(repr(EvaluationCache.split_fingerprint(x_test, y_test)))
 
 
-def front_record(
-    result: PipelineResult,
-    scale,
-    default_accuracy_loss: float = 0.05,
-) -> FrontRecord:
+def front_record(result: PipelineResult, scale) -> FrontRecord:
     """Plain-data record of one dataset's evaluated front."""
     approx = result.approximate
     if approx is None:
@@ -91,7 +88,7 @@ def front_record(
         baseline_train_accuracy=float(baseline.train_accuracy),
         baseline=ReportRecord.from_report(baseline.report),
         designs=designs,
-        default_accuracy_loss=float(default_accuracy_loss),
+        default_accuracy_loss=float(DEFAULT_ACCURACY_LOSS),
         selected=design_sort_name(approx.selected) if approx.selected else None,
         training_seconds=float(approx.training_seconds),
         verification=(
@@ -102,11 +99,7 @@ def front_record(
     )
 
 
-def tc23_record(
-    result: PipelineResult,
-    tc23: Tuple,
-    max_accuracy_loss: float = 0.05,
-) -> Tc23Record:
+def tc23_record(result: PipelineResult, tc23: Tuple) -> Tc23Record:
     """Plain-data record of the TC'23 comparator for one dataset.
 
     ``tc23`` is the session stage's ``(model, report, sweep)`` tuple;
@@ -120,17 +113,13 @@ def tc23_record(
         accuracy = float(tc_model.accuracy(x_test, y_test))
     return Tc23Record(
         dataset=result.spec.name,
-        max_accuracy_loss=float(max_accuracy_loss),
+        max_accuracy_loss=float(DEFAULT_ACCURACY_LOSS),
         accuracy=accuracy,
         report=ReportRecord.from_report(tc_report) if tc_report is not None else None,
     )
 
 
-def methods_record(
-    session,
-    name: str,
-    max_accuracy_loss: float = 0.05,
-) -> MethodsRecord:
+def methods_record(session, name: str) -> MethodsRecord:
     """Comparator summaries (tc23 / tcad23 / date21) for the Fig. 4 rows.
 
     Reads the session's memoized ``tc23``/``vos``/``stochastic`` stages;
@@ -138,11 +127,11 @@ def methods_record(
     query's accuracy-loss budget and is re-selected from the front
     record at query time.
     """
-    result = session.front(name, max_accuracy_loss=max_accuracy_loss)
+    result = session.front(name)
     x_test, y_test = result.dataset.quantized_test()
     methods: List[MethodRecord] = []
 
-    tc_model, tc_report, _ = session.tc23(name, max_accuracy_loss=max_accuracy_loss)
+    tc_model, tc_report, _ = session.tc23(name)
     if tc_model is not None and tc_report is not None:
         methods.append(
             MethodRecord(
@@ -153,7 +142,7 @@ def methods_record(
             )
         )
 
-    vos_model, vos_report, _ = session.vos(name, max_accuracy_loss=max_accuracy_loss)
+    vos_model, vos_report, _ = session.vos(name)
     if vos_model is not None and vos_report is not None:
         methods.append(
             MethodRecord(
@@ -175,7 +164,7 @@ def methods_record(
     )
     return MethodsRecord(
         dataset=name,
-        max_accuracy_loss=float(max_accuracy_loss),
+        max_accuracy_loss=float(DEFAULT_ACCURACY_LOSS),
         methods=tuple(methods),
     )
 

@@ -21,15 +21,15 @@ through ``Artifact.from_json``).
 ``--cache-dir DIR`` makes the evaluation cache persistent: each
 dataset's exact baseline (float model, bespoke circuit and its report),
 GA results and accuracy/hardware-report entries are loaded from
-``DIR/<dataset>.cache.pkl`` before the baseline stage and saved back
-afterwards (compacted by the 30-day age bound) when the run added
-something, so a second invocation of the same experiment at the same
-scale restores the baseline and the GA instead of training them.  A
-per-dataset ``[cache]`` summary line reports the snapshot traffic and
-whether the baseline and the GA were ``restored`` or ``trained`` (``ga
-none`` when the experiments train no GA, as ``table1``);
-``saved 0`` means the run left the snapshot unchanged (it added no
-entry, and its entries are far from the age bound).
+``DIR/<dataset>.cache.pkl`` before the baseline stage.  A snapshot is
+rewritten if and only if the run changed one of its persisted sections,
+so a second invocation of the same experiment at the same scale
+restores the baseline and the GA instead of training them and writes
+nothing.  A per-dataset ``[cache]`` summary line reports the snapshot
+traffic and whether the baseline and the GA were ``restored`` or
+``trained`` (``ga none`` when the experiments train no GA, as
+``table1``); ``saved 0`` means the run changed no persisted section and
+left the snapshot's bytes as they were.
 Snapshots are versioned, and keys are namespaced by dataset split,
 constraints, settings and the package's source digest, so one directory
 can safely be shared between scales and experiments, and an edited

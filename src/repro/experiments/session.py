@@ -83,6 +83,7 @@ from repro.experiments import table3 as _table3
 from repro.experiments.config import EXPERIMENT_ORDER, ExperimentScale, get_scale
 from repro.experiments.pipeline import ApproximateResult, BaselineResult, PipelineResult
 from repro.hardware.synthesis import HardwareReport
+from repro.serving.queries import DEFAULT_ACCURACY_LOSS
 
 __all__ = [
     "EXPERIMENT_ORDER",
@@ -251,19 +252,17 @@ class ExperimentSession:
         with self._dataset_lock(name):
             return self._run_stage(("gradient_baseline", name), build)
 
-    def front(self, name: str, max_accuracy_loss: float = 0.05) -> PipelineResult:
+    def front(self, name: str) -> PipelineResult:
         """Hardware-aware GA training + front synthesis (stage 3).
 
         This is the expensive shared stage: ``table2``, ``table3``
         (GA-AxC column), ``fig4``, ``fig5`` and the ablations' identity
         variants all read this one result — the baseline stage's result
-        with ``approximate`` filled in.  The GA trains once per dataset
-        regardless of ``max_accuracy_loss``: the loss only parameterizes
-        the *default* operating-point selection baked into the result on
-        first build; experiment builders with a non-default budget
-        re-select from the memoized front with
-        :func:`~repro.evaluation.pareto_analysis.select_design`, which
-        is cheap and pure.
+        with ``approximate`` filled in.  The operating point baked into
+        it is selected at the Table II budget
+        (:data:`~repro.serving.queries.DEFAULT_ACCURACY_LOSS`); any other
+        budget re-selects from the front record with the pure
+        :mod:`repro.serving.queries` functions.
         """
 
         def build():
@@ -306,7 +305,7 @@ class ExperimentSession:
             selected = select_design(
                 designs,
                 baseline_accuracy=result.baseline.test_accuracy,
-                max_accuracy_loss=max_accuracy_loss,
+                max_accuracy_loss=DEFAULT_ACCURACY_LOSS,
             )
             verification = None
             if self.scale.verify_rtl:
@@ -342,7 +341,7 @@ class ExperimentSession:
         with self._dataset_lock(name):
             return self._run_stage(("ga_front", name), build)
 
-    def tc23(self, name: str, max_accuracy_loss: float = 0.05):
+    def tc23(self, name: str):
         """TC'23 post-training sweep (shared by ``fig4`` and ``fig5``).
 
         Both figures read this one stage, so the sweep's circuits are
@@ -357,13 +356,14 @@ class ExperimentSession:
                 x_test,
                 y_test,
                 baseline_accuracy=result.baseline.test_accuracy,
-                max_accuracy_loss=max_accuracy_loss,
+                max_accuracy_loss=DEFAULT_ACCURACY_LOSS,
                 clock_period_ms=result.spec.clock_period_ms,
             )
 
         with self._dataset_lock(name):
-            return self._run_stage(("tc23", name, max_accuracy_loss), build)
-    def vos(self, name: str, max_accuracy_loss: float = 0.05):
+            return self._run_stage(("tc23", name), build)
+
+    def vos(self, name: str):
         """TCAD'23 cross-approximation + VOS exploration (``fig4``)."""
 
         def build():
@@ -376,13 +376,13 @@ class ExperimentSession:
                 x_test,
                 y_test,
                 baseline_accuracy=result.baseline.test_accuracy,
-                max_accuracy_loss=max_accuracy_loss,
+                max_accuracy_loss=DEFAULT_ACCURACY_LOSS,
                 clock_period_ms=result.spec.clock_period_ms,
                 seed=self.scale.seed,
             )
 
         with self._dataset_lock(name):
-            return self._run_stage(("vos", name, max_accuracy_loss), build)
+            return self._run_stage(("vos", name), build)
 
     def stochastic(self, name: str):
         """DATE'21 stochastic-computing baseline: ``(accuracy, report)``."""
@@ -457,31 +457,22 @@ class ExperimentSession:
                 lambda: front_record(self.front(name), self.scale),
             )
 
-    def tc23_record(self, name: str, max_accuracy_loss: float = 0.05):
+    def tc23_record(self, name: str):
         """Plain-data TC'23 record, accuracy measured once (memoized)."""
         from repro.experiments.publish import tc23_record
 
         with self._dataset_lock(name):
             return self._run_stage(
-                ("tc23_record", name, max_accuracy_loss),
-                lambda: tc23_record(
-                    self.baseline(name),
-                    self.tc23(name, max_accuracy_loss=max_accuracy_loss),
-                    max_accuracy_loss=max_accuracy_loss,
-                ),
+                ("tc23_record", name),
+                lambda: tc23_record(self.baseline(name), self.tc23(name)),
             )
 
-    def methods_record(self, name: str, max_accuracy_loss: float = 0.05):
+    def methods_record(self, name: str):
         """Comparator-method summaries for Fig. 4 (memoized)."""
         from repro.experiments.publish import methods_record
 
         with self._dataset_lock(name):
-            return self._run_stage(
-                ("methods_record", name, max_accuracy_loss),
-                lambda: methods_record(
-                    self, name, max_accuracy_loss=max_accuracy_loss
-                ),
-            )
+            return self._run_stage(("methods_record", name), lambda: methods_record(self, name))
 
     def rtl_records(self, name: str):
         """Per-design Verilog/testbench records of the front (memoized)."""
@@ -492,14 +483,7 @@ class ExperimentSession:
                 ("rtl_records", name), lambda: rtl_records(self.front(name))
             )
 
-    def record(
-        self,
-        name: str,
-        *,
-        tc23: bool = False,
-        methods: bool = False,
-        max_accuracy_loss: float = 0.05,
-    ):
+    def record(self, name: str, *, tc23: bool = False, methods: bool = False):
         """Joined :class:`~repro.serving.store.DatasetRecord` view.
 
         The thin experiment builders read this instead of live stage
@@ -510,16 +494,8 @@ class ExperimentSession:
 
         return DatasetRecord(
             front=self.front_record(name),
-            tc23=(
-                self.tc23_record(name, max_accuracy_loss=max_accuracy_loss)
-                if tc23
-                else None
-            ),
-            methods=(
-                self.methods_record(name, max_accuracy_loss=max_accuracy_loss)
-                if methods
-                else None
-            ),
+            tc23=self.tc23_record(name) if tc23 else None,
+            methods=self.methods_record(name) if methods else None,
         )
 
     def publish(self, store, experiments=None) -> dict:

@@ -19,9 +19,6 @@ from typing import Dict, List
 
 __all__ = ["DISPLAY", "build_table2"]
 
-#: Accuracy-loss budget used by the paper's Table II.
-ACCURACY_LOSS_BUDGET = 0.05
-
 #: Values reported in the paper's Table II, for reference in reports:
 #: dataset -> (accuracy, area cm², power mW, area reduction, power reduction).
 PAPER_TABLE2: Dict[str, tuple] = {
@@ -45,16 +42,15 @@ DISPLAY = (
 )
 
 
-def build_table2(
-    session, max_accuracy_loss: float = ACCURACY_LOSS_BUDGET
-) -> List[Dict]:
+def build_table2(session) -> List[Dict]:
     """Table II rows (one per dataset), a thin reader over front records.
 
     The builder consumes the session's plain-data
     :class:`~repro.serving.store.FrontRecord` — the exact payload a
     warm serving store holds — and delegates selection + reductions to
     the shared pure query logic, so a Table II regenerated from a store
-    is cell-for-cell identical to one built in-session.
+    is cell-for-cell identical to one built in-session.  The budget is
+    the paper's 5 % (:data:`~repro.serving.queries.DEFAULT_ACCURACY_LOSS`).
     """
     from repro.serving import queries
     from repro.serving.store import StoreError
@@ -63,12 +59,7 @@ def build_table2(
     for name in session.scale.datasets:
         record = session.record(name)
         try:
-            # Re-select from the memoized front record: the GA trains
-            # once per dataset, but the operating-point choice honors
-            # *this* call's accuracy-loss budget.
-            selection = queries.selection_row(
-                record, max_accuracy_loss=max_accuracy_loss
-            )
+            selection = queries.selection_row(record)
         except StoreError:
             raise RuntimeError(f"no admissible design found for dataset {name}")
         paper = PAPER_TABLE2.get(name, (None,) * 5)

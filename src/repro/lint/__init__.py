@@ -11,7 +11,7 @@ convention into a statically checkable rule:
 ========  ==========================================================
 Rule id   Invariant
 ========  ==========================================================
-RP00      Pragma discipline (every escape hatch carries a reason)
+RP00      Pragma discipline (``oracle-pair`` is the one verb)
 RP01      Import purity (serving/eda reach no search-time module)
 RP02      Oracle pairing (``slow=`` kernels keep a referenced oracle
           and an equivalence test)
@@ -28,8 +28,8 @@ programmatically::
     >>> project = Project(["src"], default_config())
     >>> findings, stats = run_rules(project)
 
-See ``docs/static_analysis.md`` for the rule catalogue, the pragma and
-baseline escape hatches, and how to add a new rule.
+See ``docs/static_analysis.md`` for the rule catalogue, the
+``oracle-pair`` pragma and how to add a new rule.
 """
 
 from repro.lint.config import LintConfig, PurityPolicy, SchemaTarget, default_config

@@ -7,15 +7,11 @@ Usage::
     PATHS                       roots to scan (default: src)
     --rule RPxx                 run only these rules (repeatable)
     --format {text,json}        output format (default text)
-    --baseline FILE             ignore findings fingerprinted in FILE
-    --write-baseline FILE       write current fingerprints and exit 0
     --update-golden             regenerate tests/golden/schema_versions.json
                                 from the current tree (RP04's golden)
     --tests-root DIR            equivalence-test corpus for RP02
                                 (default: tests)
     --golden FILE               golden shape file for RP04
-    --purity-zone ZONE:A|B|C    override the RP01 policies (repeatable;
-                                used by the fixture tests)
     --list-rules                print the rule catalogue and exit
 
 Exit codes: **0** no findings, **1** findings reported, **2** usage or
@@ -33,7 +29,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.lint.config import LintConfig, PurityPolicy, default_config
+from repro.lint.config import LintConfig, default_config
 from repro.lint.engine import Project, run_rules
 from repro.lint.rules import ALL_RULES, rules_by_id
 
@@ -54,18 +50,9 @@ def _parser() -> argparse.ArgumentParser:
         help="run only these rule ids (repeatable)",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--baseline", default=None, metavar="FILE")
-    parser.add_argument("--write-baseline", default=None, metavar="FILE")
     parser.add_argument("--update-golden", action="store_true")
     parser.add_argument("--tests-root", default=None, metavar="DIR")
     parser.add_argument("--golden", default=None, metavar="FILE")
-    parser.add_argument(
-        "--purity-zone",
-        action="append",
-        default=None,
-        metavar="ZONE:A|B",
-        help="replace the RP01 policies with ZONE:forbidden|prefixes",
-    )
     parser.add_argument("--list-rules", action="store_true")
     return parser
 
@@ -78,23 +65,6 @@ def _build_config(args: argparse.Namespace) -> LintConfig:
         config.golden_path = Path(args.golden)
     if args.update_golden:
         config.update_golden = True
-    if args.purity_zone:
-        policies = []
-        for spec in args.purity_zone:
-            zone, _, forbidden = spec.partition(":")
-            if not zone or not forbidden:
-                raise ValueError(
-                    f"--purity-zone expects ZONE:prefix|prefix, got {spec!r}"
-                )
-            policies.append(
-                PurityPolicy(
-                    zone=zone.strip(),
-                    forbidden=tuple(
-                        p.strip() for p in forbidden.split("|") if p.strip()
-                    ),
-                )
-            )
-        config.purity_policies = tuple(policies)
     return config
 
 
@@ -120,34 +90,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: no such path(s): {missing}", file=sys.stderr)
         return 2
 
-    baseline = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if not baseline_path.exists():
-            print(f"error: baseline file {baseline_path} not found", file=sys.stderr)
-            return 2
-        payload = json.loads(baseline_path.read_text(encoding="utf-8"))
-        baseline = set(payload.get("fingerprints", ()))
-
-    project = Project(paths, config)
-    findings, stats = run_rules(project, rules, baseline=baseline)
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            json.dumps(
-                {"fingerprints": sorted(f.fingerprint() for f in findings)},
-                indent=2,
-                allow_nan=False,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        print(
-            f"baseline with {len(findings)} fingerprint(s) written to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
+    findings, stats = run_rules(Project(paths, config), rules)
 
     if args.format == "json":
         payload = {
@@ -156,8 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "files": stats.files,
                 "rules": list(stats.rules),
                 "findings": len(findings),
-                "suppressed_by_pragma": stats.suppressed,
-                "baseline_skipped": stats.baseline_skipped,
                 "pragmas": stats.pragmas,
             },
         }
@@ -166,14 +107,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for finding in findings:
             print(finding.format_text())
-        summary = (
+        print(
             f"[lint] {stats.files} files, {len(stats.rules)} rules: "
-            f"{len(findings)} finding(s)"
+            f"{len(findings)} finding(s)",
+            file=sys.stderr,
         )
-        if stats.suppressed:
-            summary += f", {stats.suppressed} suppressed by pragma"
-        if stats.baseline_skipped:
-            summary += f", {stats.baseline_skipped} baselined"
-        print(summary, file=sys.stderr)
 
     return 1 if findings else 0

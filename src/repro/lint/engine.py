@@ -15,17 +15,15 @@ The engine owns everything the rules share:
   its top-level name, a leaf with no edges of its own.
 * **Findings** — :class:`Finding` records carry rule id, severity,
   ``file:line:col`` anchors, a message and a fix hint; they format as
-  text or JSON and fingerprint stably for ``--baseline`` files.
-* **Pragmas** — ``# lint:`` comments are the narrowly-scoped escape
-  hatch: ``allow(RPxx) -- reason`` suppresses one line,
-  ``allow-file(RPxx) -- reason`` a whole file, ``oracle-pair(name)``
-  registers an out-of-band oracle pairing for RP02.  A pragma without
-  a ``-- reason`` justification is itself a finding (RP00): every
-  escape hatch must explain itself.
+  text or JSON.
+* **Pragmas** — ``# lint: oracle-pair(name)`` registers an
+  out-of-band oracle pairing for RP02.  It is the one pragma verb: no
+  comment suppresses a finding, and any other verb is itself a finding
+  (RP00).
 
 Rules subclass :class:`Rule` and implement ``check(project)``;
-:func:`run_rules` runs a battery, applies pragma suppression, and
-appends the RP00 pragma-discipline findings.
+:func:`run_rules` runs a battery and appends the RP00
+pragma-discipline findings.
 """
 
 from __future__ import annotations
@@ -54,11 +52,7 @@ __all__ = [
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-#: Rule ids the pragma verbs accept (RP00 itself cannot be suppressed:
-#: an escape hatch must not be able to excuse its own missing reason).
-KNOWN_RULE_IDS = ("RP01", "RP02", "RP03", "RP04", "RP06")
-
-_PRAGMA_VERBS = ("allow", "allow-file", "oracle-pair")
+_PRAGMA_VERBS = ("oracle-pair",)
 
 
 @dataclass(frozen=True)
@@ -92,10 +86,6 @@ class Finding:
             payload["hint"] = self.hint
         return payload
 
-    def fingerprint(self) -> str:
-        """Stable identity for baseline files (line numbers drift)."""
-        return f"{self.rule}::{self.path}::{self.message}"
-
 
 @dataclass(frozen=True)
 class Pragma:
@@ -128,19 +118,6 @@ class SourceFile:
         self.tree = ast.parse(text, filename=relpath)
         self.pragmas: List[Pragma] = _parse_pragmas(text)
         self.parse_error: Optional[str] = None
-
-    # -- pragma queries -------------------------------------------------
-    def line_allows(self, rule: str, line: int) -> bool:
-        for pragma in self.pragmas:
-            if pragma.verb == "allow" and pragma.line == line and rule in pragma.args:
-                return True
-        return False
-
-    def file_allows(self, rule: str) -> bool:
-        return any(
-            pragma.verb == "allow-file" and rule in pragma.args
-            for pragma in self.pragmas
-        )
 
     def oracle_pair_pragmas(self) -> List[Pragma]:
         return [p for p in self.pragmas if p.verb == "oracle-pair"]
@@ -438,22 +415,15 @@ class RunStats:
 
     files: int = 0
     rules: Tuple[str, ...] = ()
-    suppressed: int = 0
-    baseline_skipped: int = 0
     pragmas: int = 0
 
 
 def run_rules(
-    project: Project,
-    rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[str]] = None,
+    project: Project, rules: Optional[Sequence[Rule]] = None
 ) -> Tuple[List[Finding], RunStats]:
-    """Run ``rules`` over ``project`` and post-process the findings.
-
-    Pragma suppression happens here (centrally, not in each rule), the
-    RP00 pragma-discipline findings are appended, and baseline
-    fingerprints are filtered out last — a baselined finding is still a
-    real finding, it is just acknowledged debt.
+    """Run ``rules`` over ``project``, append the RP00 pragma-discipline
+    findings and sort the lot by location.  Every finding is reported:
+    nothing suppresses one.
     """
     if rules is None:
         from repro.lint.rules import ALL_RULES
@@ -461,45 +431,16 @@ def run_rules(
         rules = [rule_cls() for rule_cls in ALL_RULES]
     stats = RunStats(files=len(project.files), rules=tuple(r.id for r in rules))
 
-    raw: List[Finding] = list(project.broken)
+    findings: List[Finding] = list(project.broken)
     for rule in rules:
-        raw.extend(rule.check(project))
-
-    findings: List[Finding] = []
-    for finding in raw:
-        source = _source_for(project, finding.path)
-        if source is not None and finding.rule != "RP00":
-            if source.file_allows(finding.rule) or source.line_allows(
-                finding.rule, finding.line
-            ):
-                stats.suppressed += 1
-                continue
-        findings.append(finding)
-
+        findings.extend(rule.check(project))
     findings.extend(_pragma_discipline(project, stats))
-
-    if baseline:
-        kept = []
-        for finding in findings:
-            if finding.fingerprint() in baseline:
-                stats.baseline_skipped += 1
-            else:
-                kept.append(finding)
-        findings = kept
-
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, stats
 
 
-def _source_for(project: Project, relpath: str) -> Optional[SourceFile]:
-    for source in project.files:
-        if source.relpath == relpath:
-            return source
-    return None
-
-
 def _pragma_discipline(project: Project, stats: RunStats) -> List[Finding]:
-    """RP00: every pragma must be well-formed and carry a reason."""
+    """RP00: every pragma uses a known verb with well-formed arguments."""
     findings: List[Finding] = []
     for source in project.files:
         for pragma in source.pragmas:
@@ -516,37 +457,7 @@ def _pragma_discipline(project: Project, stats: RunStats) -> List[Finding]:
                     )
                 )
                 continue
-            if pragma.verb in ("allow", "allow-file"):
-                unknown = [a for a in pragma.args if a not in KNOWN_RULE_IDS]
-                if unknown or not pragma.args:
-                    findings.append(
-                        Finding(
-                            rule="RP00",
-                            path=source.relpath,
-                            line=pragma.line,
-                            col=0,
-                            message=(
-                                f"lint pragma names unknown rule(s) {unknown!r}"
-                                if unknown
-                                else "lint allow pragma names no rule"
-                            ),
-                        )
-                    )
-                if not pragma.reason:
-                    findings.append(
-                        Finding(
-                            rule="RP00",
-                            path=source.relpath,
-                            line=pragma.line,
-                            col=0,
-                            message=(
-                                f"unexplained lint pragma {pragma.verb}"
-                                f"({', '.join(pragma.args)})"
-                            ),
-                            hint="append ' -- <why this exemption is sound>'",
-                        )
-                    )
-            elif pragma.verb == "oracle-pair" and len(pragma.args) != 1:
+            if len(pragma.args) != 1:
                 findings.append(
                     Finding(
                         rule="RP00",

@@ -3,9 +3,7 @@
 Each rule lives in its own module and subclasses
 :class:`repro.lint.engine.Rule`.  To add a rule: create
 ``rules/rpNN_<slug>.py`` with a ``Rule`` subclass, append it to
-:data:`ALL_RULES` here, add its id to
-:data:`repro.lint.engine.KNOWN_RULE_IDS` (so ``allow(RPNN)`` pragmas
-resolve), cover it with fixture packages under ``tests/lint_fixtures``
+:data:`ALL_RULES` here, cover it with fixture packages under ``tests/lint_fixtures``
 and document it in ``docs/static_analysis.md``.
 """
 

@@ -17,8 +17,8 @@ code:
   ``datetime.utcnow()``, ``date.today()``.  (``time.perf_counter`` and
   ``time.monotonic`` are fine — durations, not timestamps.)
 
-A legitimate wall-clock use would carry a line-scoped
-``# lint: allow(RP03) -- reason`` pragma; the package has none.
+No pragma exempts a call: a legitimate wall-clock use would need the
+rule itself to change.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from repro.hardware.egfet import MIN_VOLTAGE
 from repro.serving import queries
 from repro.serving.store import DatasetRecord, DesignStore, RTLRecord
 
@@ -36,28 +37,18 @@ class ParetoService:
     ----------
     store:
         The design store (or its root directory).
-    default_accuracy_loss:
-        Budget used when a query does not specify one (the paper's 5 %).
-    approximate_voltage:
-        Supply voltage of the ``ours_0v6`` feasibility entries.
+
+    A query that names no budget uses the paper's 5 %
+    (:data:`~repro.serving.queries.DEFAULT_ACCURACY_LOSS`); the
+    ``ours_0v6`` feasibility entries sit at the minimum EGFET supply
+    (:data:`~repro.hardware.egfet.MIN_VOLTAGE`) unless a query names a
+    voltage.
     """
 
-    def __init__(
-        self,
-        store: Union[DesignStore, str, Path],
-        *,
-        default_accuracy_loss: float = queries.DEFAULT_ACCURACY_LOSS,
-        approximate_voltage: Optional[float] = None,
-    ) -> None:
+    def __init__(self, store: Union[DesignStore, str, Path]) -> None:
         if not isinstance(store, DesignStore):
             store = DesignStore(store)
         self.store = store
-        self.default_accuracy_loss = default_accuracy_loss
-        if approximate_voltage is None:
-            from repro.hardware.egfet import MIN_VOLTAGE
-
-            approximate_voltage = MIN_VOLTAGE
-        self.approximate_voltage = approximate_voltage
         #: Dataset name -> loaded record.
         self._records: Dict[str, DatasetRecord] = {}
         #: (dataset, design) -> loaded RTL record.
@@ -76,9 +67,10 @@ class ParetoService:
             record = self._rtl[key] = self.store.get_rtl(dataset, design)
         return record
 
-    def _loss(self, max_accuracy_loss: Optional[float]) -> float:
+    @staticmethod
+    def _loss(max_accuracy_loss: Optional[float]) -> float:
         if max_accuracy_loss is None:
-            return self.default_accuracy_loss
+            return queries.DEFAULT_ACCURACY_LOSS
         return max_accuracy_loss
 
     # ------------------------------------------------------------------
@@ -112,7 +104,7 @@ class ParetoService:
         return queries.fig5_rows(
             self._record(dataset),
             max_accuracy_loss=self._loss(max_accuracy_loss),
-            approximate_voltage=self.approximate_voltage if voltage is None else voltage,
+            approximate_voltage=MIN_VOLTAGE if voltage is None else voltage,
         )
 
     def rtl(
@@ -168,12 +160,6 @@ class ParetoService:
                 )
             else:
                 rows.extend(
-                    queries.fig5_point_rows(
-                        queries.fig5_rows(
-                            record,
-                            max_accuracy_loss=loss,
-                            approximate_voltage=self.approximate_voltage,
-                        )
-                    )
+                    queries.fig5_point_rows(queries.fig5_rows(record, max_accuracy_loss=loss))
                 )
         return rows

@@ -412,24 +412,6 @@ class DesignStore:
 
     # -- low-level IO --------------------------------------------------
 
-    def _write_json(self, path: Path, payload: Mapping[str, object]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._write_manifest()
-
     def _read_json(self, path: Path, kind: str) -> Mapping[str, object]:
         try:
             text = path.read_text(encoding="utf-8")
@@ -454,25 +436,10 @@ class DesignStore:
             )
         return payload
 
-    def _write_manifest(self) -> None:
-        manifest = self.root / _MANIFEST
-        if manifest.exists():
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(
-            {"kind": _KIND_MANIFEST, "schema_version": STORE_SCHEMA_VERSION},
-            indent=2,
-            sort_keys=True,
-            allow_nan=False,
-        )
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=_MANIFEST, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        os.replace(tmp_name, manifest)
-
-    def _put(self, dataset: str, kind: str, record, fingerprint: str) -> Path:
-        path = self._section_path(dataset, kind)
-        self._write_json(
+    def _put(self, path: Path, kind: str, record, fingerprint: str) -> Path:
+        """Atomically write ``record`` at ``path`` in the one record
+        envelope, then the store manifest if it is absent."""
+        _atomic_write_json(
             path,
             {
                 "kind": kind,
@@ -481,6 +448,11 @@ class DesignStore:
                 "record": _encode_record(record),
             },
         )
+        manifest = self.root / _MANIFEST
+        if not manifest.exists():
+            _atomic_write_json(
+                manifest, {"kind": _KIND_MANIFEST, "schema_version": STORE_SCHEMA_VERSION}
+            )
         return path
 
     def _get(self, dataset: str, kind: str):
@@ -491,35 +463,31 @@ class DesignStore:
 
     def put_front(self, record: FrontRecord) -> Path:
         """Persist a dataset's front section."""
-        return self._put(record.dataset, "front", record, record.fingerprint)
+        return self._put(
+            self._section_path(record.dataset, "front"), "front", record, record.fingerprint
+        )
 
     def put_tc23(self, record: Tc23Record) -> Path:
         """Persist a dataset's TC'23 comparator section."""
         fingerprint = stable_fingerprint(
             "tc23", record.dataset, repr(record.max_accuracy_loss)
         )
-        return self._put(record.dataset, "tc23", record, fingerprint)
+        return self._put(self._section_path(record.dataset, "tc23"), "tc23", record, fingerprint)
 
     def put_methods(self, record: MethodsRecord) -> Path:
         """Persist a dataset's comparator-methods section."""
         fingerprint = stable_fingerprint(
             "methods", record.dataset, repr(record.max_accuracy_loss)
         )
-        return self._put(record.dataset, "methods", record, fingerprint)
+        return self._put(
+            self._section_path(record.dataset, "methods"), "methods", record, fingerprint
+        )
 
     def put_rtl(self, record: RTLRecord) -> Path:
         """Persist one design's emitted Verilog + testbench."""
-        path = self._rtl_path(record.dataset, record.design)
-        self._write_json(
-            path,
-            {
-                "kind": "rtl",
-                "schema_version": STORE_SCHEMA_VERSION,
-                "fingerprint": record.fingerprint,
-                "record": _encode_record(record),
-            },
+        return self._put(
+            self._rtl_path(record.dataset, record.design), "rtl", record, record.fingerprint
         )
-        return path
 
     # -- read side -----------------------------------------------------
 
@@ -554,7 +522,7 @@ class DesignStore:
         return self._get(dataset, "methods")
 
     def rtl_designs(self, dataset: str) -> Tuple[str, ...]:
-        """Design names with persisted RTL, in front order when possible."""
+        """Names of the designs with persisted RTL, sorted."""
         rtl_dir = self._dataset_dir(dataset) / "rtl"
         if not rtl_dir.is_dir():
             return ()
@@ -573,6 +541,25 @@ class DesignStore:
             methods=self.get_methods(dataset),
             rtl_designs=self.rtl_designs(dataset),
         )
+
+
+def _atomic_write_json(path: Path, payload: Mapping[str, object]) -> None:
+    """Write strict JSON through a temp file and ``os.replace``; the temp
+    file is removed if anything fails, so a reader never sees a partial
+    file and a failed write leaves nothing behind."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def _reject_constant(name: str) -> float:

@@ -1,4 +1,4 @@
-"""RP00 fixtures: malformed or unexplained pragmas."""
+"""RP00 fixtures: pragmas with an unknown verb."""
 
 import time
 

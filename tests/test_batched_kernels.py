@@ -78,12 +78,10 @@ class TestGenomeNativeFitness:
         activation_bits=st.integers(min_value=1, max_value=10),
         weight_bits=st.integers(min_value=2, max_value=10),
         bias_bits=st.integers(min_value=1, max_value=18),
-        learn_shifts=st.booleans(),
         size=st.integers(min_value=1, max_value=6),
     )
     def test_batch_fitness_equals_per_chromosome_oracle(
-        self, seed, hidden, input_bits, activation_bits, weight_bits, bias_bits,
-        learn_shifts, size,
+        self, seed, hidden, input_bits, activation_bits, weight_bits, bias_bits, size,
     ):
         rng = np.random.default_rng(seed)
         config = ApproxConfig(
@@ -93,7 +91,7 @@ class TestGenomeNativeFitness:
             bias_bits=bias_bits,
         )
         topology = Topology((int(rng.integers(1, 6)), *hidden, int(rng.integers(2, 5))))
-        layout = ChromosomeLayout(topology, config, learn_shifts=learn_shifts)
+        layout = ChromosomeLayout(topology, config)
         population = np.stack([layout.random(rng) for _ in range(size)])
         _assert_batch_matches_oracle(_evaluator(layout, rng), population)
 
@@ -102,10 +100,9 @@ class TestGenomeNativeFitness:
         layout = ChromosomeLayout(Topology((5, 3, 3)), ApproxConfig())
         _assert_batch_matches_oracle(_evaluator(layout, rng), layout.random(rng)[None, :])
 
-    @pytest.mark.parametrize("learn_shifts", [True, False])
-    def test_all_zero_masks_and_extreme_biases(self, learn_shifts):
+    def test_all_zero_masks_and_extreme_biases(self):
         rng = np.random.default_rng(2)
-        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig(), learn_shifts=learn_shifts)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), ApproxConfig())
         rows = np.stack([layout.random(rng) for _ in range(4)])
         rows[0, layout.mask_gene_flags] = 0  # every connection pruned
         rows[1] = layout.lower_bounds  # all-zero masks, most negative biases
@@ -220,19 +217,18 @@ class TestGenomeNativeFitness:
 
     def test_decode_is_one_row_of_population_parameters(self):
         rng = np.random.default_rng(7)
-        for learn_shifts in (True, False):
-            layout = ChromosomeLayout(Topology((4, 3, 3, 2)), ApproxConfig(), learn_shifts=learn_shifts)
-            population = np.stack([layout.random(rng) for _ in range(3)])
-            params = layout.population_parameters(population)
-            for p, row in enumerate(population):
-                model = layout.decode(row)
-                for index, layer in enumerate(model.layers):
-                    assert np.array_equal(layer.masks, params.masks[index][p])
-                    assert np.array_equal(layer.signs, params.signs[index][p])
-                    assert np.array_equal(layer.exponents, params.exponents[index][p])
-                    assert np.array_equal(layer.biases, params.biases[index][p])
-                assert model.shifts[:-1] == params.shifts[p].tolist()
-                assert np.array_equal(layout.encode(model), row)
+        layout = ChromosomeLayout(Topology((4, 3, 3, 2)), ApproxConfig())
+        population = np.stack([layout.random(rng) for _ in range(3)])
+        params = layout.population_parameters(population)
+        for p, row in enumerate(population):
+            model = layout.decode(row)
+            for index, layer in enumerate(model.layers):
+                assert np.array_equal(layer.masks, params.masks[index][p])
+                assert np.array_equal(layer.signs, params.signs[index][p])
+                assert np.array_equal(layer.exponents, params.exponents[index][p])
+                assert np.array_equal(layer.biases, params.biases[index][p])
+            assert model.shifts[:-1] == params.shifts[p].tolist()
+            assert np.array_equal(layout.encode(model), row)
 
     def test_stacked_model_parameters_round_trip(self):
         rng = np.random.default_rng(8)

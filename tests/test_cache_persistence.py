@@ -471,6 +471,7 @@ class TestStableKeys:
         """The folded context digest of the GA's stage key tells
         evaluators apart by layout, baseline accuracy, loss bound and
         training split."""
+        from repro.approx.topology import Topology
         from repro.core.chromosome import ChromosomeLayout
         from repro.core.fitness import FitnessEvaluator
 
@@ -496,7 +497,7 @@ class TestStableKeys:
             context(baseline_accuracy=0.5),
             context(max_accuracy_loss=0.05),
             context(train_labels=np.array([1, 1, 0])),
-            context(layout=ChromosomeLayout(small_topology, approx_config, learn_shifts=False)),
+            context(layout=ChromosomeLayout(Topology((*small_topology.sizes[:-1], 3)), approx_config)),
             context(layout=ChromosomeLayout(small_topology, dataclasses.replace(approx_config, weight_bits=6))),
         ]
         assert len(set(variants)) == len(variants)
@@ -671,7 +672,7 @@ class TestPipelinePersistence:
         ExperimentSession(TINY, cache_dir=tmp_path).baseline("breast_cancer")
         snapshot = tmp_path / "breast_cancer.cache.pkl"
         payload = pickle.loads(snapshot.read_bytes())
-        assert payload["version"] == CACHE_FORMAT_VERSION == 14
+        assert payload["version"] == CACHE_FORMAT_VERSION == 15
         (key, value), = payload["sections"]["stages"]
         payload["sections"]["stages"] = [(key, corrupt(value))]
         snapshot.write_bytes(pickle.dumps(payload))

@@ -12,7 +12,7 @@ from repro.core.chromosome import GENES_PER_CONNECTION, ChromosomeLayout
 
 @pytest.fixture
 def layout(small_topology, approx_config):
-    return ChromosomeLayout(small_topology, approx_config, learn_shifts=True)
+    return ChromosomeLayout(small_topology, approx_config)
 
 
 class TestLayoutStructure:
@@ -23,10 +23,17 @@ class TestLayoutStructure:
         expected += small_topology.num_layers - 1  # shift genes
         assert layout.num_genes == expected
 
-    def test_no_shift_genes_when_disabled(self, small_topology, approx_config):
-        with_shift = ChromosomeLayout(small_topology, approx_config, learn_shifts=True)
-        without = ChromosomeLayout(small_topology, approx_config, learn_shifts=False)
-        assert with_shift.num_genes == without.num_genes + small_topology.num_layers - 1
+    def test_learn_shifts_flag_is_gone(self, small_topology, approx_config):
+        """Every layout carries one shift gene per hidden layer; there is
+        no flag to turn them off."""
+        with pytest.raises(TypeError):
+            ChromosomeLayout(small_topology, approx_config, learn_shifts=False)
+        with pytest.raises(TypeError):
+            ChromosomeLayout(small_topology, approx_config, learn_shifts=True)
+        layout = ChromosomeLayout(small_topology, approx_config)
+        shift_slice = layout.shift_slice
+        assert shift_slice.stop - shift_slice.start == small_topology.num_layers - 1
+        assert shift_slice.stop == layout.num_genes
 
     def test_bounds_shapes_and_ordering(self, layout):
         assert layout.lower_bounds.shape == (layout.num_genes,)
@@ -119,7 +126,7 @@ class TestEncodeDecode:
         topology = Topology(
             (int(rng.integers(1, 8)), int(rng.integers(1, 5)), int(rng.integers(2, 6)))
         )
-        layout = ChromosomeLayout(topology, ApproxConfig(), learn_shifts=bool(rng.integers(0, 2)))
+        layout = ChromosomeLayout(topology, ApproxConfig())
         chromosome = layout.random(rng)
         assert np.array_equal(layout.encode(layout.decode(chromosome)), chromosome)
 
@@ -138,7 +145,7 @@ class TestPopulationBounds:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
     def test_genomes_at_the_bounds_are_accepted(self, config):
-        layout = ChromosomeLayout(Topology((4, 3, 2)), config, learn_shifts=True)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), config)
         params = layout.population_parameters(self._extremes(layout))
         assert params.biases[0].shape == (2, 3)
         assert params.biases[0].min() == config.bias_min
@@ -146,7 +153,7 @@ class TestPopulationBounds:
 
     @pytest.mark.parametrize("config", CONFIGS, ids=IDS)
     def test_a_gene_past_either_bound_raises(self, config):
-        layout = ChromosomeLayout(Topology((4, 3, 2)), config, learn_shifts=True)
+        layout = ChromosomeLayout(Topology((4, 3, 2)), config)
         for row, step in ((0, -1), (1, 1)):
             population = self._extremes(layout)
             population[row, -1] += step

@@ -42,11 +42,31 @@ def tiny_dataset_module():
 
 
 class TestGAConfig:
-    def test_defaults_follow_paper(self):
-        config = GAConfig()
-        assert config.crossover_probability == pytest.approx(0.7)
-        assert config.doping_fraction == pytest.approx(0.10)
-        assert config.max_accuracy_loss == pytest.approx(0.10)
+    def test_defaults_follow_paper(self, tiny_dataset_module):
+        """The paper's settings live as the defaults of the components the
+        trainer builds: crossover 0.7, ~10 % doping, a 10 % accuracy-loss
+        constraint during training."""
+        import inspect
+
+        from repro.core.fitness import FitnessEvaluator
+        from repro.core.pareto import ParetoArchive
+        from repro.core.population import PopulationInitializer
+
+        x_train, y_train, _, _ = tiny_dataset_module
+        layout = GATrainer((4, 3, 2)).layout
+        assert GAConfig().doping_fraction == pytest.approx(0.10)
+        operators = GeneticOperators(layout)
+        assert operators.crossover_probability == pytest.approx(0.7)
+        assert operators.mutation_probability == pytest.approx(0.02)
+        initializer = PopulationInitializer(layout)
+        assert initializer.doping_fraction == pytest.approx(0.10)
+        assert initializer.mask_density == pytest.approx(0.5)
+        evaluator = FitnessEvaluator(layout, x_train, y_train, baseline_accuracy=0.9)
+        assert evaluator.max_accuracy_loss == pytest.approx(0.10)
+        assert ParetoArchive().max_size == 256
+        # The one doping default: the trainer's field and the initializer's.
+        default = inspect.signature(PopulationInitializer).parameters["doping_fraction"].default
+        assert GAConfig().doping_fraction == default
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,10 +75,24 @@ class TestGAConfig:
             GAConfig(generations=0)
 
     @pytest.mark.parametrize(
-        "field", ["n_workers", "n_islands", "migration_interval", "migration_size"]
+        "field",
+        [
+            "n_workers",
+            "n_islands",
+            "migration_interval",
+            "migration_size",
+            "crossover_probability",
+            "mutation_probability",
+            "initial_mask_density",
+            "max_accuracy_loss",
+            "learn_shifts",
+            "archive_size",
+        ],
     )
     def test_engine_options_are_gone(self, field):
-        """The GA has one in-process engine: no pool or island settings."""
+        """The GA has one in-process engine (no pool or island settings),
+        and the settings whose one value is a component's own default
+        live only at that component."""
         with pytest.raises(TypeError, match=field):
             GAConfig(**{field: 2})
 
@@ -213,7 +247,7 @@ class TestGATrainer:
         # An impossible baseline accuracy makes every candidate infeasible;
         # the trainer must still return a usable front.
         x_train, y_train, _, _ = tiny_dataset_module
-        config = GAConfig(population_size=8, generations=2, seed=0, max_accuracy_loss=0.0)
+        config = GAConfig(population_size=8, generations=2, seed=0)
         result = GATrainer((4, 3, 2), ga_config=config).train(
             x_train, y_train, baseline_accuracy=2.0
         )

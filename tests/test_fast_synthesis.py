@@ -131,7 +131,6 @@ class TestApproximateEquivalence:
         for mlp, report in zip(mlps, fast):
             assert report == synthesize_approximate_mlp(mlp, voltage=voltage, slow=True)
 
-    @pytest.mark.parametrize("learn_shifts", [True, False])
     @settings(max_examples=10, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=10**9),
@@ -143,12 +142,11 @@ class TestApproximateEquivalence:
         size=st.integers(min_value=1, max_value=5),
     )
     def test_parameters_input_matches_models_and_scalar_oracle(
-        self, learn_shifts, seed, hidden, input_bits,
-        activation_bits, weight_bits, bias_bits, size,
+        self, seed, hidden, input_bits, activation_bits, weight_bits, bias_bits, size,
     ):
         """Stacked genome parameters (the front stage's input) give the
         reports of the model list and of the scalar oracle, with learned
-        or worst-case shifts."""
+        shifts and (first row) the worst-case shifts."""
         rng = np.random.default_rng(seed)
         config = ApproxConfig(
             input_bits=input_bits,
@@ -157,8 +155,9 @@ class TestApproximateEquivalence:
             bias_bits=bias_bits,
         )
         topology = Topology((int(rng.integers(1, 6)), *hidden, int(rng.integers(2, 5))))
-        layout = ChromosomeLayout(topology, config, learn_shifts=learn_shifts)
+        layout = ChromosomeLayout(topology, config)
         genomes = np.stack([layout.random(rng) for _ in range(size)])
+        genomes[0, layout.shift_slice] = layout.upper_bounds[layout.shift_slice]
         models = [layout.decode(row) for row in genomes]
         native = synthesize_approximate_population(layout.population_parameters(genomes))
         assert native == synthesize_approximate_population(models)

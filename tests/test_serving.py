@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -213,6 +214,26 @@ class TestStoreRoundTrip:
             p for p in store.root.rglob("*") if p.is_file() and p.suffix == ".tmp"
         ]
         assert leftovers == []
+
+    def test_failed_manifest_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        """The manifest goes through the same atomic writer as every
+        record: when its ``os.replace`` fails, its temp file is removed."""
+        store = DesignStore(tmp_path / "store")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "store.json":
+                raise OSError("manifest replace failed")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="manifest replace failed"):
+            store.put_front(_front([_design(0, 0.9, 1.0)]))
+        monkeypatch.undo()
+        assert sorted(p.name for p in store.root.rglob("*") if p.is_file()) == ["front.json"]
+        store.put_front(_front([_design(0, 0.9, 1.0)]))
+        assert (store.root / "store.json").is_file()
+        assert list(store.root.rglob("*.tmp")) == []
 
     def test_datasets_lists_only_published_fronts(self, tmp_path):
         assert DesignStore(tmp_path / "missing").datasets() == []
@@ -602,13 +623,14 @@ class TestQueries:
         session = SimpleNamespace(
             scale=SimpleNamespace(datasets=("demo",)), record=lambda name: record
         )
-        (fallback,) = build_table2(session, max_accuracy_loss=0.001)
+        fallback = queries.selection_row(session.record("demo"), max_accuracy_loss=0.001)
         (admissible,) = build_table2(session)
         assert fallback["within_budget"] is False
         assert admissible["within_budget"] is True
-        header, _, line = format_rows(DISPLAY, [fallback]).splitlines()[:3]
-        assert header.split("|")[-1].strip() == "In Budget"
-        assert line.split("|")[-1].strip() == "False"
+        for row, flag in ((fallback, "False"), (admissible, "True")):
+            header, _, line = format_rows(DISPLAY, [row]).splitlines()[:3]
+            assert header.split("|")[-1].strip() == "In Budget"
+            assert line.split("|")[-1].strip() == flag
 
     def test_front_rows_are_nondominated(self, store):
         rows = queries.front_rows(store.get_dataset("demo"))

@@ -137,11 +137,11 @@ class TestSharedStages:
         """A non-default accuracy-loss budget must be honored even after
         the front stage was memoized at the default budget."""
         from repro.evaluation.pareto_analysis import select_design
-        from repro.experiments.table2 import build_table2
+        from repro.serving import queries
 
         session, _, ga_calls, _ = session_run
         before = len(ga_calls)
-        rows = build_table2(session, max_accuracy_loss=0.5)
+        row = queries.selection_row(session.record("breast_cancer"), max_accuracy_loss=0.5)
         assert len(ga_calls) == before  # no retraining, selection only
         result = session.front("breast_cancer")
         expected = select_design(
@@ -149,8 +149,9 @@ class TestSharedStages:
             baseline_accuracy=result.baseline.test_accuracy,
             max_accuracy_loss=0.5,
         )
-        assert rows[0]["area_cm2"] == expected.area_cm2
-        assert rows[0]["accuracy"] == expected.test_accuracy
+        assert row["max_accuracy_loss"] == 0.5
+        assert row["area_cm2"] == expected.area_cm2
+        assert row["accuracy"] == expected.test_accuracy
 
     def test_prefetch_plan_respects_experiment_scope(self, session_run):
         session, _, _, _ = session_run
